@@ -374,43 +374,56 @@ let artifact_of_sexp sexp =
 
 (* ---------------- repository snapshots ---------------- *)
 
-let save_repository_gen ~canonical repo =
-  let kb = Repo.kb repo in
-  let props = Store.Base.to_serialized (Cml.Kb.base kb) in
+(* The snapshot is one s-expression,
+
+     (gkbms-repository (version 1) (props "<proposition lines>")
+      (artifacts ((<name> <artifact>) ...)) (log (<decision> ...))
+      (counter <n>))
+
+   streamed to [sink] piece by piece: the proposition lines go through
+   the quoted-atom escaper one at a time, and the artifacts are printed
+   one node at a time, sorted by name.  Nothing proportional to the
+   base is built in memory except the sorted line list of the
+   canonical form. *)
+let output_repository ~canonical sink repo =
+  let base = Cml.Kb.base (Repo.kb repo) in
+  let add = S.add_string sink in
+  let sep i = if i > 0 then add " " in
+  add "(gkbms-repository (version 1) (props \"";
   (* proposition lines come out in store-enumeration order, which
      depends on insertion history; the canonical form sorts them so two
      repositories with the same logical state serialize byte-identically
      (the replication convergence check) *)
-  let props =
-    if not canonical then props
-    else
-      String.split_on_char '\n' props
-      |> List.filter (fun l -> l <> "")
-      |> List.sort String.compare
-      |> fun lines -> String.concat "\n" lines ^ "\n"
-  in
-  let artifacts =
-    List.filter_map
-      (fun obj ->
-        match Repo.artifact repo obj with
-        | Some a ->
-          Some (S.List [ S.Atom (Symbol.name obj); sexp_of_artifact a ])
-        | None -> None)
-      (Store.Base.fold (Cml.Kb.base kb) (fun acc p -> p.Prop.id :: acc) [])
-    |> List.sort_uniq compare
-  in
-  let log = List.map (fun d -> S.Atom (Symbol.name d)) (Repo.decision_log repo) in
-  S.to_string
-    (S.List
-       [ S.Atom "gkbms-repository"; kv "version" (S.Atom "1");
-         kv "props" (S.Atom props);
-         kv "artifacts" (S.List artifacts);
-         kv "log" (S.List log);
-         kv "counter"
-           (S.Atom (string_of_int (List.length (Repo.decision_log repo)))) ])
+  Store.Base.output_serialized ~sorted:canonical (S.escaping sink) base;
+  add "\") (artifacts (";
+  Store.Base.fold_ids base
+    (fun acc id ->
+      match Repo.artifact repo id with
+      | Some a -> (Symbol.name id, a) :: acc
+      | None -> acc)
+    []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.iteri (fun i (name, a) ->
+         sep i;
+         S.output sink (S.List [ S.Atom name; sexp_of_artifact a ]));
+  add ")) (log (";
+  let log = Repo.decision_log repo in
+  List.iteri
+    (fun i d ->
+      sep i;
+      S.output sink (S.Atom (Symbol.name d)))
+    log;
+  add ")) (counter ";
+  add (string_of_int (List.length log));
+  add "))"
 
-let save_repository repo = save_repository_gen ~canonical:false repo
-let save_repository_canonical repo = save_repository_gen ~canonical:true repo
+let snapshot_string ~canonical repo =
+  let buf = Buffer.create 4096 in
+  output_repository ~canonical (Buffer.add_substring buf) repo;
+  Buffer.contents buf
+
+let save_repository repo = snapshot_string ~canonical:false repo
+let save_repository_canonical repo = snapshot_string ~canonical:true repo
 
 let load_repository_raw text =
   let* sexp = S.parse text in
@@ -482,12 +495,11 @@ let finalize ?(register_tools = Mapping.register_tools) repo =
       | Some v -> v
       | None -> 0
   in
+  let base = Cml.Kb.base (Repo.kb repo) in
   Prop.advance_ids
-    (List.fold_left
-       (fun acc (p : Prop.t) ->
-         max acc (trailing_number (Symbol.name p.Prop.id)))
-       0
-       (Store.Base.to_list (Cml.Kb.base (Repo.kb repo))));
+    (Store.Base.fold_ids base
+       (fun acc id -> max acc (trailing_number (Symbol.name id)))
+       0);
   (* re-align the decision counter past every dec<n> still present.
      Probing for the first free id is wrong here: a retracted decision
      leaves a gap in the sequence, and a counter parked in that gap
@@ -502,7 +514,7 @@ let finalize ?(register_tools = Mapping.register_tools) repo =
     else 0
   in
   Repo.advance_decision_counter repo
-    (List.fold_left
+    (Store.Base.fold base
        (fun acc (p : Prop.t) ->
          max acc
            (max
@@ -510,8 +522,7 @@ let finalize ?(register_tools = Mapping.register_tools) repo =
               (dec_number (Symbol.name p.Prop.source))))
        (List.fold_left
           (fun acc id -> max acc (dec_number (Symbol.name id)))
-          0 (Repo.decision_log repo))
-       (Store.Base.to_list (Cml.Kb.base (Repo.kb repo))));
+          0 (Repo.decision_log repo)));
   Decision.rebuild_jtms repo
 
 let load_repository ?register_tools text =
@@ -525,8 +536,11 @@ let save_to_file repo path =
   let tmp = path ^ ".tmp" in
   try
     let oc = open_out tmp in
-    output_string oc (save_repository repo);
-    close_out oc;
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_repository ~canonical:false (output_substring oc) repo;
+        close_out oc);
     Sys.rename tmp path;
     Ok ()
   with Sys_error e ->

@@ -3,6 +3,31 @@ type t = Atom of string | List of t list
 let atom s = Atom s
 let list l = List l
 
+type sink = string -> int -> int -> unit
+
+let add_string (sink : sink) s = sink s 0 (String.length s)
+
+(* Forward bytes [run, stop) of [s] to [sink], escaping those [table]
+   maps to a non-empty string; [run] starts the pending stretch of bytes
+   that pass through as is.  Top-level, so a call allocates nothing. *)
+let rec escape_runs table sink s stop run i =
+  if i = stop then (if i > run then sink s run (i - run))
+  else
+    let e = table.(Char.code s.[i]) in
+    if String.length e = 0 then escape_runs table sink s stop run (i + 1)
+    else begin
+      if i > run then sink s run (i - run);
+      add_string sink e;
+      escape_runs table sink s stop (i + 1) (i + 1)
+    end
+
+let escaper pairs =
+  let table = Array.make 256 "" in
+  List.iter (fun (c, e) -> table.(Char.code c) <- e) pairs;
+  fun (sink : sink) s pos len -> escape_runs table sink s (pos + len) pos pos
+
+let escaping = escaper [ ('"', "\\\""); ('\\', "\\\\"); ('\n', "\\n") ]
+
 let needs_quoting s =
   s = ""
   || String.exists
@@ -11,23 +36,25 @@ let needs_quoting s =
          || c = '"' || c = ';' || c = '\\')
        s
 
-let quote s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let rec output sink = function
+  | Atom s when needs_quoting s ->
+    add_string sink "\"";
+    add_string (escaping sink) s;
+    add_string sink "\""
+  | Atom s -> add_string sink s
+  | List l ->
+    add_string sink "(";
+    List.iteri
+      (fun i x ->
+        if i > 0 then add_string sink " ";
+        output sink x)
+      l;
+    add_string sink ")"
 
-let rec to_string = function
-  | Atom s -> if needs_quoting s then quote s else s
-  | List l -> "(" ^ String.concat " " (List.map to_string l) ^ ")"
+let to_string t =
+  let buf = Buffer.create 64 in
+  output (Buffer.add_substring buf) t;
+  Buffer.contents buf
 
 exception Parse_error of string
 

@@ -87,14 +87,16 @@ let compare a b =
     Stdlib.compare (n, a1, a2) (m, b1, b2)
   | _ -> Stdlib.compare (tag a) (tag b)
 
-let pp ppf = function
-  | Always -> Format.pp_print_string ppf "Always"
-  | At p -> Format.fprintf ppf "@@%d" p
-  | From p -> Format.fprintf ppf "%d+" p
-  | Between (lo, hi) -> Format.fprintf ppf "[%d,%d]" lo hi
-  | Named (n, lo, hi) -> Format.fprintf ppf "%s[%d,%d]" n lo hi
+(* printed once per proposition by every snapshot and WAL record, so
+   no formatter is built per call *)
+let to_string = function
+  | Always -> "Always"
+  | At p -> "@" ^ string_of_int p
+  | From p -> string_of_int p ^ "+"
+  | Between (lo, hi) -> Printf.sprintf "[%d,%d]" lo hi
+  | Named (n, lo, hi) -> Printf.sprintf "%s[%d,%d]" n lo hi
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let of_string s =
   let fail () = Error (Printf.sprintf "Time.of_string: cannot parse %S" s) in

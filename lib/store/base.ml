@@ -267,18 +267,6 @@ let with_tx t f =
 
 (* Persistence ---------------------------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let unescape s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
@@ -299,16 +287,24 @@ let unescape s =
   loop 0;
   Buffer.contents buf
 
-let prop_to_line (p : Prop.t) =
-  String.concat "\t"
-    [
-      escape (Symbol.name p.id);
-      escape (Symbol.name p.source);
-      escape (Symbol.name p.label);
-      escape (Symbol.name p.dest);
-      Time.to_string p.time;
-      string_of_int p.belief;
-    ]
+(* One proposition per line: four escaped names, the valid time and
+   the belief time, tab-separated.  Escaping keeps raw tabs and
+   newlines out of the fields. *)
+let escaping = Sexp.escaper [ ('\\', "\\\\"); ('\t', "\\t"); ('\n', "\\n") ]
+
+let output_line sink (p : Prop.t) =
+  let esc = escaping sink in
+  let field sym =
+    Sexp.add_string esc (Symbol.name sym);
+    Sexp.add_string sink "\t"
+  in
+  field p.id;
+  field p.source;
+  field p.label;
+  field p.dest;
+  Sexp.add_string sink (Time.to_string p.time);
+  Sexp.add_string sink "\t";
+  Sexp.add_string sink (string_of_int p.belief)
 
 let split_fields line =
   (* split on unescaped tabs; fields themselves never contain raw tabs *)
@@ -330,13 +326,26 @@ let prop_of_line line =
     | _, None -> Error (Printf.sprintf "bad belief time in %S" line))
   | _ -> Error (Printf.sprintf "malformed proposition line %S" line)
 
+let output_serialized ?(sorted = false) sink t =
+  if not sorted then
+    iter t (fun p ->
+        output_line sink p;
+        Sexp.add_string sink "\n")
+  else
+    let line p =
+      let buf = Buffer.create 64 in
+      output_line (Buffer.add_substring buf) p;
+      Buffer.contents buf
+    in
+    fold t (fun acc p -> line p :: acc) []
+    |> List.sort String.compare
+    |> List.iter (fun l ->
+           Sexp.add_string sink l;
+           Sexp.add_string sink "\n")
+
 let to_serialized t =
   let buf = Buffer.create 4096 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf (prop_to_line p);
-      Buffer.add_char buf '\n')
-    (to_list t);
+  output_serialized (Buffer.add_substring buf) t;
   Buffer.contents buf
 
 let of_serialized ?backend s =
@@ -379,7 +388,7 @@ let of_serialized ?backend s =
              (Symbol.name p.id))
       | None -> Error "duplicate proposition id in input")
 
-let save t oc = output_string oc (to_serialized t)
+let save t oc = output_serialized (output_substring oc) t
 
 let load ?backend ic =
   let buf = Buffer.create 4096 in

@@ -113,4 +113,10 @@ val with_tx : t -> (unit -> ('a, 'e) result) -> ('a, 'e) result
 val save : t -> out_channel -> unit
 val load : ?backend:backend -> in_channel -> (t, string) result
 val to_serialized : t -> string
+
+val output_serialized : ?sorted:bool -> Kernel.Sexp.sink -> t -> unit
+(** Stream {!to_serialized}'s lines, one proposition at a time, in store
+    enumeration order, or byte-sorted with [~sorted:true] (the order
+    that does not depend on insertion history). *)
+
 val of_serialized : ?backend:backend -> string -> (t, string) result

@@ -543,6 +543,45 @@ let test_recover_realigns_decision_counter () =
   check string "fresh decision id skips the retraction gap" next_live
     (Repo.fresh_decision_id repo2)
 
+(* a checkpoint streams the snapshot to its file: the major heap must not
+   grow with the snapshot's size.  Building the whole snapshot as one
+   string (plus its copies) allocated ~15x the file size there. *)
+let test_checkpoint_memory_bound () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let st = ok (Scn.setup ()) in
+  ignore (ok (Scn.map_move_down st));
+  ignore (ok (Scn.normalize_invitations st));
+  ignore (ok (Scn.substitute_key st));
+  let repo = st.Scn.repo in
+  let docs = 256 in
+  for i = 0 to docs - 1 do
+    ignore
+      (ok
+         (Repo.new_object repo ~name:(Printf.sprintf "Doc%dx" i)
+            ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0")))
+  done;
+  let sh = Gkbms.Shell.session repo in
+  for i = 0 to 1999 do
+    ignore
+      (Gkbms.Shell.eval sh
+         (Printf.sprintf "run DecManualEdit Editor object=Doc%dx text=e%d"
+            (i mod docs) i))
+  done;
+  check bool "edits committed" true (List.length (Repo.decision_log repo) > 2000);
+  check bool "~49k propositions" true
+    (Store.Base.cardinal (Cml.Kb.base (Repo.kb repo)) > 40_000);
+  let d = ok (Durable.attach ~dir repo) in
+  Fun.protect ~finally:(fun () -> Durable.close d) @@ fun () ->
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  ok (Durable.checkpoint d);
+  let major_bytes = ((Gc.quick_stat ()).Gc.major_words -. before) *. 8. in
+  let file_bytes = float (Unix.stat (Durable.checkpoint_path dir)).Unix.st_size in
+  if major_bytes >= file_bytes then
+    Alcotest.failf "checkpoint allocated %.0f major-heap bytes for a %.0f-byte file"
+      major_bytes file_bytes
+
 (* mid-log offset reading (replication frame shipping) -------------------- *)
 
 (* every frame-start offset of [data]'s valid prefix, plus the end
@@ -724,6 +763,7 @@ let suite =
     ("retraction survives recovery", `Quick, test_durable_retraction_survives);
     ("recovery realigns prop id counter", `Quick, test_recover_realigns_prop_ids);
     ("recovery realigns decision counter", `Quick, test_recover_realigns_decision_counter);
+    ("checkpoint major allocation below file size", `Quick, test_checkpoint_memory_bound);
     ("group-commit batch is crash-atomic", `Quick, test_group_commit_batch_recovery);
     ("group-commit batch edge cases", `Quick, test_group_commit_empty_and_errors);
   ]

@@ -94,13 +94,15 @@ let test_nested_fallback () =
   let out =
     Pool.map_array ~pool:pool2
       (fun i ->
-        check bool "inside task" true (Pool.in_worker ());
-        Array.fold_left ( + ) 0
-          (Pool.map_array ~pool:pool2 (fun x -> x * i) [| 1; 2; 3 |]))
+        (* checked on the caller: Alcotest's printer is not domain-safe *)
+        ( Pool.in_worker (),
+          Array.fold_left ( + ) 0
+            (Pool.map_array ~pool:pool2 (fun x -> x * i) [| 1; 2; 3 |]) ))
       (Array.init 8 (fun i -> i))
   in
+  check bool "inside task" true (Array.for_all fst out);
   check bool "nested results correct" true
-    (out = Array.init 8 (fun i -> 6 * i));
+    (Array.map snd out = Array.init 8 (fun i -> 6 * i));
   check bool "flag cleared outside tasks" false (Pool.in_worker ())
 
 (* symbol interner under domains ---------------------------------------- *)
@@ -129,6 +131,51 @@ let test_symbol_stress () =
   let ids = List.init 997 (fun k -> Symbol.to_int (Symbol.intern (word k))) in
   check int "997 distinct ids" 997
     (List.length (List.sort_uniq compare ids))
+
+let test_symbol_resize () =
+  (* one domain interns 3x as many fresh strings as exist, so the probe
+     table doubles at least twice, while three domains keep resolving
+     words interned beforehand through the lock-free path *)
+  let words = Array.init 512 (fun k -> "resize_old_" ^ string_of_int k) in
+  let ids = Array.map Symbol.intern words in
+  let before = Symbol.count () in
+  (* the floor keeps two doublings when few symbols exist yet *)
+  let fresh_n = max (3 * before) 16_384 in
+  let fresh k = "resize_fresh_" ^ string_of_int k in
+  let done_ = Atomic.make false in
+  let reader seed () =
+    let n = Array.length words in
+    let errs = ref 0 and rounds = ref 0 in
+    while not (Atomic.get done_) || !rounds < 2 do
+      for i = 0 to n - 1 do
+        let j = i * seed mod n in
+        let id = Symbol.intern words.(j) in
+        if not (Symbol.equal id ids.(j)) || Symbol.name id <> words.(j) then
+          incr errs
+      done;
+      incr rounds
+    done;
+    !errs
+  in
+  let readers = List.init 3 (fun k -> Domain.spawn (reader (2 * k + 1))) in
+  let writer =
+    Domain.spawn (fun () ->
+        let got = Array.init fresh_n (fun k -> Symbol.intern (fresh k)) in
+        Atomic.set done_ true;
+        got)
+  in
+  let got = Domain.join writer in
+  let errs = List.fold_left (fun acc d -> acc + Domain.join d) 0 readers in
+  check int "readers saw stable ids and names during resizes" 0 errs;
+  check int "count grew by exactly the fresh strings" (before + fresh_n)
+    (Symbol.count ());
+  let bad = ref 0 in
+  Array.iteri
+    (fun k id ->
+      let s = fresh k in
+      if not (Symbol.equal (Symbol.intern s) id) || Symbol.name id <> s then incr bad)
+    got;
+  check int "fresh strings keep their ids" 0 !bad
 
 (* mem-store index hygiene (satellite fix) ------------------------------- *)
 
@@ -361,6 +408,7 @@ let suite =
     ("pool run and stats", `Quick, test_run_and_stats);
     ("pool nested call falls back", `Quick, test_nested_fallback);
     ("symbol intern 4-domain stress", `Quick, test_symbol_stress);
+    ("symbol intern across table resizes", `Quick, test_symbol_resize);
     ("mem-store drained buckets removed", `Quick, test_mem_store_bucket_drain);
     QCheck_alcotest.to_alcotest test_datalog_differential;
     ("datalog 120-chain parallel closure", `Quick, test_datalog_pool_chain);

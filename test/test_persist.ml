@@ -186,6 +186,99 @@ let test_file_roundtrip () =
   Sys.remove path;
   check int "one decision" 1 (List.length (Repo.decision_log repo2))
 
+(* The snapshot format, pinned: the streaming writer must print the
+   bytes the original whole-string printer built.  [reference_print] is
+   that printer; the tree is assembled the way the original snapshot
+   code assembled it. *)
+let rec reference_print = function
+  | S.Atom s ->
+    let needs_quoting =
+      s = ""
+      || String.exists
+           (fun c ->
+             c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '(' || c = ')'
+             || c = '"' || c = ';' || c = '\\')
+           s
+    in
+    if not needs_quoting then s
+    else
+      let buf = Buffer.create (String.length s + 2) in
+      Buffer.add_char buf '"';
+      String.iter
+        (function
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | c -> Buffer.add_char buf c)
+        s;
+      Buffer.add_char buf '"';
+      Buffer.contents buf
+  | S.List l -> "(" ^ String.concat " " (List.map reference_print l) ^ ")"
+
+let reference_snapshot ~canonical repo =
+  let base = Cml.Kb.base (Repo.kb repo) in
+  let props = Store.Base.to_serialized base in
+  let props =
+    if not canonical then props
+    else
+      String.split_on_char '\n' props
+      |> List.filter (fun l -> l <> "")
+      |> List.sort String.compare
+      |> fun lines -> String.concat "\n" lines ^ "\n"
+  in
+  let artifacts =
+    List.filter_map
+      (fun obj ->
+        match Repo.artifact repo obj with
+        | Some a -> Some (S.List [ S.Atom (Symbol.name obj); P.sexp_of_artifact a ])
+        | None -> None)
+      (Store.Base.fold base (fun acc p -> p.Prop.id :: acc) [])
+    |> List.sort_uniq compare
+  in
+  let log = List.map (fun d -> S.Atom (Symbol.name d)) (Repo.decision_log repo) in
+  let kv k v = S.List [ S.Atom k; v ] in
+  reference_print
+    (S.List
+       [ S.Atom "gkbms-repository"; kv "version" (S.Atom "1");
+         kv "props" (S.Atom props); kv "artifacts" (S.List artifacts);
+         kv "log" (S.List log);
+         kv "counter" (S.Atom (string_of_int (List.length log))) ])
+
+let test_snapshot_format_pinned () =
+  let st = ok (Scn.setup ()) in
+  ignore (ok (Scn.map_move_down st));
+  let repo = st.Scn.repo in
+  let awkward = "say \"hi\" \\ back\tslash\nnext line" in
+  ignore
+    (ok
+       (Repo.new_object repo ~name:"Awkward" ~cls:Gkbms.Metamodel.dbpl_object
+          (Repo.Text awkward)));
+  ignore
+    (ok
+       (Gkbms.Decision.execute repo
+          ~decision_class:Gkbms.Metamodel.dec_manual_edit
+          ~tool:Gkbms.Mapping.editor_tool
+          ~inputs:[ ("object", Symbol.intern "Awkward") ]
+          ~params:[ ("text", awkward ^ "\n(edited)") ]
+          ()));
+  (* a proposition whose names need escaping on both levels *)
+  ok
+    (Store.Base.insert (Cml.Kb.base (Repo.kb repo))
+       (Prop.make ~id:(Symbol.intern "odd\"id\\\t\n") ~source:(Symbol.intern "a b")
+          ~label:(Symbol.intern "l(;)") ~dest:(Symbol.intern "") ()));
+  let path = Filename.temp_file "gkbms" ".repo" in
+  ok (P.save_to_file repo path);
+  let ic = open_in_bin path in
+  let written = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  let expected = reference_snapshot ~canonical:false repo in
+  check Alcotest.string "save_to_file" expected written;
+  check Alcotest.string "save_repository" expected (P.save_repository repo);
+  check Alcotest.string "save_repository_canonical"
+    (reference_snapshot ~canonical:true repo)
+    (P.save_repository_canonical repo)
+
 (* qcheck: snapshots round-trip on randomized repositories — a random
    chain of manual edits over the scenario baseline *)
 let canon repo =
@@ -236,5 +329,6 @@ let suite =
     ("loaded repository continues", `Quick, test_loaded_repo_continues);
     ("snapshot rejects garbage", `Quick, test_snapshot_rejects_garbage);
     ("file roundtrip", `Quick, test_file_roundtrip);
+    ("snapshot bytes match the reference printer", `Quick, test_snapshot_format_pinned);
     QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
   ]

@@ -155,6 +155,29 @@ let prop_sexp_roundtrip =
       | Ok sexp' -> sexp = sexp'
       | Error _ -> false)
 
+(* atoms drawn mostly from the bytes the printer must quote or escape,
+   empty atoms included *)
+let prop_sexp_roundtrip_awkward =
+  let atom =
+    QCheck.Gen.(
+      map (fun s -> S.Atom s)
+        (string_size
+           ~gen:(oneofl [ 'a'; 'Z'; '"'; '\\'; '\n'; ' '; '\t'; '('; ')'; ';' ])
+           (int_range 0 5)))
+  in
+  let rec gen_sexp depth =
+    let open QCheck.Gen in
+    if depth = 0 then atom
+    else
+      frequency
+        [ (2, atom);
+          (1, map (fun l -> S.List l) (list_size (int_range 0 4) (gen_sexp (depth - 1)))) ]
+  in
+  QCheck.Test.make ~name:"sexp round-trips quotes, backslashes, newlines, spaces"
+    ~count:200
+    (QCheck.make ~print:S.to_string (gen_sexp 3))
+    (fun sexp -> S.parse (S.to_string sexp) = Ok sexp)
+
 (* --- version machinery -------------------------------------------------- *)
 
 let edit_chain n =
@@ -207,5 +230,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tdl_class_codec;
     QCheck_alcotest.to_alcotest prop_text_codec;
     QCheck_alcotest.to_alcotest prop_sexp_roundtrip;
+    QCheck_alcotest.to_alcotest prop_sexp_roundtrip_awkward;
     QCheck_alcotest.to_alcotest prop_version_chain_linear;
   ]
