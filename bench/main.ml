@@ -507,9 +507,9 @@ let shape_e18_server () =
    free and can ride one pipeline window):
 
      blocking, no WAL        — the E18-equivalent baseline
-     blocking, fsync each    — the per-decision-fsync ablation (CI gate)
+     blocking, fsync each    — the per-decision-fsync ablation (CI gate):
+                               batches capped at one decision
      grouped + pipelined     — group commit, fsync on, K in flight
-     grouped + event loop    — same, served by the select loop
 
    The fsync counter confirms batches actually formed: syncs must come
    out far below decisions. *)
@@ -528,7 +528,7 @@ let shape_e25_group_commit () =
   in
   let clients = 3 and docs_per_client = 16 and waves = 8 in
   let total_writes = clients * docs_per_client * waves in
-  let build ~wal ~fsync ~group ~event_loop () =
+  let build ~wal ~fsync ~group () =
     let st = ok (Gkbms.Scenario.setup ()) in
     ignore (ok (Gkbms.Scenario.map_move_down st));
     ignore (ok (Gkbms.Scenario.normalize_invitations st));
@@ -545,7 +545,6 @@ let shape_e25_group_commit () =
       { Server.Daemon.default_config with
         wal_fsync = fsync;
         group_commit = group;
-        event_loop;
       }
     in
     let daemon = Server.Daemon.create ~config repo in
@@ -589,7 +588,7 @@ let shape_e25_group_commit () =
   (* every edit targets one of the client's base documents directly —
      the Editor allocates the successor version name itself — so the
      whole op stream is dependency free and rides one continuous
-     pipeline with no client-side barrier between waves.  All four
+     pipeline with no client-side barrier between waves.  All three
      configurations replay exactly this stream; only the window size
      (1 = blocking request/response) differs. *)
   let client_loop ~window client ci =
@@ -634,46 +633,20 @@ let shape_e25_group_commit () =
     List.iter Thread.join threads;
     Unix.gettimeofday () -. t0
   in
-  let over_socket daemon ~window =
-    let path = temp_dir () ^ ".sock" in
-    let listener =
-      Thread.create (fun () -> ignore (Server.Daemon.listen daemon ~path)) ()
-    in
-    let rec wait_sock n =
-      if n > 0 && not (Sys.file_exists path) then (
-        Thread.delay 0.01;
-        wait_sock (n - 1))
-    in
-    wait_sock 500;
-    let t0 = Unix.gettimeofday () in
-    let threads =
-      List.init clients (fun ci ->
-          Thread.create
-            (fun () ->
-              let client =
-                ok (Server.Client.connect_unix ~handshake:true path)
-              in
-              client_loop ~window client ci;
-              Server.Client.close client)
-            ())
-    in
-    List.iter Thread.join threads;
-    let dt = Unix.gettimeofday () -. t0 in
-    Server.Daemon.stop daemon;
-    Thread.join listener;
-    dt
-  in
   let finish daemon dir =
     Server.Daemon.stop daemon;
     Option.iter rm_rf dir
   in
+  (* batches of one decision: the blocking arms commit, and with a WAL
+     sync, once per write *)
+  let single = (1, 0) in
   (* blocking, no WAL: the E18-equivalent write baseline *)
-  let daemon, dir = build ~wal:false ~fsync:false ~group:None ~event_loop:false () in
+  let daemon, dir = build ~wal:false ~fsync:false ~group:single () in
   let dt = over_handle daemon ~window:1 in
   finish daemon dir;
   let e18_equiv = float_of_int total_writes /. dt in
   (* blocking, fsync per decision: the ablation the CI gate compares to *)
-  let daemon, dir = build ~wal:true ~fsync:true ~group:None ~event_loop:false () in
+  let daemon, dir = build ~wal:true ~fsync:true ~group:single () in
   let dt = over_handle daemon ~window:1 in
   finish daemon dir;
   let ablation = float_of_int total_writes /. dt in
@@ -683,36 +656,22 @@ let shape_e25_group_commit () =
      commits, instead of stalling on ack round trips. *)
   let deep = docs_per_client * waves in
   let daemon, dir =
-    build ~wal:true ~fsync:true
-      ~group:(Some (docs_per_client * clients, 1_000))
-      ~event_loop:false ()
+    build ~wal:true ~fsync:true ~group:(docs_per_client * clients, 1_000) ()
   in
   let fsyncs0 = counter "gkbms_wal_fsyncs_total" in
   let dt = over_handle daemon ~window:deep in
   let fsyncs = counter "gkbms_wal_fsyncs_total" - fsyncs0 in
   finish daemon dir;
   let grouped = float_of_int total_writes /. dt in
-  (* the same, served by the select event loop over a real socket *)
-  let daemon, dir =
-    build ~wal:true ~fsync:true
-      ~group:(Some (docs_per_client * clients, 1_000))
-      ~event_loop:true ()
-  in
-  let dt = over_socket daemon ~window:deep in
-  Option.iter rm_rf dir;
-  let grouped_eloop = float_of_int total_writes /. dt in
-  let best = Float.max grouped grouped_eloop in
   Printf.printf
     "write-heavy, %d clients x %d docs x %d waves = %d decisions:\n\
     \  blocking, no WAL (E18-equivalent):   %8.0f ops/s\n\
     \  blocking, fsync per decision:        %8.0f ops/s\n\
     \  group commit + pipelining (fsync):   %8.0f ops/s (%.1fx ablation, %.1fx E18)\n\
-    \  group commit + event loop (fsync):   %8.0f ops/s (%.1fx ablation, %.1fx E18)\n\
     \  WAL syncs during the grouped run: %d for %d decisions (%.1f decisions/sync)\n\
     \  raw fsync on this box: %.2f ms (bounds the achievable ablation ratio)\n"
     clients docs_per_client waves total_writes e18_equiv ablation grouped
-    (grouped /. ablation) (grouped /. e18_equiv) grouped_eloop
-    (grouped_eloop /. ablation) (grouped_eloop /. e18_equiv) fsyncs total_writes
+    (grouped /. ablation) (grouped /. e18_equiv) fsyncs total_writes
     (float_of_int total_writes /. float_of_int (max 1 fsyncs))
     fsync_raw_ms;
   metric_i "e25_decisions" total_writes;
@@ -720,10 +679,9 @@ let shape_e25_group_commit () =
   metric_f "e25_write_blocking_nowal_ops" e18_equiv;
   metric_f "e25_write_blocking_fsync_ops" ablation;
   metric_f "e25_write_grouped_ops" grouped;
-  metric_f "e25_write_grouped_eloop_ops" grouped_eloop;
   metric_i "e25_fsyncs_grouped" fsyncs;
-  metric_f "e25_speedup_vs_fsync" (best /. ablation);
-  metric_f "e25_durability_cost_vs_nowal" (e18_equiv /. best)
+  metric_f "e25_speedup_vs_fsync" (grouped /. ablation);
+  metric_f "e25_durability_cost_vs_nowal" (e18_equiv /. grouped)
 
 (* E19: cost of the observability layer itself.  Each workload runs
    three ways — registry disabled (the uninstrumented baseline),

@@ -583,35 +583,14 @@ let serve_cmd =
   in
   let group_commit =
     Arg.(value
-         & opt ~vopt:(Some "") (some string) None
+         & opt (pair ~sep:',' int int) Server.Daemon.default_config.group_commit
          & info [ "group-commit" ] ~docv:"K,T"
-             ~doc:"Group commit: collect concurrently arriving write \
-                   commands and journal them as one WAL batch with a \
-                   single sync, then ack each client.  A batch flushes at \
-                   $(b,K) writes or $(b,T) microseconds after the first, \
-                   whichever comes first (bare flag: the 16,500 default).")
-  in
-  let event_loop =
-    Arg.(value & flag & info [ "event-loop" ]
-           ~doc:"Serve connections from a single select-based event loop \
-                 over a small worker pool instead of a thread per \
-                 connection (sessions may pipeline requests).")
-  in
-  let parse_group_commit = function
-    | None -> Ok None
-    | Some "" -> Ok (Some Server.Daemon.default_group_commit)
-    | Some s -> (
-      let default_t = snd Server.Daemon.default_group_commit in
-      match String.split_on_char ',' s with
-      | [ k ] -> (
-        match int_of_string_opt k with
-        | Some k when k > 0 -> Ok (Some (k, default_t))
-        | _ -> Error ("invalid --group-commit " ^ s))
-      | [ k; t ] -> (
-        match (int_of_string_opt k, int_of_string_opt t) with
-        | Some k, Some t when k > 0 && t >= 0 -> Ok (Some (k, t))
-        | _ -> Error ("invalid --group-commit " ^ s))
-      | _ -> Error ("invalid --group-commit " ^ s ^ " (expected K or K,T)"))
+             ~doc:"Bound the write batches.  Group commit is always on: \
+                   write commands arriving from all clients are journaled \
+                   as one WAL batch with a single sync, then each client is \
+                   acked.  A batch flushes at $(b,K) writes, $(b,T) \
+                   microseconds after its first write, or as soon as no \
+                   more writes arrive, whichever comes first.")
   in
   let serve_loop daemon ~socket ~banner =
     let stop_handler _ = Server.Daemon.stop daemon in
@@ -623,8 +602,8 @@ let serve_cmd =
     Format.printf "server stopped.@.";
     Ok ()
   in
-  let run until wal socket no_cache idle domains store role follow group_commit
-      event_loop =
+  let run until wal socket no_cache idle domains store role follow
+      (k, t_us) =
     apply_store store;
     (* flight recorder dump-on-crash: SIGUSR2 snapshots the decision
        lifecycle ring next to the WAL (read back with
@@ -634,25 +613,24 @@ let serve_cmd =
         Obs.Recorder.install_crash_dump ~path:(Obs.Recorder.default_file dir))
       wal;
     handle
-      (let* group_commit = parse_group_commit group_commit in
+      (let* () =
+         if k >= 1 && t_us >= 0 then Ok ()
+         else Error "invalid --group-commit (expected K >= 1 and T >= 0)"
+       in
       let config =
         { Server.Daemon.default_config with
           cache = not no_cache;
           idle_timeout = idle;
           domains = max 1 domains;
-          group_commit;
-          event_loop;
+          group_commit = (k, t_us);
         }
       in
       let flags =
-        Printf.sprintf "cache %s%s%s%s%s"
+        Printf.sprintf "cache %s%s%s, group-commit %d,%dus"
           (if no_cache then "off" else "on")
           (if domains > 1 then Printf.sprintf ", %d domains" domains else "")
           (match wal with None -> "" | Some dir -> ", wal " ^ dir)
-          (match group_commit with
-          | None -> ""
-          | Some (k, t) -> Printf.sprintf ", group-commit %d,%dus" k t)
-          (if event_loop then ", event loop" else "")
+          k t_us
       in
       match role with
       | `Single ->
@@ -755,7 +733,7 @@ let serve_cmd =
              serves reads at the applied version (writes are refused with \
              a redirect).")
     Term.(const run $ until_arg $ wal_arg $ socket_arg $ no_cache $ idle
-          $ domains $ store_arg $ role $ follow $ group_commit $ event_loop)
+          $ domains $ store_arg $ role $ follow $ group_commit)
 
 let client_cmd =
   let exec_args =

@@ -8,21 +8,17 @@ type config = {
   wal_fsync : bool;
   domains : int;
       (** domains for read-command evaluation; 1 = all evaluation on
-          the accept threads (pre-multicore behaviour) *)
+          the daemon's own threads (pre-multicore behaviour) *)
   read_only : string option;
       (** [Some leader] marks this daemon a replication follower:
           write-class commands are refused with an error naming the
           leader address to redirect to *)
-  group_commit : (int * int) option;
-      (** [Some (k, t_us)] turns on group commit: write commands from
-          all sessions are collected by a flusher thread and committed
-          under one exclusive section with a single end-of-batch WAL
-          sync; a batch flushes at [k] commands or [t_us] µs after its
-          first enqueue, whichever comes first *)
-  event_loop : bool;
-      (** serve {!listen} connections from a [Unix.select] readiness
-          loop over a small worker pool instead of a thread per
-          connection *)
+  group_commit : int * int;
+      (** [(k, t_us)]: write commands from all sessions are collected by
+          a flusher thread and committed under one exclusive section
+          with a single end-of-batch WAL sync; a batch flushes at [k]
+          commands or [t_us] µs after its first enqueue, whichever
+          comes first *)
 }
 
 let default_config =
@@ -34,11 +30,8 @@ let default_config =
     wal_fsync = false;
     domains = 1;
     read_only = None;
-    group_commit = None;
-    event_loop = false;
+    group_commit = (16, 500);
   }
-
-let default_group_commit = (16, 500)
 
 type entry = {
   gsession : Session.t;
@@ -51,10 +44,8 @@ type t = {
   repo : Repo.t;
   config : config;
   scheduler : Scheduler.t;
-  group : entry Scheduler.Batch.t option;
+  group : entry Scheduler.Batch.t;
   mutable flusher : Thread.t option;
-  mutable eloop_wake : (unit -> unit) option;
-      (** wakes the event loop's select (stop, suspended-fd resume) *)
   cache : Cache.t option;
   metrics : Metrics.t;
   eval_m : Mutex.t;
@@ -81,36 +72,6 @@ type t = {
   mutable reaper : Thread.t option;
   mutable workers : Thread.t list;  (** threads spawned by [connect]/[listen] *)
 }
-
-let create ?(config = default_config) repo =
-  {
-    repo;
-    config;
-    scheduler = Scheduler.create ();
-    group =
-      Option.map
-        (fun (k, t_us) -> Scheduler.Batch.create ~max:k ~window_us:t_us)
-        config.group_commit;
-    flusher = None;
-    eloop_wake = None;
-    cache =
-      (if config.cache then Some (Cache.create ~capacity:config.cache_capacity ())
-       else None);
-    metrics = Metrics.create ~registry:Obs.Registry.default ();
-    eval_m = Mutex.create ();
-    pool =
-      (if config.domains > 1 then Some (Par.Pool.create ~domains:config.domains)
-       else None);
-    m = Mutex.create ();
-    sessions = Hashtbl.create 16;
-    next_sid = 0;
-    durable = None;
-    extension = None;
-    listen_fd = None;
-    stopping = false;
-    reaper = None;
-    workers = [];
-  }
 
 let repo t = t.repo
 let scheduler t = t.scheduler
@@ -198,8 +159,8 @@ let eval_under_lock t session line =
    excludes writers, session state is only touched by this session's
    single in-flight request, and the shared structures reads traverse
    (symbol table, KB closure caches, Obs) are individually
-   domain-safe.  Writes never come through here — they stay on the
-   accept thread, under [eval_m], in log order. *)
+   domain-safe.  Writes never come through here — they run on the
+   flusher thread, under [eval_m], in log order. *)
 let eval_read t session line =
   match t.pool with
   | Some pool ->
@@ -284,20 +245,13 @@ let process t session (req : Protocol.request) : Protocol.response =
   | line when Gkbms.Shell.is_quit line -> finish "bye"
   | line -> (
     match Scheduler.classify line with
-    | `Write -> (
-      match t.config.read_only with
-      | Some leader ->
-        finish
-          (Printf.sprintf
-             "error: read-only follower: redirect writes to the leader at %s"
-             leader)
-      | None ->
-        finish
-          (Scheduler.write t.scheduler (fun () ->
-               let out = eval_under_lock t session line in
-               (* make the decision durable before answering the client *)
-               Option.iter Gkbms.Durable.sync t.durable;
-               out)))
+    | `Write ->
+      (* [grouped] sends a writable daemon's writes to the batch, so
+         only a follower's writes get here *)
+      finish
+        (Printf.sprintf
+           "error: read-only follower: redirect writes to the leader at %s"
+           (Option.value t.config.read_only ~default:"?"))
     | `Read -> (
       match t.cache with
       | Some cache when Scheduler.cacheable line -> (
@@ -319,21 +273,19 @@ let process t session (req : Protocol.request) : Protocol.response =
 
 (* group commit -------------------------------------------------------- *)
 
-(* Writes are eligible for the batched path only when group commit is
-   on and this daemon accepts writes at all; everything else — reads,
-   built-ins, protocol extensions, follower refusals — keeps the
-   synchronous [process] path.  (Extension commands never classify as
-   writes: the replication family has its own verbs.) *)
+(* Every write of a daemon that accepts writes goes through the batch;
+   everything else — reads, built-ins, protocol extensions, follower
+   refusals — takes the synchronous [process] path.  (Extension
+   commands never classify as writes: the replication family has its
+   own verbs.) *)
 let grouped t (req : Protocol.request) =
-  t.group <> None
-  && t.config.read_only = None
-  && Scheduler.classify req.Protocol.line = `Write
+  t.config.read_only = None && Scheduler.classify req.Protocol.line = `Write
 
-(* One batch: validate and commit every collected write sequentially
-   under a single exclusive section — same total order as today, same
-   snapshot-plus-predecessors semantics — bracketed by the durable
-   batch seam so the WAL is synced once, at the end.  Only then are
-   the acks sent: a client never sees a success for a decision that
+(* One batch: validate and commit every collected write sequentially,
+   in arrival order, under a single exclusive section — each write sees
+   the committed state plus its batch predecessors — bracketed by the
+   durable batch seam so the WAL is synced once, at the end.  Only then
+   are the acks sent: a client never sees a success for a decision that
    could still be lost, and a crash before the end-of-batch marker
    rolls back exactly the unacknowledged suffix. *)
 let exec_batch t entries =
@@ -391,23 +343,11 @@ let flusher_loop t batch =
   in
   loop ()
 
-let ensure_flusher t batch =
-  Mutex.lock t.m;
-  if t.flusher = None && not t.stopping then
-    t.flusher <- Some (Thread.create (flusher_loop t) batch);
-  Mutex.unlock t.m
-
 let submit_write t session req ~finish =
-  match t.group with
-  | None ->
-    (* group commit off: fall back to the synchronous write path *)
-    finish (process t session req)
-  | Some batch ->
-    ensure_flusher t batch;
-    let e =
-      { gsession = session; greq = req; enq_s = Unix.gettimeofday (); gfinish = finish }
-    in
-    if not (Scheduler.Batch.submit batch e) then refuse e "server stopping"
+  let e =
+    { gsession = session; greq = req; enq_s = Unix.gettimeofday (); gfinish = finish }
+  in
+  if not (Scheduler.Batch.submit t.group e) then refuse e "server stopping"
 
 (* connection lifecycle ------------------------------------------------ *)
 
@@ -432,10 +372,46 @@ let reaper_loop t timeout =
     if stop then continue_ := false else List.iter Session.shutdown idle
   done
 
-let ensure_reaper t =
-  match (t.config.idle_timeout, t.reaper) with
-  | Some timeout, None -> t.reaper <- Some (Thread.create (reaper_loop t) timeout)
-  | _ -> ()
+let create ?(config = default_config) repo =
+  let t =
+    {
+      repo;
+      config;
+      scheduler = Scheduler.create ();
+      group =
+        (let k, t_us = config.group_commit in
+         Scheduler.Batch.create ~max:k ~window_us:t_us);
+      flusher = None;
+      cache =
+        (if config.cache then Some (Cache.create ~capacity:config.cache_capacity ())
+         else None);
+      metrics = Metrics.create ~registry:Obs.Registry.default ();
+      eval_m = Mutex.create ();
+      pool =
+        (if config.domains > 1 then Some (Par.Pool.create ~domains:config.domains)
+         else None);
+      m = Mutex.create ();
+      sessions = Hashtbl.create 16;
+      next_sid = 0;
+      durable = None;
+      extension = None;
+      listen_fd = None;
+      stopping = false;
+      reaper = None;
+      workers = [];
+    }
+  in
+  (* The daemon's own threads start here, not on first use: a thread
+     belongs to the domain that creates it, and a domain cannot finish
+     while one of its threads lives, so a flusher or reaper spawned
+     from a session running in a short-lived domain would pin that
+     domain until [stop].  A follower never batches. *)
+  if config.read_only = None then
+    t.flusher <- Some (Thread.create (flusher_loop t) t.group);
+  Option.iter
+    (fun timeout -> t.reaper <- Some (Thread.create (reaper_loop t) timeout))
+    config.idle_timeout;
+  t
 
 let register_session t transport =
   Mutex.lock t.m;
@@ -446,7 +422,6 @@ let register_session t transport =
       ~transport
   in
   Hashtbl.replace t.sessions sid s;
-  ensure_reaper t;
   Mutex.unlock t.m;
   Metrics.session_opened t.metrics;
   s
@@ -479,225 +454,11 @@ let connect t =
   register_worker t (Thread.create (fun () -> handle t server_end) ());
   client_end
 
-(* event loop ----------------------------------------------------------
-
-   One thread multiplexes every connection with [Unix.select]: it
-   accepts, reads whatever bytes are ready, parses complete frames
-   ([Protocol.feed]) and queues them per connection; a small worker
-   pool drains one connection at a time (actor style), keeping
-   per-session order while any number of sessions sit idle for free.
-   Writes still pipeline through the group-commit flusher, so a worker
-   only ever blocks on its own session's outstanding acks.
-
-   Backpressure: a connection whose request queue hits the limit is
-   dropped from the select read set until its worker drains it below
-   half, mirroring the blocking receiver's behaviour.  A connection is
-   only closed (fd released) once no worker holds it and its last ack
-   has gone out — an fd number must not be reused while a stale writer
-   could still reach it. *)
-
-let eloop_worker_count = 4
-
-type econn = {
-  efd : Unix.file_descr;
-  esession : Session.t;
-  efeeder : Protocol.feeder;
-  ebuf : bytes;
-  em : Mutex.t;
-  erq : Protocol.request Queue.t;
-  mutable escheduled : bool;  (** queued for (or held by) a worker *)
-  mutable esuspended : bool;  (** removed from the select read set *)
-  mutable eclosed : bool;
-}
-
-let econn_handle_one t c req =
-  let s = c.esession in
-  let done_one resp =
-    (match Session.send s resp with
-    | Some n -> Metrics.add_bytes t.metrics ~incoming:0 ~outgoing:n
-    | None -> ());
-    Metrics.inflight t.metrics (-1)
-  in
-  if grouped t req then begin
-    Session.begin_async s;
-    submit_write t s req ~finish:(fun resp ->
-        done_one resp;
-        Session.end_async s)
-  end
-  else begin
-    Session.await_idle s;
-    done_one (process t s req);
-    if Gkbms.Shell.is_quit req.Protocol.line then
-      (* shutting the socket down surfaces as EOF in the select loop,
-         which buries the connection through the normal path *)
-      Session.shutdown s
-  end
-
-let econn_drain t wake c =
-  let continue_ = ref true in
-  while !continue_ do
-    Mutex.lock c.em;
-    match Queue.take_opt c.erq with
-    | None ->
-      c.escheduled <- false;
-      Mutex.unlock c.em;
-      continue_ := false
-    | Some req ->
-      let resume =
-        c.esuspended && Queue.length c.erq <= t.config.queue_limit / 2
-      in
-      if resume then c.esuspended <- false;
-      Mutex.unlock c.em;
-      if resume then wake ();
-      econn_handle_one t c req
-  done
-
-let eloop t fd =
-  let conns : (Unix.file_descr, econn) Hashtbl.t = Hashtbl.create 64 in
-  let graveyard : econn list ref = ref [] in
-  let ready : econn Bqueue.t = Bqueue.create ~capacity:4096 in
-  let pipe_r, pipe_w = Unix.pipe () in
-  let wake () =
-    try ignore (Unix.write_substring pipe_w "x" 0 1) with Unix.Unix_error _ -> ()
-  in
+let stopping t =
   Mutex.lock t.m;
-  t.eloop_wake <- Some wake;
+  let s = t.stopping in
   Mutex.unlock t.m;
-  let workers =
-    List.init eloop_worker_count (fun _ ->
-        Thread.create
-          (fun () ->
-            let continue_ = ref true in
-            while !continue_ do
-              match Bqueue.take ready with
-              | None -> continue_ := false
-              | Some c -> econn_drain t wake c
-            done)
-          ())
-  in
-  let stopping () =
-    Mutex.lock t.m;
-    let s = t.stopping in
-    Mutex.unlock t.m;
-    s
-  in
-  let bury c =
-    (* out of the select set now; fd closed later, once quiescent *)
-    Mutex.lock c.em;
-    c.eclosed <- true;
-    Mutex.unlock c.em;
-    Hashtbl.remove conns c.efd;
-    unregister_session t c.esession;
-    Session.shutdown c.esession;
-    graveyard := c :: !graveyard
-  in
-  let sweep_graveyard () =
-    graveyard :=
-      List.filter
-        (fun c ->
-          let busy =
-            Mutex.lock c.em;
-            let b = c.escheduled || not (Queue.is_empty c.erq) in
-            Mutex.unlock c.em;
-            b || Session.async_pending c.esession > 0
-          in
-          if not busy then Session.detach c.esession;
-          busy)
-        !graveyard
-  in
-  let accept_ready () =
-    match Unix.accept fd with
-    | conn_fd, _ ->
-      let session = register_session t (Protocol.fd_transport conn_fd) in
-      let c =
-        {
-          efd = conn_fd;
-          esession = session;
-          efeeder = Protocol.feeder ();
-          ebuf = Bytes.create 8192;
-          em = Mutex.create ();
-          erq = Queue.create ();
-          escheduled = false;
-          esuspended = false;
-          eclosed = false;
-        }
-      in
-      Hashtbl.replace conns conn_fd c
-    | exception Unix.Unix_error _ -> ()
-  in
-  let enqueue_request c req =
-    Metrics.inflight t.metrics 1;
-    Mutex.lock c.em;
-    Queue.push req c.erq;
-    if Queue.length c.erq >= t.config.queue_limit then c.esuspended <- true;
-    let need_sched = not c.escheduled in
-    if need_sched then c.escheduled <- true;
-    Mutex.unlock c.em;
-    if need_sched then ignore (Bqueue.put ready c : bool)
-  in
-  let read_ready c =
-    match Unix.read c.efd c.ebuf 0 (Bytes.length c.ebuf) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> bury c
-    | 0 -> bury c
-    | n -> (
-      Session.touch c.esession;
-      Metrics.add_bytes t.metrics ~incoming:n ~outgoing:0;
-      match Protocol.feed c.efeeder c.ebuf n with
-      | Error _reason ->
-        Metrics.protocol_error t.metrics;
-        bury c
-      | Ok frames ->
-        List.iter
-          (function
-            | Protocol.Request req -> enqueue_request c req
-            | Protocol.Response _ ->
-              Metrics.protocol_error t.metrics;
-              bury c)
-          frames)
-  in
-  let drain_pipe () =
-    let b = Bytes.create 64 in
-    match Unix.read pipe_r b 0 64 with
-    | _ | (exception Unix.Unix_error _) -> ()
-  in
-  while not (stopping ()) do
-    sweep_graveyard ();
-    let watched =
-      Hashtbl.fold
-        (fun cfd c acc ->
-          if c.esuspended || c.eclosed then acc else cfd :: acc)
-        conns []
-    in
-    match Unix.select (fd :: pipe_r :: watched) [] [] 1.0 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ ->
-      (* the listener was closed under us by [stop]; recheck *)
-      ()
-    | readable, _, _ ->
-      List.iter
-        (fun rfd ->
-          if rfd = fd then accept_ready ()
-          else if rfd = pipe_r then drain_pipe ()
-          else
-            match Hashtbl.find_opt conns rfd with
-            | Some c -> read_ready c
-            | None -> ())
-        readable
-  done;
-  (* shutdown: stop feeding the workers, drop every connection *)
-  Hashtbl.iter (fun _ c -> bury c) conns;
-  Bqueue.close ready;
-  List.iter (fun th -> try Thread.join th with _ -> ()) workers;
-  (* workers are gone, so quiescence is immediate for queued work; a
-     straggler ack from the flusher fails harmlessly on the closed fd *)
-  List.iter (fun c -> Session.detach c.esession) !graveyard;
-  graveyard := [];
-  Mutex.lock t.m;
-  t.eloop_wake <- None;
-  Mutex.unlock t.m;
-  (try Unix.close pipe_r with Unix.Unix_error _ -> ());
-  try Unix.close pipe_w with Unix.Unix_error _ -> ()
+  s
 
 let listen t ~path =
   match
@@ -714,25 +475,24 @@ let listen t ~path =
     Mutex.lock t.m;
     t.listen_fd <- Some fd;
     Mutex.unlock t.m;
+    (* Only [stop] ends the loop.  A connection reset before it was
+       accepted (ECONNABORTED) is retried at once.  Running out of
+       descriptors or buffers (EMFILE, ENFILE, ENOBUFS, ENOMEM) is
+       transient under a connection flood: back off until some
+       connections close.  [stop] closing the listener also fails the
+       accept; the loop head then sees [stopping]. *)
     let rec accept_loop () =
-      let stop =
-        Mutex.lock t.m;
-        let s = t.stopping in
-        Mutex.unlock t.m;
-        s
-      in
-      if not stop then (
-        match Unix.accept fd with
+      if not (stopping t) then begin
+        (match Unix.accept fd with
         | conn, _ ->
           register_worker t
-            (Thread.create (fun () -> handle t (Protocol.fd_transport conn)) ());
-          accept_loop ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-        | exception Unix.Unix_error _ ->
-          (* listener closed by [stop] *)
-          ())
+            (Thread.create (fun () -> handle t (Protocol.fd_transport conn)) ())
+        | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
+        | exception Unix.Unix_error _ -> if not (stopping t) then Thread.delay 0.05);
+        accept_loop ()
+      end
     in
-    if t.config.event_loop then eloop t fd else accept_loop ();
+    accept_loop ();
     (try Unix.unlink path with _ -> ());
     Ok ()
 
@@ -745,7 +505,6 @@ let stop t =
   let sessions = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
   let workers = t.workers in
   t.workers <- [];
-  let wake = t.eloop_wake in
   let flusher = t.flusher in
   t.flusher <- None;
   Mutex.unlock t.m;
@@ -757,11 +516,9 @@ let stop t =
       (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
       (try Unix.close fd with _ -> ())
     | None -> ());
-    (* nudge the event loop off its select so it notices [stopping] *)
-    Option.iter (fun w -> w ()) wake;
     (* refuse new batched writes, let the flusher commit the tail, then
        retire it — before closing sessions, so queued acks can land *)
-    Option.iter Scheduler.Batch.close t.group;
+    Scheduler.Batch.close t.group;
     (match flusher with
     | Some th -> ( try Thread.join th with _ -> ())
     | None -> ());

@@ -1,14 +1,16 @@
 (** The concurrent GKBMS server.
 
     One shared repository, many client sessions (§2's group decision
-    setting).  Each connection gets a {!Session} wrapping its own
-    {!Gkbms.Shell}; commands are classified by the {!Scheduler} — reads
-    run under the shared lock (and, for deterministic read commands,
-    through the version-keyed {!Cache}), writes serialize under the
-    exclusive lock in decision-log order and, when a WAL is attached
-    ({!attach_wal}), are synced into the journal before the response is
-    sent.  {!Metrics} observes everything and is exposed through the
-    [metrics] protocol command.
+    setting).  Each connection gets a thread and a {!Session} wrapping
+    its own {!Gkbms.Shell}; commands are classified by the {!Scheduler}.
+    Reads run under the shared lock (and, for deterministic read
+    commands, through the version-keyed {!Cache}).  Writes from every
+    session go to one flusher thread ({!Scheduler.Batch}), which commits
+    each batch under the exclusive lock in decision-log order and, when
+    a WAL is attached ({!attach_wal}), syncs the journal once at the end
+    of the batch before any of its responses is sent.  {!Metrics}
+    observes everything and is exposed through the [metrics] protocol
+    command.
 
     Protocol-level commands handled before the shell: [metrics] (the
     server report; [metrics json] / [metrics prom] render the shared
@@ -24,60 +26,58 @@ type config = {
   idle_timeout : float option;
       (** disconnect sessions idle longer than this many seconds *)
   queue_limit : int;  (** per-session request queue bound *)
-  wal_fsync : bool;  (** fsync (not just flush) the WAL on each write *)
+  wal_fsync : bool;  (** fsync (not just flush) the WAL at each batch end *)
   domains : int;
       (** with [domains > 1] the server owns a {!Par.Pool} of that size
           and read-class commands evaluate on its domains (still under
           the writer-preferring scheduler, so they never overlap a
-          write); writes stay on the accept threads, serialized in
-          decision-log order.  [1] keeps every command on the accept
-          threads under one evaluation mutex. *)
+          write); writes stay on the flusher thread, serialized in
+          decision-log order.  [1] keeps every command on the server's
+          own threads under one evaluation mutex. *)
   read_only : string option;
       (** [Some leader_addr] marks the daemon a replication follower:
           write-class commands are refused with an error telling the
           client to redirect to [leader_addr].  Reads (and the
           protocol-level commands) are served normally, at the
           follower's applied version. *)
-  group_commit : (int * int) option;
-      (** [Some (k, t_us)] turns on group commit: write commands from
-          all sessions are collected by a flusher thread, validated and
+  group_commit : int * int;
+      (** [(k, t_us)] bounds the write batches.  Write commands from all
+          sessions are collected by a flusher thread, validated and
           committed in arrival order under one exclusive section, and
           made durable with a {e single} end-of-batch WAL sync; only
           then is each client acked.  A batch flushes at [k] commands
-          or [t_us] µs after its first enqueue, whichever comes first.
-          Crash safety: the batch is bracketed by begin/end markers in
-          the journal, so [recover] after a mid-batch [kill -9] rolls
-          back exactly the torn (never-acknowledged) suffix. *)
-  event_loop : bool;
-      (** serve {!listen} connections from a [Unix.select] readiness
-          loop multiplexing all sessions over a small worker pool,
-          instead of a thread per connection.  Per-session request
-          order is preserved (each connection is drained by one worker
-          at a time); combined with [group_commit], pipelined writes
-          from any number of sessions share fsyncs. *)
+          or [t_us] µs after its first enqueue, whichever comes first,
+          and as soon as the queue stops growing, so a lone blocking
+          writer is a batch of one.  Crash safety: the batch is
+          bracketed by begin/end markers in the journal, so [recover]
+          after a mid-batch [kill -9] rolls back exactly the torn
+          (never-acknowledged) suffix. *)
 }
 
 val default_config : config
 (** cache on, capacity 4096, no idle timeout, queue limit 64, no fsync,
-    1 domain, writable, no group commit, thread-per-connection. *)
-
-val default_group_commit : int * int
-(** [(16, 500)]: flush at 16 writes or 500µs, whichever first — the
-    [serve --group-commit] default. *)
+    1 domain, writable, batches of at most 16 writes or 500 µs. *)
 
 type t
 
 val create : ?config:config -> Gkbms.Repository.t -> t
+(** Start a daemon over the repository.  Its own threads start here, in
+    the calling domain: the write flusher (unless [read_only]) and, with
+    [idle_timeout], the idle reaper.  {!stop} retires them.
+    @raise Invalid_argument if [config.group_commit] has [k < 1] or
+    [t_us < 0]. *)
+
 val repo : t -> Gkbms.Repository.t
 val config : t -> config
 val scheduler : t -> Scheduler.t
 val durable : t -> Gkbms.Durable.t option
 
 val attach_wal : t -> dir:string -> (unit, string) result
-(** Journal the shared repository under [dir] via {!Gkbms.Durable}; every
-    write command syncs the log before its response is sent, so a
-    [kill -9] loses at most the in-flight uncommitted decision and
-    [gkbms recover] restores exactly the committed prefix. *)
+(** Journal the shared repository under [dir] via {!Gkbms.Durable}.  Each
+    write batch syncs the log once, after its last decision and before
+    any of its responses is sent, so a [kill -9] loses only
+    unacknowledged decisions and [gkbms recover] restores exactly the
+    acknowledged prefix. *)
 
 val attach_durable : t -> Gkbms.Durable.t -> (unit, string) result
 (** Adopt an already-attached durable handle (the recovery path:
@@ -109,13 +109,15 @@ val connect : t -> Protocol.transport
 
 val listen : t -> path:string -> (unit, string) result
 (** Bind a Unix-domain socket at [path] (replacing a stale file) and
-    accept connections until {!stop} — one thread per connection, or,
-    with [config.event_loop], a single select loop over a worker pool.
-    Blocks the calling thread. *)
+    accept connections, one thread each, until {!stop}.  A failed
+    accept (out of descriptors, a connection aborted before it was
+    accepted) is retried, after a short back-off when descriptors or
+    buffers ran out.  Blocks the calling thread. *)
 
 val stop : t -> unit
-(** Stop listening, shut every live session down, wait for them to
-    drain, and close the WAL if attached.  Idempotent. *)
+(** Stop listening, commit the queued writes, shut every live session
+    down, wait for them to drain, retire the daemon's threads, and close
+    the WAL if attached.  Idempotent. *)
 
 val session_count : t -> int
 val metrics : t -> Metrics.snapshot

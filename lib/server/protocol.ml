@@ -187,117 +187,86 @@ let loopback () =
   in
   (client, server)
 
-(* framed reading ------------------------------------------------------ *)
+(* framed reading ------------------------------------------------------
+
+   One decoder, two entry points: [feed] appends bytes a caller read
+   itself and returns every frame they complete; [next_frame] refills
+   from a transport until one frame is whole. *)
+
+type feeder = { pending : Buffer.t; mutable off : int  (** read offset *) }
+
+let feeder () = { pending = Buffer.create 512; off = 0 }
+let buffered f = Buffer.length f.pending - f.off
+
+(* Drop the consumed prefix once it is at least as long as the rest, so
+   the copy is amortized O(1) per byte and a stream that always ends in
+   a partial frame still keeps only about one frame buffered. *)
+let compact f =
+  let rest = buffered f in
+  if f.off > 0 && f.off >= rest then begin
+    let tail = Buffer.sub f.pending f.off rest in
+    Buffer.clear f.pending;
+    Buffer.add_string f.pending tail;
+    f.off <- 0
+  end
+
+let u32le_at f pos =
+  let byte i = Char.code (Buffer.nth f.pending (f.off + pos + i)) in
+  byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
+
+(* the next whole frame, [Ok None] if more bytes are needed *)
+let take_frame f =
+  if buffered f < 8 then Ok None
+  else
+    let len = u32le_at f 0 in
+    if len > max_frame then
+      Error (Printf.sprintf "frame length %d exceeds limit" len)
+    else if buffered f < 8 + len then Ok None
+    else
+      let crc = Int32.of_int (u32le_at f 4) in
+      let payload = Buffer.sub f.pending (f.off + 8) len in
+      f.off <- f.off + 8 + len;
+      compact f;
+      if Durability.Crc32.of_string payload <> crc then Error "checksum mismatch"
+      else Result.map Option.some (decode_payload payload)
+
+let feed f b n =
+  Buffer.add_subbytes f.pending b 0 n;
+  let rec frames acc =
+    match take_frame f with
+    | Ok None -> Ok (List.rev acc)
+    | Ok (Some fr) -> frames (fr :: acc)
+    | Error e -> Error e
+  in
+  frames []
 
 type reader = {
   tr : transport;
-  pending : Buffer.t;
-  mutable roff : int;
+  buf : feeder;
   chunk : bytes;
   mutable consumed : int;
 }
 
-let reader tr =
-  { tr; pending = Buffer.create 512; roff = 0; chunk = Bytes.create 4096; consumed = 0 }
-
+let reader tr = { tr; buf = feeder (); chunk = Bytes.create 4096; consumed = 0 }
 let bytes_consumed r = r.consumed
 
-let available r = Buffer.length r.pending - r.roff
-
-let compact r =
-  if r.roff > 0 && r.roff = Buffer.length r.pending then (
-    Buffer.clear r.pending;
-    r.roff <- 0)
-
-(* pull more bytes; false on end of stream *)
-let refill r =
-  let n = r.tr.read r.chunk 0 (Bytes.length r.chunk) in
-  if n = 0 then false
-  else (
-    Buffer.add_subbytes r.pending r.chunk 0 n;
-    r.consumed <- r.consumed + n;
-    true)
-
-let peek r pos = Buffer.nth r.pending (r.roff + pos)
-
-let sub r pos len =
-  Buffer.sub r.pending (r.roff + pos) len
-
-let u32le_at r pos =
-  Char.code (peek r pos)
-  lor (Char.code (peek r (pos + 1)) lsl 8)
-  lor (Char.code (peek r (pos + 2)) lsl 16)
-  lor (Char.code (peek r (pos + 3)) lsl 24)
-
 let rec next_frame r =
-  if available r < 8 then
-    if refill r then next_frame r
-    else if available r = 0 then Error `Eof
-    else Error (`Corrupt "end of stream inside a frame header")
-  else
-    let len = u32le_at r 0 in
-    if len > max_frame then
-      Error (`Corrupt (Printf.sprintf "frame length %d exceeds limit" len))
-    else if available r < 8 + len then
-      if refill r then next_frame r
-      else Error (`Corrupt "end of stream inside a frame payload")
-    else
-      let crc = Int32.of_int (u32le_at r 4) in
-      let payload = sub r 8 len in
-      r.roff <- r.roff + 8 + len;
-      compact r;
-      if Durability.Crc32.of_string payload <> crc then
-        Error (`Corrupt "checksum mismatch")
-      else
-        match decode_payload payload with
-        | Ok f -> Ok f
-        | Error e -> Error (`Corrupt e)
+  match take_frame r.buf with
+  | Ok (Some f) -> Ok f
+  | Error e -> Error (`Corrupt e)
+  | Ok None ->
+    let n = r.tr.read r.chunk 0 (Bytes.length r.chunk) in
+    if n > 0 then begin
+      Buffer.add_subbytes r.buf.pending r.chunk 0 n;
+      r.consumed <- r.consumed + n;
+      next_frame r
+    end
+    else if buffered r.buf = 0 then Error `Eof
+    else if buffered r.buf < 8 then
+      Error (`Corrupt "end of stream inside a frame header")
+    else Error (`Corrupt "end of stream inside a frame payload")
 
 let write_frame tr frame =
   let s = encode frame in
   tr.write s;
   String.length s
-
-(* push parsing --------------------------------------------------------
-   The event-loop variant of [reader]: the select loop owns the fd and
-   hands whatever bytes arrived to [feed], which returns every complete
-   frame they finish.  No blocking, no transport. *)
-
-type feeder = { fpending : Buffer.t; mutable foff : int }
-
-let feeder () = { fpending = Buffer.create 512; foff = 0 }
-let feeder_pending f = Buffer.length f.fpending - f.foff
-
-let feed f b n =
-  Buffer.add_subbytes f.fpending b 0 n;
-  let peek pos = Buffer.nth f.fpending (f.foff + pos) in
-  let u32le_at pos =
-    Char.code (peek pos)
-    lor (Char.code (peek (pos + 1)) lsl 8)
-    lor (Char.code (peek (pos + 2)) lsl 16)
-    lor (Char.code (peek (pos + 3)) lsl 24)
-  in
-  let rec frames acc =
-    if feeder_pending f < 8 then Ok (List.rev acc)
-    else
-      let len = u32le_at 0 in
-      if len > max_frame then
-        Error (Printf.sprintf "frame length %d exceeds limit" len)
-      else if feeder_pending f < 8 + len then Ok (List.rev acc)
-      else
-        let crc = Int32.of_int (u32le_at 4) in
-        let payload = Buffer.sub f.fpending (f.foff + 8) len in
-        f.foff <- f.foff + 8 + len;
-        if Durability.Crc32.of_string payload <> crc then
-          Error "checksum mismatch"
-        else
-          match decode_payload payload with
-          | Ok fr -> frames (fr :: acc)
-          | Error e -> Error e
-  in
-  let r = frames [] in
-  if f.foff = Buffer.length f.fpending then begin
-    Buffer.clear f.fpending;
-    f.foff <- 0
-  end;
-  r

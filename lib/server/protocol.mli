@@ -51,7 +51,12 @@ val loopback : unit -> transport * transport
 (** An in-process bidirectional channel: [(client_end, server_end)].
     Blocking, mutex-protected, safe across threads and domains. *)
 
-(** {1 Framed reading and writing} *)
+(** {1 Framed reading and writing}
+
+    One decoder with two entry points: a {!reader} pulls bytes from a
+    transport until a frame is whole; a {!feeder} is handed bytes by a
+    caller that reads its own sockets (say, from a [select] loop).  Both
+    keep only the undecoded tail buffered. *)
 
 type reader
 
@@ -65,15 +70,6 @@ val next_frame : reader -> (frame, [ `Eof | `Corrupt of string ]) result
 val bytes_consumed : reader -> int
 (** Total bytes read so far (for the metrics). *)
 
-val write_frame : transport -> frame -> int
-(** Write one frame; returns the number of bytes written. *)
-
-(** {1 Push parsing}
-
-    The event-loop variant of {!reader}: the select loop owns the fd
-    and hands whatever bytes arrived to {!feed}; no blocking, no
-    transport. *)
-
 type feeder
 
 val feeder : unit -> feeder
@@ -84,5 +80,5 @@ val feed : feeder -> bytes -> int -> (frame list, string) result
     bad checksum, oversized length, undecodable payload — and the
     connection should be dropped. *)
 
-val feeder_pending : feeder -> int
-(** Bytes buffered but not yet forming a complete frame. *)
+val write_frame : transport -> frame -> int
+(** Write one frame; returns the number of bytes written. *)

@@ -162,9 +162,10 @@ let cacheable line =
    committed, the next one accumulates behind it: under load the
    window hardly matters and batches form by natural accumulation.
 
-   The stdlib has no timed condition wait, so once a batch is pending
-   the flusher polls its deadline in sub-window sleeps; when the queue
-   is empty it parks on the condition variable and costs nothing. *)
+   While the queue is empty the flusher parks on the condition
+   variable and costs nothing; once a batch is pending it yields
+   between length checks and flushes as soon as the queue stops
+   growing (see [drain]). *)
 module Batch = struct
   type 'a t = {
     m : Mutex.t;
@@ -263,10 +264,4 @@ module Batch = struct
     t.closed <- true;
     Condition.broadcast t.nonempty;
     Mutex.unlock t.m
-
-  let length t =
-    Mutex.lock t.m;
-    let n = Queue.length t.q in
-    Mutex.unlock t.m;
-    n
 end

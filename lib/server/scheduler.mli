@@ -59,11 +59,11 @@ val known_verbs : string list
 
     The group-commit admission queue: writers {!Batch.submit} work
     items as they arrive, and a single flusher thread blocks in
-    {!Batch.drain} until the accumulated batch reaches [max] items or
-    [window_us] µs have elapsed since the batch's first enqueue —
-    whichever comes first.  A lone writer therefore waits at most one
-    window; under load the next batch accumulates while the previous
-    one commits, so batches mostly form by natural accumulation. *)
+    {!Batch.drain} until the accumulated batch reaches [max] items,
+    stops growing between two yields, or is [window_us] µs old —
+    whichever comes first.  A lone writer is therefore a batch of one;
+    under load the next batch accumulates while the previous one
+    commits, so batches mostly form by natural accumulation. *)
 module Batch : sig
   type 'a t
 
@@ -82,6 +82,4 @@ module Batch : sig
   val close : 'a t -> unit
   (** Refuse further submissions and wake the flusher; already-queued
       items still drain. *)
-
-  val length : 'a t -> int
 end

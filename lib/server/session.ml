@@ -25,8 +25,6 @@ type t = {
 let sid t = t.sid
 let shell t = t.shell
 let last_active t = t.last_active
-let touch t = t.last_active <- Unix.gettimeofday ()
-let queue_length t = Bqueue.length t.queue
 
 let create ~sid ~queue_limit ~repo ~transport =
   let news_m = Mutex.create () in
@@ -105,20 +103,12 @@ let end_async t =
   if t.pending = 0 then Condition.broadcast t.pend_c;
   Mutex.unlock t.pend_m
 
-let async_pending t =
-  Mutex.lock t.pend_m;
-  let n = t.pending in
-  Mutex.unlock t.pend_m;
-  n
-
 let await_idle t =
   Mutex.lock t.pend_m;
   while t.pending > 0 do
     Condition.wait t.pend_c t.pend_m
   done;
   Mutex.unlock t.pend_m
-
-let post t req = Bqueue.put t.queue req
 
 let run t ~grouped ~submit_write ~process ~on_bytes ~on_inflight
     ~on_protocol_error =

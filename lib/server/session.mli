@@ -4,14 +4,12 @@
     last polled ([news] — the paper's §2 group setting, where designers
     working on one shared KB see each other's decisions land).
 
-    Two drivers exist: {!run} (thread-per-connection: a receiver loop
-    plus an executor thread) and the daemon's event loop, which parses
-    frames itself and drives the session through {!post}/{!send}.
-    Both support pipelining: write-class commands are handed to the
-    group-commit flusher asynchronously ({!begin_async}/{!end_async})
-    and any other command first waits for the session's outstanding
-    writes ({!await_idle}), so a session always reads its own writes
-    and response frames never interleave ({!send} serializes).
+    {!run} drives a connection with two threads: a receiver that decodes
+    frames into the queue, and an executor that answers them.  Sessions
+    may pipeline: write-class commands are handed to the group-commit
+    flusher without waiting for their acks, and any other command first
+    waits for the session's outstanding writes, so a session always
+    reads its own writes.  Response frames never interleave.
 
     The listener is detached with {!Gkbms.Repository.off_event} when the
     connection ends, so a disconnecting client leaks no closure. *)
@@ -22,12 +20,6 @@ val sid : t -> int
 val shell : t -> Gkbms.Shell.t
 val last_active : t -> float
 
-val touch : t -> unit
-(** Refresh {!last_active} (the event loop calls this on every read;
-    {!run}'s receiver does it itself). *)
-
-val queue_length : t -> int
-
 val create :
   sid:int -> queue_limit:int -> repo:Gkbms.Repository.t ->
   transport:Protocol.transport -> t
@@ -37,33 +29,6 @@ val take_news : t -> string
 
 val shutdown : t -> unit
 (** Wake the receiver with end-of-stream (idle reaper / server stop). *)
-
-val detach : t -> unit
-(** Unsubscribe the news listener and close the transport.  {!run}
-    does this itself; the event loop calls it when it drops the
-    connection. *)
-
-val send : t -> Protocol.response -> int option
-(** Write one response frame, serialized against concurrent acks.
-    [Some bytes] on success; [None] when the peer is gone (the request
-    queue is closed as a side effect). *)
-
-val post : t -> Protocol.request -> bool
-(** Enqueue a request for the executor ({!run}'s receiver does this
-    itself); [false] if the session is closing. *)
-
-val begin_async : t -> unit
-(** Account one write handed to the group-commit flusher. *)
-
-val end_async : t -> unit
-(** The flusher acked one outstanding write. *)
-
-val await_idle : t -> unit
-(** Block until every outstanding write of this session is acked. *)
-
-val async_pending : t -> int
-(** Writes handed to the flusher and not yet acked (the event loop
-    defers closing a connection's fd until this reaches zero). *)
 
 val run :
   t ->

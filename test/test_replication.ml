@@ -464,6 +464,78 @@ let test_differential_seed_1 () = run_differential ~seed:11 ~rounds:60 ()
 let test_differential_seed_2 () = run_differential ~seed:22 ~rounds:60 ()
 let test_differential_seed_3 () = run_differential ~seed:33 ~rounds:60 ()
 
+(* group commit feeds replication multi-decision batches --------------- *)
+
+let test_grouped_batches_replicate () =
+  let ldir = temp_dir () and fdir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let n = 12 in
+  (* a wide window, so the pipelined burst lands in few batches *)
+  let rig =
+    make_leader
+      ~config:{ Daemon.default_config with group_commit = (n, 50_000) }
+      ldir
+  in
+  let docs =
+    List.init n (fun i ->
+        ok
+          (Repo.new_object rig.l_st.Scn.repo
+             ~name:(Printf.sprintf "BatchDoc%d" i)
+             ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0")))
+  in
+  let f = ok (make_follower ~name:"f1" rig fdir) in
+  Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
+  ok (Follower.catch_up f);
+  let c = leader_client rig in
+  let writes =
+    List.mapi
+      (fun i doc ->
+        Printf.sprintf "run DecManualEdit Editor object=%s text=b%d"
+          (Kernel.Symbol.name doc) i)
+      docs
+  in
+  List.iter2
+    (fun line r ->
+      match r with
+      | Ok out -> check bool line true (contains "run executed" out)
+      | Error e -> Alcotest.failf "pipelined write %S failed: %s" line e)
+    writes (Client.pipeline ~window:n c writes);
+  (* the shipped log brackets the decisions in batch markers, and at
+     least one batch holds several decisions *)
+  let chunk =
+    match
+      Wire.parse_frames
+        (req_ok c (Wire.frames ~gen:0 ~offset:0 ~max_bytes:(1 lsl 24) ~wait_ms:0))
+    with
+    | Ok fr -> fr.Wire.f_chunk
+    | Error e -> Alcotest.fail e
+  in
+  let records = (Wal.scan_from ~expect_header:false chunk ~offset:0).Wal.records in
+  let batch_sizes =
+    List.fold_left
+      (fun (open_, sizes) r ->
+        match (r, open_) with
+        | Wal.Note (k, _), _ when k = Durability.Journal.batch_begin_key ->
+          (Some 0, sizes)
+        | Wal.Note (k, _), Some m when k = Durability.Journal.batch_end_key ->
+          (None, m :: sizes)
+        | Wal.Decision_commit _, Some m -> (Some (m + 1), sizes)
+        | _ -> (open_, sizes))
+      (None, []) records
+    |> snd
+  in
+  check int "every write shipped inside a batch" n
+    (List.fold_left ( + ) 0 batch_sizes);
+  check bool "a batch held several decisions" true
+    (List.exists (fun m -> m > 1) batch_sizes);
+  ok (Follower.catch_up f);
+  let e, v = leader_token rig in
+  check bool "follower reaches the leader's token" true
+    (Follower.wait_for f ~epoch:e ~version:v ~timeout_ms:2000);
+  converged rig f;
+  Client.close c;
+  Daemon.stop rig.l_daemon
+
 (* the arena (GC-invisible) backend behaves identically ------------------ *)
 
 let test_convergence_arena_backend () =
@@ -631,6 +703,7 @@ let suite =
     ("convergence differential (seed 11)", `Quick, test_differential_seed_1);
     ("convergence differential (seed 22)", `Quick, test_differential_seed_2);
     ("convergence differential (seed 33)", `Quick, test_differential_seed_3);
+    ("grouped batches replicate", `Quick, test_grouped_batches_replicate);
     ("convergence on arena backend", `Quick, test_convergence_arena_backend);
     ("applier skips already-logged decisions", `Quick, test_applier_skips_logged_decisions);
     QCheck_alcotest.to_alcotest prop_trace_note_roundtrip;

@@ -110,6 +110,50 @@ let test_protocol_corruption () =
   | Error (`Corrupt _) -> ()
   | _ -> Alcotest.fail "truncation undetected"
 
+(* the one decoder behind both entry points — [feed] on caller-read
+   chunks, [next_frame] refilling 4 KiB at a time — must recover the
+   frames however the stream is cut, compacting as it goes *)
+let prop_decoders_any_chunking =
+  QCheck.Test.make ~name:"frames survive any chunking (feed and reader)"
+    ~count:100
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 20)
+           (pair small_nat (string_gen_of_size (Gen.int_range 0 900) Gen.printable)))
+        (list_of_size (Gen.int_range 1 8) (int_range 1 700)))
+    (fun (reqs, cuts) ->
+      let frames =
+        List.map (fun (id, line) -> Protocol.Request { id; line; ctx = None }) reqs
+      in
+      let wire = String.concat "" (List.map Protocol.encode frames) in
+      let rec split pos cs acc =
+        if pos >= String.length wire then List.rev acc
+        else
+          let n = min (List.hd cs) (String.length wire - pos) in
+          split (pos + n) (List.tl cs @ [ List.hd cs ]) (String.sub wire pos n :: acc)
+      in
+      let chunks = split 0 cuts [] in
+      let f = Protocol.feeder () in
+      let fed =
+        List.concat_map
+          (fun c ->
+            match Protocol.feed f (Bytes.of_string c) (String.length c) with
+            | Ok fs -> fs
+            | Error e -> failwith e)
+          chunks
+      in
+      let client, server = Protocol.loopback () in
+      List.iter client.Protocol.write chunks;
+      client.Protocol.close ();
+      let r = Protocol.reader server in
+      let rec read acc =
+        match Protocol.next_frame r with
+        | Ok fr -> read (fr :: acc)
+        | Error `Eof -> List.rev acc
+        | Error (`Corrupt e) -> failwith e
+      in
+      fed = frames && read [] = frames)
+
 (* bounded queue --------------------------------------------------------- *)
 
 let test_bqueue () =
@@ -334,10 +378,9 @@ let test_abrupt_disconnect () =
 
 (* end-to-end over a real Unix-domain socket ------------------------------ *)
 
-let test_unix_socket () =
-  let repo = keyed_repo ~docs:1 () in
-  let daemon = Daemon.create repo in
-  let path = Filename.temp_file "gkbms_srv" ".sock" in
+(* serve [daemon] on a fresh Unix socket for the duration of [f] *)
+let with_socket daemon f =
+  let path = Filename.temp_file "gkbms_gc_srv" ".sock" in
   Sys.remove path;
   let listener =
     Thread.create (fun () -> ignore (Daemon.listen daemon ~path)) ()
@@ -348,14 +391,21 @@ let test_unix_socket () =
       wait_sock (n - 1))
   in
   wait_sock 200;
-  let client = ok (Client.connect_unix path) in
-  check string "ping over socket" "pong" (req_ok client "ping");
-  check bool "write over socket" true
-    (contains "run executed" (req_ok client "run DecManualEdit Editor object=Doc0 text=v1"));
-  Client.close client;
+  f path;
   Daemon.stop daemon;
   Thread.join listener;
   check bool "socket unlinked" false (Sys.file_exists path)
+
+let test_unix_socket () =
+  let repo = keyed_repo ~docs:1 () in
+  let daemon = Daemon.create repo in
+  with_socket daemon (fun path ->
+      let client = ok (Client.connect_unix path) in
+      check string "ping over socket" "pong" (req_ok client "ping");
+      check bool "write over socket" true
+        (contains "run executed"
+           (req_ok client "run DecManualEdit Editor object=Doc0 text=v1"));
+      Client.close client)
 
 (* WAL-backed server ------------------------------------------------------ *)
 
@@ -699,7 +749,7 @@ let test_group_commit_shares_fsyncs () =
         { Daemon.default_config with
           wal_fsync = true;
           (* a wide window so the whole pipelined burst forms one batch *)
-          group_commit = Some (docs, 50_000);
+          group_commit = (docs, 50_000);
         }
       repo
   in
@@ -733,20 +783,34 @@ let test_group_commit_shares_fsyncs () =
     (List.length (Repo.decision_log recovered));
   Client.close client;
   Daemon.stop daemon;
+  rm_rf dir;
+  (* a lone blocking write on the default batch bounds is a batch of
+     one: exactly one WAL sync, not a decision sync plus a batch sync *)
+  let repo = keyed_repo ~docs:1 () in
+  let daemon =
+    Daemon.create ~config:{ Daemon.default_config with wal_fsync = true } repo
+  in
+  ok (Daemon.attach_wal daemon ~dir);
+  let client = Client.of_transport (Daemon.connect daemon) in
+  check string "alive" "pong" (req_ok client "ping");
+  let fsyncs0 = counter_value "gkbms_wal_fsyncs_total" in
+  check bool "lone write" true
+    (contains "run executed"
+       (req_ok client "run DecManualEdit Editor object=Doc0 text=v1"));
+  check int "one sync for a lone write" 1
+    (counter_value "gkbms_wal_fsyncs_total" - fsyncs0);
+  Client.close client;
+  Daemon.stop daemon;
   rm_rf dir
 
-(* the differential, with group commit on and pipelined clients — over
-   the blocking driver (loopback) or the select event loop (socket) *)
-let differential_grouped ~event_loop () =
+(* the differential with pipelined clients, over the in-process
+   loopback or a real socket *)
+let differential_grouped ~socket () =
   let docs = 3 in
   let repo = keyed_repo ~docs () in
   let daemon =
     Daemon.create
-      ~config:
-        { Daemon.default_config with
-          group_commit = Some (4, 300);
-          event_loop;
-        }
+      ~config:{ Daemon.default_config with group_commit = (4, 300) }
       repo
   in
   let run_clients mk_client =
@@ -781,80 +845,91 @@ let differential_grouped ~event_loop () =
     let threads = List.init docs (fun ci -> Thread.create client_thread ci) in
     List.iter Thread.join threads
   in
-  if event_loop then begin
-    let path = Filename.temp_file "gkbms_gc_srv" ".sock" in
-    Sys.remove path;
-    let listener =
-      Thread.create (fun () -> ignore (Daemon.listen daemon ~path)) ()
-    in
-    let rec wait_sock n =
-      if n > 0 && not (Sys.file_exists path) then (
-        Thread.delay 0.01;
-        wait_sock (n - 1))
-    in
-    wait_sock 200;
-    run_clients (fun () -> ok (Client.connect_unix ~handshake:true path));
-    Daemon.stop daemon;
-    Thread.join listener
-  end
+  if socket then
+    with_socket daemon (fun path ->
+        run_clients (fun () -> ok (Client.connect_unix ~handshake:true path)))
   else begin
     run_clients (fun () -> Client.of_transport (Daemon.connect daemon));
     Daemon.stop daemon
   end;
   replay_and_compare repo ~docs ~writes:(docs * 4)
 
-let test_differential_grouped () = differential_grouped ~event_loop:false ()
-let test_differential_event_loop () = differential_grouped ~event_loop:true ()
+let test_differential_grouped () = differential_grouped ~socket:false ()
+let test_differential_socket () = differential_grouped ~socket:true ()
 
-let test_event_loop_lifecycle () =
+let test_socket_lifecycle () =
   let repo = keyed_repo ~docs:1 () in
   let listeners_before = Repo.event_listener_count repo in
-  let daemon =
-    Daemon.create
-      ~config:
-        { Daemon.default_config with
-          event_loop = true;
-          group_commit = Some (4, 500);
-        }
-      repo
-  in
-  let path = Filename.temp_file "gkbms_el_srv" ".sock" in
-  Sys.remove path;
-  let listener =
-    Thread.create (fun () -> ignore (Daemon.listen daemon ~path)) ()
-  in
-  let rec wait_sock n =
-    if n > 0 && not (Sys.file_exists path) then (
-      Thread.delay 0.01;
-      wait_sock (n - 1))
-  in
-  wait_sock 200;
-  let clients = List.init 3 (fun _ -> ok (Client.connect_unix ~handshake:true path)) in
-  List.iter (fun c -> check string "ping" "pong" (req_ok c "ping")) clients;
-  let c0 = List.hd clients in
-  check bool "write over event loop" true
-    (contains "run executed" (req_ok c0 "run DecManualEdit Editor object=Doc0 text=v1"));
-  check bool "news over event loop" true (contains "committed" (req_ok c0 "news"));
-  (* an abrupt disconnect (no quit) must also be reaped *)
-  (match clients with
-  | _ :: abrupt :: rest ->
-    ignore rest;
-    ignore (Client.request abrupt "stats");
-    ignore abrupt
-  | _ -> ());
-  List.iter Client.close clients;
-  let rec wait n =
-    if n > 0 && Daemon.session_count daemon > 0 then (
-      Thread.delay 0.02;
-      wait (n - 1))
-  in
-  wait 200;
-  check int "event-loop sessions drained" 0 (Daemon.session_count daemon);
-  Daemon.stop daemon;
-  Thread.join listener;
-  check bool "socket unlinked" false (Sys.file_exists path);
+  let daemon = Daemon.create repo in
+  with_socket daemon (fun path ->
+      let polite =
+        List.init 2 (fun _ -> ok (Client.connect_unix ~handshake:true path))
+      in
+      (* the third client will disconnect abruptly: keep its transport *)
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let abrupt = Protocol.fd_transport fd in
+      List.iter
+        (fun c -> check string "ping" "pong" (req_ok c "ping"))
+        (Client.of_transport abrupt :: polite);
+      let c0 = List.hd polite in
+      check bool "write over socket" true
+        (contains "run executed"
+           (req_ok c0 "run DecManualEdit Editor object=Doc0 text=v1"));
+      check bool "news over socket" true (contains "committed" (req_ok c0 "news"));
+      (* no quit, and a response left unread: the session must still be
+         reaped *)
+      ignore
+        (Protocol.write_frame abrupt
+           (Protocol.Request { id = 99; line = "stats"; ctx = None }));
+      abrupt.Protocol.close ();
+      List.iter Client.close polite;
+      let rec wait n =
+        if n > 0 && Daemon.session_count daemon > 0 then (
+          Thread.delay 0.02;
+          wait (n - 1))
+      in
+      wait 200;
+      check int "socket sessions drained" 0 (Daemon.session_count daemon));
   check int "event listeners detached" listeners_before
     (Repo.event_listener_count repo)
+
+(* A connection served from a spawned domain: once it closes, the domain
+   must be able to finish while the daemon keeps running.  The daemon's
+   own threads (write flusher, idle reaper) must not be spawned inside
+   the domain — a thread pins the domain that created it. *)
+let test_session_domain_finishes () =
+  let repo = keyed_repo ~docs:1 () in
+  let daemon =
+    Daemon.create ~config:{ Daemon.default_config with idle_timeout = Some 60. } repo
+  in
+  let d =
+    Domain.spawn (fun () ->
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let handler =
+          Thread.create (fun () -> Daemon.handle daemon (Protocol.fd_transport b)) ()
+        in
+        let client = Client.of_transport (Protocol.fd_transport a) in
+        let out = req_ok client "run DecManualEdit Editor object=Doc0 text=v1" in
+        Client.close client;
+        Thread.join handler;
+        out)
+  in
+  let joined = Atomic.make None in
+  let joiner = Thread.create (fun () -> Atomic.set joined (Some (Domain.join d))) () in
+  let rec wait n =
+    if n > 0 && Atomic.get joined = None then (
+      Thread.delay 0.01;
+      wait (n - 1))
+  in
+  wait 500;
+  let finished = Atomic.get joined in
+  (* [stop] releases a pinned domain, so a failure cannot hang the suite *)
+  Daemon.stop daemon;
+  Thread.join joiner;
+  match finished with
+  | Some out -> check bool "write from the domain" true (contains "run executed" out)
+  | None -> Alcotest.fail "the session's domain outlived its connection"
 
 (* connect-time retry on reset-shaped errors ------------------------------ *)
 
@@ -1008,6 +1083,7 @@ let suite =
     ("protocol roundtrip", `Quick, test_protocol_roundtrip);
     ("protocol pipelined and partial frames", `Quick, test_protocol_pipelined_and_partial);
     ("protocol corruption detected", `Quick, test_protocol_corruption);
+    QCheck_alcotest.to_alcotest prop_decoders_any_chunking;
     ("bounded queue", `Quick, test_bqueue);
     ("scheduler classification", `Quick, test_scheduler_classify);
     ("scheduler read/write exclusion", `Quick, test_scheduler_rw_exclusion);
@@ -1029,8 +1105,9 @@ let suite =
     ("batch admission conserves, orders, caps", `Quick, test_batch_admission_model);
     ("group commit shares fsyncs, acks durable", `Quick, test_group_commit_shares_fsyncs);
     ("differential: group commit + pipelining", `Quick, test_differential_grouped);
-    ("differential: event loop + group commit", `Quick, test_differential_event_loop);
-    ("event loop lifecycle and cleanup", `Quick, test_event_loop_lifecycle);
+    ("differential: grouped over socket", `Quick, test_differential_socket);
+    ("socket lifecycle and cleanup", `Quick, test_socket_lifecycle);
+    ("a session's domain can finish", `Quick, test_session_domain_finishes);
     ("client retries reset once", `Quick, test_client_retry_once);
     ("client retry gives up and classifies", `Quick, test_client_retry_gives_up);
     QCheck_alcotest.to_alcotest prop_traced_request_roundtrip;
