@@ -5,12 +5,15 @@ module Formula = Logic.Formula
 module Datalog = Logic.Datalog
 module Prover = Logic.Prover
 
-(* Memoized transitive-closure caches over the isa/instanceof graph.
-   Entries are invalidated selectively by the base-change listener
-   installed in [create]; steady-state classification queries are then
-   O(1) table lookups.
+(* Memoized transitive-closure caches over the isa graph, keyed by
+   class.  Entries are invalidated selectively by the base-change
+   listener installed in [create]; steady-state class-level queries are
+   then O(1) table lookups.  An object's own classification is not
+   memoized: it is its [instanceof] links plus the memoized closures of
+   those classes, so the tables hold one entry per class, not one per
+   individual.
 
-   [m] guards the four tables and the counters: parallel consistency
+   [m] guards the three tables and the counters: parallel consistency
    checking calls the closure queries from several pool domains at
    once.  Closures are computed *outside* the lock (they recurse back
    into [memo]); a race can at worst compute the same deterministic
@@ -19,14 +22,13 @@ type cache = {
   m : Mutex.t;
   isa_up : Symbol.t list Symbol.Tbl.t;  (** isa_closure *)
   isa_down : Symbol.t list Symbol.Tbl.t;  (** isa_subs_closure *)
-  all_classes : Symbol.t list Symbol.Tbl.t;  (** all_classes_of *)
   all_instances : Symbol.t list Symbol.Tbl.t;  (** all_instances_of *)
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
 }
 
-type cache_stats = { hits : int; misses : int; invalidations : int }
+type cache_stats = { hits : int; misses : int; invalidations : int; entries : int }
 
 type t = {
   base : Base.t;
@@ -85,6 +87,9 @@ let g_cache_invalidations =
   Obs.Registry.counter Obs.Registry.default "gkbms_kb_cache_invalidations_total"
     ~help:"KB closure cache entries dropped by selective invalidation"
 
+(* [compute] answers [None] when [x] needs no entry: its closure is
+   empty and found with one index probe.  Such lookups count as neither
+   hit nor miss. *)
 let memo t tbl x compute =
   let c = t.cache in
   Mutex.lock c.m;
@@ -94,42 +99,50 @@ let memo t tbl x compute =
     Mutex.unlock c.m;
     Obs.Registry.Counter.inc g_cache_hits;
     v
-  | None ->
-    c.misses <- c.misses + 1;
+  | None -> (
     Mutex.unlock c.m;
-    Obs.Registry.Counter.inc g_cache_misses;
-    let v = compute x in
-    Mutex.lock c.m;
-    Symbol.Tbl.replace tbl x v;
-    Mutex.unlock c.m;
-    v
+    match compute x with
+    | None -> []
+    | Some v ->
+      Mutex.lock c.m;
+      c.misses <- c.misses + 1;
+      Symbol.Tbl.replace tbl x v;
+      Mutex.unlock c.m;
+      Obs.Registry.Counter.inc g_cache_misses;
+      v)
 
+(* only objects with a generalization get an entry: an individual's
+   closure is [] *)
 let isa_closure t x =
-  memo t t.cache.isa_up x (closure (fun y -> dests_by t y Axioms.isa))
+  memo t t.cache.isa_up x (fun x ->
+      match dests_by t x Axioms.isa with
+      | [] -> None
+      | _ -> Some (closure (fun y -> dests_by t y Axioms.isa) x))
 
 let isa_subs_closure t x =
-  memo t t.cache.isa_down x (closure (fun y -> sources_by t y Axioms.isa))
+  memo t t.cache.isa_down x (fun x ->
+      Some (closure (fun y -> sources_by t y Axioms.isa) x))
 
 let all_classes_of t x =
-  memo t t.cache.all_classes x (fun x ->
-      let direct = classes_of t x in
-      let inherited = List.concat_map (fun c -> isa_closure t c) direct in
-      (* keep explicit classes first: they are the most specific *)
-      let seen = ref Symbol.Set.empty in
-      List.filter
-        (fun c ->
-          if Symbol.Set.mem c !seen then false
-          else begin
-            seen := Symbol.Set.add c !seen;
-            true
-          end)
-        (direct @ inherited))
+  let direct = classes_of t x in
+  let inherited = List.concat_map (fun c -> isa_closure t c) direct in
+  (* keep explicit classes first: they are the most specific *)
+  let seen = ref Symbol.Set.empty in
+  List.filter
+    (fun c ->
+      if Symbol.Set.mem c !seen then false
+      else begin
+        seen := Symbol.Set.add c !seen;
+        true
+      end)
+    (direct @ inherited)
 
 let all_instances_of t c =
   memo t t.cache.all_instances c (fun c ->
       let classes = c :: isa_subs_closure t c in
-      List.sort_uniq Symbol.compare
-        (List.concat_map (fun c -> instances_of t c) classes))
+      Some
+        (List.sort_uniq Symbol.compare
+           (List.concat_map (fun c -> instances_of t c) classes)))
 
 (* Selective invalidation ------------------------------------------------ *)
 
@@ -166,26 +179,23 @@ let invalidate_for_change t change =
     (* an object appearing or disappearing only touches its own entries *)
     cache_drop t c.isa_up p.id;
     cache_drop t c.isa_down p.id;
-    cache_drop t c.all_classes p.id;
     cache_drop t c.all_instances p.id
   end
   else if Symbol.equal p.label Axioms.isa then begin
     (* an isa edge source -> dest changes the up-closure of everything
        below the source and the down-closure of everything above the
-       dest.  Up-closure entries reaching [source] (and class sets
-       mentioning it) are stale; refresh them before using isa_closure
-       to locate the classes whose instance sets changed. *)
+       dest.  Up-closure entries reaching [source] are stale; refresh
+       them before using isa_closure to locate the classes whose
+       instance sets changed. *)
     cache_drop_mentioning t c.isa_up p.source;
-    cache_drop_mentioning t c.all_classes p.source;
     cache_drop_mentioning t c.isa_down p.dest;
     List.iter
       (fun cls -> cache_drop t c.all_instances cls)
       (p.dest :: isa_closure t p.dest)
   end
   else if Symbol.equal p.label Axioms.instanceof then begin
-    (* source gained/lost a class: its class set and the instance sets
-       of the class and its generalizations are stale *)
-    cache_drop t c.all_classes p.source;
+    (* source gained/lost a class: the instance sets of the class and
+       its generalizations are stale *)
     List.iter
       (fun cls -> cache_drop t c.all_instances cls)
       (p.dest :: isa_closure t p.dest)
@@ -199,13 +209,18 @@ let cache_stats t =
       hits = t.cache.hits;
       misses = t.cache.misses;
       invalidations = t.cache.invalidations;
+      entries =
+        Symbol.Tbl.length t.cache.isa_up + Symbol.Tbl.length t.cache.isa_down
+        + Symbol.Tbl.length t.cache.all_instances;
     }
   in
   Mutex.unlock t.cache.m;
   s
 
 let is_instance t ~inst ~cls =
-  List.exists (Symbol.equal cls) (all_classes_of t inst)
+  List.exists
+    (fun c -> Symbol.equal c cls || List.exists (Symbol.equal cls) (isa_closure t c))
+    (dests_by t inst Axioms.instanceof)
 
 (* Creation with axiom checks ------------------------------------------- *)
 
@@ -673,7 +688,6 @@ let create ?backend () =
           m = Mutex.create ();
           isa_up = Symbol.Tbl.create 256;
           isa_down = Symbol.Tbl.create 256;
-          all_classes = Symbol.Tbl.create 256;
           all_instances = Symbol.Tbl.create 256;
           hits = 0;
           misses = 0;
@@ -688,7 +702,8 @@ let create ?backend () =
     (Base.on_change base (fun change -> invalidate_for_change t change)
       : Base.subscription);
   (* planner statistics track the same change feed, from the very first
-     bootstrap proposition *)
+     bootstrap proposition; a proposition id is unique in the base *)
+  Planner.Stats.declare_key t.pstats planner_pred_prop 0;
   ignore
     (Planner.Stats.attach_base t.pstats base ~tuples_of:planner_tuples
       : Base.subscription);

@@ -78,13 +78,24 @@ val isa_closure : t -> Prop.id -> Prop.id list
 val is_instance : t -> inst:Prop.id -> cls:Prop.id -> bool
 (** Classification including inheritance. *)
 
-type cache_stats = { hits : int; misses : int; invalidations : int }
+type cache_stats = {
+  hits : int;
+  misses : int;
+  invalidations : int;
+  entries : int;  (** memo entries held now *)
+}
 
 val cache_stats : t -> cache_stats
-(** Counters for the memoized isa/instanceof closure caches behind
-    {!isa_closure}, {!all_classes_of} and friends.  The caches subscribe
-    to base changes and invalidate only the affected entries, so
-    steady-state classification queries are O(1). *)
+(** Counters for the class-level closure memos behind {!isa_closure},
+    {!all_instances_of} and the generalization closure those use.  The
+    memos subscribe to base changes and invalidate only the affected
+    entries, so steady-state class-level queries are O(1).  An object
+    without a generalization gets no entry (its closure is [[]]), and
+    {!all_classes_of} and {!is_instance} read the object's
+    [instanceof] links plus its classes' memoized closures, so the
+    memos hold O(classes) entries however many individuals are
+    classified.  Lookups that need no entry count as neither hit nor
+    miss. *)
 
 val attributes : t -> ?category:string -> Prop.id -> Prop.t list
 (** Attribute propositions leaving the object (non-reserved labels),

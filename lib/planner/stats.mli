@@ -9,7 +9,11 @@
     CML layer knows that mapping; the planner does not).
 
     Distinct counts are exact: each argument position keeps a
-    value→multiplicity table, so retractions decrement correctly.
+    value→multiplicity table, so retractions decrement correctly.  The
+    tables are keyed by unboxed ints (a symbol's interned code, an
+    integer constant's value).  A position declared a key
+    ({!declare_key}) keeps no table: its distinct count is the row
+    count.
     Every predicate also exports a [gkbms_datalog_pred_rows{pred=...}]
     gauge through the default obs registry, which is what
     [stats --prom] renders. *)
@@ -20,12 +24,21 @@ type t
 
 val create : unit -> t
 
+val declare_key : t -> Symbol.t -> int -> unit
+(** Declare argument [i] of the predicate unique among its stored
+    tuples (a proposition id, say).  Its distinct count is then the row
+    count, and no value table is kept for it.  The caller guarantees
+    uniqueness. *)
+
 val observe_add : t -> Symbol.t -> Logic.Term.t array -> unit
-(** Record one stored tuple of a predicate. *)
+(** Record one stored tuple of a predicate.  Tuples are ground: a
+    variable argument is not counted. *)
 
 val observe_remove : t -> Symbol.t -> Logic.Term.t array -> unit
-(** Record the retraction of a stored tuple.  Unknown tuples clamp at
-    zero rather than going negative. *)
+(** Record the retraction of a stored tuple.  A tuple with a value that
+    has no occurrence left at some counted position cannot be stored,
+    and its removal changes nothing; any other removal is taken as the
+    caller's word that the tuple is stored. *)
 
 val rows : t -> Symbol.t -> int option
 (** Current cardinality estimate; [None] if the predicate has never

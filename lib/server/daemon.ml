@@ -70,7 +70,9 @@ type t = {
   mutable listen_fd : Unix.file_descr option;
   mutable stopping : bool;
   mutable reaper : Thread.t option;
-  mutable workers : Thread.t list;  (** threads spawned by [connect]/[listen] *)
+  workers : (int, Thread.t) Hashtbl.t;
+      (** live connection threads by [Thread.id]: each one drops itself
+          as it exits, so connection churn does not grow the table *)
 }
 
 let repo t = t.repo
@@ -94,6 +96,12 @@ let scheduler_stats t = Scheduler.stats t.scheduler
 let session_count t =
   Mutex.lock t.m;
   let n = Hashtbl.length t.sessions in
+  Mutex.unlock t.m;
+  n
+
+let worker_count t =
+  Mutex.lock t.m;
+  let n = Hashtbl.length t.workers in
   Mutex.unlock t.m;
   n
 
@@ -398,7 +406,7 @@ let create ?(config = default_config) repo =
       listen_fd = None;
       stopping = false;
       reaper = None;
-      workers = [];
+      workers = Hashtbl.create 16;
     }
   in
   (* The daemon's own threads start here, not on first use: a thread
@@ -426,9 +434,11 @@ let register_session t transport =
   Metrics.session_opened t.metrics;
   s
 
+(* runs on the session's own connection thread, which it also drops *)
 let unregister_session t session =
   Mutex.lock t.m;
   Hashtbl.remove t.sessions (Session.sid session);
+  Hashtbl.remove t.workers (Thread.id (Thread.self ()));
   Mutex.unlock t.m;
   Metrics.session_closed t.metrics
 
@@ -444,14 +454,19 @@ let handle t transport =
         ~on_inflight:(Metrics.inflight t.metrics)
         ~on_protocol_error:(fun _reason -> Metrics.protocol_error t.metrics))
 
-let register_worker t th =
+(* Holding [m] across the spawn registers the thread before it can
+   reach [unregister_session], which drops it again. *)
+let spawn_worker t transport =
   Mutex.lock t.m;
-  t.workers <- th :: t.workers;
-  Mutex.unlock t.m
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.m)
+    (fun () ->
+      let th = Thread.create (fun () -> handle t transport) () in
+      Hashtbl.replace t.workers (Thread.id th) th)
 
 let connect t =
   let client_end, server_end = Protocol.loopback () in
-  register_worker t (Thread.create (fun () -> handle t server_end) ());
+  spawn_worker t server_end;
   client_end
 
 let stopping t =
@@ -484,9 +499,7 @@ let listen t ~path =
     let rec accept_loop () =
       if not (stopping t) then begin
         (match Unix.accept fd with
-        | conn, _ ->
-          register_worker t
-            (Thread.create (fun () -> handle t (Protocol.fd_transport conn)) ())
+        | conn, _ -> spawn_worker t (Protocol.fd_transport conn)
         | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
         | exception Unix.Unix_error _ -> if not (stopping t) then Thread.delay 0.05);
         accept_loop ()
@@ -503,8 +516,7 @@ let stop t =
   let fd = t.listen_fd in
   t.listen_fd <- None;
   let sessions = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
-  let workers = t.workers in
-  t.workers <- [];
+  let workers = Hashtbl.fold (fun _ th acc -> th :: acc) t.workers [] in
   let flusher = t.flusher in
   t.flusher <- None;
   Mutex.unlock t.m;

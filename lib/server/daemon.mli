@@ -120,6 +120,12 @@ val stop : t -> unit
     the WAL if attached.  Idempotent. *)
 
 val session_count : t -> int
+
+val worker_count : t -> int
+(** Connection threads the daemon tracks.  A thread drops itself when
+    its session ends, so this never exceeds the live sessions by more
+    than the connections still starting up. *)
+
 val metrics : t -> Metrics.snapshot
 val cache_stats : t -> Cache.stats option
 val scheduler_stats : t -> Scheduler.stats

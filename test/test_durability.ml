@@ -543,12 +543,12 @@ let test_recover_realigns_decision_counter () =
   check string "fresh decision id skips the retraction gap" next_live
     (Repo.fresh_decision_id repo2)
 
-(* a checkpoint streams the snapshot to its file: the major heap must not
-   grow with the snapshot's size.  Building the whole snapshot as one
-   string (plus its copies) allocated ~15x the file size there. *)
-let test_checkpoint_memory_bound () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+(* memory per proposition ---------------------------------------------- *)
+
+(* The repository the memory bounds are measured on: the §2.1 scenario
+   through the key decision, 256 documents and 2,000 manual edits,
+   ~49k propositions, most of them version objects. *)
+let edited_repo () =
   let st = ok (Scn.setup ()) in
   ignore (ok (Scn.map_move_down st));
   ignore (ok (Scn.normalize_invitations st));
@@ -571,6 +571,15 @@ let test_checkpoint_memory_bound () =
   check bool "edits committed" true (List.length (Repo.decision_log repo) > 2000);
   check bool "~49k propositions" true
     (Store.Base.cardinal (Cml.Kb.base (Repo.kb repo)) > 40_000);
+  repo
+
+(* a checkpoint streams the snapshot to its file: the major heap must not
+   grow with the snapshot's size.  Building the whole snapshot as one
+   string (plus its copies) allocated ~15x the file size there. *)
+let test_checkpoint_memory_bound () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let repo = edited_repo () in
   let d = ok (Durable.attach ~dir repo) in
   Fun.protect ~finally:(fun () -> Durable.close d) @@ fun () ->
   Gc.full_major ();
@@ -581,6 +590,35 @@ let test_checkpoint_memory_bound () =
   if major_bytes >= file_bytes then
     Alcotest.failf "checkpoint allocated %.0f major-heap bytes for a %.0f-byte file"
       major_bytes file_bytes
+
+(* The side tables Kb keeps next to the store must not cost a table
+   entry per proposition: the statistics keep no table for the unique
+   [prop/4] id column and count unboxed int keys, and the closure memos
+   hold class-level entries only. *)
+let test_side_tables_per_prop () =
+  let kb = Repo.kb (edited_repo ()) in
+  let props = Store.Base.cardinal (Cml.Kb.base kb) in
+  (* ~7.7 words per proposition: ~1.6 counted values, each a 4-word
+     bucket cell plus its share of the bucket array.  A boxed key costs
+     2 words more per value (~10.9), a table for the id column one more
+     value per proposition (~12.3). *)
+  let words = Obj.reachable_words (Obj.repr (Cml.Kb.planner_stats kb)) in
+  let per_prop = float_of_int words /. float_of_int props in
+  if per_prop > 9.5 then
+    Alcotest.failf "planner statistics hold %.1f words per proposition" per_prop;
+  let classes =
+    Store.Base.fold (Cml.Kb.base kb)
+      (fun acc (p : Prop.t) ->
+        if Symbol.equal p.label Cml.Axioms.isa then
+          Symbol.Set.add p.source (Symbol.Set.add p.dest acc)
+        else if Symbol.equal p.label Cml.Axioms.instanceof then Symbol.Set.add p.dest acc
+        else acc)
+      Symbol.Set.empty
+  in
+  let entries = (Cml.Kb.cache_stats kb).Cml.Kb.entries in
+  if entries > Symbol.Set.cardinal classes then
+    Alcotest.failf "closure memos hold %d entries for %d classes" entries
+      (Symbol.Set.cardinal classes)
 
 (* mid-log offset reading (replication frame shipping) -------------------- *)
 
@@ -764,6 +802,7 @@ let suite =
     ("recovery realigns prop id counter", `Quick, test_recover_realigns_prop_ids);
     ("recovery realigns decision counter", `Quick, test_recover_realigns_decision_counter);
     ("checkpoint major allocation below file size", `Quick, test_checkpoint_memory_bound);
+    ("kb side tables hold no entry per proposition", `Quick, test_side_tables_per_prop);
     ("group-commit batch is crash-atomic", `Quick, test_group_commit_batch_recovery);
     ("group-commit batch edge cases", `Quick, test_group_commit_empty_and_errors);
   ]

@@ -87,6 +87,98 @@ let test_stats_attach () =
   check int "rows after remove" 1 (Option.get (P.Stats.rows st pred));
   check int "distinct source" 1 (Option.get (P.Stats.distinct st pred 0))
 
+(* Random add/remove streams against a naive multiset of tuples.  Values
+   mix symbols with integers (large, negative, and one equal to a
+   symbol's code); [tq_keyed] declares its first argument a key, and
+   every tuple added to it gets a fresh key.  Unknown tuples are built
+   from values never added, so no stored tuple matches them. *)
+type stats_op =
+  | Add of int * int list  (** predicate, picks into [known] *)
+  | Remove_stored of int * int  (** predicate, pick into its tuples *)
+  | Remove_unknown of int * int list  (** predicate, picks into [unknown] *)
+
+let known =
+  [| s "a"; s "b"; s "c"; T.Int 0; T.Int (-1); T.Int max_int; T.Int min_int;
+     T.Int (Symbol.to_int (sym "a")) |]
+
+let unknown = [| s "tq_never"; T.Int 42; T.Int (max_int - 1); T.Int (min_int + 1) |]
+let tq_preds = [| (sym "tq_pair", 2); (sym "tq_keyed", 3) |]
+
+let pp_stats_op = function
+  | Add (p, vs) ->
+    Printf.sprintf "add %d [%s]" p (String.concat ";" (List.map string_of_int vs))
+  | Remove_stored (p, k) -> Printf.sprintf "remove-stored %d #%d" p k
+  | Remove_unknown (p, vs) ->
+    Printf.sprintf "remove-unknown %d [%s]" p
+      (String.concat ";" (List.map string_of_int vs))
+
+let gen_stats_op =
+  let open QCheck.Gen in
+  let picks n = list_repeat 3 (int_range 0 (n - 1)) in
+  int_range 0 1 >>= fun p ->
+  frequency
+    [ (5, map (fun vs -> Add (p, vs)) (picks (Array.length known)));
+      (3, map (fun k -> Remove_stored (p, k)) (int_range 0 1000));
+      (1, map (fun vs -> Remove_unknown (p, vs)) (picks (Array.length unknown))) ]
+
+let prop_stats_exact =
+  QCheck.Test.make ~name:"stats: rows and distinct equal a multiset recount"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map pp_stats_op ops))
+       QCheck.Gen.(list_size (int_range 0 80) gen_stats_op))
+    (fun ops ->
+      let st = P.Stats.create () in
+      P.Stats.declare_key st (fst tq_preds.(1)) 0;
+      let stored = Array.make 2 [] in
+      let fresh = ref 0 in
+      let tuple p pool vs =
+        let arity = snd tq_preds.(p) in
+        let vals = Array.of_list (List.map (fun i -> pool.(i)) vs) in
+        if p = 1 && pool == known then begin
+          incr fresh;
+          (* fresh keys, alternating symbols with extreme integers *)
+          vals.(0) <-
+            (if !fresh mod 2 = 0 then T.Int (min_int + !fresh)
+             else s (Printf.sprintf "tq_k%d" !fresh))
+        end;
+        Array.sub vals 0 arity
+      in
+      let rec remove_one x = function
+        | [] -> []
+        | y :: rest -> if y == x then rest else y :: remove_one x rest
+      in
+      let agrees p =
+        let pred, arity = tq_preds.(p) in
+        let tuples = stored.(p) in
+        let distinct i =
+          List.length (List.sort_uniq T.compare (List.map (fun a -> a.(i)) tuples))
+        in
+        Option.value ~default:0 (P.Stats.rows st pred) = List.length tuples
+        && List.for_all
+             (fun i -> Option.value ~default:0 (P.Stats.distinct st pred i) = distinct i)
+             (List.init arity Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (p, vs) ->
+            let a = tuple p known vs in
+            P.Stats.observe_add st (fst tq_preds.(p)) a;
+            stored.(p) <- a :: stored.(p)
+          | Remove_stored (p, k) -> (
+            match stored.(p) with
+            | [] -> ()
+            | tuples ->
+              let a = List.nth tuples (k mod List.length tuples) in
+              (* a copy: the collector must not rely on physical identity *)
+              P.Stats.observe_remove st (fst tq_preds.(p)) (Array.copy a);
+              stored.(p) <- remove_one a tuples)
+          | Remove_unknown (p, vs) ->
+            P.Stats.observe_remove st (fst tq_preds.(p)) (tuple p unknown vs));
+          agrees 0 && agrees 1)
+        ops)
+
 (* cost model ------------------------------------------------------------ *)
 
 let test_cost_order () =
@@ -351,6 +443,74 @@ let test_kb_explain () =
         (contains report needle))
     [ "strategy: magic-sets"; "estimated vs actual"; "answers:"; "in@bf" ]
 
+(* The planner statistics Kb keeps live must equal a recount of the
+   four external relations over the stored propositions, also after a
+   selective backtrack has retracted a decision's consequences. *)
+module Repo = Gkbms.Repository
+module Scn = Gkbms.Scenario
+
+let test_kb_stats_match_base () =
+  let st, _report = ok (Scn.run_all ()) in
+  let kb = Repo.kb st.Scn.repo in
+  let tuples = Hashtbl.create 4 in
+  let add pred args =
+    Hashtbl.replace tuples pred
+      (args :: Option.value ~default:[] (Hashtbl.find_opt tuples pred))
+  in
+  Store.Base.iter (Cml.Kb.base kb) (fun (p : Prop.t) ->
+      add "prop" [| p.id; p.source; p.label; p.dest |];
+      if Symbol.equal p.label Cml.Axioms.instanceof then
+        add "instanceof" [| p.source; p.dest |]
+      else if Symbol.equal p.label Cml.Axioms.isa then add "isa" [| p.source; p.dest |]
+      else if not (Prop.is_individual p || Cml.Axioms.is_reserved_label p.label) then
+        add "attr" [| p.source; p.label; p.dest |]);
+  let stats = Cml.Kb.planner_stats kb in
+  List.iter
+    (fun (pred, arity) ->
+      let ts = Option.value ~default:[] (Hashtbl.find_opt tuples pred) in
+      check bool (pred ^ " has tuples") true (ts <> []);
+      check int (pred ^ " rows") (List.length ts)
+        (Option.get (P.Stats.rows stats (sym pred)));
+      for i = 0 to arity - 1 do
+        check int
+          (Printf.sprintf "%s distinct %d" pred i)
+          (List.length (List.sort_uniq Symbol.compare (List.map (fun a -> a.(i)) ts)))
+          (Option.get (P.Stats.distinct stats (sym pred) i))
+      done)
+    [ ("prop", 4); ("instanceof", 2); ("isa", 2); ("attr", 3) ]
+
+(* The plan and its estimates for the scenario's classification query,
+   pinned: the estimates read the statistics, so this fixes their
+   observable values. *)
+let explain_in_invitation_rel =
+  {|query: in(InvitationRel, ?C)
+strategy: magic-sets (2 adorned predicates, 2 magic rules, 7 clauses)
+statistics:
+  instanceof: 114 rows
+  isa: 14 rows
+  isa_tc: no statistics
+plan:
+  in@bf(?X, ?C) :- magic@in@bf(?X), instanceof(?X, ?C).  (est out 1.0)
+    instanceof(?X, ?C)  (est 1.0 rows, indexed)
+  in@bf(?X, ?C) :- magic@in@bf(?X), instanceof(?X, ?C0), isa_tc@bf(?C0, ?C).  (est out 101.8)
+    instanceof(?X, ?C0)  (est 1.0 rows, indexed)
+    isa_tc(?C0, ?C)  (est 100 rows, indexed)
+  isa_tc@bf(?X, ?Y) :- magic@isa_tc@bf(?X), isa(?X, ?Y).  (est out 1)
+    isa(?X, ?Y)  (est 1 rows, indexed)
+  isa_tc@bf(?X, ?Y) :- magic@isa_tc@bf(?X), isa(?X, ?Z), isa_tc@bf(?Z, ?Y).  (est out 100)
+    isa(?X, ?Z)  (est 1 rows, indexed)
+    isa_tc(?Z, ?Y)  (est 100 rows, indexed)
+estimated vs actual:
+  in@bf[bf]: est 102.8, actual 2
+  isa_tc@bf[bf]: est 101, actual 1
+answers: 2
+|}
+
+let test_kb_explain_pinned () =
+  let st, _report = ok (Scn.run_all ()) in
+  check Alcotest.string "explain in(InvitationRel, ?C)" explain_in_invitation_rel
+    (ok (Cml.Kb.explain (Repo.kb st.Scn.repo) (T.atom "in" [ s "InvitationRel"; v "C" ])))
+
 let test_metrics () =
   let counter name =
     match Obs.Registry.find Obs.Registry.default name with
@@ -368,6 +528,7 @@ let suite =
     ("stats: exact distinct under add/remove", `Quick, test_stats_exact);
     ("stats: pred_rows gauges exported", `Quick, test_stats_gauges);
     ("stats: attach_base tracks the change feed", `Quick, test_stats_attach);
+    QCheck_alcotest.to_alcotest prop_stats_exact;
     ("cost: selective literal first, filters when bound", `Quick, test_cost_order);
     ("magic: bound query evaluates only the cone", `Quick, test_magic_cone);
     ("magic: all-free query (nullary magic seeds)", `Quick, test_magic_all_free);
@@ -377,5 +538,7 @@ let suite =
     QCheck_alcotest.to_alcotest test_planner_differential;
     ("kb: derive planner on ≡ off", `Quick, test_kb_derive_equal);
     ("kb: explain renders plan and cardinalities", `Quick, test_kb_explain);
+    ("kb: stats equal a recount after backtracking", `Quick, test_kb_stats_match_base);
+    ("kb: explain output pinned", `Quick, test_kb_explain_pinned);
     ("planner: obs counters move", `Quick, test_metrics);
   ]

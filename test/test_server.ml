@@ -376,6 +376,34 @@ let test_abrupt_disconnect () =
   Client.close client;
   Daemon.stop daemon
 
+(* connection churn must not grow the daemon's thread bookkeeping *)
+let test_worker_handles_dropped () =
+  let repo = keyed_repo () in
+  let daemon = Daemon.create repo in
+  let settle live =
+    let rec wait n =
+      if n > 0 && Daemon.session_count daemon > live then (
+        Thread.delay 0.01;
+        wait (n - 1))
+    in
+    wait 500
+  in
+  let resident = List.init 3 (fun _ -> Client.of_transport (Daemon.connect daemon)) in
+  List.iter (fun c -> ignore (req_ok c "ping")) resident;
+  for _ = 1 to 500 do
+    let client = Client.of_transport (Daemon.connect daemon) in
+    ignore (req_ok client "ping");
+    Client.close client
+  done;
+  settle 3;
+  check int "resident sessions" 3 (Daemon.session_count daemon);
+  check bool "no more handles than live sessions" true
+    (Daemon.worker_count daemon <= Daemon.session_count daemon);
+  List.iter Client.close resident;
+  settle 0;
+  check int "all handles dropped" 0 (Daemon.worker_count daemon);
+  Daemon.stop daemon
+
 (* end-to-end over a real Unix-domain socket ------------------------------ *)
 
 (* serve [daemon] on a fresh Unix socket for the duration of [f] *)
@@ -1094,6 +1122,7 @@ let suite =
     ("sessions detach event listeners", `Quick, test_session_listener_leak);
     ("idle sessions are reaped", `Quick, test_idle_timeout);
     ("abrupt disconnect cleans up", `Quick, test_abrupt_disconnect);
+    ("connection churn drops thread handles", `Quick, test_worker_handles_dropped);
     ("unix socket end-to-end", `Quick, test_unix_socket);
     ("wal synced before response", `Quick, test_wal_recovery);
     ("differential: concurrent = sequential (cache on)", `Quick, test_differential_cached);
