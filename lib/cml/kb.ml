@@ -295,7 +295,11 @@ let category_of t id =
   | [] -> None
 
 let attributes t ?category x =
-  let attrs = List.filter is_attribute_prop (Base.by_source t.base x) in
+  let attrs =
+    Base.fold_source t.base x
+      (fun p acc -> if is_attribute_prop p then p :: acc else acc)
+      []
+  in
   match category with
   | None -> attrs
   | Some cat ->
@@ -313,11 +317,11 @@ let attributes t ?category x =
 
 let attribute_values t x label =
   let label = Symbol.intern label in
-  List.filter_map
-    (fun (p : Prop.t) ->
-      if Symbol.equal p.label label && is_attribute_prop p then Some p.dest
-      else None)
-    (Base.by_source t.base x)
+  Base.fold_source t.base x
+    (fun (p : Prop.t) acc ->
+      if Symbol.equal p.label label && is_attribute_prop p then p.dest :: acc
+      else acc)
+    []
 
 (* find the attribute class labelled [category] on one of [source]'s
    classes, most specific class first *)
@@ -328,9 +332,11 @@ let find_attribute_class t source category =
     | [] -> None
     | c :: rest -> (
       let candidates =
-        List.filter
-          (fun (p : Prop.t) -> is_attribute_prop p && Symbol.equal p.label cat)
-          (Base.by_source t.base c)
+        Base.fold_source t.base c
+          (fun (p : Prop.t) acc ->
+            if is_attribute_prop p && Symbol.equal p.label cat then p :: acc
+            else acc)
+          []
       in
       match candidates with p :: _ -> Some p | [] -> search rest)
   in

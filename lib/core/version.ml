@@ -10,14 +10,14 @@ let predecessor repo obj =
 
 let successors repo obj =
   let kb = Repo.kb repo in
-  List.filter_map
-    (fun (p : Prop.t) ->
+  Store.Base.fold_dest (Kb.base kb) obj
+    (fun (p : Prop.t) acc ->
       if
         Symbol.equal p.label (Symbol.intern Metamodel.replaces_cat)
-        && Kb.find kb p.source <> None
-      then Some p.source
-      else None)
-    (Store.Base.by_dest (Kb.base kb) obj)
+        && Store.Base.mem (Kb.base kb) p.source
+      then p.source :: acc
+      else acc)
+    []
 
 let rec oldest repo obj =
   match predecessor repo obj with

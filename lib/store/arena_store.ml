@@ -327,8 +327,9 @@ let chain_link idx (next : col) key row =
   A.unsafe_set next row (Itbl.find idx key);
   Itbl.set idx key row
 
-(* O(chain length), like the list rebuild of {!Mem_store.bucket_del};
-   drained chains tombstone their hash slot *)
+(* O(position in the chain): the chains are singly linked, unlike
+   {!Mem_store}'s O(1) doubly-linked ones; drained chains tombstone
+   their hash slot *)
 let chain_unlink idx (next : col) key row =
   let head = Itbl.find idx key in
   if head = row then begin
@@ -468,13 +469,21 @@ let remove t id =
     Some p
   end
 
-(* newest-first, like {!Mem_store}'s prepend-built buckets *)
+(* newest first, like {!Mem_store}'s reads *)
 let chain_list t idx (next : col) key =
   let rec go row acc =
     if row = no_row then List.rev acc
     else go (A.unsafe_get next row) (decode t row :: acc)
   in
   go (Itbl.find idx key) []
+
+(* [List.fold_right f (chain_list t idx next key) acc]: rows oldest
+   first, each decoded as [f] reaches it *)
+let chain_fold t idx (next : col) key f acc =
+  let rec rows row acc =
+    if row = no_row then acc else rows (A.unsafe_get next row) (row :: acc)
+  in
+  List.fold_left (fun acc row -> f (decode t row) acc) acc (rows (Itbl.find idx key) [])
 
 let by_source t x = chain_list t t.idx_src t.n_src (Symbol.to_int x)
 
@@ -483,6 +492,9 @@ let by_source_label t x l =
 
 let by_dest t y = chain_list t t.idx_dst t.n_dst (Symbol.to_int y)
 let by_label t l = chain_list t t.idx_lbl t.n_lbl (Symbol.to_int l)
+
+let fold_source t x f acc = chain_fold t t.idx_src t.n_src (Symbol.to_int x) f acc
+let fold_dest t y f acc = chain_fold t t.idx_dst t.n_dst (Symbol.to_int y) f acc
 
 let iter t f =
   for row = 0 to t.len - 1 do
@@ -537,3 +549,11 @@ let iter_by_label t l f =
 (* allocated row prefix including tombstones (cf. Log_store.physical_length) *)
 let physical_rows t = t.len
 let compaction_count t = t.compactions
+
+(* bytes held off the OCaml heap: thirteen columns of [cap] rows and the
+   key and value columns of the five indexes *)
+let bytes t =
+  let itbl (i : Itbl.t) = 2 * (i.mask + 1) in
+  8
+  * ((13 * t.cap) + itbl t.idx_id + itbl t.idx_src + itbl t.idx_sl
+    + itbl t.idx_dst + itbl t.idx_lbl)

@@ -153,6 +153,14 @@ let by_label t l =
   let (Storage.Impl ((module S), s)) = t.impl in
   S.by_label s l
 
+let fold_source t x f acc =
+  let (Storage.Impl ((module S), s)) = t.impl in
+  S.fold_source s x f acc
+
+let fold_dest t y f acc =
+  let (Storage.Impl ((module S), s)) = t.impl in
+  S.fold_dest s y f acc
+
 let links t ~source ~label ~dest =
   List.filter
     (fun (p : Prop.t) -> Symbol.equal p.dest dest)
@@ -389,12 +397,3 @@ let of_serialized ?backend s =
       | None -> Error "duplicate proposition id in input")
 
 let save t oc = output_serialized (output_substring oc) t
-
-let load ?backend ic =
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  of_serialized ?backend (Buffer.contents buf)

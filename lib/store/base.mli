@@ -67,6 +67,14 @@ val by_source_label : t -> Prop.id -> Symbol.t -> Prop.t list
 val by_dest : t -> Prop.id -> Prop.t list
 val by_label : t -> Symbol.t -> Prop.t list
 
+val fold_source : t -> Prop.id -> (Prop.t -> 'a -> 'a) -> 'a -> 'a
+(** [fold_source t x f init] is [List.fold_right f (by_source t x) init]
+    without the intermediate list: a caller that filters the answer
+    conses only what it keeps, newest first as {!by_source}. *)
+
+val fold_dest : t -> Prop.id -> (Prop.t -> 'a -> 'a) -> 'a -> 'a
+(** [fold_dest t y f init] is [List.fold_right f (by_dest t y) init]. *)
+
 val links : t -> source:Prop.id -> label:Symbol.t -> dest:Prop.id -> Prop.t list
 (** All propositions with the given source, label and destination. *)
 
@@ -111,7 +119,6 @@ val with_tx : t -> (unit -> ('a, 'e) result) -> ('a, 'e) result
 (** {1 Persistence} *)
 
 val save : t -> out_channel -> unit
-val load : ?backend:backend -> in_channel -> (t, string) result
 val to_serialized : t -> string
 
 val output_serialized : ?sorted:bool -> Kernel.Sexp.sink -> t -> unit

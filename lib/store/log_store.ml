@@ -103,7 +103,15 @@ let fold_live t f acc =
   in
   loop 0 acc
 
-let select t pred = List.rev (fold_live t (fun acc p -> if pred p then p :: acc else acc) [])
+(* [f] over the live propositions satisfying [pred], newest first, so
+   [fold_select t pred List.cons []] lists them oldest first *)
+let fold_select t pred f acc =
+  List.fold_left
+    (fun acc p -> f p acc)
+    acc
+    (fold_live t (fun acc p -> if pred p then p :: acc else acc) [])
+
+let select t pred = fold_select t pred List.cons []
 
 let by_source t x = select t (fun p -> Symbol.equal p.Prop.source x)
 
@@ -112,6 +120,8 @@ let by_source_label t x l =
 
 let by_dest t y = select t (fun p -> Symbol.equal p.Prop.dest y)
 let by_label t l = select t (fun p -> Symbol.equal p.Prop.label l)
+let fold_source t x f acc = fold_select t (fun p -> Symbol.equal p.Prop.source x) f acc
+let fold_dest t y f acc = fold_select t (fun p -> Symbol.equal p.Prop.dest y) f acc
 let iter t f = ignore (fold_live t (fun () p -> f p) ())
 let cardinal t = Symbol.Tbl.length t.live
 let insert_batch t ps = List.filter (fun p -> insert t p) ps

@@ -1,25 +1,36 @@
-(** Indexed in-memory physical representation.
+(** Indexed in-memory physical representation, the default.
 
-    Maintains four secondary indexes (source, (source,label), dest, label)
-    over a primary id table.  All mutations keep the indexes in sync. *)
+    One mutable node per proposition.  Next to the proposition it holds
+    prev/next links into three circular doubly-linked chains: the
+    propositions with the same source, the same destination and the
+    same label.  A [Symbol.Tbl] per chain maps its key to the newest
+    node, whose [prev] is the oldest; the id table maps ids to nodes.
+    Insertion prepends and removal unlinks in O(1), and a drained chain
+    drops its key.  No index holds a list bucket, a [ref] cell or a
+    boxed pair key: [by_source_label] walks the source chain and keeps
+    the label's matches, so it costs the source's out-degree.
+
+    Reads walk a chain from its oldest node back to the head and cons,
+    so an answer is a fresh list, newest first, allocated once; the
+    [fold_*] reads let a caller that filters cons only what it keeps. *)
 
 open Kernel
 
-module Pair = struct
-  type t = Symbol.t * Symbol.t
-
-  let equal (a1, a2) (b1, b2) = Symbol.equal a1 b1 && Symbol.equal a2 b2
-  let hash (a, b) = (Symbol.hash a * 65599) + Symbol.hash b
-end
-
-module Pair_tbl = Hashtbl.Make (Pair)
+type node = {
+  prop : Prop.t;
+  mutable src_prev : node;
+  mutable src_next : node;
+  mutable dst_prev : node;
+  mutable dst_next : node;
+  mutable lbl_prev : node;
+  mutable lbl_next : node;
+}
 
 type t = {
-  by_id : Prop.t Symbol.Tbl.t;
-  by_source : Prop.t list ref Symbol.Tbl.t;
-  by_source_label : Prop.t list ref Pair_tbl.t;
-  by_dest : Prop.t list ref Symbol.Tbl.t;
-  by_label : Prop.t list ref Symbol.Tbl.t;
+  by_id : node Symbol.Tbl.t;
+  by_source : node Symbol.Tbl.t;
+  by_dest : node Symbol.Tbl.t;
+  by_label : node Symbol.Tbl.t;
 }
 
 let name = "mem"
@@ -28,7 +39,6 @@ let create () =
   {
     by_id = Symbol.Tbl.create 1024;
     by_source = Symbol.Tbl.create 1024;
-    by_source_label = Pair_tbl.create 1024;
     by_dest = Symbol.Tbl.create 1024;
     by_label = Symbol.Tbl.create 256;
   }
@@ -36,69 +46,176 @@ let create () =
 let clear t =
   Symbol.Tbl.reset t.by_id;
   Symbol.Tbl.reset t.by_source;
-  Pair_tbl.reset t.by_source_label;
   Symbol.Tbl.reset t.by_dest;
   Symbol.Tbl.reset t.by_label
 
-let bucket_add tbl find add key (p : Prop.t) =
-  match find tbl key with
-  | Some cell -> cell := p :: !cell
-  | None -> add tbl key (ref [ p ])
+(* One chain's key and links, as static closures: link, unlink and
+   fold are written once for all three chains. *)
+type chain = {
+  key : Prop.t -> Symbol.t;
+  prev : node -> node;
+  next : node -> node;
+  set_prev : node -> node -> unit;
+  set_next : node -> node -> unit;
+}
 
-let bucket_del tbl find remove key (p : Prop.t) =
-  match find tbl key with
-  | None -> ()
-  | Some cell -> (
-    match
-      List.filter (fun q -> not (Symbol.equal q.Prop.id p.Prop.id)) !cell
-    with
-    (* drop drained buckets: churning keys must not leak [ref []]
-       cells into the index tables *)
-    | [] -> remove tbl key
-    | rest -> cell := rest)
+let src =
+  {
+    key = (fun p -> p.source);
+    prev = (fun n -> n.src_prev);
+    next = (fun n -> n.src_next);
+    set_prev = (fun n m -> n.src_prev <- m);
+    set_next = (fun n m -> n.src_next <- m);
+  }
+
+let dst =
+  {
+    key = (fun p -> p.dest);
+    prev = (fun n -> n.dst_prev);
+    next = (fun n -> n.dst_next);
+    set_prev = (fun n m -> n.dst_prev <- m);
+    set_next = (fun n m -> n.dst_next <- m);
+  }
+
+let lbl =
+  {
+    key = (fun p -> p.label);
+    prev = (fun n -> n.lbl_prev);
+    next = (fun n -> n.lbl_next);
+    set_prev = (fun n m -> n.lbl_prev <- m);
+    set_next = (fun n m -> n.lbl_next <- m);
+  }
+
+(* prepend [n]: it becomes the head, between the old head and the
+   oldest node *)
+let link c heads n =
+  let k = c.key n.prop in
+  match Symbol.Tbl.find heads k with
+  | head ->
+    let tail = c.prev head in
+    c.set_next n head;
+    c.set_prev n tail;
+    c.set_next tail n;
+    c.set_prev head n;
+    Symbol.Tbl.replace heads k n
+  | exception Not_found ->
+    c.set_next n n;
+    c.set_prev n n;
+    Symbol.Tbl.add heads k n
+
+let unlink c heads n =
+  let k = c.key n.prop in
+  let next = c.next n in
+  (* a drained chain drops its key: churning keys must not leak table
+     entries *)
+  if next == n then Symbol.Tbl.remove heads k
+  else begin
+    let prev = c.prev n in
+    c.set_next prev next;
+    c.set_prev next prev;
+    if Symbol.Tbl.find heads k == n then Symbol.Tbl.replace heads k next
+  end
+
+(* The initial links of a fresh node: [link] overwrites all six before
+   any read can reach it.  Its proposition is never read, and its code
+   is not interned, so the store adds no symbol. *)
+let no_prop =
+  let none = Symbol.of_int (-1) in
+  Prop.make ~belief:0 ~id:none ~source:none ~label:none ~dest:none ()
+
+let rec placeholder =
+  {
+    prop = no_prop;
+    src_prev = placeholder;
+    src_next = placeholder;
+    dst_prev = placeholder;
+    dst_next = placeholder;
+    lbl_prev = placeholder;
+    lbl_next = placeholder;
+  }
 
 let insert t (p : Prop.t) =
   if Symbol.Tbl.mem t.by_id p.id then false
   else begin
-    Symbol.Tbl.add t.by_id p.id p;
-    bucket_add t.by_source Symbol.Tbl.find_opt Symbol.Tbl.add p.source p;
-    bucket_add t.by_source_label Pair_tbl.find_opt Pair_tbl.add
-      (p.source, p.label) p;
-    bucket_add t.by_dest Symbol.Tbl.find_opt Symbol.Tbl.add p.dest p;
-    bucket_add t.by_label Symbol.Tbl.find_opt Symbol.Tbl.add p.label p;
+    let n = { placeholder with prop = p } in
+    Symbol.Tbl.add t.by_id p.id n;
+    link src t.by_source n;
+    link dst t.by_dest n;
+    link lbl t.by_label n;
     true
   end
 
-let find t id = Symbol.Tbl.find_opt t.by_id id
+let find t id =
+  match Symbol.Tbl.find t.by_id id with
+  | n -> Some n.prop
+  | exception Not_found -> None
+
 let mem t id = Symbol.Tbl.mem t.by_id id
 
 let remove t id =
-  match find t id with
-  | None -> None
-  | Some p ->
+  match Symbol.Tbl.find t.by_id id with
+  | exception Not_found -> None
+  | n ->
     Symbol.Tbl.remove t.by_id id;
-    bucket_del t.by_source Symbol.Tbl.find_opt Symbol.Tbl.remove p.source p;
-    bucket_del t.by_source_label Pair_tbl.find_opt Pair_tbl.remove
-      (p.source, p.label) p;
-    bucket_del t.by_dest Symbol.Tbl.find_opt Symbol.Tbl.remove p.dest p;
-    bucket_del t.by_label Symbol.Tbl.find_opt Symbol.Tbl.remove p.label p;
-    Some p
+    unlink src t.by_source n;
+    unlink dst t.by_dest n;
+    unlink lbl t.by_label n;
+    Some n.prop
 
-let deref = function Some cell -> !cell | None -> []
-let by_source t x = deref (Symbol.Tbl.find_opt t.by_source x)
+(* [f] over the chain from its oldest node [n] back to [head] *)
+let rec fold_back c f head n acc =
+  let acc = f n.prop acc in
+  if n == head then acc else fold_back c f head (c.prev n) acc
 
-let by_source_label t x l = deref (Pair_tbl.find_opt t.by_source_label (x, l))
+(* [List.fold_right f (chain newest first) acc] without the list *)
+let fold_chain c heads k f acc =
+  match Symbol.Tbl.find heads k with
+  | head -> fold_back c f head (c.prev head) acc
+  | exception Not_found -> acc
 
-let by_dest t y = deref (Symbol.Tbl.find_opt t.by_dest y)
-let by_label t l = deref (Symbol.Tbl.find_opt t.by_label l)
-let iter t f = Symbol.Tbl.iter (fun _ p -> f p) t.by_id
+let fold_source t x f acc = fold_chain src t.by_source x f acc
+let fold_dest t y f acc = fold_chain dst t.by_dest y f acc
+let by_source t x = fold_source t x List.cons []
+let by_dest t y = fold_dest t y List.cons []
+let by_label t l = fold_chain lbl t.by_label l List.cons []
+
+(* the source chain's [l]-labelled nodes, oldest first from [n]; no
+   closure over [l] *)
+let rec labelled l head n acc =
+  let p = n.prop in
+  let acc = if Symbol.equal p.label l then p :: acc else acc in
+  if n == head then acc else labelled l head n.src_prev acc
+
+let by_source_label t x l =
+  match Symbol.Tbl.find t.by_source x with
+  | head -> labelled l head head.src_prev []
+  | exception Not_found -> []
+
+let iter t f = Symbol.Tbl.iter (fun _ n -> f n.prop) t.by_id
 let cardinal t = Symbol.Tbl.length t.by_id
 let insert_batch t ps = List.filter (fun p -> insert t p) ps
 let fold_ids t f acc = Symbol.Tbl.fold (fun id _ acc -> f acc id) t.by_id acc
 
 let fold_links t f acc =
   Symbol.Tbl.fold
-    (fun _ (p : Prop.t) acc -> f acc p.id p.source p.label p.dest)
+    (fun _ n acc ->
+      let p = n.prop in
+      f acc p.id p.source p.label p.dest)
     t.by_id acc
 
-let iter_by_label t l f = List.iter f (by_label t l)
+(* newest first, like [List.iter f (by_label t l)] *)
+let iter_by_label t l f =
+  match Symbol.Tbl.find t.by_label l with
+  | exception Not_found -> ()
+  | head ->
+    let rec go n =
+      let next = n.lbl_next in
+      f n.prop;
+      if next != head then go next
+    in
+    go head
+
+(* keys across the three chain tables, for tests: none survives a drain *)
+let index_keys t =
+  Symbol.Tbl.length t.by_source + Symbol.Tbl.length t.by_dest
+  + Symbol.Tbl.length t.by_label

@@ -5,8 +5,9 @@
     base.  In its interface it exports operations for retrieving and
     creating stored propositions."  We capture that interface as a module
     type so the proposition base can run over any representation; three
-    are provided ({!Mem_store} with hash indexes, {!Log_store}
-    append-only, {!Arena_store} columnar struct-of-arrays). *)
+    are provided ({!Mem_store}, one heap node per proposition on
+    intrusive index chains; {!Log_store}, append-only; {!Arena_store},
+    columnar struct-of-arrays). *)
 
 open Kernel
 
@@ -32,6 +33,15 @@ module type S = sig
   val by_source_label : t -> Prop.id -> Symbol.t -> Prop.t list
   val by_dest : t -> Prop.id -> Prop.t list
   val by_label : t -> Symbol.t -> Prop.t list
+
+  val fold_source : t -> Prop.id -> (Prop.t -> 'a -> 'a) -> 'a -> 'a
+  (** [fold_source t x f init] is [List.fold_right f (by_source t x)
+      init]: a caller that filters the answer conses only what it
+      keeps, in the same order. *)
+
+  val fold_dest : t -> Prop.id -> (Prop.t -> 'a -> 'a) -> 'a -> 'a
+  (** [fold_dest t y f init] is [List.fold_right f (by_dest t y) init]. *)
+
   val iter : t -> (Prop.t -> unit) -> unit
   val cardinal : t -> int
 

@@ -620,6 +620,22 @@ let test_side_tables_per_prop () =
     Alcotest.failf "closure memos hold %d entries for %d classes" entries
       (Symbol.Set.cardinal classes)
 
+(* The default store keeps one node per proposition on three intrusive
+   chains: ~24 words per proposition, [Prop.t] records included.  List
+   buckets behind a [ref] cell per key, plus a (source, label) table
+   with boxed pair keys, hold ~39. *)
+let test_store_words_per_prop () =
+  let base = Cml.Kb.base (Repo.kb (edited_repo ())) in
+  let st = Store.Mem_store.create () in
+  Store.Base.iter base (fun p -> ignore (Store.Mem_store.insert st p));
+  let props = Store.Mem_store.cardinal st in
+  check int "every proposition stored" (Store.Base.cardinal base) props;
+  let per_prop =
+    float_of_int (Obj.reachable_words (Obj.repr st)) /. float_of_int props
+  in
+  if per_prop > 28. then
+    Alcotest.failf "the mem store holds %.1f words per proposition" per_prop
+
 (* mid-log offset reading (replication frame shipping) -------------------- *)
 
 (* every frame-start offset of [data]'s valid prefix, plus the end
@@ -803,6 +819,7 @@ let suite =
     ("recovery realigns decision counter", `Quick, test_recover_realigns_decision_counter);
     ("checkpoint major allocation below file size", `Quick, test_checkpoint_memory_bound);
     ("kb side tables hold no entry per proposition", `Quick, test_side_tables_per_prop);
+    ("mem store words per proposition", `Quick, test_store_words_per_prop);
     ("group-commit batch is crash-atomic", `Quick, test_group_commit_batch_recovery);
     ("group-commit batch edge cases", `Quick, test_group_commit_empty_and_errors);
   ]

@@ -194,10 +194,7 @@ let test_mem_store_bucket_drain () =
   List.iter (fun p -> check bool "inserted" true (Mem.insert st p)) props;
   List.iter (fun (p : Prop.t) -> ignore (Mem.remove st p.id)) props;
   check int "primary empty" 0 (Mem.cardinal st);
-  check int "by_source empty" 0 (Symbol.Tbl.length st.Mem.by_source);
-  check int "by_source_label empty" 0 (Mem.Pair_tbl.length st.Mem.by_source_label);
-  check int "by_dest empty" 0 (Symbol.Tbl.length st.Mem.by_dest);
-  check int "by_label empty" 0 (Symbol.Tbl.length st.Mem.by_label)
+  check int "no chain key left" 0 (Mem.index_keys st)
 
 (* datalog: parallel ≡ sequential ---------------------------------------- *)
 

@@ -81,6 +81,29 @@ let test_indexes_after_remove () =
       check Alcotest.(list string) "dest index updated" [ "p2" ]
         (ids (Base.by_dest base (sym "Paper"))))
 
+(* the fold reads are [List.fold_right] over the matching [by_*] read,
+   order included, on every backend *)
+let test_fold_reads () =
+  with_backends (fun base ->
+      populate base;
+      ok (Base.insert base (mk "p5" "Invitation" "isa" "Document"));
+      let in_order = Alcotest.(list string) in
+      let names ps = List.map (fun (p : Prop.t) -> Symbol.name p.id) ps in
+      List.iter
+        (fun x ->
+          check in_order "fold_source" (names (Base.by_source base (sym x)))
+            (names (Base.fold_source base (sym x) List.cons []));
+          check in_order "fold_dest" (names (Base.by_dest base (sym x)))
+            (names (Base.fold_dest base (sym x) List.cons [])))
+        [ "Invitation"; "Paper"; "Document"; "nobody" ];
+      let isa = sym "isa" in
+      check in_order "filtering fold keeps the source_label order"
+        (names (Base.by_source_label base (sym "Invitation") isa))
+        (names
+           (Base.fold_source base (sym "Invitation")
+              (fun (p : Prop.t) acc -> if Symbol.equal p.label isa then p :: acc else acc)
+              [])))
+
 let test_query_pattern () =
   with_backends (fun base ->
       populate base;
@@ -380,6 +403,122 @@ let prop_backends_agree =
       | m :: rest -> List.for_all (fun v -> v = m) rest
       | [] -> false)
 
+(* Mem_store against a model: the stored propositions as a plain list,
+   newest first.  Random inserts, removals and re-insertions over small
+   key windows make chains short, long, reordered and drained. *)
+let prop_mem_store_model =
+  let module M = Mem_store in
+  let window = 4 in
+  let key prefix k = sym (prefix ^ string_of_int k) in
+  QCheck.Test.make ~name:"mem store agrees with a newest-first list model"
+    ~count:300
+    QCheck.(list (quad (int_range 0 2) (int_range 0 11) (int_range 0 (window - 1))
+                  (pair (int_range 0 (window - 1)) (int_range 0 (window - 1)))))
+    (fun ops ->
+      let st = M.create () in
+      let model = ref [] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let same = List.equal Prop.equal in
+      let compare_views step =
+        let keep (f : Prop.t -> bool) = List.filter f !model in
+        for k = 0 to window do
+          let x = key "mms" k and l = key "mml" k and y = key "mmd" k in
+          if not (same (M.by_source st x) (keep (fun p -> Symbol.equal p.source x)))
+          then fail "by_source %d at step %d" k step;
+          if not (same (M.by_dest st y) (keep (fun p -> Symbol.equal p.dest y)))
+          then fail "by_dest %d at step %d" k step;
+          if not (same (M.by_label st l) (keep (fun p -> Symbol.equal p.label l)))
+          then fail "by_label %d at step %d" k step;
+          if not (same (M.fold_source st x List.cons []) (M.by_source st x))
+          then fail "fold_source %d at step %d" k step;
+          if not (same (M.fold_dest st y List.cons []) (M.by_dest st y))
+          then fail "fold_dest %d at step %d" k step;
+          let seen = ref [] in
+          M.iter_by_label st l (fun p -> seen := p :: !seen);
+          if not (same (List.rev !seen) (M.by_label st l)) then
+            fail "iter_by_label %d at step %d" k step;
+          for j = 0 to window do
+            let l = key "mml" j in
+            if
+              not
+                (same (M.by_source_label st x l)
+                   (keep (fun p -> Symbol.equal p.source x && Symbol.equal p.label l)))
+            then fail "by_source_label %d %d at step %d" k j step
+          done
+        done;
+        for i = 0 to 12 do
+          let id = key "mmp" i in
+          let m = List.find_opt (fun (p : Prop.t) -> Symbol.equal p.id id) !model in
+          if not (Option.equal ( == ) (M.find st id) m) then fail "find %d at step %d" i step;
+          if M.mem st id <> Option.is_some m then fail "mem %d at step %d" i step
+        done;
+        if M.cardinal st <> List.length !model then fail "cardinal at step %d" step;
+        let sorted ids = List.sort Symbol.compare ids in
+        if
+          sorted (M.fold_ids st (fun acc id -> id :: acc) [])
+          <> sorted (List.map (fun (p : Prop.t) -> p.id) !model)
+        then fail "fold_ids at step %d" step
+      in
+      let remove id =
+        model := List.filter (fun (p : Prop.t) -> not (Symbol.equal p.id id)) !model
+      in
+      List.iteri
+        (fun step (op, i, s, (l, d)) ->
+          let id = key "mmp" i in
+          let present = List.find_opt (fun (p : Prop.t) -> Symbol.equal p.id id) !model in
+          (match (op, present) with
+          | 0, _ ->
+            let p =
+              Prop.make ~id ~source:(key "mms" s) ~label:(key "mml" l) ~dest:(key "mmd" d) ()
+            in
+            if M.insert st p <> Option.is_none present then fail "insert at step %d" step;
+            if present = None then model := p :: !model
+          | 1, _ ->
+            if not (Option.equal ( == ) (M.remove st id) present) then
+              fail "remove at step %d" step;
+            remove id
+          | _, None -> ()
+          | _, Some p ->
+            (* re-insertion moves [p] to the head of its three chains *)
+            ignore (M.remove st id);
+            remove id;
+            if not (M.insert st p) then fail "re-insert at step %d" step;
+            model := p :: !model);
+          compare_views step)
+        ops;
+      List.iter (fun (p : Prop.t) -> ignore (M.remove st p.id)) !model;
+      M.cardinal st = 0 && M.index_keys st = 0)
+
+(* A removal costs O(1) however long its chains are.  One label and one
+   destination each hold [n] propositions, the shape of a class's
+   [instanceof] links; removing and re-inserting one of them must
+   allocate the same at [n] and at [4n].  An index that rebuilds its
+   list bucket allocates ~6 words per proposition in the two buckets. *)
+let test_mem_remove_constant () =
+  let module M = Mem_store in
+  let per_round n =
+    let st = M.create () in
+    let props =
+      Array.init n (fun i ->
+          mk (Printf.sprintf "rc%d" i) (Printf.sprintf "rcobj%d" i) "instanceof" "RcClass")
+    in
+    Array.iter (fun p -> ignore (M.insert st p)) props;
+    let rounds = 64 in
+    let before = Gc.minor_words () in
+    for k = 0 to rounds - 1 do
+      let p = props.((n / 2) + k) in
+      ignore (M.remove st p.id);
+      ignore (M.insert st p)
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+    check int "chains intact" n (List.length (M.by_dest st (sym "RcClass")));
+    words
+  in
+  let small = per_round 20_000 and large = per_round 80_000 in
+  if large > 1.5 *. small then
+    Alcotest.failf "remove + re-insert: %.0f words at n = 20,000, %.0f at 80,000"
+      small large
+
 (* Every index-selection arm of [Base.query]: the no-residual fast path
    must return exactly the indexed list (source+label, source-only,
    label-only, unconstrained), and each residual combination must agree
@@ -440,6 +579,7 @@ let suite =
     ("remove", `Quick, test_remove);
     ("indexes", `Quick, test_indexes);
     ("indexes after remove", `Quick, test_indexes_after_remove);
+    ("fold reads", `Quick, test_fold_reads);
     ("query pattern", `Quick, test_query_pattern);
     ("cardinal and fold", `Quick, test_cardinal_and_fold);
     ("tx commit", `Quick, test_tx_commit);
@@ -460,4 +600,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_store_model;
     QCheck_alcotest.to_alcotest prop_rollback_restores;
     QCheck_alcotest.to_alcotest prop_backends_agree;
+    QCheck_alcotest.to_alcotest prop_mem_store_model;
+    ("mem store removal is O(1)", `Quick, test_mem_remove_constant);
   ]
