@@ -432,6 +432,12 @@ let stats_cmd =
        Format.printf "unmapped:        %s@."
          (String.concat ", "
             (List.map Sym.name (Gkbms.Navigation.unmapped_objects repo)));
+       (* the planner's statistics; the first read builds them *)
+       Format.printf "planner rows:    %s@."
+         (String.concat ", "
+            (List.map
+               (fun (p, n) -> Printf.sprintf "%s %d" (Sym.name p) n)
+               (Planner.Stats.preds (Cml.Kb.planner_stats (Repo.kb repo)))));
        let samples = Obs.Registry.snapshot Obs.Registry.default in
        if metrics then
          Format.printf "-- registry --@.%a@." Obs.Export.pp_samples samples;

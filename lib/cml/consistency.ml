@@ -213,21 +213,18 @@ let check_all ?pool kb =
 
 let check_delta kb changes =
   let base = Kb.base kb in
-  (* [touched] (all endpoints of all changes) selects which class
-     constraints to re-evaluate.  The structural re-check set is
-     narrower: a newly ADDED proposition can only invalidate itself or
-     propositions that reference it by id (temporal containment of links
-     whose endpoint's valid time it defines) — its class-side endpoints
-     keep their old propositions valid, because [instance_ok] and
-     referential integrity are monotone under additions.  Expanding the
-     endpoints of additions would re-enqueue the full extension of every
-     class the delta mentions (all past instanceof links of a decision
-     class, say), turning each commit into an O(base) scan.  REMOVALS
-     keep the full expansion: deleting an object or link can break
-     referential integrity, temporal containment, and conformance of
-     anything incident to either endpoint. *)
-  let touched = ref Symbol.Set.empty in
-  let add_sym s = touched := Symbol.Set.add s !touched in
+  (* The structural re-check set: a newly ADDED proposition can only
+     invalidate itself or propositions that reference it by id (temporal
+     containment of links whose endpoint's valid time it defines) — its
+     class-side endpoints keep their old propositions valid, because
+     [instance_ok] and referential integrity are monotone under
+     additions.  Expanding the endpoints of additions would re-enqueue
+     the full extension of every class the delta mentions (all past
+     instanceof links of a decision class, say), turning each commit
+     into an O(base) scan.  REMOVALS keep the full expansion: deleting
+     an object or link can break referential integrity, temporal
+     containment, and conformance of anything incident to either
+     endpoint. *)
   let isa_changed = ref false in
   let props_to_check = ref [] in
   let seen = ref Symbol.Set.empty in
@@ -247,9 +244,6 @@ let check_delta kb changes =
       let p =
         match change with Base.Added p -> p | Base.Removed p -> p
       in
-      add_sym p.Prop.id;
-      add_sym p.Prop.source;
-      add_sym p.Prop.dest;
       if Symbol.equal p.Prop.label Axioms.isa then isa_changed := true;
       match change with
       | Base.Added p -> enqueue p; expand p.Prop.id
@@ -262,35 +256,46 @@ let check_delta kb changes =
     List.concat_map (fun p -> check_prop kb p) !props_to_check
   in
   let cycles = if !isa_changed then check_isa_acyclic kb else [] in
-  (* constraints of classes related to any touched object *)
-  let affected_classes =
-    Symbol.Set.fold
-      (fun s acc ->
-        let classes = Kb.all_classes_of kb s in
-        let with_subs =
-          List.concat_map
-            (fun c -> c :: Kb.isa_closure kb c)
-            (s :: classes)
-        in
-        List.fold_left (fun acc c -> Symbol.Set.add c acc) acc with_subs)
-      !touched Symbol.Set.empty
+  (* A class constraint is re-evaluated when an endpoint of a change
+     (id, source or destination) is the class, one of its
+     specializations or one of its instances.  Few classes carry a
+     constraint, so the constrained classes are read off the
+     [constraint] label chain (no link beyond the bootstrap category
+     when none does) and each is tested against the endpoints, rather
+     than classifying every endpoint to probe its classes.  The classes
+     are folded in increasing order, each one's constraints taken from
+     its own links, so the violations come out in the same order as the
+     classify-every-endpoint expansion would give. *)
+  let constrained = ref Symbol.Set.empty in
+  Base.iter_by_label base Axioms.constraint_ (fun (p : Prop.t) ->
+      if Option.is_some (Kb.constraint_formula kb p.dest) then
+        constrained := Symbol.Set.add p.source !constrained);
+  let affected cls =
+    let reaches s =
+      Symbol.equal s cls
+      || List.exists (Symbol.equal cls) (Kb.isa_closure kb s)
+      || Kb.is_instance kb ~inst:s ~cls
+    in
+    List.exists
+      (fun change ->
+        let p = match change with Base.Added p | Base.Removed p -> p in
+        reaches p.Prop.id || reaches p.Prop.source || reaches p.Prop.dest)
+      changes
   in
   let constraints =
-    (* look the constraints up from the affected classes' own [constraint]
-       links rather than folding [Kb.all_constraints] — the latter scans
-       the whole base, which would make every commit O(base) again *)
     Symbol.Set.fold
       (fun cls acc ->
-        List.fold_left
-          (fun acc (p : Prop.t) ->
-            if Symbol.equal p.Prop.label Axioms.constraint_ then
-              match Kb.constraint_formula kb p.Prop.dest with
-              | Some f -> check_constraint kb (cls, p.Prop.dest, f) @ acc
-              | None -> acc
-            else acc)
-          acc
-          (Base.by_source base cls))
-      affected_classes []
+        if not (affected cls) then acc
+        else
+          List.fold_left
+            (fun acc (p : Prop.t) ->
+              if Symbol.equal p.Prop.label Axioms.constraint_ then
+                match Kb.constraint_formula kb p.Prop.dest with
+                | Some f -> check_constraint kb (cls, p.Prop.dest, f) @ acc
+                | None -> acc
+              else acc)
+            acc (Base.by_source base cls))
+      !constrained []
   in
   structural @ cycles @ constraints
 

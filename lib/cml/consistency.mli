@@ -44,8 +44,11 @@ val check_all : ?pool:Par.Pool.t -> Kb.t -> violation list
 val check_delta : Kb.t -> Store.Base.change list -> violation list
 (** Verify only what the changes can affect: the changed propositions
     themselves, attribute conformance of propositions incident to
-    changed objects, and constraints of classes whose instance
-    populations or attribute values were touched. *)
+    changed objects, and the constraints of every class that an
+    endpoint of a change (its id, source or destination) is,
+    specializes or is an instance of.  The constrained classes are read
+    off the [constraint] links, so a KB without constraints pays no
+    classification for them. *)
 
 val watch : Kb.t -> (unit -> Store.Base.change list)
 (** Start recording changes on the KB's base; the returned function

@@ -36,7 +36,9 @@ type t = {
   constraint_defs : Formula.t Symbol.Tbl.t;  (** constraint object -> formula *)
   mutable behaviour_defs : (Symbol.t * string * (t -> Prop.id -> unit)) list;
   cache : cache;
-  pstats : Planner.Stats.t;  (** planner statistics, fed off [on_change] *)
+  pstats_m : Mutex.t;
+  mutable pstats : Planner.Stats.t option;
+      (** planner statistics: built on first read, fed off [on_change] *)
 }
 
 let base t = t.base
@@ -394,20 +396,6 @@ let add_constraint t ~name ~cls formula =
         Symbol.Tbl.replace t.constraint_defs id formula;
         Ok ())
 
-let constraints_of t cls =
-  let classes = cls :: isa_closure t cls in
-  List.concat_map
-    (fun c ->
-      List.filter_map
-        (fun (p : Prop.t) ->
-          if Symbol.equal p.label Axioms.constraint_ then
-            match Symbol.Tbl.find_opt t.constraint_defs p.dest with
-            | Some f -> Some (p.dest, f)
-            | None -> None
-          else None)
-        (Base.by_source t.base c))
-    classes
-
 let constraint_formula t id = Symbol.Tbl.find_opt t.constraint_defs id
 
 let all_constraints t =
@@ -614,15 +602,40 @@ let planner_tuples (p : Prop.t) =
     (planner_pred_attr, [| s p.source; s p.label; s p.dest |]) :: base
   else base
 
-let planner_stats t = t.pstats
+(* The statistics serve [explain] and planned [derive] only, so no write
+   pays for them before their first read: that read scans the base once
+   and subscribes to its change feed, which keeps them exact from then
+   on.  The scan must not race a writer, and no caller lets one run:
+   readers hold the scheduler's shared lock; a constraint formula that
+   falls back to [derive] inside a decision holds the exclusive lock
+   (should the decision roll back, the rollback notifies the
+   subscriber); a follower applies frames under [Daemon.exclusive].
+   [pstats_m] orders readers racing each other on a pool. *)
+let planner_stats t =
+  Mutex.protect t.pstats_m @@ fun () ->
+  match t.pstats with
+  | Some s -> s
+  | None ->
+    let s = Planner.Stats.create () in
+    (* a proposition id is unique in the base *)
+    Planner.Stats.declare_key s planner_pred_prop 0;
+    Base.iter t.base (fun p ->
+        List.iter
+          (fun (pred, args) -> Planner.Stats.observe_add s pred args)
+          (planner_tuples p));
+    ignore
+      (Planner.Stats.attach_base s t.base ~tuples_of:planner_tuples
+        : Base.subscription);
+    t.pstats <- Some s;
+    s
 
 let derive t goal =
-  if Planner.on () then Planner.query ~stats:t.pstats (datalog t) goal
+  if Planner.on () then Planner.query ~stats:(planner_stats t) (datalog t) goal
   else
     let p = prover t ~tabling:true in
     Ok (Prover.solve p [ goal ])
 
-let explain t goal = Planner.explain ~stats:t.pstats (datalog t) goal
+let explain t goal = Planner.explain ~stats:(planner_stats t) (datalog t) goal
 
 let enum_holds t (a : Term.atom) =
   match Array.to_list a.args with
@@ -699,19 +712,14 @@ let create ?backend () =
           misses = 0;
           invalidations = 0;
         };
-      pstats = Planner.Stats.create ();
+      pstats_m = Mutex.create ();
+      pstats = None;
     }
   in
   (* keep the closure caches consistent with every base change,
      including those replayed by transaction rollback *)
   ignore
     (Base.on_change base (fun change -> invalidate_for_change t change)
-      : Base.subscription);
-  (* planner statistics track the same change feed, from the very first
-     bootstrap proposition; a proposition id is unique in the base *)
-  Planner.Stats.declare_key t.pstats planner_pred_prop 0;
-  ignore
-    (Planner.Stats.attach_base t.pstats base ~tuples_of:planner_tuples
       : Base.subscription);
   List.iter
     (fun p ->

@@ -117,13 +117,13 @@ val add_constraint :
   t -> name:string -> cls:string -> Logic.Formula.t -> (unit, string) result
 (** Attach a first-order constraint to a class. *)
 
-val constraints_of : t -> Prop.id -> (Prop.id * Logic.Formula.t) list
-(** Constraints attached to the class, including inherited ones. *)
-
 val all_constraints : t -> (Prop.id * Prop.id * Logic.Formula.t) list
 (** All (class, constraint-object, formula) triples.  Scans the whole
-    base — prefer {!constraint_formula} plus the class's own
-    [constraint] links on hot paths. *)
+    base.  A hot path reads the [constraint] links instead, through
+    {!Store.Base.iter_by_label} and {!constraint_formula}: the label
+    chain holds one link per constraint (plus the bootstrap
+    [Constraint] category), so the lookup costs nothing when no class
+    carries a constraint. *)
 
 val constraint_formula : t -> Prop.id -> Logic.Formula.t option
 (** The formula registered for a constraint object, if any. *)
@@ -158,7 +158,14 @@ val explain : t -> Logic.Term.atom -> (string, string) result
     evaluate it.  Works whether or not the planner gate is on. *)
 
 val planner_stats : t -> Planner.Stats.t
-(** The statistics collector fed off this KB's change feed. *)
+(** The planner's statistics over this KB.  The first call builds them
+    with one scan of the base (O(base), ~0.6 s at 290k propositions)
+    and subscribes them to the change feed, which keeps them exact from
+    then on; until that call no write pays for them and the registry
+    holds no [gkbms_datalog_pred_rows] gauge for this KB.  {!explain}
+    and a planned {!derive} call it.  No other thread may write the
+    base during the first call: a reader under the scheduler's shared
+    lock, or a decision under the exclusive one, guarantees that. *)
 
 val formula_env : t -> Logic.Formula.env
 (** Environment for constraint evaluation: [instances_of] quantifies over

@@ -390,6 +390,180 @@ let test_consistency_incremental_empty_delta () =
   check Alcotest.(list string) "empty delta, no violations" []
     (List.map (fun v -> v.Cons.rule) (Cons.check_delta kb []))
 
+(* class-constraint lookup: differential against the per-endpoint
+   expansion ------------------------------------------------------------ *)
+
+(* The reference: the lookup [check_delta] replaced, kept as it was.  It
+   classifies every endpoint of every change (its classes, its
+   generalizations) and probes each class found for its own
+   [constraint] links. *)
+let reference_check_constraint kb (cls, cid, formula) =
+  let violation message =
+    { Cons.subject = cls; rule = "class-constraint"; message }
+  in
+  match Formula.first_violation (Kb.formula_env kb) Term.Subst.empty formula with
+  | Ok None -> []
+  | Ok (Some viol) ->
+    [
+      violation
+        (Format.asprintf "constraint %s on %s: %a" (Symbol.name cid)
+           (Symbol.name cls) Formula.pp_violation viol);
+    ]
+  | Error e ->
+    [
+      violation
+        (Printf.sprintf "constraint %s on %s cannot be evaluated: %s"
+           (Symbol.name cid) (Symbol.name cls) e);
+    ]
+
+let reference_constraint_violations kb changes =
+  let base = Kb.base kb in
+  let touched = ref Symbol.Set.empty in
+  let add_sym s = touched := Symbol.Set.add s !touched in
+  List.iter
+    (fun change ->
+      let p =
+        match change with Store.Base.Added p -> p | Store.Base.Removed p -> p
+      in
+      add_sym p.Prop.id;
+      add_sym p.Prop.source;
+      add_sym p.Prop.dest)
+    changes;
+  (* constraints of classes related to any touched object *)
+  let affected_classes =
+    Symbol.Set.fold
+      (fun s acc ->
+        let classes = Kb.all_classes_of kb s in
+        let with_subs =
+          List.concat_map
+            (fun c -> c :: Kb.isa_closure kb c)
+            (s :: classes)
+        in
+        List.fold_left (fun acc c -> Symbol.Set.add c acc) acc with_subs)
+      !touched Symbol.Set.empty
+  in
+  Symbol.Set.fold
+    (fun cls acc ->
+      List.fold_left
+        (fun acc (p : Prop.t) ->
+          if Symbol.equal p.Prop.label Cml.Axioms.constraint_ then
+            match Kb.constraint_formula kb p.Prop.dest with
+            | Some f -> reference_check_constraint kb (cls, p.Prop.dest, f) @ acc
+            | None -> acc
+          else acc)
+        acc
+        (Store.Base.by_source base cls))
+    affected_classes []
+
+(* A script over eight objects that play class and instance alike. *)
+type kb_op =
+  | Isa of int * int  (** skipped when it would close a cycle *)
+  | Inst of int * int
+  | Ref of int * int  (** a [qcref] attribute *)
+  | Constrain of int * int * int  (** formula kind, class, other object *)
+  | Unlink of int  (** remove one of the script's links still present *)
+
+let pp_kb_op = function
+  | Isa (a, b) -> Printf.sprintf "Isa(%d,%d)" a b
+  | Inst (a, b) -> Printf.sprintf "Inst(%d,%d)" a b
+  | Ref (a, b) -> Printf.sprintf "Ref(%d,%d)" a b
+  | Constrain (k, a, b) -> Printf.sprintf "Constrain(%d,%d,%d)" k a b
+  | Unlink k -> Printf.sprintf "Unlink(%d)" k
+
+let qc_obj i = Printf.sprintf "qco%d" i
+
+(* Formulas that fail on reachable states: every instance of [c] refers
+   to an instance of [d]; every instance of [c] is one of [d]; [c] has
+   no instance. *)
+let qc_formula k c d =
+  let c = sym (qc_obj c) and d = sym (qc_obj d) in
+  let atom pred args = Formula.Atom (Term.atom pred args) in
+  match k with
+  | 0 ->
+    Formula.Forall
+      ( "x", c,
+        Formula.Exists
+          ("y", d, atom "attr" [ Term.var "x"; Term.sym "qcref"; Term.var "y" ]) )
+  | 1 -> Formula.Forall ("x", c, atom "in" [ Term.var "x"; Term.Sym d ])
+  | _ -> Formula.Not (Formula.Exists ("x", c, Formula.True))
+
+let apply_kb_op kb links n_constraints op =
+  let linked = function
+    | Ok (p : Prop.t) -> links := p.id :: !links
+    | Error _ -> ()
+  in
+  match op with
+  | Isa (a, b) -> linked (Kb.add_isa kb ~sub:(qc_obj a) ~super:(qc_obj b))
+  | Inst (a, b) -> linked (Kb.add_instanceof kb ~inst:(qc_obj a) ~cls:(qc_obj b))
+  | Ref (a, b) ->
+    linked (Kb.add_attribute kb ~source:(qc_obj a) ~label:"qcref" ~dest:(qc_obj b))
+  | Constrain (k, a, b) ->
+    incr n_constraints;
+    ok
+      (Kb.add_constraint kb
+         ~name:(Printf.sprintf "qck%d" !n_constraints)
+         ~cls:(qc_obj a) (qc_formula k a b))
+  | Unlink k -> (
+    match List.filter (fun id -> Store.Base.mem (Kb.base kb) id) !links with
+    | [] -> ()
+    | live ->
+      ignore (Kb.remove_proposition kb (List.nth live (k mod List.length live))))
+
+let gen_kb_op =
+  QCheck.Gen.(
+    let obj = int_bound 7 in
+    frequency
+      [
+        (2, map2 (fun a b -> Isa (a, b)) obj obj);
+        (3, map2 (fun a b -> Inst (a, b)) obj obj);
+        (3, map2 (fun a b -> Ref (a, b)) obj obj);
+        (1, map3 (fun k a b -> Constrain (k, a, b)) (int_bound 2) obj obj);
+        (2, map (fun k -> Unlink k) (int_bound 15));
+      ])
+
+let gen_constrained_script =
+  QCheck.Gen.(
+    triple
+      (list_size (int_range 0 14) gen_kb_op)
+      (list_size (int_range 0 3)
+         (map3
+            (fun k a b -> Constrain (k, a, b))
+            (int_bound 2) (int_bound 7) (int_bound 7)))
+      (list_size (int_range 1 6) gen_kb_op))
+
+(* On random class lattices, instances, attributes and 0-3 constraints,
+   [check_delta] re-evaluates exactly the constraints the per-endpoint
+   expansion selects, and reports their violations in the same order. *)
+let prop_constraint_lookup_matches_expansion =
+  QCheck.Test.make ~name:"consistency constraint lookup = per-endpoint expansion"
+    ~count:400
+    (QCheck.make gen_constrained_script
+       ~print:(fun (setup, constraints, delta) ->
+         let ops l = String.concat " " (List.map pp_kb_op l) in
+         Printf.sprintf "setup: %s\nconstraints: %s\ndelta: %s" (ops setup)
+           (ops constraints) (ops delta)))
+    (fun (setup, constraints, delta) ->
+      let kb = Kb.create () in
+      for i = 0 to 7 do
+        ignore (ok (Kb.declare kb (qc_obj i)))
+      done;
+      let links = ref [] and n_constraints = ref 0 in
+      List.iter (apply_kb_op kb links n_constraints) (setup @ constraints);
+      let drain = Cons.watch kb in
+      List.iter (apply_kb_op kb links n_constraints) delta;
+      let changes = drain () in
+      let actual =
+        List.filter
+          (fun v -> v.Cons.rule = "class-constraint")
+          (Cons.check_delta kb changes)
+      in
+      let expected = reference_constraint_violations kb changes in
+      if actual <> expected then
+        QCheck.Test.fail_reportf "expected:@.%a@.got:@.%a"
+          (Format.pp_print_list Cons.pp_violation) expected
+          (Format.pp_print_list Cons.pp_violation) actual;
+      true)
+
 (* model configuration ----------------------------------------------------- *)
 
 let test_model_basics () =
@@ -584,6 +758,7 @@ let suite =
     ("consistency incremental agrees", `Quick, test_consistency_incremental_agrees);
     ("consistency incremental empty delta", `Quick,
      test_consistency_incremental_empty_delta);
+    QCheck_alcotest.to_alcotest prop_constraint_lookup_matches_expansion;
     ("closure cache hits", `Quick, test_closure_cache_hits);
     ("closure cache invalidation", `Quick, test_closure_cache_invalidation);
     ("closure cache instanceof invalidation", `Quick,

@@ -545,28 +545,36 @@ let test_recover_realigns_decision_counter () =
 
 (* memory per proposition ---------------------------------------------- *)
 
-(* The repository the memory bounds are measured on: the §2.1 scenario
-   through the key decision, 256 documents and 2,000 manual edits,
-   ~49k propositions, most of them version objects. *)
-let edited_repo () =
+(* The §2.1 scenario through the key decision plus [docs] documents,
+   with a shell session that edits them. *)
+let docs = 256
+
+let documents_repo () =
   let st = ok (Scn.setup ()) in
   ignore (ok (Scn.map_move_down st));
   ignore (ok (Scn.normalize_invitations st));
   ignore (ok (Scn.substitute_key st));
   let repo = st.Scn.repo in
-  let docs = 256 in
   for i = 0 to docs - 1 do
     ignore
       (ok
          (Repo.new_object repo ~name:(Printf.sprintf "Doc%dx" i)
             ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0")))
   done;
-  let sh = Gkbms.Shell.session repo in
+  (repo, Gkbms.Shell.session repo)
+
+let edit sh i =
+  ignore
+    (Gkbms.Shell.eval sh
+       (Printf.sprintf "run DecManualEdit Editor object=Doc%dx text=e%d"
+          (i mod docs) i))
+
+(* The repository the memory bounds are measured on: 2,000 manual edits
+   of the documents, ~49k propositions, most of them version objects. *)
+let edited_repo () =
+  let repo, sh = documents_repo () in
   for i = 0 to 1999 do
-    ignore
-      (Gkbms.Shell.eval sh
-         (Printf.sprintf "run DecManualEdit Editor object=Doc%dx text=e%d"
-            (i mod docs) i))
+    edit sh i
   done;
   check bool "edits committed" true (List.length (Repo.decision_log repo) > 2000);
   check bool "~49k propositions" true
@@ -598,11 +606,22 @@ let test_checkpoint_memory_bound () =
 let test_side_tables_per_prop () =
   let kb = Repo.kb (edited_repo ()) in
   let props = Store.Base.cardinal (Cml.Kb.base kb) in
+  (* no write feeds the statistics before their first read: that read
+     builds them, adding their ~7.7 words per proposition to the KB *)
+  let kb_words = Obj.reachable_words (Obj.repr kb) in
+  let stats = Cml.Kb.planner_stats kb in
+  let added =
+    float_of_int (Obj.reachable_words (Obj.repr kb) - kb_words)
+    /. float_of_int props
+  in
+  if added < 5. then
+    Alcotest.failf "the first statistics read added %.1f words per proposition"
+      added;
   (* ~7.7 words per proposition: ~1.6 counted values, each a 4-word
      bucket cell plus its share of the bucket array.  A boxed key costs
      2 words more per value (~10.9), a table for the id column one more
      value per proposition (~12.3). *)
-  let words = Obj.reachable_words (Obj.repr (Cml.Kb.planner_stats kb)) in
+  let words = Obj.reachable_words (Obj.repr stats) in
   let per_prop = float_of_int words /. float_of_int props in
   if per_prop > 9.5 then
     Alcotest.failf "planner statistics hold %.1f words per proposition" per_prop;
@@ -619,6 +638,41 @@ let test_side_tables_per_prop () =
   if entries > Symbol.Set.cardinal classes then
     Alcotest.failf "closure memos hold %d entries for %d classes" entries
       (Symbol.Set.cardinal classes)
+
+(* A write pays for no absent reader: with no class constraint in the KB
+   and no planner read, an edit on the default store allocates ~7.5k
+   minor words.  Feeding planner statistics on every write and
+   classifying every endpoint of the delta to find class constraints
+   took ~14.3k.  (The arena decodes a record per read: 14.1k, 23.2k.) *)
+let test_edit_allocation () =
+  (* restore whatever the process default was (GKBMS_STORE or mem) *)
+  let restore =
+    match
+      Option.map Store.Base.backend_of_string (Sys.getenv_opt "GKBMS_STORE")
+    with
+    | Some (Ok b) -> b
+    | _ -> `Mem
+  in
+  Store.Base.set_default_backend `Mem;
+  Fun.protect ~finally:(fun () -> Store.Base.set_default_backend restore)
+  @@ fun () ->
+  let repo, sh = documents_repo () in
+  for i = 0 to 511 do
+    edit sh i
+  done;
+  let decisions = List.length (Repo.decision_log repo) in
+  let words =
+    Array.init 16 (fun k ->
+        let before = Gc.minor_words () in
+        edit sh (512 + k);
+        Gc.minor_words () -. before)
+  in
+  check int "every edit committed" (decisions + 16)
+    (List.length (Repo.decision_log repo));
+  Array.sort compare words;
+  let median = (words.(7) +. words.(8)) /. 2. in
+  if median > 10_000. then
+    Alcotest.failf "an edit allocates %.0f minor words" median
 
 (* The default store keeps one node per proposition on three intrusive
    chains: ~24 words per proposition, [Prop.t] records included.  List
@@ -819,6 +873,7 @@ let suite =
     ("recovery realigns decision counter", `Quick, test_recover_realigns_decision_counter);
     ("checkpoint major allocation below file size", `Quick, test_checkpoint_memory_bound);
     ("kb side tables hold no entry per proposition", `Quick, test_side_tables_per_prop);
+    ("edit allocation pays for no absent reader", `Quick, test_edit_allocation);
     ("mem store words per proposition", `Quick, test_store_words_per_prop);
     ("group-commit batch is crash-atomic", `Quick, test_group_commit_batch_recovery);
     ("group-commit batch edge cases", `Quick, test_group_commit_empty_and_errors);

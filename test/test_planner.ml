@@ -443,15 +443,16 @@ let test_kb_explain () =
         (contains report needle))
     [ "strategy: magic-sets"; "estimated vs actual"; "answers:"; "in@bf" ]
 
-(* The planner statistics Kb keeps live must equal a recount of the
-   four external relations over the stored propositions, also after a
-   selective backtrack has retracted a decision's consequences. *)
+(* The planner statistics Kb keeps must equal a recount of the four
+   external relations over the stored propositions.  They are built on
+   their first read, so each case reads them before the history it
+   checks: right after set-up, ahead of the decisions and the selective
+   backtrack that retracts a decision's consequences; and mid-history,
+   ahead of more edits and the retraction of one of them. *)
 module Repo = Gkbms.Repository
 module Scn = Gkbms.Scenario
 
-let test_kb_stats_match_base () =
-  let st, _report = ok (Scn.run_all ()) in
-  let kb = Repo.kb st.Scn.repo in
+let check_stats_match_base kb =
   let tuples = Hashtbl.create 4 in
   let add pred args =
     Hashtbl.replace tuples pred
@@ -478,6 +479,55 @@ let test_kb_stats_match_base () =
           (Option.get (P.Stats.distinct stats (sym pred) i))
       done)
     [ ("prop", 4); ("instanceof", 2); ("isa", 2); ("attr", 3) ]
+
+let test_kb_stats_match_base () =
+  let st = ok (Scn.setup ()) in
+  let kb = Repo.kb st.Scn.repo in
+  ignore (Cml.Kb.planner_stats kb);
+  ignore (ok (Scn.map_move_down st));
+  ignore (ok (Scn.normalize_invitations st));
+  ignore (ok (Scn.substitute_key st));
+  ignore (ok (Scn.introduce_minutes st));
+  let report = ok (Scn.resolve_conflict st) in
+  check bool "the backtrack removed objects" true
+    (report.Gkbms.Backtrack.removed_objects <> []);
+  check_stats_match_base kb
+
+let test_kb_stats_built_mid_history () =
+  let st, _report = ok (Scn.run_all ()) in
+  let repo = st.Scn.repo in
+  let kb = Repo.kb repo in
+  for i = 0 to 3 do
+    ignore
+      (ok
+         (Repo.new_object repo ~name:(Printf.sprintf "StatsDoc%d" i)
+            ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0")))
+  done;
+  let sh = Gkbms.Shell.session repo in
+  let edit i =
+    ignore
+      (Gkbms.Shell.eval sh
+         (Printf.sprintf "run DecManualEdit Editor object=StatsDoc%d text=e%d"
+            (i mod 4) i))
+  in
+  for i = 0 to 7 do
+    edit i
+  done;
+  ignore (Cml.Kb.planner_stats kb);
+  let before = List.length (Repo.decision_log repo) in
+  for i = 8 to 15 do
+    edit i
+  done;
+  check int "edits committed" (before + 8) (List.length (Repo.decision_log repo));
+  let last = List.hd (List.rev (Repo.decision_log repo)) in
+  let report =
+    ok (Gkbms.Backtrack.retract repo last ~rationale:"undo the last edit" ())
+  in
+  check bool "the edit's version removed" true
+    (report.Gkbms.Backtrack.removed_objects <> []);
+  check bool "the edit left the log" false
+    (List.exists (Symbol.equal last) (Repo.decision_log repo));
+  check_stats_match_base kb
 
 (* The plan and its estimates for the scenario's classification query,
    pinned: the estimates read the statistics, so this fixes their
@@ -539,6 +589,7 @@ let suite =
     ("kb: derive planner on ≡ off", `Quick, test_kb_derive_equal);
     ("kb: explain renders plan and cardinalities", `Quick, test_kb_explain);
     ("kb: stats equal a recount after backtracking", `Quick, test_kb_stats_match_base);
+    ("kb: stats built mid-history equal a recount", `Quick, test_kb_stats_built_mid_history);
     ("kb: explain output pinned", `Quick, test_kb_explain_pinned);
     ("planner: obs counters move", `Quick, test_metrics);
   ]
