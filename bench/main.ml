@@ -265,9 +265,11 @@ let shape_e17_durability () =
       (Repo.new_object repo ~name:"E17Doc" ~cls:Gkbms.Metamodel.dbpl_object
          (Repo.Text "v0"))
   in
-  let before = Gkbms.Durable.wal_records d in
+  let before = Gkbms.Durable.wal_records d
+  and bytes_before = Gkbms.Durable.wal_bytes d in
   ignore (edit repo doc);
   let delta_records = Gkbms.Durable.wal_records d - before in
+  let decision_bytes = Gkbms.Durable.wal_bytes d - bytes_before in
   Gkbms.Durable.sync d;
   let scan = ok (Durability.Wal.read_file (Gkbms.Durable.wal_path dir)) in
   let decision_records =
@@ -298,13 +300,15 @@ let shape_e17_durability () =
   Sys.remove snap_file;
   Printf.printf
     "repository: %d propositions\n\
-     single-decision WAL commit (%d records, append+sync): %8.1f us\n\
+     single-decision WAL record set: %d records, %d framed bytes\n\
+     single-decision WAL commit (append+sync):             %8.1f us\n\
      full repository snapshot (atomic temp+rename):        %8.1f us\n\
      -> WAL commit is %.0fx cheaper; the gap grows with the repository\n"
-    props delta_records (t_commit *. 1e6) (t_snap *. 1e6)
+    props delta_records decision_bytes (t_commit *. 1e6) (t_snap *. 1e6)
     (t_snap /. t_commit);
   metric_i "e17_propositions" props;
   metric_i "e17_decision_records" delta_records;
+  metric_i "e17_decision_bytes" decision_bytes;
   metric_f "e17_wal_commit_us" (t_commit *. 1e6);
   metric_f "e17_snapshot_us" (t_snap *. 1e6);
   metric_f "e17_commit_speedup" (t_snap /. t_commit);

@@ -60,7 +60,11 @@ val attach :
 val recover :
   ?register_tools:(Repository.t -> unit) -> dir:string -> unit ->
   (Repository.t * report, string) result
-(** Rebuild the repository state from [dir] without attaching. *)
+(** Rebuild the repository state from [dir] without attaching.  A
+    [wal.log] that is not empty, not a prefix of {!Durability.Wal.magic}
+    (a creation torn before its first sync) and does not start with
+    the magic is refused with an [Error] naming the file, and left as
+    it is. *)
 
 val open_ :
   ?register_tools:(Repository.t -> unit) -> ?checkpoint_every:int ->

@@ -11,7 +11,36 @@
     Records carry proposition-base deltas ([Put]/[Tomb], the
     {!Store.Base.on_change} feed) plus repository-level events
     (decision boundaries, artifact writes), making a decision commit
-    O(delta) where a snapshot is O(repository). *)
+    O(delta) where a snapshot is O(repository).
+
+    A payload is a one-byte tag and its fields.  [str] is a u32le
+    length and the bytes; [vstr] is a LEB128 varint length (7 bits per
+    byte, low group first, the high bit set on all but the last byte)
+    and the bytes.
+
+    {v
+    tag  record            fields
+    'p'  Put               flags:u8 id:vstr [source:vstr] [label:vstr]
+                           [dest:vstr] [time:vstr] belief:varint
+    'P'  Put (old layout)  id:str source:str label:str dest:str
+                           time:str belief:str
+    'T'  Tomb              id:str
+    'B'  Decision_begin    class:str
+    'C'  Decision_commit   decision:str
+    'A'  Decision_abort    reason:str
+    'R'  Artifact          name:str sexp:str
+    'N'  Note              key:str value:str
+    v}
+
+    In the compact ['p'] layout each set bit of [flags] omits a field:
+    bit 0 means source = id, bit 1 label = id, bit 2 dest = id, and bit
+    3 time = [Always]; bits 4–7 must be zero.  An individual
+    [<x, x, x, Always>] thus spells its name once.  [time] is
+    {!Time.to_string}; [belief] is zigzag-encoded (0, -1, 1, -2 … as
+    0, 1, 2, 3 …), so a small belief of either sign takes one byte.
+    ['P'] is read but no longer written: logs from before the compact
+    layout still recover and replay, while a reader that predates it
+    stops at the first ['p'] record. *)
 
 open Kernel
 
@@ -98,4 +127,17 @@ val scan_from : ?expect_header:bool -> string -> offset:int -> scan_result
     shipped mid-log).  [valid_bytes] stays absolute within [data], so
     a caller resumes at exactly [valid_bytes]. *)
 
+val frame_end : string -> int -> int
+(** [frame_end data pos] is the offset just past the frame that starts
+    at [pos], which must be the start of a whole frame.  The records of
+    a scan are the frames at its first offset, at [frame_end] of that,
+    and so on, so a caller that consumes them one at a time tracks its
+    byte position with this.  Re-encoding a record does not give its
+    size on disk: a ['P'] record re-encodes to a shorter ['p'].
+    @raise Invalid_argument when fewer than four bytes follow [pos]. *)
+
 val read_file : string -> (scan_result, string) result
+(** Read and {!scan} a log file.  A file that is not empty, not a
+    proper prefix of {!magic} (a creation torn before its first sync)
+    and does not start with the magic is refused with an [Error] naming
+    it: {!scan} would read it as holding no records. *)

@@ -48,8 +48,6 @@ let decisions_applied t = t.decisions_applied
    must not leak across *)
 let reset t = t.stack <- []
 
-let framed_size r = 8 + String.length (Wal.encode r)
-
 let already_logged repo id =
   List.exists (Symbol.equal id) (Repo.decision_log repo)
 

@@ -35,9 +35,5 @@ val reset : t -> unit
     recovery-archived log may end inside a frame that the leader rolled
     back, and the next generation restarts from a clean edge. *)
 
-val framed_size : Durability.Wal.record -> int
-(** Size in bytes of the record as framed on disk (deterministic
-    encoding), for cursor bookkeeping while consuming a chunk. *)
-
 val records_fed : t -> int
 val decisions_applied : t -> int

@@ -136,16 +136,19 @@ let apply_chunk t ~offset chunk =
   else
     let res =
       Daemon.exclusive t.daemon (fun () ->
-          let pos = ref offset in
+          (* each record's frame ends where the next begins: read the
+             lengths off the chunk, since a record re-encodes to its
+             size on disk only in the current layout *)
+          let pos = ref 0 in
           let res =
             List.fold_left
               (fun acc r ->
                 Result.bind acc (fun () ->
                     let fed = Applier.feed t.applier r in
-                    pos := !pos + Applier.framed_size r;
+                    pos := Wal.frame_end chunk !pos;
                     if Applier.depth t.applier = 0 then begin
                       t.safe_gen <- t.cursor_gen;
-                      t.safe_offset <- !pos
+                      t.safe_offset <- offset + !pos
                     end;
                     fed))
               (Ok ()) scan.Wal.records

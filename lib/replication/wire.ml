@@ -4,7 +4,11 @@
    payloads are length-prefixed and binary-safe, so the chunk needs no
    escaping. *)
 
-let protocol_version = 1
+(* Chunks are raw WAL bytes, so the version covers the record layout
+   too: 2 ships compact [Put] records, which a version-1 follower
+   cannot decode.  It refuses at the hello instead of cutting every
+   chunk at the first one. *)
+let protocol_version = 2
 
 (* requests ----------------------------------------------------------- *)
 

@@ -8,6 +8,9 @@
     protocol is binary-safe, so no escaping). *)
 
 val protocol_version : int
+(** Sent in the hello; a follower refuses a leader that speaks another
+    version.  It changes with the WAL record layout, since shipped
+    chunks are raw log bytes. *)
 
 (** {1 Requests} *)
 

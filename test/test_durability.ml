@@ -78,9 +78,32 @@ let test_codec_rejects_garbage () =
   (match Wal.decode "Zjunk" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown tag decoded");
-  match Wal.decode (Wal.encode (Wal.Decision_commit "x") ^ "extra") with
+  (match Wal.decode (Wal.encode (Wal.Decision_commit "x") ^ "extra") with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing bytes accepted"
+  | Ok _ -> Alcotest.fail "trailing bytes accepted");
+  (* the compact [Put]: a multi-byte belief, so a cut lands in a varint *)
+  let put =
+    Wal.encode
+      (Wal.Put
+         (Prop.make ~belief:300 ~id:(sym "x") ~source:(sym "x")
+            ~label:(sym "x") ~dest:(sym "x") ()))
+  in
+  let rejects what payload =
+    match Wal.decode payload with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "compact Put: %s accepted" what
+  in
+  List.iter
+    (fun bit ->
+      let b = Bytes.of_string put in
+      Bytes.set b 1 (Char.chr (Char.code put.[1] lor (1 lsl bit)));
+      rejects (Printf.sprintf "reserved flag bit %d" bit) (Bytes.to_string b))
+    [ 4; 5; 6; 7 ];
+  rejects "truncated belief varint" (String.sub put 0 (String.length put - 1));
+  rejects "truncated length varint" "p\x00\x80";
+  rejects "overlong varint" ("p\x0f\x01x" ^ String.make 9 '\xff' ^ "\x01");
+  rejects "missing flags byte" "p";
+  rejects "trailing bytes" (put ^ "\x00")
 
 let test_torn_tail () =
   let data, _ = write_sample () in
@@ -341,6 +364,144 @@ let prop_crash_recovery_bitflip =
       let flip = if crash = 0 then None else Some (off_seed mod crash, bit) in
       check_crash data wms ~crash ~flip)
 
+(* compact Put encoding ----------------------------------------------------- *)
+
+(* The [Put] layout logs carried before the compact one: tag 'P', then
+   id, source, label, dest, time and the decimal belief, each a u32le
+   length and its bytes. *)
+let old_put_payload (p : Prop.t) =
+  let buf = Buffer.create 64 in
+  Buffer.add_char buf 'P';
+  List.iter
+    (fun s ->
+      Buffer.add_int32_le buf (Int32.of_int (String.length s));
+      Buffer.add_string buf s)
+    [
+      Symbol.name p.id; Symbol.name p.source; Symbol.name p.label;
+      Symbol.name p.dest; Time.to_string p.time; string_of_int p.belief;
+    ];
+  Buffer.contents buf
+
+(* a log as written before the compact layout: the same magic and
+   length + CRC-32 framing, with every [Put] in the old layout *)
+let old_layout_log records =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf Wal.magic;
+  List.iter
+    (fun r ->
+      let payload =
+        match r with Wal.Put p -> old_put_payload p | r -> Wal.encode r
+      in
+      Buffer.add_int32_le buf (Int32.of_int (String.length payload));
+      Buffer.add_int32_le buf (Crc32.of_string payload);
+      Buffer.add_string buf payload)
+    records;
+  Buffer.contents buf
+
+(* names: empty, short, ≥128 bytes (two-byte varint length), ≥16,384
+   bytes (three bytes), and any bytes at all: tabs, newlines, non-ASCII *)
+let name_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        (4, string_size ~gen:printable (int_range 1 12));
+        ( 2,
+          map
+            (fun s -> "tab\there\nnl\xc3\xa9\xff" ^ s)
+            (string_size (int_range 0 8)) );
+        (2, string_size (int_range 128 300));
+        (1, string_size (int_range 16_384 16_500));
+      ])
+
+let point_gen =
+  QCheck.Gen.(oneof [ int_range (-1000) 1000; oneofl [ min_int; max_int; 0 ] ])
+
+(* [Time.of_string] reads an interval name up to its first '[', and an
+   '@' in front as [At]: such names do not round-trip in either layout *)
+let interval_name_gen =
+  QCheck.Gen.(
+    map
+      (fun s -> "v" ^ String.map (fun c -> if c = '[' then '_' else c) s)
+      (string_size (int_range 0 10)))
+
+let time_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Time.always;
+        map Time.at point_gen;
+        map Time.from point_gen;
+        map2 (fun a b -> Time.between (min a b) (max a b)) point_gen point_gen;
+        map3
+          (fun n a b -> Time.named n (min a b) (max a b))
+          interval_name_gen point_gen point_gen;
+      ])
+
+let belief_gen =
+  QCheck.Gen.(
+    oneof [ return 0; int_range (-1000) (-1); oneofl [ min_int; max_int ]; int ])
+
+(* [same] picks which of source, label and dest equal the id *)
+let prop_gen =
+  QCheck.Gen.(
+    map
+      (fun ((id, source, label, dest), (same, time, belief)) ->
+        let id = sym id in
+        let pick bit name = if same land bit <> 0 then id else sym name in
+        Prop.make ~time ~belief ~id ~source:(pick 1 source)
+          ~label:(pick 2 label) ~dest:(pick 4 dest) ())
+      (pair
+         (quad name_gen name_gen name_gen name_gen)
+         (triple (int_range 0 7) time_gen belief_gen)))
+
+let print_prop (p : Prop.t) =
+  let short s =
+    let s = Symbol.name s in
+    if String.length s <= 24 then Printf.sprintf "%S" s
+    else Printf.sprintf "%S…(%d bytes)" (String.sub s 0 24) (String.length s)
+  in
+  Printf.sprintf "<%s, %s, %s, %s, %s> belief %d" (short p.id) (short p.source)
+    (short p.label) (short p.dest) (Time.to_string p.time) p.belief
+
+let prop_put_codec =
+  QCheck.Test.make ~name:"compact Put round-trips, never longer than 'P'"
+    ~count:500 (QCheck.make ~print:print_prop prop_gen) (fun p ->
+      let payload = Wal.encode (Wal.Put p) in
+      if String.length payload > String.length (old_put_payload p) then
+        QCheck.Test.fail_reportf "%d bytes compact, %d in the old layout"
+          (String.length payload)
+          (String.length (old_put_payload p));
+      (* [Prop.equal] ignores the belief: compare it on its own *)
+      match Wal.decode payload with
+      | Ok (Wal.Put q) -> Prop.equal p q && q.belief = p.belief
+      | Ok _ -> QCheck.Test.fail_report "decoded to another record"
+      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
+
+let replay_log data =
+  let scan = Wal.scan data in
+  let resolved = Journal.resolve scan.Wal.records in
+  let base = Store.Base.create () in
+  ignore (ok (Journal.replay_into base resolved));
+  (scan, canon base, resolved.Journal.decisions)
+
+let prop_old_layout_replays =
+  QCheck.Test.make ~name:"an old-layout log replays like the compact one"
+    ~count:100 ops_gen (fun ops ->
+      let data, _ = run_random_ops ops in
+      let scan, state, decisions = replay_log data in
+      let old = old_layout_log scan.Wal.records in
+      let old_scan, old_state, old_decisions = replay_log old in
+      old_scan.Wal.truncated = None
+      && old_scan.Wal.valid_bytes = String.length old
+      (* the frame lengths, not a re-encoding, walk the old records *)
+      && List.fold_left
+           (fun off _ -> Wal.frame_end old off)
+           Wal.header_bytes old_scan.Wal.records
+         = String.length old
+      && encoded old_scan.Wal.records = encoded scan.Wal.records
+      && old_state = state && old_decisions = decisions)
+
 (* whole-repository durability -------------------------------------------- *)
 
 let temp_dir () =
@@ -355,6 +516,25 @@ let rm_rf dir =
       (Sys.readdir dir);
     Sys.rmdir dir
   end
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  really_input_string ic (in_channel_length ic)
+
+let write_file path data =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
+  output_string oc data
+
+(* the §2.1 scenario's first two decisions, journaled under [dir] *)
+let two_decisions dir =
+  let st = ok (Scn.setup ()) in
+  let d = ok (Durable.attach ~dir st.Scn.repo) in
+  ignore (ok (Scn.map_move_down st));
+  ignore (ok (Scn.normalize_invitations st));
+  Durable.close d;
+  st.Scn.repo
 
 let test_durable_roundtrip () =
   let dir = temp_dir () in
@@ -501,6 +681,53 @@ let test_durable_retraction_survives () =
   check Alcotest.(list Alcotest.string) "retraction survives recovery"
     (List.map Symbol.name (Repo.decision_log st.Scn.repo))
     (List.map Symbol.name (Repo.decision_log repo2))
+
+let test_durable_recovers_old_layout () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let repo = two_decisions dir in
+  let wal = Durable.wal_path dir in
+  write_file wal (old_layout_log (Wal.scan (read_file wal)).Wal.records);
+  let repo2, report = ok (Durable.recover ~dir ()) in
+  check bool "clean tail" true (report.Durable.truncated = None);
+  check Alcotest.(list Alcotest.string) "every decision recovered"
+    (List.map Symbol.name (Repo.decision_log repo))
+    report.Durable.recovered_decisions;
+  check Alcotest.(list Alcotest.string) "same propositions"
+    (canon (Cml.Kb.base (Repo.kb repo)))
+    (canon (Cml.Kb.base (Repo.kb repo2)))
+
+(* [Wal.scan] reads a log with a bad magic as holding no records;
+   recovery must refuse it rather than let [open_] archive and truncate
+   the frames behind the header *)
+let test_durable_refuses_damaged_header () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  ignore (two_decisions dir : Repo.t);
+  let wal = Durable.wal_path dir in
+  let damaged =
+    Fault.corrupt (Fault.script ~flips:[ (3, 0) ] ()) (read_file wal)
+  in
+  write_file wal damaged;
+  let names_log e = String.starts_with ~prefix:wal e in
+  (match Durable.recover ~dir () with
+  | Ok _ -> Alcotest.fail "recover read a damaged header as an empty log"
+  | Error e -> check bool "recover names the log" true (names_log e));
+  (match Durable.open_ ~dir () with
+  | Ok (d, _) ->
+    Durable.close d;
+    Alcotest.fail "open_ read a damaged header as an empty log"
+  | Error e -> check bool "open_ names the log" true (names_log e));
+  check bool "log left as it was" true (read_file wal = damaged);
+  (* an empty log, or a creation torn inside the magic, holds no records *)
+  List.iter
+    (fun data ->
+      write_file wal data;
+      let _, report = ok (Durable.recover ~dir ()) in
+      check int
+        (Printf.sprintf "%d-byte log recovers empty" (String.length data))
+        0 report.Durable.wal_records)
+    [ ""; String.sub Wal.magic 0 3 ]
 
 (* a warm restart is a fresh process: the global proposition id counter
    restarts at zero, and recovery must re-align it so the first
@@ -674,6 +901,29 @@ let test_edit_allocation () =
   if median > 10_000. then
     Alcotest.failf "an edit allocates %.0f minor words" median
 
+(* An edit journals 32 records: 24 [Put]s (six individuals and
+   eighteen links), five artifacts, the trace note and the decision
+   bracket.  The compact [Put] writes an individual's name once and
+   implies the default time: ~1,400 bytes per edit, where spelling out
+   every field took ~2,280. *)
+let test_edit_journal_bytes () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let repo, sh = documents_repo () in
+  let d = ok (Durable.attach ~checkpoint_every:max_int ~dir repo) in
+  Fun.protect ~finally:(fun () -> Durable.close d) @@ fun () ->
+  for i = 0 to 511 do
+    edit sh i
+  done;
+  for k = 0 to 15 do
+    let bytes = Durable.wal_bytes d and records = Durable.wal_records d in
+    edit sh (512 + k);
+    check int "records per edit" 32 (Durable.wal_records d - records);
+    let journaled = Durable.wal_bytes d - bytes in
+    if journaled > 1_600 then
+      Alcotest.failf "edit %d journaled %d bytes" k journaled
+  done
+
 (* The default store keeps one node per proposition on three intrusive
    chains: ~24 words per proposition, [Prop.t] records included.  List
    buckets behind a [ref] cell per key, plus a (source, label) table
@@ -698,7 +948,7 @@ let frame_boundaries data =
   let scan = Wal.scan data in
   let offs, last =
     List.fold_left
-      (fun (offs, off) r -> (off :: offs, off + String.length (Wal.frame r)))
+      (fun (offs, off) _ -> (off :: offs, Wal.frame_end data off))
       ([], Wal.header_bytes) scan.Wal.records
   in
   List.rev (last :: offs)
@@ -859,6 +1109,8 @@ let suite =
     ("replay idempotent", `Quick, test_replay_idempotent);
     QCheck_alcotest.to_alcotest prop_crash_recovery_torn;
     QCheck_alcotest.to_alcotest prop_crash_recovery_bitflip;
+    QCheck_alcotest.to_alcotest prop_put_codec;
+    QCheck_alcotest.to_alcotest prop_old_layout_replays;
     ("scan_from at every frame boundary", `Quick, test_scan_from_every_boundary);
     ("scan_from headerless chunk", `Quick, test_scan_from_headerless_chunk);
     ("scan_from torn final frame", `Quick, test_scan_from_torn_final_frame);
@@ -869,11 +1121,14 @@ let suite =
     ("aborted decision not resurrected", `Quick, test_durable_aborted_not_resurrected);
     ("checkpoint truncates log", `Quick, test_durable_checkpoint_truncates);
     ("retraction survives recovery", `Quick, test_durable_retraction_survives);
+    ("durable recovers an old-layout log", `Quick, test_durable_recovers_old_layout);
+    ("durable refuses a damaged log header", `Quick, test_durable_refuses_damaged_header);
     ("recovery realigns prop id counter", `Quick, test_recover_realigns_prop_ids);
     ("recovery realigns decision counter", `Quick, test_recover_realigns_decision_counter);
     ("checkpoint major allocation below file size", `Quick, test_checkpoint_memory_bound);
     ("kb side tables hold no entry per proposition", `Quick, test_side_tables_per_prop);
     ("edit allocation pays for no absent reader", `Quick, test_edit_allocation);
+    ("edit journals at most 1,600 bytes", `Quick, test_edit_journal_bytes);
     ("mem store words per proposition", `Quick, test_store_words_per_prop);
     ("group-commit batch is crash-atomic", `Quick, test_group_commit_batch_recovery);
     ("group-commit batch edge cases", `Quick, test_group_commit_empty_and_errors);

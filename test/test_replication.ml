@@ -65,6 +65,11 @@ let test_wire_roundtrips () =
   (match Wire.parse_hello "gkbms-repl 99 0 0" with
   | Error e -> check bool "version mismatch reported" true (contains "version" e)
   | Ok _ -> Alcotest.fail "foreign protocol version accepted");
+  (* version 1 predates the compact [Put] records: builds on either
+     side of the bump refuse to pair *)
+  (match Wire.parse_hello "gkbms-repl 1 0 0" with
+  | Error e -> check bool "version-1 leader refused" true (contains "speaks 1" e)
+  | Ok _ -> Alcotest.fail "version-1 leader accepted");
   (match Wire.parse_token (Wire.format_token ~epoch:2 ~version:7) with
   | Ok t ->
     check int "token epoch" 2 t.Wire.t_epoch;
@@ -321,6 +326,60 @@ let test_follower_restart_resumes () =
   ok (Follower.catch_up f2);
   converged rig f2;
   Daemon.stop rig.l_daemon
+
+(* a generation written before the compact [Put] layout ------------------ *)
+
+(* After an upgrade the leader's warm start archives its old log as it
+   is, and a follower whose cursor sits in that generation streams its
+   'P' frames, which re-encode to fewer bytes.  The persisted cursor
+   must be the frame boundary the chunk really ended on: a restart
+   from a position inside a frame could not resume. *)
+let test_follower_streams_old_layout_generation () =
+  let ldir = temp_dir () and fdir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let rig = make_leader ldir in
+  let f1 = ok (make_follower ~name:"f1" rig fdir) in
+  ok (Follower.catch_up f1);
+  let gen, start = Follower.cursor f1 in
+  check int "follower waits at the first frame" Wal.header_bytes start;
+  Follower.stop f1;
+  ignore (ok (Scn.map_move_down rig.l_st));
+  ignore (ok (Scn.normalize_invitations rig.l_st));
+  Daemon.stop rig.l_daemon;
+  let wal = Durable.wal_path ldir in
+  let old =
+    Test_durability.old_layout_log
+      (Wal.scan (Test_durability.read_file wal)).Wal.records
+  in
+  Test_durability.write_file wal old;
+  let durable, _ = ok (Durable.open_ ~dir:ldir ()) in
+  let daemon = Daemon.create (Durable.repo durable) in
+  ok (Daemon.attach_durable daemon durable);
+  ignore (ok (Leader.attach daemon));
+  rig.l_daemon <- daemon;
+  check bool "the upgrade archived the old log as it was" true
+    (Test_durability.read_file (Durable.archived_wal_path ldir gen) = old);
+  let f2 = ok (make_follower ~name:"f1" rig fdir) in
+  check bool "restart resumes in the old generation" true
+    (Follower.cursor f2 = (gen, start));
+  (* one pull ships the whole archived generation *)
+  ignore (ok (Follower.step f2));
+  let at_end = (gen, String.length old) in
+  check bool "scan cursor at the end of the chunk" true
+    (Follower.cursor f2 = at_end);
+  let persisted =
+    Scanf.sscanf
+      (Test_durability.read_file (Filename.concat fdir "repl.cursor"))
+      "%d %d" (fun g o -> (g, o))
+  in
+  check bool "persisted cursor on the same frame boundary" true
+    (persisted = at_end);
+  Follower.stop f2;
+  let f3 = ok (make_follower ~name:"f1" rig fdir) in
+  Fun.protect ~finally:(fun () -> Follower.stop f3) @@ fun () ->
+  ok (Follower.catch_up f3);
+  converged rig f3;
+  Daemon.stop daemon
 
 (* leader restart: epochs stay monotone, followers reconnect ------------- *)
 
@@ -699,6 +758,8 @@ let suite =
     ("generation boundary crossed", `Quick, test_generation_boundary);
     ("follower restart resumes", `Quick, test_follower_restart_resumes);
     ("leader restart keeps epochs monotone", `Quick, test_leader_restart_epoch_monotone);
+    ("follower streams an old-layout generation", `Quick,
+     test_follower_streams_old_layout_generation);
     ("full scenario replicates", `Quick, test_full_scenario_replicates);
     ("convergence differential (seed 11)", `Quick, test_differential_seed_1);
     ("convergence differential (seed 22)", `Quick, test_differential_seed_2);
