@@ -27,6 +27,22 @@ let metric_i name v = json_metrics := (name, string_of_int v) :: !json_metrics
 let metric_f name v =
   json_metrics := (name, Printf.sprintf "%.3f" v) :: !json_metrics
 
+let median a =
+  let s = Array.copy a in
+  Array.sort compare s;
+  s.(Array.length s / 2)
+
+let temp_dir () =
+  let d = Filename.temp_file "gkbms_bench" "" in
+  Sys.remove d;
+  d
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
 let write_json path =
   let oc = open_out path in
   output_string oc "{\n";
@@ -231,17 +247,6 @@ let shape_e16_incremental_maintenance () =
 (* E17 measures wall-clock I/O costs, so it is timed manually. *)
 let shape_e17_durability () =
   section "E17: durability — O(delta) WAL commit vs O(repo) snapshot";
-  let temp_dir () =
-    let d = Filename.temp_file "gkbms_e17" "" in
-    Sys.remove d;
-    d
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
   let edit repo target =
     let executed =
       ok
@@ -522,17 +527,6 @@ let shape_e18_server () =
    out far below decisions. *)
 let shape_e25_group_commit () =
   section "E25: group commit + pipelined writes — one-core write throughput";
-  let temp_dir () =
-    let d = Filename.temp_file "gkbms_e25" "" in
-    Sys.remove d;
-    d
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
   let clients = 3 and docs_per_client = 16 and waves = 8 in
   let total_writes = clients * docs_per_client * waves in
   let build ~wal ~fsync ~group () =
@@ -749,11 +743,6 @@ let shape_e19_observability () =
     Obs.Trace.set_enabled false;
     Obs.Trace.set_slow_threshold_s 0.1;
     Obs.Trace.clear ();
-    let median a =
-      let s = Array.copy a in
-      Array.sort compare s;
-      s.(Array.length s / 2)
-    in
     let t_base = median samples.(0)
     and t_registry = median samples.(1)
     and t_trace = median samples.(2) in
@@ -790,9 +779,10 @@ let shape_e19_observability () =
    E18 write workload (manual-edit decisions through a live server
    session) runs three ways — registry disabled, registry on with
    tracing off (the production default), and full tracing with the
-   client attaching a trace context to every request — using the E19
-   methodology: modes interleaved in rotated order per round, scored by
-   the median of per-round ratios. *)
+   client attaching a trace context to every request.  Modes are
+   interleaved in palindromic rounds; each mode is scored by its mean
+   pass time over all rounds, and its overhead by the ratio of its mean
+   to the baseline's. *)
 let shape_e24_tracing () =
   section "E24: distributed tracing overhead — traced writes vs off";
   let st = ok (Gkbms.Scenario.setup ()) in
@@ -891,23 +881,14 @@ let shape_e24_tracing () =
   Obs.Trace.clear ();
   Server.Client.close client;
   Thread.join handler;
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
-  let t_base = median samples.(0)
-  and t_off = median samples.(1)
-  and t_on = median samples.(2) in
-  (* overhead from the ratio of whole-run totals: every mode occupies
-     every within-round position equally often, so totals see the same
+  (* means over the whole run, not medians: every mode occupies every
+     within-round position equally often, so its total sees the same
      drift, and 18 batches per mode average scheduler noise that would
      dominate any single-round ratio *)
-  let pct_of mode =
-    let total i = Array.fold_left ( +. ) 0. samples.(i) in
-    ((total mode /. total 0) -. 1.) *. 100.
-  in
-  let pct_off = pct_of 1 and pct_on = pct_of 2 in
+  let mean i = Array.fold_left ( +. ) 0. samples.(i) /. float_of_int rounds in
+  let t_base = mean 0 and t_off = mean 1 and t_on = mean 2 in
+  let pct_off = (t_off /. t_base -. 1.) *. 100.
+  and pct_on = (t_on /. t_base -. 1.) *. 100. in
   let ops t = float_of_int (2 * batch) /. t in
   Printf.printf
     "write pass (%d ops): baseline %.2f ms; tracing off %.2f ms (%+.1f%%); \
@@ -943,11 +924,6 @@ let shape_e20_parallel () =
      E19 trick — adjacent runs share whatever load the machine is
      under, so their ratio is far more stable than a ratio of medians). *)
   let rounds = 3 in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
   (* configs: (domains, thunk); domains = 0 is the sequential baseline *)
   let measure_family name configs =
     let configs = Array.of_list configs in
@@ -1043,135 +1019,6 @@ let shape_e20_parallel () =
      allen saturates earlier (per-pass row sweeps synchronize n times).\n\
      On a single-core host every speedup sits near 1.0x by construction.\n"
 
-(* ------------------------------------------------------------------ *)
-(* E21: the columnar arena vs the hash-indexed heap store              *)
-(* ------------------------------------------------------------------ *)
-
-(* Each (backend, size) cell runs fully sequentially — build, measure,
-   clear, compact — so one cell's garbage never charges the next cell's
-   pause numbers.  The GC cost attributable to the *store* is reported
-   as (forced-major pause with the store live) minus (the same pause
-   after [clear]): the interner retains every id string globally, and
-   the subtraction removes that shared baseline.  A cell drives the
-   backend module directly, so it can also weigh the store: heap words
-   for mem (the [Prop.t] records included), column plus index bytes for
-   the arena, whose rows live off the heap. *)
-let shape_e21_store () =
-  section "E21: columnar arena — throughput and major-GC pause vs mem";
-  let rounds = 5 in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
-  let timed_rounds f =
-    median
-      (Array.init rounds (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           f ();
-           Unix.gettimeofday () -. t0))
-  in
-  let major_pause () =
-    Gc.compact ();
-    timed_rounds (fun () -> Gc.major ())
-  in
-  Printf.printf "%-9s %-7s | %-12s %-12s %-12s %-12s | %-12s %-8s\n" "n" "store"
-    "insert/s" "scan/s" "links/s" "join/s" "gc-pause" "B/prop";
-  (* Ids are interned up front (declaration time) and propositions then
-     arrive in an order uncorrelated with their id codes — the layout of
-     any long-lived base, where insertion history and the id space have
-     long since diverged.  [stride] is odd and not a multiple of 5, so
-     it is coprime with the power-of-ten sizes and walks all of [0,n). *)
-  let stride = 48271 in
-  let cell (type s) n (module S : Store.Storage.S with type t = s) (st : s)
-      (bytes : s -> int) =
-    let tag = S.name in
-    for i = 0 to n - 1 do
-      ignore (Kernel.Symbol.intern (Printf.sprintf "sp%d" i))
-    done;
-    let props () = List.init n (fun j -> W.store_prop (j * stride mod n)) in
-    let t_insert =
-      (* the props list is built inside the thunk so each round inserts
-         into a cleared store; interning is warm *)
-      timed_rounds (fun () ->
-          S.clear st;
-          ignore (S.insert_batch st (props ())))
-    in
-    Gc.compact ();
-    let expect = S.cardinal st in
-    let t_scan =
-      timed_rounds (fun () ->
-          if S.fold_ids st (fun k _ -> k + 1) 0 <> expect then
-            failwith "E21: scan disagrees")
-    in
-    (* the deductive engine's EDB enumeration: all four link symbols *)
-    let src3 = Kernel.Symbol.intern "src3" in
-    let t_links =
-      timed_rounds (fun () ->
-          let k =
-            S.fold_links st
-              (fun k _ s _ _ -> if Kernel.Symbol.equal s src3 then k + 1 else k)
-              0
-          in
-          if k = 0 then failwith "E21: links scan found nothing")
-    in
-    (* index-join probe: every (source, label) pair once; each of the 50
-       sources holds n/50 links *)
-    let srcs = Array.init 50 (fun i -> Kernel.Symbol.intern (Printf.sprintf "src%d" i)) in
-    let labs = Array.init 5 (fun i -> Kernel.Symbol.intern (Printf.sprintf "lab%d" i)) in
-    let join_probes = 50 * 5 in
-    let t_join =
-      timed_rounds (fun () ->
-          let k = ref 0 in
-          Array.iter
-            (fun s ->
-              Array.iter
-                (fun l -> k := !k + List.length (S.by_source_label st s l))
-                labs)
-            srcs;
-          if !k <> expect then failwith "E21: join probe disagrees")
-    in
-    let bytes_per_prop = float_of_int (bytes st) /. float_of_int expect in
-    let pause_live = major_pause () in
-    S.clear st;
-    let pause_cleared = major_pause () in
-    let pause = Float.max 0. (pause_live -. pause_cleared) in
-    let per_sec t = float_of_int n /. t in
-    let join_per_s = float_of_int join_probes /. t_join in
-    Printf.printf
-      "%-9d %-7s | %12.0f %12.0f %12.0f %12.0f | %9.2f ms %8.1f\n%!" n tag
-      (per_sec t_insert) (per_sec t_scan) (per_sec t_links) join_per_s
-      (pause *. 1e3) bytes_per_prop;
-    metric_f (Printf.sprintf "e21_insert_per_s_%s_n%d" tag n) (per_sec t_insert);
-    metric_f (Printf.sprintf "e21_scan_per_s_%s_n%d" tag n) (per_sec t_scan);
-    metric_f (Printf.sprintf "e21_links_per_s_%s_n%d" tag n) (per_sec t_links);
-    metric_f (Printf.sprintf "e21_join_per_s_%s_n%d" tag n) join_per_s;
-    metric_f (Printf.sprintf "e21_gc_pause_ms_%s_n%d" tag n) (pause *. 1e3);
-    metric_f (Printf.sprintf "e21_bytes_per_prop_%s_n%d" tag n) bytes_per_prop;
-    (t_scan, t_links)
-  in
-  let heap_bytes st = 8 * Obj.reachable_words (Obj.repr st) in
-  List.iter
-    (fun n ->
-      let m_scan, m_links =
-        cell n (module Store.Mem_store) (Store.Mem_store.create ()) heap_bytes
-      in
-      let a_scan, a_links =
-        cell n (module Store.Arena_store) (Store.Arena_store.create ())
-          Store.Arena_store.bytes
-      in
-      metric_f (Printf.sprintf "e21_scan_speedup_n%d" n) (m_scan /. a_scan);
-      metric_f (Printf.sprintf "e21_links_speedup_n%d" n) (m_links /. a_links))
-    [ 10_000; 100_000; 1_000_000 ];
-  Printf.printf
-    "expected shape: the arena's scans sweep contiguous integer columns, so\n\
-     full-scan and EDB (links) throughput beat the hashtable walk by >=3x at\n\
-     1M rows, and its major-GC pause attribution stays flat (KB-sized roots)\n\
-     while the heap store's grows with every stored proposition.  The join\n\
-     probe walks a source's whole chain on mem and only its (source, label)\n\
-     chain on the arena, so at 1M rows (20,000 links per source) the arena\n\
-     wins it.\n"
-
 (* E22: replicated reads.  A leader daemon ships committed WAL decision
    frames to followers, each serving reads from its own repository at
    its applied version.  With the response cache disabled every read
@@ -1241,17 +1088,6 @@ let shape_e22_replication () =
   let cores = Domain.recommended_domain_count () in
   Printf.printf "cores available: %d%s\n" cores
     (if cores < 4 then " (read fan-out cannot scale without cores)" else "");
-  let temp_dir () =
-    let d = Filename.temp_file "gkbms-e22" "" in
-    Sys.remove d;
-    d
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
   let config = { Server.Daemon.default_config with Server.Daemon.cache = false } in
   let build_leader dir =
     let st = ok (Gkbms.Scenario.setup ()) in
@@ -1550,14 +1386,17 @@ let setup_benches () =
       ignore (Gkbms.Persist.save_repository conflict_state.Gkbms.Scenario.repo));
   bench "E15 persist load (conflict history)" (fun () ->
       ignore (ok (Gkbms.Persist.load_repository snapshot)));
-  (* ablation: store indexes *)
-  let mem_base = W.fill_store `Mem 2000 in
-  let log_base = W.fill_store `Log 2000 in
+  (* ablation: store indexes, against a full scan of the same base *)
+  let base = W.fill_store 2000 in
   let src = Kernel.Symbol.intern "src7" in
   bench "ablation store-query mem-indexed n=2000" (fun () ->
-      ignore (Store.Base.by_source mem_base src));
+      ignore (Store.Base.by_source base src));
   bench "ablation store-query log-scan n=2000" (fun () ->
-      ignore (Store.Base.by_source log_base src))
+      ignore
+        (Store.Base.fold base
+           (fun acc (p : Kernel.Prop.t) ->
+             if Kernel.Symbol.equal p.source src then p :: acc else acc)
+           []))
 
 (* E4 mutates its repository, so it cannot loop over one state: time it
    manually across a pool of identically prepared repositories. *)
@@ -1617,7 +1456,7 @@ let run_benches () =
         merged)
     (List.rev !tests)
 
-let modes = [ "shapes"; "server"; "obs"; "par"; "store"; "repl"; "planner"; "trace"; "group" ]
+let modes = [ "shapes"; "server"; "obs"; "par"; "repl"; "planner"; "trace"; "group" ]
 
 let usage () =
   Printf.eprintf
@@ -1639,7 +1478,6 @@ let () =
   let server_only = List.mem "server" args in
   let obs_only = List.mem "obs" args in
   let par_only = List.mem "par" args in
-  let store_only = List.mem "store" args in
   let repl_only = List.mem "repl" args in
   let planner_only = List.mem "planner" args in
   let trace_only = List.mem "trace" args in
@@ -1655,7 +1493,6 @@ let () =
   if server_only then shape_e18_server ()
   else if obs_only then shape_e19_observability ()
   else if par_only then shape_e20_parallel ()
-  else if store_only then shape_e21_store ()
   else if repl_only then shape_e22_replication ()
   else if planner_only then shape_e23_planner ()
   else if trace_only then shape_e24_tracing ()

@@ -239,8 +239,8 @@ let store_prop i =
     ~dest:(Symbol.intern (Printf.sprintf "dst%d" (i mod 20)))
     ()
 
-let fill_store backend n =
-  let base = Store.Base.create ~backend () in
+let fill_store n =
+  let base = Store.Base.create () in
   for i = 0 to n - 1 do
     ignore (Store.Base.insert base (store_prop i))
   done;

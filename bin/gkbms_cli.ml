@@ -100,24 +100,8 @@ let wal_arg =
                $(docv) (a checkpoint snapshot plus a checksummed log of \
                every decision's deltas); rebuild with the recover command.")
 
-(* Physical representation of every proposition base the command builds
-   (scenario repositories, recovery, server state).  Routed through the
-   process default so it reaches repositories created deep inside the
-   scenario and recovery machinery; GKBMS_STORE sets the same default. *)
-let store_arg =
-  Arg.(value
-       & opt (some (enum [ ("mem", `Mem); ("log", `Log); ("arena", `Arena) ]))
-           None
-       & info [ "store" ] ~docv:"BACKEND"
-           ~doc:"Proposition store backend: $(b,mem) (hash indexes, the \
-                 default), $(b,log) (append-only journal), or $(b,arena) \
-                 (columnar GC-invisible arena).  Overrides GKBMS_STORE.")
-
-let apply_store store = Option.iter Store.Base.set_default_backend store
-
 let scenario_cmd =
-  let run until wal store =
-    apply_store store;
+  let run until wal =
     handle
       (let* st, durable = build_state ?wal until in
        let repo = st.Scn.repo in
@@ -145,7 +129,7 @@ let scenario_cmd =
        Ok ())
   in
   Cmd.v (Cmd.info "scenario" ~doc:"Run the section-2.1 storyline.")
-    Term.(const run $ until_arg $ wal_arg $ store_arg)
+    Term.(const run $ until_arg $ wal_arg)
 
 (* recover ---------------------------------------------------------------- *)
 
@@ -166,8 +150,7 @@ let recover_cmd =
                  server (SIGUSR2, $(b,DIR/flight.json)) next to the WAL, \
                  when one exists.")
   in
-  let run dir store canonical flight_log =
-    apply_store store;
+  let run dir canonical flight_log =
     handle
       (let* repo, report = Gkbms.Durable.recover ~dir () in
        Format.printf "%a@." Gkbms.Durable.pp_report report;
@@ -202,7 +185,7 @@ let recover_cmd =
        ~doc:"Rebuild a repository from its durability directory: load the \
              checkpoint, replay the longest valid WAL prefix, discard \
              uncommitted decisions.")
-    Term.(const run $ dir_arg $ store_arg $ canonical_arg $ flight_log_arg)
+    Term.(const run $ dir_arg $ canonical_arg $ flight_log_arg)
 
 (* focus ------------------------------------------------------------------ *)
 
@@ -608,9 +591,7 @@ let serve_cmd =
     Format.printf "server stopped.@.";
     Ok ()
   in
-  let run until wal socket no_cache idle domains store role follow
-      (k, t_us) =
-    apply_store store;
+  let run until wal socket no_cache idle domains role follow (k, t_us) =
     (* flight recorder dump-on-crash: SIGUSR2 snapshots the decision
        lifecycle ring next to the WAL (read back with
        recover --flight-log) *)
@@ -739,7 +720,7 @@ let serve_cmd =
              serves reads at the applied version (writes are refused with \
              a redirect).")
     Term.(const run $ until_arg $ wal_arg $ socket_arg $ no_cache $ idle
-          $ domains $ store_arg $ role $ follow $ group_commit)
+          $ domains $ role $ follow $ group_commit)
 
 let client_cmd =
   let exec_args =

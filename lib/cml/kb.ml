@@ -450,10 +450,8 @@ let match_sym pattern s =
 
 let datalog t =
   let d = Datalog.create () in
-  (* The unbound enumeration paths scan the EDB with {!Base.fold_links}
-     / {!Base.iter_by_label}: the pattern tests below need only the
-     four link symbols, so on the arena backend the scan never decodes
-     time values or allocates [Prop.t] records. *)
+  (* The unbound enumeration paths scan the EDB with {!Base.fold} /
+     {!Base.iter_by_label}, consing only the tuples they keep. *)
   let enum_props pattern =
     (* pattern: [id; source; label; dest] *)
     match pattern with
@@ -481,9 +479,10 @@ let datalog t =
       | _, _, Term.Sym dst -> of_props (Base.by_dest t.base dst)
       | _ ->
         List.rev
-          (Base.fold_links t.base
-             (fun acc id src lab dst ->
-               if keep_link id src lab dst then tuple id src lab dst :: acc
+          (Base.fold t.base
+             (fun acc (p : Prop.t) ->
+               if keep_link p.id p.source p.label p.dest then
+                 tuple p.id p.source p.label p.dest :: acc
                else acc)
              []))
     | _ -> []
@@ -537,10 +536,10 @@ let datalog t =
       | _, Term.Sym dst -> of_props (Base.by_dest t.base dst)
       | _ ->
         List.rev
-          (Base.fold_links t.base
-             (fun acc id src lab dst ->
-               if keep_link id src lab dst then
-                 [ term_sym src; term_sym lab; term_sym dst ] :: acc
+          (Base.fold t.base
+             (fun acc (p : Prop.t) ->
+               if keep_link p.id p.source p.label p.dest then
+                 [ term_sym p.source; term_sym p.label; term_sym p.dest ] :: acc
                else acc)
              []))
     | _ -> []
@@ -694,8 +693,8 @@ let formula_env t =
 
 let ask t f = Formula.eval (formula_env t) Term.Subst.empty f
 
-let create ?backend () =
-  let base = Base.create ?backend () in
+let create () =
+  let base = Base.create () in
   let t =
     {
       base;

@@ -12,7 +12,7 @@ open Kernel
 
 type t
 
-val create : ?backend:Store.Base.backend -> unit -> t
+val create : unit -> t
 (** A fresh KB containing the axiom-base bootstrap propositions. *)
 
 val base : t -> Store.Base.t

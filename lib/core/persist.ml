@@ -396,10 +396,10 @@ let output_repository ~canonical sink repo =
      (the replication convergence check) *)
   Store.Base.output_serialized ~sorted:canonical (S.escaping sink) base;
   add "\") (artifacts (";
-  Store.Base.fold_ids base
-    (fun acc id ->
-      match Repo.artifact repo id with
-      | Some a -> (Symbol.name id, a) :: acc
+  Store.Base.fold base
+    (fun acc (p : Prop.t) ->
+      match Repo.artifact repo p.id with
+      | Some a -> (Symbol.name p.id, a) :: acc
       | None -> acc)
     []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -497,8 +497,8 @@ let finalize ?(register_tools = Mapping.register_tools) repo =
   in
   let base = Cml.Kb.base (Repo.kb repo) in
   Prop.advance_ids
-    (Store.Base.fold_ids base
-       (fun acc id -> max acc (trailing_number (Symbol.name id)))
+    (Store.Base.fold base
+       (fun acc (p : Prop.t) -> max acc (trailing_number (Symbol.name p.id)))
        0);
   (* re-align the decision counter past every dec<n> still present.
      Probing for the first free id is wrong here: a retracted decision

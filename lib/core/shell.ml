@@ -236,9 +236,9 @@ let eval t line =
       match Cml.Kb.derive (Repo.kb repo) goal with
       | Ok [] -> "no."
       | Ok substs ->
-        (* Answer order reflects the store backend's enumeration order;
-           sort the rendered bindings so transcripts are deterministic
-           across backends. *)
+        (* Answer order follows the store's hash-table enumeration,
+           which depends on insertion history; sort the rendered
+           bindings so transcripts are deterministic. *)
         String.concat "\n"
           (List.sort_uniq String.compare
              (List.map (fmt "%a" Logic.Term.Subst.pp) substs))

@@ -1,30 +1,6 @@
 open Kernel
 
-type backend = [ `Mem | `Log | `Log_nocompact | `Arena ]
 type change = Added of Prop.t | Removed of Prop.t
-
-let backend_of_string = function
-  | "mem" -> Ok `Mem
-  | "log" -> Ok `Log
-  | "log-nocompact" -> Ok `Log_nocompact
-  | "arena" -> Ok `Arena
-  | s -> Error (Printf.sprintf "unknown store backend %S (mem|log|arena)" s)
-
-(* The process default, used wherever no explicit backend is given
-   (every [Kb.create ()] / [Repository.create ()] in the system).
-   Initialized from [GKBMS_STORE] so the whole test suite and CLI can
-   be flipped onto another physical representation without touching a
-   call site; the CLI [--store] flag overrides it per invocation. *)
-let default_backend : backend ref =
-  ref
-    (match Sys.getenv_opt "GKBMS_STORE" with
-    | Some s -> (
-      match backend_of_string (String.lowercase_ascii (String.trim s)) with
-      | Ok b -> b
-      | Error e -> invalid_arg ("GKBMS_STORE: " ^ e))
-    | None -> `Mem)
-
-let set_default_backend b = default_backend := b
 
 (* Undo entries record how to revert an applied change. *)
 type undo = Undo_insert of Prop.id | Undo_remove of Prop.t
@@ -32,7 +8,7 @@ type undo = Undo_insert of Prop.id | Undo_remove of Prop.t
 type subscription = int
 
 type t = {
-  impl : Storage.impl;
+  store : Mem_store.t;
   mutable undo : undo list;  (** most recent first; only while tx open *)
   mutable marks : int list;  (** lengths of [undo] at open savepoints *)
   mutable undo_len : int;
@@ -43,30 +19,9 @@ type t = {
   mutable next_sub : int;
 }
 
-let make_impl : backend -> Storage.impl = function
-  | `Mem -> Storage.Impl ((module Mem_store), Mem_store.create ())
-  | `Log -> Storage.Impl ((module Log_store), Log_store.create ())
-  | `Log_nocompact ->
-    Storage.Impl ((module Log_store), Log_store.create_uncompacted ())
-  | `Arena -> Storage.Impl ((module Arena_store), Arena_store.create ())
-
-let create ?backend () =
-  let backend =
-    match backend with Some b -> b | None -> !default_backend
-  in
-  { impl = make_impl backend; undo = []; marks = []; undo_len = 0;
+let create () =
+  { store = Mem_store.create (); undo = []; marks = []; undo_len = 0;
     listeners = []; notify_cache = None; next_sub = 0 }
-
-let backend_name t =
-  let (Storage.Impl ((module S), _)) = t.impl in
-  S.name
-
-let clear t =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.clear s;
-  t.undo <- [];
-  t.marks <- [];
-  t.undo_len <- 0
 
 let notify t change =
   let fs =
@@ -99,8 +54,7 @@ let push_undo t u =
   end
 
 let insert t (p : Prop.t) =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  if S.insert s p then begin
+  if Mem_store.insert t.store p then begin
     push_undo t (Undo_insert p.id);
     notify t (Added p);
     Ok ()
@@ -109,19 +63,8 @@ let insert t (p : Prop.t) =
     Error
       (Printf.sprintf "proposition id %s already present" (Symbol.name p.id))
 
-let insert_batch t ps =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  let inserted = S.insert_batch s ps in
-  List.iter
-    (fun (p : Prop.t) ->
-      push_undo t (Undo_insert p.id);
-      notify t (Added p))
-    inserted;
-  List.length inserted
-
 let remove t id =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  match S.remove s id with
+  match Mem_store.remove t.store id with
   | Some p ->
     push_undo t (Undo_remove p);
     notify t (Removed p);
@@ -129,69 +72,25 @@ let remove t id =
   | None ->
     Error (Printf.sprintf "no proposition with id %s" (Symbol.name id))
 
-let find t id =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.find s id
-
-let mem t id =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.mem s id
-
-let by_source t x =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.by_source s x
-
-let by_source_label t x l =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.by_source_label s x l
-
-let by_dest t y =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.by_dest s y
-
-let by_label t l =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.by_label s l
-
-let fold_source t x f acc =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.fold_source s x f acc
-
-let fold_dest t y f acc =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.fold_dest s y f acc
+let find t id = Mem_store.find t.store id
+let mem t id = Mem_store.mem t.store id
+let by_source t x = Mem_store.by_source t.store x
+let by_source_label t x l = Mem_store.by_source_label t.store x l
+let by_dest t y = Mem_store.by_dest t.store y
+let by_label t l = Mem_store.by_label t.store l
+let fold_source t x f acc = Mem_store.fold_source t.store x f acc
+let fold_dest t y f acc = Mem_store.fold_dest t.store y f acc
 
 let links t ~source ~label ~dest =
   List.filter
     (fun (p : Prop.t) -> Symbol.equal p.dest dest)
     (by_source_label t source label)
 
-let iter t f =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.iter s f
-
-let fold t f acc =
-  let r = ref acc in
-  iter t (fun p -> r := f !r p);
-  !r
-
+let iter t f = Mem_store.iter t.store f
+let fold t f acc = Mem_store.fold t.store f acc
 let to_list t = List.rev (fold t (fun acc p -> p :: acc) [])
-
-let cardinal t =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.cardinal s
-
-let fold_ids t f acc =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.fold_ids s f acc
-
-let fold_links t f acc =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.fold_links s f acc
-
-let iter_by_label t l f =
-  let (Storage.Impl ((module S), s)) = t.impl in
-  S.iter_by_label s l f
+let cardinal t = Mem_store.cardinal t.store
+let iter_by_label t l f = Mem_store.iter_by_label t.store l f
 
 let query ?source ?label ?dest ?valid_at t =
   (* [residual]: the parts of the pattern the chosen index does not
@@ -235,13 +134,12 @@ let commit t =
     Ok ()
 
 let apply_undo t u =
-  let (Storage.Impl ((module S), s)) = t.impl in
   match u with
   | Undo_insert id -> (
-    match S.remove s id with
+    match Mem_store.remove t.store id with
     | Some p -> notify t (Removed p)
     | None -> ())
-  | Undo_remove p -> if S.insert s p then notify t (Added p)
+  | Undo_remove p -> if Mem_store.insert t.store p then notify t (Added p)
 
 let rollback t =
   match t.marks with
@@ -356,44 +254,16 @@ let to_serialized t =
   output_serialized (Buffer.add_substring buf) t;
   Buffer.contents buf
 
-let of_serialized ?backend s =
-  let t = create ?backend () in
-  let lines = String.split_on_char '\n' s in
-  (* parse everything first so the storage can presize for the batch *)
-  let rec parse acc = function
-    | [] -> Ok (List.rev acc)
-    | "" :: rest -> parse acc rest
+let of_serialized s =
+  let t = create () in
+  let rec load = function
+    | [] -> Ok t
+    | "" :: rest -> load rest
     | line :: rest -> (
-      match prop_of_line line with
-      | Error e -> Error e
-      | Ok p -> parse (p :: acc) rest)
+      match Result.bind (prop_of_line line) (insert t) with
+      | Ok () -> load rest
+      | Error e -> Error e)
   in
-  match parse [] lines with
-  | Error e -> Error e
-  | Ok props -> (
-    let (Storage.Impl ((module S), st)) = t.impl in
-    (* fresh base: no listeners, no open transaction — the raw storage
-       batch path applies directly *)
-    let inserted = S.insert_batch st props in
-    if List.length inserted = List.length props then Ok t
-    else
-      (* recover the first duplicate for the error message *)
-      let seen = Symbol.Tbl.create 64 in
-      let dup =
-        List.find_opt
-          (fun (p : Prop.t) ->
-            if Symbol.Tbl.mem seen p.id then true
-            else begin
-              Symbol.Tbl.add seen p.id ();
-              false
-            end)
-          props
-      in
-      match dup with
-      | Some p ->
-        Error
-          (Printf.sprintf "proposition id %s already present"
-             (Symbol.name p.id))
-      | None -> Error "duplicate proposition id in input")
+  load (String.split_on_char '\n' s)
 
 let save t oc = output_serialized (output_substring oc) t

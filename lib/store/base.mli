@@ -1,6 +1,6 @@
 (** The Proposition Base.
 
-    Wraps a physical representation ({!Mem_store} by default) with the
+    Wraps the physical representation ({!Mem_store}) with the
     services the proposition processor needs: duplicate-free insertion,
     pattern retrieval, change notification, nested transactions (the
     paper executes every design decision as a possibly nested
@@ -10,40 +10,14 @@ open Kernel
 
 type t
 
-type backend = [ `Mem | `Log | `Log_nocompact | `Arena ]
-(** [`Log_nocompact] is the append-only representation with automatic
-    tombstone compaction disabled — the raw journal, kept for benches.
-    [`Arena] is the columnar struct-of-arrays representation
-    ({!Arena_store}): GC-invisible rows over dense symbol codes. *)
-
 type change = Added of Prop.t | Removed of Prop.t
 
-val backend_of_string : string -> (backend, string) result
-(** Parse ["mem"], ["log"], ["log-nocompact"] or ["arena"]. *)
-
-val set_default_backend : backend -> unit
-(** Set the backend used by {!create} when none is given explicitly.
-    Initialized from the [GKBMS_STORE] environment variable ([mem] when
-    unset); the CLI [--store] flag routes through this. *)
-
-val create : ?backend:backend -> unit -> t
-(** [backend] defaults to the process default (see
-    {!set_default_backend}). *)
-
-val backend_name : t -> string
-val clear : t -> unit
+val create : unit -> t
 
 (** {1 Updates} *)
 
 val insert : t -> Prop.t -> (unit, string) result
 (** Fails if a proposition with the same id exists. *)
-
-val insert_batch : t -> Prop.t list -> int
-(** Insert many propositions at once through the storage batch path
-    (the arena presizes its columns and id index); propositions whose
-    id is already present are skipped.  Change listeners and the undo
-    log see every inserted proposition, exactly as with {!insert}.
-    Returns the number inserted. *)
 
 val remove : t -> Prop.id -> (Prop.t, string) result
 (** Fails if no proposition with this id exists. *)
@@ -85,17 +59,10 @@ val query :
 
 val iter : t -> (Prop.t -> unit) -> unit
 val fold : t -> ('a -> Prop.t -> 'a) -> 'a -> 'a
+(** Visits the propositions in {!iter}'s order. *)
+
 val to_list : t -> Prop.t list
 val cardinal : t -> int
-
-val fold_ids : t -> ('a -> Prop.id -> 'a) -> 'a -> 'a
-(** Fold over all stored proposition ids without materializing the
-    propositions (on the arena: a sweep of one integer column). *)
-
-val fold_links : t -> ('a -> Prop.id -> Prop.id -> Symbol.t -> Prop.id -> 'a) -> 'a -> 'a
-(** Fold over [(id, source, label, dest)] of every proposition — the
-    EDB view the deductive engine scans — without decoding time values
-    or allocating [Prop.t] records. *)
 
 val iter_by_label : t -> Symbol.t -> (Prop.t -> unit) -> unit
 (** Iterate the label index without building an intermediate list. *)
@@ -126,4 +93,5 @@ val output_serialized : ?sorted:bool -> Kernel.Sexp.sink -> t -> unit
     enumeration order, or byte-sorted with [~sorted:true] (the order
     that does not depend on insertion history). *)
 
-val of_serialized : ?backend:backend -> string -> (t, string) result
+val of_serialized : string -> (t, string) result
+(** Fails on the first malformed line or duplicated id. *)

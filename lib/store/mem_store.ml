@@ -1,18 +1,16 @@
-(** Indexed in-memory physical representation, the default.
+(* One mutable node per proposition.  Next to the proposition it holds
+   prev/next links into three circular doubly-linked chains: the
+   propositions with the same source, the same destination and the
+   same label.  A [Symbol.Tbl] per chain maps its key to the newest
+   node, whose [prev] is the oldest; the id table maps ids to nodes.
+   Insertion prepends and removal unlinks in O(1), and a drained chain
+   drops its key.  No index holds a list bucket, a [ref] cell or a
+   boxed pair key: [by_source_label] walks the source chain and keeps
+   the label's matches, so it costs the source's out-degree.
 
-    One mutable node per proposition.  Next to the proposition it holds
-    prev/next links into three circular doubly-linked chains: the
-    propositions with the same source, the same destination and the
-    same label.  A [Symbol.Tbl] per chain maps its key to the newest
-    node, whose [prev] is the oldest; the id table maps ids to nodes.
-    Insertion prepends and removal unlinks in O(1), and a drained chain
-    drops its key.  No index holds a list bucket, a [ref] cell or a
-    boxed pair key: [by_source_label] walks the source chain and keeps
-    the label's matches, so it costs the source's out-degree.
-
-    Reads walk a chain from its oldest node back to the head and cons,
-    so an answer is a fresh list, newest first, allocated once; the
-    [fold_*] reads let a caller that filters cons only what it keeps. *)
+   Reads walk a chain from its oldest node back to the head and cons,
+   so an answer is a fresh list, newest first, allocated once; the
+   [fold_*] reads let a caller that filters cons only what it keeps. *)
 
 open Kernel
 
@@ -33,8 +31,6 @@ type t = {
   by_label : node Symbol.Tbl.t;
 }
 
-let name = "mem"
-
 let create () =
   {
     by_id = Symbol.Tbl.create 1024;
@@ -42,12 +38,6 @@ let create () =
     by_dest = Symbol.Tbl.create 1024;
     by_label = Symbol.Tbl.create 256;
   }
-
-let clear t =
-  Symbol.Tbl.reset t.by_id;
-  Symbol.Tbl.reset t.by_source;
-  Symbol.Tbl.reset t.by_dest;
-  Symbol.Tbl.reset t.by_label
 
 (* One chain's key and links, as static closures: link, unlink and
    fold are written once for all three chains. *)
@@ -191,17 +181,11 @@ let by_source_label t x l =
   | head -> labelled l head head.src_prev []
   | exception Not_found -> []
 
+(* [Symbol.Tbl.fold] and [iter] visit the same buckets in the same
+   order *)
 let iter t f = Symbol.Tbl.iter (fun _ n -> f n.prop) t.by_id
+let fold t f acc = Symbol.Tbl.fold (fun _ n acc -> f acc n.prop) t.by_id acc
 let cardinal t = Symbol.Tbl.length t.by_id
-let insert_batch t ps = List.filter (fun p -> insert t p) ps
-let fold_ids t f acc = Symbol.Tbl.fold (fun id _ acc -> f acc id) t.by_id acc
-
-let fold_links t f acc =
-  Symbol.Tbl.fold
-    (fun _ n acc ->
-      let p = n.prop in
-      f acc p.id p.source p.label p.dest)
-    t.by_id acc
 
 (* newest first, like [List.iter f (by_label t l)] *)
 let iter_by_label t l f =
@@ -215,7 +199,6 @@ let iter_by_label t l f =
     in
     go head
 
-(* keys across the three chain tables, for tests: none survives a drain *)
 let index_keys t =
   Symbol.Tbl.length t.by_source + Symbol.Tbl.length t.by_dest
   + Symbol.Tbl.length t.by_label

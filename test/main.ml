@@ -3,7 +3,6 @@ let () =
     [
       ("kernel", Test_kernel.suite);
       ("store", Test_store.suite);
-      ("arena", Test_arena.suite);
       ("graph", Test_graph.suite);
       ("temporal", Test_temporal.suite);
       ("logic", Test_logic.suite);

@@ -169,28 +169,6 @@ let test_constructor_over_constructor () =
   let c2 = ok (Ev.eval_constructor db "C2") in
   check int "layered constructors evaluate" 1 (List.length c2)
 
-(* store: log backend persistence parity ----------------------------------- *)
-
-let test_log_backend_snapshot_parity () =
-  let mem = Store.Base.create ~backend:`Mem () in
-  let log = Store.Base.create ~backend:`Log () in
-  List.iter
-    (fun (id, src, l, dst) ->
-      let p =
-        Prop.make ~id:(sym id) ~source:(sym src) ~label:(sym l) ~dest:(sym dst) ()
-      in
-      ok (Store.Base.insert mem p);
-      ok (Store.Base.insert log p))
-    [ ("z1", "a", "l", "b"); ("z2", "b", "l", "c") ];
-  ignore (ok (Store.Base.remove mem (sym "z1")));
-  ignore (ok (Store.Base.remove log (sym "z1")));
-  let canon b =
-    List.sort String.compare
-      (String.split_on_char '\n' (Store.Base.to_serialized b))
-  in
-  check bool "backends serialize identically" true (canon mem = canon log);
-  check Alcotest.string "backend names differ" "log" (Store.Base.backend_name log)
-
 let suite =
   [
     ("tabled prover negation", `Quick, test_tabled_negation);
@@ -202,5 +180,4 @@ let suite =
      test_configuration_incomplete_diagnostics);
     ("nest multiple fields", `Quick, test_nest_multiple_fields);
     ("constructor over constructor", `Quick, test_constructor_over_constructor);
-    ("log backend snapshot parity", `Quick, test_log_backend_snapshot_parity);
   ]

@@ -504,19 +504,6 @@ let prop_old_layout_replays =
 
 (* whole-repository durability -------------------------------------------- *)
 
-let temp_dir () =
-  let d = Filename.temp_file "gkbms-wal" "" in
-  Sys.remove d;
-  d
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
@@ -537,8 +524,8 @@ let two_decisions dir =
   st.Scn.repo
 
 let test_durable_roundtrip () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let st = ok (Scn.setup ()) in
   let d = ok (Durable.attach ~dir st.Scn.repo) in
   ignore (ok (Scn.map_move_down st));
@@ -560,8 +547,8 @@ let test_durable_roundtrip () =
     (Repo.all_design_objects st.Scn.repo)
 
 let test_durable_crash_prefix () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let st = ok (Scn.setup ()) in
   let d = ok (Durable.attach ~dir st.Scn.repo) in
   ignore (ok (Scn.map_move_down st));
@@ -598,8 +585,8 @@ let test_durable_crash_prefix () =
     (canon (Cml.Kb.base (Repo.kb repo2)))
 
 let test_durable_open_continues () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let st = ok (Scn.setup ()) in
   let d = ok (Durable.attach ~dir st.Scn.repo) in
   ignore (ok (Scn.map_move_down st));
@@ -627,8 +614,8 @@ let test_durable_open_continues () =
        (Repo.decision_log repo3))
 
 let test_durable_aborted_not_resurrected () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let st = ok (Scn.setup ()) in
   let d = ok (Durable.attach ~dir st.Scn.repo) in
   ignore (ok (Scn.map_move_down st));
@@ -653,8 +640,8 @@ let test_durable_aborted_not_resurrected () =
     (canon (Cml.Kb.base (Repo.kb repo2)))
 
 let test_durable_checkpoint_truncates () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let st = ok (Scn.setup ()) in
   let d = ok (Durable.attach ~dir st.Scn.repo) in
   ignore (ok (Scn.map_move_down st));
@@ -671,8 +658,8 @@ let test_durable_checkpoint_truncates () =
     (List.map Symbol.name (Repo.decision_log repo2))
 
 let test_durable_retraction_survives () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let st = ok (Scn.run_through_conflict ()) in
   let d = ok (Durable.attach ~dir st.Scn.repo) in
   ignore (ok (Scn.resolve_conflict st));
@@ -683,8 +670,8 @@ let test_durable_retraction_survives () =
     (List.map Symbol.name (Repo.decision_log repo2))
 
 let test_durable_recovers_old_layout () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let repo = two_decisions dir in
   let wal = Durable.wal_path dir in
   write_file wal (old_layout_log (Wal.scan (read_file wal)).Wal.records);
@@ -701,8 +688,8 @@ let test_durable_recovers_old_layout () =
    recovery must refuse it rather than let [open_] archive and truncate
    the frames behind the header *)
 let test_durable_refuses_damaged_header () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   ignore (two_decisions dir : Repo.t);
   let wal = Durable.wal_path dir in
   let damaged =
@@ -735,8 +722,8 @@ let test_durable_refuses_damaged_header () =
    propositions (seen as "proposition id p1 already present" on a
    restarted replication leader's first write) *)
 let test_recover_realigns_prop_ids () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let st = ok (Scn.setup ()) in
   let d = ok (Durable.attach ~dir st.Scn.repo) in
   ignore (ok (Scn.map_move_down st));
@@ -759,8 +746,8 @@ let test_recover_realigns_prop_ids () =
    post-restart commit re-issues a live decision's id (and replication
    followers then skip its frame as an already-applied overlap) *)
 let test_recover_realigns_decision_counter () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let st = ok (Scn.run_through_conflict ()) in
   let d = ok (Durable.attach ~dir st.Scn.repo) in
   ignore (ok (Scn.resolve_conflict st));
@@ -812,8 +799,8 @@ let edited_repo () =
    grow with the snapshot's size.  Building the whole snapshot as one
    string (plus its copies) allocated ~15x the file size there. *)
 let test_checkpoint_memory_bound () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let repo = edited_repo () in
   let d = ok (Durable.attach ~dir repo) in
   Fun.protect ~finally:(fun () -> Durable.close d) @@ fun () ->
@@ -867,22 +854,11 @@ let test_side_tables_per_prop () =
       (Symbol.Set.cardinal classes)
 
 (* A write pays for no absent reader: with no class constraint in the KB
-   and no planner read, an edit on the default store allocates ~7.5k
+   and no planner read, an edit allocates ~7.5k
    minor words.  Feeding planner statistics on every write and
    classifying every endpoint of the delta to find class constraints
-   took ~14.3k.  (The arena decodes a record per read: 14.1k, 23.2k.) *)
+   took ~14.3k. *)
 let test_edit_allocation () =
-  (* restore whatever the process default was (GKBMS_STORE or mem) *)
-  let restore =
-    match
-      Option.map Store.Base.backend_of_string (Sys.getenv_opt "GKBMS_STORE")
-    with
-    | Some (Ok b) -> b
-    | _ -> `Mem
-  in
-  Store.Base.set_default_backend `Mem;
-  Fun.protect ~finally:(fun () -> Store.Base.set_default_backend restore)
-  @@ fun () ->
   let repo, sh = documents_repo () in
   for i = 0 to 511 do
     edit sh i
@@ -907,8 +883,8 @@ let test_edit_allocation () =
    implies the default time: ~1,400 bytes per edit, where spelling out
    every field took ~2,280. *)
 let test_edit_journal_bytes () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let repo, sh = documents_repo () in
   let d = ok (Durable.attach ~checkpoint_every:max_int ~dir repo) in
   Fun.protect ~finally:(fun () -> Durable.close d) @@ fun () ->
@@ -1041,8 +1017,8 @@ let prop_scan_from_is_suffix =
 (* group commit: a batch is one crash-atomic unit ------------------------- *)
 
 let test_group_commit_batch_recovery () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let st = ok (Scn.setup ()) in
   let d = ok (Durable.attach ~dir st.Scn.repo) in
   (* an ordinary synchronous commit, then a committed batch: both are
@@ -1073,8 +1049,8 @@ let test_group_commit_batch_recovery () =
     (canon (Cml.Kb.base (Repo.kb repo2)))
 
 let test_group_commit_empty_and_errors () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let st = ok (Scn.setup ()) in
   let d = ok (Durable.attach ~dir st.Scn.repo) in
   (* an empty batch is legal and recovers to nothing extra *)

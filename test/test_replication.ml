@@ -39,17 +39,6 @@ let contains needle hay =
   let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
   loop 0
 
-let temp_dir () =
-  let d = Filename.temp_file "gkbms-repl" "" in
-  Sys.remove d;
-  d
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
 let canonical repo = Gkbms.Persist.save_repository_canonical repo
 
 let decisions repo = List.map Kernel.Symbol.name (Repo.decision_log repo)
@@ -159,8 +148,8 @@ let converged rig follower =
 (* leader command family -------------------------------------------------- *)
 
 let test_leader_frames_basic () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let rig = make_leader dir in
   ignore (ok (Scn.map_move_down rig.l_st));
   let c = leader_client rig in
@@ -215,8 +204,8 @@ let test_leader_frames_basic () =
 (* bootstrap, catch-up, read-your-writes --------------------------------- *)
 
 let test_follower_bootstrap_and_catch_up () =
-  let ldir = temp_dir () and fdir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
   let rig = make_leader ldir in
   ignore (ok (Scn.map_move_down rig.l_st));
   ignore (ok (Scn.normalize_invitations rig.l_st));
@@ -241,8 +230,8 @@ let test_follower_bootstrap_and_catch_up () =
   Daemon.stop rig.l_daemon
 
 let test_follower_refuses_writes () =
-  let ldir = temp_dir () and fdir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
   let rig = make_leader ldir in
   ignore (ok (Scn.map_move_down rig.l_st));
   let f = ok (make_follower ~name:"f1" rig fdir) in
@@ -273,8 +262,8 @@ let test_follower_refuses_writes () =
 (* checkpoints rotate the generation; followers cross the boundary ------- *)
 
 let test_generation_boundary () =
-  let ldir = temp_dir () and fdir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
   let rig = make_leader ldir in
   ignore (ok (Scn.map_move_down rig.l_st));
   let f = ok (make_follower ~name:"f1" rig fdir) in
@@ -299,8 +288,8 @@ let test_generation_boundary () =
 (* follower restart: warm recovery resumes at the persisted cursor ------- *)
 
 let test_follower_restart_resumes () =
-  let ldir = temp_dir () and fdir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
   let rig = make_leader ldir in
   ignore (ok (Scn.map_move_down rig.l_st));
   let f1 = ok (make_follower ~name:"f1" rig fdir) in
@@ -335,8 +324,8 @@ let test_follower_restart_resumes () =
    must be the frame boundary the chunk really ended on: a restart
    from a position inside a frame could not resume. *)
 let test_follower_streams_old_layout_generation () =
-  let ldir = temp_dir () and fdir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
   let rig = make_leader ldir in
   let f1 = ok (make_follower ~name:"f1" rig fdir) in
   ok (Follower.catch_up f1);
@@ -384,8 +373,8 @@ let test_follower_streams_old_layout_generation () =
 (* leader restart: epochs stay monotone, followers reconnect ------------- *)
 
 let test_leader_restart_epoch_monotone () =
-  let ldir = temp_dir () and fdir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
   let rig = make_leader ldir in
   ignore (ok (Scn.map_move_down rig.l_st));
   let f = ok (make_follower ~name:"f1" rig fdir) in
@@ -415,8 +404,8 @@ let test_leader_restart_epoch_monotone () =
 (* the full storyline, including retraction, replicates ------------------ *)
 
 let test_full_scenario_replicates () =
-  let ldir = temp_dir () and fdir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
   let rig = make_leader ldir in
   let f = ok (make_follower ~name:"f1" rig fdir) in
   Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
@@ -474,8 +463,8 @@ let scenario_steps =
   |]
 
 let run_differential ~seed ~rounds () =
-  let ldir = temp_dir () and fdir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let rig = make_leader ldir in
   (* dedicated version chains for the random edits, so they never
@@ -526,8 +515,8 @@ let test_differential_seed_3 () = run_differential ~seed:33 ~rounds:60 ()
 (* group commit feeds replication multi-decision batches --------------- *)
 
 let test_grouped_batches_replicate () =
-  let ldir = temp_dir () and fdir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
   let n = 12 in
   (* a wide window, so the pipelined burst lands in few batches *)
   let rig =
@@ -595,36 +584,11 @@ let test_grouped_batches_replicate () =
   Client.close c;
   Daemon.stop rig.l_daemon
 
-(* the arena (GC-invisible) backend behaves identically ------------------ *)
-
-let test_convergence_arena_backend () =
-  (* restore whatever the process default was (GKBMS_STORE or mem) *)
-  let restore =
-    match
-      Option.map Store.Base.backend_of_string (Sys.getenv_opt "GKBMS_STORE")
-    with
-    | Some (Ok b) -> b
-    | _ -> `Mem
-  in
-  Store.Base.set_default_backend `Arena;
-  Fun.protect ~finally:(fun () -> Store.Base.set_default_backend restore)
-  @@ fun () ->
-  let ldir = temp_dir () and fdir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir; rm_rf fdir) @@ fun () ->
-  let rig = make_leader ldir in
-  ignore (ok (Scn.map_move_down rig.l_st));
-  ignore (ok (Scn.normalize_invitations rig.l_st));
-  let f = ok (make_follower ~name:"f1" rig fdir) in
-  Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
-  ok (Follower.catch_up f);
-  converged rig f;
-  Daemon.stop rig.l_daemon
-
 (* applier unit behavior -------------------------------------------------- *)
 
 let test_applier_skips_logged_decisions () =
-  let ldir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf ldir) @@ fun () ->
+  let ldir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir) @@ fun () ->
   let rig = make_leader ldir in
   ignore (ok (Scn.map_move_down rig.l_st));
   let c = leader_client rig in
@@ -691,10 +655,10 @@ let lag_count () =
   | _ -> 0
 
 let test_trace_spans_replication () =
-  let ldir = temp_dir () and fdir = temp_dir () in
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
   Fun.protect ~finally:(fun () ->
-      rm_rf ldir;
-      rm_rf fdir)
+      Scratch.rm_rf ldir;
+      Scratch.rm_rf fdir)
   @@ fun () ->
   let rig = make_leader ldir in
   let f = ok (make_follower ~name:"f1" rig fdir) in
@@ -765,7 +729,6 @@ let suite =
     ("convergence differential (seed 22)", `Quick, test_differential_seed_2);
     ("convergence differential (seed 33)", `Quick, test_differential_seed_3);
     ("grouped batches replicate", `Quick, test_grouped_batches_replicate);
-    ("convergence on arena backend", `Quick, test_convergence_arena_backend);
     ("applier skips already-logged decisions", `Quick, test_applier_skips_logged_decisions);
     QCheck_alcotest.to_alcotest prop_trace_note_roundtrip;
     ("trace spans the replication stream", `Quick, test_trace_spans_replication);

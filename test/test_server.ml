@@ -437,15 +437,8 @@ let test_unix_socket () =
 
 (* WAL-backed server ------------------------------------------------------ *)
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
 let test_wal_recovery () =
-  let dir = Filename.temp_file "gkbms_srv_wal" "" in
-  Sys.remove dir;
+  let dir = Scratch.temp_dir () in
   let repo = keyed_repo ~docs:1 () in
   let decisions_before = List.length (Repo.decision_log repo) in
   let daemon = Daemon.create repo in
@@ -461,7 +454,7 @@ let test_wal_recovery () =
     (List.length (Repo.decision_log recovered));
   Client.close client;
   Daemon.stop daemon;
-  rm_rf dir
+  Scratch.rm_rf dir
 
 (* the concurrency differential test -------------------------------------- *)
 
@@ -766,8 +759,7 @@ let histogram_total name =
   | _ -> 0
 
 let test_group_commit_shares_fsyncs () =
-  let dir = Filename.temp_file "gkbms_gc_wal" "" in
-  Sys.remove dir;
+  let dir = Scratch.temp_dir () in
   let docs = 8 in
   let repo = keyed_repo ~docs () in
   let decisions_before = List.length (Repo.decision_log repo) in
@@ -811,7 +803,7 @@ let test_group_commit_shares_fsyncs () =
     (List.length (Repo.decision_log recovered));
   Client.close client;
   Daemon.stop daemon;
-  rm_rf dir;
+  Scratch.rm_rf dir;
   (* a lone blocking write on the default batch bounds is a batch of
      one: exactly one WAL sync, not a decision sync plus a batch sync *)
   let repo = keyed_repo ~docs:1 () in
@@ -829,7 +821,7 @@ let test_group_commit_shares_fsyncs () =
     (counter_value "gkbms_wal_fsyncs_total" - fsyncs0);
   Client.close client;
   Daemon.stop daemon;
-  rm_rf dir
+  Scratch.rm_rf dir
 
 (* the differential with pipelined clients, over the in-process
    loopback or a real socket *)

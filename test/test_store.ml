@@ -18,35 +18,30 @@ let ids props =
   List.sort String.compare
     (List.map (fun (p : Prop.t) -> Symbol.name p.id) props)
 
-let with_backends f =
-  List.iter
-    (fun backend -> f (Base.create ~backend ()))
-    [ `Mem; `Log; `Log_nocompact; `Arena ]
-
 let test_insert_find () =
-  with_backends (fun base ->
-      ok (Base.insert base (mk "s1" "Invitation" "isa" "Paper"));
-      check bool "mem" true (Base.mem base (sym "s1"));
-      match Base.find base (sym "s1") with
-      | Some p -> check bool "found" true (Symbol.equal p.Prop.source (sym "Invitation"))
-      | None -> Alcotest.fail "not found")
+  let base = Base.create () in
+  ok (Base.insert base (mk "s1" "Invitation" "isa" "Paper"));
+  check bool "mem" true (Base.mem base (sym "s1"));
+  match Base.find base (sym "s1") with
+  | Some p -> check bool "found" true (Symbol.equal p.Prop.source (sym "Invitation"))
+  | None -> Alcotest.fail "not found"
 
 let test_duplicate_rejected () =
-  with_backends (fun base ->
-      ok (Base.insert base (mk "d1" "a" "l" "b"));
-      match Base.insert base (mk "d1" "c" "l" "d") with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "duplicate id accepted")
+  let base = Base.create () in
+  ok (Base.insert base (mk "d1" "a" "l" "b"));
+  match Base.insert base (mk "d1" "c" "l" "d") with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "duplicate id accepted"
 
 let test_remove () =
-  with_backends (fun base ->
-      ok (Base.insert base (mk "r1" "a" "l" "b"));
-      let removed = ok (Base.remove base (sym "r1")) in
-      check bool "removed prop returned" true (Symbol.equal removed.Prop.id (sym "r1"));
-      check bool "gone" false (Base.mem base (sym "r1"));
-      match Base.remove base (sym "r1") with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "double remove accepted")
+  let base = Base.create () in
+  ok (Base.insert base (mk "r1" "a" "l" "b"));
+  let removed = ok (Base.remove base (sym "r1")) in
+  check bool "removed prop returned" true (Symbol.equal removed.Prop.id (sym "r1"));
+  check bool "gone" false (Base.mem base (sym "r1"));
+  match Base.remove base (sym "r1") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "double remove accepted"
 
 let populate base =
   ok (Base.insert base (mk "p1" "Invitation" "isa" "Paper"));
@@ -55,237 +50,237 @@ let populate base =
   ok (Base.insert base (mk "p4" "Paper" "isa" "Document"))
 
 let test_indexes () =
-  with_backends (fun base ->
-      populate base;
-      check Alcotest.(list string) "by_source"
-        [ "p1"; "p3" ]
-        (ids (Base.by_source base (sym "Invitation")));
-      check Alcotest.(list string) "by_source_label" [ "p1" ]
-        (ids (Base.by_source_label base (sym "Invitation") (sym "isa")));
-      check Alcotest.(list string) "by_dest" [ "p1"; "p2" ]
-        (ids (Base.by_dest base (sym "Paper")));
-      check Alcotest.(list string) "by_label" [ "p1"; "p2"; "p4" ]
-        (ids (Base.by_label base (sym "isa")));
-      check Alcotest.(list string) "links"
-        [ "p1" ]
-        (ids
-           (Base.links base ~source:(sym "Invitation") ~label:(sym "isa")
-              ~dest:(sym "Paper"))))
+  let base = Base.create () in
+  populate base;
+  check Alcotest.(list string) "by_source"
+    [ "p1"; "p3" ]
+    (ids (Base.by_source base (sym "Invitation")));
+  check Alcotest.(list string) "by_source_label" [ "p1" ]
+    (ids (Base.by_source_label base (sym "Invitation") (sym "isa")));
+  check Alcotest.(list string) "by_dest" [ "p1"; "p2" ]
+    (ids (Base.by_dest base (sym "Paper")));
+  check Alcotest.(list string) "by_label" [ "p1"; "p2"; "p4" ]
+    (ids (Base.by_label base (sym "isa")));
+  check Alcotest.(list string) "links"
+    [ "p1" ]
+    (ids
+       (Base.links base ~source:(sym "Invitation") ~label:(sym "isa")
+          ~dest:(sym "Paper")))
 
 let test_indexes_after_remove () =
-  with_backends (fun base ->
-      populate base;
-      ignore (ok (Base.remove base (sym "p1")));
-      check Alcotest.(list string) "source index updated" [ "p3" ]
-        (ids (Base.by_source base (sym "Invitation")));
-      check Alcotest.(list string) "dest index updated" [ "p2" ]
-        (ids (Base.by_dest base (sym "Paper"))))
+  let base = Base.create () in
+  populate base;
+  ignore (ok (Base.remove base (sym "p1")));
+  check Alcotest.(list string) "source index updated" [ "p3" ]
+    (ids (Base.by_source base (sym "Invitation")));
+  check Alcotest.(list string) "dest index updated" [ "p2" ]
+    (ids (Base.by_dest base (sym "Paper")))
 
 (* the fold reads are [List.fold_right] over the matching [by_*] read,
-   order included, on every backend *)
+   order included *)
 let test_fold_reads () =
-  with_backends (fun base ->
-      populate base;
-      ok (Base.insert base (mk "p5" "Invitation" "isa" "Document"));
-      let in_order = Alcotest.(list string) in
-      let names ps = List.map (fun (p : Prop.t) -> Symbol.name p.id) ps in
-      List.iter
-        (fun x ->
-          check in_order "fold_source" (names (Base.by_source base (sym x)))
-            (names (Base.fold_source base (sym x) List.cons []));
-          check in_order "fold_dest" (names (Base.by_dest base (sym x)))
-            (names (Base.fold_dest base (sym x) List.cons [])))
-        [ "Invitation"; "Paper"; "Document"; "nobody" ];
-      let isa = sym "isa" in
-      check in_order "filtering fold keeps the source_label order"
-        (names (Base.by_source_label base (sym "Invitation") isa))
-        (names
-           (Base.fold_source base (sym "Invitation")
-              (fun (p : Prop.t) acc -> if Symbol.equal p.label isa then p :: acc else acc)
-              [])))
+  let base = Base.create () in
+  populate base;
+  ok (Base.insert base (mk "p5" "Invitation" "isa" "Document"));
+  let in_order = Alcotest.(list string) in
+  let names ps = List.map (fun (p : Prop.t) -> Symbol.name p.id) ps in
+  List.iter
+    (fun x ->
+      check in_order "fold_source" (names (Base.by_source base (sym x)))
+        (names (Base.fold_source base (sym x) List.cons []));
+      check in_order "fold_dest" (names (Base.by_dest base (sym x)))
+        (names (Base.fold_dest base (sym x) List.cons [])))
+    [ "Invitation"; "Paper"; "Document"; "nobody" ];
+  let isa = sym "isa" in
+  check in_order "filtering fold keeps the source_label order"
+    (names (Base.by_source_label base (sym "Invitation") isa))
+    (names
+       (Base.fold_source base (sym "Invitation")
+          (fun (p : Prop.t) acc -> if Symbol.equal p.label isa then p :: acc else acc)
+          []))
 
 let test_query_pattern () =
-  with_backends (fun base ->
-      populate base;
-      ok
-        (Base.insert base
-           (mk ~time:(Time.between 5 9) "p5" "Invitation" "isa" "Document"));
-      check Alcotest.(list string) "query source+label"
-        [ "p1"; "p5" ]
-        (ids (Base.query ~source:(sym "Invitation") ~label:(sym "isa") base));
-      check Alcotest.(list string) "query with valid_at"
-        [ "p1" ]
-        (ids
-           (Base.query ~source:(sym "Invitation") ~label:(sym "isa")
-              ~valid_at:2 base));
-      check int "query all" 5 (List.length (Base.query base)))
+  let base = Base.create () in
+  populate base;
+  ok
+    (Base.insert base
+       (mk ~time:(Time.between 5 9) "p5" "Invitation" "isa" "Document"));
+  check Alcotest.(list string) "query source+label"
+    [ "p1"; "p5" ]
+    (ids (Base.query ~source:(sym "Invitation") ~label:(sym "isa") base));
+  check Alcotest.(list string) "query with valid_at"
+    [ "p1" ]
+    (ids
+       (Base.query ~source:(sym "Invitation") ~label:(sym "isa")
+          ~valid_at:2 base));
+  check int "query all" 5 (List.length (Base.query base))
 
 let test_cardinal_and_fold () =
-  with_backends (fun base ->
-      populate base;
-      check int "cardinal" 4 (Base.cardinal base);
-      check int "fold counts" 4 (Base.fold base (fun acc _ -> acc + 1) 0))
+  let base = Base.create () in
+  populate base;
+  check int "cardinal" 4 (Base.cardinal base);
+  check int "fold counts" 4 (Base.fold base (fun acc _ -> acc + 1) 0)
 
 let test_tx_commit () =
-  with_backends (fun base ->
-      populate base;
-      Base.begin_tx base;
-      ok (Base.insert base (mk "t1" "x" "l" "y"));
-      ok (Base.commit base);
-      check bool "committed survives" true (Base.mem base (sym "t1")))
+  let base = Base.create () in
+  populate base;
+  Base.begin_tx base;
+  ok (Base.insert base (mk "t1" "x" "l" "y"));
+  ok (Base.commit base);
+  check bool "committed survives" true (Base.mem base (sym "t1"))
 
 let test_tx_rollback () =
-  with_backends (fun base ->
-      populate base;
-      Base.begin_tx base;
-      ok (Base.insert base (mk "t2" "x" "l" "y"));
-      ignore (ok (Base.remove base (sym "p1")));
-      ok (Base.rollback base);
-      check bool "insert undone" false (Base.mem base (sym "t2"));
-      check bool "remove undone" true (Base.mem base (sym "p1"));
-      check int "cardinality restored" 4 (Base.cardinal base))
+  let base = Base.create () in
+  populate base;
+  Base.begin_tx base;
+  ok (Base.insert base (mk "t2" "x" "l" "y"));
+  ignore (ok (Base.remove base (sym "p1")));
+  ok (Base.rollback base);
+  check bool "insert undone" false (Base.mem base (sym "t2"));
+  check bool "remove undone" true (Base.mem base (sym "p1"));
+  check int "cardinality restored" 4 (Base.cardinal base)
 
 let test_tx_nested () =
-  with_backends (fun base ->
-      Base.begin_tx base;
-      ok (Base.insert base (mk "n1" "a" "l" "b"));
-      Base.begin_tx base;
-      ok (Base.insert base (mk "n2" "a" "l" "b"));
-      ok (Base.rollback base);
-      check bool "inner rolled back" false (Base.mem base (sym "n2"));
-      check bool "outer kept" true (Base.mem base (sym "n1"));
-      ok (Base.commit base);
-      check int "depth zero" 0 (Base.tx_depth base))
+  let base = Base.create () in
+  Base.begin_tx base;
+  ok (Base.insert base (mk "n1" "a" "l" "b"));
+  Base.begin_tx base;
+  ok (Base.insert base (mk "n2" "a" "l" "b"));
+  ok (Base.rollback base);
+  check bool "inner rolled back" false (Base.mem base (sym "n2"));
+  check bool "outer kept" true (Base.mem base (sym "n1"));
+  ok (Base.commit base);
+  check int "depth zero" 0 (Base.tx_depth base)
 
 let test_tx_nested_outer_rollback () =
-  with_backends (fun base ->
-      Base.begin_tx base;
-      ok (Base.insert base (mk "o1" "a" "l" "b"));
-      Base.begin_tx base;
-      ok (Base.insert base (mk "o2" "a" "l" "b"));
-      ok (Base.commit base);
-      ok (Base.rollback base);
-      check bool "nested commit undone by outer rollback" false
-        (Base.mem base (sym "o2"));
-      check bool "outer insert undone" false (Base.mem base (sym "o1")))
+  let base = Base.create () in
+  Base.begin_tx base;
+  ok (Base.insert base (mk "o1" "a" "l" "b"));
+  Base.begin_tx base;
+  ok (Base.insert base (mk "o2" "a" "l" "b"));
+  ok (Base.commit base);
+  ok (Base.rollback base);
+  check bool "nested commit undone by outer rollback" false
+    (Base.mem base (sym "o2"));
+  check bool "outer insert undone" false (Base.mem base (sym "o1"))
 
 let test_tx_errors () =
-  with_backends (fun base ->
-      (match Base.commit base with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "commit without tx");
-      match Base.rollback base with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "rollback without tx")
+  let base = Base.create () in
+  (match Base.commit base with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "commit without tx");
+  match Base.rollback base with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "rollback without tx"
 
 let test_with_tx () =
-  with_backends (fun base ->
-      let r =
-        Base.with_tx base (fun () ->
-            ok (Base.insert base (mk "w1" "a" "l" "b"));
-            Ok 42)
-      in
-      check int "with_tx result" 42 (ok r);
-      check bool "kept" true (Base.mem base (sym "w1"));
-      let r2 : (unit, string) result =
-        Base.with_tx base (fun () ->
-            ok (Base.insert base (mk "w2" "a" "l" "b"));
-            Error "boom")
-      in
-      (match r2 with Error "boom" -> () | _ -> Alcotest.fail "error passed through");
-      check bool "rolled back" false (Base.mem base (sym "w2")))
+  let base = Base.create () in
+  let r =
+    Base.with_tx base (fun () ->
+        ok (Base.insert base (mk "w1" "a" "l" "b"));
+        Ok 42)
+  in
+  check int "with_tx result" 42 (ok r);
+  check bool "kept" true (Base.mem base (sym "w1"));
+  let r2 : (unit, string) result =
+    Base.with_tx base (fun () ->
+        ok (Base.insert base (mk "w2" "a" "l" "b"));
+        Error "boom")
+  in
+  (match r2 with Error "boom" -> () | _ -> Alcotest.fail "error passed through");
+  check bool "rolled back" false (Base.mem base (sym "w2"))
 
 let test_on_change () =
-  with_backends (fun base ->
-      let events = ref [] in
-      ignore (Base.on_change base (fun c -> events := c :: !events));
-      ok (Base.insert base (mk "c1" "a" "l" "b"));
-      ignore (ok (Base.remove base (sym "c1")));
-      check int "two events" 2 (List.length !events);
-      match !events with
-      | [ Base.Removed _; Base.Added _ ] -> ()
-      | _ -> Alcotest.fail "unexpected event order")
+  let base = Base.create () in
+  let events = ref [] in
+  ignore (Base.on_change base (fun c -> events := c :: !events));
+  ok (Base.insert base (mk "c1" "a" "l" "b"));
+  ignore (ok (Base.remove base (sym "c1")));
+  check int "two events" 2 (List.length !events);
+  match !events with
+  | [ Base.Removed _; Base.Added _ ] -> ()
+  | _ -> Alcotest.fail "unexpected event order"
 
 let test_off_change () =
-  with_backends (fun base ->
-      let a = ref 0 and b = ref 0 in
-      let sub = Base.on_change base (fun _ -> incr a) in
-      ignore (Base.on_change base (fun _ -> incr b));
-      ok (Base.insert base (mk "u1" "a" "l" "b"));
-      Base.off_change base sub;
-      ok (Base.insert base (mk "u2" "a" "l" "b"));
-      check int "unsubscribed listener stopped" 1 !a;
-      check int "other listener still fires" 2 !b;
-      (* unknown ids are ignored *)
-      Base.off_change base sub)
+  let base = Base.create () in
+  let a = ref 0 and b = ref 0 in
+  let sub = Base.on_change base (fun _ -> incr a) in
+  ignore (Base.on_change base (fun _ -> incr b));
+  ok (Base.insert base (mk "u1" "a" "l" "b"));
+  Base.off_change base sub;
+  ok (Base.insert base (mk "u2" "a" "l" "b"));
+  check int "unsubscribed listener stopped" 1 !a;
+  check int "other listener still fires" 2 !b;
+  (* unknown ids are ignored *)
+  Base.off_change base sub
 
 let test_rollback_reemits_changes () =
-  with_backends (fun base ->
-      populate base;
-      let events = ref [] in
-      ignore (Base.on_change base (fun c -> events := c :: !events));
-      Base.begin_tx base;
-      ok (Base.insert base (mk "t9" "x" "l" "y"));
-      ignore (ok (Base.remove base (sym "p1")));
-      events := [];
-      ok (Base.rollback base);
-      (* undo happens in reverse order: re-add p1, then drop t9 *)
-      match List.rev !events with
-      | [ Base.Added p; Base.Removed q ] ->
-        check bool "re-added p1" true (Symbol.equal p.Prop.id (sym "p1"));
-        check bool "removed t9" true (Symbol.equal q.Prop.id (sym "t9"))
-      | _ -> Alcotest.fail "rollback did not re-emit both changes")
+  let base = Base.create () in
+  populate base;
+  let events = ref [] in
+  ignore (Base.on_change base (fun c -> events := c :: !events));
+  Base.begin_tx base;
+  ok (Base.insert base (mk "t9" "x" "l" "y"));
+  ignore (ok (Base.remove base (sym "p1")));
+  events := [];
+  ok (Base.rollback base);
+  (* undo happens in reverse order: re-add p1, then drop t9 *)
+  match List.rev !events with
+  | [ Base.Added p; Base.Removed q ] ->
+    check bool "re-added p1" true (Symbol.equal p.Prop.id (sym "p1"));
+    check bool "removed t9" true (Symbol.equal q.Prop.id (sym "t9"))
+  | _ -> Alcotest.fail "rollback did not re-emit both changes"
 
 let test_with_tx_exception_reemits () =
-  with_backends (fun base ->
-      populate base;
-      let events = ref [] in
-      ignore (Base.on_change base (fun c -> events := c :: !events));
-      (try
-         ignore
-           (Base.with_tx base (fun () ->
-                ok (Base.insert base (mk "e1" "x" "l" "y"));
-                failwith "boom"))
-       with Failure _ -> ());
-      check bool "rolled back" false (Base.mem base (sym "e1"));
-      match !events with
-      | [ Base.Removed p; Base.Added q ] ->
-        check bool "same prop removed" true (Symbol.equal p.Prop.id (sym "e1"));
-        check bool "same prop added" true (Symbol.equal q.Prop.id (sym "e1"))
-      | _ -> Alcotest.fail "exception rollback did not replay the undo")
+  let base = Base.create () in
+  populate base;
+  let events = ref [] in
+  ignore (Base.on_change base (fun c -> events := c :: !events));
+  (try
+     ignore
+       (Base.with_tx base (fun () ->
+            ok (Base.insert base (mk "e1" "x" "l" "y"));
+            failwith "boom"))
+   with Failure _ -> ());
+  check bool "rolled back" false (Base.mem base (sym "e1"));
+  match !events with
+  | [ Base.Removed p; Base.Added q ] ->
+    check bool "same prop removed" true (Symbol.equal p.Prop.id (sym "e1"));
+    check bool "same prop added" true (Symbol.equal q.Prop.id (sym "e1"))
+  | _ -> Alcotest.fail "exception rollback did not replay the undo"
 
 let test_nested_rollback_reemits () =
-  with_backends (fun base ->
-      let events = ref [] in
-      ignore (Base.on_change base (fun c -> events := c :: !events));
-      Base.begin_tx base;
-      ok (Base.insert base (mk "s1" "a" "l" "b"));
-      Base.begin_tx base;
-      ok (Base.insert base (mk "s2" "a" "l" "b"));
-      events := [];
-      ok (Base.rollback base);
-      (* only the savepoint's changes are replayed *)
-      (match !events with
-      | [ Base.Removed p ] ->
-        check bool "inner insert undone" true (Symbol.equal p.Prop.id (sym "s2"))
-      | _ -> Alcotest.fail "savepoint rollback should emit exactly one event");
-      check bool "outer insert intact" true (Base.mem base (sym "s1"));
-      ok (Base.commit base))
+  let base = Base.create () in
+  let events = ref [] in
+  ignore (Base.on_change base (fun c -> events := c :: !events));
+  Base.begin_tx base;
+  ok (Base.insert base (mk "s1" "a" "l" "b"));
+  Base.begin_tx base;
+  ok (Base.insert base (mk "s2" "a" "l" "b"));
+  events := [];
+  ok (Base.rollback base);
+  (* only the savepoint's changes are replayed *)
+  (match !events with
+  | [ Base.Removed p ] ->
+    check bool "inner insert undone" true (Symbol.equal p.Prop.id (sym "s2"))
+  | _ -> Alcotest.fail "savepoint rollback should emit exactly one event");
+  check bool "outer insert intact" true (Base.mem base (sym "s1"));
+  ok (Base.commit base)
 
 let test_query_valid_at () =
-  with_backends (fun base ->
-      ok (Base.insert base (mk ~time:(Time.between 0 4) "v1" "a" "l" "b"));
-      ok (Base.insert base (mk ~time:(Time.between 5 9) "v2" "a" "l" "b"));
-      ok (Base.insert base (mk "v3" "a" "l" "b"));
-      check Alcotest.(list string) "valid at 2" [ "v1"; "v3" ]
-        (ids (Base.query ~valid_at:2 base));
-      check Alcotest.(list string) "valid at 7" [ "v2"; "v3" ]
-        (ids (Base.query ~valid_at:7 base));
-      check Alcotest.(list string) "valid at 100" [ "v3" ]
-        (ids (Base.query ~valid_at:100 base));
-      check Alcotest.(list string) "valid_at composes with dest index"
-        [ "v1"; "v3" ]
-        (ids (Base.query ~dest:(sym "b") ~valid_at:0 base)))
+  let base = Base.create () in
+  ok (Base.insert base (mk ~time:(Time.between 0 4) "v1" "a" "l" "b"));
+  ok (Base.insert base (mk ~time:(Time.between 5 9) "v2" "a" "l" "b"));
+  ok (Base.insert base (mk "v3" "a" "l" "b"));
+  check Alcotest.(list string) "valid at 2" [ "v1"; "v3" ]
+    (ids (Base.query ~valid_at:2 base));
+  check Alcotest.(list string) "valid at 7" [ "v2"; "v3" ]
+    (ids (Base.query ~valid_at:7 base));
+  check Alcotest.(list string) "valid at 100" [ "v3" ]
+    (ids (Base.query ~valid_at:100 base));
+  check Alcotest.(list string) "valid_at composes with dest index"
+    [ "v1"; "v3" ]
+    (ids (Base.query ~dest:(sym "b") ~valid_at:0 base))
 
 let test_persistence_roundtrip () =
   let base = Base.create () in
@@ -305,9 +300,17 @@ let test_persistence_roundtrip () =
     (Base.to_list base)
 
 let test_persistence_rejects_garbage () =
-  match Base.of_serialized "not a proposition line" with
+  (match Base.of_serialized "not a proposition line" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage accepted"
+  | Ok _ -> Alcotest.fail "garbage accepted");
+  (* a proposition line given twice: the error names the duplicated id *)
+  let base = Base.create () in
+  ok (Base.insert base (mk "g1" "a" "l" "b"));
+  let line = Base.to_serialized base in
+  match Base.of_serialized (line ^ line) with
+  | Error e ->
+    check Alcotest.string "duplicate named" "proposition id g1 already present" e
+  | Ok _ -> Alcotest.fail "duplicated line accepted"
 
 (* qcheck: random insert/remove sequences keep indexes consistent with a
    model list *)
@@ -364,45 +367,6 @@ let prop_rollback_restores =
       (match Base.rollback base with Ok () -> () | Error _ -> ());
       snapshot = canon (Base.to_serialized base))
 
-(* qcheck: every backend is observationally identical under random
-   insert/remove/clear sequences *)
-let prop_backends_agree =
-  QCheck.Test.make ~name:"mem, log, nocompact and arena backends agree"
-    ~count:200
-    QCheck.(list (int_range 0 9999))
-    (fun ops ->
-      let bases =
-        List.map
-          (fun backend -> Base.create ~backend ())
-          [ `Mem; `Log; `Log_nocompact; `Arena ]
-      in
-      List.iter
-        (fun n ->
-          let id = "q" ^ string_of_int (n mod 16) in
-          let apply base =
-            match n mod 100 with
-            | op when op < 55 ->
-              ignore
-                (Base.insert base
-                   (mk id ("src" ^ string_of_int (n mod 4)) "lab" "dst"))
-            | op when op < 97 -> ignore (Base.remove base (sym id))
-            | _ -> Base.clear base
-          in
-          List.iter apply bases)
-        ops;
-      let canon base =
-        List.sort compare (String.split_on_char '\n' (Base.to_serialized base))
-      in
-      let views base =
-        ( canon base,
-          Base.cardinal base,
-          ids (Base.by_source base (sym "src1")),
-          ids (Base.by_label base (sym "lab")) )
-      in
-      match List.map views bases with
-      | m :: rest -> List.for_all (fun v -> v = m) rest
-      | [] -> false)
-
 (* Mem_store against a model: the stored propositions as a plain list,
    newest first.  Random inserts, removals and re-insertions over small
    key windows make chains short, long, reordered and drained. *)
@@ -455,9 +419,9 @@ let prop_mem_store_model =
         if M.cardinal st <> List.length !model then fail "cardinal at step %d" step;
         let sorted ids = List.sort Symbol.compare ids in
         if
-          sorted (M.fold_ids st (fun acc id -> id :: acc) [])
+          sorted (M.fold st (fun acc (p : Prop.t) -> p.id :: acc) [])
           <> sorted (List.map (fun (p : Prop.t) -> p.id) !model)
-        then fail "fold_ids at step %d" step
+        then fail "fold at step %d" step
       in
       let remove id =
         model := List.filter (fun (p : Prop.t) -> not (Symbol.equal p.id id)) !model
@@ -522,55 +486,93 @@ let test_mem_remove_constant () =
 (* Every index-selection arm of [Base.query]: the no-residual fast path
    must return exactly the indexed list (source+label, source-only,
    label-only, unconstrained), and each residual combination must agree
-   with a reference filter over [to_list] — under all four backends. *)
+   with a reference filter over [to_list]. *)
 let test_query_residual_fast_path () =
-  with_backends (fun base ->
-      List.iter
-        (fun (id, s, l, d, t0, t1) ->
-          ok (Base.insert base (mk ~time:(Time.between t0 t1) id s l d)))
-        [
-          ("q1", "a", "attr", "x", 0, 10);
-          ("q2", "a", "attr", "y", 5, 15);
-          ("q3", "a", "isa", "x", 0, 10);
-          ("q4", "b", "attr", "x", 0, 10);
-          ("q5", "b", "isa", "y", 20, 30);
-        ];
-      let reference ?source ?label ?dest ?valid_at () =
-        List.filter
-          (fun (p : Prop.t) ->
-            (match source with None -> true | Some x -> Symbol.equal p.source x)
-            && (match label with None -> true | Some l -> Symbol.equal p.label l)
-            && (match dest with None -> true | Some y -> Symbol.equal p.dest y)
-            &&
-            match valid_at with
-            | None -> true
-            | Some pt -> Time.valid_at p.time pt)
-          (Base.to_list base)
-      in
-      let agree name ?source ?label ?dest ?valid_at () =
-        check Alcotest.(list string) name
-          (ids (reference ?source ?label ?dest ?valid_at ()))
-          (ids (Base.query ?source ?label ?dest ?valid_at base))
-      in
-      let a = sym "a" and attr = sym "attr" and x = sym "x" in
-      (* no-residual arms: the indexed list is returned as-is *)
-      agree "source+label" ~source:a ~label:attr ();
-      agree "source only" ~source:a ();
-      agree "label only" ~label:attr ();
-      agree "unconstrained" ();
-      (* residual arms: dest narrows a source index; label narrows dest *)
-      agree "source+label+dest" ~source:a ~label:attr ~dest:x ();
-      agree "source+dest" ~source:a ~dest:x ();
-      agree "dest only" ~dest:x ();
-      agree "dest+label" ~dest:x ~label:attr ();
-      (* valid_at forces the filter on every arm, including no-residual *)
-      agree "source+label at t" ~source:a ~label:attr ~valid_at:7 ();
-      agree "label at t" ~label:attr ~valid_at:12 ();
-      agree "unconstrained at t" ~valid_at:25 ();
-      agree "dest at t" ~dest:x ~valid_at:3 ();
-      (* empty results through both paths *)
-      agree "missing source" ~source:(sym "zz") ();
-      agree "missing combo" ~source:a ~label:(sym "isa") ~dest:(sym "y") ())
+  let base = Base.create () in
+  List.iter
+    (fun (id, s, l, d, t0, t1) ->
+      ok (Base.insert base (mk ~time:(Time.between t0 t1) id s l d)))
+    [
+      ("q1", "a", "attr", "x", 0, 10);
+      ("q2", "a", "attr", "y", 5, 15);
+      ("q3", "a", "isa", "x", 0, 10);
+      ("q4", "b", "attr", "x", 0, 10);
+      ("q5", "b", "isa", "y", 20, 30);
+    ];
+  let reference ?source ?label ?dest ?valid_at () =
+    List.filter
+      (fun (p : Prop.t) ->
+        (match source with None -> true | Some x -> Symbol.equal p.source x)
+        && (match label with None -> true | Some l -> Symbol.equal p.label l)
+        && (match dest with None -> true | Some y -> Symbol.equal p.dest y)
+        &&
+        match valid_at with
+        | None -> true
+        | Some pt -> Time.valid_at p.time pt)
+      (Base.to_list base)
+  in
+  let agree name ?source ?label ?dest ?valid_at () =
+    check Alcotest.(list string) name
+      (ids (reference ?source ?label ?dest ?valid_at ()))
+      (ids (Base.query ?source ?label ?dest ?valid_at base))
+  in
+  let a = sym "a" and attr = sym "attr" and x = sym "x" in
+  (* no-residual arms: the indexed list is returned as-is *)
+  agree "source+label" ~source:a ~label:attr ();
+  agree "source only" ~source:a ();
+  agree "label only" ~label:attr ();
+  agree "unconstrained" ();
+  (* residual arms: dest narrows a source index; label narrows dest *)
+  agree "source+label+dest" ~source:a ~label:attr ~dest:x ();
+  agree "source+dest" ~source:a ~dest:x ();
+  agree "dest only" ~dest:x ();
+  agree "dest+label" ~dest:x ~label:attr ();
+  (* valid_at forces the filter on every arm, including no-residual *)
+  agree "source+label at t" ~source:a ~label:attr ~valid_at:7 ();
+  agree "label at t" ~label:attr ~valid_at:12 ();
+  agree "unconstrained at t" ~valid_at:25 ();
+  agree "dest at t" ~dest:x ~valid_at:3 ();
+  (* empty results through both paths *)
+  agree "missing source" ~source:(sym "zz") ();
+  agree "missing combo" ~source:a ~label:(sym "isa") ~dest:(sym "y") ()
+
+(* The server runs reads concurrently: 4 domains hammer a populated base
+   with point lookups, index walks and full folds, and every answer must
+   match the sequentially computed expectation. *)
+let test_parallel_reads () =
+  let base = Base.create () in
+  let n = 5_000 in
+  for i = 0 to n - 1 do
+    ok
+      (Base.insert base
+         (mk (Printf.sprintf "pr%d" i)
+            (Printf.sprintf "prs%d" (i mod 40))
+            (Printf.sprintf "prl%d" (i mod 8))
+            (Printf.sprintf "prd%d" (i mod 13))))
+  done;
+  let expect_src = ids (Base.by_source base (sym "prs7")) in
+  let expect_lbl = List.length (Base.by_label base (sym "prl3")) in
+  let worker seed () =
+    let errs = ref 0 in
+    for i = 0 to 999 do
+      let k = (i * seed) mod n in
+      (match Base.find base (sym (Printf.sprintf "pr%d" k)) with
+      | Some p ->
+        if not (Symbol.equal p.Prop.source (sym (Printf.sprintf "prs%d" (k mod 40))))
+        then incr errs
+      | None -> incr errs);
+      if i mod 100 = 0 then begin
+        if ids (Base.by_source base (sym "prs7")) <> expect_src then incr errs;
+        if List.length (Base.by_label base (sym "prl3")) <> expect_lbl then
+          incr errs;
+        if Base.fold base (fun n _ -> n + 1) 0 <> n then incr errs
+      end
+    done;
+    !errs
+  in
+  let domains = List.init 4 (fun k -> Domain.spawn (worker (k + 1))) in
+  let errs = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  check int "no read anomalies across 4 domains" 0 errs
 
 let suite =
   [
@@ -597,9 +599,9 @@ let suite =
     ("query residual fast path", `Quick, test_query_residual_fast_path);
     ("persistence roundtrip", `Quick, test_persistence_roundtrip);
     ("persistence rejects garbage", `Quick, test_persistence_rejects_garbage);
+    ("4-domain concurrent reads", `Quick, test_parallel_reads);
     QCheck_alcotest.to_alcotest prop_store_model;
     QCheck_alcotest.to_alcotest prop_rollback_restores;
-    QCheck_alcotest.to_alcotest prop_backends_agree;
     QCheck_alcotest.to_alcotest prop_mem_store_model;
     ("mem store removal is O(1)", `Quick, test_mem_remove_constant);
   ]
