@@ -572,8 +572,6 @@ let datalog t =
     (List.rev t.rules);
   d
 
-let prover t ~tabling = Prover.make ~tabling (datalog t)
-
 (* The extensional tuples one proposition contributes to the deductive
    view — must mirror the external enumerations registered by [datalog]
    exactly ([prop/4] for every proposition, [instanceof/2]/[isa/2] by
@@ -601,15 +599,13 @@ let planner_tuples (p : Prop.t) =
     (planner_pred_attr, [| s p.source; s p.label; s p.dest |]) :: base
   else base
 
-(* The statistics serve [explain] and planned [derive] only, so no write
+(* The statistics serve [explain] and the CLI [stats] only, so no write
    pays for them before their first read: that read scans the base once
    and subscribes to its change feed, which keeps them exact from then
    on.  The scan must not race a writer, and no caller lets one run:
-   readers hold the scheduler's shared lock; a constraint formula that
-   falls back to [derive] inside a decision holds the exclusive lock
-   (should the decision roll back, the rollback notifies the
-   subscriber); a follower applies frames under [Daemon.exclusive].
-   [pstats_m] orders readers racing each other on a pool. *)
+   readers hold the scheduler's shared lock, and a follower applies
+   frames under [Daemon.exclusive].  [pstats_m] orders readers racing
+   each other on a pool. *)
 let planner_stats t =
   Mutex.protect t.pstats_m @@ fun () ->
   match t.pstats with
@@ -629,10 +625,7 @@ let planner_stats t =
     s
 
 let derive t goal =
-  if Planner.on () then Planner.query ~stats:(planner_stats t) (datalog t) goal
-  else
-    let p = prover t ~tabling:true in
-    Ok (Prover.solve p [ goal ])
+  Ok (Prover.solve (Prover.make ~tabling:true (datalog t)) [ goal ])
 
 let explain t goal = Planner.explain ~stats:(planner_stats t) (datalog t) goal
 

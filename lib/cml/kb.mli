@@ -5,8 +5,9 @@
     propositions with instantiation into attribute categories), deduction
     (Horn rules), constraints (first-order formulas on class instances)
     and behaviours (operations attached to classes).  Exposes explicit,
-    inherited and deduced propositions, and the deductive-database view
-    used by the inference engines. *)
+    inherited and deduced propositions, and the deductive-database view:
+    {!derive} answers over it with the tabled prover, {!explain} through
+    the cost-based planner. *)
 
 open Kernel
 
@@ -142,20 +143,15 @@ val datalog : t -> Logic.Datalog.t
     [isa/2], [attr/3] over the proposition base, the inheritance prelude
     ([isa_tc/2], [in/2]), and all user rules. *)
 
-val prover : t -> tabling:bool -> Logic.Prover.t
-(** A fresh inference engine over {!datalog}. *)
-
 val derive : t -> Logic.Term.atom -> (Logic.Term.Subst.t list, string) result
-(** Query the deductive view.  By default the tabled top-down prover;
-    with the planner enabled ([GKBMS_PLANNER=on] or
-    {!Planner.set_enabled}) a cost-based bottom-up plan (magic-sets on
-    the monotone cone) over the same view — the answer substitution
-    set is identical either way. *)
+(** Query the deductive view with a fresh tabled top-down prover (the
+    paper's Horn-clause prover with lemma generation).  This is the
+    only [derive] route; the planner serves {!explain}. *)
 
 val explain : t -> Logic.Term.atom -> (string, string) result
 (** Render the planner's chosen plan for a goal (strategy, adornments,
     per-literal estimates, estimated vs. actual cardinalities) and
-    evaluate it.  Works whether or not the planner gate is on. *)
+    evaluate it.  Its answer set is the one {!derive} returns. *)
 
 val planner_stats : t -> Planner.Stats.t
 (** The planner's statistics over this KB.  The first call builds them
@@ -163,9 +159,9 @@ val planner_stats : t -> Planner.Stats.t
     and subscribes them to the change feed, which keeps them exact from
     then on; until that call no write pays for them and the registry
     holds no [gkbms_datalog_pred_rows] gauge for this KB.  {!explain}
-    and a planned {!derive} call it.  No other thread may write the
-    base during the first call: a reader under the scheduler's shared
-    lock, or a decision under the exclusive one, guarantees that. *)
+    and the CLI [stats] call it.  No other thread may write the base
+    during the first call: a reader under the scheduler's shared lock
+    guarantees that. *)
 
 val formula_env : t -> Logic.Formula.env
 (** Environment for constraint evaluation: [instances_of] quantifies over

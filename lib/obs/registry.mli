@@ -11,8 +11,8 @@
     short mutex hold (histograms); registration takes the registry
     mutex and is expected to happen once per series.  The process-wide
     {!default} registry is what the CLI [stats] command and the server
-    [metrics] command snapshot; private registries (e.g. one per server
-    daemon) keep independently scoped series. *)
+    [metrics] command snapshot; a private registry ({!create}) keeps
+    independently scoped series, as the registry's own tests do. *)
 
 module Counter : sig
   type t

@@ -6,18 +6,6 @@ open Kernel
 module Term = Logic.Term
 module Datalog = Logic.Datalog
 
-let env_enabled () =
-  match Sys.getenv_opt "GKBMS_PLANNER" with
-  | Some v -> (
-    match String.lowercase_ascii (String.trim v) with
-    | "on" | "1" | "true" | "yes" -> true
-    | _ -> false)
-  | None -> false
-
-let enabled = ref (env_enabled ())
-let on () = !enabled
-let set_enabled b = enabled := b
-
 let reg = Obs.Registry.default
 
 let g_plans =

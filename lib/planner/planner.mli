@@ -11,20 +11,13 @@
     suite holds this at 1/2/4 domains); only the work to reach them
     changes.
 
-    The planner is gated process-wide: [GKBMS_PLANNER=on] (or
-    {!set_enabled}) makes [Cml.Kb.derive] route through it.  [explain]
-    works regardless of the gate. *)
+    [Cml.Kb.explain] plans through here; [Cml.Kb.derive] runs the
+    tabled prover, never the planner. *)
 
 
 module Stats = Stats
 module Cost = Cost
 module Magic = Magic
-
-val on : unit -> bool
-(** Current gate (initialized from [GKBMS_PLANNER]: ["on"], ["1"] or
-    ["true"] enable). *)
-
-val set_enabled : bool -> unit
 
 val query :
   ?stats:Stats.t ->

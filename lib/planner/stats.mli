@@ -18,9 +18,8 @@
     gauge through the default obs registry, which is what
     [stats --prom] renders.  A gauge appears when a collector first
     observes its predicate: a KB builds its collector on the first read
-    ([Cml.Kb.planner_stats]), so until [explain], a planned [derive] or
-    the CLI [stats] command reads the statistics, the registry holds
-    none. *)
+    ([Cml.Kb.planner_stats]), so until [explain] or the CLI [stats]
+    command reads the statistics, the registry holds none. *)
 
 open Kernel
 

@@ -27,7 +27,6 @@ type t = {
   daemon : Daemon.t;
   durable : Durable.t;
   repo : Repo.t;
-  chunk_limit : int;
   m : Mutex.t;  (** follower ack table *)
   followers : (string, ack) Hashtbl.t;
 }
@@ -35,6 +34,9 @@ type t = {
 (* leave generous headroom under the protocol frame bound for the
    response header *)
 let max_chunk = Protocol.max_frame - 4096
+
+(* checkpoint bytes per snapshot response, well under [max_chunk] *)
+let snapshot_chunk = 1 lsl 20
 
 (* One consistent capture: under the scheduler read lock no decision is
    mid-commit, so the journal is at frame depth 0 and (ship result,
@@ -113,7 +115,7 @@ let handle_snapshot t ~from =
             from total
         else begin
           if from = 0 then Obs.Registry.Counter.inc g_snapshots;
-          let stop = min total (from + t.chunk_limit) in
+          let stop = min total (from + snapshot_chunk) in
           Wire.format_snapshot
             ~generation:(Durable.generation t.durable)
             ~offset:Durability.Wal.header_bytes ~total
@@ -248,7 +250,7 @@ let handle t line =
     | _ -> Some "error: usage: wait EPOCH VERSION [TIMEOUT_MS]")
   | _ -> None
 
-let attach ?(chunk_limit = 1 lsl 20) daemon =
+let attach daemon =
   match Daemon.durable daemon with
   | None ->
     Error
@@ -260,7 +262,6 @@ let attach ?(chunk_limit = 1 lsl 20) daemon =
         daemon;
         durable;
         repo = Daemon.repo daemon;
-        chunk_limit = max 4096 (min chunk_limit max_chunk);
         m = Mutex.create ();
         followers = Hashtbl.create 8;
       }

@@ -26,10 +26,10 @@
 
 type t
 
-val attach : ?chunk_limit:int -> Server.Daemon.t -> (t, string) result
+val attach : Server.Daemon.t -> (t, string) result
 (** Requires the daemon to have an attached WAL
-    ({!Server.Daemon.attach_durable}). [chunk_limit] bounds snapshot
-    chunks (default 1 MiB). *)
+    ({!Server.Daemon.attach_durable}).  Snapshot chunks are at most
+    1 MiB. *)
 
 val followers : t -> (string * (int * int * int * int)) list
 (** Last acked (gen, offset, epoch, version) per follower name. *)

@@ -2,9 +2,7 @@ module Repo = Gkbms.Repository
 
 type config = {
   cache : bool;
-  cache_capacity : int;
   idle_timeout : float option;
-  queue_limit : int;
   wal_fsync : bool;
   domains : int;
       (** domains for read-command evaluation; 1 = all evaluation on
@@ -24,9 +22,7 @@ type config = {
 let default_config =
   {
     cache = true;
-    cache_capacity = 4096;
     idle_timeout = None;
-    queue_limit = 64;
     wal_fsync = false;
     domains = 1;
     read_only = None;
@@ -47,7 +43,6 @@ type t = {
   group : entry Scheduler.Batch.t;
   mutable flusher : Thread.t option;
   cache : Cache.t option;
-  metrics : Metrics.t;
   eval_m : Mutex.t;
       (** without a pool, even read commands mutate KB-internal memo
           caches, so actual shell evaluation is mutually exclusive and
@@ -89,7 +84,6 @@ let exclusive t f =
       Mutex.lock t.eval_m;
       Fun.protect ~finally:(fun () -> Mutex.unlock t.eval_m) f)
 
-let metrics t = Metrics.snapshot t.metrics
 let cache_stats t = Option.map Cache.stats t.cache
 let scheduler_stats t = Scheduler.stats t.scheduler
 
@@ -124,10 +118,68 @@ let attach_durable t d =
     Ok ()
   end
 
+(* metrics --------------------------------------------------------------- *)
+
+(* The daemon's series live on the process-wide registry, like those of
+   [Leader], [Follower] and [Wal]. *)
+let reg = Obs.Registry.default
+let counter name help = Obs.Registry.counter reg name ~help
+let bytes_in = counter "gkbms_server_bytes_in_total" "Request bytes received"
+let bytes_out = counter "gkbms_server_bytes_out_total" "Response bytes sent"
+
+let sessions_opened =
+  counter "gkbms_server_sessions_opened_total" "Client sessions opened"
+
+let sessions_closed =
+  counter "gkbms_server_sessions_closed_total" "Client sessions closed"
+
+let protocol_errors =
+  counter "gkbms_server_protocol_errors_total" "Malformed frames seen"
+
+let batch_size =
+  Obs.Registry.histogram reg "gkbms_group_commit_batch_size"
+    ~help:"Write commands committed per group-commit batch"
+
+let inflight =
+  Obs.Registry.gauge reg "gkbms_server_inflight_requests"
+    ~help:
+      "Requests received (parsed off a connection) but not yet answered, \
+       across all sessions"
+
+(* A verb's latency histogram and error counter, registered together
+   (the counter at zero) on the verb's first request and kept here, so
+   a request costs one probe of this table instead of two registry
+   registrations. *)
+let commands_m = Mutex.create ()
+let commands : (string, Obs.Histogram.t * Obs.Registry.Counter.t) Hashtbl.t =
+  Hashtbl.create 32
+
+let command_series cmd =
+  Mutex.protect commands_m @@ fun () ->
+  match Hashtbl.find_opt commands cmd with
+  | Some series -> series
+  | None ->
+    let labels = [ ("cmd", cmd) ] in
+    let series =
+      ( Obs.Registry.histogram reg ~labels "gkbms_server_command_us"
+          ~help:"Request latency in microseconds, per command",
+        Obs.Registry.counter reg ~labels "gkbms_server_command_errors_total"
+          ~help:"Requests answered with an error, per command" )
+    in
+    Hashtbl.add commands cmd series;
+    series
+
+(* Account one answered request, under a [cmd] label from a fixed set
+   (see [series_label]). *)
+let account ~cmd ~ok ~seconds =
+  let hist, errors = command_series cmd in
+  Obs.Histogram.observe hist (seconds *. 1e6);
+  if not ok then Obs.Registry.Counter.inc errors;
+  ignore (Obs.Slo.observe ~cmd seconds)
+
 let metrics_text t =
   let b = Buffer.create 512 in
   let ppf = Format.formatter_of_buffer b in
-  Format.fprintf ppf "%a@." Metrics.pp_snapshot (Metrics.snapshot t.metrics);
   let s = Scheduler.stats t.scheduler in
   Format.fprintf ppf "scheduler: %d reads, %d writes, peak %d concurrent readers@."
     s.Scheduler.reads s.Scheduler.writes s.Scheduler.peak_readers;
@@ -142,9 +194,8 @@ let metrics_text t =
       cs.Cache.entries cs.Cache.generation);
   Format.fprintf ppf "repository version: %d; sessions live: %d@."
     (Repo.version t.repo) (session_count t);
-  Format.fprintf ppf "-- registry --@.%a"
-    Obs.Export.pp_samples
-    (Obs.Registry.snapshot (Metrics.registry t.metrics));
+  Format.fprintf ppf "-- registry --@.%a" Obs.Export.pp_samples
+    (Obs.Registry.snapshot reg);
   Format.pp_print_flush ppf ();
   Buffer.contents b
 
@@ -185,6 +236,14 @@ let command_label line =
     | Some i -> String.sub line 0 i
     | None -> line
 
+(* The [cmd] label of a request the daemon or the shell answers: its
+   verb when the scheduler's table lists it (the built-ins included),
+   "other" otherwise, so a client cannot mint series with made-up
+   verbs.  The extension's verbs, a fixed family too, keep theirs. *)
+let series_label line =
+  let verb = command_label line in
+  if Option.is_some (Scheduler.verb_entry verb) then verb else "other"
+
 let trace_command t = function
   | [ "on" ] ->
     Obs.Trace.set_enabled true;
@@ -222,23 +281,19 @@ let process t session (req : Protocol.request) : Protocol.response =
   Obs.Trace.with_span "server.request" ~attrs:[ ("cmd", command_label line) ]
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let finish payload =
+  let finish cmd payload =
     let ok = not (is_error payload) in
-    let seconds = Unix.gettimeofday () -. t0 in
-    Metrics.record t.metrics ~cmd:(command_label line) ~ok ~seconds;
-    ignore (Obs.Slo.observe ~cmd:(command_label line) seconds);
+    account ~cmd ~ok ~seconds:(Unix.gettimeofday () -. t0);
     { Protocol.id = req.Protocol.id; ok; payload }
   in
   match Option.bind t.extension (fun ext -> ext line) with
-  | Some payload -> finish payload
+  | Some payload -> finish (command_label line) payload
   | None -> (
+  let finish = finish (series_label line) in
   match line with
   | "metrics" -> finish (metrics_text t)
-  | "metrics json" ->
-    finish (Obs.Export.json (Obs.Registry.snapshot (Metrics.registry t.metrics)))
-  | "metrics prom" ->
-    finish
-      (Obs.Export.prometheus (Obs.Registry.snapshot (Metrics.registry t.metrics)))
+  | "metrics json" -> finish (Obs.Export.json (Obs.Registry.snapshot reg))
+  | "metrics prom" -> finish (Obs.Export.prometheus (Obs.Registry.snapshot reg))
   | "news" -> finish (Session.take_news session)
   | "ping" -> finish "pong"
   | "version" -> finish (string_of_int (Repo.version t.repo))
@@ -317,14 +372,12 @@ let exec_batch t entries =
         Option.iter Gkbms.Durable.commit_batch t.durable;
         outs)
   in
-  Metrics.observe_batch t.metrics (List.length entries);
+  Obs.Histogram.observe batch_size (float_of_int (List.length entries));
   List.iter2
     (fun e payload ->
       let ok = not (is_error payload) in
-      let cmd = command_label e.greq.Protocol.line in
-      let seconds = Unix.gettimeofday () -. e.enq_s in
-      Metrics.record t.metrics ~cmd ~ok ~seconds;
-      ignore (Obs.Slo.observe ~cmd seconds);
+      account ~cmd:(series_label e.greq.Protocol.line) ~ok
+        ~seconds:(Unix.gettimeofday () -. e.enq_s);
       e.gfinish { Protocol.id = e.greq.Protocol.id; ok; payload })
     entries outs
 
@@ -390,10 +443,7 @@ let create ?(config = default_config) repo =
         (let k, t_us = config.group_commit in
          Scheduler.Batch.create ~max:k ~window_us:t_us);
       flusher = None;
-      cache =
-        (if config.cache then Some (Cache.create ~capacity:config.cache_capacity ())
-         else None);
-      metrics = Metrics.create ~registry:Obs.Registry.default ();
+      cache = (if config.cache then Some (Cache.create ()) else None);
       eval_m = Mutex.create ();
       pool =
         (if config.domains > 1 then Some (Par.Pool.create ~domains:config.domains)
@@ -425,13 +475,10 @@ let register_session t transport =
   Mutex.lock t.m;
   let sid = t.next_sid in
   t.next_sid <- sid + 1;
-  let s =
-    Session.create ~sid ~queue_limit:t.config.queue_limit ~repo:t.repo
-      ~transport
-  in
+  let s = Session.create ~sid ~repo:t.repo ~transport in
   Hashtbl.replace t.sessions sid s;
   Mutex.unlock t.m;
-  Metrics.session_opened t.metrics;
+  Obs.Registry.Counter.inc sessions_opened;
   s
 
 (* runs on the session's own connection thread, which it also drops *)
@@ -440,7 +487,7 @@ let unregister_session t session =
   Hashtbl.remove t.sessions (Session.sid session);
   Hashtbl.remove t.workers (Thread.id (Thread.self ()));
   Mutex.unlock t.m;
-  Metrics.session_closed t.metrics
+  Obs.Registry.Counter.inc sessions_closed
 
 let handle t transport =
   let session = register_session t transport in
@@ -450,9 +497,10 @@ let handle t transport =
       Session.run session ~grouped:(grouped t) ~submit_write:(submit_write t)
         ~process:(process t)
         ~on_bytes:(fun ~incoming ~outgoing ->
-          Metrics.add_bytes t.metrics ~incoming ~outgoing)
-        ~on_inflight:(Metrics.inflight t.metrics)
-        ~on_protocol_error:(fun _reason -> Metrics.protocol_error t.metrics))
+          Obs.Registry.Counter.inc bytes_in ~by:incoming;
+          Obs.Registry.Counter.inc bytes_out ~by:outgoing)
+        ~on_inflight:(fun by -> Obs.Registry.Gauge.add inflight (float_of_int by))
+        ~on_protocol_error:(fun _reason -> Obs.Registry.Counter.inc protocol_errors))
 
 (* Holding [m] across the spawn registers the thread before it can
    reach [unregister_session], which drops it again. *)

@@ -8,24 +8,30 @@
     session go to one flusher thread ({!Scheduler.Batch}), which commits
     each batch under the exclusive lock in decision-log order and, when
     a WAL is attached ({!attach_wal}), syncs the journal once at the end
-    of the batch before any of its responses is sent.  {!Metrics}
-    observes everything and is exposed through the [metrics] protocol
-    command.
+    of the batch before any of its responses is sent.
+
+    Every answered request is accounted on {!Obs.Registry.default}:
+    [gkbms_server_command_us{cmd}] and
+    [gkbms_server_command_errors_total{cmd}], labelled by verb ("other"
+    for a verb the scheduler's table does not list, so clients cannot
+    mint series), plus byte, session, protocol-error, in-flight and
+    group-commit batch-size series.
 
     Protocol-level commands handled before the shell: [metrics] (the
-    server report; [metrics json] / [metrics prom] render the shared
-    {!Obs.Registry.default} snapshot instead), [trace on|off],
+    scheduler, cache and version lines, then the registry dump;
+    [metrics json] / [metrics prom] render the registry snapshot
+    alone), [trace on|off],
     [trace slow MS], [trace dump [recent]], [trace clear] (the
     process-wide {!Obs.Trace} recorder; [dump] answers span trees as
     JSON), [news] (decisions committed since this client last polled),
     [version] (the repository data-version), [ping]. *)
 
 type config = {
-  cache : bool;  (** serve deterministic reads from the response cache *)
-  cache_capacity : int;
+  cache : bool;
+      (** serve deterministic reads from the response cache (4,096
+          entries) *)
   idle_timeout : float option;
       (** disconnect sessions idle longer than this many seconds *)
-  queue_limit : int;  (** per-session request queue bound *)
   wal_fsync : bool;  (** fsync (not just flush) the WAL at each batch end *)
   domains : int;
       (** with [domains > 1] the server owns a {!Par.Pool} of that size
@@ -55,8 +61,8 @@ type config = {
 }
 
 val default_config : config
-(** cache on, capacity 4096, no idle timeout, queue limit 64, no fsync,
-    1 domain, writable, batches of at most 16 writes or 500 µs. *)
+(** cache on, no idle timeout, no fsync, 1 domain, writable, batches of
+    at most 16 writes or 500 µs. *)
 
 type t
 
@@ -126,7 +132,6 @@ val worker_count : t -> int
     its session ends, so this never exceeds the live sessions by more
     than the connections still starting up. *)
 
-val metrics : t -> Metrics.snapshot
 val cache_stats : t -> Cache.stats option
 val scheduler_stats : t -> Scheduler.stats
 val metrics_text : t -> string

@@ -26,7 +26,11 @@ let sid t = t.sid
 let shell t = t.shell
 let last_active t = t.last_active
 
-let create ~sid ~queue_limit ~repo ~transport =
+(* The request queue's bound: a receiver this far ahead of its
+   executor blocks, pushing back on the socket. *)
+let queue_limit = 64
+
+let create ~sid ~repo ~transport =
   let news_m = Mutex.create () in
   let t_ref = ref None in
   (* the listener runs inside a writer's commit, i.e. under the

@@ -1,5 +1,5 @@
 (** A per-connection session: one {!Gkbms.Shell} over the shared
-    repository, a bounded request queue, and an event listener
+    repository, a request queue bounded at 64, and an event listener
     collecting decisions committed by *any* session since this client
     last polled ([news] — the paper's §2 group setting, where designers
     working on one shared KB see each other's decisions land).
@@ -21,8 +21,7 @@ val shell : t -> Gkbms.Shell.t
 val last_active : t -> float
 
 val create :
-  sid:int -> queue_limit:int -> repo:Gkbms.Repository.t ->
-  transport:Protocol.transport -> t
+  sid:int -> repo:Gkbms.Repository.t -> transport:Protocol.transport -> t
 
 val take_news : t -> string
 (** Render and clear the decisions committed since the last poll. *)

@@ -416,16 +416,48 @@ let test_span_json () =
 (* ---------------- server group-commit series ---------------- *)
 
 let test_group_commit_series () =
-  (* the group-commit observability trio: the batch-size histogram and
-     in-flight gauge live in the server metrics registry, the fsync
-     counter is registered process-wide by the WAL file sink; all must
-     render through the exposition grammar under their agreed names *)
-  let m = Server.Metrics.create () in
-  Server.Metrics.observe_batch m 5;
-  Server.Metrics.observe_batch m 1;
-  Server.Metrics.inflight m 3;
-  Server.Metrics.inflight m (-1);
-  let text = Export.prometheus (Reg.snapshot (Server.Metrics.registry m)) in
+  (* the group-commit observability trio on the process-wide registry:
+     a daemon's batch-size histogram and in-flight gauge, and the WAL
+     file sink's fsync counter; all must render through the exposition
+     grammar under their agreed names *)
+  let batches () =
+    match Reg.find Reg.default "gkbms_group_commit_batch_size" with
+    | Some { Reg.value = Reg.Histogram_v h; _ } -> h.H.total
+    | _ -> Alcotest.fail "batch-size histogram not registered"
+  in
+  let inflight () =
+    match Reg.find Reg.default "gkbms_server_inflight_requests" with
+    | Some { Reg.value = Reg.Gauge_v v; _ } -> v
+    | _ -> Alcotest.fail "in-flight gauge not registered"
+  in
+  let repo = Repo.create () in
+  Gkbms.Mapping.register_tools repo;
+  ignore
+    (ok
+       (Repo.new_object repo ~name:"BatchDoc" ~cls:Gkbms.Metamodel.dbpl_object
+          (Repo.Text "v0")));
+  let daemon = Server.Daemon.create repo in
+  let b0 = batches () and g0 = inflight () in
+  let client = Server.Client.of_transport (Server.Daemon.connect daemon) in
+  List.iter
+    (fun line -> ignore (ok (Server.Client.request client line)))
+    [
+      "run DecManualEdit Editor object=BatchDoc text=v1";
+      "run DecManualEdit Editor object=BatchDoc2 text=v2";
+    ];
+  Server.Client.close client;
+  (* a response is counted out of flight after it is sent: wait until
+     the session has drained *)
+  let rec drain n =
+    if n > 0 && Server.Daemon.session_count daemon > 0 then (
+      Thread.delay 0.01;
+      drain (n - 1))
+  in
+  drain 200;
+  Server.Daemon.stop daemon;
+  check int "two blocking writes, two batches" (b0 + 2) (batches ());
+  check (Alcotest.float 1e-9) "every request left flight" g0 (inflight ());
+  let text = Export.prometheus (Reg.snapshot Reg.default) in
   List.iter
     (fun line ->
       if
@@ -437,14 +469,6 @@ let test_group_commit_series () =
     (contains text "gkbms_group_commit_batch_size");
   check bool "in-flight gauge exported" true
     (contains text "gkbms_server_inflight_requests");
-  (match Reg.find (Server.Metrics.registry m) "gkbms_server_inflight_requests" with
-  | Some { Reg.value = Reg.Gauge_v v; _ } ->
-    check (Alcotest.float 1e-9) "gauge tracks +3-1" 2.0 v
-  | _ -> Alcotest.fail "in-flight gauge not registered");
-  (match Reg.find (Server.Metrics.registry m) "gkbms_group_commit_batch_size" with
-  | Some { Reg.value = Reg.Histogram_v h; _ } ->
-    check int "two batches observed" 2 h.Obs.Histogram.total
-  | _ -> Alcotest.fail "batch-size histogram not registered");
   (* the WAL sink's counter registers into the default registry at
      sink-creation time; exercise one to make the series appear *)
   let file = Filename.temp_file "gkbms_obs_wal" ".wal" in

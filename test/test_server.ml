@@ -263,24 +263,96 @@ let test_cache_capacity () =
 
 (* metrics ---------------------------------------------------------------- *)
 
+module Reg = Obs.Registry
+
+let command_calls cmd =
+  let labels = [ ("cmd", cmd) ] in
+  match Reg.find Reg.default ~labels "gkbms_server_command_us" with
+  | Some { Reg.value = Reg.Histogram_v h; _ } -> h.Obs.Histogram.total
+  | _ -> 0
+
+let counter ?labels name =
+  match Reg.find Reg.default ?labels name with
+  | Some { Reg.value = Reg.Counter_v n; _ } -> Some n
+  | _ -> None
+
+let command_errors cmd =
+  counter ~labels:[ ("cmd", cmd) ] "gkbms_server_command_errors_total"
+
+(* A daemon accounts every answered request on the process-wide
+   registry, under its verb: the latency histogram counts calls, the
+   error counter (registered with the histogram, at zero) counts error
+   answers; bytes and sessions have their own counters, and the
+   [metrics] report carries them all in its registry dump. *)
 let test_metrics () =
-  let m = Server.Metrics.create () in
-  Server.Metrics.record m ~cmd:"stats" ~ok:true ~seconds:0.001;
-  Server.Metrics.record m ~cmd:"stats" ~ok:false ~seconds:0.002;
-  Server.Metrics.record m ~cmd:"run" ~ok:true ~seconds:0.1;
-  Server.Metrics.add_bytes m ~incoming:10 ~outgoing:20;
-  Server.Metrics.session_opened m;
-  let s = Server.Metrics.snapshot m in
-  check int "total" 3 s.Server.Metrics.total_calls;
-  check int "errors" 1 s.Server.Metrics.total_errors;
-  check int "bytes in" 10 s.Server.Metrics.bytes_in;
-  check int "commands" 2 (List.length s.Server.Metrics.commands);
-  let stats_cmd = List.find (fun c -> c.Server.Metrics.cmd = "stats") s.Server.Metrics.commands in
-  check int "stats calls" 2 stats_cmd.Server.Metrics.calls;
-  check bool "p99 >= p50" true
-    (stats_cmd.Server.Metrics.p99_us >= stats_cmd.Server.Metrics.p50_us);
-  check bool "mean in range" true
-    (stats_cmd.Server.Metrics.mean_us > 500. && stats_cmd.Server.Metrics.mean_us < 5000.)
+  let total name = Option.value (counter name) ~default:0 in
+  let errors cmd = Option.value (command_errors cmd) ~default:0 in
+  let repo = keyed_repo ~docs:1 () in
+  let daemon = Daemon.create repo in
+  let stats0 = command_calls "stats" and stats_err0 = errors "stats" in
+  let run0 = command_calls "run" and run_err0 = errors "run" in
+  let opened0 = total "gkbms_server_sessions_opened_total" in
+  let in0 = total "gkbms_server_bytes_in_total" in
+  let out0 = total "gkbms_server_bytes_out_total" in
+  let client = Client.of_transport (Daemon.connect daemon) in
+  ignore (req_ok client "stats");
+  check bool "stats with an operand is an error" true
+    (Result.is_error (Client.request client "stats extra"));
+  ignore (req_ok client "run DecManualEdit Editor object=Doc0 text=v1");
+  ignore (req_ok client "version");
+  check int "stats calls" (stats0 + 2) (command_calls "stats");
+  check int "stats errors" (stats_err0 + 1) (errors "stats");
+  check int "run calls" (run0 + 1) (command_calls "run");
+  check int "run errors" run_err0 (errors "run");
+  check (Alcotest.option int) "error counter registered at zero" (Some 0)
+    (command_errors "version");
+  let report = req_ok client "metrics" in
+  List.iter
+    (fun needle ->
+      check bool ("metrics shows " ^ needle) true (contains needle report))
+    [
+      "scheduler: "; "cache: "; "repository version: "; "-- registry --";
+      "gkbms_server_command_us{cmd=stats}";
+      "gkbms_server_command_errors_total{cmd=run}";
+    ];
+  check bool "session opened" true
+    (total "gkbms_server_sessions_opened_total" > opened0);
+  check bool "bytes in" true (total "gkbms_server_bytes_in_total" > in0);
+  check bool "bytes out" true (total "gkbms_server_bytes_out_total" > out0);
+  Client.close client;
+  Daemon.stop daemon
+
+(* A client cannot mint series: every verb outside the scheduler's
+   table is accounted as cmd="other".  Only the first unknown verb may
+   register series; a breach counter registers on a request's first
+   breach, which timing decides, so it is left out of the count. *)
+let test_unknown_verbs_bounded () =
+  let keys () =
+    List.filter_map
+      (fun (s : Reg.sample) ->
+        if s.Reg.name = "gkbms_slo_breaches_total" then None
+        else Some (s.Reg.name, s.Reg.labels))
+      (Reg.snapshot Reg.default)
+  in
+  let repo = keyed_repo () in
+  let daemon = Daemon.create repo in
+  let client = Client.of_transport (Daemon.connect daemon) in
+  ignore (Client.request client "warmupverb");
+  let before = keys () in
+  for i = 1 to 500 do
+    match Client.request client (Printf.sprintf "mintedverb%d" i) with
+    | Error e ->
+      check bool "unknown verb refused" true (contains "unknown command" e)
+    | Ok _ -> Alcotest.fail "an unknown verb was answered"
+  done;
+  let after = keys () in
+  Client.close client;
+  Daemon.stop daemon;
+  check int "no series added" (List.length before) (List.length after);
+  let minted v = contains "mintedverb" v || contains "warmupverb" v in
+  check bool "no label names a minted verb" false
+    (List.exists (fun (_, labels) -> List.exists (fun (_, v) -> minted v) labels) after);
+  check bool "unknown verbs counted as other" true (command_calls "other" >= 501)
 
 (* end-to-end over the in-process loopback -------------------------------- *)
 
@@ -1110,6 +1182,7 @@ let suite =
     ("cache version keying", `Quick, test_cache_versioning);
     ("cache capacity bound", `Quick, test_cache_capacity);
     ("metrics accounting", `Quick, test_metrics);
+    ("unknown verbs mint no series", `Quick, test_unknown_verbs_bounded);
     ("loopback end-to-end session", `Quick, test_loopback_session);
     ("sessions detach event listeners", `Quick, test_session_listener_leak);
     ("idle sessions are reaped", `Quick, test_idle_timeout);
