@@ -302,20 +302,22 @@ let shape_e17_durability () =
     ok (Gkbms.Persist.save_to_file repo snap_file)
   done;
   let t_snap = (Unix.gettimeofday () -. t1) /. float_of_int snap_runs in
+  let snap_bytes = (Unix.stat snap_file).Unix.st_size in
   Sys.remove snap_file;
   Printf.printf
     "repository: %d propositions\n\
      single-decision WAL record set: %d records, %d framed bytes\n\
      single-decision WAL commit (append+sync):             %8.1f us\n\
-     full repository snapshot (atomic temp+rename):        %8.1f us\n\
+     full repository snapshot (atomic temp+rename):        %8.1f us  (%d bytes)\n\
      -> WAL commit is %.0fx cheaper; the gap grows with the repository\n"
     props delta_records decision_bytes (t_commit *. 1e6) (t_snap *. 1e6)
-    (t_snap /. t_commit);
+    snap_bytes (t_snap /. t_commit);
   metric_i "e17_propositions" props;
   metric_i "e17_decision_records" delta_records;
   metric_i "e17_decision_bytes" decision_bytes;
   metric_f "e17_wal_commit_us" (t_commit *. 1e6);
   metric_f "e17_snapshot_us" (t_snap *. 1e6);
+  metric_i "e17_snapshot_bytes" snap_bytes;
   metric_f "e17_commit_speedup" (t_snap /. t_commit);
   (* --- recovery: full-log replay vs checkpoint + suffix ---
      The log records history, the state only its outcome: a document

@@ -101,17 +101,23 @@ let prune_archives t =
         try Sys.remove (archived_wal_path t.dir g) with Sys_error _ -> ())
     (archived_generations t.dir)
 
+(* the archive's rename and the fresh log's entry *)
+let sync_dir t = if t.fsync then Wal.sync_dir t.dir else Ok ()
+
 let checkpoint t =
   if t.closed then Error "Durable.checkpoint: handle closed"
   else
     Obs.Trace.with_span "durable.checkpoint" @@ fun () ->
     let t0 = Obs.Runtime.now_s () in
     Journal.sync t.journal;
-    let* () = Persist.save_to_file t.repo (checkpoint_path t.dir) in
-    (* the log is rotated only after the snapshot is durable; a crash
-       in between replays the (idempotent) suffix over the snapshot.
-       The old log is archived rather than deleted so followers can
-       still stream from a pre-rotation cursor. *)
+    let* () =
+      Persist.save_to_file ~fsync:t.fsync t.repo (checkpoint_path t.dir)
+    in
+    (* the log is rotated only after the snapshot is durable (with
+       [fsync]: its bytes, then its rename); a crash in between replays
+       the (idempotent) suffix over the snapshot.  The old log is
+       archived rather than deleted so followers can still stream from
+       a pre-rotation cursor. *)
     let base = Cml.Kb.base (Repo.kb t.repo) in
     Mutex.lock t.m;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.m) @@ fun () ->
@@ -124,7 +130,7 @@ let checkpoint t =
     t.journal <- fresh_journal ~fsync:t.fsync t.dir base;
     Obs.Registry.Counter.inc g_checkpoints;
     Obs.Histogram.observe g_checkpoint_us ((Obs.Runtime.now_s () -. t0) *. 1e6);
-    Ok ()
+    sync_dir t
 
 let maybe_checkpoint t =
   (* [checkpoint_every] is a floor, not the whole trigger: a snapshot
@@ -199,7 +205,7 @@ let archive_existing_log dir =
 let attach ?(checkpoint_every = 256) ?(fsync = false) ?(retain_archives = 8)
     ~dir repo =
   let* () = ensure_dir dir in
-  let* () = Persist.save_to_file repo (checkpoint_path dir) in
+  let* () = Persist.save_to_file ~fsync repo (checkpoint_path dir) in
   let generation = archive_existing_log dir in
   let base = Cml.Kb.base (Repo.kb repo) in
   let t =
@@ -218,15 +224,25 @@ let attach ?(checkpoint_every = 256) ?(fsync = false) ?(retain_archives = 8)
     }
   in
   prune_archives t;
-  t.event_sub <- Some (Repo.on_event repo (fun e -> handle_event t e));
-  Ok t
+  match sync_dir t with
+  | Error e ->
+    Journal.detach t.journal;
+    Wal.close (Journal.writer t.journal);
+    Error e
+  | Ok () ->
+    t.event_sub <- Some (Repo.on_event repo (fun e -> handle_event t e));
+    Ok t
 
 let recover ?register_tools ~dir () =
   let cp = checkpoint_path dir in
   let* repo, checkpoint_loaded =
     if Sys.file_exists cp then
       let* text = read_file cp in
-      let* repo = Persist.load_repository_raw text in
+      let* repo =
+        Result.map_error
+          (fun e -> cp ^ ": " ^ e)
+          (Persist.load_repository_raw text)
+      in
       Ok (repo, true)
     else Ok (Repo.create (), false)
   in

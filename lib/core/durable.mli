@@ -64,7 +64,9 @@ val recover :
     [wal.log] that is not empty, not a prefix of {!Durability.Wal.magic}
     (a creation torn before its first sync) and does not start with
     the magic is refused with an [Error] naming the file, and left as
-    it is. *)
+    it is; so is a damaged [checkpoint.repo].  A leftover
+    [checkpoint.repo.tmp] (a checkpoint cut before its rename) is
+    ignored. *)
 
 val open_ :
   ?register_tools:(Repository.t -> unit) -> ?checkpoint_every:int ->
@@ -77,9 +79,14 @@ val dir : t -> string
 
 val checkpoint : t -> (unit, string) result
 (** Snapshot now and truncate the log.  Order is crash-safe: the log is
-    synced first, the snapshot is written atomically, and only then is
-    the log truncated — a crash between the two replays the (idempotent)
-    suffix over the new checkpoint. *)
+    synced first, the snapshot is written atomically (with [fsync]: its
+    bytes forced to disk before its rename, and the rename after), and
+    only then is the log rotated — a crash between the two replays the
+    (idempotent) suffix over the new checkpoint.  A snapshot that cannot
+    land is an [Error] that leaves the log, the generation and the
+    archives as they were; the handle keeps journaling.  With [fsync],
+    the directory is synced again once the fresh log exists, and a
+    failure there is an [Error] after the rotation. *)
 
 val sync : t -> unit
 val wal_records : t -> int
@@ -134,6 +141,10 @@ val ship :
     frame.  [`Resync] means the cursor is unservable (archive pruned,
     or ahead of the log): the follower must re-bootstrap from a
     snapshot. *)
+
+val read_range : string -> offset:int -> stop:int -> string
+(** The bytes [\[offset, stop)] of a file.
+    @raise Sys_error if it cannot be read. *)
 
 val close : t -> unit
 (** Detach from the repository's feeds and close the log.  The

@@ -372,29 +372,207 @@ let artifact_of_sexp sexp =
   | S.List [ S.Atom "text"; S.Atom t ] -> Ok (Repo.Text t)
   | other -> err "unknown artifact %s" (S.to_string other)
 
-(* ---------------- repository snapshots ---------------- *)
+(* ---------------- the binary snapshot ---------------- *)
 
-(* The snapshot is one s-expression,
+module Codec = Durability.Codec
+module Crc32 = Durability.Crc32
+
+let magic = "GKBSNP1\n"
+
+(* The writer stages records in [buf] and hands them to [sink] in runs
+   of about [run] bytes, each folded into the checksum on its way out:
+   the staging buffer, one run's copy and one bit per interned symbol
+   are all it keeps, whatever the size of the base. *)
+let run = 1 lsl 16
+
+type writer = {
+  sink : S.sink;
+  buf : Buffer.t;
+  mutable out : Bytes.t;
+  mutable crc : Crc32.t;
+  mutable spelt : Bytes.t;  (* bit [code]: that symbol's name is written *)
+}
+
+let flush_run w =
+  let n = Buffer.length w.buf in
+  if Bytes.length w.out < n then w.out <- Bytes.create n;
+  Buffer.blit w.buf 0 w.out 0 n;
+  (* read before [out] is written again: the string does not escape *)
+  let s = Bytes.unsafe_to_string w.out in
+  w.crc <- Crc32.update w.crc s 0 n;
+  w.sink s 0 n;
+  Buffer.clear w.buf
+
+let end_record w = if Buffer.length w.buf >= run then flush_run w
+
+(* A symbol is [code * 2 + 1] and its name at its first use, and
+   [code * 2] after that; [code] is {!Symbol.to_int} *)
+let add_sym w buf sym =
+  let code = Symbol.to_int sym in
+  let byte = code lsr 3 and bit = 1 lsl (code land 7) in
+  if byte >= Bytes.length w.spelt then
+    w.spelt <- Bytes.extend w.spelt 0 (byte + 1 - Bytes.length w.spelt);
+  let b = Bytes.get_uint8 w.spelt byte in
+  if b land bit <> 0 then Codec.add_varint buf (code lsl 1)
+  else begin
+    Bytes.set_uint8 w.spelt byte (b lor bit);
+    Codec.add_varint buf ((code lsl 1) lor 1);
+    Codec.add_vstr buf (Symbol.name sym)
+  end
+
+let output_snapshot sink repo =
+  let base = Cml.Kb.base (Repo.kb repo) in
+  let w =
+    {
+      sink;
+      buf = Buffer.create (2 * run);
+      out = Bytes.create (2 * run);
+      crc = Crc32.empty;
+      spelt = Bytes.make ((Symbol.count () / 8) + 1) '\000';
+    }
+  in
+  let buf = w.buf in
+  let add_sym = add_sym w in
+  Buffer.add_string buf magic;
+  Codec.add_varint buf (Store.Base.cardinal base);
+  Store.Base.iter base (fun p ->
+      Codec.add_prop add_sym buf p;
+      end_record w);
+  (* the artifacts of the ids in the base, as the text layout wrote *)
+  let kept id = Store.Base.mem base id in
+  Codec.add_varint buf
+    (Repo.fold_artifacts repo (fun id _ n -> if kept id then n + 1 else n) 0);
+  Repo.fold_artifacts repo
+    (fun id a () ->
+      if kept id then begin
+        add_sym buf id;
+        Codec.add_vstr buf (S.to_string (sexp_of_artifact a));
+        end_record w
+      end)
+    ();
+  let log = Repo.decision_log repo in
+  Codec.add_varint buf (List.length log);
+  List.iter
+    (fun d ->
+      add_sym buf d;
+      end_record w)
+    log;
+  flush_run w;
+  let trailer = Bytes.create 4 in
+  Bytes.set_int32_le trailer 0 w.crc;
+  sink (Bytes.unsafe_to_string trailer) 0 4
+
+(* Symbol codes are the writer's, so the reader maps each to its own
+   symbol: [syms.(code)] is 1 + the symbol's code here, 0 until the
+   name is read.  A code past [max_code] is damage: no process interns
+   a billion names. *)
+let max_code = 1 lsl 30
+
+type reader = { mutable syms : int array }
+
+let read_sym r s pos =
+  let* v, pos = Codec.read_varint s pos in
+  let code = v lsr 1 in
+  if code >= max_code then err "symbol code %d out of range" code
+  else if v land 1 = 0 then
+    if code < Array.length r.syms && r.syms.(code) <> 0 then
+      Ok (Symbol.of_int (r.syms.(code) - 1), pos)
+    else err "symbol %d used before its name" code
+  else
+    let* name, pos = Codec.read_vstr s pos in
+    if code >= Array.length r.syms then begin
+      let grown = Array.make (max (code + 1) (2 * Array.length r.syms)) 0 in
+      Array.blit r.syms 0 grown 0 (Array.length r.syms);
+      r.syms <- grown
+    end;
+    if r.syms.(code) <> 0 then err "symbol %d named twice" code
+    else begin
+      let sym = Symbol.intern name in
+      r.syms.(code) <- Symbol.to_int sym + 1;
+      Ok (sym, pos)
+    end
+
+(* [n] items, each read by [item] from the position it is given *)
+let rec repeat n item pos =
+  if n = 0 then Ok pos
+  else
+    let* pos = item pos in
+    repeat (n - 1) item pos
+
+let section name text item pos =
+  Result.map_error
+    (fun e -> Printf.sprintf "snapshot %s: %s" name e)
+    (let* n, pos = Codec.read_varint text pos in
+     if n < 0 then Error "bad count" else repeat n item pos)
+
+let load_snapshot text =
+  let body = String.length text - 4 in
+  if body < String.length magic then Error "snapshot truncated"
+  else if
+    Crc32.update Crc32.empty text 0 body <> String.get_int32_le text body
+  then Error "snapshot checksum mismatch"
+  else
+    let repo = Repo.create ~install_metamodel:false () in
+    let base = Cml.Kb.base (Repo.kb repo) in
+    (* the snapshot carries the metamodel propositions verbatim; the ids
+       of the fixed-id axiom bootstrap are skipped once each, and any
+       other id met twice is damage *)
+    let boot = Symbol.Tbl.create 64 in
+    Store.Base.iter base (fun p -> Symbol.Tbl.replace boot p.Prop.id ());
+    let read_sym = read_sym { syms = Array.make 1024 0 } in
+    let prop pos =
+      let* p, pos = Codec.read_prop read_sym text pos in
+      if not (Store.Base.mem base p.Prop.id) then
+        let* () = Store.Base.insert base p in
+        Ok pos
+      else if Symbol.Tbl.mem boot p.Prop.id then begin
+        Symbol.Tbl.remove boot p.Prop.id;
+        Ok pos
+      end
+      else err "proposition %s appears twice" (Symbol.name p.Prop.id)
+    in
+    let artifact pos =
+      let* id, pos = read_sym text pos in
+      let* src, pos = Codec.read_vstr text pos in
+      let* a =
+        Result.map_error
+          (fun e -> Printf.sprintf "artifact %s: %s" (Symbol.name id) e)
+          (Result.bind (S.parse src) artifact_of_sexp)
+      in
+      Repo.set_artifact repo id a;
+      Ok pos
+    in
+    let decision pos =
+      let* id, pos = read_sym text pos in
+      Repo.log_decision repo id;
+      Ok pos
+    in
+    let* pos = section "propositions" text prop (String.length magic) in
+    let* pos = section "artifacts" text artifact pos in
+    let* pos = section "log" text decision pos in
+    if pos < body then Error "snapshot: trailing bytes"
+    else if pos > body then Error "snapshot: records run into the checksum"
+    else Ok repo
+
+(* ---------------- the text layout ---------------- *)
+
+(* Text snapshots are one s-expression,
 
      (gkbms-repository (version 1) (props "<proposition lines>")
       (artifacts ((<name> <artifact>) ...)) (log (<decision> ...))
       (counter <n>))
 
-   streamed to [sink] piece by piece: the proposition lines go through
-   the quoted-atom escaper one at a time, and the artifacts are printed
-   one node at a time, sorted by name.  Nothing proportional to the
-   base is built in memory except the sorted line list of the
-   canonical form. *)
-let output_repository ~canonical sink repo =
+   Checkpoints were written this way before the binary layout, and
+   still load.  The canonical form, written only for comparison, sorts
+   the proposition lines and the artifacts, so two repositories with
+   the same logical state print byte-identically (the replication
+   convergence check). *)
+let output_canonical sink repo =
   let base = Cml.Kb.base (Repo.kb repo) in
   let add = S.add_string sink in
   let sep i = if i > 0 then add " " in
   add "(gkbms-repository (version 1) (props \"";
-  (* proposition lines come out in store-enumeration order, which
-     depends on insertion history; the canonical form sorts them so two
-     repositories with the same logical state serialize byte-identically
-     (the replication convergence check) *)
-  Store.Base.output_serialized ~sorted:canonical (S.escaping sink) base;
+  Store.Base.output_serialized ~sorted:true (S.escaping sink) base;
   add "\") (artifacts (";
   Store.Base.fold base
     (fun acc (p : Prop.t) ->
@@ -417,15 +595,7 @@ let output_repository ~canonical sink repo =
   add (string_of_int (List.length log));
   add "))"
 
-let snapshot_string ~canonical repo =
-  let buf = Buffer.create 4096 in
-  output_repository ~canonical (Buffer.add_substring buf) repo;
-  Buffer.contents buf
-
-let save_repository repo = snapshot_string ~canonical:false repo
-let save_repository_canonical repo = snapshot_string ~canonical:true repo
-
-let load_repository_raw text =
+let load_text text =
   let* sexp = S.parse text in
   let* header =
     match sexp with
@@ -473,6 +643,20 @@ let load_repository_raw text =
       (Ok ()) log_items
   in
   Ok repo
+
+(* ---------------- entry points ---------------- *)
+
+let to_string output repo =
+  let buf = Buffer.create run in
+  output (Buffer.add_substring buf) repo;
+  Buffer.contents buf
+
+let save_repository repo = to_string output_snapshot repo
+let save_repository_canonical repo = to_string output_canonical repo
+
+let load_repository_raw text =
+  if String.starts_with ~prefix:magic text then load_snapshot text
+  else load_text text
 
 let finalize ?(register_tools = Mapping.register_tools) repo =
   (* tools are code, re-registered after the snapshot so their KB
@@ -530,26 +714,35 @@ let load_repository ?register_tools text =
   finalize ?register_tools repo;
   Ok repo
 
-let save_to_file repo path =
+let save_to_file ?(fsync = false) repo path =
   (* temp file in the same directory + rename, so a crash mid-write can
-     never leave a torn snapshot behind *)
+     never leave a torn snapshot behind; with [fsync] the bytes reach
+     the device before the rename, and the rename before we return *)
   let tmp = path ^ ".tmp" in
-  try
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_repository ~canonical:false (output_substring oc) repo;
-        close_out oc);
-    Sys.rename tmp path;
-    Ok ()
-  with Sys_error e ->
-    (try if Sys.file_exists tmp then Sys.remove tmp with Sys_error _ -> ());
+  let write () =
+    let oc = open_out_bin tmp in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+    output_snapshot (output_substring oc) repo;
+    flush oc;
+    if fsync then Unix.fsync (Unix.descr_of_out_channel oc);
+    close_out oc
+  in
+  let fail e =
+    (try if Sys.file_exists tmp && not (Sys.is_directory tmp) then Sys.remove tmp
+     with Sys_error _ -> ());
     Error e
+  in
+  match
+    write ();
+    Sys.rename tmp path
+  with
+  | () -> if fsync then Durability.Wal.sync_dir (Filename.dirname path) else Ok ()
+  | exception Sys_error e -> fail e
+  | exception Unix.Unix_error (e, _, _) -> fail (tmp ^ ": " ^ Unix.error_message e)
 
 let load_from_file ?register_tools path =
   try
-    let ic = open_in path in
+    let ic = open_in_bin path in
     let len = in_channel_length ic in
     let text = really_input_string ic len in
     close_in ic;

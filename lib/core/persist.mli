@@ -2,26 +2,58 @@
 
     The proposition base has always been serializable
     ({!Store.Base.save}); this module additionally persists the artifact
-    store (the design ASTs), the decision log and counter, and rebuilds
+    store (the design ASTs) and the decision log, and rebuilds
     the reason-maintenance mirror on load — so a GKBMS session can be
     closed and resumed, as the 1988 prototype did against its external
-    DBMS backends. *)
+    DBMS backends.
+
+    A snapshot is binary.  [varint], [vstr] and the proposition record
+    are {!Durability.Codec}'s, with the flags of the log's ['p'] record,
+    so an individual spells only its id.
+
+    {v
+    field         layout
+    magic         "GKBSNP1\n" (8 bytes)
+    propositions  count:varint, then count proposition records
+    artifacts     count:varint, then count × (id:sym text:vstr)
+    log           count:varint, then count × decision:sym
+    trailer       CRC-32 of every byte before it, u32le
+    v}
+
+    A [sym] is the varint [code * 2 + 1] and its name as a [vstr] where
+    the symbol first occurs in the file, and the varint [code * 2] after
+    that; [code] is the writer's {!Kernel.Symbol.to_int}, so the writer
+    keeps one bit per interned symbol and nothing per proposition.  An
+    artifact's [text] is its rendered s-expression
+    ({!sexp_of_artifact}).  The artifacts are those of ids in the base,
+    and the log is chronological.
+
+    The loader checks the magic and the checksum before it decodes,
+    and then every record: reserved flag bits, times, symbol references,
+    an id met twice, artifacts that do not parse and trailing bytes.
+    Snapshots written before this layout, one s-expression
+    ([(gkbms-repository ...)]), still load; the two are told apart by
+    the magic.  A reader that predates the binary layout refuses a
+    binary snapshot. *)
 
 val save_repository : Repository.t -> string
-(** A self-contained textual snapshot (s-expression). *)
+(** A self-contained binary snapshot. *)
 
 val save_repository_canonical : Repository.t -> string
-(** Like {!save_repository} but with proposition lines sorted, so the
-    bytes are independent of store insertion history: two repositories
-    with identical logical state produce identical snapshots.  This is
-    the replication convergence oracle (leader vs follower compare). *)
+(** The text layout, with proposition lines and artifacts sorted, so
+    the bytes are independent of store insertion history: two
+    repositories with identical logical state produce identical
+    snapshots.  This is the replication convergence oracle (leader vs
+    follower compare), written only for comparison. *)
 
 val load_repository :
   ?register_tools:(Repository.t -> unit) -> string ->
   (Repository.t, string) result
-(** Recreate a repository from a snapshot.  Tool implementations are code
-    and cannot be persisted; pass [register_tools] (defaults to
-    {!Mapping.register_tools}) to re-register them. *)
+(** Recreate a repository from a snapshot, binary or text.  Tool
+    implementations are code and cannot be persisted; pass
+    [register_tools] (defaults to {!Mapping.register_tools}) to
+    re-register them.  A damaged snapshot gives an [Error] naming the
+    problem, never a partial repository. *)
 
 val load_repository_raw : string -> (Repository.t, string) result
 (** Decode a snapshot without finalizing: no tools registered, decision
@@ -33,8 +65,13 @@ val finalize : ?register_tools:(Repository.t -> unit) -> Repository.t -> unit
 (** Re-register tools, re-align the decision counter and rebuild the
     reason-maintenance mirror on a raw-loaded repository. *)
 
-val save_to_file : Repository.t -> string -> (unit, string) result
-(** Atomic: writes a temp file in the target directory, then renames.
+val save_to_file : ?fsync:bool -> Repository.t -> string -> (unit, string) result
+(** Atomic: streams {!save_repository}'s bytes to a temp file in the
+    target directory, then renames it over [path].  With [fsync]
+    (default false) the temp file is forced to disk before the rename
+    and the directory after it, so an [Ok] snapshot survives a power
+    loss; any write, sync or rename error is an [Error], and leaves
+    [path] as it was.
 
     {!load_from_file} is its inverse. *)
 

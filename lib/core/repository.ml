@@ -231,6 +231,7 @@ let new_object t ?name ?replaces ~cls artifact =
     Ok id
 
 let artifact t id = Symbol.Tbl.find_opt t.artifacts id
+let fold_artifacts t f init = Symbol.Tbl.fold f t.artifacts init
 
 let source_text t id =
   match Kb.attribute_values t.kb id Metamodel.source_cat with

@@ -95,6 +95,10 @@ val new_object :
 
 val artifact : t -> Prop.id -> artifact option
 val set_artifact : t -> Prop.id -> artifact -> unit
+
+val fold_artifacts : t -> (Prop.id -> artifact -> 'a -> 'a) -> 'a -> 'a
+(** Every stored artifact, in no particular order. *)
+
 val source_text : t -> Prop.id -> string option
 (** The rendered source attached to the object. *)
 

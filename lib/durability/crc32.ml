@@ -1,31 +1,29 @@
 type t = int32
 
+(* the table and the running value are native ints holding 32 bits:
+   boxed [Int32] elements cost a pointer load per byte *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let empty = 0l
+let mask = 0xffffffff
 
 let update crc s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.update";
-  let t = Lazy.force table in
-  let c = ref (Int32.lognot crc) in
+  let c = ref (Int32.to_int crc land mask lxor mask) in
+  (* [pos, pos + len) was checked above *)
   for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int
-        (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xffl)
-    in
-    c := Int32.logxor t.(idx) (Int32.shift_right_logical !c 8)
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+      lxor (!c lsr 8)
   done;
-  Int32.lognot !c
+  Int32.of_int (!c lxor mask)
 
 let of_string s = update empty s 0 (String.length s)
 let to_hex c = Printf.sprintf "%08lx" c

@@ -63,6 +63,15 @@ let file_sink ?(append = false) ?(fsync = false) path =
     close = (fun () -> close_out oc);
   }
 
+(* A rename or a new file is durable only once its directory is *)
+let sync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error (e, _, _) -> Error (dir ^ ": " ^ Unix.error_message e)
+  | fd ->
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    (try Ok (Unix.fsync fd)
+     with Unix.Unix_error (e, _, _) -> Error (dir ^ ": " ^ Unix.error_message e))
+
 let buffer_sink buf =
   {
     write = Buffer.add_string buf;
@@ -82,60 +91,20 @@ let add_str buf s =
   add_u32 buf (String.length s);
   Buffer.add_string buf s
 
-(* LEB128: 7 bits per byte, low group first, the high bit set on every
-   byte but the last.  [n] is read as unsigned, so a negative int takes
-   the full nine bytes. *)
-let rec add_varint buf n =
-  if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr n)
-  else begin
-    Buffer.add_char buf (Char.chr ((n land 0x7f) lor 0x80));
-    add_varint buf (n lsr 7)
-  end
+(* the log spells a symbol by its name *)
+let add_name buf s = Codec.add_vstr buf (Symbol.name s)
 
-let add_vstr buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
-(* zigzag maps 0, -1, 1, -2 ... to 0, 1, 2, 3 ..., so a small belief of
-   either sign takes one varint byte *)
-let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
-let unzigzag z = (z lsr 1) lxor -(z land 1)
-
-(* The compact [Put]'s flags byte: a set bit stands for a field the
-   payload omits.  An individual is [<x, x, x, Always>], so it spells
-   its name once. *)
-let source_is_id = 1
-let label_is_id = 2
-let dest_is_id = 4
-let time_is_always = 8
-
-(* top-level helpers rather than local closures: the encoder runs for
-   every journaled proposition, and a closure is an allocation *)
-let omit_if_id id bit field = if Symbol.equal field id then bit else 0
-
-let put_flags (p : Prop.t) =
-  omit_if_id p.id source_is_id p.source
-  lor omit_if_id p.id label_is_id p.label
-  lor omit_if_id p.id dest_is_id p.dest
-  lor match p.time with Time.Always -> time_is_always | _ -> 0
-
-let add_field buf flags bit s =
-  if flags land bit = 0 then add_vstr buf (Symbol.name s)
+let read_name s pos =
+  match Codec.read_vstr s pos with
+  | Ok (name, pos) -> Ok (Symbol.intern name, pos)
+  | Error e -> Error e
 
 let encode r =
   let buf = Buffer.create 64 in
   (match r with
   | Put p ->
-    let flags = put_flags p in
     Buffer.add_char buf 'p';
-    Buffer.add_char buf (Char.chr flags);
-    add_vstr buf (Symbol.name p.Prop.id);
-    add_field buf flags source_is_id p.Prop.source;
-    add_field buf flags label_is_id p.Prop.label;
-    add_field buf flags dest_is_id p.Prop.dest;
-    if flags land time_is_always = 0 then
-      add_vstr buf (Time.to_string p.Prop.time);
-    add_varint buf (zigzag p.Prop.belief)
+    Codec.add_prop add_name buf p
   | Tomb id ->
     Buffer.add_char buf 'T';
     add_str buf (Symbol.name id)
@@ -174,54 +143,9 @@ let read_str s pos =
   if len < 0 || pos + 4 + len > String.length s then Error "short string"
   else Ok (String.sub s (pos + 4) len, pos + 4 + len)
 
-let read_varint s pos =
-  let rec go acc shift pos =
-    if pos >= String.length s then Error "short varint"
-    else
-      let b = Char.code s.[pos] in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Ok (acc, pos + 1)
-      else if shift + 7 >= Sys.int_size then Error "varint too long"
-      else go acc (shift + 7) (pos + 1)
-  in
-  go 0 0 pos
-
-let read_vstr s pos =
-  let* len, pos = read_varint s pos in
-  if len < 0 || len > String.length s - pos then Error "short string"
-  else Ok (String.sub s pos len, pos + len)
-
 let decode_put payload =
-  if String.length payload < 2 then Error "short flags"
-  else
-    let flags = Char.code payload.[1] in
-    if flags land 0xf0 <> 0 then Error "reserved flag bits set"
-    else
-      let* id, pos = read_vstr payload 2 in
-      let id = Symbol.intern id in
-      let field bit pos =
-        if flags land bit <> 0 then Ok (id, pos)
-        else
-          let* s, pos = read_vstr payload pos in
-          Ok (Symbol.intern s, pos)
-      in
-      let* source, pos = field source_is_id pos in
-      let* label, pos = field label_is_id pos in
-      let* dest, pos = field dest_is_id pos in
-      let* time, pos =
-        if flags land time_is_always <> 0 then Ok (Time.Always, pos)
-        else
-          let* s, pos = read_vstr payload pos in
-          let* time = Time.of_string s in
-          Ok (time, pos)
-      in
-      let* belief, pos = read_varint payload pos in
-      if pos <> String.length payload then Error "trailing bytes"
-      else
-        Ok
-          (Put
-             (Prop.make ~time ~belief:(unzigzag belief) ~id ~source ~label
-                ~dest ()))
+  let* p, pos = Codec.read_prop read_name payload 1 in
+  if pos <> String.length payload then Error "trailing bytes" else Ok (Put p)
 
 let decode payload =
   if payload = "" then Error "empty payload"

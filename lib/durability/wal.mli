@@ -14,14 +14,11 @@
     O(delta) where a snapshot is O(repository).
 
     A payload is a one-byte tag and its fields.  [str] is a u32le
-    length and the bytes; [vstr] is a LEB128 varint length (7 bits per
-    byte, low group first, the high bit set on all but the last byte)
-    and the bytes.
+    length and the bytes; [varint] and [vstr] are {!Codec}'s.
 
     {v
     tag  record            fields
-    'p'  Put               flags:u8 id:vstr [source:vstr] [label:vstr]
-                           [dest:vstr] [time:vstr] belief:varint
+    'p'  Put               a {!Codec} proposition record, [sym] = name:vstr
     'P'  Put (old layout)  id:str source:str label:str dest:str
                            time:str belief:str
     'T'  Tomb              id:str
@@ -32,15 +29,12 @@
     'N'  Note              key:str value:str
     v}
 
-    In the compact ['p'] layout each set bit of [flags] omits a field:
-    bit 0 means source = id, bit 1 label = id, bit 2 dest = id, and bit
-    3 time = [Always]; bits 4–7 must be zero.  An individual
-    [<x, x, x, Always>] thus spells its name once.  [time] is
-    {!Time.to_string}; [belief] is zigzag-encoded (0, -1, 1, -2 … as
-    0, 1, 2, 3 …), so a small belief of either sign takes one byte.
-    ['P'] is read but no longer written: logs from before the compact
-    layout still recover and replay, while a reader that predates it
-    stops at the first ['p'] record. *)
+    In the compact ['p'] layout each set bit of the record's flags omits
+    a field equal to the id, or an [Always] time, so an individual
+    [<x, x, x, Always>] spells its name once.  ['P'] is read but no
+    longer written: logs from before the compact layout still recover
+    and replay, while a reader that predates it stops at the first
+    ['p'] record. *)
 
 open Kernel
 
@@ -77,6 +71,10 @@ val file_sink : ?append:bool -> ?fsync:bool -> string -> sink
 
 val buffer_sink : Buffer.t -> sink
 (** In-memory sink (tests and fault injection). *)
+
+val sync_dir : string -> (unit, string) result
+(** Force a directory's entries to disk: a rename, or a file created
+    in it, survives a power loss only after this. *)
 
 (** {1 Writing} *)
 

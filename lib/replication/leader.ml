@@ -91,35 +91,30 @@ let handle_frames t ~gen ~offset ~max_bytes ~wait_ms =
   in
   go ()
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let data = really_input_string ic len in
-    close_in ic;
-    Ok data
-  with Sys_error e -> Error e
-
 let handle_snapshot t ~from =
   (* under the read lock the checkpoint file cannot rotate underneath
      us, and it always describes the state at the current generation's
      first frame (both attach and checkpoint write it immediately
-     before opening the generation's log) *)
+     before opening the generation's log).  Only the requested chunk is
+     read: a bootstrap costs the file once, not once per chunk. *)
   Scheduler.read (Daemon.scheduler t.daemon) (fun () ->
-      match read_file (Durable.checkpoint_path (Durable.dir t.durable)) with
-      | Error e -> "error: cannot read checkpoint: " ^ e
-      | Ok data ->
-        let total = String.length data in
+      let path = Durable.checkpoint_path (Durable.dir t.durable) in
+      let cannot_read e = "error: cannot read checkpoint: " ^ e in
+      match (Unix.stat path).Unix.st_size with
+      | exception Unix.Unix_error (e, _, _) -> cannot_read (Unix.error_message e)
+      | total ->
         if from < 0 || from > total then
           Printf.sprintf "error: snapshot offset %d out of range (total %d)"
             from total
         else begin
-          if from = 0 then Obs.Registry.Counter.inc g_snapshots;
           let stop = min total (from + snapshot_chunk) in
-          Wire.format_snapshot
-            ~generation:(Durable.generation t.durable)
-            ~offset:Durability.Wal.header_bytes ~total
-            ~chunk:(String.sub data from (stop - from))
+          match Durable.read_range path ~offset:from ~stop with
+          | exception Sys_error e -> cannot_read e
+          | chunk ->
+            if from = 0 then Obs.Registry.Counter.inc g_snapshots;
+            Wire.format_snapshot
+              ~generation:(Durable.generation t.durable)
+              ~offset:Durability.Wal.header_bytes ~total ~chunk
         end)
 
 let handle_ack t ~name ~gen ~offset ~epoch ~version =

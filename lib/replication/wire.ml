@@ -4,11 +4,12 @@
    payloads are length-prefixed and binary-safe, so the chunk needs no
    escaping. *)
 
-(* Chunks are raw WAL bytes, so the version covers the record layout
-   too: 2 ships compact [Put] records, which a version-1 follower
-   cannot decode.  It refuses at the hello instead of cutting every
-   chunk at the first one. *)
-let protocol_version = 2
+(* Chunks are raw WAL and checkpoint bytes, so the version covers
+   both layouts: 2 ships compact [Put] records, which a version-1
+   follower cannot decode, and 3 the binary checkpoint, which a
+   version-2 follower cannot.  Such a follower refuses at the hello
+   instead of failing on the first chunk or the snapshot. *)
+let protocol_version = 3
 
 (* requests ----------------------------------------------------------- *)
 

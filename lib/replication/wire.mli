@@ -9,8 +9,9 @@
 
 val protocol_version : int
 (** Sent in the hello; a follower refuses a leader that speaks another
-    version.  It changes with the WAL record layout, since shipped
-    chunks are raw log bytes. *)
+    version.  It changes with the WAL record layout and the checkpoint
+    layout, since shipped chunks are raw log bytes and the snapshot body
+    is the checkpoint file. *)
 
 (** {1 Requests} *)
 

@@ -716,6 +716,129 @@ let test_durable_refuses_damaged_header () =
         0 report.Durable.wal_records)
     [ ""; String.sub Wal.magic 0 3 ]
 
+(* checkpoint durability ------------------------------------------------- *)
+
+let live_canonical repo = Gkbms.Persist.save_repository_canonical repo
+
+let dir_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f ->
+         let path = Filename.concat dir f in
+         (f, if Sys.is_directory path then "<dir>" else read_file path))
+
+(* a flipped byte in the checkpoint is refused, naming the file, and no
+   file is touched: on the text layout a flipped letter inside a name
+   still parsed, and recovery went on with a different repository *)
+let test_damaged_checkpoint_refused () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  ignore (two_decisions dir : Repo.t);
+  let cp = Durable.checkpoint_path dir in
+  let data = read_file cp in
+  let b = Bytes.of_string data in
+  let mid = Bytes.length b / 2 in
+  Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x20));
+  write_file cp (Bytes.to_string b);
+  let before = dir_files dir in
+  let names_checkpoint e = String.starts_with ~prefix:cp e in
+  (match Durable.recover ~dir () with
+  | Ok _ -> Alcotest.fail "recover read a damaged checkpoint"
+  | Error e ->
+    check bool ("recover names the checkpoint: " ^ e) true (names_checkpoint e));
+  (match Durable.open_ ~dir () with
+  | Ok (d, _) ->
+    Durable.close d;
+    Alcotest.fail "open_ read a damaged checkpoint"
+  | Error e -> check bool "open_ names the checkpoint" true (names_checkpoint e));
+  check bool "every file left as it was" true (dir_files dir = before)
+
+let manual_edit repo obj text =
+  ignore
+    (ok
+       (Gkbms.Decision.execute repo
+          ~decision_class:Gkbms.Metamodel.dec_manual_edit
+          ~tool:Gkbms.Mapping.editor_tool
+          ~inputs:[ ("object", sym obj) ]
+          ~params:[ ("text", text) ]
+          ()))
+
+(* a checkpoint that cannot land fails, and changes nothing: the log,
+   its generation and the archives stay, and journaling goes on *)
+let test_checkpoint_that_cannot_land () =
+  let dir = Scratch.temp_dir () in
+  let tmp = Durable.checkpoint_path dir ^ ".tmp" in
+  Fun.protect ~finally:(fun () ->
+      (try Unix.rmdir tmp with Unix.Unix_error _ -> ());
+      Scratch.rm_rf dir)
+  @@ fun () ->
+  let st = ok (Scn.setup ()) in
+  let d = ok (Durable.attach ~fsync:true ~dir st.Scn.repo) in
+  ignore (ok (Scn.map_move_down st));
+  Durable.sync d;
+  Unix.mkdir tmp 0o755;
+  let gen = Durable.generation d in
+  let before = dir_files dir in
+  (match Durable.checkpoint d with
+  | Ok () -> Alcotest.fail "a checkpoint over a directory landed"
+  | Error _ -> ());
+  check int "generation unchanged" gen (Durable.generation d);
+  check bool "log, archives and checkpoint as they were" true
+    (dir_files dir = before);
+  ignore (ok (Scn.normalize_invitations st));
+  Durable.close d;
+  let repo2, _ = ok (Durable.recover ~dir ()) in
+  check string "journaling went on" (live_canonical st.Scn.repo)
+    (live_canonical repo2);
+  (* with the obstacle gone, the next checkpoint lands and rotates *)
+  Unix.rmdir tmp;
+  let d = ok (Durable.attach ~fsync:true ~dir repo2) in
+  let gen = Durable.generation d in
+  ok (Durable.checkpoint d);
+  check int "rotated" (gen + 1) (Durable.generation d);
+  Durable.close d
+
+(* a crash after the snapshot's rename but before the log's rotation
+   leaves the new checkpoint beside the whole old log: replaying it over
+   the snapshot must give the live state *)
+let test_crash_between_rename_and_rotation () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  let st = ok (Scn.run_through_conflict ()) in
+  let d = ok (Durable.attach ~dir st.Scn.repo) in
+  ignore (ok (Scn.resolve_conflict st));
+  manual_edit st.Scn.repo "InvitationRel" "after the retraction";
+  Durable.sync d;
+  let old_log = read_file (Durable.wal_path dir) in
+  let gen = Durable.generation d in
+  ok (Durable.checkpoint d);
+  Durable.close d;
+  Sys.remove (Durable.archived_wal_path dir gen);
+  write_file (Durable.wal_path dir) old_log;
+  let repo2, report = ok (Durable.recover ~dir ()) in
+  check bool "the old log replayed" true (report.Durable.replayed_ops > 0);
+  check string "live state recovered" (live_canonical st.Scn.repo)
+    (live_canonical repo2)
+
+(* a checkpoint cut before its rename leaves a torn temp file, which
+   recovery ignores and the next checkpoint replaces *)
+let test_torn_checkpoint_tmp_ignored () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  let repo = two_decisions dir in
+  let cp = Durable.checkpoint_path dir in
+  let data = read_file cp in
+  write_file (cp ^ ".tmp") (String.sub data 0 (String.length data / 2));
+  let repo2, _ = ok (Durable.recover ~dir ()) in
+  check string "recovered past the torn temp file" (live_canonical repo)
+    (live_canonical repo2);
+  let d, _ = ok (Durable.open_ ~dir ()) in
+  Durable.close d;
+  check bool "temp file replaced by the checkpoint" false
+    (Sys.file_exists (cp ^ ".tmp"));
+  let repo3, _ = ok (Durable.recover ~dir ()) in
+  check string "and the new checkpoint loads" (live_canonical repo)
+    (live_canonical repo3)
+
 (* a warm restart is a fresh process: the global proposition id counter
    restarts at zero, and recovery must re-align it so the first
    post-restart decision does not mint ids colliding with recovered
@@ -812,6 +935,23 @@ let test_checkpoint_memory_bound () =
   if major_bytes >= file_bytes then
     Alcotest.failf "checkpoint allocated %.0f major-heap bytes for a %.0f-byte file"
       major_bytes file_bytes
+
+(* The binary checkpoint spells each name once: at most 0.6 of the
+   canonical text form of the same state (the text checkpoint was the
+   same size as that form). *)
+let test_checkpoint_size () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  let repo = edited_repo () in
+  let d = ok (Durable.attach ~dir repo) in
+  Durable.close d;
+  let file_bytes = (Unix.stat (Durable.checkpoint_path dir)).Unix.st_size in
+  let text_bytes = String.length (Gkbms.Persist.save_repository_canonical repo) in
+  if float file_bytes > 0.6 *. float text_bytes then
+    Alcotest.failf "checkpoint %d bytes, %.2f of the %d-byte canonical form"
+      file_bytes
+      (float file_bytes /. float text_bytes)
+      text_bytes
 
 (* The side tables Kb keeps next to the store must not cost a table
    entry per proposition: the statistics keep no table for the unique
@@ -1102,6 +1242,12 @@ let suite =
     ("recovery realigns prop id counter", `Quick, test_recover_realigns_prop_ids);
     ("recovery realigns decision counter", `Quick, test_recover_realigns_decision_counter);
     ("checkpoint major allocation below file size", `Quick, test_checkpoint_memory_bound);
+    ("checkpoint at most 0.6 of the canonical text", `Quick, test_checkpoint_size);
+    ("damaged checkpoint refused, files untouched", `Quick, test_damaged_checkpoint_refused);
+    ("checkpoint that cannot land changes nothing", `Quick, test_checkpoint_that_cannot_land);
+    ("crash between checkpoint rename and rotation", `Quick,
+     test_crash_between_rename_and_rotation);
+    ("torn checkpoint temp file ignored", `Quick, test_torn_checkpoint_tmp_ignored);
     ("kb side tables hold no entry per proposition", `Quick, test_side_tables_per_prop);
     ("edit allocation pays for no absent reader", `Quick, test_edit_allocation);
     ("edit journals at most 1,600 bytes", `Quick, test_edit_journal_bytes);

@@ -9,6 +9,11 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
+let contains needle hay =
+  let n = String.length needle and m = String.length hay in
+  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" e
@@ -186,10 +191,11 @@ let test_file_roundtrip () =
   Sys.remove path;
   check int "one decision" 1 (List.length (Repo.decision_log repo2))
 
-(* The snapshot format, pinned: the streaming writer must print the
-   bytes the original whole-string printer built.  [reference_print] is
-   that printer; the tree is assembled the way the original snapshot
-   code assembled it. *)
+(* The text layout, pinned: the canonical writer must print the bytes
+   the original whole-string printer built, and a checkpoint written in
+   the text layout before the binary one must still load.
+   [reference_print] is that printer; the tree is assembled the way the
+   original snapshot code assembled it. *)
 let rec reference_print = function
   | S.Atom s ->
     let needs_quoting =
@@ -266,18 +272,24 @@ let test_snapshot_format_pinned () =
     (Store.Base.insert (Cml.Kb.base (Repo.kb repo))
        (Prop.make ~id:(Symbol.intern "odd\"id\\\t\n") ~source:(Symbol.intern "a b")
           ~label:(Symbol.intern "l(;)") ~dest:(Symbol.intern "") ()));
-  let path = Filename.temp_file "gkbms" ".repo" in
-  ok (P.save_to_file repo path);
-  let ic = open_in_bin path in
-  let written = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  let expected = reference_snapshot ~canonical:false repo in
-  check Alcotest.string "save_to_file" expected written;
-  check Alcotest.string "save_repository" expected (P.save_repository repo);
   check Alcotest.string "save_repository_canonical"
     (reference_snapshot ~canonical:true repo)
-    (P.save_repository_canonical repo)
+    (P.save_repository_canonical repo);
+  (* a text checkpoint, as written before the binary layout, recovers
+     to the same canonical bytes through both loaders *)
+  let live = P.save_repository_canonical repo in
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  Unix.mkdir dir 0o755;
+  let path = Gkbms.Durable.checkpoint_path dir in
+  let oc = open_out_bin path in
+  output_string oc (reference_snapshot ~canonical:false repo);
+  close_out oc;
+  check Alcotest.string "load_from_file" live
+    (P.save_repository_canonical (ok (P.load_from_file path)));
+  let recovered, _ = ok (Gkbms.Durable.recover ~dir ()) in
+  check Alcotest.string "Durable.recover" live
+    (P.save_repository_canonical recovered)
 
 (* qcheck: snapshots round-trip on randomized repositories — a random
    chain of manual edits over the scenario baseline *)
@@ -317,6 +329,168 @@ let prop_snapshot_roundtrip =
            (fun obj -> Repo.source_text st.Scn.repo obj = Repo.source_text repo2 obj)
            (Repo.all_design_objects st.Scn.repo))
 
+(* qcheck: the binary snapshot round-trips whatever a repository holds —
+   awkward names (empty, long, tabs, newlines, quotes, non-ASCII), every
+   time form, extreme beliefs, artifacts and a log *)
+let artifact_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Repo.Text s) Test_durability.name_gen;
+        map
+          (fun (n, c) -> Repo.Cml_frame (Cml.Object_processor.frame ~classes:[ c ] n))
+          (pair Test_durability.name_gen Test_durability.name_gen);
+        return (Repo.Tdl_design Scn.meeting_design_v2);
+      ])
+
+let repo_gen =
+  QCheck.Gen.(
+    triple
+      (list_size (int_range 0 40) Test_durability.prop_gen)
+      (list_size (int_range 0 10) (pair nat artifact_gen))
+      (list_size (int_range 0 10) Test_durability.name_gen))
+
+let random_repo (props, artifacts, log) =
+  let repo = Repo.create () in
+  let base = Cml.Kb.base (Repo.kb repo) in
+  (* an id already present (a metamodel name, or drawn twice) is skipped *)
+  List.iter (fun p -> ignore (Store.Base.insert base p)) props;
+  let ids = Array.of_list (Store.Base.fold base (fun acc p -> p.Prop.id :: acc) []) in
+  List.iter
+    (fun (i, a) -> Repo.set_artifact repo ids.(i mod Array.length ids) a)
+    artifacts;
+  List.iter (fun d -> Repo.log_decision repo (Symbol.intern d)) log;
+  repo
+
+let prop_binary_snapshot_roundtrip =
+  QCheck.Test.make ~name:"binary snapshot round-trips awkward repositories"
+    ~count:100 (QCheck.make repo_gen) (fun contents ->
+      let repo = random_repo contents in
+      let loaded =
+        ok (P.load_repository ~register_tools:ignore (P.save_repository repo))
+      in
+      P.save_repository_canonical loaded = P.save_repository_canonical repo
+      && List.map Symbol.name (Repo.decision_log loaded)
+         = List.map Symbol.name (Repo.decision_log repo))
+
+(* A damaged snapshot is an [Error], never a partial repository: every
+   cut and every single-bit flip of a small one is caught. *)
+let small_snapshot () =
+  let repo = random_repo ([], [ (0, Repo.Text "t") ], [ "dec1"; "dec2" ]) in
+  P.save_repository repo
+
+let refuses what data =
+  match P.load_repository data with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s loaded" what
+
+let test_snapshot_damage () =
+  let snap = small_snapshot () in
+  for n = 0 to String.length snap - 1 do
+    refuses (Printf.sprintf "a cut at %d" n) (String.sub snap 0 n)
+  done;
+  let rng = Random.State.make [| 21 |] in
+  for _ = 1 to 500 do
+    let pos = Random.State.int rng (String.length snap) in
+    let bit = Random.State.int rng 8 in
+    let b = Bytes.of_string snap in
+    Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 lsl bit));
+    refuses (Printf.sprintf "bit %d of byte %d flipped" bit pos) (Bytes.to_string b)
+  done
+
+(* With a valid checksum, the records are still checked: the loader
+   names what is wrong.  [sealed] frames a hand-made body as a
+   snapshot; symbol codes in a body are arbitrary numbers. *)
+let sealed body =
+  let b = Buffer.create 64 in
+  Buffer.add_string b (String.sub (small_snapshot ()) 0 8);
+  Buffer.add_string b body;
+  Buffer.add_int32_le b (Durability.Crc32.of_string (Buffer.contents b));
+  Buffer.contents b
+
+let test_snapshot_record_checks () =
+  let module C = Durability.Codec in
+  let buf = Buffer.create 64 in
+  let varint n = C.add_varint buf n in
+  let name code s =
+    varint ((code lsl 1) lor 1);
+    C.add_vstr buf s
+  in
+  let reference code = varint (code lsl 1) in
+  let flags f = Buffer.add_char buf (Char.chr f) in
+  (* <x, x, x, Always>, belief 0 *)
+  let individual ?(f = 0b1111) code s =
+    flags f;
+    name code s;
+    varint 0
+  in
+  let body ?(artifacts = fun () -> varint 0) props =
+    Buffer.clear buf;
+    props ();
+    artifacts ();
+    varint 0;
+    Buffer.contents buf
+  in
+  let cases =
+    [
+      ( "reserved flag bits",
+        body (fun () ->
+            varint 1;
+            individual ~f:0x1f 1 "x"),
+        "reserved" );
+      ( "undefined reference",
+        body (fun () ->
+            varint 1;
+            flags 0b1111;
+            reference 2;
+            varint 0),
+        "before its name" );
+      ( "bad time",
+        body (fun () ->
+            varint 1;
+            flags 0b0111;
+            name 3 "y";
+            C.add_vstr buf "not a time";
+            varint 0),
+        "not a time" );
+      ( "duplicated id",
+        body (fun () ->
+            varint 2;
+            individual 4 "z";
+            flags 0b1111;
+            reference 4;
+            varint 0),
+        "appears twice" );
+      ("trailing bytes", body (fun () -> varint 0) ^ "\000", "trailing");
+      ( "bad artifact",
+        body
+          ~artifacts:(fun () ->
+            varint 1;
+            reference 5;
+            C.add_vstr buf "(no-such-artifact)")
+          (fun () ->
+            varint 1;
+            individual 5 "w"),
+        "artifact w" );
+    ]
+  in
+  List.iter
+    (fun (what, body, needle) ->
+      match P.load_repository (sealed body) with
+      | Ok _ -> Alcotest.failf "%s loaded" what
+      | Error e ->
+        check bool (Printf.sprintf "%s: %S names %S" what e needle) true
+          (contains needle e))
+    cases;
+  (* the same frame around well-formed records loads *)
+  ignore
+    (ok
+       (P.load_repository
+          (sealed
+             (body (fun () ->
+                  varint 1;
+                  individual 6 "v")))))
+
 let suite =
   [
     ("sexp roundtrip", `Quick, test_sexp_roundtrip);
@@ -331,4 +505,7 @@ let suite =
     ("file roundtrip", `Quick, test_file_roundtrip);
     ("snapshot bytes match the reference printer", `Quick, test_snapshot_format_pinned);
     QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
+    QCheck_alcotest.to_alcotest prop_binary_snapshot_roundtrip;
+    ("snapshot damage is an error", `Quick, test_snapshot_damage);
+    ("snapshot records are checked", `Quick, test_snapshot_record_checks);
   ]

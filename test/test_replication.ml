@@ -59,6 +59,10 @@ let test_wire_roundtrips () =
   (match Wire.parse_hello "gkbms-repl 1 0 0" with
   | Error e -> check bool "version-1 leader refused" true (contains "speaks 1" e)
   | Ok _ -> Alcotest.fail "version-1 leader accepted");
+  (* version 2 predates the binary checkpoint, the snapshot body *)
+  (match Wire.parse_hello "gkbms-repl 2 0 0" with
+  | Error e -> check bool "version-2 leader refused" true (contains "speaks 2" e)
+  | Ok _ -> Alcotest.fail "version-2 leader accepted");
   (match Wire.parse_token (Wire.format_token ~epoch:2 ~version:7) with
   | Ok t ->
     check int "token epoch" 2 t.Wire.t_epoch;
@@ -228,6 +232,65 @@ let test_follower_bootstrap_and_catch_up () =
   check bool "wait_for a future token times out" false
     (Follower.wait_for f ~epoch:e2 ~version:(v2 + 1000) ~timeout_ms:60);
   Daemon.stop rig.l_daemon
+
+(* A leader whose checkpoint spans several 1 MiB snapshot chunks: the
+   ~49k-proposition edited repository. *)
+let big_leader dir =
+  let daemon = Daemon.create (Test_durability.edited_repo ()) in
+  ok (Daemon.attach_wal daemon ~dir);
+  ignore (ok (Leader.attach daemon));
+  daemon
+
+(* each snapshot answer is the checkpoint's bytes at the requested
+   offset, read from the file per request *)
+let test_snapshot_chunks_are_file_ranges () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  let daemon = big_leader dir in
+  Fun.protect ~finally:(fun () -> Daemon.stop daemon) @@ fun () ->
+  let file = Test_durability.read_file (Durable.checkpoint_path dir) in
+  let c = Client.of_transport (Daemon.connect daemon) in
+  let rec go from chunks =
+    match Wire.parse_snapshot (req_ok c (Wire.snapshot ~from)) with
+    | Error e -> Alcotest.fail e
+    | Ok r ->
+      check int "total is the file size" (String.length file) r.Wire.s_total;
+      let len = String.length r.Wire.s_chunk in
+      check bool (Printf.sprintf "chunk at %d is the file's bytes" from) true
+        (r.Wire.s_chunk = String.sub file from len);
+      if from + len < r.Wire.s_total && len > 0 then go (from + len) (chunks + 1)
+      else chunks + 1
+  in
+  let chunks = go 0 0 in
+  check bool (Printf.sprintf "%d chunks" chunks) true (chunks >= 2);
+  (* a chunk can start anywhere, and the end of the file answers empty *)
+  (match Wire.parse_snapshot (req_ok c (Wire.snapshot ~from:12345)) with
+  | Ok r -> check bool "odd offset" true (r.Wire.s_chunk = String.sub file 12345 (1 lsl 20))
+  | Error e -> Alcotest.fail e);
+  (match Wire.parse_snapshot (req_ok c (Wire.snapshot ~from:(String.length file))) with
+  | Ok r -> check string "at the end" "" r.Wire.s_chunk
+  | Error e -> Alcotest.fail e);
+  ignore (req_err c (Wire.snapshot ~from:(String.length file + 1)));
+  Client.close c
+
+let test_bootstrap_from_chunked_checkpoint () =
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
+  let daemon = big_leader ldir in
+  Fun.protect ~finally:(fun () -> Daemon.stop daemon) @@ fun () ->
+  check bool "checkpoint spans two chunks" true
+    ((Unix.stat (Durable.checkpoint_path ldir)).Unix.st_size > 1 lsl 20);
+  let f =
+    ok
+      (Follower.create ~name:"big" ~leader:"leader.sock"
+         ~connect:(fun () -> Ok (Client.of_transport (Daemon.connect daemon)))
+         ~dir:fdir ())
+  in
+  Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
+  ok (Follower.catch_up f);
+  check string "canonical snapshots byte-identical"
+    (canonical (Daemon.repo daemon))
+    (canonical (Follower.repo f))
 
 let test_follower_refuses_writes () =
   let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
@@ -718,6 +781,9 @@ let suite =
     ("session tokens", `Quick, test_session_tokens);
     ("leader frames basics", `Quick, test_leader_frames_basic);
     ("follower bootstrap and catch-up", `Quick, test_follower_bootstrap_and_catch_up);
+    ("snapshot chunks are file ranges", `Quick, test_snapshot_chunks_are_file_ranges);
+    ("bootstrap from a multi-chunk checkpoint", `Quick,
+     test_bootstrap_from_chunked_checkpoint);
     ("follower refuses writes", `Quick, test_follower_refuses_writes);
     ("generation boundary crossed", `Quick, test_generation_boundary);
     ("follower restart resumes", `Quick, test_follower_restart_resumes);
