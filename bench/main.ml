@@ -106,7 +106,7 @@ let shape_e4_selective_backtracking () =
 let shape_e9_deduction () =
   section "E9: deductive query engines on transitive closure (chain graph)";
   Printf.printf "%-8s | %-12s %-12s | %-14s %-14s\n" "edges" "naive-tuples"
-    "semi-tuples" "sld-resolutions" "lemmas";
+    "semi-tuples" "resolutions" "lemmas";
   List.iter
     (fun n ->
       let d1 = W.chain_program n in
@@ -116,7 +116,7 @@ let shape_e9_deduction () =
       ok (Logic.Datalog.solve ~strategy:`Seminaive d2);
       let semi = Logic.Datalog.derived_count d2 in
       let d3 = W.chain_program n in
-      let p = Logic.Prover.make ~tabling:true d3 in
+      let p = Logic.Prover.make d3 in
       ignore (Logic.Prover.solve p [ Term.atom "path" [ Term.sym "n0"; Term.var "Y" ] ]);
       Printf.printf "%-8d | %-12d %-12d | %-14d %-14d\n" n naive semi
         (Logic.Prover.stats p).Logic.Prover.resolutions
@@ -1031,19 +1031,15 @@ let shape_e20_parallel () =
    how long until a follower's applied (epoch, version) token covers
    it. *)
 (* ------------------------------------------------------------------ *)
-(* E23: cost-based planner — bound-argument queries over a 1M-fact EDB *)
+(* E23: bound-argument queries over a 1M-fact EDB, on the tabled prover *)
 (* ------------------------------------------------------------------ *)
 
-let shape_e23_planner () =
-  section "E23: query planner — bound queries over a 1M-fact EDB";
+let shape_e23_bound () =
+  section "E23: bound queries over a 1M-fact EDB — tabled prover vs. materialization";
   (* 200k disjoint chains of length 5: 1M edge facts, 3M closure
-     tuples.  A bound query path(sK_0, Y) touches one chain; the
-     planner-off engine materializes all 200k. *)
-  let segments =
-    match Sys.getenv_opt "GKBMS_E23_SEGMENTS" with
-    | Some s -> (try int_of_string s with _ -> 200_000)
-    | None -> 200_000
-  and len = 5 in
+     tuples.  A bound query path(sK_0, Y) touches one chain; bottom-up
+     evaluation materializes all 200k. *)
+  let segments = 200_000 and len = 5 in
   let t0 = Unix.gettimeofday () in
   let d = W.segmented_chain_program ~segments ~len in
   let t_load = Unix.gettimeofday () -. t0 in
@@ -1052,37 +1048,39 @@ let shape_e23_planner () =
   let goal s =
     Term.atom "path" [ Term.sym (Printf.sprintf "s%d_0" s); Term.var "Y" ]
   in
+  (* a fresh prover per query, as [Kb.derive] runs one *)
+  let solve g = Logic.Prover.solve (Logic.Prover.make d) [ g ] in
   let queries = 20 in
   let seg_of i = i * (segments / (queries + 1)) in
-  (* warm-up: interning, first-plan costs *)
-  ignore (ok (Planner.query d (goal (seg_of 0))));
+  (* warm-up: interning, first-call costs *)
+  ignore (solve (goal (seg_of 0)));
   let t0 = Unix.gettimeofday () in
-  let planned = Array.init queries (fun i -> ok (Planner.query d (goal (seg_of (i + 1))))) in
-  let t_planned = (Unix.gettimeofday () -. t0) /. float_of_int queries in
-  Printf.printf "planned (magic-sets): %.3f ms/query, %d answers each\n%!"
-    (t_planned *. 1e3)
-    (List.length planned.(0));
-  (* ablation: planner off — one bound query pays full materialization *)
+  let bound = Array.init queries (fun i -> solve (goal (seg_of (i + 1)))) in
+  let t_bound = (Unix.gettimeofday () -. t0) /. float_of_int queries in
+  Printf.printf "tabled prover: %.3f ms/query, %d answers each\n%!"
+    (t_bound *. 1e3)
+    (List.length bound.(0));
+  (* ablation: one bound query pays full bottom-up materialization *)
   let t0 = Unix.gettimeofday () in
-  let unplanned = ok (Logic.Datalog.query d (goal (seg_of 1))) in
-  let t_unplanned = Unix.gettimeofday () -. t0 in
+  let materialized = ok (Logic.Datalog.query d (goal (seg_of 1))) in
+  let t_materialized = Unix.gettimeofday () -. t0 in
   let closure = Logic.Datalog.derived_count d in
-  Printf.printf "unplanned: %.1f ms (materialized %d closure tuples)\n%!"
-    (t_unplanned *. 1e3) closure;
+  Printf.printf "materialized: %.1f ms (%d closure tuples)\n%!"
+    (t_materialized *. 1e3) closure;
   (* answer invariance on the measured query *)
   let canon substs =
     List.sort_uniq String.compare
       (List.map (Format.asprintf "%a" Term.Subst.pp) substs)
   in
-  if canon planned.(0) <> canon unplanned then
-    failwith "E23: planned and unplanned answers differ";
-  let speedup = t_unplanned /. t_planned in
+  if canon bound.(0) <> canon materialized then
+    failwith "E23: prover and bottom-up answers differ";
+  let speedup = t_materialized /. t_bound in
   Printf.printf "speedup: %.0fx\n%!" speedup;
   metric_i "e23_edb_facts" facts;
   metric_i "e23_closure_tuples" closure;
   metric_i "e23_queries" queries;
-  metric_f "e23_planned_ms_mean" (t_planned *. 1e3);
-  metric_f "e23_unplanned_ms" (t_unplanned *. 1e3);
+  metric_f "e23_bound_ms_mean" (t_bound *. 1e3);
+  metric_f "e23_materialized_ms" (t_materialized *. 1e3);
   metric_f "e23_speedup" speedup
 
 let shape_e22_replication () =
@@ -1293,19 +1291,19 @@ let setup_benches () =
   (* E9: deduction strategies *)
   let d_naive = W.chain_program 64 in
   let d_semi = W.chain_program 64 in
-  let d_sld = W.chain_program 64 in
+  let d_tabled = W.chain_program 64 in
   bench "E9 datalog naive n=64" (fun () ->
       Logic.Datalog.invalidate d_naive;
       ok (Logic.Datalog.solve ~strategy:`Naive d_naive));
   bench "E9 datalog seminaive n=64" (fun () ->
       Logic.Datalog.invalidate d_semi;
       ok (Logic.Datalog.solve ~strategy:`Seminaive d_semi));
-  bench "E9 tabled-sld bound-goal n=64" (fun () ->
-      let p = Logic.Prover.make ~tabling:true d_sld in
+  bench "E9 tabled bound-goal n=64" (fun () ->
+      let p = Logic.Prover.make d_tabled in
       ignore
         (Logic.Prover.solve p [ Term.atom "path" [ Term.sym "n0"; Term.var "Y" ] ]));
   bench "E9 lemma-reuse (warm table) n=64" (fun () ->
-      let p = Logic.Prover.make ~tabling:true d_sld in
+      let p = Logic.Prover.make d_tabled in
       ignore
         (Logic.Prover.solve p [ Term.atom "path" [ Term.sym "n0"; Term.var "Y" ] ]);
       ignore
@@ -1458,7 +1456,7 @@ let run_benches () =
         merged)
     (List.rev !tests)
 
-let modes = [ "shapes"; "server"; "obs"; "par"; "repl"; "planner"; "trace"; "group" ]
+let modes = [ "shapes"; "server"; "obs"; "par"; "repl"; "bound"; "trace"; "group" ]
 
 let usage () =
   Printf.eprintf
@@ -1481,7 +1479,7 @@ let () =
   let obs_only = List.mem "obs" args in
   let par_only = List.mem "par" args in
   let repl_only = List.mem "repl" args in
-  let planner_only = List.mem "planner" args in
+  let bound_only = List.mem "bound" args in
   let trace_only = List.mem "trace" args in
   let group_only = List.mem "group" args in
   let json_path =
@@ -1496,7 +1494,7 @@ let () =
   else if obs_only then shape_e19_observability ()
   else if par_only then shape_e20_parallel ()
   else if repl_only then shape_e22_replication ()
-  else if planner_only then shape_e23_planner ()
+  else if bound_only then shape_e23_bound ()
   else if trace_only then shape_e24_tracing ()
   else if group_only then shape_e25_group_commit ()
   else begin

@@ -80,6 +80,24 @@ let handle = function
     Format.eprintf "error: %s@." e;
     1
 
+(* The browsing and query verbs answer through the shell's dispatcher,
+   so each has one rendering: the scenario state at [until], then
+   [Shell.eval]'s output, which goes to stderr with exit 1 when it is an
+   error. *)
+let shell_verb until line =
+  match build_state until with
+  | Error e -> handle (Error e)
+  | Ok (st, _) ->
+    let out = Gkbms.Shell.eval (Gkbms.Shell.of_repository st.Scn.repo) line in
+    if String.starts_with ~prefix:"error: " out then begin
+      prerr_endline out;
+      1
+    end
+    else begin
+      print_endline out;
+      0
+    end
+
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -190,13 +208,7 @@ let recover_cmd =
 (* focus ------------------------------------------------------------------ *)
 
 let focus_cmd =
-  let run until name =
-    handle
-      (let* st, _ = build_state until in
-       let view = Gkbms.Navigation.focus st.Scn.repo (Sym.intern name) in
-       Format.printf "%a@." Gkbms.Navigation.pp_focus view;
-       Ok ())
-  in
+  let run until name = shell_verb until ("focus " ^ name) in
   Cmd.v
     (Cmd.info "focus" ~doc:"Show the focus view (fig 2-1) of a design object.")
     Term.(const run $ until_arg $ focus_arg)
@@ -204,13 +216,7 @@ let focus_cmd =
 (* why ---------------------------------------------------------------------- *)
 
 let why_cmd =
-  let run until name =
-    handle
-      (let* st, _ = build_state until in
-       Format.printf "%a@." Gkbms.Explain.pp_why
-         (Gkbms.Explain.why st.Scn.repo (Sym.intern name));
-       Ok ())
-  in
+  let run until name = shell_verb until ("why " ^ name) in
   Cmd.v (Cmd.info "why" ~doc:"Explain why a design object exists.")
     Term.(const run $ until_arg $ focus_arg)
 
@@ -256,77 +262,41 @@ let config_cmd =
 (* source ---------------------------------------------------------------------- *)
 
 let source_cmd =
-  let run until name =
-    handle
-      (let* st, _ = build_state until in
-       match Repo.source_text st.Scn.repo (Sym.intern name) with
-       | Some src ->
-         print_endline src;
-         Ok ()
-       | None -> Error (Printf.sprintf "no source recorded for %s" name))
-  in
+  let run until name = shell_verb until ("source " ^ name) in
   Cmd.v (Cmd.info "source" ~doc:"Print the code frame of a design object.")
     Term.(const run $ until_arg $ focus_arg)
 
-(* ask / derive ---------------------------------------------------------------- *)
+(* ask / derive / explain -------------------------------------------------- *)
+
+let atom_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"ATOM"
+         ~doc:"e.g. \"in(InvitationRel, ?C)\"")
 
 let ask_cmd =
   let formula_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FORMULA"
            ~doc:"e.g. \"forall x/Paper in(?x, Document)\"")
   in
-  let run until formula =
-    handle
-      (let* st, _ = build_state until in
-       let* f = Langs.Assertion.parse_formula formula in
-       let* answer = Cml.Kb.ask (Repo.kb st.Scn.repo) f in
-       Format.printf "%b@." answer;
-       Ok ())
-  in
+  let run until formula = shell_verb until ("ask " ^ formula) in
   Cmd.v
     (Cmd.info "ask" ~doc:"Evaluate a closed assertion against the KB.")
     Term.(const run $ until_arg $ formula_arg)
 
 let derive_cmd =
-  let atom_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ATOM"
-           ~doc:"e.g. \"in(InvitationRel, ?C)\"")
-  in
-  let run until atom =
-    handle
-      (let* st, _ = build_state until in
-       let* goal = Langs.Assertion.parse_atom atom in
-       let* substs = Cml.Kb.derive (Repo.kb st.Scn.repo) goal in
-       if substs = [] then Format.printf "no.@."
-       else
-         List.iter
-           (fun s -> Format.printf "%a@." Logic.Term.Subst.pp s)
-           substs;
-       Ok ())
-  in
+  let run until atom = shell_verb until ("derive " ^ atom) in
   Cmd.v
     (Cmd.info "derive"
-       ~doc:"Query the deductive view (tabled top-down inference).")
+       ~doc:"Query the deductive view (tabled top-down inference); \
+             answers are sorted.")
     Term.(const run $ until_arg $ atom_arg)
 
 let explain_cmd =
-  let atom_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ATOM"
-           ~doc:"e.g. \"in(InvitationRel, ?C)\"")
-  in
-  let run until atom =
-    handle
-      (let* st, _ = build_state until in
-       let* goal = Langs.Assertion.parse_atom atom in
-       let* report = Cml.Kb.explain (Repo.kb st.Scn.repo) goal in
-       Format.printf "%s@." (String.trim report);
-       Ok ())
-  in
+  let run until atom = shell_verb until ("explain " ^ atom) in
   Cmd.v
     (Cmd.info "explain"
-       ~doc:"Show the query planner's chosen plan for a goal (strategy, \
-             join order, estimated vs. actual cardinalities) and evaluate \
-             it.")
+       ~doc:"Run a goal as derive does and show what the tabled prover \
+             did: each tabled subgoal with its answer count, the \
+             resolution and lemma-hit counters, and the answer count.")
     Term.(const run $ until_arg $ atom_arg)
 
 (* export / import ----------------------------------------------------------- *)
@@ -415,12 +385,6 @@ let stats_cmd =
        Format.printf "unmapped:        %s@."
          (String.concat ", "
             (List.map Sym.name (Gkbms.Navigation.unmapped_objects repo)));
-       (* the planner's statistics; the first read builds them *)
-       Format.printf "planner rows:    %s@."
-         (String.concat ", "
-            (List.map
-               (fun (p, n) -> Printf.sprintf "%s %d" (Sym.name p) n)
-               (Planner.Stats.preds (Cml.Kb.planner_stats (Repo.kb repo)))));
        let samples = Obs.Registry.snapshot Obs.Registry.default in
        if metrics then
          Format.printf "-- registry --@.%a@." Obs.Export.pp_samples samples;

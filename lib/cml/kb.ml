@@ -36,9 +36,6 @@ type t = {
   constraint_defs : Formula.t Symbol.Tbl.t;  (** constraint object -> formula *)
   mutable behaviour_defs : (Symbol.t * string * (t -> Prop.id -> unit)) list;
   cache : cache;
-  pstats_m : Mutex.t;
-  mutable pstats : Planner.Stats.t option;
-      (** planner statistics: built on first read, fed off [on_change] *)
 }
 
 let base t = t.base
@@ -572,62 +569,39 @@ let datalog t =
     (List.rev t.rules);
   d
 
-(* The extensional tuples one proposition contributes to the deductive
-   view — must mirror the external enumerations registered by [datalog]
-   exactly ([prop/4] for every proposition, [instanceof/2]/[isa/2] by
-   label, [attr/3] for non-individual non-reserved links), so the
-   planner statistics agree with what rule bodies actually see. *)
-let planner_pred_prop = Symbol.intern "prop"
-let planner_pred_instanceof = Symbol.intern "instanceof"
-let planner_pred_isa = Symbol.intern "isa"
-let planner_pred_attr = Symbol.intern "attr"
+(* [derive] and [explain] share one run: a fresh tabled prover over the
+   deductive view, evaluated once.  Nothing it builds outlives the call. *)
+let prove t goal =
+  let p = Prover.make (datalog t) in
+  (p, Prover.solve p [ goal ])
 
-let planner_tuples (p : Prop.t) =
-  let s = Term.symbol in
-  let base =
-    [ (planner_pred_prop, [| s p.id; s p.source; s p.label; s p.dest |]) ]
+let derive t goal = Ok (snd (prove t goal))
+
+(* The subgoal lines are sorted: the lemma table iterates in hash order,
+   which the interning order of the symbols sets. *)
+let explain t goal =
+  let p, answers = prove t goal in
+  let count n what =
+    Printf.sprintf "%d %s%s" n what (if n = 1 then "" else "s")
   in
-  let individual =
-    Symbol.equal p.source p.id && Symbol.equal p.dest p.id
-    && Symbol.equal p.label p.id
+  let subgoals =
+    List.sort String.compare
+      (List.map
+         (fun (g, n) ->
+           Format.asprintf "  %a: %s" Term.pp_atom g (count n "answer"))
+         (Prover.subgoals p))
   in
-  if Symbol.equal p.label Axioms.instanceof then
-    (planner_pred_instanceof, [| s p.source; s p.dest |]) :: base
-  else if Symbol.equal p.label Axioms.isa then
-    (planner_pred_isa, [| s p.source; s p.dest |]) :: base
-  else if (not individual) && not (Axioms.is_reserved_label p.label) then
-    (planner_pred_attr, [| s p.source; s p.label; s p.dest |]) :: base
-  else base
-
-(* The statistics serve [explain] and the CLI [stats] only, so no write
-   pays for them before their first read: that read scans the base once
-   and subscribes to its change feed, which keeps them exact from then
-   on.  The scan must not race a writer, and no caller lets one run:
-   readers hold the scheduler's shared lock, and a follower applies
-   frames under [Daemon.exclusive].  [pstats_m] orders readers racing
-   each other on a pool. *)
-let planner_stats t =
-  Mutex.protect t.pstats_m @@ fun () ->
-  match t.pstats with
-  | Some s -> s
-  | None ->
-    let s = Planner.Stats.create () in
-    (* a proposition id is unique in the base *)
-    Planner.Stats.declare_key s planner_pred_prop 0;
-    Base.iter t.base (fun p ->
-        List.iter
-          (fun (pred, args) -> Planner.Stats.observe_add s pred args)
-          (planner_tuples p));
-    ignore
-      (Planner.Stats.attach_base s t.base ~tuples_of:planner_tuples
-        : Base.subscription);
-    t.pstats <- Some s;
-    s
-
-let derive t goal =
-  Ok (Prover.solve (Prover.make ~tabling:true (datalog t)) [ goal ])
-
-let explain t goal = Planner.explain ~stats:(planner_stats t) (datalog t) goal
+  let stats = Prover.stats p in
+  Ok
+    (String.concat "\n"
+       (Format.asprintf "query: %a" Term.pp_atom goal
+        :: Printf.sprintf "engine: tabled prover, %s"
+             (count (List.length subgoals) "subgoal")
+        :: subgoals
+       @ [ Printf.sprintf "resolutions: %d" stats.Prover.resolutions;
+           Printf.sprintf "lemma hits: %d" stats.Prover.lemma_hits;
+           Printf.sprintf "answers: %d" (List.length answers);
+           "" ]))
 
 let enum_holds t (a : Term.atom) =
   match Array.to_list a.args with
@@ -704,8 +678,6 @@ let create () =
           misses = 0;
           invalidations = 0;
         };
-      pstats_m = Mutex.create ();
-      pstats = None;
     }
   in
   (* keep the closure caches consistent with every base change,

@@ -5,9 +5,9 @@
     propositions with instantiation into attribute categories), deduction
     (Horn rules), constraints (first-order formulas on class instances)
     and behaviours (operations attached to classes).  Exposes explicit,
-    inherited and deduced propositions, and the deductive-database view:
-    {!derive} answers over it with the tabled prover, {!explain} through
-    the cost-based planner. *)
+    inherited and deduced propositions, and the deductive-database view,
+    which {!derive} queries and {!explain} reports on, both through the
+    tabled prover. *)
 
 open Kernel
 
@@ -145,23 +145,18 @@ val datalog : t -> Logic.Datalog.t
 
 val derive : t -> Logic.Term.atom -> (Logic.Term.Subst.t list, string) result
 (** Query the deductive view with a fresh tabled top-down prover (the
-    paper's Horn-clause prover with lemma generation).  This is the
-    only [derive] route; the planner serves {!explain}. *)
+    paper's Horn-clause prover with negation and lemma generation), the
+    KB's one deductive engine.  Never fails: the result type is kept
+    for the callers that render errors. *)
 
 val explain : t -> Logic.Term.atom -> (string, string) result
-(** Render the planner's chosen plan for a goal (strategy, adornments,
-    per-literal estimates, estimated vs. actual cardinalities) and
-    evaluate it.  Its answer set is the one {!derive} returns. *)
-
-val planner_stats : t -> Planner.Stats.t
-(** The planner's statistics over this KB.  The first call builds them
-    with one scan of the base (O(base), ~0.6 s at 290k propositions)
-    and subscribes them to the change feed, which keeps them exact from
-    then on; until that call no write pays for them and the registry
-    holds no [gkbms_datalog_pred_rows] gauge for this KB.  {!explain}
-    and the CLI [stats] call it.  No other thread may write the base
-    during the first call: a reader under the scheduler's shared lock
-    guarantees that. *)
+(** Run the goal as {!derive} does and render what the prover did: one
+    line per tabled subgoal in canonical form with its answer count,
+    sorted by printed form, then the resolution and lemma-hit counters
+    and the answer count.  The counters depend on the lemma table's
+    iteration order, so the same goal may report different counts in
+    different processes; the subgoals and answers do not vary.  Keeps
+    nothing after the call. *)
 
 val formula_env : t -> Logic.Formula.env
 (** Environment for constraint evaluation: [instances_of] quantifies over

@@ -48,7 +48,8 @@ deps [OBJECT]              dependency graph (ASCII)
 config [LEVEL]             DBPL configuration; LEVEL sets the session's level
 check                      consistency + methodology + support audit
 ask FORMULA                evaluate a closed assertion
-derive ATOM                query the deductive view
+derive ATOM                query the deductive view (answers sorted)
+explain ATOM               what the tabled prover did for the goal
 save FILE / load FILE      snapshot the repository (load refused when shared)
 v} *)
 

@@ -247,34 +247,6 @@ let copy t =
     pub = fresh_counters ();
   }
 
-(* A cheap evaluation view: shares the extensional tables and external
-   relations of [t] physically (no tuple copy — at 1M facts [copy] is
-   the dominant cost of spinning up a throwaway engine) but starts with
-   no rules and an empty materialization.  The planner installs a
-   rewritten program into the view and solves it without disturbing the
-   parent.  The view must treat the shared tables as read-only: calling
-   [add_fact]/[remove_fact]/[add_facts] on a view would mutate the
-   parent's extensional state. *)
-let derive_view t =
-  {
-    facts = t.facts;
-    externals = t.externals;
-    rules = [];
-    derived = Symbol.Tbl.create 64;
-    solved = false;
-    idb_cache = None;
-    nonmonotone_cache = None;
-    strata_cache = None;
-    counters = fresh_counters ();
-    pub = fresh_counters ();
-  }
-
-let fact_preds t =
-  Symbol.Tbl.fold
-    (fun p rel acc -> if Relation.cardinal rel > 0 then p :: acc else acc)
-    t.facts []
-  |> List.sort Symbol.compare
-
 let fact_count t p =
   match Symbol.Tbl.find_opt t.facts p with
   | Some r -> Relation.cardinal r
@@ -299,8 +271,6 @@ let idb_preds t =
     in
     t.idb_cache <- Some s;
     s
-
-let is_idb t p = Symbol.Set.mem p (idb_preds t)
 
 (* Incremental maintenance is only attempted for monotone programs:
    a negated literal makes insertions able to retract derived tuples

@@ -1,11 +1,16 @@
 (** Deductive database engine: stratified Datalog with negation,
-    comparisons, and pluggable extensional relations.
+    comparisons, and pluggable extensional relations, evaluated
+    bottom-up.
 
     The object processor "understands the knowledge base as a deductive
     relational database"; this module is that view.  Extensional
     predicates may be backed by explicit facts or by external relations —
-    in the GKBMS the proposition base registers [prop/5], [instanceof/2]
-    etc. as externals so rules deduce directly over stored propositions. *)
+    in the GKBMS the proposition base registers [prop/4], [instanceof/2]
+    etc. as externals so rules deduce directly over stored propositions.
+    The KB's queries ([Cml.Kb.derive], [Cml.Kb.explain]) run top-down
+    on {!Prover} over a program held here; the bottom-up {!solve} and
+    its incremental maintenance are the reference the prover is tested
+    against. *)
 
 open Kernel
 
@@ -15,18 +20,6 @@ type strategy = [ `Naive | `Seminaive ]
 
 val create : unit -> t
 val copy : t -> t
-
-val derive_view : t -> t
-(** A throwaway evaluation view over [t]'s extensional state: shares the
-    stored fact tables and external relations physically (no copy) but
-    has no rules and an empty materialization.  Install a (rewritten)
-    program with {!add_clause} and {!solve} it without touching the
-    parent.  The shared tables are read-only through the view: never
-    call {!add_fact}/{!add_facts}/{!remove_fact} on a view. *)
-
-val fact_preds : t -> Symbol.t list
-(** Predicates with at least one explicitly stored fact (sorted; does
-    not include external relations). *)
 
 val fact_count : t -> Symbol.t -> int
 (** Number of explicitly stored facts of a predicate (0 for externals
@@ -61,7 +54,6 @@ val register_external : t -> Symbol.t -> (Term.t list -> Term.t list list) -> un
     it extensional. *)
 
 val clauses : t -> Term.clause list
-val is_idb : t -> Symbol.t -> bool
 
 val stratify : t -> (Symbol.t list list, string) result
 (** Strata of intensional predicates, lowest first.  [Error] if a

@@ -11,8 +11,6 @@ end)
 
 type t = {
   program : Datalog.t;
-  tabling : bool;
-  max_depth : int;
   idb : Symbol.Set.t;
   (* lemma table: canonical subgoal -> ground answer tuples *)
   table : (Term.t array, unit) Hashtbl.t Atom_tbl.t;
@@ -25,7 +23,7 @@ type t = {
 
 let g_resolutions =
   Obs.Registry.counter Obs.Registry.default "gkbms_prover_resolutions_total"
-    ~help:"SLD / tabled resolution steps"
+    ~help:"Tabled resolution steps"
 
 let g_lemma_hits =
   Obs.Registry.counter Obs.Registry.default "gkbms_prover_lemma_hits_total"
@@ -44,7 +42,7 @@ let publish t =
   t.pub.resolutions <- t.stats.resolutions;
   t.pub.lemma_hits <- t.stats.lemma_hits
 
-let make ?(tabling = true) ?(max_depth = 512) program =
+let make program =
   let idb =
     List.fold_left
       (fun acc (c : Term.clause) -> Symbol.Set.add c.head.pred acc)
@@ -52,8 +50,6 @@ let make ?(tabling = true) ?(max_depth = 512) program =
   in
   {
     program;
-    tabling;
-    max_depth;
     idb;
     table = Atom_tbl.create 256;
     active = Atom_tbl.create 256;
@@ -81,6 +77,9 @@ let copy t =
   }
 
 let lemma_count t = Atom_tbl.length t.table
+
+let subgoals t =
+  Atom_tbl.fold (fun g set acc -> (g, Hashtbl.length set) :: acc) t.table []
 
 let clear_lemmas t =
   Atom_tbl.reset t.table;
@@ -242,60 +241,12 @@ and ground_holds_tabled t (a : Term.atom) =
     (* run the negated subgoal to completion in an isolated sub-prover:
        stratification guarantees it does not depend on the goals still
        in flight in [t], so its fixpoint is final *)
-    let sub = make ~tabling:true ~max_depth:t.max_depth t.program in
+    let sub = make t.program in
     let answers = tabled_answers sub a in
     t.stats.resolutions <- t.stats.resolutions + sub.stats.resolutions;
     List.exists (fun tup -> tup = a.args) answers
   end
   else Datalog.match_atom t.program a Term.Subst.empty <> []
-
-(* ------------------------------------------------------------------ *)
-(* Plain SLD                                                           *)
-(* ------------------------------------------------------------------ *)
-
-exception Depth_exceeded
-
-let rec sld t depth subst (goals : Term.literal list) k =
-  if depth > t.max_depth then raise Depth_exceeded;
-  match goals with
-  | [] -> k subst
-  | Term.Pos a :: rest ->
-    let inst = Term.Subst.apply_atom subst a in
-    (* stored facts *)
-    List.iter
-      (fun subst' -> sld t (depth + 1) subst' rest k)
-      (Datalog.match_atom t.program inst subst);
-    (* rules *)
-    if is_idb t inst.pred then
-      List.iter
-        (fun (c : Term.clause) ->
-          t.fresh <- t.fresh + 1;
-          let c = Term.rename_clause t.fresh c in
-          match Term.unify_atoms c.head inst subst with
-          | None -> ()
-          | Some subst' ->
-            t.stats.resolutions <- t.stats.resolutions + 1;
-            sld t (depth + 1) subst' (c.body @ rest) k)
-        (clauses_for t inst.pred)
-  | Term.Neg a :: rest ->
-    let inst = Term.Subst.apply_atom subst a in
-    if Term.atom_ground inst then begin
-      let found = ref false in
-      (try sld t (depth + 1) subst [ Term.Pos inst ] (fun _ -> found := true; raise Exit)
-       with Exit -> ());
-      if not !found then sld t (depth + 1) subst rest k
-    end
-    else if rest = [] then () (* floundering: unresolvable non-ground negation *)
-    else sld t depth subst (rest @ [ Term.Neg a ]) k
-  | Term.Cmp (op, l, r) :: rest -> (
-    match
-      Term.eval_cmp op (Term.Subst.apply subst l) (Term.Subst.apply subst r)
-    with
-    | Some true -> sld t depth subst rest k
-    | Some false -> ()
-    | None ->
-      if rest = [] then ()
-      else sld t depth subst (rest @ [ Term.Cmp (op, l, r) ]) k)
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
@@ -362,18 +313,7 @@ let solve_tabled t goal_atoms =
   go [ Term.Subst.empty ] goal_atoms
 
 let solve t goal_atoms =
-  let raw =
-    if t.tabling then solve_tabled t goal_atoms
-    else begin
-      let acc = ref [] in
-      (try
-         sld t 0 Term.Subst.empty
-           (List.map (fun a -> Term.Pos a) goal_atoms)
-           (fun subst -> acc := subst :: !acc)
-       with Depth_exceeded -> ());
-      !acc
-    end
-  in
+  let raw = solve_tabled t goal_atoms in
   let r = dedup_substs (List.map (restrict_to_goal_vars goal_atoms) raw) in
   publish t;
   r

@@ -41,7 +41,7 @@ let test_tabled_negation () =
        (T.clause (T.atom "leaf" [ v "X" ])
           [ T.Pos (T.atom "par" [ v "Y"; v "X" ]);
             T.Neg (T.atom "has_child" [ v "X" ]) ]));
-  let p = Logic.Prover.make ~tabling:true d in
+  let p = Logic.Prover.make d in
   let leaves =
     List.sort_uniq compare
       (List.map
@@ -59,7 +59,7 @@ let test_prover_stats_accumulate () =
     (Logic.Datalog.add_clause d
        (T.clause (T.atom "r" [ v "X"; v "Y" ])
           [ T.Pos (T.atom "e" [ v "X"; v "Y" ]) ]));
-  let p = Logic.Prover.make ~tabling:true d in
+  let p = Logic.Prover.make d in
   ignore (Logic.Prover.solve p [ T.atom "r" [ v "X"; v "Y" ] ]);
   let stats = Logic.Prover.stats p in
   check bool "resolutions counted" true (stats.Logic.Prover.resolutions > 0);

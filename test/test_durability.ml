@@ -954,31 +954,10 @@ let test_checkpoint_size () =
       text_bytes
 
 (* The side tables Kb keeps next to the store must not cost a table
-   entry per proposition: the statistics keep no table for the unique
-   [prop/4] id column and count unboxed int keys, and the closure memos
-   hold class-level entries only. *)
+   entry per proposition: the closure memos hold class-level entries
+   only. *)
 let test_side_tables_per_prop () =
   let kb = Repo.kb (edited_repo ()) in
-  let props = Store.Base.cardinal (Cml.Kb.base kb) in
-  (* no write feeds the statistics before their first read: that read
-     builds them, adding their ~7.7 words per proposition to the KB *)
-  let kb_words = Obj.reachable_words (Obj.repr kb) in
-  let stats = Cml.Kb.planner_stats kb in
-  let added =
-    float_of_int (Obj.reachable_words (Obj.repr kb) - kb_words)
-    /. float_of_int props
-  in
-  if added < 5. then
-    Alcotest.failf "the first statistics read added %.1f words per proposition"
-      added;
-  (* ~7.7 words per proposition: ~1.6 counted values, each a 4-word
-     bucket cell plus its share of the bucket array.  A boxed key costs
-     2 words more per value (~10.9), a table for the id column one more
-     value per proposition (~12.3). *)
-  let words = Obj.reachable_words (Obj.repr stats) in
-  let per_prop = float_of_int words /. float_of_int props in
-  if per_prop > 9.5 then
-    Alcotest.failf "planner statistics hold %.1f words per proposition" per_prop;
   let classes =
     Store.Base.fold (Cml.Kb.base kb)
       (fun acc (p : Prop.t) ->
@@ -993,11 +972,10 @@ let test_side_tables_per_prop () =
     Alcotest.failf "closure memos hold %d entries for %d classes" entries
       (Symbol.Set.cardinal classes)
 
-(* A write pays for no absent reader: with no class constraint in the KB
-   and no planner read, an edit allocates ~7.5k
-   minor words.  Feeding planner statistics on every write and
-   classifying every endpoint of the delta to find class constraints
-   took ~14.3k. *)
+(* A write pays for no absent reader: with no class constraint in the
+   KB, an edit allocates ~7.5k minor words.  Feeding the (since
+   deleted) query-planner statistics on every write and classifying
+   every endpoint of the delta to find class constraints took ~14.3k. *)
 let test_edit_allocation () =
   let repo, sh = documents_repo () in
   for i = 0 to 511 do

@@ -714,6 +714,126 @@ let test_jtms_assumption_defeat () =
   check bool "minutes mapping IN" true
     (J.is_in j (node (Symbol.name (Option.get st.Scn.minutes_dec))))
 
+(* deductive view: derive and explain ------------------------------------ *)
+
+module T = Logic.Term
+
+let canon substs =
+  List.sort_uniq String.compare (List.map (Format.asprintf "%a" T.Subst.pp) substs)
+
+let small_kb () =
+  let kb = Cml.Kb.create () in
+  List.iter
+    (fun n -> ignore (ok (Cml.Kb.declare kb n)))
+    [ "Doc"; "Report"; "Paper"; "r1"; "p1" ];
+  ignore (ok (Cml.Kb.add_isa kb ~sub:"Report" ~super:"Doc"));
+  ignore (ok (Cml.Kb.add_isa kb ~sub:"Paper" ~super:"Doc"));
+  ignore (ok (Cml.Kb.add_instanceof kb ~inst:"r1" ~cls:"Report"));
+  ignore (ok (Cml.Kb.add_instanceof kb ~inst:"p1" ~cls:"Paper"));
+  kb
+
+(* [Kb.derive] runs the tabled prover top-down; a bottom-up
+   materialisation of the same view ([Kb.datalog]) must answer the same
+   substitution set.  Inputs: the small KB above, and the §2.1 scenario
+   after the key decision plus one manual edit per design object,
+   queried with the browse mix's two forms on every design object and
+   with two open goals. *)
+let test_kb_derive_equal () =
+  let same kb goal =
+    let derived = canon (ok (Cml.Kb.derive kb goal)) in
+    let materialised = canon (ok (Logic.Datalog.query (Cml.Kb.datalog kb) goal)) in
+    check (Alcotest.list Alcotest.string)
+      (Format.asprintf "%a" T.pp_atom goal)
+      materialised derived;
+    derived
+  in
+  let kb = small_kb () in
+  List.iter
+    (fun goal -> ignore (same kb goal))
+    [
+      T.atom "in" [ T.var "X"; T.sym "Doc" ];
+      T.atom "isa_tc" [ T.var "X"; T.var "Y" ];
+      T.atom "instanceof" [ T.sym "p1"; T.var "C" ];
+    ];
+  check bool "r1 is in Report and Doc" true
+    (List.length (same kb (T.atom "in" [ T.sym "r1"; T.var "C" ])) >= 2);
+  let st = ok (Scn.setup ()) in
+  ignore (ok (Scn.map_move_down st));
+  ignore (ok (Scn.normalize_invitations st));
+  ignore (ok (Scn.substitute_key st));
+  let repo = st.Scn.repo in
+  let objects = Repo.all_design_objects repo in
+  let sh = Gkbms.Shell.session repo in
+  List.iter
+    (fun o ->
+      ignore
+        (Gkbms.Shell.eval sh
+           (Printf.sprintf "run DecManualEdit Editor object=%s text=e" (Symbol.name o))))
+    objects;
+  let kb = Repo.kb repo in
+  let edited = ref 0 in
+  List.iter
+    (fun o ->
+      let x = T.symbol o in
+      check bool "classified" true (same kb (T.atom "in" [ x; T.var "C" ]) <> []);
+      if same kb (T.atom "attr" [ T.var "D"; T.sym "edited"; x ]) <> [] then incr edited)
+    (Repo.all_design_objects repo);
+  check bool "edits answer attr(?D,edited,X)" true (!edited >= List.length objects);
+  check bool "DBPL objects" true
+    (same kb (T.atom "in" [ T.var "X"; T.sym "DBPL_Object" ]) <> []);
+  check bool "isa closure" true (same kb (T.atom "isa_tc" [ T.var "X"; T.var "Y" ]) <> [])
+
+let in_invitation_rel = T.atom "in" [ T.sym "InvitationRel"; T.var "C" ]
+
+(* [explain] renders the prover's run.  Every line is pinned except the
+   resolution and lemma-hit counters: they follow the lemma table's
+   iteration order, which the process's interning order sets, so they
+   must only be positive, and the registry must have published exactly
+   the resolutions the report counts. *)
+let test_kb_explain_pinned () =
+  let st, _report = ok (Scn.run_all ()) in
+  let resolutions () =
+    match Obs.Registry.find Obs.Registry.default "gkbms_prover_resolutions_total" with
+    | Some { Obs.Registry.value = Obs.Registry.Counter_v n; _ } -> n
+    | _ -> 0
+  in
+  let before = resolutions () in
+  let report = ok (Cml.Kb.explain (Repo.kb st.Scn.repo) in_invitation_rel) in
+  let published = resolutions () - before in
+  let mask line =
+    match String.index_opt line ':' with
+    | Some i when List.mem (String.sub line 0 i) [ "resolutions"; "lemma hits" ] ->
+      let n = int_of_string (String.trim (String.sub line (i + 1) (String.length line - i - 1))) in
+      check bool (line ^ " > 0") true (n > 0);
+      if String.sub line 0 i = "resolutions" then
+        check int "resolutions published" n published;
+      String.sub line 0 i ^ ": N"
+    | _ -> line
+  in
+  check (Alcotest.list Alcotest.string) "explain in(InvitationRel, ?C)"
+    [
+      "query: in(InvitationRel, ?C)";
+      "engine: tabled prover, 3 subgoals";
+      "  in(InvitationRel, ?V0): 2 answers";
+      "  isa_tc(DBPL_Object, ?V0): 0 answers";
+      "  isa_tc(DBPL_Rel, ?V0): 1 answer";
+      "resolutions: N";
+      "lemma hits: N";
+      "answers: 2";
+      "";
+    ]
+    (List.map mask (String.split_on_char '\n' report))
+
+(* Nothing [explain] builds outlives the call: the KB reaches as many
+   words after it as before. *)
+let test_kb_explain_no_side_table () =
+  let st, _report = ok (Scn.run_all ()) in
+  let kb = Repo.kb st.Scn.repo in
+  let words () = Obj.reachable_words (Obj.repr kb) in
+  let before = words () in
+  ignore (ok (Cml.Kb.explain kb in_invitation_rel));
+  check int "reachable words" before (words ())
+
 let suite =
   [
     ("metamodel installed", `Quick, test_metamodel_installed);
@@ -758,4 +878,7 @@ let suite =
     ("explain decision", `Quick, test_explain_decision);
     ("jtms mirrors decisions", `Quick, test_jtms_mirrors_decisions);
     ("jtms assumption defeat", `Quick, test_jtms_assumption_defeat);
+    ("kb: derive ≡ bottom-up materialisation", `Quick, test_kb_derive_equal);
+    ("kb: explain output pinned", `Quick, test_kb_explain_pinned);
+    ("explain keeps no side table", `Quick, test_kb_explain_no_side_table);
   ]

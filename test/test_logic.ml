@@ -231,22 +231,23 @@ let test_datalog_invalidate () =
 
 let test_prover_tabled_recursive () =
   let d = family () in
-  let p = Prover.make ~tabling:true d in
+  let p = Prover.make d in
   let substs = Prover.solve p [ T.atom "anc" [ s "tom"; v "Y" ] ] in
   check int "tom's descendants" 4 (List.length substs);
   check bool "lemmas generated" true (Prover.lemma_count p > 0)
 
+(* "sld" in the names below: tabled evaluation is SLD resolution with
+   lemma tables (OLDT). *)
 let test_prover_sld_nonrecursive () =
   let d = family () in
-  let p = Prover.make ~tabling:false d in
+  let p = Prover.make d in
   check bool "ground proof" true (Prover.prove p [ T.atom "par" [ s "tom"; s "bob" ] ]);
   check bool "ground disproof" false
     (Prover.prove p [ T.atom "par" [ s "bob"; s "tom" ] ])
 
 let test_prover_sld_recursive_rightrec () =
-  (* right-recursive ancestor terminates under plain SLD *)
   let d = family () in
-  let p = Prover.make ~tabling:false ~max_depth:64 d in
+  let p = Prover.make d in
   check bool "anc(tom, joe)" true (Prover.prove p [ T.atom "anc" [ s "tom"; s "joe" ] ]);
   check bool "anc(joe, tom) fails" false
     (Prover.prove p [ T.atom "anc" [ s "joe"; s "tom" ] ])
@@ -266,13 +267,13 @@ let test_prover_left_recursive_tabling () =
     (Datalog.add_clause d
        (T.clause (T.atom "path" [ v "X"; v "Y" ])
           [ T.Pos (T.atom "edge" [ v "X"; v "Y" ]) ]));
-  let p = Prover.make ~tabling:true d in
+  let p = Prover.make d in
   let substs = Prover.solve p [ T.atom "path" [ s "a"; v "Y" ] ] in
   check int "paths from a" 3 (List.length substs)
 
 let test_prover_conjunction () =
   let d = family () in
-  let p = Prover.make ~tabling:true d in
+  let p = Prover.make d in
   let substs =
     Prover.solve p
       [ T.atom "anc" [ s "tom"; v "M" ]; T.atom "par" [ v "M"; s "joe" ] ]
@@ -290,7 +291,7 @@ let test_prover_negation_sld () =
     (Datalog.add_clause d
        (T.clause (T.atom "has_child" [ v "X" ])
           [ T.Pos (T.atom "par" [ v "X"; v "Y" ]) ]));
-  let p = Prover.make ~tabling:false d in
+  let p = Prover.make d in
   let goal_ok =
     Prover.solve p [ T.atom "par" [ v "G"; s "joe" ] ]
   in
@@ -330,7 +331,7 @@ let test_prover_agreement_with_datalog =
                substs)
         | Error _ -> []
       in
-      let p = Prover.make ~tabling:true d in
+      let p = Prover.make d in
       let top_down =
         List.sort_uniq compare
           (List.map
@@ -340,6 +341,76 @@ let test_prover_agreement_with_datalog =
              (Prover.solve p [ T.atom "r" [ v "X"; v "Y" ] ]))
       in
       bottom_up = top_down)
+
+(* The tabled prover against bottom-up evaluation on random stratified
+   programs: recursion ([path]), a comparison ([ord]) and negation
+   ([unreach]) over random edges, with bound and free goals.  The
+   bottom-up reference runs sequentially and on a 4-domain pool. *)
+let node i = Printf.sprintf "q%d" i
+
+let build_program edges nodes =
+  let d = Datalog.create () in
+  List.iter
+    (fun (i, j) -> ok (Datalog.add_fact d (T.atom "edge" [ s (node i); s (node j) ])))
+    edges;
+  List.iter (fun i -> ok (Datalog.add_fact d (T.atom "node" [ s (node i) ]))) nodes;
+  List.iter
+    (fun c -> ok (Datalog.add_clause d c))
+    [
+      T.clause (T.atom "path" [ v "X"; v "Y" ])
+        [ T.Pos (T.atom "edge" [ v "X"; v "Y" ]) ];
+      T.clause (T.atom "path" [ v "X"; v "Y" ])
+        [ T.Pos (T.atom "edge" [ v "X"; v "Z" ]);
+          T.Pos (T.atom "path" [ v "Z"; v "Y" ]) ];
+      T.clause (T.atom "ord" [ v "X"; v "Y" ])
+        [ T.Pos (T.atom "path" [ v "X"; v "Y" ]); T.Cmp (T.Lt, v "X", v "Y") ];
+      T.clause (T.atom "unreach" [ v "X"; v "Y" ])
+        [ T.Pos (T.atom "node" [ v "X" ]); T.Pos (T.atom "node" [ v "Y" ]);
+          T.Neg (T.atom "path" [ v "X"; v "Y" ]) ];
+    ];
+  d
+
+let goal_gen =
+  QCheck.Gen.(
+    let* pred = oneofl [ "edge"; "path"; "ord"; "unreach"; "node" ] in
+    let arity = if pred = "node" then 1 else 2 in
+    let* args =
+      list_repeat arity
+        (oneof [ map (fun i -> `Const i) (int_range 0 7); oneofl [ `Var "A"; `Var "B" ] ])
+    in
+    return (pred, args))
+
+let arbitrary_program =
+  QCheck.make
+    ~print:(fun (edges, nodes, (pred, args)) ->
+      Printf.sprintf "edges=%s nodes=%s goal=%s(%s)"
+        (String.concat "," (List.map (fun (i, j) -> Printf.sprintf "%d-%d" i j) edges))
+        (String.concat "," (List.map string_of_int nodes))
+        pred
+        (String.concat ","
+           (List.map (function `Const i -> node i | `Var w -> "?" ^ w) args)))
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 20) (pair (int_range 0 7) (int_range 0 7)))
+        (list_size (int_range 0 6) (int_range 0 7))
+        goal_gen)
+
+let pool4 = lazy (Par.Pool.create ~domains:4)
+
+let test_prover_differential =
+  QCheck.Test.make ~name:"tabled prover ≡ bottom-up on random stratified programs"
+    ~count:200 arbitrary_program
+    (fun (edges, nodes, (pred, args)) ->
+      let goal =
+        T.atom pred (List.map (function `Const i -> s (node i) | `Var w -> v w) args)
+      in
+      let canon substs =
+        List.sort_uniq String.compare (List.map (Format.asprintf "%a" T.Subst.pp) substs)
+      in
+      let proved = canon (Prover.solve (Prover.make (build_program edges nodes)) [ goal ]) in
+      List.for_all
+        (fun pool -> canon (ok (Datalog.query ?pool (build_program edges nodes) goal)) = proved)
+        [ None; Some (Lazy.force pool4) ])
 
 (* Formulas --------------------------------------------------------------- *)
 
@@ -443,6 +514,7 @@ let suite =
     ("prover conjunction", `Quick, test_prover_conjunction);
     ("prover negation (sld)", `Quick, test_prover_negation_sld);
     QCheck_alcotest.to_alcotest test_prover_agreement_with_datalog;
+    QCheck_alcotest.to_alcotest test_prover_differential;
     ("formula eval", `Quick, test_formula_eval);
     ("formula connectives", `Quick, test_formula_connectives);
     ("formula non-ground error", `Quick, test_formula_non_ground_error);
