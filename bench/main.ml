@@ -511,6 +511,29 @@ let shape_e18_server () =
     mixed_clients m (hit_rate daemon);
   metric_f "e18_mixed_ops_per_s" m;
   metric_f "e18_mixed_hit_rate" (hit_rate daemon)
+
+(* Allocation growth: each browsing verb on a fixed target at H = 512
+   and 4H = 2,048 tip-edited decisions (the harness and its gates live
+   in bench/scaling; test/test_scaling.ml applies the gates under dune
+   runtest). *)
+let shape_scaling () =
+  section "scaling: words per call at H and 4H decisions";
+  Printf.printf "%-8s %12s %12s %7s  gate\n" "op" "words@H" "words@4H" "4H/H";
+  let rows = Scaling.run () in
+  metric_i "scaling_h" Scaling.h;
+  List.iter
+    (fun (r : Scaling.row) ->
+      Format.printf "%a@." Scaling.pp_row r;
+      metric_f ("scaling_" ^ r.op ^ "_words_h") r.words_h;
+      metric_f ("scaling_" ^ r.op ^ "_words_4h") r.words_4h;
+      metric_f ("scaling_" ^ r.op ^ "_ratio") (Scaling.ratio r);
+      Option.iter (metric_f ("scaling_" ^ r.op ^ "_bound")) r.bound)
+    rows;
+  let failed = List.filter (fun r -> not (Scaling.passes r)) rows in
+  if failed <> [] then
+    Printf.printf "gates failed: %s\n"
+      (String.concat ", " (List.map (fun (r : Scaling.row) -> r.op) failed))
+
 (* E25: group commit + pipelining.  The write path of E18 pays one
    client round trip per decision and — with a WAL in fsync mode — one
    disk sync per decision.  Group commit amortizes the sync across every
@@ -1456,7 +1479,8 @@ let run_benches () =
         merged)
     (List.rev !tests)
 
-let modes = [ "shapes"; "server"; "obs"; "par"; "repl"; "bound"; "trace"; "group" ]
+let modes =
+  [ "shapes"; "server"; "obs"; "par"; "repl"; "bound"; "trace"; "group"; "scaling" ]
 
 let usage () =
   Printf.eprintf
@@ -1482,6 +1506,7 @@ let () =
   let bound_only = List.mem "bound" args in
   let trace_only = List.mem "trace" args in
   let group_only = List.mem "group" args in
+  let scaling_only = List.mem "scaling" args in
   let json_path =
     let rec find = function
       | "--json" :: path :: _ -> Some path
@@ -1497,6 +1522,7 @@ let () =
   else if bound_only then shape_e23_bound ()
   else if trace_only then shape_e24_tracing ()
   else if group_only then shape_e25_group_commit ()
+  else if scaling_only then shape_scaling ()
   else begin
     shape_e1_menu ();
     shape_e2_mapping_strategies ();

@@ -1,0 +1,162 @@
+(* Allocation growth with the length of the history.
+
+   Each operation runs on a fixed target in two tip-edited histories,
+   of H and 4H decisions, and is charged the words it allocates (minor
+   plus those allocated directly in the major heap; the median of five
+   calls after a warm-up).  Allocation is deterministic for one build,
+   so the ratio of the two counts shows history-proportional work
+   where wall time on a shared host cannot: an operation that costs
+   its neighbourhood reads about 1, one that walks the history about
+   4.
+
+   The histories edit each document's tip, as gkbench's set-up does:
+   H / 2 documents with two successive versions each, plus the fixed
+   target, a document with three versions. *)
+
+module Repo = Gkbms.Repository
+module Shell = Gkbms.Shell
+
+type row = {
+  op : string;
+  words_h : float;
+  words_4h : float;
+  bound : float option;  (** the gate on [words_4h /. words_h], if any *)
+}
+
+let ratio r = r.words_4h /. r.words_h
+let passes r = match r.bound with Some b -> ratio r <= b | None -> true
+
+(* The verbs whose answer is the target's neighbourhood are gated at
+   1.5; [stats] and [config] count or list a whole level, so they are
+   allowed linear growth (1.5 × 4).  [edit] and [retract] are reported
+   only: a retraction still relabels the whole reason-maintenance
+   network. *)
+let neighbourhood = 1.5
+let whole_level = 1.5 *. 4.
+
+(* the smaller history; the larger is 4H *)
+let h = 512
+
+let target = "ScalingTarget"
+
+(* [Gc.counters]'s minor count (OCaml 5.1) omits the words allocated
+   since the last minor collection, so minor words come from
+   [Gc.minor_words]; its major count, less what was promoted, is what
+   was allocated in the major heap directly. *)
+let words f =
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let _, promoted1, major1 = Gc.counters () in
+  Gc.minor_words () -. minor0 +. (major1 -. major0 -. (promoted1 -. promoted0))
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* one warm-up, then the median of five *)
+let median_words f =
+  ignore (f ());
+  median (List.init 5 (fun _ -> words f))
+
+let fail fmt = Printf.ksprintf failwith fmt
+
+let new_doc repo name =
+  match
+    Repo.new_object repo ~name ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0")
+  with
+  | Ok _ -> ()
+  | Error e -> fail "scaling: new document %s: %s" name e
+
+(* edit [obj] and return the new tip *)
+let edit sh obj text =
+  let out =
+    Shell.eval sh (Printf.sprintf "run DecManualEdit Editor object=%s text=%s" obj text)
+  in
+  match String.rindex_opt out '>' with
+  | Some i when String.starts_with ~prefix:"run executed" out ->
+    String.trim (String.sub out (i + 1) (String.length out - i - 1))
+  | _ -> fail "scaling: edit of %s answered %S" obj out
+
+(* A repository of [h] tip edits over [h / 2] documents, the target
+   edited twice before them; returns a shell on it and the target's
+   tip. *)
+let build h =
+  let repo = Repo.create () in
+  Gkbms.Mapping.register_tools repo;
+  let sh = Shell.session repo in
+  new_doc repo target;
+  let tip = edit sh (edit sh target "t1") "t2" in
+  let docs = h / 2 in
+  let tips = Array.init docs (fun i -> Printf.sprintf "ScalingDoc%dx" i) in
+  Array.iter (new_doc repo) tips;
+  for k = 0 to h - 1 do
+    let i = k mod docs in
+    tips.(i) <- edit sh tips.(i) (Printf.sprintf "s%d" k)
+  done;
+  (repo, sh, tip)
+
+let reads tip =
+  [
+    ("focus", "focus " ^ tip, neighbourhood);
+    ("deps", "deps " ^ tip, neighbourhood);
+    ("why", "why " ^ tip, neighbourhood);
+    ("history", "history " ^ tip, neighbourhood);
+    ("menu", "menu " ^ tip, neighbourhood);
+    ("source", "source " ^ tip, neighbourhood);
+    ("stats", "stats", whole_level);
+    ("config", "config", whole_level);
+  ]
+
+(* An edit of one document's tip, each call a new version of it. *)
+let edit_words repo sh =
+  let doc = ref "ScalingEdited" in
+  new_doc repo !doc;
+  median_words (fun () -> doc := edit sh !doc "e")
+
+(* The retraction of the first of four chained edits, each call on a
+   chain of its own; only the retraction is charged. *)
+let retract_words repo sh =
+  let n = ref 0 in
+  let chain () =
+    incr n;
+    let doc = Printf.sprintf "ScalingChain%dx" !n in
+    new_doc repo doc;
+    let first = edit sh doc "c1" in
+    ignore (edit sh (edit sh (edit sh first "c2") "c3") "c4");
+    Option.get (Gkbms.Decision.justifying_decision repo (Kernel.Symbol.intern first))
+  in
+  let retract dec () =
+    match Gkbms.Backtrack.retract repo dec () with
+    | Ok report -> report
+    | Error e -> fail "scaling: retract: %s" e
+  in
+  ignore (retract (chain ()) ());
+  median (List.init 5 (fun _ -> words (retract (chain ()))))
+
+let measure h =
+  let repo, sh, tip = build h in
+  let read =
+    List.map
+      (fun (op, line, bound) ->
+        (op, Some bound, median_words (fun () -> Shell.eval sh line)))
+      (reads tip)
+  in
+  (* the writes last: they change the state the reads measured *)
+  let edit = edit_words repo sh in
+  let retract = retract_words repo sh in
+  read @ [ ("edit", None, edit); ("retract", None, retract) ]
+
+let run () =
+  let small = measure h in
+  let large = measure (4 * h) in
+  List.map2
+    (fun (op, bound, words_h) (_, _, words_4h) -> { op; words_h; words_4h; bound })
+    small large
+
+let pp_row ppf r =
+  Format.fprintf ppf "%-8s %12.0f %12.0f %7.2f  %s" r.op r.words_h r.words_4h (ratio r)
+    (match r.bound with
+    | Some b -> Printf.sprintf "<= %.1f %s" b (if passes r then "ok" else "FAIL")
+    | None -> "(reported)")

@@ -231,11 +231,12 @@ let deps_cmd =
            ~doc:"Root of the ASCII rendering.")
   in
   let run until dot root =
-    handle
-      (let* st, _ = build_state until in
-       if dot then print_string (Gkbms.Depgraph.to_dot st.Scn.repo)
-       else Gkbms.Depgraph.pp st.Scn.repo Format.std_formatter (Sym.intern root);
-       Ok ())
+    if dot then
+      handle
+        (let* st, _ = build_state until in
+         print_string (Gkbms.Depgraph.to_dot st.Scn.repo);
+         Ok ())
+    else shell_verb until ("deps " ^ root)
   in
   Cmd.v
     (Cmd.info "deps" ~doc:"Show the dependency graph (figs 2-2 .. 2-4).")
@@ -325,7 +326,7 @@ let import_cmd =
       (let* repo = Gkbms.Persist.load_from_file file in
        Format.printf "loaded %d propositions, %d decisions@."
          (Store.Base.cardinal (Cml.Kb.base (Repo.kb repo)))
-         (List.length (Repo.decision_log repo));
+         (Repo.log_length repo);
        List.iter
          (fun (dec, dc) -> Format.printf "  %s : %s@." (Sym.name dec) dc)
          (Gkbms.Navigation.browse_process repo);
@@ -380,8 +381,7 @@ let stats_cmd =
        Format.printf "propositions:    %d@." (Store.Base.cardinal base);
        Format.printf "design objects:  %d@."
          (List.length (Repo.all_design_objects repo));
-       Format.printf "decisions:       %d@."
-         (List.length (Repo.decision_log repo));
+       Format.printf "decisions:       %d@." (Repo.log_length repo);
        Format.printf "unmapped:        %s@."
          (String.concat ", "
             (List.map Sym.name (Gkbms.Navigation.unmapped_objects repo)));

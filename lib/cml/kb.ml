@@ -42,7 +42,10 @@ let base t = t.base
 let now _t = Time.Clock.now ()
 let tick _t = Time.Clock.tick ()
 
-let exists t name = Base.mem t.base (Symbol.intern name)
+let exists t name =
+  match Symbol.find_opt name with
+  | Some id -> Base.mem t.base id
+  | None -> false
 let find t id = Base.find t.base id
 
 (* Explicit classification / specialization ----------------------------- *)

@@ -56,6 +56,8 @@ val remove_proposition : t -> Prop.id -> (Prop.t, string) result
 (** {1 Retrieval: explicit, inherited, deduced} *)
 
 val exists : t -> string -> bool
+(** Does a proposition of this name exist?  Never interns the name. *)
+
 val find : t -> Prop.id -> Prop.t option
 
 val classes_of : t -> Prop.id -> Prop.id list

@@ -58,21 +58,14 @@ let owned_texts repo id =
        (Kb.attributes (Repo.kb repo) id))
 
 let retract repo dec ?(rationale = "") () =
-  if not (List.exists (Symbol.equal dec) (Repo.decision_log repo)) then
+  if not (Repo.is_logged repo dec) then
     Error
       (Printf.sprintf "%s is not an executed decision" (Symbol.name dec))
   else begin
     let base = Kb.base (Repo.kb repo) in
     let decisions, objects = Depgraph.consequences repo dec in
     (* reverse chronological removal: later decisions first *)
-    let log = Repo.decision_log repo in
-    let position d =
-      let rec idx i = function
-        | [] -> -1
-        | x :: rest -> if Symbol.equal x d then i else idx (i + 1) rest
-      in
-      idx 0 log
-    in
+    let position d = Option.value (Repo.position repo d) ~default:(-1) in
     let decisions_desc =
       List.sort (fun a b -> compare (position b) (position a)) decisions
     in

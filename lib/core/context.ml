@@ -21,7 +21,7 @@ let build repo =
     (fun obj ->
       let node = A.node atms (Symbol.name obj) in
       match Decision.justifying_decision repo obj with
-      | Some dec when List.exists (Symbol.equal dec) log ->
+      | Some dec when Repo.is_logged repo dec ->
         let dec_node = A.assumption atms (Symbol.name dec) in
         let input_nodes =
           List.map (fun (_, i) -> A.node atms (Symbol.name i))

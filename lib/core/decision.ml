@@ -492,6 +492,30 @@ let links_of_kind repo dec kind =
 let inputs_of repo dec = links_of_kind repo dec `Input
 let outputs_of repo dec = links_of_kind repo dec `Output
 
+(* The kind [links_of_kind] gives the link [p] from its source, or
+   [`Other] when the source is not a logged decision.  The cheap tests
+   run first, so the links of other kinds into a hub — a tool's [by]
+   links, a class's instances — are passed over without allocating. *)
+let link_kind repo (p : Prop.t) =
+  if not (Repo.is_logged repo p.source) then `Other
+  else
+    let role = Symbol.name p.label in
+    if
+      role = "by" || role = "rationale" || role = "obligation"
+      || Prop.is_individual p
+      || Cml.Axioms.is_reserved_label p.label
+    then `Other
+    else
+      match Kb.classes_of (Repo.kb repo) p.source with
+      | dc :: _ -> role_kind repo dc role
+      | [] -> `Other
+
+let consumers repo obj =
+  Store.Base.fold_dest (Kb.base (Repo.kb repo)) obj
+    (fun (p : Prop.t) acc ->
+      if link_kind repo p = `Input then p.source :: acc else acc)
+    []
+
 let tool_of repo dec =
   match Kb.attribute_values (Repo.kb repo) dec "by" with
   | tool :: _ -> Some (Symbol.name tool)

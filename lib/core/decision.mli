@@ -69,6 +69,17 @@ val open_obligations : Repository.t -> Prop.id -> string list
 
 val inputs_of : Repository.t -> Prop.id -> (string * Prop.id) list
 val outputs_of : Repository.t -> Prop.id -> (string * Prop.id) list
+
+val link_kind : Repository.t -> Prop.t -> [ `Input | `Output | `Other ]
+(** Whether a link is one of its source's {!inputs_of} or {!outputs_of}
+    links: [`Other] unless the source is a logged decision. *)
+
+val consumers : Repository.t -> Prop.id -> Prop.id list
+(** The logged decisions taking the object as input, read off its
+    incoming links (one entry per input link, in {!Store.Base.by_dest}
+    order): the decisions whose {!inputs_of} names it, found without
+    walking the log. *)
+
 val tool_of : Repository.t -> Prop.id -> string option
 val rationale_of : Repository.t -> Prop.id -> string option
 val params_of : Repository.t -> Prop.id -> (string * string) list

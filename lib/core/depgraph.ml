@@ -58,8 +58,6 @@ let zoom g ~focus ~radius =
 let consequences repo dec =
   let kb = Repo.kb repo in
   let base = Cml.Kb.base kb in
-  let log = Repo.decision_log repo in
-  let in_log n = List.exists (Symbol.equal n) log in
   let decisions = ref [ dec ] in
   let objects = ref [] in
   let seen = ref (Symbol.Set.singleton dec) in
@@ -78,7 +76,8 @@ let consequences repo dec =
     List.iter
       (fun (p : Prop.t) ->
         let consumer = p.source in
-        if in_log consumer && not (Symbol.Set.mem consumer !seen) then
+        if Repo.is_logged repo consumer && not (Symbol.Set.mem consumer !seen)
+        then
           let is_input =
             List.exists
               (fun (_, i) -> Symbol.equal i obj)
@@ -94,9 +93,48 @@ let consequences repo dec =
   follow_decision dec;
   (List.rev !decisions, List.rev !objects)
 
+(* The successors [build] gives [n], read off the KB around [n]: the
+   decisions consuming it, its outputs and tool if it is a logged
+   decision, its predecessors if it is a design object. *)
+let succ repo n =
+  let consumed = List.map (fun d -> (from_label, d)) (Decision.consumers repo n) in
+  let produced =
+    if not (Repo.is_logged repo n) then []
+    else
+      List.map (fun (_, o) -> (to_label, o)) (Decision.outputs_of repo n)
+      @
+      match Decision.tool_of repo n with
+      | Some tool -> [ (by_label, Symbol.intern tool) ]
+      | None -> []
+  in
+  let replaced =
+    match Kb.attribute_values (Repo.kb repo) n Metamodel.replaces_cat with
+    | [] -> []
+    | olds ->
+      if Repo.is_design_object repo n then
+        List.map (fun o -> (replaces_label, o)) olds
+      else []
+  in
+  List.sort_uniq compare (consumed @ produced @ replaced)
+
+(* Is [n] the destination of an edge of [build]?  The [from] edges end
+   at logged decisions, which are nodes anyway. *)
+let has_pred repo n =
+  let replaces = Symbol.intern Metamodel.replaces_cat in
+  Store.Base.fold_dest (Kb.base (Repo.kb repo)) n
+    (fun (p : Prop.t) found ->
+      found
+      || Decision.link_kind repo p = `Output
+      || Repo.is_logged repo p.source
+         && Decision.tool_of repo p.source = Some (Symbol.name n)
+      || Symbol.equal p.label replaces
+         && (not (Prop.is_individual p))
+         && Repo.is_design_object repo p.source)
+    false
+
 let pp repo ppf focus =
-  let g = build repo in
-  if G.mem_node g focus then G.pp_ascii_dag ~max_depth:8 g ppf focus
+  if Repo.is_logged repo focus || succ repo focus <> [] || has_pred repo focus
+  then G.pp_tree ~max_depth:8 ~succ:(succ repo) ppf focus
   else Format.fprintf ppf "%s (not in the dependency graph)@." (Symbol.name focus)
 
 let to_dot repo =

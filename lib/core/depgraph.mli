@@ -25,7 +25,10 @@ val consequences :
     input, and so on.  [dec] itself heads the decision list. *)
 
 val pp : Repository.t -> Format.formatter -> Prop.id -> unit
-(** ASCII rendering of the dependency graph from a focus. *)
+(** ASCII rendering of the dependency graph from a focus, eight levels
+    deep: the rendering of {!build}'s graph, expanded from the focus
+    through the KB's links only as far as it prints, so it costs the
+    focus's neighbourhood, not the history. *)
 
 val to_dot : Repository.t -> string
 (** DOT rendering with decisions boxed and tools dashed. *)

@@ -265,17 +265,13 @@ let recover ?register_tools ~dir () =
       let base = Cml.Kb.base (Repo.kb repo) in
       let recovered = ref [] in
       let failure = ref None in
-      (* the decisions in the log so far, kept in step with it *)
-      let logged = Symbol.Tbl.create 256 in
-      List.iter (fun id -> Symbol.Tbl.replace logged id ()) (Repo.decision_log repo);
       let on_other = function
         | Wal.Decision_commit name ->
           let id = Symbol.intern name in
           (* a decision already in the checkpoint's log is a replayed
              pre-checkpoint suffix record — skip it *)
-          if not (Symbol.Tbl.mem logged id) then begin
+          if not (Repo.is_logged repo id) then begin
             Repo.log_decision repo id;
-            Symbol.Tbl.replace logged id ();
             recovered := name :: !recovered
           end
         | Wal.Artifact (name, text) -> (
@@ -285,9 +281,7 @@ let recover ?register_tools ~dir () =
             if !failure = None then
               failure := Some (Printf.sprintf "artifact %s: %s" name e))
         | Wal.Note ("unlog", name) ->
-          let id = Symbol.intern name in
-          Repo.unlog_decision repo id;
-          Symbol.Tbl.remove logged id
+          Repo.unlog_decision repo (Symbol.intern name)
         | Wal.Note _ | Wal.Put _ | Wal.Tomb _ | Wal.Decision_begin _
         | Wal.Decision_abort _ ->
           ()

@@ -58,7 +58,7 @@ let pp_why ppf steps =
   Format.fprintf ppf "@]"
 
 let explain_decision repo dec =
-  if not (List.exists (Symbol.equal dec) (Repo.decision_log repo)) then
+  if not (Repo.is_logged repo dec) then
     Error (Printf.sprintf "%s is not an executed decision" (Symbol.name dec))
   else begin
     let buf = Buffer.create 256 in

@@ -25,11 +25,12 @@ let level_of repo obj =
       else None)
     Metamodel.levels
 
+(* in log order, as a walk of the log would find them *)
 let consuming_decisions repo obj =
-  List.filter
-    (fun dec ->
-      List.exists (fun (_, i) -> Symbol.equal i obj) (Decision.inputs_of repo dec))
-    (Repo.decision_log repo)
+  let position d = Option.value (Repo.position repo d) ~default:(-1) in
+  List.sort_uniq
+    (fun a b -> compare (position a) (position b))
+    (Decision.consumers repo obj)
 
 let focus repo obj =
   let kb = Repo.kb repo in
@@ -119,9 +120,7 @@ let browse_process repo =
     | Ok order -> order
     | Error _ -> log
   in
-  let decisions =
-    List.filter (fun n -> List.exists (Symbol.equal n) log) order
-  in
+  let decisions = List.filter (Repo.is_logged repo) order in
   List.map
     (fun dec ->
       ( dec,

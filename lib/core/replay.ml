@@ -78,14 +78,14 @@ let replay_one repo dec =
     Error (Format.asprintf "not re-applicable: %a" pp_applicability not_applicable)
 
 let replay_from repo dec =
-  if not (List.exists (Symbol.equal dec) (Repo.decision_log repo)) then
+  if not (Repo.is_logged repo dec) then
     Error (Printf.sprintf "%s is not an executed decision" (Symbol.name dec))
   else begin
     let decisions, _objects = Depgraph.consequences repo dec in
     (* causal order: the order they appear in the log *)
-    let log = Repo.decision_log repo in
+    let position d = Option.value (Repo.position repo d) ~default:(-1) in
     let ordered =
-      List.filter (fun d -> List.exists (Symbol.equal d) decisions) log
+      List.sort (fun a b -> compare (position a) (position b)) decisions
     in
     let rec run acc = function
       | [] -> Ok (List.rev acc)

@@ -39,12 +39,23 @@ type event =
 
 type event_subscription = int
 
+(* The decision log: an append-only vector of ids plus a position
+   table.  Unlogging drops the id from [pos] and leaves its slot behind
+   as a tombstone, so positions only rise and never shift; a slot is
+   live exactly when [pos] maps its id back to it (an id logged again
+   after an unlog gets a new, higher slot). *)
+type log = {
+  mutable slots : Prop.id array;
+  mutable used : int;
+  pos : int Symbol.Tbl.t;
+}
+
 type t = {
   kb : Kb.t;
   jtms : Tms.Jtms.t;
   artifacts : artifact Symbol.Tbl.t;
   tools : (string, tool) Hashtbl.t;
-  mutable log : Prop.id list;  (** reverse chronological *)
+  log : log;
   mutable decision_counter : int;
   mutable change_batch : Store.Base.change list;  (** reverse order *)
   decision_justs : Tms.Jtms.justification list Symbol.Tbl.t;
@@ -126,7 +137,7 @@ let create ?(install_metamodel = true) () =
       jtms = Tms.Jtms.create ();
       artifacts = Symbol.Tbl.create 256;
       tools = Hashtbl.create 16;
-      log = [];
+      log = { slots = [||]; used = 0; pos = Symbol.Tbl.create 256 };
       decision_counter = 0;
       change_batch = [];
       decision_justs = Symbol.Tbl.create 64;
@@ -255,6 +266,17 @@ let all_design_objects t =
   List.sort_uniq Symbol.compare
     (List.concat_map (fun cls -> Kb.all_instances_of t.kb cls) classes)
 
+(* [List.mem obj (all_design_objects t)], from [obj]'s side: one of its
+   classes, or a generalization of one, is a design object class *)
+let is_design_object t obj =
+  let design_object = Symbol.intern Metamodel.design_object in
+  List.exists
+    (fun c ->
+      List.exists
+        (fun k -> List.exists (Symbol.equal design_object) (Kb.classes_of t.kb k))
+        (c :: Kb.isa_closure t.kb c))
+    (Kb.classes_of t.kb obj)
+
 let register_tool t tool =
   Hashtbl.replace t.tools tool.tool_name tool;
   (* record the tool specification in the KB *)
@@ -307,13 +329,40 @@ let tools_for t decision_class =
     t.tools []
   |> List.sort (fun a b -> String.compare a.tool_name b.tool_name)
 
-let log_decision t id = t.log <- id :: t.log
+let is_logged t id = Symbol.Tbl.mem t.log.pos id
+let position t id = Symbol.Tbl.find_opt t.log.pos id
+let log_length t = Symbol.Tbl.length t.log.pos
+
+let log_decision t id =
+  let l = t.log in
+  if not (Symbol.Tbl.mem l.pos id) then begin
+    if l.used = Array.length l.slots then begin
+      let grown = Array.make (max 64 (2 * l.used)) id in
+      Array.blit l.slots 0 grown 0 l.used;
+      l.slots <- grown
+    end;
+    l.slots.(l.used) <- id;
+    Symbol.Tbl.replace l.pos id l.used;
+    l.used <- l.used + 1
+  end
 
 let unlog_decision t id =
-  t.log <- List.filter (fun d -> not (Symbol.equal d id)) t.log;
+  Symbol.Tbl.remove t.log.pos id;
   emit_event t (Decision_unlogged id)
 
-let decision_log t = List.rev t.log
+let iter_log t f =
+  let l = t.log in
+  for i = 0 to l.used - 1 do
+    let id = l.slots.(i) in
+    match Symbol.Tbl.find_opt l.pos id with
+    | Some j when j = i -> f id
+    | Some _ | None -> ()
+  done
+
+let decision_log t =
+  let acc = ref [] in
+  iter_log t (fun id -> acc := id :: !acc);
+  List.rev !acc
 
 let fresh_decision_id t =
   t.decision_counter <- t.decision_counter + 1;

@@ -109,6 +109,10 @@ val all_design_objects : t -> Prop.id list
 (** Instances of every design object class (every instance of the
     [DesignObject] metaclass) — the whole documentation level. *)
 
+val is_design_object : t -> Prop.id -> bool
+(** Membership in {!all_design_objects}, decided from the object's own
+    classification. *)
+
 (** {1 Tools} *)
 
 val register_tool : t -> tool -> unit
@@ -119,12 +123,39 @@ val find_tool : t -> string -> tool option
 val tools_for : t -> string -> tool list
 (** Tools associated with a decision class (or its generalizations). *)
 
-(** {1 Decision log} *)
+(** {1 Decision log}
+
+    The log is one append-only index: each logged decision holds a
+    position, unlogging leaves a tombstone in its place, and positions
+    only rise, so log order is position order.  Membership, position
+    and length are O(1); only {!iter_log} and {!decision_log} walk the
+    whole history. *)
 
 val log_decision : t -> Prop.id -> unit
+(** Append a decision at the next position.  An id already logged stays
+    where it is. *)
+
 val unlog_decision : t -> Prop.id -> unit
+(** Drop a decision from the log (O(1)); a later {!log_decision} of the
+    same id appends it anew. *)
+
+val is_logged : t -> Prop.id -> bool
+
+val position : t -> Prop.id -> int option
+(** The decision's position in the log, if logged.  Positions order the
+    log chronologically but are not dense: unlogged decisions leave
+    gaps. *)
+
+val log_length : t -> int
+(** Number of logged decisions. *)
+
+val iter_log : t -> (Prop.id -> unit) -> unit
+(** The logged decisions, oldest first. *)
+
 val decision_log : t -> Prop.id list
-(** Chronological ids of executed (non-retracted) decision instances. *)
+(** Chronological ids of executed (non-retracted) decision instances,
+    for the callers that read the whole history (persistence, contexts,
+    methodology audits, reason-maintenance rebuilds). *)
 
 val fresh_decision_id : t -> string
 

@@ -91,17 +91,37 @@ let refresh_invitation_rel t =
   | tip :: _ -> st.Scenario.invitation_rel <- tip
   | [] -> ()
 
-(* resolve an optional operand against the session cursor *)
-let with_target t operand k =
-  match operand with
-  | Some name -> k (Symbol.intern name)
-  | None -> (
+(* The explicit form of a line: a bare browsing verb names the session
+   cursor (when one is set), a bare [config] the session's level and a
+   bare [deps] the scenario's Papers.  [answer] then depends on the
+   repository and the line alone, which is what lets the server cache
+   it under this line. *)
+let resolve t line =
+  match words line with
+  | [ ("focus" | "menu" | "why" | "history" | "source") as verb ] -> (
     match t.cursor with
-    | Some obj -> k obj
-    | None -> "error: no focus set (use 'focus OBJECT' first)")
+    | Some obj -> verb ^ " " ^ Symbol.name obj
+    | None -> line)
+  | [ "config" ] -> "config " ^ t.config_level
+  | [ "deps" ] -> "deps " ^ Symbol.name t.state.Scenario.papers
+  | _ -> line
 
-let eval t line =
-  Obs.Trace.with_span "shell.eval" ~attrs:[ ("cmd", line) ] @@ fun () ->
+(* The session update answering a resolved line implies; an error
+   answer implies none. *)
+let observe t line answer =
+  if not (String.starts_with ~prefix:"error:" answer) then
+    match words line with
+    | [ "focus"; name ] -> t.cursor <- Some (Symbol.intern name)
+    | [ "config"; level ] -> t.config_level <- level
+    | _ -> ()
+
+(* An operand must name a proposition: [Kb.exists] only probes the
+   symbol table, so a client cannot mint symbols through these verbs. *)
+let with_target t name k =
+  if Cml.Kb.exists (Repo.kb t.state.Scenario.repo) name then k (Symbol.intern name)
+  else "error: no object " ^ name
+
+let answer t line =
   let repo = t.state.Scenario.repo in
   match words line with
   | [] -> ""
@@ -110,22 +130,20 @@ let eval t line =
     fmt "propositions: %d; design objects: %d; decisions: %d"
       (Store.Base.cardinal (Cml.Kb.base (Repo.kb repo)))
       (List.length (Repo.all_design_objects repo))
-      (List.length (Repo.decision_log repo))
+      (Repo.log_length repo)
   | [ "slo" ] -> Obs.Slo.render ()
   | [ "trace"; "decision"; id ] -> Obs.Recorder.render_for id
   | [ "unmapped" ] ->
     String.concat ", "
       (List.map Symbol.name (Navigation.unmapped_objects repo))
-  | [ "focus" ] ->
-    with_target t None (fun obj ->
-        fmt "%a" Navigation.pp_focus (Navigation.focus repo obj))
+  (* a bare browsing verb [resolve] found no cursor for *)
+  | [ ("focus" | "menu" | "why" | "history" | "source") ] ->
+    "error: no focus set (use 'focus OBJECT' first)"
   | [ "focus"; name ] ->
-    let obj = Symbol.intern name in
-    t.cursor <- Some obj;
-    fmt "%a" Navigation.pp_focus (Navigation.focus repo obj)
-  | [ "menu" ] | [ "menu"; _ ] ->
-    let operand = match words line with [ _; n ] -> Some n | _ -> None in
-    with_target t operand (fun obj ->
+    with_target t name (fun obj ->
+        fmt "%a" Navigation.pp_focus (Navigation.focus repo obj))
+  | [ "menu"; name ] ->
+    with_target t name (fun obj ->
         String.concat "\n"
           (List.map
              (fun (e : Decision.menu_entry) ->
@@ -163,12 +181,10 @@ let eval t line =
     match Scenario.resolve_conflict t.state with
     | Ok report -> fmt "%a" Backtrack.pp_report report
     | Error e -> "error: " ^ e)
-  | [ "why" ] | [ "why"; _ ] ->
-    let operand = match words line with [ _; n ] -> Some n | _ -> None in
-    with_target t operand (fun obj -> fmt "%a" Explain.pp_why (Explain.why repo obj))
-  | [ "history" ] | [ "history"; _ ] ->
-    let operand = match words line with [ _; n ] -> Some n | _ -> None in
-    with_target t operand (fun obj ->
+  | [ "why"; name ] ->
+    with_target t name (fun obj -> fmt "%a" Explain.pp_why (Explain.why repo obj))
+  | [ "history"; name ] ->
+    with_target t name (fun obj ->
         String.concat "\n"
           (List.map
              (fun (v, dec, belief) ->
@@ -176,20 +192,15 @@ let eval t line =
                  (match dec with Some d -> Symbol.name d | None -> "-")
                  belief)
              (Navigation.history_of repo obj)))
-  | [ "source" ] | [ "source"; _ ] -> (
-    let operand = match words line with [ _; n ] -> Some n | _ -> None in
-    with_target t operand (fun obj ->
+  | [ "source"; name ] ->
+    with_target t name (fun obj ->
         match Repo.source_text repo obj with
         | Some src -> src
-        | None -> "error: no source recorded for " ^ Symbol.name obj))
-  | [ "deps" ] -> fmt "%a" (fun ppf () -> Depgraph.pp repo ppf t.state.Scenario.papers) ()
+        | None -> "error: no source recorded for " ^ Symbol.name obj)
   | [ "deps"; name ] ->
-    fmt "%a" (fun ppf () -> Depgraph.pp repo ppf (Symbol.intern name)) ()
-  | [ "config" ] | [ "config"; _ ] -> (
-    (match words line with
-    | [ _; level ] -> t.config_level <- level
-    | _ -> ());
-    let config = Version.configure repo ~level:t.config_level in
+    with_target t name (fun obj -> fmt "%a" (Depgraph.pp repo) obj)
+  | [ "config"; level ] -> (
+    let config = Version.configure repo ~level in
     match Version.to_dbpl_module repo config ~name:"Configured" with
     | Ok m -> fmt "%a@.@.%a" (Version.pp_configuration repo) config Langs.Dbpl.pp_module m
     | Error e -> fmt "%a@.error: %s" (Version.pp_configuration repo) config e)
@@ -267,6 +278,13 @@ let eval t line =
         t.state <- scenario_state repo';
         t.cursor <- None;
         Printf.sprintf "loaded %s: %d decisions" file
-          (List.length (Repo.decision_log repo'))
+          (Repo.log_length repo')
       | Error e -> "error: " ^ e)
   | cmd :: _ -> "error: unknown command " ^ cmd ^ " (try 'help')"
+
+let eval t line =
+  Obs.Trace.with_span "shell.eval" ~attrs:[ ("cmd", line) ] @@ fun () ->
+  let line = resolve t line in
+  let out = answer t line in
+  observe t line out;
+  out

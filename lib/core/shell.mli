@@ -32,7 +32,9 @@ val repository : t -> Repository.t
 
 val eval : t -> string -> string
 (** Execute one command line and return the rendered output (errors are
-    reported in the output, prefixed with ["error:"]).  Commands:
+    reported in the output, prefixed with ["error:"]).  An operand of
+    [focus], [menu], [why], [history], [source] or [deps] that names no
+    proposition is answered [error: no object NAME].  Commands:
     {v
 help                       this list
 stats                      KB statistics
@@ -51,7 +53,24 @@ ask FORMULA                evaluate a closed assertion
 derive ATOM                query the deductive view (answers sorted)
 explain ATOM               what the tabled prover did for the goal
 save FILE / load FILE      snapshot the repository (load refused when shared)
-v} *)
+v}
+    [eval t line] is [resolve], then the answer, then [observe]. *)
+
+val resolve : t -> string -> string
+(** The explicit form of a line: a bare [focus], [menu], [why],
+    [history] or [source] names the session's cursor (if it has one), a
+    bare [config] the session's level, a bare [deps] the scenario's
+    [Papers]; any other line is returned as it is.  The answer to a
+    resolved [focus], [menu], [why], [history], [source], [deps] or
+    [config] line depends on the repository alone, so a server may
+    cache it under that line. *)
+
+val observe : t -> string -> string -> unit
+(** [observe t line answer] applies to the session what answering the
+    resolved [line] with [answer] implies: [focus OBJ] moves the cursor
+    to [OBJ], [config LEVEL] sets the level, and an answer starting
+    with ["error:"] changes nothing.  A server that answers a resolved
+    line from its cache calls this in place of {!eval}. *)
 
 val is_quit : string -> bool
 (** Does the line ask to leave ([quit] / [exit])? *)

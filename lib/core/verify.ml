@@ -246,7 +246,7 @@ let check_extension_preserved repo dec ~population =
 (* public entry points ----------------------------------------------------- *)
 
 let check_obligation repo ~decision ~obligation ?(population = 8) () =
-  if not (List.exists (Symbol.equal decision) (Repo.decision_log repo)) then
+  if not (Repo.is_logged repo decision) then
     err "%s is not an executed decision" (Symbol.name decision)
   else
     match obligation with

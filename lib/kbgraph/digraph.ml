@@ -186,7 +186,7 @@ let to_dot ?(name = "gkb") ?(node_attrs = fun _ -> []) ?(edge_attrs = fun _ -> [
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let pp_ascii_dag ?(max_depth = 6) ?(max_width = 8) ?(show_label = true) t ppf
+let pp_tree ?(max_depth = 6) ?(max_width = 8) ?(show_label = true) ~succ ppf
     root =
   let visited = ref Symbol.Set.empty in
   let rec go indent depth via n =
@@ -202,7 +202,7 @@ let pp_ascii_dag ?(max_depth = 6) ?(max_width = 8) ?(show_label = true) t ppf
       visited := Symbol.Set.add n !visited;
       Format.fprintf ppf "%s%s%s@." prefix label_part (Symbol.name n);
       if depth < max_depth then begin
-        let kids = List.sort compare (succ t n) in
+        let kids = List.sort compare (succ n) in
         let shown, hidden =
           if List.length kids > max_width then
             ( List.filteri (fun i _ -> i < max_width) kids,
@@ -216,3 +216,6 @@ let pp_ascii_dag ?(max_depth = 6) ?(max_width = 8) ?(show_label = true) t ppf
     end
   in
   go 0 0 None root
+
+let pp_ascii_dag ?max_depth ?max_width ?show_label t ppf root =
+  pp_tree ?max_depth ?max_width ?show_label ~succ:(succ t) ppf root

@@ -65,6 +65,15 @@ val pp_ascii_dag :
   ?max_depth:int -> ?max_width:int -> ?show_label:bool ->
   t -> Format.formatter -> node -> unit
 (** Render the DAG unfolded from a root as an indented tree, the textual
-    DAG browser of §3.3.1.  Nodes already printed on the current path are
-    shown once with a back-reference marker; [max_depth]/[max_width]
-    implement the browser's dynamically defined depth and width. *)
+    DAG browser of §3.3.1.  Nodes already printed are shown again only
+    as a back-reference marker; [max_depth]/[max_width] implement the
+    browser's dynamically defined depth and width. *)
+
+val pp_tree :
+  ?max_depth:int -> ?max_width:int -> ?show_label:bool ->
+  succ:(node -> (Symbol.t * node) list) ->
+  Format.formatter -> node -> unit
+(** {!pp_ascii_dag} over a graph given by its successor function, which
+    is called only on the nodes the rendering expands: at most once per
+    node, and never below [max_depth].  A graph too large to build can
+    be rendered from a focus at the cost of what is printed. *)

@@ -96,6 +96,18 @@ let intern s =
   let i = probe (Atomic.get table) (Atomic.get names) s in
   if i >= 0 then i else intern_slow s
 
+(* A miss on the lock-free probe may be a stale read, so it is
+   confirmed under [write_m]; neither path allocates an id. *)
+let find_opt s =
+  let i = probe (Atomic.get table) (Atomic.get names) s in
+  if i >= 0 then Some i
+  else begin
+    Mutex.lock write_m;
+    let i = probe (Atomic.get table) (Atomic.get names) s in
+    Mutex.unlock write_m;
+    if i >= 0 then Some i else None
+  end
+
 let name i = (Atomic.get names).(i)
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b

@@ -10,6 +10,11 @@ type t
 val intern : string -> t
 (** [intern s] returns the unique symbol for [s], creating it if needed. *)
 
+val find_opt : string -> t option
+(** [find_opt s] is the symbol for [s] if [s] was interned, and never
+    creates one: probing for names a client sends does not grow the
+    table. *)
+
 val name : t -> string
 (** [name t] is the string [t] was interned from. *)
 

@@ -48,9 +48,6 @@ let decisions_applied t = t.decisions_applied
    must not leak across *)
 let reset t = t.stack <- []
 
-let already_logged repo id =
-  List.exists (Symbol.equal id) (Repo.decision_log repo)
-
 let apply_put repo (p : Prop.t) =
   let base = Cml.Kb.base (Repo.kb repo) in
   match Store.Base.find base p.Prop.id with
@@ -149,7 +146,7 @@ let frame_trace_ctx f =
 
 let apply_outer_frame t name f =
   let id = Symbol.intern name in
-  if already_logged t.repo id then
+  if Repo.is_logged t.repo id then
     (* overlap replay after a crash left the persisted cursor behind the
        applied state: the whole frame is already in — skip it without
        journaling anything (an empty dangling frame in our own WAL
@@ -193,7 +190,7 @@ let feed t r =
       (* a commit marker with no open frame: tolerated for streams that
          start mid-history (the guarded log keeps it idempotent) *)
       let id = Symbol.intern name in
-      if already_logged t.repo id then Ok ()
+      if Repo.is_logged t.repo id then Ok ()
       else begin
         commit_decision t id;
         Ok ()

@@ -316,11 +316,17 @@ let process t session (req : Protocol.request) : Protocol.response =
            "error: read-only follower: redirect writes to the leader at %s"
            (Option.value t.config.read_only ~default:"?"))
     | `Read -> (
+      (* the cache key is the explicit line: a bare browsing verb names
+         this session's cursor or level first *)
+      let shell = Session.shell session in
+      let line = Gkbms.Shell.resolve shell line in
       match t.cache with
       | Some cache when Scheduler.cacheable line -> (
         (* fast path: no repository lock, just the version counter *)
         match Cache.find cache ~version:(Repo.version t.repo) line with
-        | Some payload -> finish payload
+        | Some payload ->
+          Gkbms.Shell.observe shell line payload;
+          finish payload
         | None ->
           finish
             (Scheduler.read t.scheduler (fun () ->

@@ -76,22 +76,19 @@ let first_word line =
   | Some i -> String.sub line 0 i
   | None -> line
 
-let has_operand line =
-  let line = String.trim line in
-  String.contains line ' '
-
-type cache_mode = [ `Always | `With_operand | `Never ]
+type cache_mode = [ `Always | `Never ]
 
 (* Every verb the daemon can see — the shell's plus the daemon-level
    built-ins — with an explicit classification, so a future verb that
    is missing here fails the table-driven test in test_server rather
    than silently landing on the cached-read path.
 
-   [`With_operand]: browsing commands are cacheable only in their
-   explicit-operand form — without an operand they read the session
-   cursor.  [`Never] covers per-session state ([focus], [config]),
-   side effects ([save]), time-varying output ([slo], [trace]), and
-   the daemon built-ins answered before classification. *)
+   The daemon looks a line up after [Shell.resolve] has made it
+   explicit, so the browsing verbs are cached whatever session state a
+   bare form would read; a hit replays the session update with
+   [Shell.observe].  [`Never] covers side effects ([save]),
+   time-varying output ([slo], [trace]), and the daemon built-ins
+   answered before classification. *)
 let verb_table : (string * [ `Read | `Write ] * cache_mode) list =
   [
     (* shell reads, version-keyed and session-independent *)
@@ -102,15 +99,15 @@ let verb_table : (string * [ `Read | `Write ] * cache_mode) list =
     ("ask", `Read, `Always);
     ("derive", `Read, `Always);
     ("explain", `Read, `Always);
-    (* browsing: cursor-relative without an operand *)
-    ("menu", `Read, `With_operand);
-    ("why", `Read, `With_operand);
-    ("history", `Read, `With_operand);
-    ("source", `Read, `With_operand);
-    ("deps", `Read, `With_operand);
-    (* per-session or time-varying reads *)
-    ("focus", `Read, `Never);
-    ("config", `Read, `Never);
+    (* browsing, on the resolved line *)
+    ("focus", `Read, `Always);
+    ("menu", `Read, `Always);
+    ("why", `Read, `Always);
+    ("history", `Read, `Always);
+    ("source", `Read, `Always);
+    ("deps", `Read, `Always);
+    ("config", `Read, `Always);
+    (* time-varying reads and side effects *)
     ("slo", `Read, `Never);
     ("trace", `Read, `Never);
     ("save", `Read, `Never);
@@ -148,7 +145,6 @@ let classify line =
 let cacheable line =
   match verb_entry (first_word line) with
   | Some (_, `Always) -> true
-  | Some (_, `With_operand) -> has_operand line
   | Some (_, `Never) | None -> false
 
 (* write-batch admission ----------------------------------------------- *)

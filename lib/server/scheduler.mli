@@ -39,12 +39,15 @@ val classify : string -> [ `Read | `Write ]
     them with an error without touching the repository). *)
 
 val cacheable : string -> bool
-(** Deterministic, session-independent read commands whose response may
-    be served from the version-keyed cache.  Commands that read or set
-    per-session state ([focus], [config], cursor-relative browsing) and
-    commands with side effects ([save]) are excluded. *)
+(** Deterministic read commands whose response may be served from the
+    version-keyed cache, given the line as {!Gkbms.Shell.resolve} makes
+    it explicit: the browsing verbs ([focus], [config], [menu], …) are
+    cacheable because resolution names the cursor or level a bare form
+    would read, and a hit replays their session update through
+    {!Gkbms.Shell.observe}.  Commands with side effects ([save]) or
+    time-varying output ([slo], [trace]) are excluded. *)
 
-type cache_mode = [ `Always | `With_operand | `Never ]
+type cache_mode = [ `Always | `Never ]
 
 val verb_entry : string -> ([ `Read | `Write ] * cache_mode) option
 (** The explicit classification table entry for a verb, if it has one.

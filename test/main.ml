@@ -23,9 +23,11 @@ let () =
       ("integration", Test_integration.suite);
       ("negotiation", Test_negotiation.suite);
       ("shell", Test_shell.suite);
+      ("focus", Test_focus.suite);
       ("server", Test_server.suite);
       ("replication", Test_replication.suite);
       ("coverage", Test_coverage.suite);
       ("obs", Test_obs.suite);
       ("par", Test_par.suite);
+      ("scaling", Test_scaling.suite);
     ]

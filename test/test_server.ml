@@ -183,12 +183,16 @@ let test_scheduler_classify () =
   List.iter
     (fun line -> check bool line true (Server.Scheduler.classify line = `Read))
     [ "stats"; "focus Papers"; "why X"; "check"; "ask p"; "metrics" ];
-  (* cursor-relative forms depend on session state: not cacheable *)
+  (* the daemon looks up the line Shell.resolve made explicit, so a bare
+     form reaches the cache only when the session has no cursor, whose
+     answer is the same error in every session *)
   check bool "why X cacheable" true (Server.Scheduler.cacheable "why X");
-  check bool "bare why not cacheable" false (Server.Scheduler.cacheable "why");
+  check bool "bare why cacheable" true (Server.Scheduler.cacheable "why");
   check bool "stats cacheable" true (Server.Scheduler.cacheable "stats");
-  (* focus sets the session cursor — a side effect a cache hit would skip *)
-  check bool "focus not cacheable" false (Server.Scheduler.cacheable "focus X");
+  (* a hit replays the cursor move through Shell.observe *)
+  check bool "focus cacheable" true (Server.Scheduler.cacheable "focus X");
+  check bool "config cacheable" true (Server.Scheduler.cacheable "config X");
+  check bool "save not cacheable" false (Server.Scheduler.cacheable "save f");
   check bool "news not cacheable" false (Server.Scheduler.cacheable "news")
 
 let test_scheduler_rw_exclusion () =
@@ -391,6 +395,41 @@ let test_loopback_session () =
   in
   wait 100;
   check int "sessions drained" 0 (Daemon.session_count daemon);
+  Daemon.stop daemon
+
+(* focus and config through the response cache: the key is the line
+   Shell.resolve makes explicit, and a hit moves the session's cursor
+   or level as a computed answer does *)
+let test_cache_answers_focus_and_config () =
+  let repo = keyed_repo ~docs:1 () in
+  let daemon = Daemon.create repo in
+  let a = Client.of_transport (Daemon.connect daemon) in
+  let b = Client.of_transport (Daemon.connect daemon) in
+  let stats () = Option.get (Daemon.cache_stats daemon) in
+  let focus = req_ok a "focus InvitationRel3" in
+  let h0 = (stats ()).Server.Cache.hits in
+  check string "the hit answers as the computation did" focus
+    (req_ok b "focus InvitationRel3");
+  check int "a repeated focus is a hit" (h0 + 1) (stats ()).Server.Cache.hits;
+  (* the hit moved b's cursor: a bare menu answers for the focus *)
+  check string "bare menu after a hit" (req_ok a "menu InvitationRel3")
+    (req_ok b "menu");
+  (match Client.request b "focus NoSuchObject" with
+  | Error e -> check bool "unknown object" true (contains "no object NoSuchObject" e)
+  | Ok _ -> Alcotest.fail "focus on an unknown object answered");
+  check string "an error leaves the cursor" focus (req_ok b "focus");
+  (* a commit in between makes the next focus a miss *)
+  ignore (req_ok a "run DecManualEdit Editor object=Doc0 text=v1");
+  let m0 = (stats ()).Server.Cache.misses in
+  check string "recomputed after the commit" focus (req_ok b "focus InvitationRel3");
+  check int "a commit invalidates" (m0 + 1) (stats ()).Server.Cache.misses;
+  (* bare config is config at the session's level *)
+  let config = req_ok a "config DBPL_Object" in
+  let h1 = (stats ()).Server.Cache.hits in
+  check string "bare config" config (req_ok a "config");
+  check int "bare config is a hit" (h1 + 1) (stats ()).Server.Cache.hits;
+  Client.close a;
+  Client.close b;
   Daemon.stop daemon
 
 let test_session_listener_leak () =
@@ -1184,6 +1223,7 @@ let suite =
     ("metrics accounting", `Quick, test_metrics);
     ("unknown verbs mint no series", `Quick, test_unknown_verbs_bounded);
     ("loopback end-to-end session", `Quick, test_loopback_session);
+    ("cache answers focus and config", `Quick, test_cache_answers_focus_and_config);
     ("sessions detach event listeners", `Quick, test_session_listener_leak);
     ("idle sessions are reaped", `Quick, test_idle_timeout);
     ("abrupt disconnect cleans up", `Quick, test_abrupt_disconnect);
