@@ -105,26 +105,23 @@ let shape_e4_selective_backtracking () =
 
 let shape_e9_deduction () =
   section "E9: deductive query engines on transitive closure (chain graph)";
-  Printf.printf "%-8s | %-12s %-12s | %-14s %-14s\n" "edges" "naive-tuples"
-    "semi-tuples" "resolutions" "lemmas";
+  Printf.printf "%-8s | %-12s | %-14s %-14s\n" "edges" "semi-tuples"
+    "resolutions" "lemmas";
   List.iter
     (fun n ->
       let d1 = W.chain_program n in
-      ok (Logic.Datalog.solve ~strategy:`Naive d1);
-      let naive = Logic.Datalog.derived_count d1 in
+      ok (Logic.Datalog.solve d1);
+      let semi = Logic.Datalog.derived_count d1 in
       let d2 = W.chain_program n in
-      ok (Logic.Datalog.solve ~strategy:`Seminaive d2);
-      let semi = Logic.Datalog.derived_count d2 in
-      let d3 = W.chain_program n in
-      let p = Logic.Prover.make d3 in
+      let p = Logic.Prover.make d2 in
       ignore (Logic.Prover.solve p [ Term.atom "path" [ Term.sym "n0"; Term.var "Y" ] ]);
-      Printf.printf "%-8d | %-12d %-12d | %-14d %-14d\n" n naive semi
+      Printf.printf "%-8d | %-12d | %-14d %-14d\n" n semi
         (Logic.Prover.stats p).Logic.Prover.resolutions
         (Logic.Prover.lemma_count p))
     [ 16; 32; 64 ];
   Printf.printf
-    "expected shape: both bottom-up engines materialize the same closure;\n\
-     the tabled prover touches only the goal-relevant subgoals.\n"
+    "expected shape: bottom-up materializes the whole closure; the tabled\n\
+     prover touches only the goal-relevant subgoals.\n"
 
 let shape_e10_consistency () =
   section "E10: consistency checking — full pass vs set-oriented delta";
@@ -182,47 +179,10 @@ let shape_e1_menu () =
     "expected shape: the specialized mapping decisions first, the generic\n\
      TDL_MappingDec last; tools resolved through the decision classes.\n"
 
-(* E16 mutates the engine, so it is timed manually like E4. *)
+(* E16: the Kb closure memos downstream of a change feed. *)
 let shape_e16_incremental_maintenance () =
-  section
-    "E16: incremental maintenance — single-fact delta vs full re-solve";
-  let segments = 200 and len = 50 in
-  let d = W.segmented_chain_program ~segments ~len in
-  let n_facts = segments * len in
-  let t0 = Unix.gettimeofday () in
-  ok (Logic.Datalog.solve d);
-  let t_initial = Unix.gettimeofday () -. t0 in
-  Printf.printf "initial solve: %d edge facts -> %d path tuples in %.1f ms\n"
-    n_facts (Logic.Datalog.derived_count d) (t_initial *. 1e3);
-  let goal = Term.atom "path" [ Term.sym "s0_0"; Term.var "Y" ] in
-  Logic.Datalog.reset_stats d;
-  (* incremental: one new edge extending segment 0, then re-query *)
-  let t1 = Unix.gettimeofday () in
-  ok
-    (Logic.Datalog.add_fact d
-       (Term.atom "edge"
-          [ Term.sym (Printf.sprintf "s0_%d" len); Term.sym "s0_tip" ]));
-  let incr_answers = List.length (ok (Logic.Datalog.query d goal)) in
-  let t_incr = Unix.gettimeofday () -. t1 in
-  let stats = Logic.Datalog.stats d in
-  Printf.printf
-    "incremental insert+query: %.3f ms (delta %d tuples, %d rounds, %d answers)\n"
-    (t_incr *. 1e3) stats.Logic.Datalog.delta_tuples
-    stats.Logic.Datalog.delta_rounds incr_answers;
-  (* full: identical final database, recomputed from scratch *)
-  let t2 = Unix.gettimeofday () in
-  Logic.Datalog.invalidate d;
-  ok (Logic.Datalog.solve d);
-  let full_answers = List.length (ok (Logic.Datalog.query d goal)) in
-  let t_full = Unix.gettimeofday () -. t2 in
-  Printf.printf "invalidate+re-solve+query: %.1f ms (%d answers)\n"
-    (t_full *. 1e3) full_answers;
-  Printf.printf
-    "speedup: %.0fx incremental over re-solve (answers agree: %b)\n"
-    (t_full /. t_incr)
-    (incr_answers = full_answers);
-  (* the Kb closure memos downstream of the same change feed: 400
-     individuals of one class with a generalization *)
+  section "E16: incremental maintenance — Kb closure memos";
+  (* 400 individuals of one class with a generalization *)
   let kb = W.populated_kb 400 in
   ignore (ok (Cml.Kb.declare kb "Entity"));
   ignore (ok (Cml.Kb.add_isa kb ~sub:"Thing" ~super:"Entity"));
@@ -238,11 +198,8 @@ let shape_e16_incremental_maintenance () =
     "kb closure cache over 2x400 classifications: %d hits / %d misses / %d invalidations, %d entries\n"
     cs.Cml.Kb.hits cs.Cml.Kb.misses cs.Cml.Kb.invalidations cs.Cml.Kb.entries;
   Printf.printf
-    "expected shape: the delta touches one chain segment (~%d tuples), so the\n\
-     incremental path beats re-materializing all %d tuples by >=10x; the kb\n\
-     memos answer every classification from one class-level entry.\n"
-    (len + 1)
-    (Logic.Datalog.derived_count d)
+    "expected shape: the kb memos answer every classification from one\n\
+     class-level entry.\n"
 
 (* E17 measures wall-clock I/O costs, so it is timed manually. *)
 let shape_e17_durability () =
@@ -717,18 +674,23 @@ let shape_e25_group_commit () =
    to. *)
 let shape_e19_observability () =
   section "E19: observability overhead — registry on/off, tracing on";
-  let datalog_workload () =
-    let d = W.segmented_chain_program ~segments:30 ~len:20 in
-    ok (Logic.Datalog.solve d);
-    let goal = Term.atom "path" [ Term.sym "s0_0"; Term.var "Y" ] in
-    let prev = ref "s0_20" in
-    for i = 1 to 40 do
-      let next = Printf.sprintf "s0_tip%d" i in
-      ok (Logic.Datalog.add_fact d
-            (Term.atom "edge" [ Term.sym !prev; Term.sym next ]));
-      prev := next;
-      ignore (ok (Logic.Datalog.query d goal) : Term.Subst.t list)
-    done
+  (* [Kb.derive] of every design object's classes on the scenario KB:
+     a fresh tabled prover per goal, its counters published per call *)
+  let derive_workload =
+    let st = ok (Gkbms.Scenario.setup ()) in
+    ignore (ok (Gkbms.Scenario.map_move_down st));
+    let repo = st.Gkbms.Scenario.repo in
+    let goals =
+      List.map
+        (fun o -> Term.atom "in" [ Term.symbol o; Term.var "C" ])
+        (Repo.all_design_objects repo)
+    in
+    fun () ->
+      for _ = 1 to 60 do
+        List.iter
+          (fun g -> ignore (ok (Cml.Kb.derive (Repo.kb repo) g)))
+          goals
+      done
   in
   let decision_workload () = ignore (W.edit_chain 25) in
   let run_modes name workload =
@@ -792,13 +754,13 @@ let shape_e19_observability () =
     metric_f (Printf.sprintf "e19_%s_trace_ms" name) (t_trace *. 1e3);
     metric_f (Printf.sprintf "e19_%s_trace_overhead_pct" name) pct_trace
   in
-  run_modes "datalog" datalog_workload;
+  run_modes "derive" derive_workload;
   run_modes "decisions" decision_workload;
   Printf.printf
     "expected shape: with tracing off the instrumented build stays within a\n\
      few percent of the disabled-registry baseline (diff-publishing keeps\n\
      hot paths on plain field updates); full tracing adds span bookkeeping\n\
-     on every decision and request but no per-tuple cost.\n"
+     on every decision and request but no per-resolution cost.\n"
 
 (* E24: cost of end-to-end tracing on the replicated write path.  The
    E18 write workload (manual-edit decisions through a live server
@@ -938,7 +900,7 @@ let shape_e24_tracing () =
 (* ------------------------------------------------------------------ *)
 
 let shape_e20_parallel () =
-  section "E20: multicore — datalog / consistency / allen / server reads";
+  section "E20: multicore — consistency / allen / server reads";
   Printf.printf "host reports %d cores (Domain.recommended_domain_count)\n"
     (Domain.recommended_domain_count ());
   let domain_counts = [ 1; 2; 4 ] in
@@ -986,14 +948,6 @@ let shape_e20_parallel () =
   let with_pools seq par =
     (0, seq) :: List.map (fun (d, pool) -> (d, fun () -> par pool)) pools
   in
-  (* --- datalog: 10k-fact transitive closure -------------------------- *)
-  let datalog_prog = W.segmented_chain_program ~segments:500 ~len:20 in
-  let solve ?pool () =
-    Logic.Datalog.invalidate datalog_prog;
-    ok (Logic.Datalog.solve ?pool datalog_prog)
-  in
-  measure_family "datalog"
-    (with_pools (fun () -> solve ()) (fun pool -> solve ~pool ()));
   (* --- consistency: full check over a 5000-object KB ----------------- *)
   let kb = W.populated_kb 5000 in
   measure_family "consistency"
@@ -1011,6 +965,7 @@ let shape_e20_parallel () =
   let make_daemon domains =
     let st = ok (Gkbms.Scenario.setup ()) in
     ignore (ok (Gkbms.Scenario.map_move_down st));
+    ignore (ok (Gkbms.Scenario.normalize_invitations st));
     let config = { Server.Daemon.default_config with cache = false; domains } in
     Server.Daemon.create ~config st.Gkbms.Scenario.repo
   in
@@ -1039,8 +994,8 @@ let shape_e20_parallel () =
   List.iter (fun (_, pool) -> Par.Pool.shutdown pool) pools;
   Printf.printf
     "expected shape: the 1-domain pool tracks the sequential code (the\n\
-     ablation bound: chunking overhead only); with real cores, datalog\n\
-     and consistency approach the domain count on large inputs while\n\
+     ablation bound: chunking overhead only); with real cores,\n\
+     consistency approaches the domain count on large inputs while\n\
      allen saturates earlier (per-pass row sweeps synchronize n times).\n\
      On a single-core host every speedup sits near 1.0x by construction.\n"
 
@@ -1312,15 +1267,11 @@ let setup_benches () =
       ignore
         (Gkbms.Version.configure repo_versions ~level:Gkbms.Metamodel.dbpl_object));
   (* E9: deduction strategies *)
-  let d_naive = W.chain_program 64 in
   let d_semi = W.chain_program 64 in
   let d_tabled = W.chain_program 64 in
-  bench "E9 datalog naive n=64" (fun () ->
-      Logic.Datalog.invalidate d_naive;
-      ok (Logic.Datalog.solve ~strategy:`Naive d_naive));
   bench "E9 datalog seminaive n=64" (fun () ->
       Logic.Datalog.invalidate d_semi;
-      ok (Logic.Datalog.solve ~strategy:`Seminaive d_semi));
+      ok (Logic.Datalog.solve d_semi));
   bench "E9 tabled bound-goal n=64" (fun () ->
       let p = Logic.Prover.make d_tabled in
       ignore

@@ -83,7 +83,8 @@ let handle = function
 (* The browsing and query verbs answer through the shell's dispatcher,
    so each has one rendering: the scenario state at [until], then
    [Shell.eval]'s output, which goes to stderr with exit 1 when it is an
-   error. *)
+   error.  Some answers end in a newline and some do not; the output
+   ends in one. *)
 let shell_verb until line =
   match build_state until with
   | Error e -> handle (Error e)
@@ -94,7 +95,8 @@ let shell_verb until line =
       1
     end
     else begin
-      print_endline out;
+      print_string out;
+      if not (String.ends_with ~suffix:"\n" out) then print_char '\n';
       0
     end
 

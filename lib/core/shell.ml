@@ -116,7 +116,8 @@ let observe t line answer =
     | _ -> ()
 
 (* An operand must name a proposition: [Kb.exists] only probes the
-   symbol table, so a client cannot mint symbols through these verbs. *)
+   symbol table, so a client cannot mint symbols through these verbs
+   (nor through [config LEVEL], which checks its level the same way). *)
 let with_target t name k =
   if Cml.Kb.exists (Repo.kb t.state.Scenario.repo) name then k (Symbol.intern name)
   else "error: no object " ^ name
@@ -199,6 +200,8 @@ let answer t line =
         | None -> "error: no source recorded for " ^ Symbol.name obj)
   | [ "deps"; name ] ->
     with_target t name (fun obj -> fmt "%a" (Depgraph.pp repo) obj)
+  | [ "config"; level ] when not (Cml.Kb.exists (Repo.kb repo) level) ->
+    "error: no level " ^ level
   | [ "config"; level ] -> (
     let config = Version.configure repo ~level in
     match Version.to_dbpl_module repo config ~name:"Configured" with

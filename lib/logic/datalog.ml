@@ -33,11 +33,6 @@ module Relation = struct
     in
     Hashtbl.replace bucket tup ()
 
-  let bucket_remove idx key tup =
-    match Hashtbl.find_opt idx key with
-    | Some b -> Hashtbl.remove b tup
-    | None -> ()
-
   let add r tup =
     if mem r tup then false
     else begin
@@ -50,19 +45,6 @@ module Relation = struct
       true
     end
 
-  let remove r tup =
-    if mem r tup then begin
-      Hashtbl.remove r.tuples tup;
-      let n = Array.length tup in
-      if n > 0 then begin
-        bucket_remove r.by_first tup.(0) tup;
-        if n > 1 then bucket_remove r.by_last tup.(n - 1) tup
-      end;
-      true
-    end
-    else false
-
-  let iter f (r : t) = Hashtbl.iter (fun tup () -> f tup) r.tuples
   let cardinal (r : t) = Hashtbl.length r.tuples
   let to_list (r : t) = Hashtbl.fold (fun tup () acc -> tup :: acc) r.tuples []
 
@@ -75,30 +57,6 @@ module Relation = struct
   let find_last (r : t) key = bucket_list r.by_last key
 end
 
-type strategy = [ `Naive | `Seminaive ]
-
-type stats = {
-  full_solves : int;  (** complete from-scratch materializations *)
-  incr_inserts : int;  (** fact insertions absorbed by a delta round *)
-  incr_deletes : int;  (** fact deletions absorbed by delete-rederive *)
-  fallbacks : int;  (** updates that had to invalidate instead *)
-  delta_rounds : int;  (** semi-naive / DRed rounds run incrementally *)
-  delta_tuples : int;  (** tuples moved by incremental propagation *)
-  index_hits : int;  (** bound-first-argument indexed lookups *)
-  index_misses : int;  (** full-relation scans *)
-}
-
-type counters = {
-  mutable c_full_solves : int;
-  mutable c_incr_inserts : int;
-  mutable c_incr_deletes : int;
-  mutable c_fallbacks : int;
-  mutable c_delta_rounds : int;
-  mutable c_delta_tuples : int;
-  mutable c_index_hits : int;
-  mutable c_index_misses : int;
-}
-
 type t = {
   facts : Relation.t Symbol.Tbl.t;  (** extensional, explicit *)
   externals : (Term.t list -> Term.t list list) Symbol.Tbl.t;
@@ -106,80 +64,7 @@ type t = {
   derived : Relation.t Symbol.Tbl.t;  (** materialized intensional *)
   mutable solved : bool;
   mutable idb_cache : Symbol.Set.t option;
-  mutable nonmonotone_cache : bool option;  (** any negated literal? *)
-  mutable strata_cache : Symbol.t list list option;  (** set by [solve] *)
-  counters : counters;
-  pub : counters;  (** values already flushed to the global registry *)
 }
-
-(* Process-wide registry series.  Hot paths bump only the engine-local
-   [counters] record; [publish] flushes the diff vs. [pub] at public
-   operation boundaries so per-lookup work stays a plain field update. *)
-let reg = Obs.Registry.default
-
-let g_full_solves =
-  Obs.Registry.counter reg "gkbms_datalog_full_solves_total"
-    ~help:"Complete from-scratch datalog materializations"
-
-let g_incr_inserts =
-  Obs.Registry.counter reg "gkbms_datalog_incr_inserts_total"
-    ~help:"Fact insertions absorbed by a delta round"
-
-let g_incr_deletes =
-  Obs.Registry.counter reg "gkbms_datalog_incr_deletes_total"
-    ~help:"Fact deletions absorbed by delete-rederive"
-
-let g_fallbacks =
-  Obs.Registry.counter reg "gkbms_datalog_fallbacks_total"
-    ~help:"Updates that invalidated instead of patching incrementally"
-
-let g_delta_rounds =
-  Obs.Registry.counter reg "gkbms_datalog_delta_rounds_total"
-    ~help:"Semi-naive / DRed rounds run incrementally"
-
-let g_delta_tuples =
-  Obs.Registry.counter reg "gkbms_datalog_delta_tuples_total"
-    ~help:"Tuples moved by incremental propagation"
-
-let g_index_hits =
-  Obs.Registry.counter reg "gkbms_datalog_index_hits_total"
-    ~help:"Bound-first-argument indexed lookups"
-
-let g_index_misses =
-  Obs.Registry.counter reg "gkbms_datalog_index_misses_total"
-    ~help:"Full-relation scans"
-
-let publish t =
-  let c = t.counters and p = t.pub in
-  let flush g cur last = if cur > last then Obs.Registry.Counter.inc ~by:(cur - last) g in
-  flush g_full_solves c.c_full_solves p.c_full_solves;
-  flush g_incr_inserts c.c_incr_inserts p.c_incr_inserts;
-  flush g_incr_deletes c.c_incr_deletes p.c_incr_deletes;
-  flush g_fallbacks c.c_fallbacks p.c_fallbacks;
-  flush g_delta_rounds c.c_delta_rounds p.c_delta_rounds;
-  flush g_delta_tuples c.c_delta_tuples p.c_delta_tuples;
-  flush g_index_hits c.c_index_hits p.c_index_hits;
-  flush g_index_misses c.c_index_misses p.c_index_misses;
-  p.c_full_solves <- c.c_full_solves;
-  p.c_incr_inserts <- c.c_incr_inserts;
-  p.c_incr_deletes <- c.c_incr_deletes;
-  p.c_fallbacks <- c.c_fallbacks;
-  p.c_delta_rounds <- c.c_delta_rounds;
-  p.c_delta_tuples <- c.c_delta_tuples;
-  p.c_index_hits <- c.c_index_hits;
-  p.c_index_misses <- c.c_index_misses
-
-let fresh_counters () =
-  {
-    c_full_solves = 0;
-    c_incr_inserts = 0;
-    c_incr_deletes = 0;
-    c_fallbacks = 0;
-    c_delta_rounds = 0;
-    c_delta_tuples = 0;
-    c_index_hits = 0;
-    c_index_misses = 0;
-  }
 
 let create () =
   {
@@ -189,62 +74,6 @@ let create () =
     derived = Symbol.Tbl.create 64;
     solved = false;
     idb_cache = None;
-    nonmonotone_cache = None;
-    strata_cache = None;
-    counters = fresh_counters ();
-    pub = fresh_counters ();
-  }
-
-let stats t =
-  let c = t.counters in
-  {
-    full_solves = c.c_full_solves;
-    incr_inserts = c.c_incr_inserts;
-    incr_deletes = c.c_incr_deletes;
-    fallbacks = c.c_fallbacks;
-    delta_rounds = c.c_delta_rounds;
-    delta_tuples = c.c_delta_tuples;
-    index_hits = c.c_index_hits;
-    index_misses = c.c_index_misses;
-  }
-
-let reset_stats t =
-  publish t;
-  let zero c =
-    c.c_full_solves <- 0;
-    c.c_incr_inserts <- 0;
-    c.c_incr_deletes <- 0;
-    c.c_fallbacks <- 0;
-    c.c_delta_rounds <- 0;
-    c.c_delta_tuples <- 0;
-    c.c_index_hits <- 0;
-    c.c_index_misses <- 0
-  in
-  zero t.counters;
-  zero t.pub
-
-let copy t =
-  let dup_sets tbl =
-    let fresh = Symbol.Tbl.create (Symbol.Tbl.length tbl) in
-    Symbol.Tbl.iter
-      (fun p rel ->
-        let r = Relation.create () in
-        Relation.iter (fun tup -> ignore (Relation.add r tup)) rel;
-        Symbol.Tbl.add fresh p r)
-      tbl;
-    fresh
-  in
-  {
-    facts = dup_sets t.facts;
-    externals = Symbol.Tbl.copy t.externals;
-    rules = t.rules;
-    derived = dup_sets t.derived;
-    solved = t.solved;
-    idb_cache = t.idb_cache;
-    nonmonotone_cache = t.nonmonotone_cache;
-    strata_cache = t.strata_cache;
-    counters = fresh_counters ();
-    pub = fresh_counters ();
   }
 
 let fact_count t p =
@@ -272,24 +101,6 @@ let idb_preds t =
     t.idb_cache <- Some s;
     s
 
-(* Incremental maintenance is only attempted for monotone programs:
-   a negated literal makes insertions able to retract derived tuples
-   (and vice versa), which a pure delta round cannot express. *)
-let nonmonotone t =
-  match t.nonmonotone_cache with
-  | Some b -> b
-  | None ->
-    let b =
-      List.exists
-        (fun (c : Term.clause) ->
-          List.exists
-            (function Term.Neg _ -> true | Term.Pos _ | Term.Cmp _ -> false)
-            c.body)
-        t.rules
-    in
-    t.nonmonotone_cache <- Some b;
-    b
-
 let add_clause t (c : Term.clause) =
   if not (Term.clause_safe c) then
     Error (Format.asprintf "unsafe clause %a" Term.pp_clause c)
@@ -301,8 +112,6 @@ let add_clause t (c : Term.clause) =
     t.rules <- c :: t.rules;
     t.solved <- false;
     t.idb_cache <- None;
-    t.nonmonotone_cache <- None;
-    t.strata_cache <- None;
     Ok ()
   end
 
@@ -378,31 +187,23 @@ let match_tuple (pattern : Term.t array) (tup : tuple) subst =
 (* Tuples of the relation possibly matching [pattern]: when the first
    (or, failing that, the last) argument of the pattern is ground the
    per-predicate hash index narrows the scan to one bucket. *)
-let rel_lookup t (r : Relation.t) (pattern : Term.t array) =
+let rel_lookup (r : Relation.t) (pattern : Term.t array) =
   let n = Array.length pattern in
-  if n > 0 && Term.is_ground pattern.(0) then begin
-    t.counters.c_index_hits <- t.counters.c_index_hits + 1;
-    Relation.find_first r pattern.(0)
-  end
-  else if n > 1 && Term.is_ground pattern.(n - 1) then begin
-    t.counters.c_index_hits <- t.counters.c_index_hits + 1;
+  if n > 0 && Term.is_ground pattern.(0) then Relation.find_first r pattern.(0)
+  else if n > 1 && Term.is_ground pattern.(n - 1) then
     Relation.find_last r pattern.(n - 1)
-  end
-  else begin
-    t.counters.c_index_misses <- t.counters.c_index_misses + 1;
-    Relation.to_list r
-  end
+  else Relation.to_list r
 
-let stored_candidates t tbl p pattern =
+let stored_candidates tbl p pattern =
   match Symbol.Tbl.find_opt tbl p with
-  | Some r -> rel_lookup t r pattern
+  | Some r -> rel_lookup r pattern
   | None -> []
 
 (* All stored tuples of predicate [p] possibly matching [pattern]:
    explicit facts, materialized tuples, and external relations. *)
 let candidates t p (pattern : Term.t array) =
-  let explicit = stored_candidates t t.facts p pattern in
-  let derived = stored_candidates t t.derived p pattern in
+  let explicit = stored_candidates t.facts p pattern in
+  let derived = stored_candidates t.derived p pattern in
   let from_external =
     match Symbol.Tbl.find_opt t.externals p with
     | Some enum -> List.map Array.of_list (enum (Array.to_list pattern))
@@ -429,9 +230,8 @@ let holds_ground t (a : Term.atom) =
    positive literal to the tuple source for that occurrence (this is
    where semi-naive evaluation injects the delta).  Negations and
    comparisons are delayed until ground — clause safety guarantees they
-   eventually are.  [init] seeds the evaluation (used to rederive a
-   specific head tuple by pre-binding the head variables). *)
-let eval_body ?(init = [ Term.Subst.empty ]) t lookup body =
+   eventually are. *)
+let eval_body t lookup body =
   let rec go pos_idx substs pending = function
     | [] ->
       (* discharge delayed negations / comparisons *)
@@ -491,7 +291,7 @@ let eval_body ?(init = [ Term.Subst.empty ]) t lookup body =
       let pending = if delay = [] then pending else Term.Cmp (op, l, r) :: pending in
       go pos_idx (keep @ delay) pending rest
   in
-  go 0 init [] body
+  go 0 [ Term.Subst.empty ] [] body
 
 let head_tuples (c : Term.clause) substs =
   List.filter_map
@@ -548,41 +348,12 @@ let delta_set (d : Relation.t Symbol.Tbl.t) p =
 let delta_nonempty (d : Relation.t Symbol.Tbl.t) =
   Symbol.Tbl.fold (fun _ s acc -> acc || Relation.cardinal s > 0) d false
 
-let delta_mem (d : Relation.t Symbol.Tbl.t) p =
+let delta_lookup (d : Relation.t Symbol.Tbl.t) p pattern =
   match Symbol.Tbl.find_opt d p with
-  | Some s -> Relation.cardinal s > 0
-  | None -> false
-
-let delta_lookup t (d : Relation.t Symbol.Tbl.t) p pattern =
-  match Symbol.Tbl.find_opt d p with
-  | Some r -> rel_lookup t r pattern
+  | Some r -> rel_lookup r pattern
   | None -> []
 
-let delta_copy d =
-  let fresh = delta_create () in
-  Symbol.Tbl.iter
-    (fun p r ->
-      let s = delta_set fresh p in
-      Relation.iter (fun tup -> ignore (Relation.add s tup)) r)
-    d;
-  fresh
-
-(* Full evaluation ------------------------------------------------------- *)
-
-let eval_stratum_naive t stratum_rules =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (c : Term.clause) ->
-        let substs = eval_body t (full_lookup t) c.body in
-        List.iter
-          (fun tup ->
-            if Relation.add (set_of t.derived c.head.pred) tup then
-              changed := true)
-          (head_tuples c substs))
-      stratum_rules
-  done
+(* Semi-naive evaluation ------------------------------------------------- *)
 
 let eval_stratum_seminaive t stratum_preds stratum_rules =
   let in_stratum p = List.exists (Symbol.equal p) stratum_preds in
@@ -610,7 +381,7 @@ let eval_stratum_seminaive t stratum_preds stratum_rules =
         List.iter
           (fun focus ->
             let lookup idx p pattern =
-              if idx = 0 then delta_lookup t !delta p pattern
+              if idx = 0 then delta_lookup !delta p pattern
               else candidates t p pattern
             in
             let substs = eval_body t lookup (focused_body c focus) in
@@ -624,357 +395,43 @@ let eval_stratum_seminaive t stratum_preds stratum_rules =
     delta := next
   done
 
-(* Parallel semi-naive: the per-(rule, focus) delta joins of one round
-   are independent reads, so they run on pool domains against a shim of
-   [t] (shared fact/derived tables, private counters); each job returns
-   its head tuples and the coordinator merges them into [t.derived] and
-   the next delta sequentially, in job order.  Compared to the
-   sequential loop above, a rule no longer sees tuples derived by
-   earlier rules of the *same* round — those tuples are in the round's
-   delta, and every same-stratum body position is a recursive focus, so
-   the next round derives exactly the missed consequences: the fixpoint
-   is identical, at worst one extra round.  Negated predicates are in
-   lower (complete) strata by stratification, so deferral never changes
-   a negation's outcome.  External relations must be safe to call from
-   several domains (the Cml bridge reads only the store). *)
-let eval_stratum_seminaive_par ~pool t stratum_preds stratum_rules =
-  let in_stratum p = List.exists (Symbol.equal p) stratum_preds in
-  let shim () = { t with counters = fresh_counters (); pub = fresh_counters () } in
-  let absorb (c : counters) =
-    t.counters.c_index_hits <- t.counters.c_index_hits + c.c_index_hits;
-    t.counters.c_index_misses <- t.counters.c_index_misses + c.c_index_misses
-  in
-  let merge delta results =
-    List.iter
-      (fun (p, tups, ctrs) ->
-        absorb ctrs;
-        List.iter
-          (fun tup ->
-            if Relation.add (set_of t.derived p) tup then
-              ignore (Relation.add (delta_set delta p) tup))
-          tups)
-      results
-  in
-  let delta = ref (delta_create ()) in
-  Par.Pool.map_list ~pool
-    (fun (c : Term.clause) ->
-      let sh = shim () in
-      let substs = eval_body sh (full_lookup sh) c.body in
-      (c.head.pred, head_tuples c substs, sh.counters))
-    stratum_rules
-  |> merge !delta;
-  let jobs =
-    List.concat_map
-      (fun (c : Term.clause) ->
-        positive_positions c
-        |> List.filter (fun (_, p) -> in_stratum p)
-        |> List.map (fun (focus, _) -> (c, focus)))
-      stratum_rules
-  in
-  while delta_nonempty !delta do
-    let d = !delta in
-    let results =
-      Par.Pool.map_list ~pool
-        (fun ((c : Term.clause), focus) ->
-          let sh = shim () in
-          let lookup idx p pattern =
-            if idx = 0 then delta_lookup sh d p pattern
-            else candidates sh p pattern
-          in
-          let substs = eval_body sh lookup (focused_body c focus) in
-          (c.head.pred, head_tuples c substs, sh.counters))
-        jobs
-    in
-    let next = delta_create () in
-    merge next results;
-    delta := next
-  done
-
 let invalidate t =
   Symbol.Tbl.reset t.derived;
   t.solved <- false
 
-let solve ?(strategy = `Seminaive) ?pool t =
-  (* the parallel path only engages on a real multi-domain pool from
-     outside a pool task; otherwise the pre-parallel code runs verbatim *)
-  let pool =
-    match pool with
-    | Some p when Par.Pool.size p > 1 && not (Par.Pool.in_worker ()) -> Some p
-    | Some _ | None -> None
-  in
+let solve t =
   if t.solved then Ok ()
   else
-    let r =
-      match stratify t with
-      | Error e -> Error e
-      | Ok strata ->
-        Symbol.Tbl.reset t.derived;
-        List.iter
-          (fun stratum_preds ->
-            let stratum_rules = stratum_rules_of t stratum_preds in
-            match (strategy, pool) with
-            | `Naive, _ -> eval_stratum_naive t stratum_rules
-            | `Seminaive, Some pool ->
-              eval_stratum_seminaive_par ~pool t stratum_preds stratum_rules
-            | `Seminaive, None ->
-              eval_stratum_seminaive t stratum_preds stratum_rules)
-          strata;
-        t.strata_cache <- Some strata;
-        t.solved <- true;
-        t.counters.c_full_solves <- t.counters.c_full_solves + 1;
-        Ok ()
-    in
-    publish t;
-    r
+    match stratify t with
+    | Error e -> Error e
+    | Ok strata ->
+      Symbol.Tbl.reset t.derived;
+      List.iter
+        (fun stratum_preds ->
+          eval_stratum_seminaive t stratum_preds
+            (stratum_rules_of t stratum_preds))
+        strata;
+      t.solved <- true;
+      Ok ()
 
-(* Incremental insertion ------------------------------------------------- *)
-
-(* Semi-naive propagation of already-inserted [seeds] through the given
-   strata.  New head tuples are added to [t.derived]; the accumulated
-   delta of one stratum feeds the rules of the higher strata. *)
-let propagate_insertions t seeds strata =
-  let acc = delta_create () in
-  List.iter (fun (p, tup) -> ignore (Relation.add (delta_set acc p) tup)) seeds;
-  List.iter
-    (fun stratum_preds ->
-      let stratum_rules = stratum_rules_of t stratum_preds in
-      if stratum_rules <> [] then begin
-        let cur = ref (delta_copy acc) in
-        while delta_nonempty !cur do
-          t.counters.c_delta_rounds <- t.counters.c_delta_rounds + 1;
-          let next = delta_create () in
-          List.iter
-            (fun (c : Term.clause) ->
-              List.iter
-                (fun (focus, p) ->
-                  if delta_mem !cur p then begin
-                    let lookup idx q pattern =
-                      if idx = 0 then delta_lookup t !cur q pattern
-                      else candidates t q pattern
-                    in
-                    let substs = eval_body t lookup (focused_body c focus) in
-                    List.iter
-                      (fun tup ->
-                        if Relation.add (set_of t.derived c.head.pred) tup
-                        then begin
-                          ignore (Relation.add (delta_set next c.head.pred) tup);
-                          ignore (Relation.add (delta_set acc c.head.pred) tup);
-                          t.counters.c_delta_tuples <-
-                            t.counters.c_delta_tuples + 1
-                        end)
-                      (head_tuples c substs)
-                  end)
-                (positive_positions c))
-            stratum_rules;
-          cur := next
-        done
-      end)
-    strata
-
+(* A new fact drops a materialization rather than patching it: nothing
+   in the system keeps one live, so the next [solve] recomputes. *)
 let add_fact t (a : Term.atom) =
   if not (Term.atom_ground a) then
     Error (Format.asprintf "non-ground fact %a" Term.pp_atom a)
   else begin
-    let rel = set_of t.facts a.pred in
-    if Relation.mem rel a.args then Ok () (* duplicate: nothing to do *)
-    else begin
-      ignore (Relation.add rel a.args);
-      (match (t.solved, t.strata_cache) with
-      | true, Some strata when not (nonmonotone t) ->
-        (* one delta round instead of re-solving from scratch *)
-        t.counters.c_incr_inserts <- t.counters.c_incr_inserts + 1;
-        propagate_insertions t [ (a.pred, a.args) ] strata
-      | true, _ ->
-        t.counters.c_fallbacks <- t.counters.c_fallbacks + 1;
-        t.solved <- false
-      | false, _ -> ());
-      publish t;
-      Ok ()
-    end
-  end
-
-let add_facts t (atoms : Term.atom list) =
-  match List.find_opt (fun a -> not (Term.atom_ground a)) atoms with
-  | Some a -> Error (Format.asprintf "non-ground fact %a" Term.pp_atom a)
-  | None ->
-    (* Stage every new tuple first, then run ONE delta round over the
-       whole batch — loading n facts costs one propagation instead of
-       n (the semi-naive round already takes a seed list). *)
-    let seeds =
-      List.filter
-        (fun (a : Term.atom) -> Relation.add (set_of t.facts a.pred) a.args)
-        atoms
-    in
-    (if seeds <> [] then begin
-       (match (t.solved, t.strata_cache) with
-       | true, Some strata when not (nonmonotone t) ->
-         t.counters.c_incr_inserts <- t.counters.c_incr_inserts + 1;
-         propagate_insertions t
-           (List.map (fun (a : Term.atom) -> (a.pred, a.args)) seeds)
-           strata
-       | true, _ ->
-         t.counters.c_fallbacks <- t.counters.c_fallbacks + 1;
-         t.solved <- false
-       | false, _ -> ());
-       publish t
-     end);
-    Ok ()
-
-(* Incremental deletion (delete-rederive) -------------------------------- *)
-
-(* Is there still a derivation of head tuple [tup] of [p] from the
-   current database?  Pre-binds the head with the tuple and evaluates
-   each rule body against the stored relations. *)
-let rederivable t p (tup : tuple) =
-  List.exists
-    (fun (c : Term.clause) ->
-      Symbol.equal c.head.pred p
-      &&
-      match
-        Term.unify_atoms c.head
-          { Term.pred = p; args = tup }
-          Term.Subst.empty
-      with
-      | None -> false
-      | Some subst -> eval_body ~init:[ subst ] t (full_lookup t) c.body <> [])
-    t.rules
-
-(* DRed, stratum by stratum: over-delete everything with a derivation
-   through a deleted tuple (other body positions see the pre-deletion
-   database, i.e. current ∪ deleted), then put back and re-propagate the
-   tuples that still have an independent derivation. *)
-let propagate_deletions t seeds strata =
-  (* The lookups below (and especially the per-tuple body probes of
-     [rederivable]) are maintenance work, not query answering: a
-     retraction storm would otherwise swamp the hit/miss ratio with
-     thousands of internal probes and make the steady-state index
-     statistics meaningless.  Snapshot the two counters and restore them
-     on exit; the delta counters ([delta_rounds]/[delta_tuples]) keep
-     counting, they genuinely describe DRed work. *)
-  let h0 = t.counters.c_index_hits and m0 = t.counters.c_index_misses in
-  Fun.protect ~finally:(fun () ->
-      t.counters.c_index_hits <- h0;
-      t.counters.c_index_misses <- m0)
-  @@ fun () ->
-  let deleted = delta_create () in
-  List.iter
-    (fun (p, tup) -> ignore (Relation.add (delta_set deleted p) tup))
-    seeds;
-  List.iter
-    (fun stratum_preds ->
-      let stratum_rules = stratum_rules_of t stratum_preds in
-      if stratum_rules <> [] then begin
-        (* phase 1: over-delete *)
-        let del_s = delta_create () in
-        let cur = ref (delta_copy deleted) in
-        while delta_nonempty !cur do
-          t.counters.c_delta_rounds <- t.counters.c_delta_rounds + 1;
-          let next = delta_create () in
-          List.iter
-            (fun (c : Term.clause) ->
-              List.iter
-                (fun (focus, p) ->
-                  if delta_mem !cur p then begin
-                    let lookup idx q pattern =
-                      if idx = 0 then delta_lookup t !cur q pattern
-                      else
-                        List.rev_append
-                          (delta_lookup t deleted q pattern)
-                          (candidates t q pattern)
-                    in
-                    let substs = eval_body t lookup (focused_body c focus) in
-                    List.iter
-                      (fun tup ->
-                        match Symbol.Tbl.find_opt t.derived c.head.pred with
-                        | Some rel when Relation.remove rel tup ->
-                          ignore
-                            (Relation.add (delta_set deleted c.head.pred) tup);
-                          ignore
-                            (Relation.add (delta_set del_s c.head.pred) tup);
-                          ignore
-                            (Relation.add (delta_set next c.head.pred) tup);
-                          t.counters.c_delta_tuples <-
-                            t.counters.c_delta_tuples + 1
-                        | Some _ | None -> ())
-                      (head_tuples c substs)
-                  end)
-                (positive_positions c))
-            stratum_rules;
-          cur := next
-        done;
-        (* phase 2: rederive over-deleted tuples that survive *)
-        let survivors = ref [] in
-        Symbol.Tbl.iter
-          (fun p rel ->
-            Relation.iter
-              (fun tup ->
-                if rederivable t p tup then survivors := (p, tup) :: !survivors)
-              rel)
-          del_s;
-        List.iter
-          (fun (p, tup) -> ignore (Relation.add (set_of t.derived p) tup))
-          !survivors;
-        if !survivors <> [] then
-          propagate_insertions t !survivors [ stratum_preds ];
-        (* anything back in [derived] is no longer deleted: later strata
-           must not propagate its removal *)
-        Symbol.Tbl.iter
-          (fun p rel ->
-            Relation.iter
-              (fun tup ->
-                match Symbol.Tbl.find_opt t.derived p with
-                | Some d when Relation.mem d tup ->
-                  ignore (Relation.remove (delta_set deleted p) tup)
-                | Some _ | None -> ())
-              rel)
-          del_s
-      end)
-    strata
-
-let remove_fact t (a : Term.atom) =
-  if not (Term.atom_ground a) then
-    Error (Format.asprintf "non-ground fact %a" Term.pp_atom a)
-  else begin
-    (match Symbol.Tbl.find_opt t.facts a.pred with
-    | None -> ()
-    | Some rel ->
-      if Relation.remove rel a.args then (
-        match (t.solved, t.strata_cache) with
-        | true, Some strata when not (nonmonotone t) ->
-          t.counters.c_incr_deletes <- t.counters.c_incr_deletes + 1;
-          propagate_deletions t [ (a.pred, a.args) ] strata
-        | true, _ ->
-          t.counters.c_fallbacks <- t.counters.c_fallbacks + 1;
-          t.solved <- false
-        | false, _ -> ()));
-    publish t;
+    if Relation.add (set_of t.facts a.pred) a.args && t.solved then invalidate t;
     Ok ()
   end
-
-let facts_of t p =
-  let explicit =
-    match Symbol.Tbl.find_opt t.facts p with
-    | Some s -> Relation.to_list s
-    | None -> []
-  in
-  let derived =
-    match Symbol.Tbl.find_opt t.derived p with
-    | Some s -> Relation.to_list s
-    | None -> []
-  in
-  List.map Array.to_list (List.rev_append explicit derived)
 
 let match_atom t (a : Term.atom) subst =
   let pattern = Array.map (Term.Subst.apply subst) a.args in
   match_against (candidates t a.pred pattern) a subst []
 
-let query ?strategy ?pool t a =
-  match solve ?strategy ?pool t with
+let query t a =
+  match solve t with
   | Error e -> Error e
-  | Ok () ->
-    let r = match_atom t a Term.Subst.empty in
-    publish t;
-    Ok r
+  | Ok () -> Ok (match_atom t a Term.Subst.empty)
 
 let derived_count t =
   Symbol.Tbl.fold (fun _ s acc -> acc + Relation.cardinal s) t.derived 0

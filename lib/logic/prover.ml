@@ -60,21 +60,9 @@ let make program =
   }
 
 (* A snapshot, not the live record: handing out the internal mutable
-   record would let two provers (or a caller) alias each other's
-   counters — the copy-derived prover bug. *)
+   record would let a caller alias the prover's counters. *)
 let stats t =
   { resolutions = t.stats.resolutions; lemma_hits = t.stats.lemma_hits }
-
-let copy t =
-  let table = Atom_tbl.create (Atom_tbl.length t.table) in
-  Atom_tbl.iter (fun g set -> Atom_tbl.add table g (Hashtbl.copy set)) t.table;
-  {
-    t with
-    table;
-    active = Atom_tbl.copy t.active;
-    stats = { resolutions = t.stats.resolutions; lemma_hits = t.stats.lemma_hits };
-    pub = { resolutions = t.stats.resolutions; lemma_hits = t.stats.lemma_hits };
-  }
 
 let lemma_count t = Atom_tbl.length t.table
 

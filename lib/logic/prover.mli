@@ -25,15 +25,9 @@ val solve : t -> Term.atom list -> Term.Subst.t list
 
 val prove : t -> Term.atom list -> bool
 
-val copy : t -> t
-(** An independent prover over the same program: the lemma table is
-    duplicated (answer sets and all) and the stats counters are fresh
-    copies, so work done in either prover is invisible to the other. *)
-
 val stats : t -> stats
 (** A snapshot of the counters.  Mutating the returned record does not
-    affect the prover (and snapshots taken from copies are likewise
-    independent). *)
+    affect the prover. *)
 
 val lemma_count : t -> int
 (** Number of lemmas (cached subgoal answers) generated so far. *)

@@ -6,7 +6,6 @@ let () =
       ("graph", Test_graph.suite);
       ("temporal", Test_temporal.suite);
       ("logic", Test_logic.suite);
-      ("incremental", Test_incremental.suite);
       ("tms", Test_tms.suite);
       ("cml", Test_cml.suite);
       ("langs", Test_langs.suite);

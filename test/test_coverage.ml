@@ -1,7 +1,7 @@
 (* Final coverage batch: paths not exercised elsewhere — negation under
-   the tabled prover, Datalog.copy isolation, display details,
-   configuration diagnostics, multi-field nesting, temporal browsing
-   boundaries, and prover statistics. *)
+   the tabled prover, display details, configuration diagnostics,
+   multi-field nesting, temporal browsing boundaries, and prover
+   statistics. *)
 
 open Kernel
 module T = Logic.Term
@@ -66,17 +66,6 @@ let test_prover_stats_accumulate () =
   check bool "lemmas stored" true (Logic.Prover.lemma_count p > 0);
   Logic.Prover.clear_lemmas p;
   check int "lemmas cleared" 0 (Logic.Prover.lemma_count p)
-
-let test_datalog_copy_isolated () =
-  let d = Logic.Datalog.create () in
-  ok (Logic.Datalog.add_fact d (T.atom "p" [ s "a" ]));
-  let d2 = Logic.Datalog.copy d in
-  ok (Logic.Datalog.add_fact d2 (T.atom "p" [ s "b" ]));
-  let count dd =
-    List.length (ok (Logic.Datalog.query dd (T.atom "p" [ v "X" ])))
-  in
-  check int "copy extended" 2 (count d2);
-  check int "original untouched" 1 (count d)
 
 (* display & browsing ------------------------------------------------------ *)
 
@@ -173,7 +162,6 @@ let suite =
   [
     ("tabled prover negation", `Quick, test_tabled_negation);
     ("prover stats accumulate", `Quick, test_prover_stats_accumulate);
-    ("datalog copy isolation", `Quick, test_datalog_copy_isolated);
     ("relational display categories", `Quick, test_relational_display_category_column);
     ("temporal browsing boundary", `Quick, test_browse_temporal_boundary);
     ("incomplete configuration diagnosed", `Quick,

@@ -232,6 +232,27 @@ let test_unknown_objects () =
   check bool "find_opt finds interned" true
     (Symbol.find_opt "InvitationRel" = Some (Symbol.intern "InvitationRel"))
 
+(* a level that names no proposition is an error: it mints nothing,
+   grows no memo, and leaves the session's level where it was *)
+let test_unknown_config_level () =
+  let st = ok (Scn.setup ()) in
+  let shell = Shell.session st.Scn.repo in
+  ignore (Shell.eval shell "map");
+  let kb = Repo.kb st.Scn.repo in
+  let level = Shell.eval shell "config" in
+  let stem = "NoLevel" ^ string_of_int (Symbol.count ()) in
+  let symbols = Symbol.count () and memos = (Cml.Kb.cache_stats kb).Cml.Kb.entries in
+  for i = 1 to 100 do
+    let name = stem ^ "_" ^ string_of_int i in
+    check string "error" ("error: no level " ^ name)
+      (Shell.eval shell ("config " ^ name))
+  done;
+  check int "no symbol minted" symbols (Symbol.count ());
+  check int "no memo entry" memos (Cml.Kb.cache_stats kb).Cml.Kb.entries;
+  check string "bare config resolves to the old level" "config DBPL_Object"
+    (Shell.resolve shell "config");
+  check string "and answers as before" level (Shell.eval shell "config")
+
 (* a resolved line answers as the bare one did; observe replays the
    cursor and level updates *)
 let test_resolve_and_observe () =
@@ -256,5 +277,7 @@ let suite =
     ("focus and deps ≡ the whole-history reference", `Quick,
      test_focus_and_deps_differential);
     ("unknown objects are errors and mint nothing", `Quick, test_unknown_objects);
+    ("unknown config level is an error and mints nothing", `Quick,
+     test_unknown_config_level);
     ("resolve and observe", `Quick, test_resolve_and_observe);
   ]

@@ -675,7 +675,7 @@ let test_slo_objectives_and_breaches () =
     check bool "breach counter moved" true (v >= 1)
   | _ -> Alcotest.fail "gkbms_slo_breaches_total{cmd=run} missing"
 
-(* ---------------- prover copy regression ---------------- *)
+(* ---------------- prover stats are copied out ---------------- *)
 
 let test_prover_copy_stats_independent () =
   let d = Logic.Datalog.create () in
@@ -709,17 +709,7 @@ let test_prover_copy_stats_independent () =
   let snap = Logic.Prover.stats p in
   snap.Logic.Prover.resolutions <- 12345;
   check int "mutating a snapshot does not reach the prover" before
-    (Logic.Prover.stats p).Logic.Prover.resolutions;
-  (* work in a copy is invisible to the original *)
-  let q = Logic.Prover.copy p in
-  Logic.Prover.clear_lemmas q;
-  ignore
-    (Logic.Prover.solve q
-       [ atom "path" [ Logic.Term.sym "b"; Logic.Term.var "Y" ] ]);
-  check int "copy's work does not leak into the original" before
-    (Logic.Prover.stats p).Logic.Prover.resolutions;
-  check bool "copy accumulated beyond the fork point" true
-    ((Logic.Prover.stats q).Logic.Prover.resolutions > before)
+    (Logic.Prover.stats p).Logic.Prover.resolutions
 
 (* ---------------- cross-layer: slow decision in the slow-op log ------ *)
 

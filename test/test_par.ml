@@ -1,12 +1,9 @@
 (* The multicore contract: pool primitives behave exactly like their
    sequential counterparts, the interner survives concurrent domains,
-   and every parallel evaluation path (datalog, consistency, allen)
-   produces output identical to the sequential code at 1, 2 and 4
-   domains. *)
+   and every parallel evaluation path (consistency, allen) produces
+   output identical to the sequential code at 1, 2 and 4 domains. *)
 
 open Kernel
-module T = Logic.Term
-module Datalog = Logic.Datalog
 module Pool = Par.Pool
 module Allen = Temporal.Allen
 module Kb = Cml.Kb
@@ -19,9 +16,6 @@ let int = Alcotest.int
 let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" e
-
-let v = T.var
-let s = T.sym
 
 (* shared pools, reused by every test in the suite (joined at exit) *)
 let pool1 = Pool.create ~domains:1
@@ -196,103 +190,6 @@ let test_mem_store_bucket_drain () =
   check int "primary empty" 0 (Mem.cardinal st);
   check int "no chain key left" 0 (Mem.index_keys st)
 
-(* datalog: parallel ≡ sequential ---------------------------------------- *)
-
-(* A stratified program exercising recursion, join order and negation:
-     r(X,Y)  :- e(X,Y).            r(X,Y) :- e(X,Z), r(Z,Y).
-     nr(X,Y) :- e(X,Y), not r(Y,X).
-     big(X)  :- n(X), not e(X,X).
-   over random edge/node sets. *)
-let build_program edges nodes =
-  let d = Datalog.create () in
-  let node k = s ("n" ^ string_of_int k) in
-  List.iter
-    (fun (a, b) -> ignore (Datalog.add_fact d (T.atom "e" [ node a; node b ])))
-    edges;
-  List.iter
-    (fun a -> ignore (Datalog.add_fact d (T.atom "n" [ node a ])))
-    nodes;
-  ok
-    (Datalog.add_clause d
-       (T.clause (T.atom "r" [ v "X"; v "Y" ])
-          [ T.Pos (T.atom "e" [ v "X"; v "Y" ]) ]));
-  ok
-    (Datalog.add_clause d
-       (T.clause (T.atom "r" [ v "X"; v "Y" ])
-          [ T.Pos (T.atom "e" [ v "X"; v "Z" ]);
-            T.Pos (T.atom "r" [ v "Z"; v "Y" ]) ]));
-  ok
-    (Datalog.add_clause d
-       (T.clause (T.atom "nr" [ v "X"; v "Y" ])
-          [ T.Pos (T.atom "e" [ v "X"; v "Y" ]);
-            T.Neg (T.atom "r" [ v "Y"; v "X" ]) ]));
-  ok
-    (Datalog.add_clause d
-       (T.clause (T.atom "big" [ v "X" ])
-          [ T.Pos (T.atom "n" [ v "X" ]); T.Neg (T.atom "e" [ v "X"; v "X" ]) ]));
-  d
-
-let materialization d pred =
-  List.sort compare
-    (List.map
-       (List.map (fun t -> Format.asprintf "%a" T.pp t))
-       (Datalog.facts_of d (Symbol.intern pred)))
-
-let idb_preds = [ "r"; "nr"; "big" ]
-
-let test_datalog_differential =
-  QCheck.Test.make ~name:"datalog: parallel solve ≡ sequential (1/2/4 domains)"
-    ~count:30
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 0 25) (pair (int_range 0 7) (int_range 0 7)))
-        (list_of_size (Gen.int_range 0 8) (int_range 0 7)))
-    (fun (edges, nodes) ->
-      let reference = build_program edges nodes in
-      ok (Datalog.solve reference);
-      let expect = List.map (materialization reference) idb_preds in
-      List.for_all
-        (fun (_, pool) ->
-          let d = build_program edges nodes in
-          ok (Datalog.solve ~pool d);
-          List.map (materialization d) idb_preds = expect)
-        pools
-      && begin
-           (* the naive strategy ignores the pool and must agree too *)
-           let d = build_program edges nodes in
-           ok (Datalog.solve ~strategy:`Naive ~pool:pool4 d);
-           List.map (materialization d) idb_preds = expect
-         end)
-
-let test_datalog_pool_chain () =
-  (* a deeper chase than the random programs: 120-element chain *)
-  let edges = List.init 120 (fun i -> (i, i + 1)) in
-  let d_seq = Datalog.create () in
-  let d_par = Datalog.create () in
-  let node k = s ("c" ^ string_of_int k) in
-  List.iter
-    (fun d ->
-      List.iter
-        (fun (a, b) ->
-          ignore (Datalog.add_fact d (T.atom "e" [ node a; node b ])))
-        edges;
-      ok
-        (Datalog.add_clause d
-           (T.clause (T.atom "p" [ v "X"; v "Y" ])
-              [ T.Pos (T.atom "e" [ v "X"; v "Y" ]) ]));
-      ok
-        (Datalog.add_clause d
-           (T.clause (T.atom "p" [ v "X"; v "Y" ])
-              [ T.Pos (T.atom "e" [ v "X"; v "Z" ]);
-                T.Pos (T.atom "p" [ v "Z"; v "Y" ]) ])))
-    [ d_seq; d_par ];
-  ok (Datalog.solve d_seq);
-  ok (Datalog.solve ~pool:pool4 d_par);
-  check int "chain closure size" (121 * 120 / 2) (Datalog.derived_count d_par);
-  check bool "chain closure identical" true
-    (List.sort compare (Datalog.facts_of d_seq (Symbol.intern "p"))
-    = List.sort compare (Datalog.facts_of d_par (Symbol.intern "p")))
-
 (* consistency: parallel ≡ sequential ------------------------------------ *)
 
 let violating_kb () =
@@ -407,8 +304,6 @@ let suite =
     ("symbol intern 4-domain stress", `Quick, test_symbol_stress);
     ("symbol intern across table resizes", `Quick, test_symbol_resize);
     ("mem-store drained buckets removed", `Quick, test_mem_store_bucket_drain);
-    QCheck_alcotest.to_alcotest test_datalog_differential;
-    ("datalog 120-chain parallel closure", `Quick, test_datalog_pool_chain);
     ("consistency differential 1/2/4 domains", `Quick, test_consistency_differential);
     QCheck_alcotest.to_alcotest test_allen_differential;
     ("allen meets-chain tightening", `Quick, test_allen_known_chain);

@@ -114,7 +114,9 @@ let test_per_session_config_level () =
   ignore (Shell.eval a "map");
   let a_config = Shell.eval a "config" in
   (* b switches its configuration level; a's view must be unaffected *)
-  ignore (Shell.eval b "config NoSuchLevel");
+  ignore (Shell.eval b "config DBPL_Rel");
+  check Alcotest.string "b's level moved" "config DBPL_Rel"
+    (Shell.resolve b "config");
   check Alcotest.string "a config level untouched by b" a_config
     (Shell.eval a "config")
 
