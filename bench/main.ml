@@ -895,110 +895,6 @@ let shape_e24_tracing () =
   metric_f "e24_off_ops_s" (ops t_off);
   metric_f "e24_on_ops_s" (ops t_on)
 
-(* ------------------------------------------------------------------ *)
-(* E20: multicore speedup — the domain pool under each read path       *)
-(* ------------------------------------------------------------------ *)
-
-let shape_e20_parallel () =
-  section "E20: multicore — consistency / allen / server reads";
-  Printf.printf "host reports %d cores (Domain.recommended_domain_count)\n"
-    (Domain.recommended_domain_count ());
-  let domain_counts = [ 1; 2; 4 ] in
-  let pools = List.map (fun d -> (d, Par.Pool.create ~domains:d)) domain_counts in
-  (* Wall-clock timing on a possibly loaded host: run every config of a
-     family round-robin so all of them see the same drift, then take
-     per-config medians and compute speedups from per-round ratios (the
-     E19 trick — adjacent runs share whatever load the machine is
-     under, so their ratio is far more stable than a ratio of medians). *)
-  let rounds = 3 in
-  (* configs: (domains, thunk); domains = 0 is the sequential baseline *)
-  let measure_family name configs =
-    let configs = Array.of_list configs in
-    let k = Array.length configs in
-    let samples = Array.make_matrix k rounds 0. in
-    (* untimed warmup levels one-time costs (index builds, interning) *)
-    Array.iter (fun (_, f) -> f ()) configs;
-    for r = 0 to rounds - 1 do
-      Array.iteri
-        (fun i (_, f) ->
-          Gc.compact ();
-          let t0 = Unix.gettimeofday () in
-          f ();
-          samples.(i).(r) <- Unix.gettimeofday () -. t0)
-        configs
-    done;
-    let t_seq = median samples.(0) in
-    Printf.printf "%-12s sequential %8.2f ms\n" name (t_seq *. 1e3);
-    metric_f (Printf.sprintf "e20_%s_seq_ms" name) (t_seq *. 1e3);
-    Array.iteri
-      (fun i (d, _) ->
-        if i > 0 then begin
-          let t = median samples.(i) in
-          let speedup =
-            median
-              (Array.init rounds (fun r -> samples.(0).(r) /. samples.(i).(r)))
-          in
-          Printf.printf "%-12s domains=%d  %8.2f ms  (speedup %.2fx)\n" name d
-            (t *. 1e3) speedup;
-          metric_f (Printf.sprintf "e20_%s_d%d_ms" name d) (t *. 1e3);
-          metric_f (Printf.sprintf "e20_%s_d%d_speedup" name d) speedup
-        end)
-      configs
-  in
-  let with_pools seq par =
-    (0, seq) :: List.map (fun (d, pool) -> (d, fun () -> par pool)) pools
-  in
-  (* --- consistency: full check over a 5000-object KB ----------------- *)
-  let kb = W.populated_kb 5000 in
-  measure_family "consistency"
-    (with_pools
-       (fun () -> ignore (Cml.Consistency.check_all kb))
-       (fun pool -> ignore (Cml.Consistency.check_all ~pool kb)));
-  (* --- allen: O(n^3) path-consistency passes on a 64-interval net ---- *)
-  let allen_run ?pool () =
-    let net = W.allen_chain 64 in
-    ignore (Temporal.Allen.Network.path_consistency ?pool net)
-  in
-  measure_family "allen"
-    (with_pools (fun () -> allen_run ()) (fun pool -> allen_run ~pool ()));
-  (* --- server: read commands dispatched onto the pool ---------------- *)
-  let make_daemon domains =
-    let st = ok (Gkbms.Scenario.setup ()) in
-    ignore (ok (Gkbms.Scenario.map_move_down st));
-    ignore (ok (Gkbms.Scenario.normalize_invitations st));
-    let config = { Server.Daemon.default_config with cache = false; domains } in
-    Server.Daemon.create ~config st.Gkbms.Scenario.repo
-  in
-  let lines = [| "stats"; "unmapped"; "focus InvitationRel2"; "help" |] in
-  let read_loop daemon () =
-    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let handler =
-      Thread.create
-        (fun () -> Server.Daemon.handle daemon (Server.Protocol.fd_transport b))
-        ()
-    in
-    let client = Server.Client.of_transport (Server.Protocol.fd_transport a) in
-    for k = 0 to 799 do
-      match Server.Client.request client lines.(k mod Array.length lines) with
-      | Ok _ -> ()
-      | Error e -> failwith ("E20 server: " ^ e)
-    done;
-    Server.Client.close client;
-    Thread.join handler
-  in
-  let daemons = List.map (fun d -> (d, make_daemon d)) [ 1; 2; 4 ] in
-  measure_family "server"
-    ((0, read_loop (snd (List.hd daemons)))
-    :: List.map (fun (d, daemon) -> (d, read_loop daemon)) (List.tl daemons));
-  List.iter (fun (_, daemon) -> Server.Daemon.stop daemon) daemons;
-  List.iter (fun (_, pool) -> Par.Pool.shutdown pool) pools;
-  Printf.printf
-    "expected shape: the 1-domain pool tracks the sequential code (the\n\
-     ablation bound: chunking overhead only); with real cores,\n\
-     consistency approaches the domain count on large inputs while\n\
-     allen saturates earlier (per-pass row sweeps synchronize n times).\n\
-     On a single-core host every speedup sits near 1.0x by construction.\n"
-
 (* E22: replicated reads.  A leader daemon ships committed WAL decision
    frames to followers, each serving reads from its own repository at
    its applied version.  With the response cache disabled every read
@@ -1431,7 +1327,7 @@ let run_benches () =
     (List.rev !tests)
 
 let modes =
-  [ "shapes"; "server"; "obs"; "par"; "repl"; "bound"; "trace"; "group"; "scaling" ]
+  [ "shapes"; "server"; "obs"; "repl"; "bound"; "trace"; "group"; "scaling" ]
 
 let usage () =
   Printf.eprintf
@@ -1452,7 +1348,6 @@ let () =
   let shapes_only = List.mem "shapes" args in
   let server_only = List.mem "server" args in
   let obs_only = List.mem "obs" args in
-  let par_only = List.mem "par" args in
   let repl_only = List.mem "repl" args in
   let bound_only = List.mem "bound" args in
   let trace_only = List.mem "trace" args in
@@ -1468,7 +1363,6 @@ let () =
   in
   if server_only then shape_e18_server ()
   else if obs_only then shape_e19_observability ()
-  else if par_only then shape_e20_parallel ()
   else if repl_only then shape_e22_replication ()
   else if bound_only then shape_e23_bound ()
   else if trace_only then shape_e24_tracing ()
@@ -1488,7 +1382,6 @@ let () =
       shape_e25_group_commit ();
       shape_e19_observability ();
       shape_e24_tracing ();
-      shape_e20_parallel ();
       bench_e4_manual ();
       setup_benches ();
       run_benches ()

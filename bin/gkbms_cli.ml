@@ -515,11 +515,6 @@ let serve_cmd =
     Arg.(value & opt (some float) None & info [ "idle-timeout" ] ~docv:"SECONDS"
            ~doc:"Disconnect sessions idle longer than $(docv) seconds.")
   in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-           ~doc:"Evaluate read commands on $(docv) OCaml domains (writes \
-                 stay single-domain, in decision-log order).  Default 1.")
-  in
   let role =
     Arg.(value
          & opt (enum [ ("single", `Single); ("leader", `Leader);
@@ -557,7 +552,7 @@ let serve_cmd =
     Format.printf "server stopped.@.";
     Ok ()
   in
-  let run until wal socket no_cache idle domains role follow (k, t_us) =
+  let run until wal socket no_cache idle role follow (k, t_us) =
     (* flight recorder dump-on-crash: SIGUSR2 snapshots the decision
        lifecycle ring next to the WAL (read back with
        recover --flight-log) *)
@@ -574,14 +569,12 @@ let serve_cmd =
         { Server.Daemon.default_config with
           cache = not no_cache;
           idle_timeout = idle;
-          domains = max 1 domains;
           group_commit = (k, t_us);
         }
       in
       let flags =
-        Printf.sprintf "cache %s%s%s, group-commit %d,%dus"
+        Printf.sprintf "cache %s%s, group-commit %d,%dus"
           (if no_cache then "off" else "on")
-          (if domains > 1 then Printf.sprintf ", %d domains" domains else "")
           (match wal with None -> "" | Some dir -> ", wal " ^ dir)
           k t_us
       in
@@ -686,7 +679,7 @@ let serve_cmd =
              serves reads at the applied version (writes are refused with \
              a redirect).")
     Term.(const run $ until_arg $ wal_arg $ socket_arg $ no_cache $ idle
-          $ domains $ role $ follow $ group_commit)
+          $ role $ follow $ group_commit)
 
 let client_cmd =
   let exec_args =
@@ -877,4 +870,13 @@ let main =
       audit_cmd; repl_cmd; stats_cmd; trace_cmd; slo_cmd; serve_cmd;
       client_cmd ]
 
-let () = exit (Cmd.eval' main)
+(* A malformed observability variable is refused here, before any
+   command runs, rather than silently replaced by its default. *)
+let () =
+  match
+    Obs.Slo.env_errors Sys.getenv_opt @ Obs.Trace.env_errors Sys.getenv_opt
+  with
+  | [] -> exit (Cmd.eval' main)
+  | errors ->
+    List.iter (fun e -> prerr_endline ("error: " ^ e)) errors;
+    exit 2

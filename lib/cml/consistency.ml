@@ -175,39 +175,13 @@ let check_constraint kb (cls, cid, formula) =
 
 (* --- public entry points ---------------------------------------------- *)
 
-let check_all ?pool kb =
-  (* Partition the proposition set across the pool's domains and merge
-     the per-prop violation lists sequentially.  The sequential fold
-     above a snapshot [p1..pn] (base iteration order) produces
-     check(pn) @ ... @ check(p1); folding the mapped array left with
-     [vs @ acc] reproduces exactly that order, so the pool size never
-     changes the output.  Checks only read the base and the (mutexed)
-     Kb closure caches. *)
+let check_all kb =
   let structural =
-    match pool with
-    | Some p when Par.Pool.size p > 1 ->
-      let props =
-        Base.fold (Kb.base kb) (fun acc prop -> prop :: acc) []
-        |> Array.of_list
-      in
-      (* [props] is reversed iteration order; fold RIGHT restores the
-         sequential accumulation order *)
-      Array.fold_right
-        (fun vs acc -> vs @ acc)
-        (Par.Pool.map_array ~pool:p (check_prop kb) props)
-        []
-    | Some _ | None ->
-      Base.fold (Kb.base kb) (fun acc p -> check_prop kb p @ acc) []
+    Base.fold (Kb.base kb) (fun acc p -> check_prop kb p @ acc) []
   in
   let cycles = check_isa_acyclic kb in
   let constraints =
-    match pool with
-    | Some p when Par.Pool.size p > 1 ->
-      List.concat
-        (Par.Pool.map_list ~pool:p (check_constraint kb)
-           (Kb.all_constraints kb))
-    | Some _ | None ->
-      List.concat_map (check_constraint kb) (Kb.all_constraints kb)
+    List.concat_map (check_constraint kb) (Kb.all_constraints kb)
   in
   structural @ cycles @ constraints
 

@@ -33,13 +33,8 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val check_all : ?pool:Par.Pool.t -> Kb.t -> violation list
-(** Full KB verification.  Empty list = consistent.
-
-    With [?pool] (of size > 1) the per-proposition structural checks
-    and the class constraints are evaluated on the pool's domains; the
-    violation list is merged sequentially and is identical — same
-    violations, same order — whatever the pool size. *)
+val check_all : Kb.t -> violation list
+(** Full KB verification.  Empty list = consistent. *)
 
 val check_delta : Kb.t -> Store.Base.change list -> violation list
 (** Verify only what the changes can affect: the changed propositions

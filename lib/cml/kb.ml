@@ -13,9 +13,10 @@ module Prover = Logic.Prover
    those classes, so the tables hold one entry per class, not one per
    individual.
 
-   [m] guards the three tables and the counters: parallel consistency
-   checking calls the closure queries from several pool domains at
-   once.  Closures are computed *outside* the lock (they recurse back
+   [m] guards the three tables and the counters: a KB shared by server
+   handlers on several domains (each loopback connection of the E18 and
+   E22 benches has its own) takes closure queries from all of them.
+   Closures are computed *outside* the lock (they recurse back
    into [memo]); a race can at worst compute the same deterministic
    closure twice. *)
 type cache = {

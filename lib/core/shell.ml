@@ -209,11 +209,7 @@ let answer t line =
     | Error e -> fmt "%a@.error: %s" (Version.pp_configuration repo) config e)
   | [ "check" ] ->
     let consistency =
-      (* the default pool is sequential unless GKBMS_DOMAINS asks for
-         more; the violation list is identical either way *)
-      match
-        Cml.Consistency.check_all ~pool:(Par.Pool.default ()) (Repo.kb repo)
-      with
+      match Cml.Consistency.check_all (Repo.kb repo) with
       | [] -> "consistency: ok"
       | vs ->
         "consistency:\n"

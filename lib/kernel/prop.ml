@@ -16,8 +16,10 @@ let make ?(time = Time.always) ?belief ~id ~source ~label ~dest () =
 let individual ?time x = make ?time ~id:x ~source:x ~label:x ~dest:x ()
 let is_individual p = p.source = p.id && p.dest = p.id && p.label = p.id
 
-(* Atomic: decisions execute on pool domains, and two domains drawing
-   the same counter value would silently alias distinct propositions. *)
+(* Atomic: propositions can be minted on several domains of one process
+   (each loopback connection of the E18 and E22 benches has its own),
+   and two domains drawing the same counter value would silently alias
+   distinct propositions. *)
 let id_counter = Atomic.make 0
 
 let fresh_id ?(prefix = "p") () =

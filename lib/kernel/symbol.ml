@@ -1,12 +1,14 @@
 type t = int
 
-(* Interning must be domain-safe: the par pool evaluates Datalog rule
-   bodies and consistency checks on several domains, and every one of
-   them interns and resolves symbols.  The hot path — looking up an
-   already-interned string — is lock-free: an open-addressed table of
-   plain ints, each slot [id + 1] or 0 for empty, published as a whole
-   through [table] so it can be resized.  Inserts take [write_m],
-   re-probe, and only then allocate a fresh id.
+(* Interning must be domain-safe: one process can run the GKBMS on
+   several domains (the E18 and E22 benches give each loopback
+   connection, its server handler included, a domain of its own), and
+   every one of them interns and resolves symbols.  The hot path —
+   looking up an already-interned string — is lock-free: an
+   open-addressed table of plain ints, each slot [id + 1] or 0 for
+   empty, published as a whole through [table] so it can be resized.
+   Inserts take [write_m], re-probe, and only then allocate a fresh
+   id.
 
    Slots and [names] entries are only ever written under the mutex, but
    a lock-free reader is racing those writes: it may see a slot before

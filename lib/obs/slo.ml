@@ -3,22 +3,19 @@ type objective = { cmd : string; target_s : float }
 (* Objectives live in a mutexed table seeded from GKBMS_SLO
    ("run=50ms,derive=10ms,default=250ms"); the "default" entry is the
    fallback for commands without their own objective and always
-   exists, so every request is SLO-accounted out of the box. *)
+   exists, so every request is SLO-accounted out of the box.  The
+   per-command tallies are the registry's request and breach counters;
+   there is no second copy. *)
 let m = Mutex.create ()
 let default_target_s = 0.25
 let objectives : (string, float) Hashtbl.t = Hashtbl.create 16
+let default_budget = 0.01
 
-type stat = { mutable requests : int; mutable breaches : int }
-
-let stats : (string, stat) Hashtbl.t = Hashtbl.create 16
-
-let budget =
-  match Sys.getenv_opt "GKBMS_SLO_BUDGET" with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f when f > 0. && f <= 1. -> f
-    | _ -> 0.01)
-  | None -> 0.01
+let budget_of_string s =
+  match float_of_string_opt (String.trim s) with
+  | Some f when f > 0. && f <= 1. -> Ok f
+  | _ ->
+    Error (Printf.sprintf "bad error budget %S (want a fraction in (0, 1])" s)
 
 let duration_of_string s =
   let s = String.trim s in
@@ -84,11 +81,31 @@ let configure spec =
     Ok ()
   | Error _ as e -> e
 
+(* The environment's settings: unset is the default, and a set but
+   malformed value is an error that names the variable.  Startup keeps
+   the default for it; the CLI refuses to start ([env_errors]). *)
+let setting getenv var parse ~default =
+  match getenv var with
+  | None -> Ok default
+  | Some s -> Result.map_error (fun e -> var ^ ": " ^ e) (parse s)
+
+let spec_setting getenv = setting getenv "GKBMS_SLO" parse_spec ~default:[]
+
+let budget_setting getenv =
+  setting getenv "GKBMS_SLO_BUDGET" budget_of_string ~default:default_budget
+
+let env_errors getenv =
+  List.filter_map
+    (function Ok () -> None | Error e -> Some e)
+    [ Result.map ignore (spec_setting getenv);
+      Result.map ignore (budget_setting getenv) ]
+
+let budget =
+  Result.value (budget_setting Sys.getenv_opt) ~default:default_budget
+
 let () =
   seed_objectives objectives;
-  match Sys.getenv_opt "GKBMS_SLO" with
-  | Some spec -> ( match configure spec with Ok () | Error _ -> ())
-  | None -> ()
+  Result.iter set_objectives (spec_setting Sys.getenv_opt)
 
 let objective_for cmd =
   Mutex.lock m;
@@ -103,17 +120,15 @@ let objective_for cmd =
   Mutex.unlock m;
   t
 
-let reset_counts () =
-  Mutex.lock m;
-  Hashtbl.reset stats;
-  Mutex.unlock m
+let requests_name = "gkbms_slo_requests_total"
+let breaches_name = "gkbms_slo_breaches_total"
 
 let requests_total cmd =
-  Registry.counter Registry.default "gkbms_slo_requests_total"
+  Registry.counter Registry.default requests_name
     ~help:"Requests observed against a latency SLO" ~labels:[ ("cmd", cmd) ]
 
 let breaches_total cmd =
-  Registry.counter Registry.default "gkbms_slo_breaches_total"
+  Registry.counter Registry.default breaches_name
     ~help:"Requests that blew their latency objective" ~labels:[ ("cmd", cmd) ]
 
 let burn_rate_gauge cmd =
@@ -123,44 +138,49 @@ let burn_rate_gauge cmd =
        budget)"
     ~labels:[ ("cmd", cmd) ]
 
+(* A tally read without registering its series: a command registers a
+   breach counter only once it breaches. *)
+let count name cmd =
+  match Registry.find Registry.default ~labels:[ ("cmd", cmd) ] name with
+  | Some { Registry.value = Registry.Counter_v n; _ } -> n
+  | Some _ | None -> 0
+
+(* The SLO counter series, as (name, cmd, count). *)
+let tallies () =
+  List.filter_map
+    (fun (s : Registry.sample) ->
+      match (s.labels, s.value) with
+      | [ ("cmd", cmd) ], Registry.Counter_v n
+        when s.name = requests_name || s.name = breaches_name ->
+        Some (s.name, cmd, n)
+      | _ -> None)
+    (Registry.snapshot Registry.default)
+
+let reset_counts () =
+  List.iter
+    (fun (name, cmd, _) ->
+      Registry.Counter.reset
+        (Registry.counter Registry.default name ~labels:[ ("cmd", cmd) ]);
+      if name = requests_name then Registry.Gauge.set (burn_rate_gauge cmd) 0.)
+    (tallies ())
+
 let observe ~cmd seconds =
-  let target = objective_for cmd in
-  let breach = seconds > target in
-  Mutex.lock m;
-  let st =
-    match Hashtbl.find_opt stats cmd with
-    | Some st -> st
-    | None ->
-      let st = { requests = 0; breaches = 0 } in
-      Hashtbl.add stats cmd st;
-      st
-  in
-  st.requests <- st.requests + 1;
-  if breach then st.breaches <- st.breaches + 1;
-  let requests = st.requests and breaches = st.breaches in
-  Mutex.unlock m;
-  Registry.Counter.inc (requests_total cmd);
+  let breach = seconds > objective_for cmd in
+  let requests = requests_total cmd in
+  Registry.Counter.inc requests;
   if breach then Registry.Counter.inc (breaches_total cmd);
   Registry.Gauge.set (burn_rate_gauge cmd)
-    (Float.of_int breaches /. Float.of_int requests /. budget);
+    (Float.of_int (count breaches_name cmd)
+    /. Float.of_int (Registry.Counter.get requests)
+    /. budget);
   breach
 
 let render () =
+  let observed = tallies () in
   Mutex.lock m;
   let objs =
     Hashtbl.fold (fun cmd t acc -> (cmd, t) :: acc) objectives []
     |> List.sort compare
-  in
-  let rows =
-    List.map
-      (fun (cmd, target) ->
-        let requests, breaches =
-          match Hashtbl.find_opt stats cmd with
-          | Some st -> (st.requests, st.breaches)
-          | None -> (0, 0)
-        in
-        (cmd, target, requests, breaches))
-      objs
   in
   (* commands observed without a dedicated objective (accounted against
      "default") still deserve a row; resolve the fallback inline — the
@@ -171,12 +191,12 @@ let render () =
       ~default:default_target_s
   in
   let extra =
-    Hashtbl.fold
-      (fun cmd st acc ->
-        if Hashtbl.mem objectives cmd then acc
-        else (cmd, fallback, st.requests, st.breaches) :: acc)
-      stats []
-    |> List.sort compare
+    List.filter_map
+      (fun (name, cmd, n) ->
+        if name = requests_name && n > 0 && not (Hashtbl.mem objectives cmd)
+        then Some (cmd, fallback)
+        else None)
+      observed
   in
   Mutex.unlock m;
   let b = Buffer.create 256 in
@@ -184,7 +204,9 @@ let render () =
     (Printf.sprintf "%-20s %12s %10s %10s %10s %8s\n" "cmd" "objective_ms"
        "requests" "breaches" "breach_pct" "burn");
   List.iter
-    (fun (cmd, target, requests, breaches) ->
+    (fun (cmd, target) ->
+      let requests = count requests_name cmd
+      and breaches = count breaches_name cmd in
       let ratio =
         if requests = 0 then 0.
         else Float.of_int breaches /. Float.of_int requests
@@ -192,7 +214,7 @@ let render () =
       Buffer.add_string b
         (Printf.sprintf "%-20s %12.1f %10d %10d %9.2f%% %8.2f\n" cmd
            (target *. 1e3) requests breaches (ratio *. 100.) (ratio /. budget)))
-    (rows @ extra);
+    (objs @ List.sort compare extra);
   Buffer.add_string b
     (Printf.sprintf "error budget: %.2f%% of requests may breach\n"
        (budget *. 100.));

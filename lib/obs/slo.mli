@@ -9,7 +9,7 @@
     counters and a [gkbms_slo_burn_rate{cmd}] gauge (breach ratio over
     the error budget, [GKBMS_SLO_BUDGET], default 1%) in
     {!Registry.default}, so breaches and burn rate ride the existing
-    Prometheus export.
+    Prometheus export; {!render} reads its tallies from those counters.
 
     The replication long-poll verbs ([repl], [wait]) are seeded with a
     generous 2s objective — blocking is their healthy behaviour — and
@@ -31,7 +31,14 @@ val observe : cmd:string -> float -> bool
 
 val render : unit -> string
 (** Human-readable objective/requests/breaches/burn table (the [slo]
-    verb). *)
+    verb), read from the request and breach counters. *)
 
 val reset_counts : unit -> unit
-(** Forget per-command request/breach tallies (objectives stay). *)
+(** Zero the per-command request and breach counters and the burn
+    rates (objectives stay). *)
+
+val env_errors : (string -> string option) -> string list
+(** [env_errors getenv] checks [GKBMS_SLO] and [GKBMS_SLO_BUDGET] as
+    [getenv] returns them: one message naming the variable for each
+    that is set but malformed (startup then keeps that variable's
+    default). *)

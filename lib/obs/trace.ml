@@ -19,10 +19,23 @@ let threshold_of_ms_string s =
   | Some ms when ms >= 0. && Float.is_finite ms -> Some (ms /. 1000.)
   | _ -> None
 
+let slow_ms_setting getenv =
+  match getenv "GKBMS_SLOW_MS" with
+  | None -> Ok 0.1
+  | Some s -> (
+    match threshold_of_ms_string s with
+    | Some t -> Ok t
+    | None ->
+      Error
+        (Printf.sprintf
+           "GKBMS_SLOW_MS: bad threshold %S (want non-negative milliseconds)"
+           s))
+
+let env_errors getenv =
+  match slow_ms_setting getenv with Ok _ -> [] | Error e -> [ e ]
+
 let default_threshold_s =
-  match Sys.getenv_opt "GKBMS_SLOW_MS" with
-  | Some s -> ( match threshold_of_ms_string s with Some t -> t | None -> 0.1)
-  | None -> 0.1
+  Result.value (slow_ms_setting Sys.getenv_opt) ~default:0.1
 
 let threshold = Atomic.make default_threshold_s
 let set_slow_threshold_s s = Atomic.set threshold s
@@ -32,7 +45,9 @@ let slow_threshold_s () = Atomic.get threshold
    The mutex guards the stack table and the rings; an individual
    thread's stack ref is only ever mutated by that thread.  Thread ids
    are only unique within a domain, so stacks are keyed by
-   (domain, thread) — pool workers each get their own stack. *)
+   (domain, thread) — threads of different domains (a loopback
+   connection of the E18 and E22 benches runs on its own) each get
+   their own stack. *)
 let m = Mutex.create ()
 let stacks : (int * int, span list ref) Hashtbl.t = Hashtbl.create 16
 let recent_cap = ref 64

@@ -38,6 +38,11 @@ val threshold_of_ms_string : string -> float option
 (** Parse a [GKBMS_SLOW_MS]-style value (non-negative milliseconds)
     into seconds; [None] on malformed input. *)
 
+val env_errors : (string -> string option) -> string list
+(** [env_errors getenv] is one message naming [GKBMS_SLOW_MS] when
+    [getenv] returns it set but malformed (startup then keeps the
+    100ms default), else []. *)
+
 (** {1 Ambient trace context}
 
     The inbound {!Trace_context.t}, if any, for the calling

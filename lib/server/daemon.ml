@@ -4,9 +4,6 @@ type config = {
   cache : bool;
   idle_timeout : float option;
   wal_fsync : bool;
-  domains : int;
-      (** domains for read-command evaluation; 1 = all evaluation on
-          the daemon's own threads (pre-multicore behaviour) *)
   read_only : string option;
       (** [Some leader] marks this daemon a replication follower:
           write-class commands are refused with an error naming the
@@ -24,7 +21,6 @@ let default_config =
     cache = true;
     idle_timeout = None;
     wal_fsync = false;
-    domains = 1;
     read_only = None;
     group_commit = (16, 500);
   }
@@ -44,14 +40,9 @@ type t = {
   mutable flusher : Thread.t option;
   cache : Cache.t option;
   eval_m : Mutex.t;
-      (** without a pool, even read commands mutate KB-internal memo
-          caches, so actual shell evaluation is mutually exclusive and
-          concurrency comes from cache hits served outside this mutex.
-          With [pool] present the memo caches are mutex-guarded and
-          read commands evaluate in parallel on pool domains; [eval_m]
-          then only serializes writes (which the scheduler already
-          makes exclusive). *)
-  pool : Par.Pool.t option;  (** read evaluation domains, from [config.domains] *)
+      (** even read commands mutate KB-internal memo caches, so shell
+          evaluation is mutually exclusive and concurrency comes from
+          cache hits served outside this mutex *)
   m : Mutex.t;  (** sessions / lifecycle *)
   sessions : (int, Session.t) Hashtbl.t;
   mutable next_sid : int;
@@ -77,8 +68,8 @@ let config t = t.config
 let set_extension t ext = t.extension <- Some ext
 
 (* exclusive access for out-of-band mutation (the replication applier):
-   the scheduler write lock keeps pool-domain readers out, [eval_m]
-   keeps single-domain readers out *)
+   the scheduler write lock keeps readers and the flusher out, and
+   [eval_m] is the lock every shell evaluation holds *)
 let exclusive t f =
   Scheduler.write t.scheduler (fun () ->
       Mutex.lock t.eval_m;
@@ -213,21 +204,6 @@ let eval_under_lock t session line =
   Mutex.unlock t.eval_m;
   out
 
-(* Read-command evaluation with a pool: dispatch onto a pool domain and
-   skip [eval_m].  Safe because the surrounding [Scheduler.read]
-   excludes writers, session state is only touched by this session's
-   single in-flight request, and the shared structures reads traverse
-   (symbol table, KB closure caches, Obs) are individually
-   domain-safe.  Writes never come through here — they run on the
-   flusher thread, under [eval_m], in log order. *)
-let eval_read t session line =
-  match t.pool with
-  | Some pool ->
-    Par.Pool.run pool (fun () ->
-        try Gkbms.Shell.eval (Session.shell session) line
-        with e -> "error: internal: " ^ Printexc.to_string e)
-  | None -> eval_under_lock t session line
-
 let command_label line =
   let line = String.trim line in
   if line = "" then "<empty>"
@@ -332,12 +308,13 @@ let process t session (req : Protocol.request) : Protocol.response =
             (Scheduler.read t.scheduler (fun () ->
                  (* writers are excluded, so the version is pinned *)
                  let v = Repo.version t.repo in
-                 let out = eval_read t session line in
+                 let out = eval_under_lock t session line in
                  Cache.store cache ~version:v line out;
                  out)))
       | _ ->
         finish
-          (Scheduler.read t.scheduler (fun () -> eval_read t session line))
+          (Scheduler.read t.scheduler (fun () ->
+               eval_under_lock t session line))
       )))
 
 (* group commit -------------------------------------------------------- *)
@@ -451,9 +428,6 @@ let create ?(config = default_config) repo =
       flusher = None;
       cache = (if config.cache then Some (Cache.create ()) else None);
       eval_m = Mutex.create ();
-      pool =
-        (if config.domains > 1 then Some (Par.Pool.create ~domains:config.domains)
-         else None);
       m = Mutex.create ();
       sessions = Hashtbl.create 16;
       next_sid = 0;
@@ -599,5 +573,4 @@ let stop t =
     | Some d ->
       Gkbms.Durable.close d;
       t.durable <- None
-    | None -> ());
-    Option.iter Par.Pool.shutdown t.pool)
+    | None -> ()))

@@ -3,8 +3,9 @@
     One shared repository, many client sessions (§2's group decision
     setting).  Each connection gets a thread and a {!Session} wrapping
     its own {!Gkbms.Shell}; commands are classified by the {!Scheduler}.
-    Reads run under the shared lock (and, for deterministic read
-    commands, through the version-keyed {!Cache}).  Writes from every
+    Reads run under the shared lock, one shell evaluation at a time;
+    a deterministic read command is answered from the version-keyed
+    {!Cache} when it can, without either.  Writes from every
     session go to one flusher thread ({!Scheduler.Batch}), which commits
     each batch under the exclusive lock in decision-log order and, when
     a WAL is attached ({!attach_wal}), syncs the journal once at the end
@@ -33,13 +34,6 @@ type config = {
   idle_timeout : float option;
       (** disconnect sessions idle longer than this many seconds *)
   wal_fsync : bool;  (** fsync (not just flush) the WAL at each batch end *)
-  domains : int;
-      (** with [domains > 1] the server owns a {!Par.Pool} of that size
-          and read-class commands evaluate on its domains (still under
-          the writer-preferring scheduler, so they never overlap a
-          write); writes stay on the flusher thread, serialized in
-          decision-log order.  [1] keeps every command on the server's
-          own threads under one evaluation mutex. *)
   read_only : string option;
       (** [Some leader_addr] marks the daemon a replication follower:
           write-class commands are refused with an error telling the
@@ -61,7 +55,7 @@ type config = {
 }
 
 val default_config : config
-(** cache on, no idle timeout, no fsync, 1 domain, writable, batches of
+(** cache on, no idle timeout, no fsync, writable, batches of
     at most 16 writes or 500 µs. *)
 
 type t

@@ -222,50 +222,6 @@ module Network = struct
     done;
     !ok
 
-  (* Pass-based (Jacobi) path consistency: each pass snapshots the
-     matrix, recomputes every row from the snapshot, and repeats until
-     a pass changes nothing.  Because every cell of a pass is a
-     function of the snapshot alone, the rows are independent and the
-     row sweep runs on the pool's domains (each row [i] writes only
-     [c.(i).(_)]).  Inversion distributes over composition and
-     intersection, so recomputing row [j] from the same snapshot
-     yields exactly the inverse of row [i]'s cells: coherence
-     [c.(j).(i) = inverse_set c.(i).(j)] is preserved without any
-     cross-row writes.  Passes tighten monotonically in a finite
-     lattice, and the algebraic closure is unique, so the resulting
-     matrix is identical whatever the pool size (and equal to the
-     {!propagate} fixpoint on consistent networks). *)
-  let path_consistency ?pool t =
-    let n = t.n in
-    let ok = ref true in
-    let changed = ref true in
-    while !ok && !changed do
-      let old = Array.map Array.copy t.c in
-      let row_changed = Array.make n false in
-      let row_empty = Array.make n false in
-      Par.Pool.parallel_for ?pool n (fun i ->
-          let ch = ref false in
-          for j = 0 to n - 1 do
-            if i <> j then begin
-              let cur = ref old.(i).(j) in
-              for k = 0 to n - 1 do
-                if k <> i && k <> j then
-                  cur := inter !cur (compose old.(i).(k) old.(k).(j))
-              done;
-              if not (equal_set !cur old.(i).(j)) then begin
-                t.c.(i).(j) <- !cur;
-                ch := true;
-                if is_empty !cur then row_empty.(i) <- true
-              end
-            end
-          done;
-          row_changed.(i) <- !ch);
-      (* per-pass convergence / consistency reduction *)
-      changed := Array.exists Fun.id row_changed;
-      if Array.exists Fun.id row_empty then ok := false
-    done;
-    !ok
-
   let copy t = { n = t.n; c = Array.map Array.copy t.c }
 
   let consistent_scenario t =

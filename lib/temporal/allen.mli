@@ -81,15 +81,6 @@ module Network : sig
   (** Run path consistency (PC-2 style worklist).  Returns [false] if an
       empty constraint was derived, i.e. the network is inconsistent. *)
 
-  val path_consistency : ?pool:Par.Pool.t -> t -> bool
-  (** Pass-based path consistency: repeat full O(n³) tightening passes,
-      each computed from a snapshot of the matrix, until a pass changes
-      nothing.  With [?pool] the row sweep of each pass runs on the
-      pool's domains; the resulting matrix is identical whatever the
-      pool size (the algebraic closure is unique), and on consistent
-      networks equal to the {!propagate} fixpoint.  Returns [false] if
-      an empty constraint was derived. *)
-
   val consistent_scenario : t -> relation array array option
   (** Search (backtracking over base relations, with propagation) for an
       atomic scenario; [None] if none exists.  For path-consistent input

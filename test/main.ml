@@ -27,6 +27,5 @@ let () =
       ("replication", Test_replication.suite);
       ("coverage", Test_coverage.suite);
       ("obs", Test_obs.suite);
-      ("par", Test_par.suite);
       ("scaling", Test_scaling.suite);
     ]

@@ -29,6 +29,78 @@ let test_symbol_containers () =
   Symbol.Tbl.replace tbl (Symbol.intern "x") 2;
   check int "tbl replace" 2 (Symbol.Tbl.find tbl (Symbol.intern "x"))
 
+(* the interner under concurrent domains --------------------------------- *)
+
+let test_symbol_stress () =
+  (* 4 domains x 10k mixed intern/lookup over an overlapping word set:
+     every domain must see one stable id per string and [name] must
+     round-trip *)
+  let iterations = 10_000 in
+  let word k = "stress_word_" ^ string_of_int k in
+  let worker seed () =
+    let errs = ref 0 in
+    for i = 0 to iterations - 1 do
+      let w = word ((i * seed) mod 997) in
+      let id = Symbol.intern w in
+      if Symbol.name id <> w then incr errs;
+      let id' = Symbol.intern w in
+      if not (Symbol.equal id id') then incr errs
+    done;
+    !errs
+  in
+  let domains = List.init 4 (fun k -> Domain.spawn (worker (k + 1))) in
+  let errs = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  check int "no intern/name mismatches across domains" 0 errs;
+  (* distinct strings still map to distinct symbols *)
+  let ids = List.init 997 (fun k -> Symbol.to_int (Symbol.intern (word k))) in
+  check int "997 distinct ids" 997
+    (List.length (List.sort_uniq compare ids))
+
+let test_symbol_resize () =
+  (* one domain interns 3x as many fresh strings as exist, so the probe
+     table doubles at least twice, while three domains keep resolving
+     words interned beforehand through the lock-free path *)
+  let words = Array.init 512 (fun k -> "resize_old_" ^ string_of_int k) in
+  let ids = Array.map Symbol.intern words in
+  let before = Symbol.count () in
+  (* the floor keeps two doublings when few symbols exist yet *)
+  let fresh_n = max (3 * before) 16_384 in
+  let fresh k = "resize_fresh_" ^ string_of_int k in
+  let done_ = Atomic.make false in
+  let reader seed () =
+    let n = Array.length words in
+    let errs = ref 0 and rounds = ref 0 in
+    while not (Atomic.get done_) || !rounds < 2 do
+      for i = 0 to n - 1 do
+        let j = i * seed mod n in
+        let id = Symbol.intern words.(j) in
+        if not (Symbol.equal id ids.(j)) || Symbol.name id <> words.(j) then
+          incr errs
+      done;
+      incr rounds
+    done;
+    !errs
+  in
+  let readers = List.init 3 (fun k -> Domain.spawn (reader (2 * k + 1))) in
+  let writer =
+    Domain.spawn (fun () ->
+        let got = Array.init fresh_n (fun k -> Symbol.intern (fresh k)) in
+        Atomic.set done_ true;
+        got)
+  in
+  let got = Domain.join writer in
+  let errs = List.fold_left (fun acc d -> acc + Domain.join d) 0 readers in
+  check int "readers saw stable ids and names during resizes" 0 errs;
+  check int "count grew by exactly the fresh strings" (before + fresh_n)
+    (Symbol.count ());
+  let bad = ref 0 in
+  Array.iteri
+    (fun k id ->
+      let s = fresh k in
+      if not (Symbol.equal (Symbol.intern s) id) || Symbol.name id <> s then incr bad)
+    got;
+  check int "fresh strings keep their ids" 0 !bad
+
 (* Time ---------------------------------------------------------------- *)
 
 let test_time_validity () =
@@ -136,6 +208,8 @@ let suite =
     ("symbol intern", `Quick, test_symbol_intern);
     ("symbol codes", `Quick, test_symbol_codes);
     ("symbol containers", `Quick, test_symbol_containers);
+    ("symbol intern 4-domain stress", `Quick, test_symbol_stress);
+    ("symbol intern across table resizes", `Quick, test_symbol_resize);
     ("time validity", `Quick, test_time_validity);
     ("time relations", `Quick, test_time_relations);
     ("time intersect", `Quick, test_time_intersect);

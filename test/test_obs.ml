@@ -668,12 +668,64 @@ let test_slo_objectives_and_breaches () =
   check bool "render lists the command" true (contains table "run");
   check bool "render shows the breach" true (contains table "50.0");
   (* the sentinel counters reached the default registry *)
-  match
-    Reg.find Reg.default ~labels:[ ("cmd", "run") ] "gkbms_slo_breaches_total"
-  with
-  | Some { Reg.value = Reg.Counter_v v; _ } ->
-    check bool "breach counter moved" true (v >= 1)
-  | _ -> Alcotest.fail "gkbms_slo_breaches_total{cmd=run} missing"
+  let counter name =
+    match Reg.find Reg.default ~labels:[ ("cmd", "run") ] name with
+    | Some { Reg.value = Reg.Counter_v v; _ } -> v
+    | _ -> Alcotest.failf "%s{cmd=run} missing" name
+  in
+  check bool "breach counter moved" true
+    (counter "gkbms_slo_breaches_total" >= 1);
+  (* the table's tallies are the counters' values *)
+  let row () =
+    match
+      List.find_map
+        (fun l ->
+          match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+          | "run" :: _ :: requests :: breaches :: _ ->
+            Some (int_of_string requests, int_of_string breaches)
+          | _ -> None)
+        (String.split_on_char '\n' (Obs.Slo.render ()))
+    with
+    | Some r -> r
+    | None -> Alcotest.fail "no run row in the slo table"
+  in
+  let requests, breaches = row () in
+  check int "rendered requests = counter" (counter "gkbms_slo_requests_total")
+    requests;
+  check int "rendered breaches = counter" (counter "gkbms_slo_breaches_total")
+    breaches;
+  check (Alcotest.pair int int) "one breach in two requests" (2, 1)
+    (requests, breaches);
+  Obs.Slo.reset_counts ();
+  check int "reset zeroes requests" 0 (counter "gkbms_slo_requests_total");
+  check int "reset zeroes breaches" 0 (counter "gkbms_slo_breaches_total");
+  (match
+     Reg.find Reg.default ~labels:[ ("cmd", "run") ] "gkbms_slo_burn_rate"
+   with
+  | Some { Reg.value = Reg.Gauge_v g; _ } ->
+    check (Alcotest.float 0.) "reset zeroes the burn rate" 0. g
+  | _ -> Alcotest.fail "gkbms_slo_burn_rate{cmd=run} missing");
+  check (Alcotest.pair int int) "reset row" (0, 0) (row ())
+
+(* A set but malformed observability variable is an error naming it;
+   unset and valid values are not. *)
+let test_env_errors () =
+  let env vars name = List.assoc_opt name vars in
+  let errors vars =
+    Obs.Slo.env_errors (env vars) @ Trace.env_errors (env vars)
+  in
+  check (Alcotest.list Alcotest.string) "unset" [] (errors []);
+  check (Alcotest.list Alcotest.string) "valid" []
+    (errors
+       [ ("GKBMS_SLO", "run=5ms,default=1s"); ("GKBMS_SLO_BUDGET", "0.05");
+         ("GKBMS_SLOW_MS", "250") ]);
+  check (Alcotest.list Alcotest.string) "bad SLO entry"
+    [ {|GKBMS_SLO: bad SLO entry "run=5x": unparseable duration "5x"|} ]
+    (errors [ ("GKBMS_SLO", "run=5x") ]);
+  check (Alcotest.list Alcotest.string) "bad budget and threshold"
+    [ {|GKBMS_SLO_BUDGET: bad error budget "2" (want a fraction in (0, 1])|};
+      {|GKBMS_SLOW_MS: bad threshold "-1" (want non-negative milliseconds)|} ]
+    (errors [ ("GKBMS_SLO_BUDGET", "2"); ("GKBMS_SLOW_MS", "-1") ])
 
 (* ---------------- prover stats are copied out ---------------- *)
 
@@ -806,4 +858,5 @@ let suite =
     ("slow threshold parsing", `Quick, test_slow_threshold_parse);
     ("flight recorder ring", `Quick, test_recorder_ring);
     ("slo objectives and breaches", `Quick, test_slo_objectives_and_breaches);
+    ("malformed observability variables", `Quick, test_env_errors);
   ]

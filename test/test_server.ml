@@ -649,11 +649,11 @@ let replay_and_compare repo ~docs ~writes =
   check bool "same artifact tips" true (tip1 = tip2);
   check bool "same unsupported objects" true (u1 = u2)
 
-let differential ?(domains = 1) ~cache () =
+let differential ~cache () =
   let docs = 3 in
   let repo = keyed_repo ~docs () in
   let daemon =
-    Daemon.create ~config:{ Daemon.default_config with cache; domains } repo
+    Daemon.create ~config:{ Daemon.default_config with cache } repo
   in
   let reads =
     [| "stats"; "check"; "focus InvitationRel3"; "derive in(InvitationRel, ?C)" |]
@@ -683,7 +683,6 @@ let differential ?(domains = 1) ~cache () =
 
 let test_differential_cached () = differential ~cache:true ()
 let test_differential_uncached () = differential ~cache:false ()
-let test_differential_domains () = differential ~domains:4 ~cache:true ()
 
 (* verb classification table ---------------------------------------------- *)
 
@@ -1232,7 +1231,6 @@ let suite =
     ("wal synced before response", `Quick, test_wal_recovery);
     ("differential: concurrent = sequential (cache on)", `Quick, test_differential_cached);
     ("differential: concurrent = sequential (cache off)", `Quick, test_differential_uncached);
-    ("differential: concurrent = sequential (4 domains)", `Quick, test_differential_domains);
     ("classification table covers every verb", `Quick, test_classification_table);
     QCheck_alcotest.to_alcotest prop_bqueue_model;
     ("bqueue concurrent close conserves items", `Quick, test_bqueue_concurrent_close);

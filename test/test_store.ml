@@ -536,6 +536,23 @@ let test_query_residual_fast_path () =
   agree "missing source" ~source:(sym "zz") ();
   agree "missing combo" ~source:a ~label:(sym "isa") ~dest:(sym "y") ()
 
+let test_mem_store_bucket_drain () =
+  let module Mem = Store.Mem_store in
+  let st = Mem.create () in
+  let n = 100 in
+  let props =
+    List.init n (fun i ->
+        Prop.make ~id:(Prop.fresh_id ())
+          ~source:(Symbol.intern ("src" ^ string_of_int (i mod 7)))
+          ~label:(Symbol.intern ("lab" ^ string_of_int (i mod 5)))
+          ~dest:(Symbol.intern ("dst" ^ string_of_int (i mod 3)))
+          ())
+  in
+  List.iter (fun p -> check bool "inserted" true (Mem.insert st p)) props;
+  List.iter (fun (p : Prop.t) -> ignore (Mem.remove st p.id)) props;
+  check int "primary empty" 0 (Mem.cardinal st);
+  check int "no chain key left" 0 (Mem.index_keys st)
+
 (* The server runs reads concurrently: 4 domains hammer a populated base
    with point lookups, index walks and full folds, and every answer must
    match the sequentially computed expectation. *)
@@ -604,4 +621,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rollback_restores;
     QCheck_alcotest.to_alcotest prop_mem_store_model;
     ("mem store removal is O(1)", `Quick, test_mem_remove_constant);
+    ("mem-store drained buckets removed", `Quick, test_mem_store_bucket_drain);
   ]

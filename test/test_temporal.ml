@@ -117,6 +117,72 @@ let test_network_propagate_chain () =
   check bool "transitivity derived" true
     (A.equal_set (A.Network.get n 0 2) (A.singleton A.Before))
 
+let test_allen_known_chain () =
+  (* a meets b meets c: path consistency must tighten a-c to Before *)
+  let net = A.Network.create 3 in
+  A.Network.constrain net 0 1 (A.singleton A.Meets);
+  A.Network.constrain net 1 2 (A.singleton A.Meets);
+  check bool "consistent" true (A.Network.propagate net);
+  check bool "a before c" true
+    (A.equal_set (A.Network.get net 0 2) (A.singleton A.Before))
+
+let matrix net =
+  let n = A.Network.size net in
+  Array.init n (fun i -> Array.init n (fun j -> A.Network.get net i j))
+
+(* The path-consistency closure by brute force: tighten every ordered
+   pair through every third variable until nothing changes.  The
+   closure is unique, so [propagate]'s PC-2 worklist must reach the
+   same verdict and, on a consistent network, the same matrix. *)
+let naive_closure net =
+  let n = A.Network.size net in
+  let c = matrix net in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        for k = 0 to n - 1 do
+          if i <> j && k <> i && k <> j then begin
+            let t = A.inter c.(i).(j) (A.compose c.(i).(k) c.(k).(j)) in
+            if not (A.equal_set t c.(i).(j)) then begin
+              c.(i).(j) <- t;
+              changed := true
+            end
+          end
+        done
+      done
+    done
+  done;
+  c
+
+let rand_set st =
+  (* non-empty random relation set *)
+  let set = ref A.empty in
+  List.iter
+    (fun r -> if QCheck.Gen.bool st then set := A.union !set (A.singleton r))
+    A.all_relations;
+  if A.is_empty !set then A.singleton A.Before else !set
+
+let prop_propagate_closure =
+  let n = 10 in
+  QCheck.Test.make ~name:"network propagate = naive closure" ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 0 (2 * n))
+           (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) rand_set)))
+    (fun constraints ->
+      let net = A.Network.create n in
+      List.iter
+        (fun (i, j, set) -> if i <> j then A.Network.constrain net i j set)
+        constraints;
+      let closure = naive_closure net in
+      let consistent =
+        Array.for_all (Array.for_all (fun s -> not (A.is_empty s))) closure
+      in
+      let ok = A.Network.propagate net in
+      ok = consistent && ((not ok) || matrix net = closure))
+
 let test_network_inconsistent () =
   (* A before B, B before C, C before A is impossible *)
   let n = A.Network.create 3 in
@@ -235,6 +301,7 @@ let suite =
     ("inverse set", `Quick, test_inverse_set);
     ("composition known entries", `Quick, test_composition_known_entries);
     ("network chain", `Quick, test_network_propagate_chain);
+    ("allen meets-chain tightening", `Quick, test_allen_known_chain);
     ("network inconsistent", `Quick, test_network_inconsistent);
     ("network scenario", `Quick, test_network_scenario);
     ("network scenario none", `Quick, test_network_scenario_none);
@@ -246,5 +313,6 @@ let suite =
     ("ec events sorted", `Quick, test_ec_events_sorted);
     QCheck_alcotest.to_alcotest prop_composition_sound;
     QCheck_alcotest.to_alcotest prop_inverse_composition;
+    QCheck_alcotest.to_alcotest prop_propagate_closure;
     QCheck_alcotest.to_alcotest prop_ec_persistence;
   ]
