@@ -633,11 +633,12 @@ let shape_e25_group_commit () =
   let dt = over_handle daemon ~window:1 in
   finish daemon dir;
   let ablation = float_of_int total_writes /. dt in
-  (* group commit + pipelining, fsync on.  The pipeline window spans
-     the client's whole op stream: the server stays saturated, so
-     batches form by natural accumulation while the previous batch
-     commits, instead of stalling on ack round trips. *)
-  let deep = docs_per_client * waves in
+  (* group commit + pipelining, fsync on.  The pipeline window is the
+     server's limit of unacked writes per session (half of each
+     client's op stream): the server stays saturated, so batches form
+     by natural accumulation while the previous batch commits, instead
+     of stalling on ack round trips. *)
+  let deep = Server.Protocol.pipeline_limit in
   let daemon, dir =
     build ~wal:true ~fsync:true ~group:(docs_per_client * clients, 1_000) ()
   in

@@ -233,12 +233,7 @@ let deps_cmd =
            ~doc:"Root of the ASCII rendering.")
   in
   let run until dot root =
-    if dot then
-      handle
-        (let* st, _ = build_state until in
-         print_string (Gkbms.Depgraph.to_dot st.Scn.repo);
-         Ok ())
-    else shell_verb until ("deps " ^ root)
+    shell_verb until (if dot then "deps --dot" else "deps " ^ root)
   in
   Cmd.v
     (Cmd.info "deps" ~doc:"Show the dependency graph (figs 2-2 .. 2-4).")
@@ -247,16 +242,7 @@ let deps_cmd =
 (* config ---------------------------------------------------------------------- *)
 
 let config_cmd =
-  let run until =
-    handle
-      (let* st, _ = build_state until in
-       let repo = st.Scn.repo in
-       let config = Gkbms.Version.configure repo ~level:Gkbms.Metamodel.dbpl_object in
-       Format.printf "%a@." (Gkbms.Version.pp_configuration repo) config;
-       let* m = Gkbms.Version.to_dbpl_module repo config ~name:"MeetingDB" in
-       Format.printf "@.%a@." Langs.Dbpl.pp_module m;
-       Ok ())
-  in
+  let run until = shell_verb until ("config " ^ Gkbms.Metamodel.dbpl_object) in
   Cmd.v
     (Cmd.info "config"
        ~doc:"Configure the latest complete DBPL program version (fig 3-4).")
@@ -710,7 +696,8 @@ let client_cmd =
                  round trip at a time (batch mode only; against a \
                  group-commit server, back-to-back writes then share one \
                  WAL sync).  Responses print in submission order.  \
-                 Default 1.")
+                 Default 1; a $(docv) above 64, the most writes a server \
+                 session holds unacknowledged, is taken as 64.")
   in
   let run socket cmds script min_version timing pipeline =
     (* --timing also records this process's client.send spans, dumped

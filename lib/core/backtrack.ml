@@ -150,6 +150,7 @@ let retract repo dec ?(rationale = "") () =
         Repo.emit_event repo (Repo.Decision_aborted e);
         Error e
       | Ok () ->
+        Decision.install_justifications repo dec_id;
         Repo.emit_event repo (Repo.Decision_committed dec_id);
         Ok
           {

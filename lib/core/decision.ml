@@ -11,30 +11,46 @@ type menu_entry = {
 
 let ( let* ) = Result.bind
 
-(* FROM/TO signature of a decision class: attribute propositions on the
-   class (or its generalizations) categorized under the metaclass FROM/TO
-   attribute. *)
+(* The kind of a role attribute on a decision class: [`Input] for a
+   FROM attribute, [`Output] for a TO attribute, [`Other] for any
+   other. *)
+let attribute_kind kb (p : Prop.t) =
+  match Kb.category_of kb p.id with
+  | None -> `Other
+  | Some cat -> (
+    match Kb.find kb cat with
+    | Some cp when Symbol.equal cp.Prop.label (Symbol.intern Metamodel.from_cat)
+      -> `Input
+    | Some cp when Symbol.equal cp.Prop.label (Symbol.intern Metamodel.to_cat)
+      -> `Output
+    | Some _ | None -> `Other)
+
+(* The role attributes of a decision class, then of its
+   generalizations; a label's first attribute decides its kind. *)
+let role_attributes kb dc =
+  List.concat_map (Kb.attributes kb) (dc :: Kb.isa_closure kb dc)
+
+let rec role_kind kb label = function
+  | [] -> `Other
+  | (p : Prop.t) :: rest ->
+    if Symbol.equal p.label label then attribute_kind kb p
+    else role_kind kb label rest
+
+(* FROM/TO signature of a decision class *)
 let signature repo dc kind =
   let kb = Repo.kb repo in
-  let dc_id = Symbol.intern dc in
-  let classes = dc_id :: List.map Symbol.intern (List.map Symbol.name (Kb.isa_closure kb dc_id)) in
+  let dc = Symbol.intern dc in
   List.concat_map
     (fun c ->
       List.filter_map
         (fun (p : Prop.t) ->
-          match Kb.category_of kb p.id with
-          | Some cat_attr -> (
-            match Kb.find kb cat_attr with
-            | Some cat_prop
-              when Symbol.equal cat_prop.Prop.label (Symbol.intern kind) ->
-              Some (Symbol.name p.label, p.dest)
-            | Some _ | None -> None)
-          | None -> None)
+          if attribute_kind kb p = kind then Some (Symbol.name p.label, p.dest)
+          else None)
         (Kb.attributes kb c))
-    classes
+    (dc :: Kb.isa_closure kb dc)
 
-let from_signature repo dc = signature repo dc Metamodel.from_cat
-let to_signature repo dc = signature repo dc Metamodel.to_cat
+let from_signature repo dc = signature repo dc `Input
+let to_signature repo dc = signature repo dc `Output
 
 (* role conformance, omega-level aware: an object fills a role typed by a
    class when it instantiates it, or — when the role is typed by a
@@ -123,12 +139,172 @@ let check_outputs repo dc outputs =
   in
   loop outputs
 
+let decision_class_of repo dec =
+  let kb = Repo.kb repo in
+  match Kb.classes_of kb dec with
+  | c :: _ -> Some (Symbol.name c)
+  | [] -> None
+
+(* A decision's links of one kind, its class's role attributes read
+   once for all of them *)
+let links_of_kind repo dec kind =
+  let kb = Repo.kb repo in
+  match Kb.classes_of kb dec with
+  | [] -> []
+  | dc :: _ ->
+    let roles = role_attributes kb dc in
+    List.filter_map
+      (fun (p : Prop.t) ->
+        if role_kind kb p.label roles = kind then
+          Some (Symbol.name p.label, p.dest)
+        else None)
+      (Kb.attributes kb dec)
+
+let inputs_of repo dec = links_of_kind repo dec `Input
+let outputs_of repo dec = links_of_kind repo dec `Output
+
+(* The kind [links_of_kind] gives the link [p] from its source, or
+   [`Other] when the source is not a logged decision.  The cheap tests
+   run first, so the links of other kinds into a hub — a tool's [by]
+   links, a class's instances — are passed over without allocating. *)
+let link_kind repo (p : Prop.t) =
+  if not (Repo.is_logged repo p.source) then `Other
+  else
+    let role = Symbol.name p.label in
+    if
+      role = "by" || role = "rationale" || role = "obligation"
+      || Prop.is_individual p
+      || Cml.Axioms.is_reserved_label p.label
+    then `Other
+    else
+      let kb = Repo.kb repo in
+      match Kb.classes_of kb p.source with
+      | dc :: _ -> role_kind kb p.label (role_attributes kb dc)
+      | [] -> `Other
+
+let consumers repo obj =
+  Store.Base.fold_dest (Kb.base (Repo.kb repo)) obj
+    (fun (p : Prop.t) acc ->
+      if link_kind repo p = `Input then p.source :: acc else acc)
+    []
+
+let tool_of repo dec =
+  match Kb.attribute_values (Repo.kb repo) dec "by" with
+  | tool :: _ -> Some (Symbol.name tool)
+  | [] -> None
+
+let params_of repo dec =
+  match Kb.attribute_values (Repo.kb repo) dec "params" with
+  | text_id :: _ -> (
+    match Repo.artifact repo text_id with
+    | Some (Repo.Text s) ->
+      List.filter_map
+        (fun kv ->
+          match String.index_opt kv '=' with
+          | Some i ->
+            Some
+              ( String.sub kv 0 i,
+                String.sub kv (i + 1) (String.length kv - i - 1) )
+          | None -> None)
+        (String.split_on_char ';' s)
+    | Some _ | None -> [])
+  | [] -> []
+
+let assumptions_of repo dec =
+  match Kb.attribute_values (Repo.kb repo) dec "assumptions" with
+  | text_id :: _ -> (
+    match Repo.artifact repo text_id with
+    | Some (Repo.Text s) ->
+      List.filter_map
+        (fun kv ->
+          match String.index_opt kv '=' with
+          | Some i ->
+            Some
+              ( String.sub kv 0 i,
+                String.sub kv (i + 1) (String.length kv - i - 1) )
+          | None -> None)
+        (String.split_on_char ';' s)
+    | Some _ | None -> [])
+  | [] -> []
+
+let asserts_of repo dec =
+  match Kb.attribute_values (Repo.kb repo) dec "asserts" with
+  | text_id :: _ -> (
+    match Repo.artifact repo text_id with
+    | Some (Repo.Text s) ->
+      List.filter (fun x -> x <> "") (String.split_on_char ';' s)
+    | Some _ | None -> [])
+  | [] -> []
+
+let rationale_of repo dec =
+  match Kb.attribute_values (Repo.kb repo) dec "rationale" with
+  | text_id :: _ -> (
+    match Repo.artifact repo text_id with
+    | Some (Repo.Text s) -> Some s
+    | Some _ | None -> None)
+  | [] -> None
+
 let ensure_supported repo id =
   (* imported objects (no creating decision) become JTMS premises *)
   let j = Repo.jtms repo in
   let node = J.node j (Symbol.name id) in
   if J.justifications j node = [] then ignore (J.premise j node);
   node
+
+(* Install a logged decision's justifications in the JTMS from its KB
+   record: its inputs and assumptions support it, and it supports its
+   outputs and asserted facts.  Every path that logs a decision calls
+   this once per decision — execution after its commit, snapshot load
+   and recovery over the whole log, a follower per replayed decision —
+   so the mirror is the same on all of them; J.justify does not
+   deduplicate, so a whole-log rebuild per call would pile up copies. *)
+let install_justifications repo dec =
+  let j = Repo.jtms repo in
+  let dec_name = Symbol.name dec in
+  let added = ref [] in
+  let justify ?inlist ?outlist ~reason node =
+    added := J.justify j ?inlist ?outlist ~reason node :: !added
+  in
+  let input_nodes =
+    List.map (fun (_, i) -> ensure_supported repo i) (inputs_of repo dec)
+  in
+  let assumption_nodes =
+    List.map
+      (fun (asm, defeater) ->
+        let asm_node = J.node j asm in
+        justify ~outlist:[ J.node j defeater ]
+          ~reason:(Printf.sprintf "assumption %s (unless %s)" asm defeater)
+          asm_node;
+        asm_node)
+      (assumptions_of repo dec)
+  in
+  let how =
+    String.concat " by "
+      (List.filter_map Fun.id [ decision_class_of repo dec; tool_of repo dec ])
+  in
+  let dec_node = J.node j dec_name in
+  justify
+    ~inlist:(input_nodes @ assumption_nodes)
+    ~reason:(Printf.sprintf "decision %s (%s)" dec_name how)
+    dec_node;
+  List.iter
+    (fun (_, out) ->
+      justify ~inlist:[ dec_node ]
+        ~reason:(Printf.sprintf "%s created by %s" (Symbol.name out) dec_name)
+        (J.node j (Symbol.name out)))
+    (outputs_of repo dec);
+  (* facts the decision establishes — typically the defeaters of
+     earlier assumptions ("other subclasses of Papers exist") *)
+  List.iter
+    (fun fact ->
+      justify ~inlist:[ dec_node ]
+        ~reason:(Printf.sprintf "%s established by %s" fact dec_name)
+        (J.node j fact))
+    (asserts_of repo dec);
+  Repo.record_justifications repo dec !added
+
+let rebuild_jtms repo =
+  List.iter (install_justifications repo) (Repo.decision_log repo)
 
 let attach_text repo ~owner ~label ~suffix text =
   let name = Printf.sprintf "%s!%s" owner suffix in
@@ -172,10 +348,8 @@ let execute repo ~decision_class ~tool ~inputs ?(params = []) ?(rationale = "")
         ignore (Repo.drain_changes repo);
         Repo.emit_event repo (Repo.Decision_begun decision_class);
         Store.Base.begin_tx base;
-        let added_justs = ref [] in
         let rollback err =
           (match Store.Base.rollback base with Ok () -> () | Error _ -> ());
-          List.iter (J.retract (Repo.jtms repo)) !added_justs;
           Repo.emit_event repo (Repo.Decision_aborted err);
           (* no decision id exists on the abort path, so the flight
              recorder keys the event by class *)
@@ -195,7 +369,7 @@ let execute repo ~decision_class ~tool ~inputs ?(params = []) ?(rationale = "")
           (* the decision instance and its links *)
           let dec_name = Repo.fresh_decision_id repo in
           (* everything between tool run and consistency check: the
-             decision instance, its links, texts and reason maintenance *)
+             decision instance, its links and texts *)
           let* dec_id, obligations =
             Obs.Trace.with_span "decision.bookkeeping" @@ fun () ->
             Obs.Recorder.record ~decision:dec_name
@@ -267,47 +441,6 @@ let execute repo ~decision_class ~tool ~inputs ?(params = []) ?(rationale = "")
                 Ok ())
               (Ok ()) obligations
           in
-          (* reason maintenance: inputs + assumptions |- decision |- outputs *)
-          let j = Repo.jtms repo in
-          let input_nodes = List.map (fun (_, i) -> ensure_supported repo i) inputs in
-          let assumption_nodes =
-            List.map
-              (fun (asm, defeater) ->
-                let asm_node = J.node j asm in
-                let defeater_node = J.node j defeater in
-                added_justs :=
-                  J.justify j ~outlist:[ defeater_node ]
-                    ~reason:(Printf.sprintf "assumption %s (unless %s)" asm defeater)
-                    asm_node
-                  :: !added_justs;
-                asm_node)
-              assumptions
-          in
-          let dec_node = J.node j dec_name in
-          added_justs :=
-            J.justify j
-              ~inlist:(input_nodes @ assumption_nodes)
-              ~reason:(Printf.sprintf "decision %s (%s by %s)" dec_name decision_class tool)
-              dec_node
-            :: !added_justs;
-          List.iter
-            (fun (out : Repo.output) ->
-              added_justs :=
-                J.justify j ~inlist:[ dec_node ]
-                  ~reason:(Printf.sprintf "%s created by %s" (Symbol.name out.obj) dec_name)
-                  (J.node j (Symbol.name out.obj))
-                :: !added_justs)
-            outputs;
-          (* facts the decision establishes — typically the defeaters of
-             earlier assumptions ("other subclasses of Papers exist") *)
-          List.iter
-            (fun fact ->
-              added_justs :=
-                J.justify j ~inlist:[ dec_node ]
-                  ~reason:(Printf.sprintf "%s established by %s" fact dec_name)
-                  (J.node j fact)
-                :: !added_justs)
-            asserts;
           (* record tool parameters so the decision can be replayed *)
           let* () =
             if params = [] then Ok ()
@@ -322,8 +455,8 @@ let execute repo ~decision_class ~tool ~inputs ?(params = []) ?(rationale = "")
               in
               Ok ()
           in
-          (* record assumptions and asserted facts so the reason
-             maintenance can be rebuilt after persistence *)
+          (* record assumptions and asserted facts: the reason
+             maintenance is installed from them *)
           let* () =
             if assumptions = [] then Ok ()
             else
@@ -356,7 +489,6 @@ let execute repo ~decision_class ~tool ~inputs ?(params = []) ?(rationale = "")
           with
           | [] ->
             Repo.log_decision repo dec_id;
-            Repo.record_justifications repo dec_id !added_justs;
             Ok
               {
                 decision = dec_id;
@@ -376,6 +508,7 @@ let execute repo ~decision_class ~tool ~inputs ?(params = []) ?(rationale = "")
                 Store.Base.commit base)
           with
           | Ok () ->
+            install_justifications repo executed.decision;
             Repo.emit_event repo (Repo.Decision_committed executed.decision);
             Obs.Recorder.record ~decision:(Symbol.name executed.decision)
               Obs.Recorder.Committed;
@@ -441,195 +574,6 @@ let discharge_obligation repo ~decision ~obligation ~how =
 
 let sign_obligation repo ~decision ~obligation ~by =
   discharge_obligation repo ~decision ~obligation ~how:("signed by " ^ by)
-
-(* role classification of a decision instance's links ------------------- *)
-
-let role_kind repo dec_class_id role =
-  let kb = Repo.kb repo in
-  let classes = dec_class_id :: List.map (fun s -> s) (Kb.isa_closure kb dec_class_id) in
-  let rec search = function
-    | [] -> `Other
-    | c :: rest -> (
-      let attrs =
-        List.filter
-          (fun (p : Prop.t) -> Symbol.equal p.label (Symbol.intern role))
-          (Kb.attributes kb c)
-      in
-      match attrs with
-      | p :: _ -> (
-        match Kb.category_of kb p.id with
-        | Some cat -> (
-          match Kb.find kb cat with
-          | Some cp when Symbol.equal cp.Prop.label (Symbol.intern Metamodel.from_cat)
-            -> `Input
-          | Some cp when Symbol.equal cp.Prop.label (Symbol.intern Metamodel.to_cat)
-            -> `Output
-          | Some _ | None -> `Other)
-        | None -> `Other)
-      | [] -> search rest)
-  in
-  search classes
-
-let decision_class_of repo dec =
-  let kb = Repo.kb repo in
-  match Kb.classes_of kb dec with
-  | c :: _ -> Some (Symbol.name c)
-  | [] -> None
-
-let links_of_kind repo dec kind =
-  let kb = Repo.kb repo in
-  match Kb.classes_of kb dec with
-  | [] -> []
-  | dc :: _ ->
-    List.filter_map
-      (fun (p : Prop.t) ->
-        let role = Symbol.name p.label in
-        if role = "by" || role = "rationale" || role = "obligation" then None
-        else if role_kind repo dc role = kind then Some (role, p.dest)
-        else None)
-      (Kb.attributes kb dec)
-
-let inputs_of repo dec = links_of_kind repo dec `Input
-let outputs_of repo dec = links_of_kind repo dec `Output
-
-(* The kind [links_of_kind] gives the link [p] from its source, or
-   [`Other] when the source is not a logged decision.  The cheap tests
-   run first, so the links of other kinds into a hub — a tool's [by]
-   links, a class's instances — are passed over without allocating. *)
-let link_kind repo (p : Prop.t) =
-  if not (Repo.is_logged repo p.source) then `Other
-  else
-    let role = Symbol.name p.label in
-    if
-      role = "by" || role = "rationale" || role = "obligation"
-      || Prop.is_individual p
-      || Cml.Axioms.is_reserved_label p.label
-    then `Other
-    else
-      match Kb.classes_of (Repo.kb repo) p.source with
-      | dc :: _ -> role_kind repo dc role
-      | [] -> `Other
-
-let consumers repo obj =
-  Store.Base.fold_dest (Kb.base (Repo.kb repo)) obj
-    (fun (p : Prop.t) acc ->
-      if link_kind repo p = `Input then p.source :: acc else acc)
-    []
-
-let tool_of repo dec =
-  match Kb.attribute_values (Repo.kb repo) dec "by" with
-  | tool :: _ -> Some (Symbol.name tool)
-  | [] -> None
-
-let params_of repo dec =
-  match Kb.attribute_values (Repo.kb repo) dec "params" with
-  | text_id :: _ -> (
-    match Repo.artifact repo text_id with
-    | Some (Repo.Text s) ->
-      List.filter_map
-        (fun kv ->
-          match String.index_opt kv '=' with
-          | Some i ->
-            Some
-              ( String.sub kv 0 i,
-                String.sub kv (i + 1) (String.length kv - i - 1) )
-          | None -> None)
-        (String.split_on_char ';' s)
-    | Some _ | None -> [])
-  | [] -> []
-
-let assumptions_of repo dec =
-  match Kb.attribute_values (Repo.kb repo) dec "assumptions" with
-  | text_id :: _ -> (
-    match Repo.artifact repo text_id with
-    | Some (Repo.Text s) ->
-      List.filter_map
-        (fun kv ->
-          match String.index_opt kv '=' with
-          | Some i ->
-            Some
-              ( String.sub kv 0 i,
-                String.sub kv (i + 1) (String.length kv - i - 1) )
-          | None -> None)
-        (String.split_on_char ';' s)
-    | Some _ | None -> [])
-  | [] -> []
-
-let asserts_of repo dec =
-  match Kb.attribute_values (Repo.kb repo) dec "asserts" with
-  | text_id :: _ -> (
-    match Repo.artifact repo text_id with
-    | Some (Repo.Text s) ->
-      List.filter (fun x -> x <> "") (String.split_on_char ';' s)
-    | Some _ | None -> [])
-  | [] -> []
-
-let rationale_of repo dec =
-  match Kb.attribute_values (Repo.kb repo) dec "rationale" with
-  | text_id :: _ -> (
-    match Repo.artifact repo text_id with
-    | Some (Repo.Text s) -> Some s
-    | Some _ | None -> None)
-  | [] -> None
-
-(* Rebuild the reason-maintenance mirror from the recorded decision
-   history (used after loading a persisted repository).  The
-   per-decision body is exposed separately so a replication follower
-   can install the mirror incrementally as each replayed decision
-   commits — J.justify does not deduplicate, so calling the whole
-   rebuild repeatedly would pile up duplicate justifications. *)
-let install_rebuilt_justifications repo dec =
-  let j = Repo.jtms repo in
-  (fun dec ->
-      let dec_name = Symbol.name dec in
-      let inputs = inputs_of repo dec in
-      let outputs = outputs_of repo dec in
-      let assumptions = assumptions_of repo dec in
-      let asserts = asserts_of repo dec in
-      let added = ref [] in
-      let input_nodes = List.map (fun (_, i) -> ensure_supported repo i) inputs in
-      let assumption_nodes =
-        List.map
-          (fun (asm, defeater) ->
-            let asm_node = J.node j asm in
-            let defeater_node = J.node j defeater in
-            added :=
-              J.justify j ~outlist:[ defeater_node ]
-                ~reason:(Printf.sprintf "assumption %s (unless %s)" asm defeater)
-                asm_node
-              :: !added;
-            asm_node)
-          assumptions
-      in
-      let dec_node = J.node j dec_name in
-      added :=
-        J.justify j
-          ~inlist:(input_nodes @ assumption_nodes)
-          ~reason:(Printf.sprintf "decision %s (rebuilt)" dec_name)
-          dec_node
-        :: !added;
-      List.iter
-        (fun (_, out) ->
-          added :=
-            J.justify j ~inlist:[ dec_node ]
-              ~reason:
-                (Printf.sprintf "%s created by %s" (Symbol.name out) dec_name)
-              (J.node j (Symbol.name out))
-            :: !added)
-        outputs;
-      List.iter
-        (fun fact ->
-          added :=
-            J.justify j ~inlist:[ dec_node ]
-              ~reason:(Printf.sprintf "%s established by %s" fact dec_name)
-              (J.node j fact)
-            :: !added)
-        asserts;
-      Repo.record_justifications repo dec !added)
-    dec
-
-let rebuild_jtms repo =
-  List.iter (install_rebuilt_justifications repo) (Repo.decision_log repo)
 
 let justifying_decision repo obj =
   match

@@ -9,11 +9,13 @@
     + records the decision instance with [from]/[to]/[by] links, its
       rationale, and one [OBLIGATION] for each proof obligation of the
       decision class not guaranteed by the tool;
-    + installs the decision as a JTMS justification (inputs — and the
-      stated assumptions — support the decision; the decision supports
-      its outputs);
     + verifies consistency of the changed portion of the KB and rolls the
-      whole transaction back on violation. *)
+      whole transaction back on violation;
+    + once the transaction commits, installs the decision's JTMS
+      justifications from that record ({!install_justifications}:
+      inputs — and the stated assumptions — support the decision; the
+      decision supports its outputs), so a rejected decision never
+      touches the JTMS. *)
 
 open Kernel
 
@@ -90,14 +92,20 @@ val decision_class_of : Repository.t -> Prop.id -> string option
 val justifying_decision : Repository.t -> Prop.id -> Prop.id option
 (** The decision that created a design object (its JUSTIFICATION). *)
 
-val rebuild_jtms : Repository.t -> unit
-(** Reinstall the JTMS justifications of every logged decision from its
-    KB record — how a freshly loaded repository regains its reason
-    maintenance ({!Persist.load_repository} calls this). *)
+val from_signature : Repository.t -> string -> (string * Prop.id) list
+(** The [FROM] roles of a decision class and of its generalizations,
+    each with the class its object must instantiate. *)
 
-val install_rebuilt_justifications : Repository.t -> Prop.id -> unit
-(** The per-decision body of {!rebuild_jtms}.  A replication follower
-    calls this once per replayed decision as it commits; the JTMS does
-    not deduplicate justifications, so per-decision installation (not a
-    whole-log rebuild per frame) keeps the mirror identical to the
-    leader's. *)
+val install_justifications : Repository.t -> Prop.id -> unit
+(** Install a logged decision's JTMS justifications from its KB record:
+    its inputs and assumptions support the decision (reason [decision
+    D (Class by Tool)]), and it supports its outputs and asserted facts.
+    {!execute} and {!Backtrack.retract} call this once a decision
+    commits, a replication follower once per replayed decision; the
+    JTMS does not deduplicate justifications, so each decision is
+    installed once and the mirror is the same on every path. *)
+
+val rebuild_jtms : Repository.t -> unit
+(** {!install_justifications} for every logged decision — how a freshly
+    loaded repository regains its reason maintenance
+    ({!Persist.load_repository} calls this). *)

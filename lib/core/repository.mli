@@ -47,8 +47,8 @@ val on_event : t -> (event -> unit) -> event_subscription
 
 val off_event : t -> event_subscription -> unit
 (** Unsubscribe (symmetric with {!Store.Base.off_change}); unknown ids
-    are ignored.  Server sessions detach their listeners here on
-    disconnect so closures are not leaked. *)
+    are ignored.  A server daemon detaches its news listener here when
+    it stops, so closures are not leaked. *)
 
 val event_listener_count : t -> int
 (** Number of live event listeners (exposed for leak tests). *)

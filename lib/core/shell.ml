@@ -61,7 +61,7 @@ let help_text =
    ROLE=OBJ.. [K=V..]\n\
   \          map normalize key minutes resolve why [OBJ] history [OBJ] \
    source [OBJ]\n\
-  \          deps [OBJ] config [LEVEL] check ask FORMULA derive ATOM \
+  \          deps [OBJ|--dot] config [LEVEL] check ask FORMULA derive ATOM \
    explain ATOM save FILE load FILE quit\n\
   \          slo trace decision ID\n\
   \          (focus OBJ sets this session's cursor; menu/why/history/source \
@@ -152,7 +152,10 @@ let answer t line =
                  e.Decision.role
                  (String.concat ", " e.Decision.tools))
              (Decision.applicable repo obj)))
-  | "run" :: dc :: tool :: rest ->
+  (* the class is checked first: reading its signature interns it *)
+  | "run" :: dc :: _ :: _ when not (Cml.Kb.exists (Repo.kb repo) dc) ->
+    "error: unknown decision class " ^ dc
+  | "run" :: dc :: tool :: rest -> (
     let bindings =
       List.filter_map
         (fun w ->
@@ -164,12 +167,21 @@ let answer t line =
           | None -> None)
         rest
     in
-    let is_object (_, v) = Cml.Kb.exists (Repo.kb repo) v in
-    let inputs, params = List.partition is_object bindings in
-    let inputs = List.map (fun (r, v) -> (r, Symbol.intern v)) inputs in
-    render_result "run"
-      (Decision.execute repo ~decision_class:dc ~tool ~inputs ~params
-         ~rationale:("shell: " ^ line) ())
+    (* K=V binds an input exactly when K is one of the class's FROM
+       roles; any other K=V is a tool parameter, whatever V names *)
+    let roles = List.map fst (Decision.from_signature repo dc) in
+    let inputs, params =
+      List.partition (fun (k, _) -> List.mem k roles) bindings
+    in
+    match
+      List.find_opt (fun (_, v) -> not (Cml.Kb.exists (Repo.kb repo) v)) inputs
+    with
+    | Some (_, v) -> "error: no object " ^ v
+    | None ->
+      let inputs = List.map (fun (r, v) -> (r, Symbol.intern v)) inputs in
+      render_result "run"
+        (Decision.execute repo ~decision_class:dc ~tool ~inputs ~params
+           ~rationale:("shell: " ^ line) ()))
   | [ "map" ] -> render_result "map" (Scenario.map_move_down t.state)
   | [ "normalize" ] ->
     refresh_invitation_rel t;
@@ -198,6 +210,7 @@ let answer t line =
         match Repo.source_text repo obj with
         | Some src -> src
         | None -> "error: no source recorded for " ^ Symbol.name obj)
+  | [ "deps"; "--dot" ] -> Depgraph.to_dot repo
   | [ "deps"; name ] ->
     with_target t name (fun obj -> fmt "%a" (Depgraph.pp repo) obj)
   | [ "config"; level ] when not (Cml.Kb.exists (Repo.kb repo) level) ->

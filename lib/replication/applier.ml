@@ -109,7 +109,7 @@ let commit_decision t id =
   (* install this decision's reason-maintenance mirror incrementally:
      its KB records were just applied, and Jtms.justify does not
      deduplicate, so a whole-log rebuild here would pile up copies *)
-  Gkbms.Decision.install_rebuilt_justifications t.repo id;
+  Gkbms.Decision.install_justifications t.repo id;
   Repo.emit_event t.repo (Repo.Decision_committed id);
   t.decisions_applied <- t.decisions_applied + 1;
   Obs.Registry.Counter.inc g_decisions

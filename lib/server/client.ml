@@ -87,61 +87,79 @@ let request ?ctx t line =
 (* Pipelined submission: keep up to [window] requests in flight, match
    responses to requests by id so out-of-order completion (a fast read
    overtaking a batched write's ack) is fine.  Results come back in
-   *submission* order regardless of arrival order. *)
+   *submission* order regardless of arrival order.  A reader thread
+   takes the responses while this thread writes: a session answers on
+   the thread that reads its connection, so a client that wrote its
+   whole window before reading would stall both ends once a large
+   reply and its own requests filled the two socket buffers.  The
+   window is capped at the server's limit of unacked writes, past
+   which the session stops reading anyway. *)
 let pipeline ?(window = 16) t lines =
-  let window = max 1 window in
+  let window = min Protocol.pipeline_limit (max 1 window) in
   let lines = Array.of_list lines in
   let n = Array.length lines in
-  let results = Array.make n (Error "transport: no response") in
-  let index_of_id = Hashtbl.create (2 * window) in
-  let sent = ref 0 and received = ref 0 in
-  let fail_rest msg =
-    (* every request not yet answered gets the transport error *)
-    Hashtbl.iter (fun _ i -> results.(i) <- Error msg) index_of_id;
-    for i = !sent to n - 1 do
-      results.(i) <- Error msg
-    done;
-    received := n;
-    sent := n
+  let results = Array.make n None in
+  let first_id = t.next_id in
+  t.next_id <- first_id + n;
+  let m = Mutex.create () and c = Condition.create () in
+  let sent = ref 0 and received = ref 0 and failure = ref None in
+  (* a failure tears the stream: shutting the transport wakes the
+     other thread, blocked in a read or a write, with end-of-stream *)
+  let fail msg =
+    Mutex.protect m (fun () ->
+        if !failure = None then failure := Some msg;
+        Condition.broadcast c);
+    t.transport.Protocol.shutdown ()
   in
-  let send_one () =
-    let i = !sent in
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    Hashtbl.replace index_of_id id i;
-    incr sent;
-    match
-      Protocol.write_frame t.transport
-        (Protocol.Request { id; line = lines.(i); ctx = None })
-    with
-    | exception e -> fail_rest ("transport: " ^ Printexc.to_string e)
-    | _n -> ()
+  let rec read_responses () =
+    if Mutex.protect m (fun () -> !received < n && !failure = None) then
+      match Protocol.next_frame t.reader with
+      | Ok (Protocol.Response r) ->
+        let i = r.Protocol.id - first_id in
+        let in_flight = i >= 0 && i < Mutex.protect m (fun () -> !sent) in
+        if not (in_flight && results.(i) = None) then
+          fail
+            (Printf.sprintf
+               "protocol: response id %d matches no in-flight request"
+               r.Protocol.id)
+        else begin
+          results.(i) <-
+            Some
+              (if r.Protocol.ok then Ok r.Protocol.payload
+               else Error r.Protocol.payload);
+          Mutex.protect m (fun () ->
+              incr received;
+              Condition.broadcast c);
+          read_responses ()
+        end
+      | Ok (Protocol.Request _) -> fail "protocol: unexpected request frame"
+      | Error `Eof -> fail "transport: connection closed"
+      | Error (`Corrupt reason) -> fail ("protocol: " ^ reason)
+      | exception e -> fail ("transport: " ^ Printexc.to_string e)
   in
-  let recv_one () =
-    match Protocol.next_frame t.reader with
-    | Ok (Protocol.Response r) -> (
-      match Hashtbl.find_opt index_of_id r.Protocol.id with
-      | Some i ->
-        Hashtbl.remove index_of_id r.Protocol.id;
-        incr received;
-        results.(i) <-
-          (if r.Protocol.ok then Ok r.Protocol.payload
-           else Error r.Protocol.payload)
-      | None ->
-        fail_rest
-          (Printf.sprintf "protocol: response id %d matches no in-flight request"
-             r.Protocol.id))
-    | Ok (Protocol.Request _) -> fail_rest "protocol: unexpected request frame"
-    | Error `Eof -> fail_rest "transport: connection closed"
-    | Error (`Corrupt reason) -> fail_rest ("protocol: " ^ reason)
+  let reader = Thread.create read_responses () in
+  let rec write_requests i =
+    let go () =
+      Mutex.protect m (fun () ->
+          while !failure = None && i - !received >= window do
+            Condition.wait c m
+          done;
+          if !failure = None then incr sent;
+          !failure = None)
+    in
+    if i < n && go () then
+      match
+        Protocol.write_frame t.transport
+          (Protocol.Request { id = first_id + i; line = lines.(i); ctx = None })
+      with
+      | exception e -> fail ("transport: " ^ Printexc.to_string e)
+      | _n -> write_requests (i + 1)
   in
-  while !received < n do
-    while !sent < n && !sent - !received < window do
-      send_one ()
-    done;
-    if !received < n then recv_one ()
-  done;
-  Array.to_list results
+  write_requests 0;
+  Thread.join reader;
+  (* every request not answered gets the failure *)
+  let missing = Error (Option.value !failure ~default:"transport: no response") in
+  Array.to_list (Array.map (Option.value ~default:missing) results)
 
 (* Start (or continue) a distributed trace around one request: the
    server sees the encoded context in the frame and files its spans

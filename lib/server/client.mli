@@ -34,13 +34,15 @@ val request : ?ctx:Obs.Trace_context.t -> t -> string -> (string, string) result
 
 val pipeline :
   ?window:int -> t -> string list -> (string, string) result list
-(** Send the commands keeping up to [window] (default 16, min 1)
-    requests in flight, reading responses as they arrive.  Responses
-    are matched to requests by id, so out-of-order completion is fine;
-    the returned list is in submission order.  On a transport failure
-    every not-yet-answered command yields [Error _].  Against a
-    group-commit server, back-to-back writes submitted this way share
-    one fsync. *)
+(** Send the commands keeping up to [window] (default 16, at least 1,
+    at most {!Protocol.pipeline_limit}) requests in flight, reading
+    responses on a second thread as they arrive, so a large reply never
+    waits behind this client's own writes.  Responses are matched to
+    requests by id, so out-of-order completion is fine; the returned
+    list is in submission order.  On a transport failure every
+    not-yet-answered command yields [Error _] and the transport is shut
+    down.  Against a group-commit server, back-to-back writes submitted
+    this way share one fsync. *)
 
 val request_traced : t -> string -> (string, string) result * string
 (** Like {!request}, but under a trace context — a child of the

@@ -46,6 +46,9 @@ type t = {
   m : Mutex.t;  (** sessions / lifecycle *)
   sessions : (int, Session.t) Hashtbl.t;
   mutable next_sid : int;
+  news : Session.news;
+  news_sub : Repo.event_subscription;
+      (** the one listener recording news for every session *)
   mutable durable : Gkbms.Durable.t option;
   mutable extension : (string -> string option) option;
       (** protocol extension (the replication command family): consulted
@@ -246,7 +249,7 @@ let trace_command t = function
 let process t session (req : Protocol.request) : Protocol.response =
   let line = String.trim req.Protocol.line in
   (* Install the request's trace context (if the frame carried one) as
-     the ambient context for this executor thread, for exactly the
+     the ambient context for this connection's thread, for exactly the
      duration of this request — the thread is reused, so a stale
      context must never leak into the next request. *)
   let ctx =
@@ -417,6 +420,7 @@ let reaper_loop t timeout =
   done
 
 let create ?(config = default_config) repo =
+  let news = Session.news () in
   let t =
     {
       repo;
@@ -431,6 +435,8 @@ let create ?(config = default_config) repo =
       m = Mutex.create ();
       sessions = Hashtbl.create 16;
       next_sid = 0;
+      news;
+      news_sub = Repo.on_event repo (Session.record_news news);
       durable = None;
       extension = None;
       listen_fd = None;
@@ -455,7 +461,7 @@ let register_session t transport =
   Mutex.lock t.m;
   let sid = t.next_sid in
   t.next_sid <- sid + 1;
-  let s = Session.create ~sid ~repo:t.repo ~transport in
+  let s = Session.create ~sid ~repo:t.repo ~news:t.news ~transport in
   Hashtbl.replace t.sessions sid s;
   Mutex.unlock t.m;
   Obs.Registry.Counter.inc sessions_opened;
@@ -564,6 +570,7 @@ let stop t =
     | None -> ());
     List.iter Session.shutdown sessions;
     List.iter (fun th -> try Thread.join th with _ -> ()) workers;
+    Repo.off_event t.repo t.news_sub;
     (match t.reaper with
     | Some th ->
       (try Thread.join th with _ -> ());

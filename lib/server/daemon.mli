@@ -24,7 +24,8 @@
     alone), [trace on|off],
     [trace slow MS], [trace dump [recent]], [trace clear] (the
     process-wide {!Obs.Trace} recorder; [dump] answers span trees as
-    JSON), [news] (decisions committed since this client last polled),
+    JSON), [news] (decisions committed or retracted since this client
+    last polled, from the daemon's one record of the last 4,096),
     [version] (the repository data-version), [ping]. *)
 
 type config = {
@@ -63,7 +64,9 @@ type t
 val create : ?config:config -> Gkbms.Repository.t -> t
 (** Start a daemon over the repository.  Its own threads start here, in
     the calling domain: the write flusher (unless [read_only]) and, with
-    [idle_timeout], the idle reaper.  {!stop} retires them.
+    [idle_timeout], the idle reaper.  It also adds the one repository
+    event listener that records every session's news.  {!stop} retires
+    the threads and removes the listener.
     @raise Invalid_argument if [config.group_commit] has [k < 1] or
     [t_us < 0]. *)
 
@@ -90,7 +93,7 @@ val set_extension : t -> (string -> string option) -> unit
 (** Install a protocol extension (the replication command family).  The
     function sees each trimmed request line before the built-ins;
     [Some payload] answers the request, [None] falls through.  It runs
-    on the session's executor thread with {e no} scheduler lock held —
+    on the connection's thread with {e no} scheduler lock held —
     handlers take the locks they need (and may block, e.g. a follower's
     bounded [wait]). *)
 
@@ -116,8 +119,8 @@ val listen : t -> path:string -> (unit, string) result
 
 val stop : t -> unit
 (** Stop listening, commit the queued writes, shut every live session
-    down, wait for them to drain, retire the daemon's threads, and close
-    the WAL if attached.  Idempotent. *)
+    down, wait for them to drain, retire the daemon's threads and its
+    news listener, and close the WAL if attached.  Idempotent. *)
 
 val session_count : t -> int
 

@@ -3,6 +3,7 @@ type response = { id : int; ok : bool; payload : string }
 type frame = Request of request | Response of response
 
 let max_frame = 16 * 1024 * 1024
+let pipeline_limit = 64
 
 (* force the (lazy) CRC table once, on the main domain at program start,
    so concurrent first use from several domains cannot race the thunk *)

@@ -26,6 +26,13 @@ type frame = Request of request | Response of response
 val max_frame : int
 (** Upper bound on a payload; longer frames are treated as corruption. *)
 
+val pipeline_limit : int
+(** 64: the most requests a client keeps in flight on one connection.
+    A server session stops reading while this many of its writes wait
+    for their acks, so a client that sent more before reading any
+    response would stall both ends once the socket buffers fill;
+    {!Client.pipeline} caps its window here. *)
+
 val encode : frame -> string
 (** The full wire bytes of one frame (length, checksum, payload). *)
 

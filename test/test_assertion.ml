@@ -6,9 +6,7 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let test_terms () =
   check bool "variable" true (Term.equal (ok (A.parse_term "?x")) (Term.var "x"));

@@ -12,9 +12,7 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 let sym = Symbol.intern
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let names ids = List.sort String.compare (List.map Symbol.name ids)
 
@@ -242,11 +240,6 @@ let test_frame_pp () =
       "Invitation"
   in
   let text = Format.asprintf "%a" Op.pp f in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-    loop 0
-  in
   check bool "header" true
     (contains "Class Invitation in TDL_EntityClass isA Paper with" text);
   check bool "attribute line" true (contains "sender : Person" text);
@@ -688,11 +681,6 @@ let test_closure_cache_rollback () =
     (names (Kb.isa_closure kb (sym "Invitation")))
 
 (* display ------------------------------------------------------------------ *)
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-  loop 0
 
 let test_text_dag_browser () =
   let kb = document_kb () in

@@ -6,9 +6,7 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let conflict_ctx () =
   let st = ok (Scn.run_through_conflict ()) in

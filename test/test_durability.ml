@@ -13,9 +13,7 @@ let int = Alcotest.int
 let string = Alcotest.string
 let sym = Symbol.intern
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let mk ?(time = Time.always) id source label dest =
   Prop.make ~time ~id:(sym id) ~source:(sym source) ~label:(sym label)

@@ -13,14 +13,7 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 let string = Alcotest.string
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-  loop 0
+open Helpers
 
 (* the decision log index against the list it replaced ------------------- *)
 

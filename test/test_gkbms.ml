@@ -17,16 +17,9 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 let sym = Symbol.intern
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let names ids = List.sort String.compare (List.map Symbol.name ids)
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-  loop 0
 
 (* metamodel ------------------------------------------------------------- *)
 
@@ -692,6 +685,21 @@ let test_explain_decision () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "explaining unknown decision"
 
+(* one installer builds the JTMS live and on reload, so each logged
+   decision, the retraction's included, explains the same on both *)
+let test_explain_live_equals_reloaded () =
+  let st, _report = ok (Scn.run_all ()) in
+  let repo = st.Scn.repo in
+  let reloaded =
+    ok (Gkbms.Persist.load_repository (Gkbms.Persist.save_repository repo))
+  in
+  List.iter
+    (fun dec ->
+      Alcotest.(check string) (Symbol.name dec)
+        (ok (Gkbms.Explain.explain_decision repo dec))
+        (ok (Gkbms.Explain.explain_decision reloaded dec)))
+    (Repo.decision_log repo)
+
 (* JTMS integration ---------------------------------------------------------- *)
 
 let test_jtms_mirrors_decisions () =
@@ -876,6 +884,7 @@ let suite =
     ("replay detects missing input", `Quick, test_replay_detects_missing_input);
     ("explain why", `Quick, test_explain_why);
     ("explain decision", `Quick, test_explain_decision);
+    ("decisions explain the same live and reloaded", `Quick, test_explain_live_equals_reloaded);
     ("jtms mirrors decisions", `Quick, test_jtms_mirrors_decisions);
     ("jtms assumption defeat", `Quick, test_jtms_assumption_defeat);
     ("kb: derive ≡ bottom-up materialisation", `Quick, test_kb_derive_equal);

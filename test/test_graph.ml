@@ -7,6 +7,8 @@ let int = Alcotest.int
 let sym = Symbol.intern
 let names set = List.map Symbol.name (Symbol.Set.elements set)
 
+open Helpers
+
 let diamond () =
   (* a -from-> b, a -from-> c, b -to-> d, c -to-> d *)
   let g = G.create () in
@@ -114,22 +116,12 @@ let test_dot_output () =
   check bool "digraph header" true
     (String.length dot > 0
     && String.sub dot 0 12 = "digraph deps");
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-    loop 0
-  in
   check bool "edge present" true
     (contains "\"a\" -> \"b\" [label=\"from\"]" dot)
 
 let test_ascii_dag () =
   let g = diamond () in
   let out = Format.asprintf "%a" (G.pp_ascii_dag ~max_depth:3 g) (sym "a") in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-    loop 0
-  in
   check bool "root shown" true (contains "a\n" out);
   check bool "edge labels shown" true (contains "--from--> b" out);
   check bool "shared node marked" true (contains "(^)" out)
@@ -139,11 +131,6 @@ let test_ascii_dag_depth_limit () =
   G.add_edge g (sym "r") (sym "l") (sym "m");
   G.add_edge g (sym "m") (sym "l") (sym "leaf");
   let out = Format.asprintf "%a" (G.pp_ascii_dag ~max_depth:1 g) (sym "r") in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-    loop 0
-  in
   check bool "depth-1 node shown" true (contains "m" out);
   check bool "depth-2 node hidden" false (contains "leaf" out)
 

@@ -5,9 +5,7 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let key_issue () =
   let t = Arg.create () in
@@ -107,11 +105,6 @@ let test_pp_issue () =
     (Arg.argue t ~issue ~position:"keep surrogate paperkey" ~by:"rose"
        ~polarity:Arg.Pro ~weight:2 "robust under evolution");
   let out = Format.asprintf "%a" (Arg.pp_issue t) issue in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-    loop 0
-  in
   check bool "positions shown" true (contains "keep surrogate paperkey" out);
   check bool "argument shown" true (contains "+2 rose: robust under evolution" out)
 

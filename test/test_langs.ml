@@ -5,18 +5,11 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let ok_list = function
   | Ok v -> v
   | Error es -> Alcotest.failf "unexpected errors: %s" (String.concat "; " es)
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-  loop 0
 
 (* the §2.1 document design, reused everywhere *)
 let design () = Gkbms.Scenario.meeting_design_v2

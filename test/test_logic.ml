@@ -5,9 +5,7 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let v = T.var
 let s = T.sym

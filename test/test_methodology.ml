@@ -8,14 +8,7 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-  loop 0
+open Helpers
 
 let test_clean_history_conforms () =
   let st = ok (Scn.setup ()) in

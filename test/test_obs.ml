@@ -14,14 +14,7 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  ln = 0 || go 0
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 (* ---------------- histogram percentiles (properties) ---------------- *)
 
@@ -197,7 +190,7 @@ let test_prometheus_format () =
       if String.length line >= 2 && String.sub line 0 2 = "# " then begin
         match String.split_on_char ' ' line with
         | "#" :: ("HELP" | "TYPE") :: name :: _ when valid_name name ->
-          if contains line "# TYPE" then begin
+          if contains "# TYPE" line then begin
             if Hashtbl.mem seen_type name then
               Alcotest.failf "duplicate TYPE for %s" name;
             Hashtbl.add seen_type name ()
@@ -207,18 +200,18 @@ let test_prometheus_format () =
       else check_sample_line line)
     lines;
   check bool "counter line" true
-    (contains text "gkbms_decisions_committed_total 5");
+    (contains "gkbms_decisions_committed_total 5" text);
   check bool "help text" true
-    (contains text "# HELP gkbms_decisions_committed_total Decisions committed");
-  check bool "histogram type" true (contains text "# TYPE latency_us histogram");
-  check bool "overflow bucket" true (contains text "le=\"+Inf\"");
-  check bool "count series" true (contains text "latency_us_count");
-  check bool "escaped label value" true (contains text "weird \\\"quoted\\\"\\nname");
+    (contains "# HELP gkbms_decisions_committed_total Decisions committed" text);
+  check bool "histogram type" true (contains "# TYPE latency_us histogram" text);
+  check bool "overflow bucket" true (contains "le=\"+Inf\"" text);
+  check bool "count series" true (contains "latency_us_count" text);
+  check bool "escaped label value" true (contains "weird \\\"quoted\\\"\\nname" text);
   (* cumulative buckets: last le count equals _count *)
   let bucket_counts =
     List.filter_map
       (fun l ->
-        if contains l "latency_us_bucket" then
+        if contains "latency_us_bucket" l then
           String.rindex_opt l ' '
           |> Option.map (fun i ->
                  int_of_string
@@ -343,11 +336,11 @@ let test_json_export () =
   let json = Export.json (Reg.snapshot (sample_registry ())) in
   validate_json json;
   check bool "counter name survives" true
-    (contains json "\"gkbms_decisions_committed_total\"");
+    (contains "\"gkbms_decisions_committed_total\"" json);
   check bool "label value escaped" true
-    (contains json "weird \\\"quoted\\\"\\nname");
-  check bool "overflow le" true (contains json "\"le\":\"+Inf\"");
-  check bool "histogram count" true (contains json "\"count\":4")
+    (contains "weird \\\"quoted\\\"\\nname" json);
+  check bool "overflow le" true (contains "\"le\":\"+Inf\"" json);
+  check bool "histogram count" true (contains "\"count\":4" json)
 
 (* ---------------- tracing ---------------- *)
 
@@ -410,8 +403,8 @@ let test_span_json () =
   Trace.set_enabled false;
   let json = Export.spans_json (Trace.recent ()) in
   validate_json json;
-  check bool "nested child serialized" true (contains json "\"leaf\"");
-  check bool "attr escaped" true (contains json "run \\\"x\\\"")
+  check bool "nested child serialized" true (contains "\"leaf\"" json);
+  check bool "attr escaped" true (contains "run \\\"x\\\"" json)
 
 (* ---------------- server group-commit series ---------------- *)
 
@@ -466,9 +459,9 @@ let test_group_commit_series () =
       then check_sample_line line)
     (String.split_on_char '\n' text);
   check bool "batch-size histogram exported" true
-    (contains text "gkbms_group_commit_batch_size");
+    (contains "gkbms_group_commit_batch_size" text);
   check bool "in-flight gauge exported" true
-    (contains text "gkbms_server_inflight_requests");
+    (contains "gkbms_server_inflight_requests" text);
   (* the WAL sink's counter registers into the default registry at
      sink-creation time; exercise one to make the series appear *)
   let file = Filename.temp_file "gkbms_obs_wal" ".wal" in
@@ -501,9 +494,9 @@ let test_prometheus_escaping_regression () =
       then check_sample_line line)
     (String.split_on_char '\n' text);
   check bool "HELP escapes backslash and newline" true
-    (contains text "# HELP esc_total path C:\\\\temp\\nsecond line");
+    (contains "# HELP esc_total path C:\\\\temp\\nsecond line" text);
   check bool "label value escapes backslash, quote, newline" true
-    (contains text "C:\\\\dir \\\"q\\\"\\nx");
+    (contains "C:\\\\dir \\\"q\\\"\\nx" text);
   check Alcotest.string "help_escape" "a\\\\b\\nc" (Export.help_escape "a\\b\nc");
   check Alcotest.string "label_value_escape" "a\\\\b\\\"c\\nd"
     (Export.label_value_escape "a\\b\"c\nd")
@@ -617,10 +610,10 @@ let test_recorder_ring () =
   check int "events_for filters" 1
     (List.length (Obs.Recorder.events_for "d7"));
   let r = Obs.Recorder.render_for "d7" in
-  check bool "render carries trace id" true (contains r "cafe0123cafe0123");
-  check bool "render carries lag" true (contains r "lag_ms=5.000");
+  check bool "render carries trace id" true (contains "cafe0123cafe0123" r);
+  check bool "render carries lag" true (contains "lag_ms=5.000" r);
   check bool "unknown decision message" true
-    (contains (Obs.Recorder.render_for "nope") "no recorded events");
+    (contains "no recorded events" (Obs.Recorder.render_for "nope"));
   (* dump is JSON lines, one per surviving event *)
   let path = Filename.temp_file "gkbms_flight" ".json" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
@@ -634,7 +627,7 @@ let test_recorder_ring () =
   check int "one JSON line per event" 4 (List.length lines);
   List.iter validate_json lines;
   check bool "dump carries the applied event" true
-    (List.exists (fun l -> contains l "\"kind\":\"applied\"") lines)
+    (List.exists (fun l -> contains "\"kind\":\"applied\"" l) lines)
 
 (* ---------------- SLO layer ---------------- *)
 
@@ -656,7 +649,7 @@ let test_slo_objectives_and_breaches () =
   check bool "repl long-poll seed survives" true
     (approx (Obs.Slo.objective_for "repl") 2.0);
   (match Obs.Slo.parse_spec "run=abc" with
-  | Error e -> check bool "parse error names the entry" true (contains e "run")
+  | Error e -> check bool "parse error names the entry" true (contains "run" e)
   | Ok _ -> Alcotest.fail "parsed a bad duration");
   (match Obs.Slo.parse_spec "=5ms" with
   | Error _ -> ()
@@ -665,8 +658,8 @@ let test_slo_objectives_and_breaches () =
   check bool "breach detected" true (Obs.Slo.observe ~cmd:"run" 0.2);
   check bool "fast request ok" false (Obs.Slo.observe ~cmd:"run" 0.01);
   let table = Obs.Slo.render () in
-  check bool "render lists the command" true (contains table "run");
-  check bool "render shows the breach" true (contains table "50.0");
+  check bool "render lists the command" true (contains "run" table);
+  check bool "render shows the breach" true (contains "50.0" table);
   (* the sentinel counters reached the default registry *)
   let counter name =
     match Reg.find Reg.default ~labels:[ ("cmd", "run") ] name with

@@ -9,14 +9,7 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-let contains needle hay =
-  let n = String.length needle and m = String.length hay in
-  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 (* sexp ------------------------------------------------------------------- *)
 

@@ -6,9 +6,7 @@ module Dbpl = Langs.Dbpl
 module Ev = Langs.Dbpl_eval
 module S = Kernel.Sexp
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 (* --- a small random database over one fixed schema ------------------- *)
 

@@ -20,9 +20,7 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 let string = Alcotest.string
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let req_ok client line =
   match Client.request client line with
@@ -33,11 +31,6 @@ let req_err client line =
   match Client.request client line with
   | Ok s -> Alcotest.failf "request %S unexpectedly succeeded: %s" line s
   | Error e -> e
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-  loop 0
 
 let canonical repo = Gkbms.Persist.save_repository_canonical repo
 

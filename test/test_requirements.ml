@@ -8,9 +8,7 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let world_text =
   "Class Meeting with\n\
@@ -112,11 +110,6 @@ let test_three_level_lifecycle () =
   (* the explanation chain crosses all three levels *)
   let steps = Gkbms.Explain.why repo (Symbol.intern "WorkshopRel") in
   let rendered = Format.asprintf "%a" Gkbms.Explain.pp_why steps in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-    loop 0
-  in
   check bool "chain reaches TaxisDL" true (contains "Meetings" rendered);
   check bool "chain reaches the world model" true (contains "World" rendered);
   (* vertical configuration: every mapped level is consistent *)

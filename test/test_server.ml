@@ -13,19 +13,12 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 let string = Alcotest.string
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let req_ok client line =
   match Client.request client line with
   | Ok s -> s
   | Error e -> Alcotest.failf "request %S failed: %s" line e
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-  loop 0
 
 (* a scenario repository advanced to the keyed stage, plus seed docs *)
 let keyed_repo ?(docs = 0) () =
@@ -153,25 +146,6 @@ let prop_decoders_any_chunking =
         | Error (`Corrupt e) -> failwith e
       in
       fed = frames && read [] = frames)
-
-(* bounded queue --------------------------------------------------------- *)
-
-let test_bqueue () =
-  let q = Server.Bqueue.create ~capacity:2 in
-  check bool "put 1" true (Server.Bqueue.put q 1);
-  check bool "put 2" true (Server.Bqueue.put q 2);
-  check int "length" 2 (Server.Bqueue.length q);
-  (* a put beyond capacity blocks until a take frees a slot *)
-  let t = Thread.create (fun () -> ignore (Server.Bqueue.put q 3)) () in
-  Thread.delay 0.02;
-  check int "still full" 2 (Server.Bqueue.length q);
-  check bool "fifo" true (Server.Bqueue.take q = Some 1);
-  Thread.join t;
-  check bool "fifo 2" true (Server.Bqueue.take q = Some 2);
-  check bool "fifo 3" true (Server.Bqueue.take q = Some 3);
-  Server.Bqueue.close q;
-  check bool "closed take" true (Server.Bqueue.take q = None);
-  check bool "closed put" false (Server.Bqueue.put q 4)
 
 (* scheduler ------------------------------------------------------------- *)
 
@@ -432,19 +406,254 @@ let test_cache_answers_focus_and_config () =
   Client.close b;
   Daemon.stop daemon
 
+(* the daemon records news through one listener: sessions add none,
+   and [stop] removes it *)
 let test_session_listener_leak () =
   let repo = keyed_repo () in
   let before = Repo.event_listener_count repo in
   let daemon = Daemon.create repo in
+  let idle = Repo.event_listener_count repo in
   let clients =
     List.init 3 (fun _ -> Client.of_transport (Daemon.connect daemon))
   in
   List.iter (fun c -> ignore (req_ok c "ping")) clients;
-  check bool "listeners attached" true (Repo.event_listener_count repo > before);
+  check int "sessions add no listener" idle (Repo.event_listener_count repo);
   List.iter Client.close clients;
   Daemon.stop daemon;
-  (* off_event ran for every session: no leaked subscriptions *)
   check int "listeners detached" before (Repo.event_listener_count repo)
+
+(* [n] edits of Doc0 from one pipelining client, all acked *)
+let commit_edits client n =
+  List.iter
+    (fun r -> ignore (ok r))
+    (Client.pipeline ~window:64 client
+       (List.init n (Printf.sprintf "run DecManualEdit Editor object=Doc0 text=v%d")))
+
+(* What closing 4 idle sessions frees after [commits] commits by a fifth:
+   only the sessions' own state, however long the history they
+   watched. *)
+let idle_sessions_hold ~commits =
+  let daemon = Daemon.create (keyed_repo ~docs:1 ()) in
+  let writer = Client.of_transport (Daemon.connect daemon) in
+  let idle = List.init 4 (fun _ -> Client.of_transport (Daemon.connect daemon)) in
+  List.iter (fun c -> ignore (req_ok c "ping")) (writer :: idle);
+  commit_edits writer commits;
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let held = live () in
+  List.iter Client.close idle;
+  let rec wait n =
+    if n > 0 && Daemon.session_count daemon > 1 then (
+      Thread.delay 0.01;
+      wait (n - 1))
+  in
+  wait 500;
+  let freed = held - live () in
+  Client.close writer;
+  Daemon.stop daemon;
+  freed
+
+let test_idle_sessions_bounded () =
+  let small = idle_sessions_hold ~commits:500 in
+  let large = idle_sessions_hold ~commits:4000 in
+  let bytes_per_session_commit =
+    float_of_int ((large - small) * (Sys.word_size / 8)) /. (4. *. 3500.)
+  in
+  if bytes_per_session_commit >= 8. then
+    Alcotest.failf
+      "closing 4 idle sessions freed %d words after 500 commits, %d after \
+       4,000: %.1f B per session per commit"
+      small large bytes_per_session_commit
+
+(* a session that fell more than 4,096 lines behind reads how many it
+   missed, then the last 4,096 *)
+let test_news_overflow () =
+  let daemon = Daemon.create (keyed_repo ~docs:1 ()) in
+  let writer = Client.of_transport (Daemon.connect daemon) in
+  let reader = Client.of_transport (Daemon.connect daemon) in
+  ignore (req_ok reader "ping");
+  commit_edits writer 4100;
+  (match String.split_on_char '\n' (req_ok reader "news") with
+  | first :: lines ->
+    check string "overflow line" "(4 earlier events not shown)" first;
+    check int "the last 4,096 lines" 4096 (List.length lines);
+    check bool "committed lines" true
+      (List.for_all (String.starts_with ~prefix:"committed ") lines)
+  | [] -> Alcotest.fail "empty news");
+  check string "then nothing" "no news." (req_ok reader "news");
+  check bool "the writer's news overflowed too" true
+    (String.starts_with ~prefix:"(4 earlier" (req_ok writer "news"));
+  Client.close writer;
+  Client.close reader;
+  Daemon.stop daemon
+
+let inflight () =
+  match Reg.find Reg.default "gkbms_server_inflight_requests" with
+  | Some { Reg.value = Reg.Gauge_v v; _ } -> int_of_float v
+  | _ -> Alcotest.fail "in-flight gauge not registered"
+
+(* Run [f] while another thread holds [Daemon.exclusive], so that no
+   write commits until [f] returns. *)
+let with_commits_held daemon f =
+  let m = Mutex.create () and c = Condition.create () in
+  let holding = ref false and released = ref false in
+  let holder =
+    Thread.create
+      (fun () ->
+        Daemon.exclusive daemon (fun () ->
+            Mutex.protect m (fun () ->
+                holding := true;
+                Condition.broadcast c;
+                while not !released do
+                  Condition.wait c m
+                done)))
+      ()
+  in
+  Mutex.protect m (fun () ->
+      while not !holding do
+        Condition.wait c m
+      done);
+  Fun.protect f ~finally:(fun () ->
+      Mutex.protect m (fun () ->
+          released := true;
+          Condition.broadcast c);
+      Thread.join holder)
+
+(* The in-flight gauge's rise over [g0], read once it has reached
+   [target] (or given up waiting) and had a moment to overshoot. *)
+let inflight_rise ~g0 target =
+  let rec settle k =
+    if k > 0 && inflight () - g0 < target then (
+      Thread.delay 0.01;
+      settle (k - 1))
+  in
+  settle 500;
+  Thread.delay 0.05;
+  inflight () - g0
+
+(* With commits held, a session reads at most one request past its 64
+   unacknowledged writes; once they commit, every write is acked, in
+   order. *)
+let test_pipelined_writes_bounded () =
+  let daemon = Daemon.create (keyed_repo ~docs:1 ()) in
+  let conn = Daemon.connect daemon in
+  let g0 = inflight () in
+  with_commits_held daemon (fun () ->
+      for id = 1 to 200 do
+        let line =
+          Printf.sprintf "run DecManualEdit Editor object=Doc0 text=v%d" id
+        in
+        ignore
+          (Protocol.write_frame conn (Protocol.Request { id; line; ctx = None }))
+      done;
+      check int "one request past 64 unacked writes" 65 (inflight_rise ~g0 65));
+  let r = Protocol.reader conn in
+  let acked =
+    List.init 200 (fun _ ->
+        match Protocol.next_frame r with
+        | Ok (Protocol.Response { id; ok = true; _ }) -> id
+        | _ -> Alcotest.fail "a write was not acked")
+  in
+  check Alcotest.(list int) "acked in order" (List.init 200 succ) acked;
+  conn.Protocol.close ();
+  Daemon.stop daemon
+
+(* With commits held, a client asking for a 200-wide window keeps the
+   server's limit of requests in flight, not one more. *)
+let test_client_window_capped () =
+  let daemon = Daemon.create (keyed_repo ~docs:1 ()) in
+  let client = Client.of_transport (Daemon.connect daemon) in
+  let writes =
+    List.init 200 (Printf.sprintf "run DecManualEdit Editor object=Doc0 text=v%d")
+  in
+  let results = ref [] and pipeliner = ref None in
+  let g0 = inflight () in
+  with_commits_held daemon (fun () ->
+      pipeliner :=
+        Some
+          (Thread.create
+             (fun () -> results := Client.pipeline ~window:200 client writes)
+             ());
+      check int "window capped at the limit" Protocol.pipeline_limit
+        (inflight_rise ~g0 Protocol.pipeline_limit));
+  Option.iter Thread.join !pipeliner;
+  check int "every write acked" 200
+    (List.length (List.filter Result.is_ok !results));
+  Client.close client;
+  Daemon.stop daemon
+
+(* A client pipelining a burst of writes over a Unix socket with a
+   window as wide as the burst (capped at the server's limit): every
+   write is acked.  A client that wrote past the limit before reading
+   would fill both socket buffers while its session waited for acks
+   the flusher could not deliver; the socket timeouts turn such a stall
+   into a failed write instead of a hung test. *)
+let test_wide_window_over_socket () =
+  let n = 2_000 and docs = 8 in
+  let daemon = Daemon.create (keyed_repo ~docs ()) in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float a Unix.SO_SNDTIMEO 30.;
+  Unix.setsockopt_float a Unix.SO_RCVTIMEO 30.;
+  let handler =
+    Thread.create (fun () -> Daemon.handle daemon (Protocol.fd_transport b)) ()
+  in
+  let client = Client.of_transport (Protocol.fd_transport a) in
+  let writes =
+    List.init n (fun i ->
+        Printf.sprintf "run DecManualEdit Editor object=Doc%d text=w%d"
+          (i mod docs) i)
+  in
+  let results = Client.pipeline ~window:n client writes in
+  Client.close client;
+  Thread.join handler;
+  Daemon.stop daemon;
+  check int "every write acked" n
+    (List.length
+       (List.filter
+          (function Ok out -> contains "run executed" out | Error _ -> false)
+          results))
+
+(* A reply larger than the socket buffers, pipelined ahead of writes
+   that outgrow them too, within the window: the session blocks sending
+   the reply and reads nothing meanwhile, so the client must read while
+   it writes.  Small send buffers make a few kilobytes enough. *)
+let test_large_reply_over_socket () =
+  let repo = keyed_repo ~docs:8 () in
+  ignore
+    (ok
+       (Repo.new_object repo ~name:"BigDoc" ~cls:Gkbms.Metamodel.dbpl_object
+          (Repo.Text (String.make 200_000 'x'))));
+  let daemon = Daemon.create repo in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  List.iter (fun fd -> Unix.setsockopt_int fd Unix.SO_SNDBUF 8192) [ a; b ];
+  Unix.setsockopt_float a Unix.SO_SNDTIMEO 30.;
+  Unix.setsockopt_float a Unix.SO_RCVTIMEO 30.;
+  let handler =
+    Thread.create (fun () -> Daemon.handle daemon (Protocol.fd_transport b)) ()
+  in
+  let client = Client.of_transport (Protocol.fd_transport a) in
+  let text = String.make 3_000 'y' in
+  let writes =
+    List.init 32 (fun i ->
+        Printf.sprintf "run DecManualEdit Editor object=Doc%d text=%s%d"
+          (i mod 8) text i)
+  in
+  let results = Client.pipeline ~window:33 client ("source BigDoc" :: writes) in
+  Client.close client;
+  Thread.join handler;
+  Daemon.stop daemon;
+  match results with
+  | Ok source :: acks ->
+    check int "the large reply" 200_000 (String.length source);
+    check int "every write acked" 32
+      (List.length
+         (List.filter
+            (function Ok out -> contains "run executed" out | Error _ -> false)
+            acks))
+  | Error e :: _ -> Alcotest.failf "source BigDoc failed: %s" e
+  | [] -> Alcotest.fail "no responses"
 
 let test_idle_timeout () =
   let repo = keyed_repo () in
@@ -714,93 +923,6 @@ let test_classification_table () =
     "write verbs"
     [ "run"; "map"; "normalize"; "key"; "minutes"; "resolve"; "load" ]
     writes
-
-(* bounded queue: model-based property ------------------------------------ *)
-
-type bq_op = Push of int | Pop | Close
-
-let prop_bqueue_model =
-  let op_gen =
-    QCheck.Gen.frequency
-      [
-        (4, QCheck.Gen.map (fun n -> Push n) QCheck.Gen.small_nat);
-        (4, QCheck.Gen.return Pop);
-        (1, QCheck.Gen.return Close);
-      ]
-  in
-  let print_op = function
-    | Push n -> Printf.sprintf "Push %d" n
-    | Pop -> "Pop"
-    | Close -> "Close"
-  in
-  let arb =
-    QCheck.make
-      ~print:(fun ops -> String.concat "; " (List.map print_op ops))
-      (QCheck.Gen.list_size (QCheck.Gen.int_range 0 40) op_gen)
-  in
-  QCheck.Test.make ~name:"bqueue push/pop/close match the sequential model"
-    ~count:300 arb (fun ops ->
-      let q = Server.Bqueue.create ~capacity:1024 in
-      let model = Queue.create () in
-      let closed = ref false in
-      List.for_all
-        (fun op ->
-          match op with
-          | Push n ->
-            let accepted = Server.Bqueue.put q n in
-            let expect = not !closed in
-            if expect then Queue.push n model;
-            accepted = expect
-          | Pop ->
-            if Queue.is_empty model && not !closed then true (* would block *)
-            else
-              let got = Server.Bqueue.take q in
-              let expect =
-                if Queue.is_empty model then None else Some (Queue.pop model)
-              in
-              got = expect
-          | Close ->
-            Server.Bqueue.close q;
-            closed := true;
-            true)
-        ops
-      && Server.Bqueue.length q = Queue.length model)
-
-let test_bqueue_concurrent_close () =
-  (* producers, consumers, and a closer race: nothing accepted is lost,
-     nothing is duplicated, and every put after close is refused *)
-  let q = Server.Bqueue.create ~capacity:4 in
-  let accepted = Array.make 3 [] in
-  let taken = ref [] in
-  let taken_m = Mutex.create () in
-  let producer i =
-    for k = 0 to 199 do
-      let v = (i * 1000) + k in
-      if Server.Bqueue.put q v then accepted.(i) <- v :: accepted.(i)
-    done
-  in
-  let consumer () =
-    let continue_ = ref true in
-    while !continue_ do
-      match Server.Bqueue.take q with
-      | None -> continue_ := false
-      | Some v ->
-        Mutex.lock taken_m;
-        taken := v :: !taken;
-        Mutex.unlock taken_m
-    done
-  in
-  let producers = List.init 3 (fun i -> Thread.create producer i) in
-  let consumers = List.init 2 (fun _ -> Thread.create consumer ()) in
-  Thread.delay 0.005;
-  Server.Bqueue.close q;
-  List.iter Thread.join producers;
-  List.iter Thread.join consumers;
-  check bool "put refused after close" false (Server.Bqueue.put q (-1));
-  let sent = List.sort compare (List.concat (Array.to_list accepted)) in
-  let got = List.sort compare !taken in
-  check int "conserved count" (List.length sent) (List.length got);
-  check bool "conserved items" true (sent = got)
 
 let test_batch_admission_model () =
   (* racing submitters against the single drainer: every accepted item
@@ -1214,7 +1336,6 @@ let suite =
     ("protocol pipelined and partial frames", `Quick, test_protocol_pipelined_and_partial);
     ("protocol corruption detected", `Quick, test_protocol_corruption);
     QCheck_alcotest.to_alcotest prop_decoders_any_chunking;
-    ("bounded queue", `Quick, test_bqueue);
     ("scheduler classification", `Quick, test_scheduler_classify);
     ("scheduler read/write exclusion", `Quick, test_scheduler_rw_exclusion);
     ("cache version keying", `Quick, test_cache_versioning);
@@ -1224,6 +1345,12 @@ let suite =
     ("loopback end-to-end session", `Quick, test_loopback_session);
     ("cache answers focus and config", `Quick, test_cache_answers_focus_and_config);
     ("sessions detach event listeners", `Quick, test_session_listener_leak);
+    ("idle sessions hold no per-commit news", `Quick, test_idle_sessions_bounded);
+    ("news past 4,096 lines says what it skipped", `Quick, test_news_overflow);
+    ("pipelined writes bounded while commits are held", `Quick, test_pipelined_writes_bounded);
+    ("client window capped at the server's limit", `Quick, test_client_window_capped);
+    ("a window wider than the limit over a socket", `Quick, test_wide_window_over_socket);
+    ("a large reply within the window over a socket", `Quick, test_large_reply_over_socket);
     ("idle sessions are reaped", `Quick, test_idle_timeout);
     ("abrupt disconnect cleans up", `Quick, test_abrupt_disconnect);
     ("connection churn drops thread handles", `Quick, test_worker_handles_dropped);
@@ -1232,8 +1359,6 @@ let suite =
     ("differential: concurrent = sequential (cache on)", `Quick, test_differential_cached);
     ("differential: concurrent = sequential (cache off)", `Quick, test_differential_uncached);
     ("classification table covers every verb", `Quick, test_classification_table);
-    QCheck_alcotest.to_alcotest prop_bqueue_model;
-    ("bqueue concurrent close conserves items", `Quick, test_bqueue_concurrent_close);
     ("batch admission conserves, orders, caps", `Quick, test_batch_admission_model);
     ("group commit shares fsyncs, acks durable", `Quick, test_group_commit_shares_fsyncs);
     ("differential: group commit + pipelining", `Quick, test_differential_grouped);

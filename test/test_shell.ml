@@ -3,14 +3,7 @@ module Shell = Gkbms.Shell
 let check = Alcotest.check
 let bool = Alcotest.bool
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-  loop 0
+open Helpers
 
 let test_session_runs_the_storyline () =
   let shell = ok (Shell.create ()) in
@@ -39,6 +32,9 @@ let test_browsing_commands () =
   check bool "source" true
     (contains "TYPE InvitationType" (Shell.eval shell "source InvitationRel"));
   check bool "deps" true (contains "--from--> dec1" (Shell.eval shell "deps Papers"));
+  check bool "deps --dot" true
+    (String.starts_with ~prefix:"digraph dependencies"
+       (Shell.eval shell "deps --dot"));
   ignore (Shell.eval shell "normalize");
   check bool "history" true
     (contains "InvitationRel2" (Shell.eval shell "history InvitationRel"))
@@ -61,6 +57,23 @@ let test_run_generic_decision () =
       "run DecNormalize Normalizer relation=InvitationRel"
   in
   check bool "generic run works" true (contains "InvitationRel2" out)
+
+(* K=V binds an input exactly when K is a FROM role of the class; any
+   other K=V is a tool parameter, whatever V names *)
+let test_run_binds_inputs_by_role () =
+  let shell = ok (Shell.create ()) in
+  List.iter (fun l -> ignore (Shell.eval shell l)) [ "map"; "normalize" ];
+  List.iter
+    (fun text ->
+      let line = "run DecManualEdit Editor object=InvitationRel2 text=" ^ text in
+      check bool line true (contains "run executed" (Shell.eval shell line)))
+    [ "Papers"; "p1"; "Editor" ];
+  let fresh = Printf.sprintf "NoObject%d" (Kernel.Symbol.count ()) in
+  check Alcotest.string "an input names no object" ("error: no object " ^ fresh)
+    (Shell.eval shell ("run DecManualEdit Editor object=" ^ fresh ^ " text=x"));
+  check Alcotest.string "an unknown class" ("error: unknown decision class " ^ fresh)
+    (Shell.eval shell ("run " ^ fresh ^ " Editor object=InvitationRel2"));
+  check bool "neither mints a symbol" true (Kernel.Symbol.find_opt fresh = None)
 
 let test_error_recovery () =
   let shell = ok (Shell.create ()) in
@@ -232,6 +245,7 @@ let suite =
     ("browsing commands", `Quick, test_browsing_commands);
     ("ask and derive", `Quick, test_ask_and_derive);
     ("generic run command", `Quick, test_run_generic_decision);
+    ("run binds inputs by role", `Quick, test_run_binds_inputs_by_role);
     ("error recovery", `Quick, test_error_recovery);
     ("save and load", `Quick, test_save_and_load);
     ("quit detection", `Quick, test_quit_detection);

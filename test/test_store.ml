@@ -10,9 +10,7 @@ let mk ?(time = Time.always) id source label dest =
   Prop.make ~time ~id:(sym id) ~source:(sym source) ~label:(sym label)
     ~dest:(sym dest) ()
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" e
+open Helpers
 
 let ids props =
   List.sort String.compare
