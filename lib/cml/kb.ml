@@ -5,13 +5,24 @@ module Formula = Logic.Formula
 module Datalog = Logic.Datalog
 module Prover = Logic.Prover
 
+(* A memoized instance set: [members] in [Symbol.compare] order, then
+   the instances absorbed since it was last read, newest first, each
+   above every member.  [last] is the greatest member. *)
+type instances = {
+  mutable members : Symbol.t list;
+  mutable absorbed : Symbol.t list;
+  mutable last : Symbol.t option;
+}
+
 (* Memoized transitive-closure caches over the isa graph, keyed by
    class.  Entries are invalidated selectively by the base-change
    listener installed in [create]; steady-state class-level queries are
    then O(1) table lookups.  An object's own classification is not
    memoized: it is its [instanceof] links plus the memoized closures of
    those classes, so the tables hold one entry per class, not one per
-   individual.
+   individual.  An instance set takes in an instance newer than all of
+   its members instead of being dropped (see [absorb]), so a commit
+   that creates objects keeps its classes' sets.
 
    [m] guards the three tables and the counters: a KB shared by server
    handlers on several domains (each loopback connection of the E18 and
@@ -23,7 +34,7 @@ type cache = {
   m : Mutex.t;
   isa_up : Symbol.t list Symbol.Tbl.t;  (** isa_closure *)
   isa_down : Symbol.t list Symbol.Tbl.t;  (** isa_subs_closure *)
-  all_instances : Symbol.t list Symbol.Tbl.t;  (** all_instances_of *)
+  all_instances : instances Symbol.Tbl.t;  (** all_instances_of *)
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
@@ -92,13 +103,15 @@ let g_cache_invalidations =
 
 (* [compute] answers [None] when [x] needs no entry: its closure is
    empty and found with one index probe.  Such lookups count as neither
-   hit nor miss. *)
-let memo t tbl x compute =
+   hit nor miss.  [read] turns an entry into its closure (under the
+   lock) and [entry] a fresh closure into an entry. *)
+let memo t tbl x ~read ~entry compute =
   let c = t.cache in
   Mutex.lock c.m;
   match Symbol.Tbl.find_opt tbl x with
-  | Some v ->
+  | Some e ->
     c.hits <- c.hits + 1;
+    let v = read e in
     Mutex.unlock c.m;
     Obs.Registry.Counter.inc g_cache_hits;
     v
@@ -109,7 +122,7 @@ let memo t tbl x compute =
     | Some v ->
       Mutex.lock c.m;
       c.misses <- c.misses + 1;
-      Symbol.Tbl.replace tbl x v;
+      Symbol.Tbl.replace tbl x (entry v);
       Mutex.unlock c.m;
       Obs.Registry.Counter.inc g_cache_misses;
       v)
@@ -117,14 +130,29 @@ let memo t tbl x compute =
 (* only objects with a generalization get an entry: an individual's
    closure is [] *)
 let isa_closure t x =
-  memo t t.cache.isa_up x (fun x ->
+  memo t t.cache.isa_up x ~read:Fun.id ~entry:Fun.id (fun x ->
       match dests_by t x Axioms.isa with
       | [] -> None
       | _ -> Some (closure (fun y -> dests_by t y Axioms.isa) x))
 
 let isa_subs_closure t x =
-  memo t t.cache.isa_down x (fun x ->
+  memo t t.cache.isa_down x ~read:Fun.id ~entry:Fun.id (fun x ->
       Some (closure (fun y -> sources_by t y Axioms.isa) x))
+
+let rec last_of = function
+  | [] -> None
+  | [ x ] -> Some x
+  | _ :: rest -> last_of rest
+
+(* the members in order, the absorbed ones appended (once) *)
+let read_instances e =
+  (match e.absorbed with
+  | [] -> ()
+  | newest :: _ ->
+    e.members <- e.members @ List.rev e.absorbed;
+    e.absorbed <- [];
+    e.last <- Some newest);
+  e.members
 
 let all_classes_of t x =
   let direct = classes_of t x in
@@ -141,11 +169,23 @@ let all_classes_of t x =
     (direct @ inherited)
 
 let all_instances_of t c =
-  memo t t.cache.all_instances c (fun c ->
+  memo t t.cache.all_instances c ~read:read_instances
+    ~entry:(fun members -> { members; absorbed = []; last = last_of members })
+    (fun c ->
       let classes = c :: isa_subs_closure t c in
       Some
         (List.sort_uniq Symbol.compare
            (List.concat_map (fun c -> instances_of t c) classes)))
+
+let instance_memos t =
+  Mutex.lock t.cache.m;
+  let memos =
+    Symbol.Tbl.fold
+      (fun c e acc -> (c, read_instances e) :: acc)
+      t.cache.all_instances []
+  in
+  Mutex.unlock t.cache.m;
+  List.sort (fun (a, _) (b, _) -> Symbol.compare a b) memos
 
 (* Selective invalidation ------------------------------------------------ *)
 
@@ -175,6 +215,22 @@ let cache_drop_mentioning t tbl s =
   List.iter (fun k -> cache_drop_unlocked t tbl k) stale;
   Mutex.unlock t.cache.m
 
+(* [x] became an instance of [cls].  A memoized set takes it in when
+   it is newer than every member, so the set stays in order; otherwise
+   (it may be a member already, or belong in the middle) the set is
+   dropped. *)
+let absorb t cls x =
+  let c = t.cache in
+  Mutex.lock c.m;
+  (match Symbol.Tbl.find_opt c.all_instances cls with
+  | None -> ()
+  | Some e -> (
+    let newest = match e.absorbed with y :: _ -> Some y | [] -> e.last in
+    match newest with
+    | Some y when Symbol.compare x y <= 0 -> cache_drop_unlocked t c.all_instances cls
+    | Some _ | None -> e.absorbed <- x :: e.absorbed));
+  Mutex.unlock c.m
+
 let invalidate_for_change t change =
   let p = match change with Base.Added p | Base.Removed p -> p in
   let c = t.cache in
@@ -198,10 +254,11 @@ let invalidate_for_change t change =
   end
   else if Symbol.equal p.label Axioms.instanceof then begin
     (* source gained/lost a class: the instance sets of the class and
-       its generalizations are stale *)
-    List.iter
-      (fun cls -> cache_drop t c.all_instances cls)
-      (p.dest :: isa_closure t p.dest)
+       its generalizations change *)
+    let classes = p.dest :: isa_closure t p.dest in
+    match change with
+    | Base.Added _ -> List.iter (fun cls -> absorb t cls p.source) classes
+    | Base.Removed _ -> List.iter (fun cls -> cache_drop t c.all_instances cls) classes
   end
 (* attribute and other link propositions do not affect the closures *)
 

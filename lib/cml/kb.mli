@@ -98,7 +98,22 @@ val cache_stats : t -> cache_stats
     [instanceof] links plus its classes' memoized closures, so the
     memos hold O(classes) entries however many individuals are
     classified.  Lookups that need no entry count as neither hit nor
-    miss. *)
+    miss.
+
+    An [instanceof] link added from [x] keeps the instance sets of its
+    class and that class's generalizations when [x] is newer (in
+    {!Kernel.Symbol.compare} order) than each set's members: the set
+    takes [x] in at O(1), and its next read appends what it took in
+    once.  A removed [instanceof] link, an [x] that is not the newest,
+    and any [isa] change drop the sets they touch, which the next
+    read recomputes.  So a commit that creates design objects keeps
+    its level's set, and a read after it costs what it lists.  The
+    memos follow the base's change feed: a path that filled the base
+    without it would have to leave them empty. *)
+
+val instance_memos : t -> (Prop.id * Prop.id list) list
+(** Every memoized {!all_instances_of} set, by class: what a
+    differential test compares with a from-scratch computation. *)
 
 val attributes : t -> ?category:string -> Prop.id -> Prop.t list
 (** Attribute propositions leaving the object (non-reserved labels),

@@ -145,25 +145,56 @@ let decision_class_of repo dec =
   | c :: _ -> Some (Symbol.name c)
   | [] -> None
 
-(* A decision's links of one kind, its class's role attributes read
-   once for all of them *)
-let links_of_kind repo dec kind =
+(* A decision's record, read in one pass over its links: its class's
+   role attributes, read once, sort each link into its inputs, its
+   outputs or neither, and its first [by], [assumptions] and [asserts]
+   links (first as [Kb.attribute_values] lists them) name its tool and
+   the texts of its assumptions and asserted facts. *)
+type record = {
+  cls : Prop.id option;
+  inputs : (string * Prop.id) list;
+  outputs : (string * Prop.id) list;
+  tool : Prop.id option;
+  assumptions : Prop.id option;
+  asserts : Prop.id option;
+}
+
+let read_record repo dec =
   let kb = Repo.kb repo in
-  match Kb.classes_of kb dec with
-  | [] -> []
-  | dc :: _ ->
-    let roles = role_attributes kb dc in
-    List.filter_map
-      (fun (p : Prop.t) ->
-        if role_kind kb p.label roles = kind then
-          Some (Symbol.name p.label, p.dest)
-        else None)
-      (Kb.attributes kb dec)
+  let cls = match Kb.classes_of kb dec with c :: _ -> Some c | [] -> None in
+  let roles = match cls with Some dc -> role_attributes kb dc | None -> [] in
+  let inputs = ref [] and outputs = ref [] in
+  let tool = ref None and assumptions = ref None and asserts = ref None in
+  (* the attribute links, last to first as [Kb.attributes] lists them:
+     each list keeps that order, and a label's first link is the last
+     one seen *)
+  Store.Base.fold_source (Kb.base kb) dec
+    (fun (p : Prop.t) () ->
+      if not (Prop.is_individual p || Cml.Axioms.is_reserved_label p.label) then begin
+        (match role_kind kb p.label roles with
+        | `Input -> inputs := (Symbol.name p.label, p.dest) :: !inputs
+        | `Output -> outputs := (Symbol.name p.label, p.dest) :: !outputs
+        | `Other -> ());
+        match Symbol.name p.label with
+        | "by" -> tool := Some p.dest
+        | "assumptions" -> assumptions := Some p.dest
+        | "asserts" -> asserts := Some p.dest
+        | _ -> ()
+      end)
+    ();
+  {
+    cls;
+    inputs = !inputs;
+    outputs = !outputs;
+    tool = !tool;
+    assumptions = !assumptions;
+    asserts = !asserts;
+  }
 
-let inputs_of repo dec = links_of_kind repo dec `Input
-let outputs_of repo dec = links_of_kind repo dec `Output
+let inputs_of repo dec = (read_record repo dec).inputs
+let outputs_of repo dec = (read_record repo dec).outputs
 
-(* The kind [links_of_kind] gives the link [p] from its source, or
+(* The kind [read_record] sorts the link [p] into from its source, or
    [`Other] when the source is not a logged decision.  The cheap tests
    run first, so the links of other kinds into a hub — a tool's [by]
    links, a class's instances — are passed over without allocating. *)
@@ -188,61 +219,38 @@ let consumers repo obj =
       if link_kind repo p = `Input then p.source :: acc else acc)
     []
 
-let tool_of repo dec =
-  match Kb.attribute_values (Repo.kb repo) dec "by" with
-  | tool :: _ -> Some (Symbol.name tool)
+let first_value repo dec label =
+  match Kb.attribute_values (Repo.kb repo) dec label with
+  | v :: _ -> Some v
   | [] -> None
 
-let params_of repo dec =
-  match Kb.attribute_values (Repo.kb repo) dec "params" with
-  | text_id :: _ -> (
-    match Repo.artifact repo text_id with
-    | Some (Repo.Text s) ->
-      List.filter_map
-        (fun kv ->
-          match String.index_opt kv '=' with
-          | Some i ->
-            Some
-              ( String.sub kv 0 i,
-                String.sub kv (i + 1) (String.length kv - i - 1) )
-          | None -> None)
-        (String.split_on_char ';' s)
-    | Some _ | None -> [])
-  | [] -> []
-
-let assumptions_of repo dec =
-  match Kb.attribute_values (Repo.kb repo) dec "assumptions" with
-  | text_id :: _ -> (
-    match Repo.artifact repo text_id with
-    | Some (Repo.Text s) ->
-      List.filter_map
-        (fun kv ->
-          match String.index_opt kv '=' with
-          | Some i ->
-            Some
-              ( String.sub kv 0 i,
-                String.sub kv (i + 1) (String.length kv - i - 1) )
-          | None -> None)
-        (String.split_on_char ';' s)
-    | Some _ | None -> [])
-  | [] -> []
-
-let asserts_of repo dec =
-  match Kb.attribute_values (Repo.kb repo) dec "asserts" with
-  | text_id :: _ -> (
-    match Repo.artifact repo text_id with
-    | Some (Repo.Text s) ->
-      List.filter (fun x -> x <> "") (String.split_on_char ';' s)
-    | Some _ | None -> [])
-  | [] -> []
-
-let rationale_of repo dec =
-  match Kb.attribute_values (Repo.kb repo) dec "rationale" with
-  | text_id :: _ -> (
+(* the text artifact an attribute of a decision names *)
+let text_of repo = function
+  | Some text_id -> (
     match Repo.artifact repo text_id with
     | Some (Repo.Text s) -> Some s
     | Some _ | None -> None)
-  | [] -> None
+  | None -> None
+
+(* "k=v;k=v" *)
+let pairs text =
+  List.filter_map
+    (fun kv ->
+      match String.index_opt kv '=' with
+      | Some i -> Some (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
+      | None -> None)
+    (match text with Some s -> String.split_on_char ';' s | None -> [])
+
+let entries text =
+  match text with
+  | Some s -> List.filter (fun x -> x <> "") (String.split_on_char ';' s)
+  | None -> []
+
+let tool_of repo dec = Option.map Symbol.name (first_value repo dec "by")
+let params_of repo dec = pairs (text_of repo (first_value repo dec "params"))
+let assumptions_of repo dec = pairs (text_of repo (first_value repo dec "assumptions"))
+let asserts_of repo dec = entries (text_of repo (first_value repo dec "asserts"))
+let rationale_of repo dec = text_of repo (first_value repo dec "rationale")
 
 let ensure_supported repo id =
   (* imported objects (no creating decision) become JTMS premises *)
@@ -252,22 +260,22 @@ let ensure_supported repo id =
   node
 
 (* Install a logged decision's justifications in the JTMS from its KB
-   record: its inputs and assumptions support it, and it supports its
-   outputs and asserted facts.  Every path that logs a decision calls
-   this once per decision — execution after its commit, snapshot load
-   and recovery over the whole log, a follower per replayed decision —
-   so the mirror is the same on all of them; J.justify does not
-   deduplicate, so a whole-log rebuild per call would pile up copies. *)
+   record (read once): its inputs and assumptions support it, and it
+   supports its outputs and asserted facts.  Every path that logs a
+   decision calls this once per decision — execution after its commit,
+   snapshot load and recovery over the whole log, a follower per
+   replayed decision — so the mirror is the same on all of them;
+   J.justify does not deduplicate, so a whole-log rebuild per call
+   would pile up copies. *)
 let install_justifications repo dec =
   let j = Repo.jtms repo in
   let dec_name = Symbol.name dec in
+  let r = read_record repo dec in
   let added = ref [] in
   let justify ?inlist ?outlist ~reason node =
     added := J.justify j ?inlist ?outlist ~reason node :: !added
   in
-  let input_nodes =
-    List.map (fun (_, i) -> ensure_supported repo i) (inputs_of repo dec)
-  in
+  let input_nodes = List.map (fun (_, i) -> ensure_supported repo i) r.inputs in
   let assumption_nodes =
     List.map
       (fun (asm, defeater) ->
@@ -276,11 +284,10 @@ let install_justifications repo dec =
           ~reason:(Printf.sprintf "assumption %s (unless %s)" asm defeater)
           asm_node;
         asm_node)
-      (assumptions_of repo dec)
+      (pairs (text_of repo r.assumptions))
   in
   let how =
-    String.concat " by "
-      (List.filter_map Fun.id [ decision_class_of repo dec; tool_of repo dec ])
+    String.concat " by " (List.filter_map (Option.map Symbol.name) [ r.cls; r.tool ])
   in
   let dec_node = J.node j dec_name in
   justify
@@ -292,7 +299,7 @@ let install_justifications repo dec =
       justify ~inlist:[ dec_node ]
         ~reason:(Printf.sprintf "%s created by %s" (Symbol.name out) dec_name)
         (J.node j (Symbol.name out)))
-    (outputs_of repo dec);
+    r.outputs;
   (* facts the decision establishes — typically the defeaters of
      earlier assumptions ("other subclasses of Papers exist") *)
   List.iter
@@ -300,7 +307,7 @@ let install_justifications repo dec =
       justify ~inlist:[ dec_node ]
         ~reason:(Printf.sprintf "%s established by %s" fact dec_name)
         (J.node j fact))
-    (asserts_of repo dec);
+    (entries (text_of repo r.asserts));
   Repo.record_justifications repo dec !added
 
 let rebuild_jtms repo =

@@ -81,32 +81,25 @@ let pp_focus ppf view =
   | None -> ());
   Format.fprintf ppf "@]"
 
+(* An entity class is mapped when a logged mapping decision (of class
+   TDL_MappingDec or a specialization) takes it as input, so each
+   candidate asks its own consumers instead of the whole log. *)
 let unmapped_objects repo =
   let kb = Repo.kb repo in
+  let mapping = Symbol.intern Metamodel.dec_mapping in
   let mapping_decision dec =
-    match Decision.decision_class_of repo dec with
-    | Some dc ->
-      dc = Metamodel.dec_mapping
-      || List.exists
-           (fun s -> Symbol.name s = Metamodel.dec_mapping)
-           (Kb.isa_closure kb (Symbol.intern dc))
-    | None -> false
+    match Kb.classes_of kb dec with
+    | dc :: _ ->
+      Symbol.equal dc mapping || List.exists (Symbol.equal mapping) (Kb.isa_closure kb dc)
+    | [] -> false
   in
-  let mapped =
-    List.concat_map
-      (fun dec ->
-        if mapping_decision dec then
-          List.map snd (Decision.inputs_of repo dec)
-        else [])
-      (Repo.decision_log repo)
-  in
+  let entity_class = Symbol.intern Metamodel.tdl_entity_class in
   List.filter
     (fun obj ->
       (* the kernel classes themselves are not design documents *)
-      (not (Symbol.equal obj (Symbol.intern Metamodel.tdl_entity_class)))
-      && not (List.exists (Symbol.equal obj) mapped))
+      (not (Symbol.equal obj entity_class))
+      && not (List.exists mapping_decision (Decision.consumers repo obj)))
     (Repo.objects_of_class repo Metamodel.tdl_entity_class)
-  |> List.sort Symbol.compare
 
 let browse_status repo ~level =
   List.sort Symbol.compare (Repo.objects_of_class repo level)

@@ -66,6 +66,14 @@ type t = {
           it survives rollbacks and backtracking: removing [Base7]
           lowers the hint back to 7.  Keeps {!next_version_name}
           amortized O(1) instead of probing the whole lineage. *)
+  mutable design_objects : int option;
+      (** [List.length (all_design_objects t)] while known, kept off
+          the change feed; [None] until the next {!design_object_count}
+          after a class-level change *)
+  design_classes : bool Symbol.Tbl.t;
+      (** class -> whether its instances are design objects, for the
+          classes [instanceof] links have reached while the count is
+          known (emptied with it) *)
   mutable event_listeners : (event_subscription * (event -> unit)) list;
       (** newest first *)
   mutable next_event_sub : int;
@@ -125,6 +133,62 @@ let track_version_hint t change =
     | None -> ())
   | Added _ | Removed _ -> ()
 
+(* [cls] or a generalization of it is a design object class (an
+   instance of the [DesignObject] metaclass) *)
+let is_design_class kb cls =
+  let design_object = Symbol.intern Metamodel.design_object in
+  List.exists
+    (fun k -> List.exists (Symbol.equal design_object) (Kb.classes_of kb k))
+    (cls :: Kb.isa_closure kb cls)
+
+(* [is_design_class], looked up in (or added to) [design_classes] *)
+let counts_class t cls =
+  match Symbol.Tbl.find_opt t.design_classes cls with
+  | Some b -> b
+  | None ->
+    let b = is_design_class t.kb cls in
+    Symbol.Tbl.replace t.design_classes cls b;
+    b
+
+(* [x]'s [instanceof] links into design object classes *)
+let design_links t x =
+  Store.Base.fold_source (Kb.base t.kb) x
+    (fun (q : Prop.t) n ->
+      if
+        Symbol.equal q.label Cml.Axioms.instanceof
+        && (not (Prop.is_individual q))
+        && counts_class t q.dest
+      then n + 1
+      else n)
+    0
+
+(* Keep the design object count while it is known.  An [isa] link, or
+   a class joining or leaving [DesignObject], changes which classes
+   count, so the count becomes unknown; an [instanceof] link into a
+   design object class counts its source when it is the source's
+   first such link, and uncounts it when it was the last. *)
+let track_design_objects t change =
+  match t.design_objects with
+  | None -> ()
+  | Some n -> (
+    let (Store.Base.Added p | Store.Base.Removed p) = change in
+    if Prop.is_individual p then ()
+    else if
+      Symbol.equal p.label Cml.Axioms.isa
+      || Symbol.equal p.label Cml.Axioms.instanceof
+         && Symbol.equal p.dest (Symbol.intern Metamodel.design_object)
+    then begin
+      t.design_objects <- None;
+      Symbol.Tbl.reset t.design_classes
+    end
+    else if Symbol.equal p.label Cml.Axioms.instanceof && counts_class t p.dest
+    then
+      match change with
+      | Store.Base.Added _ ->
+        if design_links t p.source = 1 then t.design_objects <- Some (n + 1)
+      | Store.Base.Removed _ ->
+        if design_links t p.source = 0 then t.design_objects <- Some (n - 1))
+
 let create ?(install_metamodel = true) () =
   let kb = Kb.create () in
   if install_metamodel then
@@ -141,6 +205,8 @@ let create ?(install_metamodel = true) () =
       decision_counter = 0;
       change_batch = [];
       decision_justs = Symbol.Tbl.create 64;
+      design_objects = None;
+      design_classes = Symbol.Tbl.create 16;
       event_listeners = [];
       next_event_sub = 0;
       version = Atomic.make 0;
@@ -150,7 +216,8 @@ let create ?(install_metamodel = true) () =
   ignore
     (Store.Base.on_change (Kb.base kb) (fun c ->
          t.change_batch <- c :: t.change_batch;
-         track_version_hint t c)
+         track_version_hint t c;
+         track_design_objects t c)
       : Store.Base.subscription);
   t
 
@@ -266,16 +333,17 @@ let all_design_objects t =
   List.sort_uniq Symbol.compare
     (List.concat_map (fun cls -> Kb.all_instances_of t.kb cls) classes)
 
+let design_object_count t =
+  match t.design_objects with
+  | Some n -> n
+  | None ->
+    let n = List.length (all_design_objects t) in
+    t.design_objects <- Some n;
+    n
+
 (* [List.mem obj (all_design_objects t)], from [obj]'s side: one of its
    classes, or a generalization of one, is a design object class *)
-let is_design_object t obj =
-  let design_object = Symbol.intern Metamodel.design_object in
-  List.exists
-    (fun c ->
-      List.exists
-        (fun k -> List.exists (Symbol.equal design_object) (Kb.classes_of t.kb k))
-        (c :: Kb.isa_closure t.kb c))
-    (Kb.classes_of t.kb obj)
+let is_design_object t obj = List.exists (is_design_class t.kb) (Kb.classes_of t.kb obj)
 
 let register_tool t tool =
   Hashtbl.replace t.tools tool.tool_name tool;

@@ -109,6 +109,17 @@ val all_design_objects : t -> Prop.id list
 (** Instances of every design object class (every instance of the
     [DesignObject] metaclass) — the whole documentation level. *)
 
+val design_object_count : t -> int
+(** [List.length (all_design_objects t)], kept off the base's change
+    feed.  An [instanceof] link into a design object class counts its
+    source when it is the source's first such link and uncounts it when
+    it was the last, one table lookup per link.  A class-level change
+    (an [isa] link, or a class joining or leaving [DesignObject]) makes
+    the count unknown, and the next call recounts once through
+    {!all_design_objects}; it stays unknown until some call asks.  A
+    repository starts unknown.  A path that filled the store without
+    the change feed would have to leave it unknown. *)
+
 val is_design_object : t -> Prop.id -> bool
 (** Membership in {!all_design_objects}, decided from the object's own
     classification. *)

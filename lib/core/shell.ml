@@ -130,7 +130,7 @@ let answer t line =
   | [ "stats" ] ->
     fmt "propositions: %d; design objects: %d; decisions: %d"
       (Store.Base.cardinal (Cml.Kb.base (Repo.kb repo)))
-      (List.length (Repo.all_design_objects repo))
+      (Repo.design_object_count repo)
       (Repo.log_length repo)
   | [ "slo" ] -> Obs.Slo.render ()
   | [ "trace"; "decision"; id ] -> Obs.Recorder.render_for id

@@ -48,6 +48,7 @@ type configuration = {
 }
 
 let configure repo ~level =
+  (* in [Symbol.compare] order, as [objects_of_class] lists them *)
   let all = Repo.objects_of_class repo level in
   let members, superseded = List.partition (is_current repo) all in
   let member_names = List.map Symbol.name members in
@@ -84,12 +85,7 @@ let configure repo ~level =
         | Some _ | None -> [])
       members
   in
-  {
-    level;
-    members = List.sort Symbol.compare members;
-    superseded = List.sort Symbol.compare superseded;
-    incomplete;
-  }
+  { level; members; superseded; incomplete }
 
 let to_dbpl_module repo config ~name =
   if config.incomplete <> [] then

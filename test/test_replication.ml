@@ -568,6 +568,224 @@ let test_differential_seed_1 () = run_differential ~seed:11 ~rounds:60 ()
 let test_differential_seed_2 () = run_differential ~seed:22 ~rounds:60 ()
 let test_differential_seed_3 () = run_differential ~seed:33 ~rounds:60 ()
 
+(* the design-object count and the instance memos ≡ from scratch -------- *)
+
+(* A class's instances, recomputed from the base: the sources of
+   [instanceof] links into the class or any class below it. *)
+let scratch_instances kb cls =
+  let base = Cml.Kb.base kb in
+  let into label c =
+    List.filter_map
+      (fun (p : Kernel.Prop.t) ->
+        if Kernel.Symbol.equal p.label label && not (Kernel.Prop.is_individual p)
+        then Some p.source
+        else None)
+      (Store.Base.by_dest base c)
+  in
+  let rec below seen = function
+    | [] -> seen
+    | c :: rest ->
+      let subs =
+        List.filter
+          (fun s -> not (List.exists (Kernel.Symbol.equal s) seen))
+          (into Cml.Axioms.isa c)
+      in
+      below (subs @ seen) (subs @ rest)
+  in
+  List.sort_uniq Kernel.Symbol.compare
+    (List.concat_map (into Cml.Axioms.instanceof) (below [ cls ] [ cls ]))
+
+let scratch_design_objects kb =
+  let classes =
+    scratch_instances kb (Kernel.Symbol.intern Gkbms.Metamodel.design_object)
+  in
+  List.sort_uniq Kernel.Symbol.compare
+    (List.concat_map (scratch_instances kb) classes)
+
+(* The maintained count (read first, before anything can recount it)
+   and every memoized instance set agree with the base.  The reads at
+   the end keep the memos of every design object class and of [cls]
+   live, so the next step meets them. *)
+let census_agrees what repo cls =
+  let kb = Repo.kb repo in
+  let names l = String.concat " " (List.map Kernel.Symbol.name l) in
+  let count = Repo.design_object_count repo in
+  let scratch = scratch_design_objects kb in
+  if count <> List.length scratch then
+    Alcotest.failf "%s: design-object count %d, from scratch %d" what count
+      (List.length scratch);
+  List.iter
+    (fun (c, members) ->
+      let expected = scratch_instances kb c in
+      if members <> expected then
+        Alcotest.failf "%s: memoized instances of %s [%s], from scratch [%s]" what
+          (Kernel.Symbol.name c) (names members) (names expected))
+    (Cml.Kb.instance_memos kb);
+  if Repo.all_design_objects repo <> scratch then
+    Alcotest.failf "%s: all_design_objects differs from scratch" what;
+  ignore (Cml.Kb.all_instances_of kb cls)
+
+type census_step =
+  | Edit of int  (** a decision: edit a document's tip *)
+  | Abort  (** a decision whose tool creates an object, then fails *)
+  | Retract of int  (** retract one of the script's logged edits *)
+  | Classify of int  (** an older document joins the script's class *)
+  | Specialize  (** the script's class becomes a DBPL_Object: an isa link *)
+  | Join  (** a new class with instances joins DesignObject *)
+  | Reload  (** save and reload the leader; restart the follower *)
+
+let pp_census_step = function
+  | Edit i -> Printf.sprintf "Edit %d" i
+  | Abort -> "Abort"
+  | Retract i -> Printf.sprintf "Retract %d" i
+  | Classify i -> Printf.sprintf "Classify %d" i
+  | Specialize -> "Specialize"
+  | Join -> "Join"
+  | Reload -> "Reload"
+
+let census_script =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [
+        (6, map (fun i -> Edit i) small_nat);
+        (1, return Abort);
+        (2, map (fun i -> Retract i) small_nat);
+        (1, map (fun i -> Classify i) small_nat);
+        (1, return Specialize);
+        (1, return Join);
+        (1, return Reload);
+      ]
+  in
+  QCheck.make
+    ~print:(fun steps -> String.concat "; " (List.map pp_census_step steps))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 4 16) step)
+
+let census_runs = ref 0
+
+(* One script on a leader journaling to its WAL, with a follower that
+   catches up after every step: both must keep the count and their
+   memos equal to a from-scratch computation. *)
+let run_census steps =
+  incr census_runs;
+  (* names of this run's own, so new versions are the newest symbols *)
+  let name fmt = Printf.sprintf ("Census%d" ^^ fmt) !census_runs in
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
+  let rig = make_leader ldir in
+  let repo = rig.l_st.Scn.repo in
+  let kb = Repo.kb repo in
+  let docs =
+    Array.init 3 (fun i ->
+        ok
+          (Repo.new_object repo ~name:(name "Doc%dx" i)
+             ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0")))
+  in
+  (* a class whose instances are not design objects until it
+     specializes one *)
+  let cls = name "Cls" in
+  ignore (ok (Cml.Kb.declare kb cls));
+  for i = 0 to 1 do
+    ignore (ok (Cml.Kb.declare kb (name "Inst%d" i)));
+    ignore (ok (Cml.Kb.add_instanceof kb ~inst:(name "Inst%d" i) ~cls))
+  done;
+  let cls_sym = Kernel.Symbol.intern cls in
+  let failer = name "Failer" and aborts = ref 0 in
+  Repo.register_tool repo
+    {
+      Repo.tool_name = failer;
+      executes = Gkbms.Metamodel.dec_manual_edit;
+      automation = `Manual;
+      guarantees = [];
+      run =
+        (fun repo ~inputs:_ ~params:_ ->
+          incr aborts;
+          match
+            Repo.new_object repo ~name:(name "Aborted%d" !aborts)
+              ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "x")
+          with
+          | Ok _ -> Error "the tool failed"
+          | Error e -> Error e);
+    };
+  let follower = ref (ok (make_follower ~name:"f1" rig fdir)) in
+  Fun.protect ~finally:(fun () ->
+      Follower.stop !follower;
+      Daemon.stop rig.l_daemon)
+  @@ fun () ->
+  let tip i = List.hd (List.rev (Gkbms.Version.version_chain repo docs.(i mod 3))) in
+  let edit repo obj =
+    Gkbms.Decision.execute repo ~decision_class:Gkbms.Metamodel.dec_manual_edit
+      ~tool:Gkbms.Mapping.editor_tool ~inputs:[ ("object", obj) ]
+      ~params:[ ("text", "w") ] ()
+  in
+  let edits = ref [] in
+  let specialized = ref false and joined = ref false in
+  let agree what =
+    census_agrees ("leader " ^ what) repo cls_sym;
+    ok (Follower.catch_up !follower);
+    census_agrees ("follower " ^ what) (Follower.repo !follower) cls_sym
+  in
+  agree "set-up";
+  List.iter
+    (fun step ->
+      (match step with
+      | Edit i -> (
+        match edit repo (tip i) with
+        | Ok ex -> edits := ex.Gkbms.Decision.decision :: !edits
+        | Error e -> Alcotest.failf "edit: %s" e)
+      | Abort -> (
+        match
+          Gkbms.Decision.execute repo ~decision_class:Gkbms.Metamodel.dec_manual_edit
+            ~tool:failer ~inputs:[ ("object", tip 0) ] ()
+        with
+        | Error e -> check string "the decision aborts" "the tool failed" e
+        | Ok _ -> Alcotest.fail "a failing tool committed")
+      | Retract i -> (
+        match List.filter (Repo.is_logged repo) !edits with
+        | [] -> ()
+        | logged ->
+          ignore
+            (ok (Gkbms.Backtrack.retract repo (List.nth logged (i mod List.length logged)) ())))
+      | Classify i ->
+        ignore
+          (ok (Cml.Kb.add_instanceof kb ~inst:(Kernel.Symbol.name docs.(i mod 3)) ~cls))
+      | Specialize ->
+        if not !specialized then begin
+          specialized := true;
+          ignore (ok (Cml.Kb.add_isa kb ~sub:cls ~super:Gkbms.Metamodel.dbpl_object))
+        end
+      | Join ->
+        if not !joined then begin
+          joined := true;
+          let level = name "Level" in
+          let inst i =
+            ignore (ok (Cml.Kb.declare kb (name "Lvl%d" i)));
+            ignore (ok (Cml.Kb.add_instanceof kb ~inst:(name "Lvl%d" i) ~cls:level))
+          in
+          ignore (ok (Cml.Kb.declare kb level));
+          inst 0;
+          ignore
+            (ok (Cml.Kb.add_instanceof kb ~inst:level ~cls:Gkbms.Metamodel.design_object));
+          agree "join";
+          inst 1
+        end
+      | Reload ->
+        let copy = ok (Gkbms.Persist.load_repository (Gkbms.Persist.save_repository repo)) in
+        census_agrees "reloaded" copy cls_sym;
+        ignore (ok (edit copy (tip 1)));
+        census_agrees "edited after reload" copy cls_sym;
+        Follower.stop !follower;
+        follower := ok (make_follower ~name:"f1" rig fdir));
+      agree (pp_census_step step))
+    steps;
+  true
+
+let prop_census_differential =
+  QCheck.Test.make ~count:30
+    ~name:"design-object count and instance memos ≡ from scratch (leader, follower)"
+    census_script run_census
+
 (* group commit feeds replication multi-decision batches --------------- *)
 
 let test_grouped_batches_replicate () =
@@ -598,12 +816,21 @@ let test_grouped_batches_replicate () =
           (Kernel.Symbol.name doc) i)
       docs
   in
+  (* hold commits until every write is queued, so the flusher finds
+     them waiting however the threads are scheduled *)
+  let results = ref [] and pipeliner = ref None in
+  let g0 = inflight () in
+  with_commits_held rig.l_daemon (fun () ->
+      pipeliner :=
+        Some (Thread.create (fun () -> results := Client.pipeline ~window:n c writes) ());
+      check int "every write queued" n (inflight_rise ~g0 n));
+  Option.iter Thread.join !pipeliner;
   List.iter2
     (fun line r ->
       match r with
       | Ok out -> check bool line true (contains "run executed" out)
       | Error e -> Alcotest.failf "pipelined write %S failed: %s" line e)
-    writes (Client.pipeline ~window:n c writes);
+    writes !results;
   (* the shipped log brackets the decisions in batch markers, and at
      least one batch holds several decisions *)
   let chunk =
@@ -790,5 +1017,6 @@ let suite =
     ("grouped batches replicate", `Quick, test_grouped_batches_replicate);
     ("applier skips already-logged decisions", `Quick, test_applier_skips_logged_decisions);
     QCheck_alcotest.to_alcotest prop_trace_note_roundtrip;
+    QCheck_alcotest.to_alcotest prop_census_differential;
     ("trace spans the replication stream", `Quick, test_trace_spans_replication);
   ]
