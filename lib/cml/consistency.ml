@@ -272,13 +272,3 @@ let check_delta kb changes =
       !constrained []
   in
   structural @ cycles @ constraints
-
-let watch kb =
-  let batch = ref [] in
-  ignore
-    (Base.on_change (Kb.base kb) (fun c -> batch := c :: !batch)
-      : Base.subscription);
-  fun () ->
-    let changes = List.rev !batch in
-    batch := [];
-    changes

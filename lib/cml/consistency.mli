@@ -45,6 +45,3 @@ val check_delta : Kb.t -> Store.Base.change list -> violation list
     off the [constraint] links, so a KB without constraints pays no
     classification for them. *)
 
-val watch : Kb.t -> (unit -> Store.Base.change list)
-(** Start recording changes on the KB's base; the returned function
-    drains the recorded batch (for transaction-commit checking). *)

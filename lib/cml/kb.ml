@@ -5,13 +5,12 @@ module Formula = Logic.Formula
 module Datalog = Logic.Datalog
 module Prover = Logic.Prover
 
-(* A memoized instance set: [members] in [Symbol.compare] order, then
-   the instances absorbed since it was last read, newest first, each
-   above every member.  [last] is the greatest member. *)
+(* A memoized instance set: [members] in [Symbol.compare] order, and
+   the instances absorbed since it was last read, in any order and
+   possibly members already. *)
 type instances = {
   mutable members : Symbol.t list;
   mutable absorbed : Symbol.t list;
-  mutable last : Symbol.t option;
 }
 
 (* Memoized transitive-closure caches over the isa graph, keyed by
@@ -20,9 +19,9 @@ type instances = {
    then O(1) table lookups.  An object's own classification is not
    memoized: it is its [instanceof] links plus the memoized closures of
    those classes, so the tables hold one entry per class, not one per
-   individual.  An instance set takes in an instance newer than all of
-   its members instead of being dropped (see [absorb]), so a commit
-   that creates objects keeps its classes' sets.
+   individual.  An instance set takes in a new instance instead of
+   being dropped (see [absorb]), so a commit that creates objects keeps
+   its classes' sets.
 
    [m] guards the three tables and the counters: a KB shared by server
    handlers on several domains (each loopback connection of the E18 and
@@ -139,19 +138,21 @@ let isa_subs_closure t x =
   memo t t.cache.isa_down x ~read:Fun.id ~entry:Fun.id (fun x ->
       Some (closure (fun y -> sources_by t y Axioms.isa) x))
 
-let rec last_of = function
-  | [] -> None
-  | [ x ] -> Some x
-  | _ :: rest -> last_of rest
+let[@tail_mod_cons] rec merge xs ys =
+  match (xs, ys) with
+  | [], l | l, [] -> l
+  | x :: xs', y :: ys' ->
+    let c = Symbol.compare x y in
+    if c < 0 then x :: merge xs' ys
+    else if c > 0 then y :: merge xs ys'
+    else x :: merge xs' ys'
 
-(* the members in order, the absorbed ones appended (once) *)
+(* the members, with the absorbed ones merged in (once) *)
 let read_instances e =
-  (match e.absorbed with
-  | [] -> ()
-  | newest :: _ ->
-    e.members <- e.members @ List.rev e.absorbed;
-    e.absorbed <- [];
-    e.last <- Some newest);
+  if e.absorbed <> [] then begin
+    e.members <- merge e.members (List.sort_uniq Symbol.compare e.absorbed);
+    e.absorbed <- []
+  end;
   e.members
 
 let all_classes_of t x =
@@ -170,7 +171,7 @@ let all_classes_of t x =
 
 let all_instances_of t c =
   memo t t.cache.all_instances c ~read:read_instances
-    ~entry:(fun members -> { members; absorbed = []; last = last_of members })
+    ~entry:(fun members -> { members; absorbed = [] })
     (fun c ->
       let classes = c :: isa_subs_closure t c in
       Some
@@ -215,20 +216,14 @@ let cache_drop_mentioning t tbl s =
   List.iter (fun k -> cache_drop_unlocked t tbl k) stale;
   Mutex.unlock t.cache.m
 
-(* [x] became an instance of [cls].  A memoized set takes it in when
-   it is newer than every member, so the set stays in order; otherwise
-   (it may be a member already, or belong in the middle) the set is
-   dropped. *)
+(* [x] became an instance of [cls]: a memoized set takes it in, and
+   its next read merges it into order *)
 let absorb t cls x =
   let c = t.cache in
   Mutex.lock c.m;
   (match Symbol.Tbl.find_opt c.all_instances cls with
-  | None -> ()
-  | Some e -> (
-    let newest = match e.absorbed with y :: _ -> Some y | [] -> e.last in
-    match newest with
-    | Some y when Symbol.compare x y <= 0 -> cache_drop_unlocked t c.all_instances cls
-    | Some _ | None -> e.absorbed <- x :: e.absorbed));
+  | Some e -> e.absorbed <- x :: e.absorbed
+  | None -> ());
   Mutex.unlock c.m
 
 let invalidate_for_change t change =

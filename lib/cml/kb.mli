@@ -101,12 +101,11 @@ val cache_stats : t -> cache_stats
     miss.
 
     An [instanceof] link added from [x] keeps the instance sets of its
-    class and that class's generalizations when [x] is newer (in
-    {!Kernel.Symbol.compare} order) than each set's members: the set
-    takes [x] in at O(1), and its next read appends what it took in
-    once.  A removed [instanceof] link, an [x] that is not the newest,
-    and any [isa] change drop the sets they touch, which the next
-    read recomputes.  So a commit that creates design objects keeps
+    class and that class's generalizations: the set takes [x] in at
+    O(1), and its next read merges what it took in, once each, in
+    {!Kernel.Symbol.compare} order.  A removed [instanceof] link and
+    any [isa] change drop the sets they touch, which the next read
+    recomputes.  So a commit that creates design objects keeps
     its level's set, and a read after it costs what it lists.  The
     memos follow the base's change feed: a path that filled the base
     without it would have to leave them empty. *)

@@ -33,25 +33,6 @@ let build repo =
     (Repo.all_design_objects repo);
   g
 
-let zoom g ~focus ~radius =
-  let keep = ref (Symbol.Set.singleton focus) in
-  let frontier = ref [ focus ] in
-  for _ = 1 to radius do
-    let next = ref [] in
-    List.iter
-      (fun n ->
-        List.iter
-          (fun (_, m) ->
-            if not (Symbol.Set.mem m !keep) then begin
-              keep := Symbol.Set.add m !keep;
-              next := m :: !next
-            end)
-          (G.succ g n @ G.pred g n))
-      !frontier;
-    frontier := !next
-  done;
-  G.subgraph g (fun n -> Symbol.Set.mem n !keep)
-
 (* The consequence closure follows KB links directly rather than
    materializing the whole dependency graph, so its cost scales with the
    closure, not with the length of the history. *)

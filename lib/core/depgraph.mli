@@ -1,6 +1,7 @@
 (** Dependency graphs over design objects, decisions and tools — the
     structures the graphical DAG browser displays in figs 2-2 .. 2-4,
-    with the zooming facility §2.1 calls for. *)
+    with the zooming facility §2.1 calls for: {!pp} draws the
+    neighbourhood of a focus. *)
 
 open Kernel
 
@@ -13,10 +14,6 @@ val build : Repository.t -> Kbgraph.Digraph.t
 (** The full dependency graph: [input --from--> decision],
     [decision --to--> output], [decision --by--> tool],
     [new_version --replaces--> old_version]. *)
-
-val zoom : Kbgraph.Digraph.t -> focus:Prop.id -> radius:int -> Kbgraph.Digraph.t
-(** The neighborhood of a focus node up to the given distance (in either
-    edge direction) — coarse or fine granularity of the display. *)
 
 val consequences :
   Repository.t -> Prop.id -> Prop.id list * Prop.id list

@@ -233,6 +233,23 @@ let attach ?(checkpoint_every = 256) ?(fsync = false) ?(retain_archives = 8)
     t.event_sub <- Some (Repo.on_event repo (fun e -> handle_event t e));
     Ok t
 
+let replay_record repo = function
+  | (Wal.Put _ | Wal.Tomb _) as r -> Journal.apply (Cml.Kb.base (Repo.kb repo)) r
+  | Wal.Artifact (name, text) ->
+    let* a =
+      Result.map_error
+        (Printf.sprintf "artifact %s: %s" name)
+        (Result.bind (Sexp.parse text) Persist.artifact_of_sexp)
+    in
+    Repo.set_artifact repo (Symbol.intern name) a;
+    Ok false
+  | Wal.Note ("unlog", name) ->
+    Repo.unlog_decision repo (Symbol.intern name);
+    Ok false
+  | Wal.Note _ | Wal.Decision_begin _ | Wal.Decision_commit _
+  | Wal.Decision_abort _ ->
+    Ok false
+
 let recover ?register_tools ~dir () =
   let cp = checkpoint_path dir in
   let* repo, checkpoint_loaded =
@@ -261,40 +278,38 @@ let recover ?register_tools ~dir () =
         }
     else
       let* scan = Wal.read_file wal in
-      let resolved = Journal.resolve scan.Wal.records in
-      let base = Cml.Kb.base (Repo.kb repo) in
-      let recovered = ref [] in
-      let failure = ref None in
-      let on_other = function
-        | Wal.Decision_commit name ->
-          let id = Symbol.intern name in
+      let replayer = Journal.Replayer.create () in
+      let replayed = ref 0 and recovered = ref [] in
+      let rec apply acc item =
+        let* () = acc in
+        match item with
+        | Journal.Record r ->
+          let* changed = replay_record repo r in
+          if changed then incr replayed;
+          Ok ()
+        | Journal.Decision { id; items; _ } ->
+          let* () = List.fold_left apply (Ok ()) items in
+          let dec = Symbol.intern id in
           (* a decision already in the checkpoint's log is a replayed
              pre-checkpoint suffix record — skip it *)
-          if not (Repo.is_logged repo id) then begin
-            Repo.log_decision repo id;
-            recovered := name :: !recovered
-          end
-        | Wal.Artifact (name, text) -> (
-          match Result.bind (Sexp.parse text) Persist.artifact_of_sexp with
-          | Ok a -> Repo.set_artifact repo (Symbol.intern name) a
-          | Error e ->
-            if !failure = None then
-              failure := Some (Printf.sprintf "artifact %s: %s" name e))
-        | Wal.Note ("unlog", name) ->
-          Repo.unlog_decision repo (Symbol.intern name)
-        | Wal.Note _ | Wal.Put _ | Wal.Tomb _ | Wal.Decision_begin _
-        | Wal.Decision_abort _ ->
-          ()
+          if not (Repo.is_logged repo dec) then begin
+            Repo.log_decision repo dec;
+            recovered := id :: !recovered
+          end;
+          Ok ()
       in
-      let* replayed_ops = Journal.replay_into ~on_other base resolved in
-      let* () = match !failure with Some e -> Error e | None -> Ok () in
+      let* () =
+        List.fold_left
+          (fun acc r -> List.fold_left apply acc (Journal.Replayer.feed replayer r))
+          (Ok ()) scan.Wal.records
+      in
       Ok
         {
           checkpoint_loaded;
           wal_records = List.length scan.Wal.records;
-          replayed_ops;
+          replayed_ops = !replayed;
           recovered_decisions = List.rev !recovered;
-          dangling_frames = resolved.Journal.dangling;
+          dangling_frames = Journal.Replayer.depth replayer;
           truncated = scan.Wal.truncated;
           valid_bytes = scan.Wal.valid_bytes;
         }

@@ -68,6 +68,14 @@ val recover :
     [checkpoint.repo.tmp] (a checkpoint cut before its rename) is
     ignored. *)
 
+val replay_record :
+  Repository.t -> Durability.Wal.record -> (bool, string) result
+(** Apply one committed record that {!Durability.Journal.Replayer}
+    returned: a [Put] or [Tomb] through {!Durability.Journal.apply}
+    ([Ok true] when the base changed), an [Artifact] decoded and set,
+    an [unlog] note's decision unlogged.  Other records change nothing.
+    Recovery and replication followers both replay through here. *)
+
 val open_ :
   ?register_tools:(Repository.t -> unit) -> ?checkpoint_every:int ->
   ?fsync:bool -> dir:string -> unit -> (t * report, string) result

@@ -10,13 +10,11 @@ type t = {
 
 (* Group-commit batch markers.  A batch brackets whole decision frames
    with a pair of reserved [Note] records; the end marker is the
-   batch's durability point (one sync for every decision inside).
-   Recovery ([resolve]) treats the pair as an outer frame, so a torn
-   batch — end marker missing after a crash — rolls back *all* its
-   decisions: none of them were acknowledged, because acks only go out
-   after the end-of-batch sync returns.  Markers sit outside decision
-   frames, so replication followers (which buffer and apply whole
-   decision frames) skip over them untouched. *)
+   batch's durability point (one sync for every decision inside).  The
+   replayer holds the pair as a frame, so a torn batch (end marker
+   missing after a crash) commits none of its decisions, in recovery
+   and on followers alike: none of them were acknowledged, because
+   acks only go out after the end-of-batch sync returns. *)
 let batch_begin_key = "gc-begin"
 let batch_end_key = "gc-end"
 
@@ -70,104 +68,70 @@ let artifact t name text = Wal.append t.w (Wal.Artifact (name, text))
 let note t k v = Wal.append t.w (Wal.Note (k, v))
 let sync t = Wal.sync t.w
 
-(* ---------------- recovery ---------------- *)
+(* ---------------- replay ---------------- *)
 
-type resolved = {
-  ops : Wal.record list;
-  decisions : string list;
-  aborted : string list;
-  dangling : int;
-}
+type item =
+  | Record of Wal.record
+  | Decision of { cls : string; id : string; items : item list }
 
-(* A frame accumulates its records (reversed) and the names of nested
-   decisions already committed into it (reversed).  Only a frame that
-   commits with no enclosing frame flushes to the durable stream. *)
-let resolve records =
-  let committed = ref [] (* reversed op stream *) in
-  let decisions = ref [] (* reversed *) in
-  let aborted = ref [] in
-  let frames = ref [] (* (ops rev, decs rev) stack, innermost first *) in
-  List.iter
-    (fun r ->
-      match r with
-      | Wal.Decision_begin _ -> frames := ([], []) :: !frames
-      | Wal.Decision_commit name -> (
-        match !frames with
-        | [] ->
-          (* commit without a begin in the valid prefix: keep the
-             decision, it has no staged deltas *)
-          committed := r :: !committed;
-          decisions := name :: !decisions
-        | (ops, decs) :: rest -> (
-          match rest with
-          | [] ->
-            committed := (r :: ops) @ !committed;
-            decisions := (name :: decs) @ !decisions;
-            frames := []
-          | (pops, pdecs) :: rest' ->
-            frames := ((r :: ops) @ pops, (name :: decs) @ pdecs) :: rest'))
-      | Wal.Decision_abort reason -> (
-        aborted := reason :: !aborted;
-        match !frames with [] -> () | _ :: rest -> frames := rest)
-      | Wal.Note (k, _) when k = batch_begin_key ->
-        (* a group-commit batch opens an outer frame: its decisions
-           stay staged until the end marker lands, so a torn batch is
-           rolled back whole *)
-        frames := ([], []) :: !frames
-      | Wal.Note (k, _) when k = batch_end_key -> (
-        match !frames with
-        | [] -> committed := r :: !committed
-        | (ops, decs) :: rest -> (
-          match rest with
-          | [] ->
-            committed := (r :: ops) @ !committed;
-            decisions := decs @ !decisions;
-            frames := []
-          | (pops, pdecs) :: rest' ->
-            frames := ((r :: ops) @ pops, decs @ pdecs) :: rest'))
-      | Wal.Put _ | Wal.Tomb _ | Wal.Artifact _ | Wal.Note _ -> (
-        match !frames with
-        | [] -> committed := r :: !committed
-        | (ops, decs) :: rest -> frames := (r :: ops, decs) :: rest))
-    records;
-  {
-    ops = List.rev !committed;
-    decisions = List.rev !decisions;
-    aborted = List.rev !aborted;
-    dangling = List.length !frames;
-  }
+(* An open frame and its records so far, newest first.  A decision
+   frame has the class its begin record named; a batch has none. *)
+type frame = { cls : string option; mutable items : item list }
 
-let replay_into ?(on_other = fun _ -> ()) base resolved =
-  let applied = ref 0 in
-  let rec loop = function
-    | [] -> Ok !applied
-    | Wal.Put p :: rest -> (
-      let store_it () =
-        match Store.Base.insert base p with
-        | Ok () ->
-          incr applied;
-          loop rest
-        | Error e -> Error ("replay: " ^ e)
-      in
-      match Store.Base.find base p.Prop.id with
-      | None -> store_it ()
-      | Some q when Prop.equal q p -> loop rest (* idempotent re-apply *)
-      | Some _ -> (
-        match Store.Base.remove base p.Prop.id with
-        | Ok _ -> store_it ()
-        | Error e -> Error ("replay: " ^ e)))
-    | Wal.Tomb id :: rest ->
-      if Store.Base.mem base id then (
-        match Store.Base.remove base id with
-        | Ok _ ->
-          incr applied;
-          loop rest
-        | Error e -> Error ("replay: " ^ e))
-      else loop rest
-    | (Wal.Decision_begin _ | Wal.Decision_abort _) :: rest ->
-      loop rest (* cannot appear in a resolved stream; ignore *)
-    | (Wal.Decision_commit _ | Wal.Artifact _ | Wal.Note _) as r :: rest ->
-      on_other r;
-      loop rest
-  in
-  loop resolved.ops
+module Replayer = struct
+  type t = { mutable frames : frame list (* innermost first *) }
+
+  let create () = { frames = [] }
+  let depth t = List.length t.frames
+  let reset t = t.frames <- []
+
+  (* what a frame's close (or a record outside any frame) commits goes
+     to the enclosing frame, or out *)
+  let emit t items =
+    match t.frames with
+    | [] -> items
+    | f :: _ ->
+      f.items <- List.rev_append items f.items;
+      []
+
+  let feed t r =
+    match (r, t.frames) with
+    | Wal.Decision_begin cls, _ ->
+      t.frames <- { cls = Some cls; items = [] } :: t.frames;
+      []
+    | Wal.Note (k, _), _ when k = batch_begin_key ->
+      t.frames <- { cls = None; items = [] } :: t.frames;
+      []
+    | Wal.Decision_commit id, { cls = Some cls; items } :: rest ->
+      t.frames <- rest;
+      emit t [ Decision { cls; id; items = List.rev items } ]
+    | Wal.Decision_commit id, _ ->
+      (* a commit whose begin is not in the log: the decision has no
+         records of its own *)
+      emit t [ Decision { cls = ""; id; items = [] } ]
+    | Wal.Decision_abort _, { cls = Some _; _ } :: rest ->
+      t.frames <- rest;
+      []
+    | Wal.Decision_abort _, _ -> []
+    | Wal.Note (k, _), { cls = None; items } :: rest when k = batch_end_key ->
+      t.frames <- rest;
+      emit t (List.rev items)
+    | (Wal.Put _ | Wal.Tomb _ | Wal.Artifact _ | Wal.Note _), _ ->
+      emit t [ Record r ]
+end
+
+let apply base r =
+  let changed = function Ok _ -> Ok true | Error e -> Error ("replay: " ^ e) in
+  match r with
+  | Wal.Put p -> (
+    match Store.Base.find base p.Prop.id with
+    | Some q when Prop.equal q p -> Ok false (* idempotent re-apply *)
+    | Some _ ->
+      changed
+        (Result.bind (Store.Base.remove base p.Prop.id) (fun _ ->
+             Store.Base.insert base p))
+    | None -> changed (Store.Base.insert base p))
+  | Wal.Tomb id when Store.Base.mem base id -> changed (Store.Base.remove base id)
+  | Wal.Tomb _ | Wal.Decision_begin _ | Wal.Decision_commit _
+  | Wal.Decision_abort _ | Wal.Artifact _ | Wal.Note _ ->
+    Ok false

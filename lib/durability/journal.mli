@@ -7,12 +7,12 @@
     durability point: it is synced, and recovery only applies a
     decision's deltas when its commit record survives.
 
-    {!resolve} turns a scanned record prefix into the committed
-    operation stream: records inside an aborted frame, or inside a
-    frame still open when the log ends (a crash mid-decision), are
-    discarded; a nested frame commits into its parent and becomes
-    durable only when the outermost frame commits — the paper's
-    decisions run as nested transactions. *)
+    {!Replayer} reads a log back, one record at a time, for recovery
+    and replication followers alike: records inside an aborted frame,
+    or inside a frame still open when the log ends (a crash
+    mid-decision), are never committed; a nested frame commits into
+    its parent and becomes durable only when the outermost frame
+    commits — the paper's decisions run as nested transactions. *)
 
 type t
 
@@ -40,13 +40,12 @@ val sync : t -> unit
 
     A batch brackets whole decision frames between a pair of reserved
     marker records and defers every per-decision sync to a single
-    end-of-batch sync — the group-commit durability point.  Recovery
-    treats the bracket as an outer frame: a batch whose end marker
-    never hit the disk (crash mid-batch) is rolled back whole, which
-    is exactly right because no decision in it was acknowledged (acks
-    only go out after {!commit_batch} returns).  The markers sit
-    outside decision frames, so replication followers stream over them
-    unchanged. *)
+    end-of-batch sync — the group-commit durability point.  The
+    {!Replayer} holds the bracket as an outer frame: a batch whose end
+    marker never hit the disk (crash mid-batch) commits none of its
+    decisions, in recovery and on a follower that streams the log,
+    which is exactly right because no decision in it was acknowledged
+    (acks only go out after {!commit_batch} returns). *)
 
 val begin_batch : t -> string -> unit
 (** Open a batch tagged with an (informational) id.
@@ -64,28 +63,42 @@ val batch_begin_key : string
 
 val batch_end_key : string
 
-(** {1 Recovery} *)
+(** {1 Replay} *)
 
-type resolved = {
-  ops : Wal.record list;
-      (** committed [Put]/[Tomb]/[Artifact]/[Note] stream, log order;
-          commits are inlined as [Decision_commit] markers so callers
-          see deltas and decision boundaries interleaved *)
-  decisions : string list;  (** committed decisions, chronological *)
-  aborted : string list;  (** decisions whose abort record was found *)
-  dangling : int;
-      (** frames still open at the end of the log — crash victims whose
-          deltas were discarded *)
-}
+type item =
+  | Record of Wal.record
+      (** a committed [Put], [Tomb], [Artifact] or [Note] *)
+  | Decision of { cls : string; id : string; items : item list }
+      (** a committed decision frame: the class its begin record named
+          ([""] when the begin is not in the log), the decision id, and
+          its contents in log order, nested decisions included *)
 
-val resolve : Wal.record list -> resolved
+(** Incremental frame resolution: fed a log's records in order, it
+    returns what each one commits. *)
+module Replayer : sig
+  type t
 
-val replay_into :
-  ?on_other:(Wal.record -> unit) -> Store.Base.t -> resolved ->
-  (int, string) result
-(** Apply the committed [Put]/[Tomb] stream to a base, returning the
-    number of applied store operations.  Replay is idempotent so a
-    crash between checkpoint and log truncation stays safe: a [Put]
-    whose identical proposition is already present is skipped (a
-    differing one is replaced), and a [Tomb] for an absent id is
-    skipped.  Non-store records are passed to [on_other] in order. *)
+  val create : unit -> t
+
+  val feed : t -> Wal.record -> item list
+  (** What this record commits, in log order: itself when no frame is
+      open; a whole decision at its outermost commit record; a batch's
+      contents at its end marker.  Begin, abort and marker records
+      commit nothing themselves; an abort drops its decision frame. *)
+
+  val depth : t -> int
+  (** Open frames, decision and batch alike.  [0] means the log is at a
+      frame edge: everything fed so far is committed or dropped. *)
+
+  val reset : t -> unit
+  (** Drop every open frame: a log that ends inside one was cut by a
+      crash. *)
+end
+
+val apply : Store.Base.t -> Wal.record -> (bool, string) result
+(** Apply a committed [Put] or [Tomb] to a base; [Ok true] when the
+    base changed, and every other record is [Ok false].  Replay is
+    idempotent so a crash between checkpoint and log truncation stays
+    safe: a [Put] whose identical proposition is already present is
+    skipped (a differing one is replaced), and a [Tomb] for an absent
+    id is skipped. *)

@@ -33,7 +33,8 @@ type t = {
   mutable cursor_offset : int;
   mutable safe_gen : int;
       (** persisted-safe cursor: last frame-boundary (applier depth 0)
-          position; resuming here never replays half a decision *)
+          position, outside every decision frame and batch; resuming
+          here never replays half a decision *)
   mutable safe_offset : int;
   mutable applied_epoch : int;  (** leader token this state is caught up to *)
   mutable applied_version : int;
@@ -207,7 +208,7 @@ let step ?(wait_ms = 0) t =
             if r.Wire.f_next_gen <> t.cursor_gen then begin
               (* generation redirect: the archived log is exhausted.  A
                  recovery-archived generation can end inside a decision
-                 frame the leader rolled back — drop it *)
+                 frame or a batch the leader rolled back — drop it *)
               Daemon.exclusive t.daemon (fun () -> Applier.reset t.applier);
               t.cursor_gen <- r.Wire.f_next_gen;
               t.cursor_offset <- r.Wire.f_next_offset;

@@ -360,9 +360,18 @@ let test_consistency_class_constraint () =
        (fun v -> v.Cons.rule <> "class-constraint")
        (Cons.check_all kb))
 
+(* the changes on the KB's base from now on, in order, for
+   [Cons.check_delta] *)
+let record_changes kb =
+  let changes = ref [] in
+  ignore
+    (Store.Base.on_change (Kb.base kb) (fun c -> changes := c :: !changes)
+      : Store.Base.subscription);
+  fun () -> List.rev !changes
+
 let test_consistency_incremental_agrees () =
   let kb = document_kb () in
-  let drain = Cons.watch kb in
+  let drain = record_changes kb in
   ignore (ok (Kb.declare kb "inv1"));
   ignore (ok (Kb.add_instanceof kb ~inst:"inv1" ~cls:"Invitation"));
   let p =
@@ -542,7 +551,7 @@ let prop_constraint_lookup_matches_expansion =
       done;
       let links = ref [] and n_constraints = ref 0 in
       List.iter (apply_kb_op kb links n_constraints) (setup @ constraints);
-      let drain = Cons.watch kb in
+      let drain = record_changes kb in
       List.iter (apply_kb_op kb links n_constraints) delta;
       let changes = drain () in
       let actual =
@@ -662,6 +671,34 @@ let test_closure_cache_instanceof_invalidation () =
     (List.exists (Symbol.equal (sym "doc1"))
        (Kb.all_instances_of kb (sym "Document")))
 
+(* a name interned before the set's members, as a version name that a
+   retraction freed and the next edit reuses: the set takes it in *)
+let test_closure_cache_keeps_set_on_older_name () =
+  let kb = document_kb () in
+  let early = sym "MemoEarlyDoc" in
+  List.iter
+    (fun (inst, cls) ->
+      ignore (ok (Kb.declare kb inst));
+      ignore (ok (Kb.add_instanceof kb ~inst ~cls)))
+    [ ("MemoLateDoc1", "Invitation"); ("MemoLateDoc2", "Minutes") ];
+  let document = sym "Document" in
+  ignore (Kb.all_instances_of kb document);
+  let misses = (Kb.cache_stats kb).Kb.misses in
+  ignore (ok (Kb.declare kb "MemoEarlyDoc"));
+  ignore (ok (Kb.add_instanceof kb ~inst:"MemoEarlyDoc" ~cls:"Paper"));
+  (* a second class for a member: taken in once *)
+  ignore (ok (Kb.add_instanceof kb ~inst:"MemoLateDoc1" ~cls:"Paper"));
+  let members = Kb.all_instances_of kb document in
+  check int "the set was kept" misses (Kb.cache_stats kb).Kb.misses;
+  let scratch =
+    List.sort_uniq Symbol.compare
+      (List.concat_map (Kb.instances_of kb)
+         (List.map sym [ "Document"; "Paper"; "Invitation"; "Minutes" ]))
+  in
+  check Alcotest.(list string) "equal to a from-scratch computation"
+    (List.map Symbol.name scratch) (List.map Symbol.name members);
+  check bool "the older name is in" true (List.exists (Symbol.equal early) members)
+
 let test_closure_cache_rollback () =
   let kb = document_kb () in
   let base = Kb.base kb in
@@ -751,6 +788,8 @@ let suite =
     ("closure cache invalidation", `Quick, test_closure_cache_invalidation);
     ("closure cache instanceof invalidation", `Quick,
      test_closure_cache_instanceof_invalidation);
+    ("closure cache keeps a set on an older name", `Quick,
+     test_closure_cache_keeps_set_on_older_name);
     ("closure cache rollback", `Quick, test_closure_cache_rollback);
     ("model basics", `Quick, test_model_basics);
     ("model includes and sharing", `Quick, test_model_includes_and_sharing);

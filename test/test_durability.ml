@@ -172,9 +172,56 @@ let test_fault_sink_crash () =
 
 let put id = Wal.Put (mk id "s" "l" "d")
 
+(* A log read through the replayer, one record at a time: the committed
+   stream flattened (each decision's records, then its commit record),
+   the committed decisions in commit order, the abort records that
+   closed a frame, and the frames still open at the end. *)
+type resolved = {
+  ops : Wal.record list;
+  decisions : string list;
+  aborted : string list;
+  dangling : int;
+}
+
+let resolve records =
+  let rp = Journal.Replayer.create () in
+  let rec flat = function
+    | Journal.Record r -> [ r ]
+    | Journal.Decision { id; items; _ } ->
+      List.concat_map flat items @ [ Wal.Decision_commit id ]
+  in
+  let ops = ref [] and aborted = ref [] in
+  List.iter
+    (fun r ->
+      let depth = Journal.Replayer.depth rp in
+      let items = Journal.Replayer.feed rp r in
+      (match r with
+      | Wal.Decision_abort reason when Journal.Replayer.depth rp < depth ->
+        aborted := reason :: !aborted
+      | _ -> ());
+      ops := List.rev_append (List.concat_map flat items) !ops)
+    records;
+  let ops = List.rev !ops in
+  {
+    ops;
+    decisions =
+      List.filter_map (function Wal.Decision_commit d -> Some d | _ -> None) ops;
+    aborted = List.rev !aborted;
+    dangling = Journal.Replayer.depth rp;
+  }
+
+(* the store operations that changed the base *)
+let replay_into base ops =
+  List.fold_left
+    (fun acc r ->
+      Result.bind acc (fun n ->
+          Result.map (fun changed -> if changed then n + 1 else n)
+            (Journal.apply base r)))
+    (Ok 0) ops
+
 let test_resolve_commit_and_abort () =
   let r =
-    Journal.resolve
+    resolve
       [
         put "a";
         Wal.Decision_begin "D1";
@@ -188,17 +235,17 @@ let test_resolve_commit_and_abort () =
       ]
   in
   check Alcotest.(list Alcotest.string) "committed decisions" [ "dec1" ]
-    r.Journal.decisions;
-  check Alcotest.(list Alcotest.string) "aborted" [ "failed" ] r.Journal.aborted;
-  check int "dangling frame" 1 r.Journal.dangling;
+    r.decisions;
+  check Alcotest.(list Alcotest.string) "aborted" [ "failed" ] r.aborted;
+  check int "dangling frame" 1 r.dangling;
   (* ops: the unframed put, then the committed frame; c and d discarded *)
   check Alcotest.(list Alcotest.string) "committed ops"
     (encoded [ put "a"; put "b"; Wal.Decision_commit "dec1" ])
-    (encoded r.Journal.ops)
+    (encoded r.ops)
 
 let test_resolve_nested () =
   let r =
-    Journal.resolve
+    resolve
       [
         Wal.Decision_begin "outer";
         put "a";
@@ -210,16 +257,16 @@ let test_resolve_nested () =
       ]
   in
   check Alcotest.(list Alcotest.string) "inner commits with outer"
-    [ "dec-in"; "dec-out" ] r.Journal.decisions;
+    [ "dec-in"; "dec-out" ] r.decisions;
   check Alcotest.(list Alcotest.string) "ops in log order"
     (encoded
        [ put "a"; put "b"; Wal.Decision_commit "dec-in"; put "c";
          Wal.Decision_commit "dec-out" ])
-    (encoded r.Journal.ops)
+    (encoded r.ops)
 
 let test_resolve_nested_dangling_outer () =
   let r =
-    Journal.resolve
+    resolve
       [
         Wal.Decision_begin "outer";
         Wal.Decision_begin "inner";
@@ -228,21 +275,65 @@ let test_resolve_nested_dangling_outer () =
       ]
   in
   (* the inner commit is staged in the outer frame, which never commits *)
-  check Alcotest.(list Alcotest.string) "nothing durable" [] r.Journal.decisions;
-  check int "outer dangles" 1 r.Journal.dangling;
-  check int "no ops" 0 (List.length r.Journal.ops)
+  check Alcotest.(list Alcotest.string) "nothing durable" [] r.decisions;
+  check int "outer dangles" 1 r.dangling;
+  check int "no ops" 0 (List.length r.ops)
+
+let batch_begin = Wal.Note (Journal.batch_begin_key, "1")
+let batch_end = Wal.Note (Journal.batch_end_key, "1")
+
+(* a crash before the end marker: the batch's committed decision was
+   never acknowledged, so it stays held *)
+let test_replayer_torn_batch () =
+  let torn =
+    [ batch_begin; Wal.Decision_begin "D1"; put "a"; Wal.Decision_commit "dec1" ]
+  in
+  let r = resolve torn in
+  check Alcotest.(list Alcotest.string) "nothing committed" [] r.decisions;
+  check int "no ops" 0 (List.length r.ops);
+  check int "the batch stays open" 1 r.dangling;
+  let whole = resolve (torn @ [ batch_end ]) in
+  check Alcotest.(list Alcotest.string) "the end marker commits it" [ "dec1" ]
+    whole.decisions;
+  check int "at a frame edge" 0 whole.dangling
+
+let test_replayer_abort_in_batch () =
+  let r =
+    resolve
+      [
+        batch_begin;
+        Wal.Decision_begin "D1";
+        put "a";
+        Wal.Decision_commit "dec1";
+        Wal.Decision_begin "D2";
+        put "b";
+        Wal.Decision_abort "failed";
+        Wal.Decision_begin "D3";
+        put "c";
+        Wal.Decision_commit "dec3";
+        batch_end;
+      ]
+  in
+  check Alcotest.(list Alcotest.string) "the batch's other decisions commit"
+    [ "dec1"; "dec3" ] r.decisions;
+  check Alcotest.(list Alcotest.string) "aborted" [ "failed" ] r.aborted;
+  check Alcotest.(list Alcotest.string) "only b discarded"
+    (encoded
+       [ put "a"; Wal.Decision_commit "dec1"; put "c"; Wal.Decision_commit "dec3" ])
+    (encoded r.ops);
+  check int "at a frame edge" 0 r.dangling
 
 let test_replay_idempotent () =
   let resolved =
-    Journal.resolve
+    resolve
       [ put "a"; put "b"; Wal.Tomb (sym "b"); Wal.Tomb (sym "zz") ]
   in
   let base = Store.Base.create () in
-  let n1 = ok (Journal.replay_into base resolved) in
+  let n1 = ok (replay_into base resolved.ops) in
   check int "tomb of absent id skipped" 3 n1;
   let snapshot = canon base in
   (* replaying the same stream again must be a no-op *)
-  let n2 = ok (Journal.replay_into base resolved) in
+  let n2 = ok (replay_into base resolved.ops) in
   check int "second replay applies only the remove+reinsert pair" 2 n2;
   check bool "state unchanged" true (canon base = snapshot)
 
@@ -320,9 +411,9 @@ let check_crash data wms ~crash ~flip =
   let flips = match flip with None -> [] | Some f -> [ f ] in
   let corrupted = Fault.corrupt (Fault.script ~crash_after:crash ~flips ()) data in
   let scan = Wal.scan corrupted in
-  let resolved = Journal.resolve scan.Wal.records in
+  let resolved = resolve scan.Wal.records in
   let base = Store.Base.create () in
-  match Journal.replay_into base resolved with
+  match replay_into base resolved.ops with
   | Error e -> QCheck.Test.fail_reportf "replay failed: %s" e
   | Ok _ ->
     let expected =
@@ -336,10 +427,10 @@ let check_crash data wms ~crash ~flip =
         scan.Wal.valid_bytes
         (List.length (canon base))
         (List.length expected.wm_state)
-    else if resolved.Journal.decisions <> expected.wm_decs then
+    else if resolved.decisions <> expected.wm_decs then
       QCheck.Test.fail_reportf
         "decision list mismatch at crash=%d: got [%s], want [%s]" crash
-        (String.concat ";" resolved.Journal.decisions)
+        (String.concat ";" resolved.decisions)
         (String.concat ";" expected.wm_decs)
     else true
 
@@ -478,10 +569,10 @@ let prop_put_codec =
 
 let replay_log data =
   let scan = Wal.scan data in
-  let resolved = Journal.resolve scan.Wal.records in
+  let resolved = resolve scan.Wal.records in
   let base = Store.Base.create () in
-  ignore (ok (Journal.replay_into base resolved));
-  (scan, canon base, resolved.Journal.decisions)
+  ignore (ok (replay_into base resolved.ops));
+  (scan, canon base, resolved.decisions)
 
 let prop_old_layout_replays =
   QCheck.Test.make ~name:"an old-layout log replays like the compact one"
@@ -1198,6 +1289,8 @@ let suite =
     ("resolve commit and abort", `Quick, test_resolve_commit_and_abort);
     ("resolve nested frames", `Quick, test_resolve_nested);
     ("resolve dangling outer frame", `Quick, test_resolve_nested_dangling_outer);
+    ("replayer holds a torn batch", `Quick, test_replayer_torn_batch);
+    ("replayer drops an abort inside a batch", `Quick, test_replayer_abort_in_batch);
     ("replay idempotent", `Quick, test_replay_idempotent);
     QCheck_alcotest.to_alcotest prop_crash_recovery_torn;
     QCheck_alcotest.to_alcotest prop_crash_recovery_bitflip;

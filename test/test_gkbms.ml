@@ -485,21 +485,6 @@ let test_depgraph_structure () =
     (Kbgraph.Digraph.mem_edge g (sym "InvitationRel2") Dg.replaces_label
        (sym "InvitationRel"))
 
-let test_depgraph_zoom () =
-  let st = ok (Scn.setup ()) in
-  ignore (ok (Scn.map_move_down st));
-  ignore (ok (Scn.normalize_invitations st));
-  let g = Dg.build st.Scn.repo in
-  let zoomed = Dg.zoom g ~focus:(sym "InvitationRel") ~radius:1 in
-  check bool "focus kept" true (Kbgraph.Digraph.mem_node zoomed (sym "InvitationRel"));
-  check bool "direct neighbor kept" true
-    (Kbgraph.Digraph.mem_node zoomed (Option.get st.Scn.mapping_dec));
-  check bool "distant node dropped" false
-    (Kbgraph.Digraph.mem_node zoomed (sym "InvitationReceiversRel"));
-  let wide = Dg.zoom g ~focus:(sym "InvitationRel") ~radius:4 in
-  check bool "wide zoom reaches it" true
-    (Kbgraph.Digraph.mem_node wide (sym "InvitationReceiversRel"))
-
 let test_depgraph_consequences () =
   let st = ok (Scn.setup ()) in
   ignore (ok (Scn.map_move_down st));
@@ -869,7 +854,6 @@ let suite =
     ("backtrack cascades", `Quick, test_backtrack_cascades_through_consumers);
     ("backtrack unknown decision", `Quick, test_backtrack_unknown_decision);
     ("depgraph structure (fig 2-2)", `Quick, test_depgraph_structure);
-    ("depgraph zoom", `Quick, test_depgraph_zoom);
     ("depgraph consequences", `Quick, test_depgraph_consequences);
     ("version chain", `Quick, test_version_chain);
     ("configuration current versions", `Quick, test_configuration_current_versions);

@@ -487,20 +487,21 @@ let test_full_scenario_replicates () =
 
 (* randomized convergence differential ----------------------------------- *)
 
+(* a manual-edit decision on [obj] *)
+let edit repo obj text =
+  Gkbms.Decision.execute repo ~decision_class:Gkbms.Metamodel.dec_manual_edit
+    ~tool:Gkbms.Mapping.editor_tool ~inputs:[ ("object", obj) ]
+    ~params:[ ("text", text) ] ()
+
 (* a random mutation on the leader: a manual-edit decision on a random
    version tip (each success is one WAL decision frame; editing an
    object that already has a successor aborts the decision — also worth
    shipping, so those are kept in the mix and tolerated) *)
 let random_edit rng tips st =
-  let repo = st.Scn.repo in
   let i = Random.State.int rng (Array.length !tips) in
   match
-    Gkbms.Decision.execute repo
-      ~decision_class:Gkbms.Metamodel.dec_manual_edit
-      ~tool:Gkbms.Mapping.editor_tool
-      ~inputs:[ ("object", !tips.(i)) ]
-      ~params:[ ("text", Printf.sprintf "edit %d" (Random.State.int rng 1_000_000)) ]
-      ()
+    edit st.Scn.repo !tips.(i)
+      (Printf.sprintf "edit %d" (Random.State.int rng 1_000_000))
   with
   | Ok executed -> (
     (* keep editing the new version next time *)
@@ -867,6 +868,89 @@ let test_grouped_batches_replicate () =
   Client.close c;
   Daemon.stop rig.l_daemon
 
+(* group commit × crash × follower: a torn batch ----------------------- *)
+
+(* A leader killed before a batch's end marker reached the disk leaves
+   the batch's first records in its log; its restart rolls the batch
+   back and archives the log as a generation that a follower then
+   streams.  The follower must roll the batch back too.  [kill -9] is
+   modelled by a copy of the leader's directory taken while the batch
+   is open: the bytes the log has flushed so far, which is what a
+   killed process leaves on disk.  The old daemon writes only to the
+   original, so it is then stopped normally. *)
+
+let copy_dir src dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun f ->
+      Test_durability.write_file (Filename.concat dst f)
+        (Test_durability.read_file (Filename.concat src f)))
+    (Sys.readdir src)
+
+let edited repo obj text =
+  List.assoc "edited" (ok (edit repo obj text)).Gkbms.Decision.outputs
+
+let torn_batch_converges ~prepare ~in_batch =
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir ()
+  and crashed = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> List.iter Scratch.rm_rf [ ldir; fdir; crashed ])
+  @@ fun () ->
+  let rig = make_leader ldir in
+  let doc =
+    ok
+      (Repo.new_object rig.l_st.Scn.repo ~name:"TornDoc"
+         ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0"))
+  in
+  prepare rig.l_st;
+  let f = ok (make_follower ~name:"f1" rig fdir) in
+  ok (Follower.catch_up f);
+  Durable.begin_batch (Option.get (Daemon.durable rig.l_daemon));
+  in_batch rig.l_st doc;
+  copy_dir ldir crashed;
+  Follower.stop f;
+  Daemon.stop rig.l_daemon;
+  let durable, report = ok (Durable.open_ ~dir:crashed ()) in
+  check bool "the crash tore the batch" true (report.Durable.dangling_frames >= 1);
+  let daemon = Daemon.create (Durable.repo durable) in
+  ok (Daemon.attach_durable daemon durable);
+  ignore (ok (Leader.attach daemon));
+  rig.l_daemon <- daemon;
+  let f = ok (make_follower ~name:"f1" rig fdir) in
+  Fun.protect ~finally:(fun () ->
+      Follower.stop f;
+      Daemon.stop daemon)
+  @@ fun () ->
+  ok (Follower.catch_up f);
+  converged rig f;
+  (* the restarted leader reissues the torn batch's decision ids *)
+  let c = leader_client rig in
+  check bool "edit after the restart" true
+    (contains "run executed"
+       (req_ok c "run DecManualEdit Editor object=TornDoc text=after"));
+  Client.close c;
+  ok (Follower.catch_up f);
+  converged rig f
+
+(* the retraction's [unlog] note syncs the log mid-batch *)
+let test_torn_batch_unlog_sync () =
+  torn_batch_converges
+    ~prepare:(fun st ->
+      ignore (ok (Scn.map_move_down st));
+      ignore (ok (Scn.normalize_invitations st));
+      ignore (ok (Scn.substitute_key st));
+      ignore (ok (Scn.introduce_minutes st)))
+    ~in_batch:(fun st doc ->
+      ignore (edited st.Scn.repo doc "torn");
+      ignore (ok (Scn.resolve_conflict st)))
+
+(* ~75 kB of edits: the log's 64 KiB channel buffer flushes by itself *)
+let test_torn_batch_buffer_flush () =
+  torn_batch_converges ~prepare:ignore ~in_batch:(fun st doc ->
+      let tip = ref doc in
+      for i = 1 to 64 do
+        tip := edited st.Scn.repo !tip (Printf.sprintf "torn %d" i)
+      done)
+
 (* applier unit behavior -------------------------------------------------- *)
 
 let test_applier_skips_logged_decisions () =
@@ -893,11 +977,12 @@ let test_applier_skips_logged_decisions () =
                      (Gkbms.Persist.save_repository (ok (Scn.setup ())).Scn.repo))
   in
   let applier = Applier.create target in
-  ok (Applier.feed_all applier records);
+  let feed_all () = List.iter (fun r -> ok (Applier.feed applier r)) records in
+  feed_all ();
   check int "depth back to zero" 0 (Applier.depth applier);
   let snap = canonical target in
   let decisions_after = Applier.decisions_applied applier in
-  ok (Applier.feed_all applier records);
+  feed_all ();
   check string "second replay changed nothing" snap (canonical target);
   check int "no decision re-applied" decisions_after
     (Applier.decisions_applied applier);
@@ -1015,6 +1100,8 @@ let suite =
     ("convergence differential (seed 22)", `Quick, test_differential_seed_2);
     ("convergence differential (seed 33)", `Quick, test_differential_seed_3);
     ("grouped batches replicate", `Quick, test_grouped_batches_replicate);
+    ("torn batch: an unlog sync mid-batch", `Quick, test_torn_batch_unlog_sync);
+    ("torn batch: a buffer flush mid-batch", `Quick, test_torn_batch_buffer_flush);
     ("applier skips already-logged decisions", `Quick, test_applier_skips_logged_decisions);
     QCheck_alcotest.to_alcotest prop_trace_note_roundtrip;
     QCheck_alcotest.to_alcotest prop_census_differential;
