@@ -7,10 +7,13 @@ module Prover = Logic.Prover
 
 (* A memoized instance set: [members] in [Symbol.compare] order, and
    the instances absorbed since it was last read, in any order and
-   possibly members already. *)
+   possibly members already.  [room] is the member count less the
+   absorbed count: a set nobody reads is dropped before its pending
+   list outgrows it (see [absorb]). *)
 type instances = {
   mutable members : Symbol.t list;
   mutable absorbed : Symbol.t list;
+  mutable room : int;
 }
 
 (* Memoized transitive-closure caches over the isa graph, keyed by
@@ -151,7 +154,8 @@ let[@tail_mod_cons] rec merge xs ys =
 let read_instances e =
   if e.absorbed <> [] then begin
     e.members <- merge e.members (List.sort_uniq Symbol.compare e.absorbed);
-    e.absorbed <- []
+    e.absorbed <- [];
+    e.room <- List.length e.members
   end;
   e.members
 
@@ -171,7 +175,8 @@ let all_classes_of t x =
 
 let all_instances_of t c =
   memo t t.cache.all_instances c ~read:read_instances
-    ~entry:(fun members -> { members; absorbed = [] })
+    ~entry:(fun members ->
+      { members; absorbed = []; room = List.length members })
     (fun c ->
       let classes = c :: isa_subs_closure t c in
       Some
@@ -217,12 +222,17 @@ let cache_drop_mentioning t tbl s =
   Mutex.unlock t.cache.m
 
 (* [x] became an instance of [cls]: a memoized set takes it in, and
-   its next read merges it into order *)
+   its next read merges it into order.  A set whose pending list would
+   outgrow its members is dropped instead, so one that nobody reads
+   stops growing; its next read recomputes it. *)
 let absorb t cls x =
   let c = t.cache in
   Mutex.lock c.m;
   (match Symbol.Tbl.find_opt c.all_instances cls with
-  | Some e -> e.absorbed <- x :: e.absorbed
+  | Some e when e.room > 0 ->
+    e.absorbed <- x :: e.absorbed;
+    e.room <- e.room - 1
+  | Some _ -> cache_drop_unlocked t c.all_instances cls
   | None -> ());
   Mutex.unlock c.m
 

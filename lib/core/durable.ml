@@ -35,7 +35,6 @@ type t = {
   repo : Repo.t;
   checkpoint_every : int;
   fsync : bool;
-  retain_archives : int;
   mutable generation : int;
   mutable journal : Journal.t;
   mutable event_sub : Repo.event_subscription option;
@@ -43,7 +42,7 @@ type t = {
   mutable closed : bool;
   m : Mutex.t;
       (* serializes log rotation against [ship] readers; appends are
-         already serialized by the caller (the server's write lock) *)
+         already serialized by the caller (the daemon's repository lock) *)
 }
 
 type report = {
@@ -94,10 +93,13 @@ let g_checkpoint_us =
   Obs.Registry.histogram Obs.Registry.default "gkbms_checkpoint_us"
     ~help:"Checkpoint duration: sync, snapshot write and log rotation"
 
+(* archived generations kept for followers streaming behind the head *)
+let retain_archives = 8
+
 let prune_archives t =
   List.iter
     (fun g ->
-      if g < t.generation - t.retain_archives then
+      if g < t.generation - retain_archives then
         try Sys.remove (archived_wal_path t.dir g) with Sys_error _ -> ())
     (archived_generations t.dir)
 
@@ -202,8 +204,7 @@ let archive_existing_log dir =
       close_out oc);
     gen + 1
 
-let attach ?(checkpoint_every = 256) ?(fsync = false) ?(retain_archives = 8)
-    ~dir repo =
+let attach ?(checkpoint_every = 256) ?(fsync = false) ~dir repo =
   let* () = ensure_dir dir in
   let* () = Persist.save_to_file ~fsync repo (checkpoint_path dir) in
   let generation = archive_existing_log dir in
@@ -214,7 +215,6 @@ let attach ?(checkpoint_every = 256) ?(fsync = false) ?(retain_archives = 8)
       repo;
       checkpoint_every;
       fsync;
-      retain_archives;
       generation;
       journal = fresh_journal ~fsync dir base;
       event_sub = None;
@@ -328,11 +328,11 @@ let dir t = t.dir
 let sync t = Journal.sync t.journal
 
 (* Group commit: the caller (the daemon's batch flusher, under the
-   scheduler's exclusive lock) brackets a run of decision commits; the
-   per-decision syncs in [handle_event] are deferred to the single
-   end-of-batch sync in [commit_batch].  The checkpoint check is also
-   deferred to the batch edge — [maybe_checkpoint] requires a
-   frame-clean log and the open batch counts as a frame. *)
+   repository lock) brackets a run of decision commits; the per-decision
+   syncs in [handle_event] are deferred to the single end-of-batch sync
+   in [commit_batch].  The checkpoint check is also deferred to the
+   batch edge — [maybe_checkpoint] requires a frame-clean log and the
+   open batch counts as a frame. *)
 let begin_batch t =
   if not t.closed then begin
     t.batches <- t.batches + 1;

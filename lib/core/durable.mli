@@ -40,8 +40,8 @@ val archived_wal_path : string -> int -> string
     stream from a pre-rotation (generation, offset) cursor. *)
 
 val attach :
-  ?checkpoint_every:int -> ?fsync:bool -> ?retain_archives:int ->
-  dir:string -> Repository.t -> (t, string) result
+  ?checkpoint_every:int -> ?fsync:bool -> dir:string -> Repository.t ->
+  (t, string) result
 (** Make a live repository durable under [dir]: write an initial
     checkpoint, open a fresh log and subscribe to the delta and event
     feeds.  A checkpoint is taken automatically (at a decision or batch
@@ -54,8 +54,8 @@ val attach :
 
     Any leftover [wal.log] in [dir] is archived (valid prefix only)
     under the next generation number before the fresh log is opened,
-    so generations grow strictly across re-attachments; at most
-    [retain_archives] (default 8) archived generations are kept. *)
+    so generations grow strictly across re-attachments; at most 8
+    archived generations are kept. *)
 
 val recover :
   ?register_tools:(Repository.t -> unit) -> dir:string -> unit ->
@@ -104,7 +104,7 @@ val begin_batch : t -> unit
 (** Open a group-commit batch: decision commits between here and
     {!commit_batch} append their frames without the per-decision sync.
     Must be called with the repository exclusively locked (the daemon's
-    write side) and balanced with {!commit_batch}; see
+    repository lock) and balanced with {!commit_batch}; see
     {!Durability.Journal.begin_batch} for the crash contract (a torn
     batch is rolled back whole on recovery). *)
 
@@ -141,8 +141,10 @@ val ship :
   t -> gen:int -> offset:int -> max_bytes:int ->
   (ship, [ `Resync | `Failure of string ]) result
 (** Read up to [max_bytes] of framed log bytes at the cursor.  On the
-    live generation the journal is flushed first, so every acknowledged
-    decision is readable; syncs happen only at decision boundaries, so
+    live generation the journal is synced first (which costs nothing
+    when no byte was appended since the last sync), so every
+    acknowledged decision is readable; syncs happen only at decision
+    boundaries, so
     the synced prefix never cuts a frame open (a chunk may — the
     requester resumes at its own scan boundary).  An exhausted archived
     generation redirects the cursor to the next generation's first

@@ -206,12 +206,13 @@ let frame r =
 type writer = {
   sink : sink;
   mutable bytes : int;
+  mutable synced : int;  (** [bytes] at the last sync *)
   mutable records : int;
   mutable closed : bool;
 }
 
 let writer ?(header = true) sink =
-  let w = { sink; bytes = 0; records = 0; closed = false } in
+  let w = { sink; bytes = 0; synced = 0; records = 0; closed = false } in
   if header then begin
     sink.write magic;
     w.bytes <- String.length magic
@@ -227,11 +228,18 @@ let append w r =
   Obs.Registry.Counter.inc g_appends;
   Obs.Registry.Counter.inc g_append_bytes ~by:(String.length framed)
 
-let sync w = w.sink.sync ()
+(* A sync with no byte appended since the last one has nothing to make
+   durable: skip it, so a caught-up follower's long poll, which syncs
+   before every capture, costs the leader no flush or fsync. *)
+let sync w =
+  if w.synced <> w.bytes then begin
+    w.sink.sync ();
+    w.synced <- w.bytes
+  end
 
 let close w =
   if not w.closed then begin
-    w.sink.sync ();
+    sync w;
     w.sink.close ();
     w.closed <- true
   end

@@ -85,7 +85,11 @@ val writer : ?header:bool -> sink -> writer
     magic bytes first; pass false when appending to an existing log. *)
 
 val append : writer -> record -> unit
+
 val sync : writer -> unit
+(** Sync the sink, unless no byte was appended since the last sync:
+    what that sync made durable still is. *)
+
 val close : writer -> unit
 val bytes_written : writer -> int
 (** Total bytes pushed to the sink, header included. *)

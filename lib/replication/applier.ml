@@ -3,6 +3,7 @@ module Repo = Gkbms.Repository
 module Wal = Durability.Wal
 module Journal = Durability.Journal
 module J = Tms.Jtms
+module Ctx = Obs.Trace_context
 
 let ( let* ) = Result.bind
 
@@ -42,17 +43,17 @@ let apply_record t r =
     let dec = Symbol.intern name in
     J.retract_batch (Repo.jtms t.repo) (Repo.justifications_of t.repo dec);
     Repo.forget_justifications t.repo dec
-  | Wal.Note (key, v) when key = Wire.trace_note_key -> (
+  | Wal.Note (key, v) when key = Ctx.note_key -> (
     (* the leader stamped this decision's commit wall-clock: now minus
        then is exactly how long the decision took to become visible
        here.  Clock skew can make the difference negative on real
        hosts; clamp rather than poison the histogram. *)
-    match Wire.parse_trace_note v with
+    match Ctx.parse_note_value v with
     | Ok (decision, ctx, commit_s) ->
       let lag = Float.max 0. (Obs.Runtime.now_s () -. commit_s) in
       Obs.Histogram.observe g_visibility_lag lag;
       Obs.Recorder.record
-        ?trace:(Option.map Obs.Trace_context.trace_hex ctx)
+        ?trace:(Option.map Ctx.trace_hex ctx)
         ~decision (Obs.Recorder.Applied lag)
     | Error _ -> ())
   | _ -> ());
@@ -86,8 +87,8 @@ and apply_item t acc item =
 let trace_ctx items =
   List.find_map
     (function
-      | Journal.Record (Wal.Note (key, v)) when key = Wire.trace_note_key -> (
-        match Wire.parse_trace_note v with
+      | Journal.Record (Wal.Note (key, v)) when key = Ctx.note_key -> (
+        match Ctx.parse_note_value v with
         | Ok (_, ctx, _) -> ctx
         | Error _ -> None)
       | _ -> None)

@@ -18,7 +18,7 @@
     already in the follower's log (an overlap replay after the persisted
     cursor lagged the applied state) is skipped without journaling.
 
-    Callers must hold the follower daemon's exclusive lock
+    Callers must hold the follower daemon's repository lock
     ({!Server.Daemon.exclusive}) while feeding. *)
 
 type t

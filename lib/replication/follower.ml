@@ -271,24 +271,11 @@ let rec catch_up ?(wait_ms = 0) t =
 (* read-your-writes: block until the applied token covers the client's *)
 
 let wait_for t ~epoch ~version ~timeout_ms =
-  let deadline = Unix.gettimeofday () +. (float_of_int timeout_ms /. 1e3) in
-  let rec go () =
-    if Wire.token_le (epoch, version) (applied t) then true
-    else if Unix.gettimeofday () >= deadline then false
-    else begin
-      Thread.delay 0.01;
-      go ()
-    end
-  in
-  go ()
-
-let default_wait_ms = 5_000
-let max_wait_ms = 60_000
+  Result.is_ok
+    (Wire.await ~current:(fun () -> applied t) ~epoch ~version ~timeout_ms)
 
 let extension t line =
-  match
-    List.filter (fun w -> w <> "") (String.split_on_char ' ' (String.trim line))
-  with
+  match Wire.words line with
   | [ "repl"; "applied" ] ->
     let e, v = applied t in
     Some (Wire.format_token ~epoch:e ~version:v)
@@ -299,24 +286,8 @@ let extension t line =
          (match t.last_error with
          | Some e when t.needs_resync -> " resync: " ^ e
          | _ -> ""))
-  | "wait" :: epoch :: version :: rest -> (
-    let timeout_ms =
-      match rest with
-      | [ ms ] -> Option.value (int_of_string_opt ms) ~default:default_wait_ms
-      | _ -> default_wait_ms
-    in
-    match (int_of_string_opt epoch, int_of_string_opt version) with
-    | Some epoch, Some version ->
-      let timeout_ms = max 0 (min timeout_ms max_wait_ms) in
-      if wait_for t ~epoch ~version ~timeout_ms then
-        let e, v = applied t in
-        Some (Wire.format_token ~epoch:e ~version:v)
-      else
-        let e, v = applied t in
-        Some
-          (Printf.sprintf "error: wait: follower at %d:%d, needed %d:%d \
-                           (timeout)" e v epoch version)
-    | _ -> Some "error: usage: wait EPOCH VERSION [TIMEOUT_MS]")
+  | "wait" :: args ->
+    Some (Wire.answer_wait ~role:"follower" ~current:(fun () -> applied t) args)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,4 @@
 module Daemon = Server.Daemon
-module Scheduler = Server.Scheduler
 module Protocol = Server.Protocol
 module Repo = Gkbms.Repository
 module Durable = Gkbms.Durable
@@ -38,12 +37,12 @@ let max_chunk = Protocol.max_frame - 4096
 (* checkpoint bytes per snapshot response, well under [max_chunk] *)
 let snapshot_chunk = 1 lsl 20
 
-(* One consistent capture: under the scheduler read lock no decision is
-   mid-commit, so the journal is at frame depth 0 and (ship result,
-   generation, version) describe the same leader state — the invariant
-   behind the (epoch, version) session token. *)
+(* One consistent capture: under the repository lock no decision or
+   batch is mid-commit, so the journal is at frame depth 0 and (ship
+   result, generation, version) describe the same leader state — the
+   invariant behind the (epoch, version) session token. *)
 let capture t ~gen ~offset ~max_bytes =
-  Scheduler.read (Daemon.scheduler t.daemon) (fun () ->
+  Daemon.exclusive t.daemon (fun () ->
       let shipped = Durable.ship t.durable ~gen ~offset ~max_bytes in
       let epoch = Durable.generation t.durable in
       let version = Repo.version t.repo in
@@ -92,12 +91,13 @@ let handle_frames t ~gen ~offset ~max_bytes ~wait_ms =
   go ()
 
 let handle_snapshot t ~from =
-  (* under the read lock the checkpoint file cannot rotate underneath
-     us, and it always describes the state at the current generation's
-     first frame (both attach and checkpoint write it immediately
-     before opening the generation's log).  Only the requested chunk is
-     read: a bootstrap costs the file once, not once per chunk. *)
-  Scheduler.read (Daemon.scheduler t.daemon) (fun () ->
+  (* under the repository lock the checkpoint file cannot rotate
+     underneath us, and it always describes the state at the current
+     generation's first frame (both attach and checkpoint write it
+     immediately before opening the generation's log).  Only the
+     requested chunk is read: a bootstrap costs the file once, not once
+     per chunk. *)
+  Daemon.exclusive t.daemon (fun () ->
       let path = Durable.checkpoint_path (Durable.dir t.durable) in
       let cannot_read e = "error: cannot read checkpoint: " ^ e in
       match (Unix.stat path).Unix.st_size with
@@ -175,41 +175,19 @@ let handle_status t =
     (List.sort String.compare rows);
   String.trim (Buffer.contents b)
 
-let handle_wait t ~epoch ~version ~timeout_ms =
-  let deadline = Unix.gettimeofday () +. (float_of_int timeout_ms /. 1e3) in
-  let current () = (Durable.generation t.durable, Repo.version t.repo) in
-  let rec go () =
-    let e, v = current () in
-    if Wire.token_le (epoch, version) (e, v) then Wire.format_token ~epoch:e ~version:v
-    else if Unix.gettimeofday () >= deadline then
-      Printf.sprintf "error: wait: leader at %d:%d, needed %d:%d (timeout)" e v
-        epoch version
-    else begin
-      Thread.delay 0.01;
-      go ()
-    end
-  in
-  go ()
-
-let default_wait_ms = 5_000
-let max_wait_ms = 60_000
-
-let words line =
-  List.filter (fun w -> w <> "") (String.split_on_char ' ' (String.trim line))
-
 let int_arg s = int_of_string_opt s
 
 let handle t line =
-  match words line with
+  match Wire.words line with
   | [ "repl"; "hello" ] ->
     Some
-      (Scheduler.read (Daemon.scheduler t.daemon) (fun () ->
+      (Daemon.exclusive t.daemon (fun () ->
            Wire.format_hello
              ~generation:(Durable.generation t.durable)
              ~version:(Repo.version t.repo)))
   | [ "repl"; "token" ] ->
     Some
-      (Scheduler.read (Daemon.scheduler t.daemon) (fun () ->
+      (Daemon.exclusive t.daemon (fun () ->
            Wire.format_token
              ~epoch:(Durable.generation t.durable)
              ~version:(Repo.version t.repo)))
@@ -220,7 +198,7 @@ let handle t line =
   | [ "repl"; "frames"; gen; offset; max_bytes; wait_ms ] -> (
     match (int_arg gen, int_arg offset, int_arg max_bytes, int_arg wait_ms) with
     | Some gen, Some offset, Some max_bytes, Some wait_ms ->
-      let wait_ms = max 0 (min wait_ms max_wait_ms) in
+      let wait_ms = Wire.clamp_wait_ms wait_ms in
       Some (handle_frames t ~gen ~offset ~max_bytes ~wait_ms)
     | _ -> Some "error: usage: repl frames GEN OFFSET MAX_BYTES WAIT_MS")
   | [ "repl"; "ack"; name; gen; offset; epoch; version ] -> (
@@ -232,17 +210,11 @@ let handle t line =
   | "repl" :: _ ->
     Some
       "error: unknown repl command (hello|token|snapshot|frames|ack|status)"
-  | [ "wait"; epoch; version ] | [ "wait"; epoch; version; _ ] -> (
-    let timeout_ms =
-      match words line with
-      | [ _; _; _; ms ] -> Option.value (int_arg ms) ~default:default_wait_ms
-      | _ -> default_wait_ms
-    in
-    match (int_arg epoch, int_arg version) with
-    | Some epoch, Some version ->
-      let timeout_ms = max 0 (min timeout_ms max_wait_ms) in
-      Some (handle_wait t ~epoch ~version ~timeout_ms)
-    | _ -> Some "error: usage: wait EPOCH VERSION [TIMEOUT_MS]")
+  | "wait" :: args ->
+    Some
+      (Wire.answer_wait ~role:"leader"
+         ~current:(fun () -> (Durable.generation t.durable, Repo.version t.repo))
+         args)
   | _ -> None
 
 let attach daemon =

@@ -20,9 +20,10 @@
       token (trivially true on the leader itself; kept symmetric with
       followers so clients can send it to either end).
 
-    All state captures run under the daemon's scheduler read lock, so a
-    frames response never cuts a decision frame in half and its
-    (epoch, version) header describes exactly the shipped prefix. *)
+    Every state capture ([hello], [token], [snapshot], [frames]) holds
+    the daemon's repository lock ({!Server.Daemon.exclusive}), so a
+    frames response never cuts a decision frame or a batch in half and
+    its (epoch, version) header describes exactly the shipped prefix. *)
 
 type t
 

@@ -153,11 +153,42 @@ let is_resync_error msg =
   let rec go i = i + n <= m && (String.sub msg i n = needle || go (i + 1)) in
   go 0
 
-(* The per-decision trace note the leader embeds in shipped WAL frames
-   (see {!Obs.Trace_context}): delegated so the codec is shared with
-   [Durable], which writes the note, and so both framings round-trip
-   through one implementation. *)
+(* [wait EPOCH VERSION [MS]]: both ends parse, clamp and answer it
+   here, each with its own token reader and role word. *)
 
-let trace_note_key = Obs.Trace_context.note_key
-let format_trace_note = Obs.Trace_context.note_value
-let parse_trace_note = Obs.Trace_context.parse_note_value
+let words line =
+  List.filter (fun w -> w <> "") (String.split_on_char ' ' (String.trim line))
+
+let default_wait_ms = 5_000
+let max_wait_ms = 60_000
+let clamp_wait_ms ms = max 0 (min ms max_wait_ms)
+
+let parse_wait args =
+  match List.map int_of_string_opt args with
+  | [ Some epoch; Some version ] -> Some (epoch, version, default_wait_ms)
+  | [ Some epoch; Some version; Some ms ] ->
+    Some (epoch, version, clamp_wait_ms ms)
+  | _ -> None
+
+let await ~current ~epoch ~version ~timeout_ms =
+  let deadline = Unix.gettimeofday () +. (float_of_int timeout_ms /. 1e3) in
+  let rec go () =
+    let now = current () in
+    if token_le (epoch, version) now then Ok now
+    else if Unix.gettimeofday () >= deadline then Error now
+    else begin
+      Thread.delay 0.01;
+      go ()
+    end
+  in
+  go ()
+
+let answer_wait ~role ~current args =
+  match parse_wait args with
+  | None -> "error: usage: wait EPOCH VERSION [TIMEOUT_MS]"
+  | Some (epoch, version, timeout_ms) -> (
+    match await ~current ~epoch ~version ~timeout_ms with
+    | Ok (e, v) -> format_token ~epoch:e ~version:v
+    | Error (e, v) ->
+      Printf.sprintf "error: wait: %s at %d:%d, needed %d:%d (timeout)" role e
+        v epoch version)

@@ -2,7 +2,7 @@
 
     Requests are plain protocol lines ([repl hello], [repl token],
     [repl snapshot FROM], [repl frames GEN OFFSET MAX WAITMS],
-    [repl ack NAME GEN OFFSET EPOCH VERSION], [wait EPOCH VERSION MS]);
+    [repl ack NAME GEN OFFSET EPOCH VERSION], [wait EPOCH VERSION [MS]]);
     responses are a space-separated integer header, then — for
     snapshot/frames — a newline and a raw binary chunk (the framed
     protocol is binary-safe, so no escaping). *)
@@ -82,18 +82,27 @@ val is_resync_error : string -> bool
 (** True when a leader error payload demands a follower re-bootstrap
     (its cursor points at a pruned archive or past the log head). *)
 
-(** {1 Trace notes}
+(** {1 The [wait] verb}
 
-    One [Wal.Note (trace_note_key, ...)] rides inside every committed
-    decision frame the leader ships: decision id, optional encoded
-    {!Obs.Trace_context}, and the leader's commit wall-clock.  Old
-    peers (frames without the note) parse fine — the note is just
-    another WAL record recovery ignores. *)
+    [wait EPOCH VERSION [MS]] blocks until the answering end's token
+    covers (EPOCH, VERSION), for at most MS milliseconds (default
+    5,000, clamped to [\[0, 60000\]]).  A leader and a follower answer
+    it alike, up to the role word in the timeout error. *)
 
-val trace_note_key : string
+val words : string -> string list
+(** A request line's space-separated words. *)
 
-val format_trace_note :
-  decision:string -> ctx:Obs.Trace_context.t option -> commit_s:float -> string
+val clamp_wait_ms : int -> int
+(** Into [\[0, 60000\]]: the bound on every long poll a request asks for. *)
 
-val parse_trace_note :
-  string -> (string * Obs.Trace_context.t option * float, string) result
+val await :
+  current:(unit -> int * int) -> epoch:int -> version:int -> timeout_ms:int ->
+  (int * int, int * int) result
+(** Poll [current] every 10 ms until its token covers (epoch, version)
+    ([Ok token]) or [timeout_ms] passes ([Error token]). *)
+
+val answer_wait :
+  role:string -> current:(unit -> int * int) -> string list -> string
+(** The answer to [wait] with these arguments (the words after the
+    verb): the covering token, a timeout error naming [role] and its
+    token, or the usage error. *)

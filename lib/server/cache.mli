@@ -10,9 +10,10 @@
     response can never be served.
 
     Lookups and stores take an explicit [version] so the caller can pin
-    the version it observed *while holding the scheduler's shared lock*
-    (a response computed at version [v] must not be registered under a
-    later one). *)
+    the version it observed *while holding the repository lock*
+    ({!Daemon.exclusive}): a response computed at version [v] must not
+    be registered under a later one.  Neither takes that lock, so a hit
+    is served without it. *)
 
 type t
 

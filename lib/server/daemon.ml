@@ -10,10 +10,10 @@ type config = {
           leader address to redirect to *)
   group_commit : int * int;
       (** [(k, t_us)]: write commands from all sessions are collected by
-          a flusher thread and committed under one exclusive section
-          with a single end-of-batch WAL sync; a batch flushes at [k]
-          commands or [t_us] µs after its first enqueue, whichever
-          comes first *)
+          a flusher thread and committed under one hold of the
+          repository lock with a single end-of-batch WAL sync; a batch
+          flushes at [k] commands or [t_us] µs after its first enqueue,
+          whichever comes first *)
 }
 
 let default_config =
@@ -35,14 +35,14 @@ type entry = {
 type t = {
   repo : Repo.t;
   config : config;
-  scheduler : Scheduler.t;
   group : entry Scheduler.Batch.t;
   mutable flusher : Thread.t option;
   cache : Cache.t option;
-  eval_m : Mutex.t;
-      (** even read commands mutate KB-internal memo caches, so shell
-          evaluation is mutually exclusive and concurrency comes from
-          cache hits served outside this mutex *)
+  lock : Mutex.t;
+      (** the repository lock, taken only by [exclusive]: even read
+          commands mutate KB-internal memo caches, so every evaluation
+          is mutually exclusive and concurrency comes from cache hits
+          served outside it *)
   m : Mutex.t;  (** sessions / lifecycle *)
   sessions : (int, Session.t) Hashtbl.t;
   mutable next_sid : int;
@@ -52,10 +52,10 @@ type t = {
   mutable durable : Gkbms.Durable.t option;
   mutable extension : (string -> string option) option;
       (** protocol extension (the replication command family): consulted
-          on the raw request line before the built-ins, outside any
-          scheduler lock — the handler takes what it needs (a follower's
-          [wait] blocks on apply progress and must not hold the read
-          lock while the puller needs the write lock) *)
+          on the raw request line before the built-ins, outside the
+          repository lock — the handler takes it where it needs it (a
+          follower's [wait] blocks on apply progress and must not hold
+          the lock the puller applies under) *)
   mutable listen_fd : Unix.file_descr option;
   mutable stopping : bool;
   mutable reaper : Thread.t option;
@@ -65,21 +65,17 @@ type t = {
 }
 
 let repo t = t.repo
-let scheduler t = t.scheduler
 let durable t = t.durable
 let config t = t.config
 let set_extension t ext = t.extension <- Some ext
 
-(* exclusive access for out-of-band mutation (the replication applier):
-   the scheduler write lock keeps readers and the flusher out, and
-   [eval_m] is the lock every shell evaluation holds *)
-let exclusive t f =
-  Scheduler.write t.scheduler (fun () ->
-      Mutex.lock t.eval_m;
-      Fun.protect ~finally:(fun () -> Mutex.unlock t.eval_m) f)
+(* The one way to take the repository lock: a read the cache cannot
+   answer, a whole write batch, the follower's applier and the leader's
+   captures each hold it for one section.  [Mutex] is not reentrant, so
+   a section never calls back in here. *)
+let exclusive t f = Mutex.protect t.lock f
 
 let cache_stats t = Option.map Cache.stats t.cache
-let scheduler_stats t = Scheduler.stats t.scheduler
 
 let session_count t =
   Mutex.lock t.m;
@@ -174,9 +170,6 @@ let account ~cmd ~ok ~seconds =
 let metrics_text t =
   let b = Buffer.create 512 in
   let ppf = Format.formatter_of_buffer b in
-  let s = Scheduler.stats t.scheduler in
-  Format.fprintf ppf "scheduler: %d reads, %d writes, peak %d concurrent readers@."
-    s.Scheduler.reads s.Scheduler.writes s.Scheduler.peak_readers;
   (match t.cache with
   | None -> Format.fprintf ppf "cache: disabled@."
   | Some c ->
@@ -198,14 +191,10 @@ let metrics_text t =
 let is_error payload =
   String.length payload >= 6 && String.sub payload 0 6 = "error:"
 
-let eval_under_lock t session line =
-  Mutex.lock t.eval_m;
-  let out =
-    try Gkbms.Shell.eval (Session.shell session) line
-    with e -> "error: internal: " ^ Printexc.to_string e
-  in
-  Mutex.unlock t.eval_m;
-  out
+(* call under [exclusive] *)
+let eval session line =
+  try Gkbms.Shell.eval (Session.shell session) line
+  with e -> "error: internal: " ^ Printexc.to_string e
 
 let command_label line =
   let line = String.trim line in
@@ -308,17 +297,13 @@ let process t session (req : Protocol.request) : Protocol.response =
           finish payload
         | None ->
           finish
-            (Scheduler.read t.scheduler (fun () ->
-                 (* writers are excluded, so the version is pinned *)
+            (exclusive t (fun () ->
+                 (* nothing else holds the lock, so the version is pinned *)
                  let v = Repo.version t.repo in
-                 let out = eval_under_lock t session line in
+                 let out = eval session line in
                  Cache.store cache ~version:v line out;
                  out)))
-      | _ ->
-        finish
-          (Scheduler.read t.scheduler (fun () ->
-               eval_under_lock t session line))
-      )))
+      | _ -> finish (exclusive t (fun () -> eval session line)))))
 
 (* group commit -------------------------------------------------------- *)
 
@@ -331,15 +316,15 @@ let grouped t (req : Protocol.request) =
   t.config.read_only = None && Scheduler.classify req.Protocol.line = `Write
 
 (* One batch: validate and commit every collected write sequentially,
-   in arrival order, under a single exclusive section — each write sees
-   the committed state plus its batch predecessors — bracketed by the
-   durable batch seam so the WAL is synced once, at the end.  Only then
-   are the acks sent: a client never sees a success for a decision that
-   could still be lost, and a crash before the end-of-batch marker
+   in arrival order, under one hold of the repository lock — each write
+   sees the committed state plus its batch predecessors — bracketed by
+   the durable batch seam so the WAL is synced once, at the end.  Only
+   then are the acks sent: a client never sees a success for a decision
+   that could still be lost, and a crash before the end-of-batch marker
    rolls back exactly the unacknowledged suffix. *)
 let exec_batch t entries =
   let outs =
-    Scheduler.write t.scheduler (fun () ->
+    exclusive t (fun () ->
         Option.iter Gkbms.Durable.begin_batch t.durable;
         let outs =
           List.map
@@ -352,7 +337,7 @@ let exec_batch t entries =
               Obs.Trace.with_context ctx @@ fun () ->
               Obs.Trace.with_span "server.request"
                 ~attrs:[ ("cmd", command_label line); ("batched", "true") ]
-              @@ fun () -> eval_under_lock t e.gsession line)
+              @@ fun () -> eval e.gsession line)
             entries
         in
         Option.iter Gkbms.Durable.commit_batch t.durable;
@@ -425,13 +410,12 @@ let create ?(config = default_config) repo =
     {
       repo;
       config;
-      scheduler = Scheduler.create ();
       group =
         (let k, t_us = config.group_commit in
          Scheduler.Batch.create ~max:k ~window_us:t_us);
       flusher = None;
       cache = (if config.cache then Some (Cache.create ()) else None);
-      eval_m = Mutex.create ();
+      lock = Mutex.create ();
       m = Mutex.create ();
       sessions = Hashtbl.create 16;
       next_sid = 0;

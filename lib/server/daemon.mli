@@ -3,13 +3,14 @@
     One shared repository, many client sessions (§2's group decision
     setting).  Each connection gets a thread and a {!Session} wrapping
     its own {!Gkbms.Shell}; commands are classified by the {!Scheduler}.
-    Reads run under the shared lock, one shell evaluation at a time;
-    a deterministic read command is answered from the version-keyed
-    {!Cache} when it can, without either.  Writes from every
-    session go to one flusher thread ({!Scheduler.Batch}), which commits
-    each batch under the exclusive lock in decision-log order and, when
-    a WAL is attached ({!attach_wal}), syncs the journal once at the end
-    of the batch before any of its responses is sent.
+    One mutex, the repository lock ({!exclusive}), orders every
+    evaluation: a read holds it for one shell evaluation, and a
+    deterministic read command is answered from the version-keyed
+    {!Cache} when it can, without it.  Writes from every session go to
+    one flusher thread ({!Scheduler.Batch}), which commits each batch
+    under one hold of the lock in decision-log order and, when a WAL is
+    attached ({!attach_wal}), syncs the journal once at the end of the
+    batch before any of its responses is sent.
 
     Every answered request is accounted on {!Obs.Registry.default}:
     [gkbms_server_command_us{cmd}] and
@@ -19,7 +20,7 @@
     group-commit batch-size series.
 
     Protocol-level commands handled before the shell: [metrics] (the
-    scheduler, cache and version lines, then the registry dump;
+    cache and version lines, then the registry dump;
     [metrics json] / [metrics prom] render the registry snapshot
     alone), [trace on|off],
     [trace slow MS], [trace dump [recent]], [trace clear] (the
@@ -44,12 +45,12 @@ type config = {
   group_commit : int * int;
       (** [(k, t_us)] bounds the write batches.  Write commands from all
           sessions are collected by a flusher thread, validated and
-          committed in arrival order under one exclusive section, and
-          made durable with a {e single} end-of-batch WAL sync; only
-          then is each client acked.  A batch flushes at [k] commands
-          or [t_us] µs after its first enqueue, whichever comes first,
-          and as soon as the queue stops growing, so a lone blocking
-          writer is a batch of one.  Crash safety: the batch is
+          committed in arrival order under one hold of the repository
+          lock, and made durable with a {e single} end-of-batch WAL
+          sync; only then is each client acked.  A batch flushes at [k]
+          commands or [t_us] µs after its first enqueue, whichever
+          comes first, and as soon as the queue stops growing, so a
+          lone blocking writer is a batch of one.  Crash safety: the batch is
           bracketed by begin/end markers in the journal, so [recover]
           after a mid-batch [kill -9] rolls back exactly the torn
           (never-acknowledged) suffix. *)
@@ -72,7 +73,6 @@ val create : ?config:config -> Gkbms.Repository.t -> t
 
 val repo : t -> Gkbms.Repository.t
 val config : t -> config
-val scheduler : t -> Scheduler.t
 val durable : t -> Gkbms.Durable.t option
 
 val attach_wal : t -> dir:string -> (unit, string) result
@@ -93,14 +93,16 @@ val set_extension : t -> (string -> string option) -> unit
 (** Install a protocol extension (the replication command family).  The
     function sees each trimmed request line before the built-ins;
     [Some payload] answers the request, [None] falls through.  It runs
-    on the connection's thread with {e no} scheduler lock held —
-    handlers take the locks they need (and may block, e.g. a follower's
-    bounded [wait]). *)
+    on the connection's thread {e without} the repository lock —
+    handlers take it through {!exclusive} where they need it (and may
+    block outside it, e.g. a follower's bounded [wait]). *)
 
 val exclusive : t -> (unit -> 'a) -> 'a
-(** Run [f] with the same exclusivity as a write command: under the
-    scheduler write lock and the evaluation mutex.  The replication
-    applier mutates the repository through this. *)
+(** Run [f] under the repository lock, the daemon's one mutex and the
+    only way to take it.  A read the cache cannot answer, a whole write
+    batch, the replication applier and the leader's captures each hold
+    it for one section, so they exclude each other.  The mutex is not
+    reentrant: [f] must not call [exclusive] on the same daemon. *)
 
 val handle : t -> Protocol.transport -> unit
 (** Serve one connection to completion in the calling thread (spawn a
@@ -130,6 +132,5 @@ val worker_count : t -> int
     than the connections still starting up. *)
 
 val cache_stats : t -> Cache.stats option
-val scheduler_stats : t -> Scheduler.stats
 val metrics_text : t -> string
 (** The rendering served by the [metrics] protocol command. *)

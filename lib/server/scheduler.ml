@@ -1,73 +1,3 @@
-type t = {
-  m : Mutex.t;
-  readers_turn : Condition.t;
-  writers_turn : Condition.t;
-  mutable active_readers : int;
-  mutable writer_active : bool;
-  mutable waiting_writers : int;
-  mutable reads : int;
-  mutable writes : int;
-  mutable peak_readers : int;
-}
-
-let create () =
-  {
-    m = Mutex.create ();
-    readers_turn = Condition.create ();
-    writers_turn = Condition.create ();
-    active_readers = 0;
-    writer_active = false;
-    waiting_writers = 0;
-    reads = 0;
-    writes = 0;
-    peak_readers = 0;
-  }
-
-let read t f =
-  Mutex.lock t.m;
-  while t.writer_active || t.waiting_writers > 0 do
-    Condition.wait t.readers_turn t.m
-  done;
-  t.active_readers <- t.active_readers + 1;
-  if t.active_readers > t.peak_readers then t.peak_readers <- t.active_readers;
-  Mutex.unlock t.m;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock t.m;
-      t.active_readers <- t.active_readers - 1;
-      t.reads <- t.reads + 1;
-      if t.active_readers = 0 then Condition.signal t.writers_turn;
-      Mutex.unlock t.m)
-    f
-
-let write t f =
-  Mutex.lock t.m;
-  t.waiting_writers <- t.waiting_writers + 1;
-  while t.writer_active || t.active_readers > 0 do
-    Condition.wait t.writers_turn t.m
-  done;
-  t.waiting_writers <- t.waiting_writers - 1;
-  t.writer_active <- true;
-  Mutex.unlock t.m;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock t.m;
-      t.writer_active <- false;
-      t.writes <- t.writes + 1;
-      (* wake the next writer if any, else the readers *)
-      if t.waiting_writers > 0 then Condition.signal t.writers_turn
-      else Condition.broadcast t.readers_turn;
-      Mutex.unlock t.m)
-    f
-
-type stats = { reads : int; writes : int; peak_readers : int }
-
-let stats t =
-  Mutex.lock t.m;
-  let s = { reads = t.reads; writes = t.writes; peak_readers = t.peak_readers } in
-  Mutex.unlock t.m;
-  s
-
 (* classification ------------------------------------------------------ *)
 
 let first_word line =
@@ -111,7 +41,7 @@ let verb_table : (string * [ `Read | `Write ] * cache_mode) list =
     ("slo", `Read, `Never);
     ("trace", `Read, `Never);
     ("save", `Read, `Never);
-    (* writes: decision log order, exclusive side *)
+    (* writes: decision log order, through the batch *)
     ("run", `Write, `Never);
     ("map", `Write, `Never);
     ("normalize", `Write, `Never);
@@ -199,8 +129,8 @@ module Batch = struct
 
   (* Take at most [max] items: the queue can overshoot the cap while
      [drain] is off the mutex in its gather loop, and an oversized
-     batch would hold the repository's write slot (and every parked
-     submitter) for longer than the cap promises.  Leftovers restart
+     batch would hold the repository lock (and every parked submitter)
+     for longer than the cap promises.  Leftovers restart
      the window at the take, so the next [drain] still runs its gather
      loop — the yields there are what let submitter threads (one
      runtime lock!) refill the queue while a batch is due; flushing

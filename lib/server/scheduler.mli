@@ -1,36 +1,11 @@
-(** The read/write scheduler.
+(** Command classification and write-batch admission.
 
-    Commands are classified by their first word: reads ([ask], [derive],
-    [focus], [stats], …) run concurrently under the shared side of a
-    writer-preferring readers-writer lock, while writes ([run], [map],
-    [resolve], …) serialize on the exclusive side — one writer at a
-    time, no readers in flight, matching the decision log's total order
-    (and, when a WAL is attached, the journal's).
-
-    Note the KB's internal memo caches mean even "read" commands mutate
-    engine state, so the server additionally serializes actual command
-    evaluation ({!Daemon}); the shared mode is what lets *cached*
-    responses be served in parallel and is where the read throughput
-    scaling comes from. *)
-
-type t
-
-val create : unit -> t
-
-val read : t -> (unit -> 'a) -> 'a
-(** Run under the shared lock.  Blocks while a writer is active or
-    waiting (writer preference avoids writer starvation). *)
-
-val write : t -> (unit -> 'a) -> 'a
-(** Run under the exclusive lock. *)
-
-type stats = {
-  reads : int;  (** completed shared sections *)
-  writes : int;  (** completed exclusive sections *)
-  peak_readers : int;  (** most shared sections ever in flight at once *)
-}
-
-val stats : t -> stats
+    Commands are classified by their first word: writes ([run], [map],
+    [resolve], …) go to the group-commit batch ({!Batch}) and commit in
+    decision-log order; reads ([ask], [derive], [focus], [stats], …) are
+    answered on the session's own thread.  Both evaluate under the
+    daemon's one repository lock ({!Daemon.exclusive}); a cacheable read
+    that the version-keyed {!Cache} answers takes no lock at all. *)
 
 (** {1 Command classification} *)
 

@@ -11,9 +11,9 @@ let news_kept = 4096
 let news () =
   { news_m = Mutex.create (); ring = Array.make news_kept ""; appended = 0 }
 
-(* the listener runs inside a writer's commit, i.e. under the
-   scheduler's exclusive lock, so Symbol.name is safe here; only
-   strings cross into the record *)
+(* the listener runs inside a commit, i.e. under the daemon's
+   repository lock, so Symbol.name is safe here; only strings cross
+   into the record *)
 let record_news news event =
   let line =
     match event with

@@ -699,6 +699,37 @@ let test_closure_cache_keeps_set_on_older_name () =
     (List.map Symbol.name scratch) (List.map Symbol.name members);
   check bool "the older name is in" true (List.exists (Symbol.equal early) members)
 
+(* a set nobody reads stops growing: it takes in as many new instances
+   as it has members, and is dropped at the next one *)
+let test_closure_cache_bounds_unread_set () =
+  let kb = document_kb () in
+  let add_doc name cls =
+    ignore (ok (Kb.declare kb name));
+    ignore (ok (Kb.add_instanceof kb ~inst:name ~cls))
+  in
+  add_doc "BoundDoc" "Invitation";
+  add_doc "BoundMinutes" "Minutes";
+  let document = sym "Document" in
+  let members = List.length (Kb.all_instances_of kb document) in
+  let invalidations () = (Kb.cache_stats kb).Kb.invalidations in
+  let before = invalidations () in
+  for i = 1 to members do
+    add_doc (Printf.sprintf "BoundNew%d" i) "Paper"
+  done;
+  check int "as many pending as members: kept" before (invalidations ());
+  add_doc "BoundOneMore" "Minutes";
+  check int "one more: dropped" (before + 1) (invalidations ());
+  check bool "gone from the memos" false
+    (List.mem_assoc document (Kb.instance_memos kb));
+  let scratch =
+    List.sort_uniq Symbol.compare
+      (List.concat_map (Kb.instances_of kb)
+         (List.map sym [ "Document"; "Paper"; "Invitation"; "Minutes" ]))
+  in
+  check Alcotest.(list string) "the next read equals a from-scratch computation"
+    (List.map Symbol.name scratch)
+    (List.map Symbol.name (Kb.all_instances_of kb document))
+
 let test_closure_cache_rollback () =
   let kb = document_kb () in
   let base = Kb.base kb in
@@ -790,6 +821,8 @@ let suite =
      test_closure_cache_instanceof_invalidation);
     ("closure cache keeps a set on an older name", `Quick,
      test_closure_cache_keeps_set_on_older_name);
+    ("closure cache bounds an unread set", `Quick,
+     test_closure_cache_bounds_unread_set);
     ("closure cache rollback", `Quick, test_closure_cache_rollback);
     ("model basics", `Quick, test_model_basics);
     ("model includes and sharing", `Quick, test_model_includes_and_sharing);

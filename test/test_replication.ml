@@ -990,30 +990,6 @@ let test_applier_skips_logged_decisions () =
 
 (* trace propagation across the replication stream ------------------------ *)
 
-module Ctx = Obs.Trace_context
-
-let prop_trace_note_roundtrip =
-  QCheck.Test.make ~name:"WAL trace notes round-trip over the wire helpers"
-    ~count:200
-    QCheck.(
-      quad small_nat (option (triple int64 int64 bool)) bool
-        (float_range 0. 2e9))
-    (fun (n, ctx, _, commit_s) ->
-      let decision = Printf.sprintf "dec%d" n in
-      let ctx =
-        Option.map
-          (fun (trace_id, span_id, sampled) -> { Ctx.trace_id; span_id; sampled })
-          ctx
-      in
-      match
-        Wire.parse_trace_note (Wire.format_trace_note ~decision ~ctx ~commit_s)
-      with
-      | Ok (d', ctx', c') ->
-        d' = decision
-        && Option.equal Ctx.equal ctx ctx'
-        && Float.abs (c' -. commit_s) <= 1e-5
-      | Error _ -> false)
-
 let lag_count () =
   match
     Obs.Registry.find Obs.Registry.default "gkbms_repl_visibility_lag_seconds"
@@ -1080,6 +1056,155 @@ let test_trace_spans_replication () =
   in
   check bool "follower.apply span carries the trace id" true apply_span
 
+(* one repository lock ----------------------------------------------------- *)
+
+let fsyncs () = Test_server.counter_value "gkbms_wal_fsyncs_total"
+
+(* with a leader and a follower bootstrapped from it, both stopped after *)
+let with_pair ?config f =
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir)
+  @@ fun () ->
+  let rig = make_leader ?config ldir in
+  ignore (ok (Scn.map_move_down rig.l_st));
+  Fun.protect ~finally:(fun () -> Daemon.stop rig.l_daemon) @@ fun () ->
+  f rig fdir
+
+(* A caught-up follower's long poll captures the leader's log every
+   10 ms; with nothing appended, none of those captures syncs it. *)
+let test_idle_leader_does_not_sync () =
+  with_pair ~config:{ Daemon.default_config with wal_fsync = true }
+  @@ fun rig fdir ->
+  let f = ok (make_follower ~name:"f1" rig fdir) in
+  Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
+  ok (Follower.catch_up f);
+  let syncs0 = fsyncs () in
+  for _ = 1 to 3 do
+    check int "a caught-up round applies nothing" 0
+      (ok (Follower.step ~wait_ms:100 f))
+  done;
+  check int "no sync while the leader is idle" syncs0 (fsyncs ());
+  (* a write still syncs, and the next round ships it *)
+  let c = leader_client rig in
+  check bool "write" true
+    (contains "run executed"
+       (req_ok c "run DecManualEdit Editor object=InvitationRel text=idle"));
+  check bool "the write synced" true (fsyncs () > syncs0);
+  ok (Follower.catch_up f);
+  converged rig f;
+  Client.close c
+
+(* One [wait] verb: at the same token, a leader and a follower answer
+   every [wait] line alike, up to the role word. *)
+let test_wait_answers_agree () =
+  with_pair @@ fun rig fdir ->
+  let f = ok (make_follower ~name:"f1" rig fdir) in
+  Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
+  ok (Follower.catch_up f);
+  let e, v = leader_token rig in
+  check Alcotest.(pair int int) "same token on both ends" (e, v)
+    (Follower.applied f);
+  let token = Ok (Wire.format_token ~epoch:e ~version:v) in
+  let usage = Error "error: usage: wait EPOCH VERSION [TIMEOUT_MS]" in
+  let expected role =
+    [
+      (Printf.sprintf "wait %d %d 1000" e v, token);
+      (Printf.sprintf "wait %d %d" e v, token);
+      ( Printf.sprintf "wait %d %d 30" e (v + 5),
+        Error
+          (Printf.sprintf "error: wait: %s at %d:%d, needed %d:%d (timeout)"
+             role e v e (v + 5)) );
+      ("wait x 1", usage);
+      ("wait 1", usage);
+      (Printf.sprintf "wait %d %d 30 4" e v, usage);
+    ]
+  in
+  List.iter
+    (fun (role, daemon) ->
+      let c = Client.of_transport (Daemon.connect daemon) in
+      List.iter
+        (fun (line, want) ->
+          check
+            Alcotest.(result string string)
+            (role ^ ": " ^ line) want (Client.request c line))
+        (expected role);
+      Client.close c)
+    [ ("leader", rig.l_daemon); ("follower", Follower.daemon f) ]
+
+(* The interleaving the one lock makes stricter: a leader's capture now
+   waits for an evaluating read as well as for a write batch.  A client
+   whose reads the cache cannot answer, a writing client and a
+   bootstrapping follower run at once; all three finish, every answer
+   is right, and the follower converges. *)
+let test_reads_writes_and_captures_interleave () =
+  with_pair @@ fun rig fdir ->
+  List.iter
+    (fun name ->
+      ignore
+        (ok
+           (Repo.new_object rig.l_st.Scn.repo ~name
+              ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0"))))
+    [ "LockReadDoc"; "LockWriteDoc" ];
+  let reader = leader_client rig and writer = leader_client rig in
+  (* an object no write touches explains itself alike throughout *)
+  let why = req_ok reader "why InvitationRel" in
+  let rounds = 20 in
+  let failures = ref [] and fm = Mutex.create () in
+  let expect what good = function
+    | Ok s when good s -> ()
+    | Ok s | Error s ->
+      Mutex.protect fm (fun () -> failures := (what ^ ": " ^ s) :: !failures)
+  in
+  let edit c obj i =
+    let line =
+      Printf.sprintf "run DecManualEdit Editor object=%s text=t%d" obj i
+    in
+    expect line (contains "run executed") (Client.request c line)
+  in
+  let finished = Atomic.make 0 in
+  let spawn body =
+    Thread.create
+      (fun () ->
+        (try body ()
+         with exn ->
+           expect "raised" (fun _ -> false) (Error (Printexc.to_string exn)));
+        Atomic.incr finished)
+      ()
+  in
+  let follower = ref None in
+  let threads =
+    [
+      spawn (fun () ->
+          for i = 1 to rounds do
+            edit reader "LockReadDoc" i;
+            expect "why" (String.equal why)
+              (Client.request reader "why InvitationRel");
+            expect "config"
+              (String.starts_with ~prefix:"configuration over DBPL_Object")
+              (Client.request reader "config DBPL_Object");
+            expect "slo" (fun _ -> true) (Client.request reader "slo")
+          done);
+      spawn (fun () -> for i = 1 to rounds do edit writer "LockWriteDoc" i done);
+      spawn (fun () ->
+          let f = ok (make_follower ~name:"f1" rig fdir) in
+          follower := Some f;
+          ok (Follower.catch_up f));
+    ]
+  in
+  let deadline = Unix.gettimeofday () +. 60. in
+  while Atomic.get finished < 3 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  check int "all three finish before the deadline" 3 (Atomic.get finished);
+  List.iter Thread.join threads;
+  check Alcotest.(list string) "every answer is right" [] !failures;
+  let f = Option.get !follower in
+  Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
+  ok (Follower.catch_up f);
+  converged rig f;
+  Client.close reader;
+  Client.close writer
+
 let suite =
   [
     ("wire roundtrips", `Quick, test_wire_roundtrips);
@@ -1103,7 +1228,10 @@ let suite =
     ("torn batch: an unlog sync mid-batch", `Quick, test_torn_batch_unlog_sync);
     ("torn batch: a buffer flush mid-batch", `Quick, test_torn_batch_buffer_flush);
     ("applier skips already-logged decisions", `Quick, test_applier_skips_logged_decisions);
-    QCheck_alcotest.to_alcotest prop_trace_note_roundtrip;
     QCheck_alcotest.to_alcotest prop_census_differential;
     ("trace spans the replication stream", `Quick, test_trace_spans_replication);
+    ("an idle leader does not sync its log", `Quick, test_idle_leader_does_not_sync);
+    ("leader and follower answer wait alike", `Quick, test_wait_answers_agree);
+    ("reads, writes and captures interleave under one lock", `Quick,
+     test_reads_writes_and_captures_interleave);
   ]

@@ -169,46 +169,6 @@ let test_scheduler_classify () =
   check bool "save not cacheable" false (Server.Scheduler.cacheable "save f");
   check bool "news not cacheable" false (Server.Scheduler.cacheable "news")
 
-let test_scheduler_rw_exclusion () =
-  let s = Server.Scheduler.create () in
-  let m = Mutex.create () and c = Condition.create () in
-  let readers_in = ref 0 and release = ref false in
-  let reader () =
-    Server.Scheduler.read s (fun () ->
-        Mutex.lock m;
-        incr readers_in;
-        Condition.broadcast c;
-        while not !release do
-          Condition.wait c m
-        done;
-        Mutex.unlock m)
-  in
-  let t1 = Thread.create reader () and t2 = Thread.create reader () in
-  Mutex.lock m;
-  while !readers_in < 2 do
-    Condition.wait c m
-  done;
-  Mutex.unlock m;
-  (* both readers are inside the read lock simultaneously *)
-  let wrote = ref false in
-  let w =
-    Thread.create (fun () -> Server.Scheduler.write s (fun () -> wrote := true)) ()
-  in
-  Thread.delay 0.02;
-  check bool "writer excluded while readers hold the lock" false !wrote;
-  Mutex.lock m;
-  release := true;
-  Condition.broadcast c;
-  Mutex.unlock m;
-  Thread.join t1;
-  Thread.join t2;
-  Thread.join w;
-  check bool "writer ran after readers left" true !wrote;
-  let st = Server.Scheduler.stats s in
-  check int "reads" 2 st.Server.Scheduler.reads;
-  check int "writes" 1 st.Server.Scheduler.writes;
-  check bool "peak readers" true (st.Server.Scheduler.peak_readers >= 2)
-
 (* cache ----------------------------------------------------------------- *)
 
 let test_cache_versioning () =
@@ -289,7 +249,7 @@ let test_metrics () =
     (fun needle ->
       check bool ("metrics shows " ^ needle) true (contains needle report))
     [
-      "scheduler: "; "cache: "; "repository version: "; "-- registry --";
+      "cache: "; "repository version: "; "-- registry --";
       "gkbms_server_command_us{cmd=stats}";
       "gkbms_server_command_errors_total{cmd=run}";
     ];
@@ -1293,7 +1253,6 @@ let suite =
     ("protocol corruption detected", `Quick, test_protocol_corruption);
     QCheck_alcotest.to_alcotest prop_decoders_any_chunking;
     ("scheduler classification", `Quick, test_scheduler_classify);
-    ("scheduler read/write exclusion", `Quick, test_scheduler_rw_exclusion);
     ("cache version keying", `Quick, test_cache_versioning);
     ("cache capacity bound", `Quick, test_cache_capacity);
     ("metrics accounting", `Quick, test_metrics);
