@@ -335,6 +335,13 @@ let shape_e17_durability () =
    manually: each connection (client loop + its server handler thread)
    lives in its own domain, giving real parallelism for the lock-free
    cached-read path while Shell evaluation stays serialized. *)
+(* one in-process connection, whose server thread belongs to the calling
+   domain (E18 and E22 run each client on a domain of its own) *)
+let session daemon f =
+  let client = Server.Client.of_transport (Server.Daemon.connect daemon) in
+  f client;
+  Server.Client.close client
+
 let shape_e18_server () =
   section "E18: concurrent server — read scaling, response cache, writes";
   let cores = Domain.recommended_domain_count () in
@@ -353,19 +360,6 @@ let shape_e18_server () =
     done;
     let config = { Server.Daemon.default_config with cache } in
     Server.Daemon.create ~config repo
-  in
-  (* one connection served end-to-end inside the calling domain *)
-  let session daemon f =
-    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let handler =
-      Thread.create
-        (fun () -> Server.Daemon.handle daemon (Server.Protocol.fd_transport b))
-        ()
-    in
-    let client = Server.Client.of_transport (Server.Protocol.fd_transport a) in
-    f client;
-    Server.Client.close client;
-    Thread.join handler
   in
   let request client line =
     match Server.Client.request client line with
@@ -592,25 +586,17 @@ let shape_e25_group_commit () =
         | Error e -> failwith ("E25: pipelined write failed: " ^ e))
       (Server.Client.pipeline ~window client lines)
   in
-  let over_handle daemon ~window =
+  let timed_clients daemon ~window =
     let t0 = Unix.gettimeofday () in
     let threads =
       List.init clients (fun ci ->
           Thread.create
             (fun () ->
-              let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-              let handler =
-                Thread.create
-                  (fun () ->
-                    Server.Daemon.handle daemon (Server.Protocol.fd_transport b))
-                  ()
-              in
               let client =
-                Server.Client.of_transport (Server.Protocol.fd_transport a)
+                Server.Client.of_transport (Server.Daemon.connect daemon)
               in
               client_loop ~window client ci;
-              Server.Client.close client;
-              Thread.join handler)
+              Server.Client.close client)
             ())
     in
     List.iter Thread.join threads;
@@ -625,12 +611,12 @@ let shape_e25_group_commit () =
   let single = (1, 0) in
   (* blocking, no WAL: the E18-equivalent write baseline *)
   let daemon, dir = build ~wal:false ~fsync:false ~group:single () in
-  let dt = over_handle daemon ~window:1 in
+  let dt = timed_clients daemon ~window:1 in
   finish daemon dir;
   let e18_equiv = float_of_int total_writes /. dt in
   (* blocking, fsync per decision: the ablation the CI gate compares to *)
   let daemon, dir = build ~wal:true ~fsync:true ~group:single () in
-  let dt = over_handle daemon ~window:1 in
+  let dt = timed_clients daemon ~window:1 in
   finish daemon dir;
   let ablation = float_of_int total_writes /. dt in
   (* group commit + pipelining, fsync on.  The pipeline window is the
@@ -643,7 +629,7 @@ let shape_e25_group_commit () =
     build ~wal:true ~fsync:true ~group:(docs_per_client * clients, 1_000) ()
   in
   let fsyncs0 = counter "gkbms_wal_fsyncs_total" in
-  let dt = over_handle daemon ~window:deep in
+  let dt = timed_clients daemon ~window:deep in
   let fsyncs = counter "gkbms_wal_fsyncs_total" - fsyncs0 in
   finish daemon dir;
   let grouped = float_of_int total_writes /. dt in
@@ -786,13 +772,7 @@ let shape_e24_tracing () =
             ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0")))
   done;
   let daemon = Server.Daemon.create repo in
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let handler =
-    Thread.create
-      (fun () -> Server.Daemon.handle daemon (Server.Protocol.fd_transport b))
-      ()
-  in
-  let client = Server.Client.of_transport (Server.Protocol.fd_transport a) in
+  let client = Server.Client.of_transport (Server.Daemon.connect daemon) in
   let write_op ~traced tip k =
     let line =
       Printf.sprintf "run DecManualEdit Editor object=%s text=w%d" !tip k
@@ -868,7 +848,6 @@ let shape_e24_tracing () =
   Obs.Trace.set_slow_threshold_s 0.1;
   Obs.Trace.clear ();
   Server.Client.close client;
-  Thread.join handler;
   (* means over the whole run, not medians: every mode occupies every
      within-round position equally often, so its total sees the same
      drift, and 18 batches per mode average scheduler noise that would
@@ -992,19 +971,6 @@ let shape_e22_replication () =
     in
     ok (Replication.Follower.catch_up f);
     (f, dir)
-  in
-  (* one connection served end-to-end inside the calling domain (E18) *)
-  let session daemon f =
-    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let handler =
-      Thread.create
-        (fun () -> Server.Daemon.handle daemon (Server.Protocol.fd_transport b))
-        ()
-    in
-    let client = Server.Client.of_transport (Server.Protocol.fd_transport a) in
-    f client;
-    Server.Client.close client;
-    Thread.join handler
   in
   let request client line =
     match Server.Client.request client line with

@@ -499,7 +499,9 @@ let serve_cmd =
   in
   let idle =
     Arg.(value & opt (some float) None & info [ "idle-timeout" ] ~docv:"SECONDS"
-           ~doc:"Disconnect sessions idle longer than $(docv) seconds.")
+           ~doc:"Disconnect a session once a read or send on its socket \
+                 waits $(docv) seconds without progress; a session busy \
+                 answering a request is not idle.")
   in
   let role =
     Arg.(value
@@ -528,15 +530,22 @@ let serve_cmd =
                    microseconds after its first write, or as soon as no \
                    more writes arrive, whichever comes first.")
   in
-  let serve_loop daemon ~socket ~banner =
-    let stop_handler _ = Server.Daemon.stop daemon in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop_handler);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_handler);
+  (* A signal handler runs on whichever thread reaches a poll point
+     first, the daemon's own included, so it only makes [listen]
+     return; [stop], which joins the daemon's threads, runs here. *)
+  let serve_loop ~stop ~stopped daemon ~socket ~banner =
+    let interrupt _ = Server.Daemon.interrupt daemon in
+    Sys.set_signal Sys.sigint (Sys.Signal_handle interrupt);
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle interrupt);
     Format.printf "%s@." banner;
     let* () = Server.Daemon.listen daemon ~path:socket in
-    Server.Daemon.stop daemon;
-    Format.printf "server stopped.@.";
+    stop ();
+    Format.printf "%s@." stopped;
     Ok ()
+  in
+  let serve_daemon daemon =
+    serve_loop ~stop:(fun () -> Server.Daemon.stop daemon)
+      ~stopped:"server stopped." daemon
   in
   let run until wal socket no_cache idle role follow (k, t_us) =
     (* flight recorder dump-on-crash: SIGUSR2 snapshots the decision
@@ -551,6 +560,12 @@ let serve_cmd =
          if k >= 1 && t_us >= 0 then Ok ()
          else Error "invalid --group-commit (expected K >= 1 and T >= 0)"
        in
+      let* () =
+        match idle with
+        | Some s when not (s >= 0.001 && s < 2_147_483_648.) ->
+          Error "invalid --idle-timeout (expected at least 0.001 and below 2^31)"
+        | _ -> Ok ()
+      in
       let config =
         { Server.Daemon.default_config with
           cache = not no_cache;
@@ -573,7 +588,7 @@ let serve_cmd =
           | None -> Ok ()
           | Some dir -> Server.Daemon.attach_wal daemon ~dir
         in
-        serve_loop daemon ~socket
+        serve_daemon daemon ~socket
           ~banner:
             (Printf.sprintf "gkbms server listening on %s (%s)" socket flags)
       | `Leader ->
@@ -602,7 +617,7 @@ let serve_cmd =
             Ok daemon
         in
         let* _leader = Replication.Leader.attach daemon in
-        serve_loop daemon ~socket
+        serve_daemon daemon ~socket
           ~banner:
             (Printf.sprintf "gkbms leader listening on %s (%s)" socket flags)
       | `Follower ->
@@ -639,19 +654,17 @@ let serve_cmd =
         | Ok () -> ()
         | Error e -> Format.eprintf "initial catch-up: %s@." e);
         Replication.Follower.start follower;
-        let daemon = Replication.Follower.daemon follower in
-        let stop_handler _ = Replication.Follower.stop follower in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle stop_handler);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_handler);
-        Format.printf
-          "gkbms follower listening on %s (leader %s, wal %s, applied %s)@."
-          socket leader_sock dir
-          (let e, v = Replication.Follower.applied follower in
-           Replication.Wire.format_session_token ~epoch:e ~version:v);
-        let* () = Server.Daemon.listen daemon ~path:socket in
-        Replication.Follower.stop follower;
-        Format.printf "follower stopped.@.";
-        Ok ())
+        serve_loop
+          ~stop:(fun () -> Replication.Follower.stop follower)
+          ~stopped:"follower stopped."
+          (Replication.Follower.daemon follower)
+          ~socket
+          ~banner:
+            (Printf.sprintf
+               "gkbms follower listening on %s (leader %s, wal %s, applied %s)"
+               socket leader_sock dir
+               (let e, v = Replication.Follower.applied follower in
+                Replication.Wire.format_session_token ~epoch:e ~version:v)))
   in
   Cmd.v
     (Cmd.info "serve"

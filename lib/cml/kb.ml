@@ -27,8 +27,9 @@ type instances = {
    its classes' sets.
 
    [m] guards the three tables and the counters: a KB shared by server
-   handlers on several domains (each loopback connection of the E18 and
-   E22 benches has its own) takes closure queries from all of them.
+   handlers on several domains (each client of the E18 and E22 benches,
+   with the daemon thread serving its socket pair, has its own) takes
+   closure queries from all of them.
    Closures are computed *outside* the lock (they recurse back
    into [memo]); a race can at worst compute the same deterministic
    closure twice. *)

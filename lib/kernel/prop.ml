@@ -17,7 +17,8 @@ let individual ?time x = make ?time ~id:x ~source:x ~label:x ~dest:x ()
 let is_individual p = p.source = p.id && p.dest = p.id && p.label = p.id
 
 (* Atomic: propositions can be minted on several domains of one process
-   (each loopback connection of the E18 and E22 benches has its own),
+   (each client of the E18 and E22 benches, with the daemon thread that
+   serves its socket pair, has its own),
    and two domains drawing the same counter value would silently alias
    distinct propositions. *)
 let id_counter = Atomic.make 0

@@ -1,8 +1,8 @@
 type t = int
 
 (* Interning must be domain-safe: one process can run the GKBMS on
-   several domains (the E18 and E22 benches give each loopback
-   connection, its server handler included, a domain of its own), and
+   several domains (the E18 and E22 benches give each client, and the
+   daemon thread that serves its socket pair, a domain of its own), and
    every one of them interns and resolves symbols.  The hot path —
    looking up an already-interned string — is lock-free: an
    open-addressed table of plain ints, each slot [id + 1] or 0 for

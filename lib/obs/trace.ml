@@ -41,13 +41,13 @@ let threshold = Atomic.make default_threshold_s
 let set_slow_threshold_s s = Atomic.set threshold s
 let slow_threshold_s () = Atomic.get threshold
 
-(* Recorder state: per-thread stacks of open spans plus the two rings.
-   The mutex guards the stack table and the rings; an individual
-   thread's stack ref is only ever mutated by that thread.  Thread ids
-   are only unique within a domain, so stacks are keyed by
-   (domain, thread) — threads of different domains (a loopback
-   connection of the E18 and E22 benches runs on its own) each get
-   their own stack. *)
+(* Recorder state: per-thread stacks of open spans, keyed by (domain,
+   thread), plus the two rings.  The mutex guards the stack table and
+   the rings; an individual thread's stack ref is only ever mutated by
+   that thread.  A thread has an entry only while it has a span open:
+   its outermost span adds it and removes it again, so a daemon that
+   serves each connection on a thread of its own keeps no entry per
+   connection it has served. *)
 let m = Mutex.create ()
 let stacks : (int * int, span list ref) Hashtbl.t = Hashtbl.create 16
 let recent_cap = ref 64
@@ -119,28 +119,17 @@ let with_context ctx f =
       Mutex.unlock m)
     f
 
-let stack_of_self () =
-  let id = self_key () in
+(* a closed root leaves its thread without an open span: drop the
+   thread's entry with the same lock that records the root *)
+let record_root key sp =
   Mutex.lock m;
-  let st =
-    match Hashtbl.find_opt stacks id with
-    | Some st -> st
-    | None ->
-      let st = ref [] in
-      Hashtbl.add stacks id st;
-      st
-  in
-  Mutex.unlock m;
-  st
-
-let record_root sp =
-  Mutex.lock m;
+  Hashtbl.remove stacks key;
   push recent_ring recent_len !recent_cap sp;
   if sp.duration_s >= Atomic.get threshold then
     push slow_ring slow_len !slow_cap sp;
   Mutex.unlock m
 
-let finish st sp =
+let finish key st sp =
   sp.duration_s <- Runtime.now_s () -. sp.start_s;
   (* defensive: unwind past spans a nested exception may have left open *)
   let rec pop = function
@@ -151,7 +140,7 @@ let finish st sp =
   st := pop !st;
   match !st with
   | parent :: _ -> parent.subspans <- sp :: parent.subspans
-  | [] -> record_root sp
+  | [] -> record_root key sp
 
 let with_span ?(attrs = []) name f =
   if not (Atomic.get flag) then f ()
@@ -170,16 +159,27 @@ let with_span ?(attrs = []) name f =
         subspans = [];
       }
     in
-    let st = stack_of_self () in
+    let key = self_key () in
+    let st =
+      Mutex.protect m (fun () ->
+          match Hashtbl.find_opt stacks key with
+          | Some st -> st
+          | None ->
+            let st = ref [] in
+            Hashtbl.add stacks key st;
+            st)
+    in
     st := sp :: !st;
-    Fun.protect ~finally:(fun () -> finish st sp) f
+    Fun.protect ~finally:(fun () -> finish key st sp) f
   end
 
+(* a lookup, which adds no entry for a thread without an open span *)
 let add_attr k v =
   if Atomic.get flag then
-    match !(stack_of_self ()) with
-    | sp :: _ -> sp.attrs <- (k, v) :: sp.attrs
-    | [] -> ()
+    let key = self_key () in
+    match Mutex.protect m (fun () -> Hashtbl.find_opt stacks key) with
+    | Some { contents = sp :: _ } -> sp.attrs <- (k, v) :: sp.attrs
+    | _ -> ()
 
 let recent () =
   Mutex.lock m;

@@ -28,7 +28,8 @@ val create :
   unit ->
   (t, string) result
 (** [leader] is the address quoted in write-refusal errors; [connect]
-    opens a fresh client to it (Unix socket or in-process loopback).
+    opens a fresh client to it (over the leader's Unix socket, or
+    {!Server.Daemon.connect} in process).
     [config]'s [read_only] field is overridden. *)
 
 val daemon : t -> Server.Daemon.t
@@ -66,4 +67,7 @@ val start : ?wait_ms:int -> t -> unit
     long-polling, reconnecting after transient failures. *)
 
 val stop : t -> unit
-(** Stop the puller, drop the leader connection, stop the daemon. *)
+(** Stop the puller, drop the leader connection, stop the daemon.  It
+    joins the puller and the daemon's threads, so call it from none of
+    them: a signal handler calls {!Server.Daemon.interrupt} on
+    {!daemon} and leaves the stop to the thread that listens. *)

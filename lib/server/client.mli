@@ -1,7 +1,7 @@
 (** The blocking client library: one request in flight at a time,
     request ids checked against response ids.  Works over a Unix-domain
-    socket ({!connect_unix}) or any {!Protocol.transport} (the loopback
-    pair from {!Daemon.connect}). *)
+    socket: one that {!connect_unix} opens, or the end of a socket pair
+    that {!Daemon.connect} returns (through {!of_transport}). *)
 
 type t
 

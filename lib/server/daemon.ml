@@ -56,9 +56,10 @@ type t = {
           repository lock — the handler takes it where it needs it (a
           follower's [wait] blocks on apply progress and must not hold
           the lock the puller applies under) *)
-  mutable listen_fd : Unix.file_descr option;
-  mutable stopping : bool;
-  mutable reaper : Thread.t option;
+  listen_fd : Unix.file_descr option Atomic.t;
+  stopping : bool Atomic.t;
+      (** [listen] returns: set by [interrupt] and by [stop] *)
+  mutable stopped : bool;  (** [stop] has run *)
   workers : (int, Thread.t) Hashtbl.t;
       (** live connection threads by [Thread.id]: each one drops itself
           as it exits, so connection churn does not grow the table *)
@@ -383,28 +384,13 @@ let submit_write t session req ~finish =
 
 (* connection lifecycle ------------------------------------------------ *)
 
-let reaper_loop t timeout =
-  let interval = Float.min 0.5 (timeout /. 4.) in
-  let continue_ = ref true in
-  while !continue_ do
-    Thread.delay interval;
-    Mutex.lock t.m;
-    let stop = t.stopping in
-    let idle =
-      if stop then []
-      else
-        Hashtbl.fold
-          (fun _ s acc ->
-            if Unix.gettimeofday () -. Session.last_active s > timeout then
-              s :: acc
-            else acc)
-          t.sessions []
-    in
-    Mutex.unlock t.m;
-    if stop then continue_ := false else List.iter Session.shutdown idle
-  done
-
 let create ?(config = default_config) repo =
+  (match config.idle_timeout with
+  | Some s when not (s >= 0.001 && s < 2_147_483_648.) ->
+    (* the kernel's socket timeouts read a shorter one as no timeout
+       and refuse a longer one *)
+    invalid_arg "Daemon.create: idle_timeout must be at least 1 ms and below 2^31 s"
+  | _ -> ());
   let news = Session.news () in
   let t =
     {
@@ -423,22 +409,19 @@ let create ?(config = default_config) repo =
       news_sub = Repo.on_event repo (Session.record_news news);
       durable = None;
       extension = None;
-      listen_fd = None;
-      stopping = false;
-      reaper = None;
+      listen_fd = Atomic.make None;
+      stopping = Atomic.make false;
+      stopped = false;
       workers = Hashtbl.create 16;
     }
   in
-  (* The daemon's own threads start here, not on first use: a thread
-     belongs to the domain that creates it, and a domain cannot finish
-     while one of its threads lives, so a flusher or reaper spawned
-     from a session running in a short-lived domain would pin that
-     domain until [stop].  A follower never batches. *)
+  (* The flusher starts here, not on first use: a thread belongs to the
+     domain that creates it, and a domain cannot finish while one of its
+     threads lives, so a flusher spawned from a session running in a
+     short-lived domain would pin that domain until [stop].  A follower
+     never batches. *)
   if config.read_only = None then
     t.flusher <- Some (Thread.create (flusher_loop t) t.group);
-  Option.iter
-    (fun timeout -> t.reaper <- Some (Thread.create (reaper_loop t) timeout))
-    config.idle_timeout;
   t
 
 let register_session t transport =
@@ -482,16 +465,32 @@ let spawn_worker t transport =
       let th = Thread.create (fun () -> handle t transport) () in
       Hashtbl.replace t.workers (Thread.id th) th)
 
-let connect t =
-  let client_end, server_end = Protocol.loopback () in
-  spawn_worker t server_end;
-  client_end
+(* Serve a connected socket on a thread of its own.  The kernel times
+   out a read or send on it that makes no progress for [idle_timeout],
+   and the session takes the failure as end-of-stream. *)
+let serve_fd t fd =
+  Option.iter
+    (fun s ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO s;
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO s)
+    t.config.idle_timeout;
+  spawn_worker t (Protocol.fd_transport fd)
 
-let stopping t =
-  Mutex.lock t.m;
-  let s = t.stopping in
-  Mutex.unlock t.m;
-  s
+let connect t =
+  let client_end, server_end =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  serve_fd t server_end;
+  Protocol.fd_transport client_end
+
+(* Signal-handler safe: no lock, no join.  Setting the flag before
+   reading the descriptor means that either [listen] sees the flag at
+   its loop head or this shuts the descriptor it accepts on. *)
+let interrupt t =
+  Atomic.set t.stopping true;
+  Option.iter
+    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
+    (Atomic.get t.listen_fd)
 
 let listen t ~path =
   match
@@ -505,21 +504,20 @@ let listen t ~path =
     Error
       (Printf.sprintf "cannot listen on %s: %s" path (Unix.error_message err))
   | fd ->
-    Mutex.lock t.m;
-    t.listen_fd <- Some fd;
-    Mutex.unlock t.m;
-    (* Only [stop] ends the loop.  A connection reset before it was
-       accepted (ECONNABORTED) is retried at once.  Running out of
-       descriptors or buffers (EMFILE, ENFILE, ENOBUFS, ENOMEM) is
-       transient under a connection flood: back off until some
-       connections close.  [stop] closing the listener also fails the
-       accept; the loop head then sees [stopping]. *)
+    Atomic.set t.listen_fd (Some fd);
+    (* Only [interrupt] or [stop] ends the loop.  A connection reset
+       before it was accepted (ECONNABORTED) is retried at once.
+       Running out of descriptors or buffers (EMFILE, ENFILE, ENOBUFS,
+       ENOMEM) is transient under a connection flood: back off until
+       some connections close.  Shutting the listener down also fails
+       the accept; the loop head then sees [stopping]. *)
     let rec accept_loop () =
-      if not (stopping t) then begin
+      if not (Atomic.get t.stopping) then begin
         (match Unix.accept fd with
-        | conn, _ -> spawn_worker t (Protocol.fd_transport conn)
+        | conn, _ -> serve_fd t conn
         | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
-        | exception Unix.Unix_error _ -> if not (stopping t) then Thread.delay 0.05);
+        | exception Unix.Unix_error _ ->
+          if not (Atomic.get t.stopping) then Thread.delay 0.05);
         accept_loop ()
       end
     in
@@ -528,11 +526,11 @@ let listen t ~path =
     Ok ()
 
 let stop t =
+  Atomic.set t.stopping true;
+  let fd = Atomic.exchange t.listen_fd None in
   Mutex.lock t.m;
-  let already = t.stopping in
-  t.stopping <- true;
-  let fd = t.listen_fd in
-  t.listen_fd <- None;
+  let already = t.stopped in
+  t.stopped <- true;
   let sessions = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
   let workers = Hashtbl.fold (fun _ th acc -> th :: acc) t.workers [] in
   let flusher = t.flusher in
@@ -555,11 +553,6 @@ let stop t =
     List.iter Session.shutdown sessions;
     List.iter (fun th -> try Thread.join th with _ -> ()) workers;
     Repo.off_event t.repo t.news_sub;
-    (match t.reaper with
-    | Some th ->
-      (try Thread.join th with _ -> ());
-      t.reaper <- None
-    | None -> ());
     (match t.durable with
     | Some d ->
       Gkbms.Durable.close d;

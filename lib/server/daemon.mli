@@ -34,7 +34,16 @@ type config = {
       (** serve deterministic reads from the response cache (4,096
           entries) *)
   idle_timeout : float option;
-      (** disconnect sessions idle longer than this many seconds *)
+      (** end a session whose socket makes no progress for this many
+          seconds: the daemon sets it as the [SO_RCVTIMEO] and
+          [SO_SNDTIMEO] of every connection it serves, so a read that
+          waits that long for a request, or a send that waits that long
+          for the client to take a reply, fails and the session ends as
+          at end-of-stream.  A session counts as idle only while it
+          waits on its socket: one that evaluates a request, or waits
+          for the repository lock, is not; neither is a client that
+          trickles bytes or reads a reply slowly, as long as every wait
+          ends within the timeout. *)
   wal_fsync : bool;  (** fsync (not just flush) the WAL at each batch end *)
   read_only : string option;
       (** [Some leader_addr] marks the daemon a replication follower:
@@ -63,13 +72,15 @@ val default_config : config
 type t
 
 val create : ?config:config -> Gkbms.Repository.t -> t
-(** Start a daemon over the repository.  Its own threads start here, in
-    the calling domain: the write flusher (unless [read_only]) and, with
-    [idle_timeout], the idle reaper.  It also adds the one repository
-    event listener that records every session's news.  {!stop} retires
-    the threads and removes the listener.
+(** Start a daemon over the repository.  Its write flusher (unless
+    [read_only]) starts here, in the calling domain; the daemon runs no
+    other thread of its own, since the kernel times idle connections
+    out.  It also adds the one repository event listener that records
+    every session's news.  {!stop} retires the flusher and removes the
+    listener.
     @raise Invalid_argument if [config.group_commit] has [k < 1] or
-    [t_us < 0]. *)
+    [t_us < 0], or [config.idle_timeout] is under 1 ms or not below
+    2{^31} s (the range a socket timeout takes). *)
 
 val repo : t -> Gkbms.Repository.t
 val config : t -> config
@@ -105,24 +116,37 @@ val exclusive : t -> (unit -> 'a) -> 'a
     reentrant: [f] must not call [exclusive] on the same daemon. *)
 
 val handle : t -> Protocol.transport -> unit
-(** Serve one connection to completion in the calling thread (spawn a
-    thread or domain per connection around this). *)
+(** Serve one connection to completion in the calling thread, with
+    whatever socket options the caller set ([idle_timeout] is not
+    applied here).  For a caller that spawns its own thread or domain
+    per connection. *)
 
 val connect : t -> Protocol.transport
-(** In-process client: a loopback transport pair whose server end is
-    served on a fresh thread; returns the client end. *)
+(** In-process client: one end of a fresh Unix-domain socket pair,
+    whose other end the daemon serves on a thread of its own as it
+    serves an accepted connection ([idle_timeout] included).  The
+    returned end has no timeouts. *)
 
 val listen : t -> path:string -> (unit, string) result
 (** Bind a Unix-domain socket at [path] (replacing a stale file) and
-    accept connections, one thread each, until {!stop}.  A failed
-    accept (out of descriptors, a connection aborted before it was
-    accepted) is retried, after a short back-off when descriptors or
-    buffers ran out.  Blocks the calling thread. *)
+    accept connections, one thread each, until {!interrupt} or {!stop}.
+    A failed accept (out of descriptors, a connection aborted before it
+    was accepted) is retried, after a short back-off when descriptors
+    or buffers ran out.  Blocks the calling thread. *)
+
+val interrupt : t -> unit
+(** Make {!listen} return (at once, or as soon as it starts), and
+    nothing else.  It takes no lock and joins no thread, so a signal
+    handler may call it whichever thread it runs on, the daemon's own
+    included, even one inside {!exclusive}; the thread that called
+    {!listen} then calls {!stop}. *)
 
 val stop : t -> unit
 (** Stop listening, commit the queued writes, shut every live session
-    down, wait for them to drain, retire the daemon's threads and its
-    news listener, and close the WAL if attached.  Idempotent. *)
+    down, wait for them to drain, retire the flusher and the news
+    listener, and close the WAL if attached.  Idempotent.  It joins the
+    daemon's threads, so call it from none of them (a signal handler
+    calls {!interrupt} instead). *)
 
 val session_count : t -> int
 

@@ -118,76 +118,6 @@ let fd_transport fd =
   in
   { read; write; shutdown; close }
 
-(* one direction of a loopback connection: a growable byte queue *)
-type chan = {
-  m : Mutex.t;
-  c : Condition.t;
-  buf : Buffer.t;
-  mutable off : int;  (** read offset into [buf] *)
-  mutable chan_closed : bool;
-}
-
-let chan () =
-  {
-    m = Mutex.create ();
-    c = Condition.create ();
-    buf = Buffer.create 256;
-    off = 0;
-    chan_closed = false;
-  }
-
-let chan_read ch b pos len =
-  Mutex.lock ch.m;
-  while Buffer.length ch.buf - ch.off = 0 && not ch.chan_closed do
-    Condition.wait ch.c ch.m
-  done;
-  let avail = Buffer.length ch.buf - ch.off in
-  let n = min len avail in
-  if n > 0 then (
-    Buffer.blit ch.buf ch.off b pos n;
-    ch.off <- ch.off + n;
-    if ch.off = Buffer.length ch.buf then (
-      Buffer.clear ch.buf;
-      ch.off <- 0));
-  Mutex.unlock ch.m;
-  n
-
-let chan_write ch s =
-  Mutex.lock ch.m;
-  if not ch.chan_closed then (
-    Buffer.add_string ch.buf s;
-    Condition.broadcast ch.c);
-  Mutex.unlock ch.m
-
-let chan_close ch =
-  Mutex.lock ch.m;
-  ch.chan_closed <- true;
-  Condition.broadcast ch.c;
-  Mutex.unlock ch.m
-
-let loopback () =
-  let c2s = chan () and s2c = chan () in
-  let shutdown () =
-    chan_close c2s;
-    chan_close s2c
-  in
-  let client =
-    {
-      read = chan_read s2c;
-      write = chan_write c2s;
-      shutdown;
-      close = shutdown;
-    }
-  and server =
-    {
-      read = chan_read c2s;
-      write = chan_write s2c;
-      shutdown;
-      close = shutdown;
-    }
-  in
-  (client, server)
-
 (* framed reading ------------------------------------------------------
 
    One decoder, two entry points: [feed] appends bytes a caller read

@@ -8,10 +8,11 @@
     request carries an id and one dialog-manager command line; a response
     echoes the id with a status byte and the rendered output.
 
-    The same codec serves two transports: a Unix-socket file descriptor
-    ({!fd_transport}) and an in-process loopback pair ({!loopback}) used
-    by the tests and benches, so everything above the byte layer is
-    exercised identically in both settings. *)
+    The codec serves one transport, a connected Unix-domain socket
+    ({!fd_transport}): a client's connection to [serve] and an
+    in-process connection ({!Daemon.connect}, a socket pair) alike, so
+    tests and benches see the sockets' buffering and timeouts that
+    remote clients see. *)
 
 type request = {
   id : int;
@@ -47,16 +48,14 @@ type transport = {
   write : string -> unit;
   shutdown : unit -> unit;
       (** Wake any blocked reader with end-of-stream (idempotent); used
-          by the idle reaper and by server shutdown. *)
+          by server shutdown and after a failed send. *)
   close : unit -> unit;
 }
 
 val fd_transport : Unix.file_descr -> transport
-(** Wrap a connected socket (or pipe) file descriptor. *)
-
-val loopback : unit -> transport * transport
-(** An in-process bidirectional channel: [(client_end, server_end)].
-    Blocking, mutex-protected, safe across threads and domains. *)
+(** Wrap a connected socket (or pipe) file descriptor.  A read that
+    fails, a timeout set with [SO_RCVTIMEO] included, reads as
+    end-of-stream; a write that fails raises [Unix.Unix_error]. *)
 
 (** {1 Framed reading and writing}
 

@@ -36,7 +36,6 @@ type t = {
   transport : Protocol.transport;
   news : news;
   mutable news_read : int;  (** lines of [news] this session has read *)
-  mutable last_active : float;
   write_m : Mutex.t;
       (** serializes response frames: with pipelining, the group-commit
           flusher acks writes while the connection's thread answers
@@ -49,7 +48,6 @@ type t = {
 
 let sid t = t.sid
 let shell t = t.shell
-let last_active t = t.last_active
 
 let create ~sid ~repo ~news ~transport =
   {
@@ -58,7 +56,6 @@ let create ~sid ~repo ~news ~transport =
     transport;
     news;
     news_read = Mutex.protect news.news_m (fun () -> news.appended);
-    last_active = Unix.gettimeofday ();
     write_m = Mutex.create ();
     pend_m = Mutex.create ();
     pend_c = Condition.create ();
@@ -127,7 +124,6 @@ let run t ~grouped ~submit_write ~process ~on_bytes ~on_inflight
   let rec loop last_consumed =
     match Protocol.next_frame reader with
     | Ok (Protocol.Request req) ->
-      t.last_active <- Unix.gettimeofday ();
       let consumed = Protocol.bytes_consumed reader in
       on_bytes ~incoming:(consumed - last_consumed) ~outgoing:0;
       on_inflight 1;

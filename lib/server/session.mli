@@ -27,7 +27,6 @@ type t
 
 val sid : t -> int
 val shell : t -> Gkbms.Shell.t
-val last_active : t -> float
 
 val create :
   sid:int ->
@@ -43,8 +42,9 @@ val take_news : t -> string
     behind first reads [(N earlier events not shown)]. *)
 
 val shutdown : t -> unit
-(** Wake the session's thread with end-of-stream (idle reaper / server
-    stop). *)
+(** Wake the session's thread with end-of-stream (server stop).  An
+    idle session needs no waking: its socket's timeouts end it (see
+    {!Daemon.config}'s [idle_timeout]). *)
 
 val run :
   t ->

@@ -406,6 +406,42 @@ let test_span_json () =
   check bool "nested child serialized" true (contains "\"leaf\"" json);
   check bool "attr escaped" true (contains "run \\\"x\\\"" json)
 
+(* A thread keeps no span stack once its outermost span closes, and an
+   attribute set with no span open adds none, so threads that come and
+   go (a daemon's connections) leave nothing behind: 2,000 of them,
+   each opening one span, grow the live heap by less than a word
+   apiece.  The recent ring is full before the measurement, so its size
+   does not move. *)
+let test_span_threads_leave_nothing () =
+  Trace.clear ();
+  Trace.set_enabled true;
+  Trace.set_slow_threshold_s 10.;
+  Fun.protect ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.set_slow_threshold_s 0.1;
+      Trace.clear ())
+  @@ fun () ->
+  let threads n =
+    for _ = 1 to n do
+      Thread.join
+        (Thread.create
+           (fun () ->
+             Trace.with_span "conn" (fun () -> Trace.add_attr "k" "v");
+             Trace.add_attr "after" "no open span")
+           ())
+    done
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  threads 200;
+  let before = live () in
+  threads 2_000;
+  let grown = live () - before in
+  if grown >= 2_000 then
+    Alcotest.failf "2,000 traced threads grew the live heap by %d words" grown
+
 (* ---------------- server group-commit series ---------------- *)
 
 let test_group_commit_series () =
@@ -839,6 +875,7 @@ let suite =
     ("span exception safety", `Quick, test_span_exception_safety);
     ("span ring capacity", `Quick, test_span_capacity);
     ("span tree json", `Quick, test_span_json);
+    ("span stacks of finished threads dropped", `Quick, test_span_threads_leave_nothing);
     ("prover copy stats independent", `Quick, test_prover_copy_stats_independent);
     ("slow decision commit traced", `Quick, test_slow_decision_in_slow_log);
     ("prometheus escaping regression", `Quick, test_prometheus_escaping_regression);

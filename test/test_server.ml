@@ -39,13 +39,36 @@ let keyed_repo ?(docs = 0) () =
 (* protocol ------------------------------------------------------------- *)
 
 let roundtrip frame =
-  let client, server = Protocol.loopback () in
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let client = Protocol.fd_transport a and server = Protocol.fd_transport b in
+  Fun.protect ~finally:(fun () ->
+      client.Protocol.close ();
+      server.Protocol.close ())
+  @@ fun () ->
   ignore (Protocol.write_frame client frame);
   let r = Protocol.reader server in
   match Protocol.next_frame r with
   | Ok f -> f
   | Error `Eof -> Alcotest.fail "unexpected eof"
   | Error (`Corrupt e) -> Alcotest.failf "unexpected corruption: %s" e
+
+(* A transport whose reads return [chunks] in order, each cut to the
+   reader's buffer, then end-of-stream: a whole stream a peer wrote and
+   closed, with no socket buffer that would have to hold it. *)
+let chunked_transport chunks =
+  let rest = ref chunks in
+  let read b pos len =
+    match !rest with
+    | [] -> 0
+    | c :: cs ->
+      let n = min len (String.length c) in
+      Bytes.blit_string c 0 b pos n;
+      rest :=
+        if n = String.length c then cs
+        else String.sub c n (String.length c - n) :: cs;
+      n
+  in
+  { Protocol.read; write = ignore; shutdown = ignore; close = ignore }
 
 let test_protocol_roundtrip () =
   (match roundtrip (Protocol.Request { id = 42; line = "focus Papers"; ctx = None }) with
@@ -63,14 +86,13 @@ let test_protocol_roundtrip () =
   | _ -> Alcotest.fail "wrong frame kind"
 
 let test_protocol_pipelined_and_partial () =
-  let client, server = Protocol.loopback () in
   let wire =
     Protocol.encode (Protocol.Request { id = 1; line = "a"; ctx = None })
     ^ Protocol.encode (Protocol.Request { id = 2; line = "b"; ctx = None })
   in
   (* deliver byte by byte: the reader must reassemble frames *)
-  String.iter (fun c -> client.Protocol.write (String.make 1 c)) wire;
-  let r = Protocol.reader server in
+  let bytes = List.init (String.length wire) (fun i -> String.make 1 wire.[i]) in
+  let r = Protocol.reader (chunked_transport bytes) in
   (match Protocol.next_frame r with
   | Ok (Protocol.Request q) -> check int "first" 1 q.Protocol.id
   | _ -> Alcotest.fail "first frame");
@@ -80,25 +102,21 @@ let test_protocol_pipelined_and_partial () =
   check int "consumed everything" (String.length wire) (Protocol.bytes_consumed r)
 
 let test_protocol_corruption () =
-  let client, server = Protocol.loopback () in
   let wire =
     Bytes.of_string (Protocol.encode (Protocol.Request { id = 3; line = "stats"; ctx = None }))
   in
   (* flip a payload byte: the CRC must catch it *)
   let last = Bytes.length wire - 1 in
   Bytes.set wire last (Char.chr (Char.code (Bytes.get wire last) lxor 0xff));
-  client.Protocol.write (Bytes.to_string wire);
-  client.Protocol.close ();
-  let r = Protocol.reader server in
+  let r = Protocol.reader (chunked_transport [ Bytes.to_string wire ]) in
   (match Protocol.next_frame r with
   | Error (`Corrupt reason) -> check bool "checksum" true (contains "checksum" reason)
   | _ -> Alcotest.fail "corruption undetected");
   (* truncated frame *)
-  let client, server = Protocol.loopback () in
   let wire = Protocol.encode (Protocol.Request { id = 4; line = "stats"; ctx = None }) in
-  client.Protocol.write (String.sub wire 0 (String.length wire - 2));
-  client.Protocol.close ();
-  let r = Protocol.reader server in
+  let r =
+    Protocol.reader (chunked_transport [ String.sub wire 0 (String.length wire - 2) ])
+  in
   match Protocol.next_frame r with
   | Error (`Corrupt _) -> ()
   | _ -> Alcotest.fail "truncation undetected"
@@ -135,10 +153,7 @@ let prop_decoders_any_chunking =
             | Error e -> failwith e)
           chunks
       in
-      let client, server = Protocol.loopback () in
-      List.iter client.Protocol.write chunks;
-      client.Protocol.close ();
-      let r = Protocol.reader server in
+      let r = Protocol.reader (chunked_transport chunks) in
       let rec read acc =
         match Protocol.next_frame r with
         | Ok fr -> read (fr :: acc)
@@ -292,9 +307,9 @@ let test_unknown_verbs_bounded () =
     (List.exists (fun (_, labels) -> List.exists (fun (_, v) -> minted v) labels) after);
   check bool "unknown verbs counted as other" true (command_calls "other" >= 501)
 
-(* end-to-end over the in-process loopback -------------------------------- *)
+(* end-to-end over an in-process connection -------------------------------- *)
 
-let test_loopback_session () =
+let test_in_process_session () =
   let repo = keyed_repo ~docs:1 () in
   let daemon = Daemon.create repo in
   let client = Client.of_transport (Daemon.connect daemon) in
@@ -592,6 +607,76 @@ let test_idle_timeout () =
   | Ok _ -> Alcotest.fail "request succeeded on a reaped session");
   Daemon.stop daemon
 
+(* Idle means waiting on the socket: with a 50 ms idle timeout, a read
+   that waits 300 ms for the repository lock is still answered. *)
+let test_busy_session_not_idle () =
+  let daemon =
+    Daemon.create
+      ~config:{ Daemon.default_config with idle_timeout = Some 0.05 }
+      (keyed_repo ())
+  in
+  let holding = Atomic.make false in
+  let g0 = inflight () in
+  let holder =
+    Thread.create
+      (fun () ->
+        Daemon.exclusive daemon (fun () ->
+            Atomic.set holding true;
+            (* hold on for 300 ms after the session has read the request *)
+            ignore (inflight_rise ~g0 1);
+            Thread.delay 0.3))
+      ()
+  in
+  while not (Atomic.get holding) do
+    Thread.delay 0.001
+  done;
+  let client = Client.of_transport (Daemon.connect daemon) in
+  let t0 = Unix.gettimeofday () in
+  let answer = Client.request client "stats" in
+  let waited = Unix.gettimeofday () -. t0 in
+  Thread.join holder;
+  (match answer with
+  | Ok out -> check bool "stats answered" true (contains "propositions" out)
+  | Error e -> Alcotest.failf "stats failed after %.0f ms: %s" (waited *. 1e3) e);
+  check bool "it waited for the lock" true (waited >= 0.3);
+  Client.close client;
+  Daemon.stop daemon
+
+(* A client that never reads a multi-megabyte reply: once the socket
+   buffers fill, the session's send makes no progress, and the send
+   timeout ends the session within a few idle timeouts. *)
+let test_unread_reply_ends_session () =
+  let repo = keyed_repo () in
+  ignore
+    (ok
+       (Repo.new_object repo ~name:"BigDoc" ~cls:Gkbms.Metamodel.dbpl_object
+          (Repo.Text (String.make 4_000_000 'x'))));
+  let timeout = 0.2 in
+  let daemon =
+    Daemon.create
+      ~config:{ Daemon.default_config with idle_timeout = Some timeout }
+      repo
+  in
+  let conn = Daemon.connect daemon in
+  check string "alive" "pong" (req_ok (Client.of_transport conn) "ping");
+  let t0 = Unix.gettimeofday () in
+  ignore
+    (Protocol.write_frame conn
+       (Protocol.Request { id = 2; line = "source BigDoc"; ctx = None }));
+  let rec wait n =
+    if n > 0 && Daemon.session_count daemon > 0 then (
+      Thread.delay 0.01;
+      wait (n - 1))
+  in
+  wait 1000;
+  let took = Unix.gettimeofday () -. t0 in
+  check int "session ended" 0 (Daemon.session_count daemon);
+  if took > 10. *. timeout then
+    Alcotest.failf "the session outlived its %.1f s idle timeout by %.1f s"
+      timeout (took -. timeout);
+  conn.Protocol.close ();
+  Daemon.stop daemon
+
 let test_abrupt_disconnect () =
   let repo = keyed_repo () in
   let daemon = Daemon.create repo in
@@ -670,6 +755,50 @@ let test_unix_socket () =
         (contains "run executed"
            (req_ok client "run DecManualEdit Editor object=Doc0 text=v1"));
       Client.close client)
+
+(* A signal handler runs on whichever thread reaches a poll point, the
+   daemon's own included: [interrupt] from a connection thread that holds
+   the repository lock makes [listen] return, and [stop] from another
+   thread then completes. *)
+let test_interrupt_from_daemon_thread () =
+  let daemon = Daemon.create (keyed_repo ()) in
+  Daemon.set_extension daemon (function
+    | "halt" ->
+      Some
+        (Daemon.exclusive daemon (fun () ->
+             Daemon.interrupt daemon;
+             "halting"))
+    | _ -> None);
+  let path = Filename.temp_file "gkbms_int_srv" ".sock" in
+  Sys.remove path;
+  let listened = Atomic.make None in
+  let listener =
+    Thread.create (fun () -> Atomic.set listened (Some (Daemon.listen daemon ~path))) ()
+  in
+  let within seconds cond =
+    let rec go n = cond () || (n > 0 && (Thread.delay 0.01; go (n - 1))) in
+    go (int_of_float (seconds *. 100.))
+  in
+  check bool "listening" true (within 10. (fun () -> Sys.file_exists path));
+  let client = ok (Client.connect_unix path) in
+  check string "halt answered" "halting" (req_ok client "halt");
+  if not (within 10. (fun () -> Atomic.get listened <> None)) then
+    Alcotest.fail "listen did not return within 10 s of the interrupt";
+  Thread.join listener;
+  check bool "listen returned Ok" true (Atomic.get listened = Some (Ok ()));
+  let stopped = Atomic.make false in
+  let stopper =
+    Thread.create
+      (fun () ->
+        Daemon.stop daemon;
+        Atomic.set stopped true)
+      ()
+  in
+  if not (within 10. (fun () -> Atomic.get stopped)) then
+    Alcotest.fail "stop did not complete within 10 s";
+  Thread.join stopper;
+  check bool "socket unlinked" false (Sys.file_exists path);
+  Client.close client
 
 (* WAL-backed server ------------------------------------------------------ *)
 
@@ -971,8 +1100,8 @@ let test_group_commit_shares_fsyncs () =
   Daemon.stop daemon;
   Scratch.rm_rf dir
 
-(* the differential with pipelined clients, over the in-process
-   loopback or a real socket *)
+(* the differential with pipelined clients, over in-process connections
+   or a listening socket *)
 let differential_grouped ~socket () =
   let docs = 3 in
   let repo = keyed_repo ~docs () in
@@ -1064,8 +1193,8 @@ let test_socket_lifecycle () =
 
 (* A connection served from a spawned domain: once it closes, the domain
    must be able to finish while the daemon keeps running.  The daemon's
-   own threads (write flusher, idle reaper) must not be spawned inside
-   the domain — a thread pins the domain that created it. *)
+   own thread, the write flusher, must not be spawned inside the domain
+   — a thread pins the domain that created it. *)
 let test_session_domain_finishes () =
   let repo = keyed_repo ~docs:1 () in
   let daemon =
@@ -1257,7 +1386,7 @@ let suite =
     ("cache capacity bound", `Quick, test_cache_capacity);
     ("metrics accounting", `Quick, test_metrics);
     ("unknown verbs mint no series", `Quick, test_unknown_verbs_bounded);
-    ("loopback end-to-end session", `Quick, test_loopback_session);
+    ("in-process end-to-end session", `Quick, test_in_process_session);
     ("cache answers focus and config", `Quick, test_cache_answers_focus_and_config);
     ("sessions detach event listeners", `Quick, test_session_listener_leak);
     ("idle sessions hold no per-commit news", `Quick, test_idle_sessions_bounded);
@@ -1267,9 +1396,12 @@ let suite =
     ("a window wider than the limit over a socket", `Quick, test_wide_window_over_socket);
     ("a large reply within the window over a socket", `Quick, test_large_reply_over_socket);
     ("idle sessions are reaped", `Quick, test_idle_timeout);
+    ("a session waiting for the lock is not idle", `Quick, test_busy_session_not_idle);
+    ("an unread reply ends the session", `Quick, test_unread_reply_ends_session);
     ("abrupt disconnect cleans up", `Quick, test_abrupt_disconnect);
     ("connection churn drops thread handles", `Quick, test_worker_handles_dropped);
     ("unix socket end-to-end", `Quick, test_unix_socket);
+    ("interrupt from a daemon thread, then stop", `Quick, test_interrupt_from_daemon_thread);
     ("wal synced before response", `Quick, test_wal_recovery);
     ("differential: concurrent = sequential (cache on)", `Quick, test_differential_cached);
     ("differential: concurrent = sequential (cache off)", `Quick, test_differential_uncached);
