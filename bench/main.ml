@@ -478,7 +478,8 @@ let shape_scaling () =
       metric_f ("scaling_" ^ r.op ^ "_words_h") r.words_h;
       metric_f ("scaling_" ^ r.op ^ "_words_4h") r.words_4h;
       metric_f ("scaling_" ^ r.op ^ "_ratio") (Scaling.ratio r);
-      Option.iter (metric_f ("scaling_" ^ r.op ^ "_bound")) r.bound)
+      Option.iter (metric_f ("scaling_" ^ r.op ^ "_bound")) r.bound;
+      Option.iter (metric_f ("scaling_" ^ r.op ^ "_words_bound")) r.words_bound)
     rows;
   let failed = List.filter (fun r -> not (Scaling.passes r)) rows in
   if failed <> [] then

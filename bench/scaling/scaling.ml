@@ -25,18 +25,25 @@ type row = {
   words_h : float;
   words_4h : float;
   bound : float option;  (** the gate on [words_4h /. words_h], if any *)
+  words_bound : float option;  (** the gate on [words_h] and [words_4h], if any *)
 }
 
 let ratio r = r.words_4h /. r.words_h
-let passes r = match r.bound with Some b -> ratio r <= b | None -> true
+
+let passes r =
+  (match r.bound with Some b -> ratio r <= b | None -> true)
+  && match r.words_bound with Some w -> r.words_h <= w && r.words_4h <= w | None -> true
 
 (* The verbs whose answer is the target's neighbourhood, and [stats]
    and [unmapped], are gated at 1.5; [config] lists a whole level, so
-   it is allowed linear growth (1.5 × 4).  [edit] and [retract] are
-   reported only: a retraction still relabels the whole
-   reason-maintenance network. *)
+   it is allowed linear growth (1.5 × 4).  The ratios of [edit] and
+   [retract] are reported only: a retraction still relabels the whole
+   reason-maintenance network.  An edit is gated in absolute terms
+   instead: it writes 24 propositions (fig 3-3's record of a decision),
+   and recording them may cost at most [edit_bound] words. *)
 let neighbourhood = 1.5
 let whole_level = 1.5 *. 4.
+let edit_bound = 4000.
 
 (* the smaller history; the larger is 4H *)
 let h = 512
@@ -163,17 +170,21 @@ let measure h =
   (* the writes last: they change the state the reads measured *)
   let edit = edit_words repo sh in
   let retract = retract_words repo sh in
-  read @ [ ("edit", None, edit); ("retract", None, retract) ]
+  List.map (fun (op, bound, words) -> (op, bound, None, words)) read
+  @ [ ("edit", None, Some edit_bound, edit); ("retract", None, None, retract) ]
 
 let run () =
   let small = measure h in
   let large = measure (4 * h) in
   List.map2
-    (fun (op, bound, words_h) (_, _, words_4h) -> { op; words_h; words_4h; bound })
+    (fun (op, bound, words_bound, words_h) (_, _, _, words_4h) ->
+      { op; words_h; words_4h; bound; words_bound })
     small large
 
 let pp_row ppf r =
+  let verdict = if passes r then "ok" else "FAIL" in
   Format.fprintf ppf "%-8s %12.0f %12.0f %7.2f  %s" r.op r.words_h r.words_4h (ratio r)
-    (match r.bound with
-    | Some b -> Printf.sprintf "<= %.1f %s" b (if passes r then "ok" else "FAIL")
-    | None -> "(reported)")
+    (match (r.bound, r.words_bound) with
+    | Some b, _ -> Printf.sprintf "<= %.1f %s" b verdict
+    | None, Some w -> Printf.sprintf "words <= %.0f %s" w verdict
+    | None, None -> "(reported)")

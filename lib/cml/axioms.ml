@@ -34,8 +34,9 @@ let rule_class = Symbol.intern "Rule"
 let constraint_class = Symbol.intern "Constraint"
 let behaviour_class = Symbol.intern "Behaviour"
 
-let reserved_labels = [ instanceof; isa; rule; constraint_; behaviour ]
-let is_reserved_label l = List.exists (Symbol.equal l) reserved_labels
+let is_reserved_label l =
+  Symbol.equal l instanceof || Symbol.equal l isa || Symbol.equal l rule
+  || Symbol.equal l constraint_ || Symbol.equal l behaviour
 
 (** Propositions present in every knowledge base.  Individuals first so
     referential checks succeed during bootstrap. *)

@@ -30,35 +30,40 @@ let instance_ok kb ~inst ~cls =
 
 (* --- structural checks on a single proposition ----------------------- *)
 
-let check_referential kb (p : Prop.t) =
-  let missing which id =
-    violation p.id "referential-integrity" "%s %s of %s does not exist" which
-      (Symbol.name id) (Symbol.name p.id)
-  in
-  let base = Kb.base kb in
-  let acc = [] in
-  let acc = if Base.mem base p.source then acc else missing "source" p.source :: acc in
-  let acc = if Base.mem base p.dest then acc else missing "destination" p.dest :: acc in
-  acc
+let missing (p : Prop.t) which id =
+  violation p.id "referential-integrity" "%s %s of %s does not exist" which
+    (Symbol.name id) (Symbol.name p.id)
 
-let check_temporal kb (p : Prop.t) =
-  if Prop.is_individual p then []
+let contained (p : Prop.t) which id = function
+  | Some (endpoint : Prop.t) ->
+    if Time.during p.time endpoint.time then []
+    else
+      [
+        violation p.id "temporal-containment"
+          "valid time %s of %s exceeds %s %s's valid time %s"
+          (Time.to_string p.time) (Symbol.name p.id) which (Symbol.name id)
+          (Time.to_string endpoint.time);
+      ]
+  | None -> []
+
+(* Referential integrity (a missing destination reported before a
+   missing source), then temporal containment in the source's and the
+   destination's valid time, from one lookup of each endpoint. *)
+let check_endpoints kb (p : Prop.t) =
+  let base = Kb.base kb in
+  if Prop.is_individual p then
+    if Base.mem base p.id then []
+    else [ missing p "destination" p.dest; missing p "source" p.source ]
   else
-    let base = Kb.base kb in
-    let contained which id =
-      match Base.find base id with
-      | Some endpoint ->
-        if Time.during p.time endpoint.Prop.time then []
-        else
-          [
-            violation p.id "temporal-containment"
-              "valid time %s of %s exceeds %s %s's valid time %s"
-              (Time.to_string p.time) (Symbol.name p.id) which (Symbol.name id)
-              (Time.to_string endpoint.Prop.time);
-          ]
-      | None -> []
+    let source = Base.find base p.source and dest = Base.find base p.dest in
+    let referential =
+      match (source, dest) with
+      | Some _, Some _ -> []
+      | None, Some _ -> [ missing p "source" p.source ]
+      | Some _, None -> [ missing p "destination" p.dest ]
+      | None, None -> [ missing p "destination" p.dest; missing p "source" p.source ]
     in
-    contained "source" p.source @ contained "destination" p.dest
+    referential @ contained p "source" p.source source @ contained p "destination" p.dest dest
 
 let check_attribute_conformance kb (p : Prop.t) =
   if Prop.is_individual p || Axioms.is_reserved_label p.Prop.label then []
@@ -98,39 +103,23 @@ let check_attribute_conformance kb (p : Prop.t) =
               ]
           in
           bad_source @ bad_dest)
-    | None ->
-      (* a category with this label is defined on the source's classes:
-         the attribute should instantiate it *)
-      (match
-         List.find_opt
-           (fun c -> not (universal c))
-           (Kb.all_classes_of kb p.source)
-       with
-      | Some _ -> (
-        let defined =
-          List.exists
-            (fun c ->
-              List.exists
-                (fun (q : Prop.t) ->
-                  (not (Prop.is_individual q))
-                  && (not (Axioms.is_reserved_label q.Prop.label))
-                  && Symbol.equal q.Prop.label p.Prop.label)
-                (Base.by_source (Kb.base kb) c))
-            (Kb.all_classes_of kb p.source)
-        in
-        if defined then
-          [
-            violation p.id "attribute-classification"
-              "attribute %s of %s matches a class-level category but is not \
-               classified under it"
-              (Symbol.name p.Prop.label) (Symbol.name p.source);
-          ]
-        else [])
-      | None -> [])
+    | None -> (
+      (* a category with this label is defined on one of the source's
+         classes, not all of them universal: the attribute should
+         instantiate it.  The class walk is the write path's own
+         lookup; a second one runs only for a violation. *)
+      match Kb.attribute_class kb p.source p.label with
+      | Some _
+        when List.exists (fun c -> not (universal c)) (Kb.all_classes_of kb p.source) ->
+        [
+          violation p.id "attribute-classification"
+            "attribute %s of %s matches a class-level category but is not \
+             classified under it"
+            (Symbol.name p.Prop.label) (Symbol.name p.source);
+        ]
+      | Some _ | None -> [])
 
-let check_prop kb p =
-  check_referential kb p @ check_temporal kb p
-  @ check_attribute_conformance kb p
+let check_prop kb p = check_endpoints kb p @ check_attribute_conformance kb p
 
 (* --- isa acyclicity --------------------------------------------------- *)
 
@@ -185,6 +174,36 @@ let check_all kb =
   in
   structural @ cycles @ constraints
 
+(* The ids one [check_delta] has enqueued: open addressing over their
+   symbol codes, which a delta mints nearly consecutively, in one array
+   grown at half load. *)
+type seen = { mutable slots : int array; mutable used : int }
+
+(* [k] is in [seen] from slot [i] on, or is put in the first free one:
+   [true] when it was not there *)
+let rec probe seen k i =
+  let slots = seen.slots in
+  let v = slots.(i) in
+  if v = k then false
+  else if v < 0 then begin
+    slots.(i) <- k;
+    seen.used <- seen.used + 1;
+    true
+  end
+  else probe seen k ((i + 1) land (Array.length slots - 1))
+
+let rec mark seen id =
+  let slots = seen.slots in
+  if 2 * (seen.used + 1) > Array.length slots then begin
+    seen.slots <- Array.make (2 * Array.length slots) (-1);
+    seen.used <- 0;
+    Array.iter (fun k -> if k >= 0 then ignore (mark seen (Symbol.of_int k))) slots;
+    mark seen id
+  end
+  else
+    let k = Symbol.to_int id in
+    probe seen k (k land (Array.length slots - 1))
+
 let check_delta kb changes =
   let base = Kb.base kb in
   (* The structural re-check set: a newly ADDED proposition can only
@@ -198,37 +217,41 @@ let check_delta kb changes =
      into an O(base) scan.  REMOVALS keep the full expansion: deleting
      an object or link can break referential integrity, temporal
      containment, and conformance of anything incident to either
-     endpoint. *)
-  let isa_changed = ref false in
-  let props_to_check = ref [] in
-  let seen = ref Symbol.Set.empty in
+     endpoint.
+
+     Each proposition is checked as it is first enqueued, against the
+     state after the whole delta.  The violations come out last
+     enqueued first, each proposition's in its own order. *)
+  let seen = { slots = Array.make 64 (-1); used = 0 } in
+  let structural = ref [] in
   let enqueue (p : Prop.t) =
-    if not (Symbol.Set.mem p.id !seen) then begin
-      seen := Symbol.Set.add p.id !seen;
-      props_to_check := p :: !props_to_check
-    end
+    if mark seen p.id then
+      match check_prop kb p with [] -> () | vs -> structural := vs @ !structural
+  in
+  let incident s =
+    Base.iter_source base s enqueue;
+    Base.iter_dest base s enqueue
   in
   let expand s =
     (match Base.find base s with Some p -> enqueue p | None -> ());
-    List.iter enqueue (Base.by_source base s);
-    List.iter enqueue (Base.by_dest base s)
+    incident s
   in
+  let isa_changed = ref false in
   List.iter
     (fun change ->
-      let p =
-        match change with Base.Added p -> p | Base.Removed p -> p
-      in
-      if Symbol.equal p.Prop.label Axioms.isa then isa_changed := true;
       match change with
-      | Base.Added p -> enqueue p; expand p.Prop.id
+      | Base.Added p ->
+        if Symbol.equal p.Prop.label Axioms.isa then isa_changed := true;
+        (* [expand p.id]: the proposition now under [p.id] is enqueued
+           already, as [p.id] is *)
+        enqueue p;
+        incident p.Prop.id
       | Base.Removed p ->
+        if Symbol.equal p.Prop.label Axioms.isa then isa_changed := true;
         expand p.Prop.id;
         expand p.Prop.source;
         expand p.Prop.dest)
     changes;
-  let structural =
-    List.concat_map (fun p -> check_prop kb p) !props_to_check
-  in
   let cycles = if !isa_changed then check_isa_acyclic kb else [] in
   (* A class constraint is re-evaluated when an endpoint of a change
      (id, source or destination) is the class, one of its
@@ -271,4 +294,4 @@ let check_delta kb changes =
             acc (Base.by_source base cls))
       !constrained []
   in
-  structural @ cycles @ constraints
+  !structural @ cycles @ constraints

@@ -26,7 +26,12 @@ type instances = {
    being dropped (see [absorb]), so a commit that creates objects keeps
    its classes' sets.
 
-   [m] guards the three tables and the counters: a KB shared by server
+   The attribute classes a class defines are memoized per class too
+   ([class_attributes]): the write path classifies every attribute it
+   adds by them, and the consistency check tests unclassified
+   attributes against them.
+
+   [m] guards the four tables and the counters: a KB shared by server
    handlers on several domains (each client of the E18 and E22 benches,
    with the daemon thread serving its socket pair, has its own) takes
    closure queries from all of them.
@@ -38,6 +43,8 @@ type cache = {
   isa_up : Symbol.t list Symbol.Tbl.t;  (** isa_closure *)
   isa_down : Symbol.t list Symbol.Tbl.t;  (** isa_subs_closure *)
   all_instances : instances Symbol.Tbl.t;  (** all_instances_of *)
+  class_attrs : Prop.t list Symbol.Tbl.t;
+      (** a class's own attribute propositions, newest first *)
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
@@ -104,23 +111,23 @@ let g_cache_invalidations =
   Obs.Registry.counter Obs.Registry.default "gkbms_kb_cache_invalidations_total"
     ~help:"KB closure cache entries dropped by selective invalidation"
 
-(* [compute] answers [None] when [x] needs no entry: its closure is
+(* [compute t x] answers [None] when [x] needs no entry: its closure is
    empty and found with one index probe.  Such lookups count as neither
    hit nor miss.  [read] turns an entry into its closure (under the
    lock) and [entry] a fresh closure into an entry. *)
 let memo t tbl x ~read ~entry compute =
   let c = t.cache in
   Mutex.lock c.m;
-  match Symbol.Tbl.find_opt tbl x with
-  | Some e ->
+  match Symbol.Tbl.find tbl x with
+  | e ->
     c.hits <- c.hits + 1;
     let v = read e in
     Mutex.unlock c.m;
     Obs.Registry.Counter.inc g_cache_hits;
     v
-  | None -> (
+  | exception Not_found -> (
     Mutex.unlock c.m;
-    match compute x with
+    match compute t x with
     | None -> []
     | Some v ->
       Mutex.lock c.m;
@@ -132,15 +139,14 @@ let memo t tbl x ~read ~entry compute =
 
 (* only objects with a generalization get an entry: an individual's
    closure is [] *)
-let isa_closure t x =
-  memo t t.cache.isa_up x ~read:Fun.id ~entry:Fun.id (fun x ->
-      match dests_by t x Axioms.isa with
-      | [] -> None
-      | _ -> Some (closure (fun y -> dests_by t y Axioms.isa) x))
+let isa_up t x =
+  match Base.by_source_label t.base x Axioms.isa with
+  | [] -> None
+  | _ -> Some (closure (fun y -> dests_by t y Axioms.isa) x)
 
-let isa_subs_closure t x =
-  memo t t.cache.isa_down x ~read:Fun.id ~entry:Fun.id (fun x ->
-      Some (closure (fun y -> sources_by t y Axioms.isa) x))
+let isa_down t x = Some (closure (fun y -> sources_by t y Axioms.isa) x)
+let isa_closure t x = memo t t.cache.isa_up x ~read:Fun.id ~entry:Fun.id isa_up
+let isa_subs_closure t x = memo t t.cache.isa_down x ~read:Fun.id ~entry:Fun.id isa_down
 
 let[@tail_mod_cons] rec merge xs ys =
   match (xs, ys) with
@@ -174,15 +180,14 @@ let all_classes_of t x =
       end)
     (direct @ inherited)
 
+let instances_entry members = { members; absorbed = []; room = List.length members }
+
+let all_instances t c =
+  let classes = c :: isa_subs_closure t c in
+  Some (List.sort_uniq Symbol.compare (List.concat_map (fun c -> instances_of t c) classes))
+
 let all_instances_of t c =
-  memo t t.cache.all_instances c ~read:read_instances
-    ~entry:(fun members ->
-      { members; absorbed = []; room = List.length members })
-    (fun c ->
-      let classes = c :: isa_subs_closure t c in
-      Some
-        (List.sort_uniq Symbol.compare
-           (List.concat_map (fun c -> instances_of t c) classes)))
+  memo t t.cache.all_instances c ~read:read_instances ~entry:instances_entry all_instances
 
 let instance_memos t =
   Mutex.lock t.cache.m;
@@ -242,9 +247,12 @@ let invalidate_for_change t change =
   let c = t.cache in
   if Prop.is_individual p then begin
     (* an object appearing or disappearing only touches its own entries *)
-    cache_drop t c.isa_up p.id;
-    cache_drop t c.isa_down p.id;
-    cache_drop t c.all_instances p.id
+    Mutex.lock c.m;
+    cache_drop_unlocked t c.isa_up p.id;
+    cache_drop_unlocked t c.isa_down p.id;
+    cache_drop_unlocked t c.all_instances p.id;
+    cache_drop_unlocked t c.class_attrs p.id;
+    Mutex.unlock c.m
   end
   else if Symbol.equal p.label Axioms.isa then begin
     (* an isa edge source -> dest changes the up-closure of everything
@@ -266,7 +274,10 @@ let invalidate_for_change t change =
     | Base.Added _ -> List.iter (fun cls -> absorb t cls p.source) classes
     | Base.Removed _ -> List.iter (fun cls -> cache_drop t c.all_instances cls) classes
   end
-(* attribute and other link propositions do not affect the closures *)
+  else if not (Axioms.is_reserved_label p.label) then
+    (* an attribute changes its source's attribute classes; the other
+       links affect no memo *)
+    cache_drop t c.class_attrs p.source
 
 let cache_stats t =
   Mutex.lock t.cache.m;
@@ -277,16 +288,24 @@ let cache_stats t =
       invalidations = t.cache.invalidations;
       entries =
         Symbol.Tbl.length t.cache.isa_up + Symbol.Tbl.length t.cache.isa_down
-        + Symbol.Tbl.length t.cache.all_instances;
+        + Symbol.Tbl.length t.cache.all_instances
+        + Symbol.Tbl.length t.cache.class_attrs;
     }
   in
   Mutex.unlock t.cache.m;
   s
 
+let rec mem_sym x = function
+  | [] -> false
+  | y :: rest -> Symbol.equal x y || mem_sym x rest
+
+let rec classified t cls = function
+  | [] -> false
+  | (p : Prop.t) :: rest ->
+    Symbol.equal p.dest cls || mem_sym cls (isa_closure t p.dest) || classified t cls rest
+
 let is_instance t ~inst ~cls =
-  List.exists
-    (fun c -> Symbol.equal c cls || List.exists (Symbol.equal cls) (isa_closure t c))
-    (dests_by t inst Axioms.instanceof)
+  classified t cls (Base.by_source_label t.base inst Axioms.instanceof)
 
 (* Creation with axiom checks ------------------------------------------- *)
 
@@ -329,35 +348,14 @@ let remove_proposition t id =
         (List.length dependents)
     else Base.remove t.base id
 
-let declare ?(time = Time.always) t name =
-  let id = Symbol.intern name in
-  if Base.mem t.base id then Ok id
-  else
-    match Base.insert t.base (Prop.individual ~time id) with
-    | Ok () -> Ok id
-    | Error e -> Error e
-
-let link ?(time = Time.always) ?id t source label dest =
-  let id =
-    match id with Some i -> Symbol.intern i | None -> Prop.fresh_id ()
-  in
-  let p =
-    Prop.make ~time ~id ~source:(Symbol.intern source) ~label
-      ~dest:(Symbol.intern dest) ()
-  in
-  match create_proposition t p with Ok () -> Ok p | Error e -> Error e
-
-let add_instanceof ?time t ~inst ~cls = link ?time t inst Axioms.instanceof cls
-let add_isa ?time t ~sub ~super = link ?time t sub Axioms.isa super
-
 (* Attributes ------------------------------------------------------------ *)
 
 let is_attribute_prop (p : Prop.t) =
   (not (Prop.is_individual p)) && not (Axioms.is_reserved_label p.label)
 
 let category_of t id =
-  match dests_by t id Axioms.instanceof with
-  | c :: _ -> Some c
+  match Base.by_source_label t.base id Axioms.instanceof with
+  | p :: _ -> Some p.dest
   | [] -> None
 
 let attributes t ?category x =
@@ -389,46 +387,82 @@ let attribute_values t x label =
       else acc)
     []
 
-(* find the attribute class labelled [category] on one of [source]'s
-   classes, most specific class first *)
-let find_attribute_class t source category =
-  let cat = Symbol.intern category in
-  let classes = all_classes_of t source in
-  let rec search = function
-    | [] -> None
-    | c :: rest -> (
-      let candidates =
-        Base.fold_source t.base c
-          (fun (p : Prop.t) acc ->
-            if is_attribute_prop p && Symbol.equal p.label cat then p :: acc
-            else acc)
-          []
-      in
-      match candidates with p :: _ -> Some p | [] -> search rest)
-  in
-  search classes
+(* a class without attributes needs no entry *)
+let own_attributes t c = match attributes t c with [] -> None | attrs -> Some attrs
+let class_attributes t c = memo t t.cache.class_attrs c ~read:Fun.id ~entry:Fun.id own_attributes
 
-let add_attribute ?time ?category ?id t ~source ~label ~dest =
-  let label_sym = Symbol.intern label in
-  if Axioms.is_reserved_label label_sym then
-    err "label %s is reserved" label
+let rec labelled label = function
+  | [] -> None
+  | (p : Prop.t) :: rest ->
+    if Symbol.equal p.label label then Some p else labelled label rest
+
+(* the first of [classes] defining an attribute labelled [label] *)
+let rec defining t label = function
+  | [] -> None
+  | c :: rest -> (
+    match labelled label (class_attributes t c) with
+    | Some _ as found -> found
+    | None -> defining t label rest)
+
+let rec inherited t label = function
+  | [] -> None
+  | c :: rest -> (
+    match defining t label (isa_closure t c) with
+    | Some _ as found -> found
+    | None -> inherited t label rest)
+
+(* The first of [source]'s classes in {!all_classes_of} order (its
+   explicit classes, then what they inherit) that defines an attribute
+   labelled [label]; a class's newest such attribute.  A class met
+   twice was passed over the first time, so no dedup is needed. *)
+let attribute_class t source label =
+  let direct = classes_of t source in
+  match defining t label direct with
+  | Some _ as found -> found
+  | None -> inherited t label direct
+
+(* The symbol-typed write path; the string-typed functions below
+   intern their names and call these. *)
+
+let declare_sym ?(time = Time.always) t id =
+  match Base.insert t.base (Prop.individual ~time id) with
+  | Ok () -> Ok id
+  | Error _ when Base.mem t.base id -> Ok id
+  | Error e -> Error e
+
+let link ?(time = Time.always) ?id t source label dest =
+  let id = match id with Some i -> i | None -> Prop.fresh_id () in
+  let p = Prop.make ~time ~id ~source ~label ~dest () in
+  match create_proposition t p with Ok () -> Ok p | Error e -> Error e
+
+let add_instanceof_sym ?time t ~inst ~cls = link ?time t inst Axioms.instanceof cls
+
+let add_attribute_sym ?time ?category ?id t ~source ~label ~dest =
+  if Axioms.is_reserved_label label then err "label %a is reserved" Symbol.pp label
   else
-    match link ?time ?id t source label_sym dest with
+    match link ?time ?id t source label dest with
     | Error e -> Error e
     | Ok p -> (
-      let category = match category with Some c -> Some c | None -> Some label in
-      match category with
-      | None -> Ok p
-      | Some cat -> (
-        match find_attribute_class t (Symbol.intern source) cat with
-        | None -> Ok p (* uncategorized: flagged by the consistency checker *)
-        | Some cls_attr -> (
-          match
-            link ?time t (Symbol.name p.id) Axioms.instanceof
-              (Symbol.name cls_attr.Prop.id)
-          with
-          | Ok _ -> Ok p
-          | Error e -> Error e)))
+      let category = match category with Some c -> c | None -> label in
+      match attribute_class t source category with
+      | None -> Ok p (* uncategorized: flagged by the consistency checker *)
+      | Some cls_attr -> (
+        match link ?time t p.id Axioms.instanceof cls_attr.Prop.id with
+        | Ok _ -> Ok p
+        | Error e -> Error e))
+
+let declare ?time t name = declare_sym ?time t (Symbol.intern name)
+
+let add_instanceof ?time t ~inst ~cls =
+  add_instanceof_sym ?time t ~inst:(Symbol.intern inst) ~cls:(Symbol.intern cls)
+
+let add_isa ?time t ~sub ~super =
+  link ?time t (Symbol.intern sub) Axioms.isa (Symbol.intern super)
+
+let add_attribute ?time ?category ?id t ~source ~label ~dest =
+  let intern = Symbol.intern in
+  add_attribute_sym ?time ?category:(Option.map intern category) ?id:(Option.map intern id) t
+    ~source:(intern source) ~label:(intern label) ~dest:(intern dest)
 
 (* Rules, constraints, behaviours ----------------------------------------- *)
 
@@ -439,22 +473,21 @@ let add_rule t ~name clause =
     match declare t name with
     | Error e -> Error e
     | Ok id -> (
-      match
-        link t name Axioms.instanceof (Symbol.name Axioms.rule_class)
-      with
+      match link t id Axioms.instanceof Axioms.rule_class with
       | Error e -> Error e
       | Ok _ ->
         t.rules <- (id, clause) :: t.rules;
         Ok ())
 
 let add_constraint t ~name ~cls formula =
-  if not (Base.mem t.base (Symbol.intern cls)) then
+  let cls_id = Symbol.intern cls in
+  if not (Base.mem t.base cls_id) then
     err "constraint target class %s does not exist" cls
   else
     match declare t name with
     | Error e -> Error e
     | Ok id -> (
-      match link t cls Axioms.constraint_ name with
+      match link t cls_id Axioms.constraint_ id with
       | Error e -> Error e
       | Ok _ ->
         Symbol.Tbl.replace t.constraint_defs id formula;
@@ -479,8 +512,8 @@ let add_behaviour t ~cls ~event f =
     let event_obj = Printf.sprintf "%s!%s" cls event in
     match declare t event_obj with
     | Error e -> Error e
-    | Ok _ -> (
-      match link t cls Axioms.behaviour event_obj with
+    | Ok event_id -> (
+      match link t cls_id Axioms.behaviour event_id with
       | Error e -> Error e
       | Ok _ ->
         t.behaviour_defs <- (cls_id, event, f) :: t.behaviour_defs;
@@ -741,6 +774,7 @@ let create () =
           isa_up = Symbol.Tbl.create 256;
           isa_down = Symbol.Tbl.create 256;
           all_instances = Symbol.Tbl.create 256;
+          class_attrs = Symbol.Tbl.create 64;
           hits = 0;
           misses = 0;
           invalidations = 0;

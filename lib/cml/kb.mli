@@ -23,15 +23,47 @@ val now : t -> Time.point
 val tick : t -> Time.point
 (** Advance the KB's logical clock (used for belief-time stamping). *)
 
-(** {1 Creating propositions} *)
+(** {1 Creating propositions}
 
-val declare : ?time:Time.t -> t -> string -> (Prop.id, string) result
+    Each write comes in two forms.  The symbol-typed entry points
+    ({!declare_sym}, {!link}, {!add_instanceof_sym},
+    {!add_attribute_sym}) take the ids a caller already holds; the write
+    path of a decision uses them, so no name goes from symbol to string
+    and back.  The string-typed ones intern their names and call them:
+    both store the same propositions under the same ids. *)
+
+val declare_sym : ?time:Time.t -> t -> Prop.id -> (Prop.id, string) result
 (** Create an individual object.  Idempotent: re-declaring an existing
     object returns its id. *)
 
+val link :
+  ?time:Time.t -> ?id:Prop.id -> t -> Prop.id -> Symbol.t -> Prop.id ->
+  (Prop.t, string) result
+(** [link t source label dest] creates the link [<source, label, dest>]
+    under [id] (default a {!Prop.fresh_id}), checked against the axioms:
+    both endpoints must exist, and an [isa] link may not close a cycle.
+    It classifies nothing. *)
+
+val add_instanceof_sym :
+  ?time:Time.t -> t -> inst:Prop.id -> cls:Prop.id -> (Prop.t, string) result
+(** Classification link.  Both endpoints must exist. *)
+
+val add_attribute_sym :
+  ?time:Time.t -> ?category:Symbol.t -> ?id:Prop.id -> t -> source:Prop.id ->
+  label:Symbol.t -> dest:Prop.id -> (Prop.t, string) result
+(** Aggregation.  The new proposition is classified under the
+    {!attribute_class} named [category] (default: the label) of the
+    source, per the instantiation principle "links labeled with small
+    letters are instances of those denoted by capitals"; with none, it
+    stays unclassified, and {!Consistency} flags it if one of the
+    source's classes defines its label. *)
+
+val declare : ?time:Time.t -> t -> string -> (Prop.id, string) result
+(** {!declare_sym} of the interned name. *)
+
 val add_instanceof :
   ?time:Time.t -> t -> inst:string -> cls:string -> (Prop.t, string) result
-(** Classification link.  Both endpoints must exist. *)
+(** {!add_instanceof_sym} of the interned names. *)
 
 val add_isa :
   ?time:Time.t -> t -> sub:string -> super:string -> (Prop.t, string) result
@@ -40,11 +72,7 @@ val add_isa :
 val add_attribute :
   ?time:Time.t -> ?category:string -> ?id:string -> t -> source:string ->
   label:string -> dest:string -> (Prop.t, string) result
-(** Aggregation.  When [category] is given (or the label matches), the
-    new proposition is classified under the attribute class of that name
-    defined on (a superclass of) one of the source's classes, per the
-    instantiation principle "links labeled with small letters are
-    instances of those denoted by capitals". *)
+(** {!add_attribute_sym} of the interned names. *)
 
 val create_proposition : t -> Prop.t -> (unit, string) result
 (** Raw axiom-checked insertion (the paper's [create_proposition(p)]). *)
@@ -89,8 +117,9 @@ type cache_stats = {
 }
 
 val cache_stats : t -> cache_stats
-(** Counters for the class-level closure memos behind {!isa_closure},
-    {!all_instances_of} and the generalization closure those use.  The
+(** Counters for the class-level memos behind {!isa_closure},
+    {!all_instances_of}, the generalization closure those use and
+    {!attribute_class}.  The
     memos subscribe to base changes and invalidate only the affected
     entries, so steady-state class-level queries are O(1).  An object
     without a generalization gets no entry (its closure is [[]]), and
@@ -123,6 +152,15 @@ val attribute_values : t -> Prop.id -> string -> Prop.id list
 
 val category_of : t -> Prop.id -> Prop.id option
 (** The attribute class a given attribute proposition instantiates. *)
+
+val attribute_class : t -> Prop.id -> Symbol.t -> Prop.t option
+(** [attribute_class t x label] is the attribute class labelled [label]
+    that [x]'s classes define: the newest such attribute of the first
+    class in {!all_classes_of} order that has one.  Each class's own
+    attributes are memoized per class (an entry of {!cache_stats}; a
+    class without attributes gets none) and dropped when an attribute
+    of that class is added or removed, so the write path and the
+    consistency check share the lookups. *)
 
 (** {1 Deduction, constraints, behaviours} *)
 

@@ -19,38 +19,43 @@ let attribute_kind kb (p : Prop.t) =
   | None -> `Other
   | Some cat -> (
     match Kb.find kb cat with
-    | Some cp when Symbol.equal cp.Prop.label (Symbol.intern Metamodel.from_cat)
-      -> `Input
-    | Some cp when Symbol.equal cp.Prop.label (Symbol.intern Metamodel.to_cat)
-      -> `Output
+    | Some cp when String.equal (Symbol.name cp.Prop.label) Metamodel.from_cat -> `Input
+    | Some cp when String.equal (Symbol.name cp.Prop.label) Metamodel.to_cat -> `Output
     | Some _ | None -> `Other)
 
-(* The role attributes of a decision class, then of its
-   generalizations; a label's first attribute decides its kind. *)
-let role_attributes kb dc =
-  List.concat_map (Kb.attributes kb) (dc :: Kb.isa_closure kb dc)
+(* A decision class's role attributes, each classified once: those of
+   the class, then of its generalizations, with the class each role's
+   object must instantiate.  One decision reads them once, for its
+   input binding, both role checks and its record. *)
+type role = { label : Symbol.t; kind : [ `Input | `Output | `Other ]; cls : Prop.id }
 
-let rec role_kind kb label = function
-  | [] -> `Other
-  | (p : Prop.t) :: rest ->
-    if Symbol.equal p.label label then attribute_kind kb p
-    else role_kind kb label rest
-
-(* FROM/TO signature of a decision class *)
-let signature repo dc kind =
-  let kb = Repo.kb repo in
-  let dc = Symbol.intern dc in
+let roles_of kb dc =
   List.concat_map
     (fun c ->
-      List.filter_map
-        (fun (p : Prop.t) ->
-          if attribute_kind kb p = kind then Some (Symbol.name p.label, p.dest)
-          else None)
+      List.map
+        (fun (p : Prop.t) -> { label = p.label; kind = attribute_kind kb p; cls = p.dest })
         (Kb.attributes kb c))
     (dc :: Kb.isa_closure kb dc)
 
+(* a label's first role attribute decides its kind *)
+let rec role_kind label = function
+  | [] -> `Other
+  | r :: rest -> if Symbol.equal r.label label then r.kind else role_kind label rest
+
+(* the class the first role of [kind] named [name] requires *)
+let rec role_class kind name = function
+  | [] -> None
+  | r :: rest ->
+    if r.kind = kind && String.equal (Symbol.name r.label) name then Some r.cls
+    else role_class kind name rest
+
+(* FROM/TO signature of a decision class *)
+let signature repo dc kind =
+  List.filter_map
+    (fun r -> if r.kind = kind then Some (Symbol.name r.label, r.cls) else None)
+    (roles_of (Repo.kb repo) (Symbol.intern dc))
+
 let from_signature repo dc = signature repo dc `Input
-let to_signature repo dc = signature repo dc `Output
 
 (* role conformance, omega-level aware: an object fills a role typed by a
    class when it instantiates it, or — when the role is typed by a
@@ -103,12 +108,11 @@ type executed = {
   obligations : (string * [ `Open | `Guaranteed of string ]) list;
 }
 
-let check_inputs repo dc inputs =
-  let signature = from_signature repo dc in
+let check_inputs repo roles dc inputs =
   let rec loop = function
     | [] -> Ok ()
     | (role, obj) :: rest -> (
-      match List.assoc_opt role signature with
+      match role_class `Input role roles with
       | None ->
         Error (Printf.sprintf "decision class %s has no FROM role %s" dc role)
       | Some cls ->
@@ -121,12 +125,11 @@ let check_inputs repo dc inputs =
   if inputs = [] then Error "a decision needs at least one input object"
   else loop inputs
 
-let check_outputs repo dc outputs =
-  let signature = to_signature repo dc in
+let check_outputs repo roles dc outputs =
   let rec loop = function
     | [] -> Ok ()
     | (out : Repo.output) :: rest -> (
-      match List.assoc_opt out.role signature with
+      match role_class `Output out.role roles with
       | None ->
         Error (Printf.sprintf "decision class %s has no TO role %s" dc out.role)
       | Some cls ->
@@ -162,7 +165,7 @@ type record = {
 let read_record repo dec =
   let kb = Repo.kb repo in
   let cls = match Kb.classes_of kb dec with c :: _ -> Some c | [] -> None in
-  let roles = match cls with Some dc -> role_attributes kb dc | None -> [] in
+  let roles = match cls with Some dc -> roles_of kb dc | None -> [] in
   let inputs = ref [] and outputs = ref [] in
   let tool = ref None and assumptions = ref None and asserts = ref None in
   (* the attribute links, last to first as [Kb.attributes] lists them:
@@ -171,7 +174,7 @@ let read_record repo dec =
   Store.Base.fold_source (Kb.base kb) dec
     (fun (p : Prop.t) () ->
       if not (Prop.is_individual p || Cml.Axioms.is_reserved_label p.label) then begin
-        (match role_kind kb p.label roles with
+        (match role_kind p.label roles with
         | `Input -> inputs := (Symbol.name p.label, p.dest) :: !inputs
         | `Output -> outputs := (Symbol.name p.label, p.dest) :: !outputs
         | `Other -> ());
@@ -195,23 +198,24 @@ let inputs_of repo dec = (read_record repo dec).inputs
 let outputs_of repo dec = (read_record repo dec).outputs
 
 (* The kind [read_record] sorts the link [p] into from its source, or
-   [`Other] when the source is not a logged decision.  The cheap tests
-   run first, so the links of other kinds into a hub — a tool's [by]
-   links, a class's instances — are passed over without allocating. *)
+   [`Other] when the source is not a logged decision.  The label is
+   tested before the log, so the links of other kinds into a hub — a
+   tool's [by] links, a class's instances — are passed over without a
+   table lookup or an allocation. *)
 let link_kind repo (p : Prop.t) =
-  if not (Repo.is_logged repo p.source) then `Other
+  let role = Symbol.name p.label in
+  if
+    String.equal role "by" || String.equal role "rationale"
+    || String.equal role "obligation"
+    || Prop.is_individual p
+    || Cml.Axioms.is_reserved_label p.label
+    || not (Repo.is_logged repo p.source)
+  then `Other
   else
-    let role = Symbol.name p.label in
-    if
-      role = "by" || role = "rationale" || role = "obligation"
-      || Prop.is_individual p
-      || Cml.Axioms.is_reserved_label p.label
-    then `Other
-    else
-      let kb = Repo.kb repo in
-      match Kb.classes_of kb p.source with
-      | dc :: _ -> role_kind kb p.label (role_attributes kb dc)
-      | [] -> `Other
+    let kb = Repo.kb repo in
+    match Kb.classes_of kb p.source with
+    | dc :: _ -> role_kind p.label (roles_of kb dc)
+    | [] -> `Other
 
 let consumers repo obj =
   Store.Base.fold_dest (Kb.base (Repo.kb repo)) obj
@@ -281,31 +285,35 @@ let install_justifications repo dec =
       (fun (asm, defeater) ->
         let asm_node = J.node j asm in
         justify ~outlist:[ J.node j defeater ]
-          ~reason:(Printf.sprintf "assumption %s (unless %s)" asm defeater)
+          ~reason:(String.concat "" [ "assumption "; asm; " (unless "; defeater; ")" ])
           asm_node;
         asm_node)
       (pairs (text_of repo r.assumptions))
   in
   let how =
-    String.concat " by " (List.filter_map (Option.map Symbol.name) [ r.cls; r.tool ])
+    match (r.cls, r.tool) with
+    | Some c, Some t -> Symbol.name c ^ " by " ^ Symbol.name t
+    | Some s, None | None, Some s -> Symbol.name s
+    | None, None -> ""
   in
   let dec_node = J.node j dec_name in
   justify
     ~inlist:(input_nodes @ assumption_nodes)
-    ~reason:(Printf.sprintf "decision %s (%s)" dec_name how)
+    ~reason:(String.concat "" [ "decision "; dec_name; " ("; how; ")" ])
     dec_node;
   List.iter
     (fun (_, out) ->
+      let out = Symbol.name out in
       justify ~inlist:[ dec_node ]
-        ~reason:(Printf.sprintf "%s created by %s" (Symbol.name out) dec_name)
-        (J.node j (Symbol.name out)))
+        ~reason:(String.concat "" [ out; " created by "; dec_name ])
+        (J.node j out))
     r.outputs;
   (* facts the decision establishes — typically the defeaters of
      earlier assumptions ("other subclasses of Papers exist") *)
   List.iter
     (fun fact ->
       justify ~inlist:[ dec_node ]
-        ~reason:(Printf.sprintf "%s established by %s" fact dec_name)
+        ~reason:(String.concat "" [ fact; " established by "; dec_name ])
         (J.node j fact))
     (entries (text_of repo r.asserts));
   Repo.record_justifications repo dec !added
@@ -313,215 +321,189 @@ let install_justifications repo dec =
 let rebuild_jtms repo =
   List.iter (install_justifications repo) (Repo.decision_log repo)
 
+(* A text object [OWNER!SUFFIX] holding [text], linked from [owner]
+   under [label]. *)
 let attach_text repo ~owner ~label ~suffix text =
-  let name = Printf.sprintf "%s!%s" owner suffix in
-  let* _ = Kb.declare (Repo.kb repo) name in
-  let* _ =
-    Kb.add_instanceof (Repo.kb repo) ~inst:name ~cls:Metamodel.text_object
-  in
-  Repo.set_artifact repo (Symbol.intern name) (Repo.Text text);
-  let* _ =
-    Kb.add_attribute (Repo.kb repo) ~source:owner ~label ~dest:name
-  in
-  Ok name
+  let kb = Repo.kb repo in
+  let* id = Kb.declare kb (Symbol.name owner ^ "!" ^ suffix) in
+  let* _ = Kb.add_instanceof_sym kb ~inst:id ~cls:(Symbol.intern Metamodel.text_object) in
+  Repo.set_artifact repo id (Repo.Text text);
+  let label = Symbol.intern label in
+  let* _ = Kb.add_attribute_sym kb ~source:owner ~label ~dest:id in
+  Ok ()
 
-let execute repo ~decision_class ~tool ~inputs ?(params = []) ?(rationale = "")
-    ?(assumptions = []) ?(asserts = []) () =
+let rec all_ok f = function
+  | [] -> Ok ()
+  | x :: rest -> ( match f x with Ok () -> all_ok f rest | Error _ as e -> e)
+
+(* The checks and the transaction of {!execute}, for a decision class
+   that exists, given its role attributes. *)
+let execute_roles repo roles ~decision_class ~tool ~inputs ~params ~rationale ~assumptions
+    ~asserts =
   Obs.Trace.with_span "decision.execute"
     ~attrs:[ ("class", decision_class); ("tool", tool) ]
   @@ fun () ->
   let kb = Repo.kb repo in
   let base = Kb.base kb in
-  if not (Kb.exists kb decision_class) then
-    Error (Printf.sprintf "unknown decision class %s" decision_class)
-  else
-    match Repo.find_tool repo tool with
-    | None -> Error (Printf.sprintf "unknown tool %s" tool)
-    | Some tool_spec ->
-      let dc_and_supers =
-        decision_class
-        :: List.map Symbol.name
-             (Kb.isa_closure kb (Symbol.intern decision_class))
+  match Repo.find_tool repo tool with
+  | None -> Error (Printf.sprintf "unknown tool %s" tool)
+  | Some tool_spec ->
+    let dc = Symbol.intern decision_class in
+    let dc_and_supers = decision_class :: List.map Symbol.name (Kb.isa_closure kb dc) in
+    if not (List.mem tool_spec.executes dc_and_supers) then
+      Error
+        (Printf.sprintf "tool %s executes %s, not %s" tool tool_spec.executes
+           decision_class)
+    else
+      let* () =
+        Obs.Trace.with_span "decision.check_inputs" (fun () ->
+            check_inputs repo roles decision_class inputs)
       in
-      if not (List.mem tool_spec.executes dc_and_supers) then
-        Error
-          (Printf.sprintf "tool %s executes %s, not %s" tool
-             tool_spec.executes decision_class)
-      else
+      ignore (Repo.drain_changes repo);
+      Repo.emit_event repo (Repo.Decision_begun decision_class);
+      Store.Base.begin_tx base;
+      let rollback err =
+        (match Store.Base.rollback base with Ok () -> () | Error _ -> ());
+        Repo.emit_event repo (Repo.Decision_aborted err);
+        (* no decision id exists on the abort path, so the flight
+           recorder keys the event by class *)
+        Obs.Recorder.record ~decision:decision_class (Obs.Recorder.Aborted err);
+        Error err
+      in
+      let result =
+        let* outputs =
+          Obs.Trace.with_span "decision.tool_run" (fun () ->
+              tool_spec.run repo ~inputs ~params)
+        in
         let* () =
-          Obs.Trace.with_span "decision.check_inputs" (fun () ->
-              check_inputs repo decision_class inputs)
+          Obs.Trace.with_span "decision.check_outputs" (fun () ->
+              check_outputs repo roles decision_class outputs)
         in
-        ignore (Repo.drain_changes repo);
-        Repo.emit_event repo (Repo.Decision_begun decision_class);
-        Store.Base.begin_tx base;
-        let rollback err =
-          (match Store.Base.rollback base with Ok () -> () | Error _ -> ());
-          Repo.emit_event repo (Repo.Decision_aborted err);
-          (* no decision id exists on the abort path, so the flight
-             recorder keys the event by class *)
-          Obs.Recorder.record ~decision:decision_class
-            (Obs.Recorder.Aborted err);
-          Error err
-        in
-        let result =
-          let* outputs =
-            Obs.Trace.with_span "decision.tool_run" (fun () ->
-                tool_spec.run repo ~inputs ~params)
-          in
-          let* () =
-            Obs.Trace.with_span "decision.check_outputs" (fun () ->
-                check_outputs repo decision_class outputs)
-          in
-          (* the decision instance and its links *)
-          let dec_name = Repo.fresh_decision_id repo in
-          (* everything between tool run and consistency check: the
-             decision instance, its links and texts *)
-          let* dec_id, obligations =
-            Obs.Trace.with_span "decision.bookkeeping" @@ fun () ->
-            Obs.Recorder.record ~decision:dec_name
-              (Obs.Recorder.Execute_begun decision_class);
+        let dec_name = Repo.fresh_decision_id repo in
+        (* everything between tool run and consistency check: the
+           decision instance, its links and texts *)
+        let* dec_id, obligations =
+          Obs.Trace.with_span "decision.bookkeeping" @@ fun () ->
+          Obs.Recorder.record ~decision:dec_name (Obs.Recorder.Execute_begun decision_class);
           let* dec_id = Kb.declare kb dec_name in
-          let* _ = Kb.add_instanceof kb ~inst:dec_name ~cls:decision_class in
-          let* () =
-            List.fold_left
-              (fun acc (role, obj) ->
-                let* () = acc in
-                let* _ =
-                  Kb.add_attribute kb ~category:role ~source:dec_name
-                    ~label:role ~dest:(Symbol.name obj)
-                in
-                Ok ())
-              (Ok ()) inputs
+          let* _ = Kb.add_instanceof_sym kb ~inst:dec_id ~cls:dc in
+          let role_link role obj =
+            let role = Symbol.intern role in
+            let* _ = Kb.add_attribute_sym kb ~category:role ~source:dec_id ~label:role ~dest:obj in
+            Ok ()
           in
+          let* () = all_ok (fun (role, obj) -> role_link role obj) inputs in
           let* () =
-            List.fold_left
-              (fun acc (out : Repo.output) ->
-                let* () = acc in
-                let* _ =
-                  Kb.add_attribute kb ~category:out.role ~source:dec_name
-                    ~label:out.role ~dest:(Symbol.name out.obj)
-                in
+            all_ok
+              (fun (out : Repo.output) ->
+                let* () = role_link out.role out.obj in
                 (* conversely, the output is justified by the decision *)
-                let* _ =
-                  Kb.add_attribute kb ~source:(Symbol.name out.obj)
-                    ~label:Metamodel.justification_cat ~dest:dec_name
-                in
+                let label = Symbol.intern Metamodel.justification_cat in
+                let* _ = Kb.add_attribute_sym kb ~source:out.obj ~label ~dest:dec_id in
                 Ok ())
-              (Ok ()) outputs
+              outputs
           in
+          let label = Symbol.intern "by" in
           let* _ =
-            Kb.add_attribute kb ~category:Metamodel.by_cat ~source:dec_name
-              ~label:"by" ~dest:tool
+            Kb.add_attribute_sym kb ~category:(Symbol.intern Metamodel.by_cat) ~source:dec_id
+              ~label ~dest:(Symbol.intern tool)
+          in
+          let text ~label ~suffix = function
+            | None -> Ok ()
+            | Some text -> attach_text repo ~owner:dec_id ~label ~suffix text
           in
           let* () =
-            if rationale = "" then Ok ()
-            else
-              let* _ =
-                attach_text repo ~owner:dec_name ~label:"rationale"
-                  ~suffix:"rationale" rationale
-              in
-              Ok ()
+            text ~label:"rationale" ~suffix:"rationale"
+              (if rationale = "" then None else Some rationale)
           in
           (* verification obligations *)
           let obligations =
             List.map
               (fun ob ->
-                if List.mem ob tool_spec.guarantees then
-                  (ob, `Guaranteed tool)
+                if List.mem ob tool_spec.guarantees then (ob, `Guaranteed tool)
                 else (ob, `Open))
               (List.concat_map Metamodel.obligations_of dc_and_supers)
           in
           let* () =
-            List.fold_left
-              (fun acc (ob, status) ->
-                let* () = acc in
-                let text =
-                  match status with
+            all_ok
+              (fun (ob, status) ->
+                attach_text repo ~owner:dec_id ~label:"obligation" ~suffix:("ob!" ^ ob)
+                  (match status with
                   | `Open -> "open"
-                  | `Guaranteed tool -> "guaranteed by " ^ tool
-                in
-                let* _ =
-                  attach_text repo ~owner:dec_name ~label:"obligation"
-                    ~suffix:("ob!" ^ ob) text
-                in
-                Ok ())
-              (Ok ()) obligations
+                  | `Guaranteed tool -> "guaranteed by " ^ tool))
+              obligations
           in
-          (* record tool parameters so the decision can be replayed *)
-          let* () =
-            if params = [] then Ok ()
-            else
-              let text =
-                String.concat ";"
-                  (List.map (fun (k, v) -> k ^ "=" ^ v) params)
-              in
-              let* _ =
-                attach_text repo ~owner:dec_name ~label:"params"
-                  ~suffix:"params" text
-              in
-              Ok ()
+          (* record tool parameters so the decision can be replayed,
+             and assumptions and asserted facts: the reason maintenance
+             is installed from them *)
+          let joined = function
+            | [] -> None
+            | pairs -> Some (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) pairs))
           in
-          (* record assumptions and asserted facts: the reason
-             maintenance is installed from them *)
+          let* () = text ~label:"params" ~suffix:"params" (joined params) in
+          let* () = text ~label:"assumptions" ~suffix:"assumptions" (joined assumptions) in
           let* () =
-            if assumptions = [] then Ok ()
-            else
-              let text =
-                String.concat ";"
-                  (List.map (fun (a, d) -> a ^ "=" ^ d) assumptions)
-              in
-              let* _ =
-                attach_text repo ~owner:dec_name ~label:"assumptions"
-                  ~suffix:"assumptions" text
-              in
-              Ok ()
-          in
-          let* () =
-            if asserts = [] then Ok ()
-            else
-              let* _ =
-                attach_text repo ~owner:dec_name ~label:"asserts"
-                  ~suffix:"asserts" (String.concat ";" asserts)
-              in
-              Ok ()
+            text ~label:"asserts" ~suffix:"asserts"
+              (if asserts = [] then None else Some (String.concat ";" asserts))
           in
           Ok (dec_id, obligations)
-          in
-          (* set-oriented consistency check over the delta *)
-          let delta = Repo.drain_changes repo in
-          match
-            Obs.Trace.with_span "decision.consistency_check" (fun () ->
-                Cml.Consistency.check_delta kb delta)
-          with
-          | [] ->
-            Repo.log_decision repo dec_id;
-            Ok
-              {
-                decision = dec_id;
-                outputs = List.map (fun (o : Repo.output) -> (o.role, o.obj)) outputs;
-                obligations;
-              }
-          | violations ->
-            Error
-              (Format.asprintf "decision rejected, KB would become inconsistent:@ %a"
-                 (Format.pp_print_list Cml.Consistency.pp_violation)
-                 violations)
         in
-        (match result with
-        | Ok executed -> (
-          match
-            Obs.Trace.with_span "decision.commit" (fun () ->
-                Store.Base.commit base)
-          with
-          | Ok () ->
-            install_justifications repo executed.decision;
-            Repo.emit_event repo (Repo.Decision_committed executed.decision);
-            Obs.Recorder.record ~decision:(Symbol.name executed.decision)
-              Obs.Recorder.Committed;
-            Ok executed
-          | Error e -> rollback e)
+        (* set-oriented consistency check over the delta *)
+        let delta = Repo.drain_changes repo in
+        match
+          Obs.Trace.with_span "decision.consistency_check" (fun () ->
+              Cml.Consistency.check_delta kb delta)
+        with
+        | [] ->
+          Repo.log_decision repo dec_id;
+          Ok
+            {
+              decision = dec_id;
+              outputs = List.map (fun (o : Repo.output) -> (o.role, o.obj)) outputs;
+              obligations;
+            }
+        | violations ->
+          Error
+            (Format.asprintf "decision rejected, KB would become inconsistent:@ %a"
+               (Format.pp_print_list Cml.Consistency.pp_violation)
+               violations)
+      in
+      match result with
+      | Ok executed -> (
+        match Obs.Trace.with_span "decision.commit" (fun () -> Store.Base.commit base) with
+        | Ok () ->
+          install_justifications repo executed.decision;
+          Repo.emit_event repo (Repo.Decision_committed executed.decision);
+          Obs.Recorder.record ~decision:(Symbol.name executed.decision) Obs.Recorder.Committed;
+          Ok executed
         | Error e -> rollback e)
+      | Error e -> rollback e
+
+let unknown_class decision_class = Error ("unknown decision class " ^ decision_class)
+
+let execute repo ~decision_class ~tool ~inputs ?(params = []) ?(rationale = "")
+    ?(assumptions = []) ?(asserts = []) () =
+  let kb = Repo.kb repo in
+  if not (Kb.exists kb decision_class) then unknown_class decision_class
+  else
+    execute_roles repo
+      (roles_of kb (Symbol.intern decision_class))
+      ~decision_class ~tool ~inputs ~params ~rationale ~assumptions ~asserts
+
+let run repo ~decision_class ~tool ~rationale bindings =
+  let kb = Repo.kb repo in
+  if not (Kb.exists kb decision_class) then unknown_class decision_class
+  else
+    let roles = roles_of kb (Symbol.intern decision_class) in
+    let inputs, params =
+      List.partition (fun (k, _) -> Option.is_some (role_class `Input k roles)) bindings
+    in
+    match List.find_opt (fun (_, v) -> not (Kb.exists kb v)) inputs with
+    | Some (_, v) -> Error ("no object " ^ v)
+    | None ->
+      execute_roles repo roles ~decision_class ~tool
+        ~inputs:(List.map (fun (r, v) -> (r, Symbol.intern v)) inputs)
+        ~params ~rationale ~assumptions:[] ~asserts:[]
 
 let obligation_objects repo dec =
   let kb = Repo.kb repo in

@@ -54,6 +54,15 @@ val execute :
     [asserts] are fact nodes the decision establishes (e.g. the
     defeater of an earlier decision's assumption). *)
 
+val run :
+  Repository.t -> decision_class:string -> tool:string -> rationale:string ->
+  (string * string) list -> (executed, string) result
+(** The shell's [run CLASS TOOL K=V..]: each [K=V] binds the [FROM] role
+    [K] to the object [V] when [K] is one of the class's [FROM] roles
+    (a [V] that names no object is the error [no object V]), and is a
+    tool parameter otherwise; then {!execute}.  The class's role
+    attributes are read once, for the binding and both role checks. *)
+
 val sign_obligation :
   Repository.t -> decision:Prop.id -> obligation:string -> by:string ->
   (unit, string) result

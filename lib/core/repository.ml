@@ -242,7 +242,8 @@ let emit_event t e =
   | Decision_aborted _ -> Obs.Registry.Counter.inc g_aborted
   | Decision_unlogged _ -> Obs.Registry.Counter.inc g_unlogged
   | Artifact_written _ -> Obs.Registry.Counter.inc g_artifacts);
-  List.iter (fun (_, f) -> f e) (List.rev t.event_listeners)
+  (* oldest subscription first, without reversing the list *)
+  List.fold_right (fun (_, f) () -> f e) t.event_listeners ()
 
 let version t = Atomic.get t.version
 
@@ -271,7 +272,9 @@ let artifact_default_name = function
   | Cml_model _ -> Symbol.name (Prop.fresh_id ~prefix:"worldmodel" ())
   | Text _ -> Symbol.name (Prop.fresh_id ~prefix:"text" ())
 
-let render artifact = Format.asprintf "%a" pp_artifact artifact
+let render = function
+  | Text s -> s
+  | artifact -> Format.asprintf "%a" pp_artifact artifact
 
 let set_artifact t id a =
   Symbol.Tbl.replace t.artifacts id a;
@@ -283,26 +286,25 @@ let new_object t ?name ?replaces ~cls artifact =
     Error (Printf.sprintf "design object %s already exists" name)
   else
     let* id = Kb.declare t.kb name in
-    let* _ = Kb.add_instanceof t.kb ~inst:name ~cls in
+    let* _ = Kb.add_instanceof_sym t.kb ~inst:id ~cls:(Symbol.intern cls) in
     set_artifact t id artifact;
     (* attach the rendered source via SOURCE *)
-    let text_name = name ^ "!src" in
-    let* _ = Kb.declare t.kb text_name in
+    let* text_id = Kb.declare t.kb (name ^ "!src") in
     let* _ =
-      Kb.add_instanceof t.kb ~inst:text_name ~cls:Metamodel.text_object
+      Kb.add_instanceof_sym t.kb ~inst:text_id ~cls:(Symbol.intern Metamodel.text_object)
     in
-    set_artifact t (Symbol.intern text_name) (Text (render artifact));
+    set_artifact t text_id (Text (render artifact));
+    let source = Symbol.intern Metamodel.source_cat in
     let* _ =
-      Kb.add_attribute t.kb ~category:Metamodel.source_cat ~source:name
-        ~label:Metamodel.source_cat ~dest:text_name
+      Kb.add_attribute_sym t.kb ~category:source ~source:id ~label:source ~dest:text_id
     in
     let* () =
       match replaces with
       | None -> Ok ()
       | Some prev ->
+        let replaces = Symbol.intern Metamodel.replaces_cat in
         let* _ =
-          Kb.add_attribute t.kb ~category:Metamodel.replaces_cat ~source:name
-            ~label:Metamodel.replaces_cat ~dest:(Symbol.name prev)
+          Kb.add_attribute_sym t.kb ~category:replaces ~source:id ~label:replaces ~dest:prev
         in
         Ok ()
     in
@@ -434,7 +436,7 @@ let decision_log t =
 
 let fresh_decision_id t =
   t.decision_counter <- t.decision_counter + 1;
-  Printf.sprintf "dec%d" t.decision_counter
+  "dec" ^ string_of_int t.decision_counter
 
 let next_version_name t base =
   if not (Kb.exists t.kb base) then base

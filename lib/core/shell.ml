@@ -74,10 +74,9 @@ let fmt = Format.asprintf
 
 let render_result name = function
   | Ok (executed : Decision.executed) ->
-    fmt "%s executed: decision %s -> %s" name
-      (Symbol.name executed.Decision.decision)
-      (String.concat ", "
-         (List.map (fun (_, o) -> Symbol.name o) executed.Decision.outputs))
+    String.concat ""
+      [ name; " executed: decision "; Symbol.name executed.Decision.decision; " -> ";
+        String.concat ", " (List.map (fun (_, o) -> Symbol.name o) executed.Decision.outputs) ]
   | Error e -> "error: " ^ e
 
 (* The scenario shortcuts track "the current version of the invitation
@@ -96,8 +95,7 @@ let refresh_invitation_rel t =
    bare [deps] the scenario's Papers.  [answer] then depends on the
    repository and the line alone, which is what lets the server cache
    it under this line. *)
-let resolve t line =
-  match words line with
+let resolve_words t line = function
   | [ ("focus" | "menu" | "why" | "history" | "source") as verb ] -> (
     match t.cursor with
     | Some obj -> verb ^ " " ^ Symbol.name obj
@@ -106,14 +104,18 @@ let resolve t line =
   | [ "deps" ] -> "deps " ^ Symbol.name t.state.Scenario.papers
   | _ -> line
 
+let resolve t line = resolve_words t line (words line)
+
 (* The session update answering a resolved line implies; an error
    answer implies none. *)
-let observe t line answer =
+let observe_words t ws answer =
   if not (String.starts_with ~prefix:"error:" answer) then
-    match words line with
+    match ws with
     | [ "focus"; name ] -> t.cursor <- Some (Symbol.intern name)
     | [ "config"; level ] -> t.config_level <- level
     | _ -> ()
+
+let observe t line answer = observe_words t (words line) answer
 
 (* An operand must name a proposition: [Kb.exists] only probes the
    symbol table, so a client cannot mint symbols through these verbs
@@ -122,9 +124,9 @@ let with_target t name k =
   if Cml.Kb.exists (Repo.kb t.state.Scenario.repo) name then k (Symbol.intern name)
   else "error: no object " ^ name
 
-let answer t line =
+let answer t line ws =
   let repo = t.state.Scenario.repo in
-  match words line with
+  match ws with
   | [] -> ""
   | [ "help" ] -> help_text
   | [ "stats" ] ->
@@ -152,36 +154,17 @@ let answer t line =
                  e.Decision.role
                  (String.concat ", " e.Decision.tools))
              (Decision.applicable repo obj)))
-  (* the class is checked first: reading its signature interns it *)
-  | "run" :: dc :: _ :: _ when not (Cml.Kb.exists (Repo.kb repo) dc) ->
-    "error: unknown decision class " ^ dc
-  | "run" :: dc :: tool :: rest -> (
+  | "run" :: dc :: tool :: rest ->
     let bindings =
       List.filter_map
         (fun w ->
           match String.index_opt w '=' with
-          | Some i ->
-            Some
-              ( String.sub w 0 i,
-                String.sub w (i + 1) (String.length w - i - 1) )
+          | Some i -> Some (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
           | None -> None)
         rest
     in
-    (* K=V binds an input exactly when K is one of the class's FROM
-       roles; any other K=V is a tool parameter, whatever V names *)
-    let roles = List.map fst (Decision.from_signature repo dc) in
-    let inputs, params =
-      List.partition (fun (k, _) -> List.mem k roles) bindings
-    in
-    match
-      List.find_opt (fun (_, v) -> not (Cml.Kb.exists (Repo.kb repo) v)) inputs
-    with
-    | Some (_, v) -> "error: no object " ^ v
-    | None ->
-      let inputs = List.map (fun (r, v) -> (r, Symbol.intern v)) inputs in
-      render_result "run"
-        (Decision.execute repo ~decision_class:dc ~tool ~inputs ~params
-           ~rationale:("shell: " ^ line) ()))
+    render_result "run"
+      (Decision.run repo ~decision_class:dc ~tool ~rationale:("shell: " ^ line) bindings)
   | [ "map" ] -> render_result "map" (Scenario.map_move_down t.state)
   | [ "normalize" ] ->
     refresh_invitation_rel t;
@@ -294,9 +277,12 @@ let answer t line =
       | Error e -> "error: " ^ e)
   | cmd :: _ -> "error: unknown command " ^ cmd ^ " (try 'help')"
 
+(* the line is split once, and again only when [resolve] rewrote it *)
 let eval t line =
   Obs.Trace.with_span "shell.eval" ~attrs:[ ("cmd", line) ] @@ fun () ->
-  let line = resolve t line in
-  let out = answer t line in
-  observe t line out;
+  let ws = words line in
+  let resolved = resolve_words t line ws in
+  let ws = if resolved == line then ws else words resolved in
+  let out = answer t resolved ws in
+  observe_words t ws out;
   out

@@ -14,7 +14,9 @@ let make ?(time = Time.always) ?belief ~id ~source ~label ~dest () =
   { id; source; label; dest; time; belief }
 
 let individual ?time x = make ?time ~id:x ~source:x ~label:x ~dest:x ()
-let is_individual p = p.source = p.id && p.dest = p.id && p.label = p.id
+
+let is_individual p =
+  Symbol.equal p.source p.id && Symbol.equal p.dest p.id && Symbol.equal p.label p.id
 
 (* Atomic: propositions can be minted on several domains of one process
    (each client of the E18 and E22 benches, with the daemon thread that
@@ -24,9 +26,7 @@ let is_individual p = p.source = p.id && p.dest = p.id && p.label = p.id
 let id_counter = Atomic.make 0
 
 let fresh_id ?(prefix = "p") () =
-  let n = 1 + Atomic.fetch_and_add id_counter 1 in
-  let candidate = Printf.sprintf "%s%d" prefix n in
-  Symbol.intern candidate
+  Symbol.intern (prefix ^ string_of_int (1 + Atomic.fetch_and_add id_counter 1))
 
 let reset_ids () = Atomic.set id_counter 0
 

@@ -5,8 +5,9 @@ type t = int
    daemon thread that serves its socket pair, a domain of its own), and
    every one of them interns and resolves symbols.  The hot path —
    looking up an already-interned string — is lock-free: an
-   open-addressed table of plain ints, each slot [id + 1] or 0 for
-   empty, published as a whole through [table] so it can be resized.
+   open-addressed table of plain ints, each slot an id with its name's
+   hash or 0 for empty, published as a whole through [table] so it can
+   be resized.
    Inserts take [write_m], re-probe, and only then allocate a fresh
    id.
 
@@ -26,6 +27,16 @@ type t = int
 
 type table = { mask : int; slots : int array }
 
+(* A slot is 0 when empty, else [(hash lsl id_bits) lor (id + 1)]
+   ([Hashtbl.hash] is below 2^30 and ids stay below 2^31 - 1 long
+   before memory runs out): a probe compares the stored hash of [s]
+   before it reads a name, so passing the other names in a cluster
+   touches the slot array alone, and a resize re-slots without hashing
+   a name again. *)
+let id_bits = 31
+let id_mask = (1 lsl id_bits) - 1
+let slot h i = (h lsl id_bits) lor (i + 1)
+
 (* the filler of [names] entries not written yet; compared physically,
    so a racing reader never takes it for an interned [""] *)
 let unset = String.make 0 ' '
@@ -37,41 +48,40 @@ let write_m = Mutex.create ()
 
 let is_name n s = n != unset && String.equal n s
 
-(* linear probing from slot [idx], [j] slots in; -1 means [s] was not
-   found (or not yet visible) in [tbl].  Top-level, so the lock-free
-   lookup allocates nothing. *)
-let rec probe_from tbl names s j idx =
+(* linear probing from slot [idx], [j] slots in, for [s] of hash [h];
+   -1 means [s] was not found (or not yet visible) in [tbl].
+   Top-level, so the lock-free lookup allocates nothing. *)
+let rec probe_from tbl names s h j idx =
   let v = tbl.slots.(idx) in
   if v = 0 then -1
   else
-    let i = v - 1 in
-    if i < Array.length names && is_name names.(i) s then i
+    let i = (v land id_mask) - 1 in
+    if v lsr id_bits = h && i < Array.length names && is_name names.(i) s then i
     else if j = tbl.mask then -1
-    else probe_from tbl names s (j + 1) ((idx + 1) land tbl.mask)
+    else probe_from tbl names s h (j + 1) ((idx + 1) land tbl.mask)
 
-let probe tbl names s = probe_from tbl names s 0 (Hashtbl.hash s land tbl.mask)
+let probe tbl names s h = probe_from tbl names s h 0 (h land tbl.mask)
 
-(* writers only (under [write_m]) *)
-let insert tbl s i =
+(* writers only (under [write_m]): put a slot value in the first empty
+   slot from its hash's *)
+let insert tbl v =
   let rec go idx =
-    if tbl.slots.(idx) = 0 then tbl.slots.(idx) <- i + 1
+    if tbl.slots.(idx) = 0 then tbl.slots.(idx) <- v
     else go ((idx + 1) land tbl.mask)
   in
-  go (Hashtbl.hash s land tbl.mask)
+  go ((v lsr id_bits) land tbl.mask)
 
-(* build the doubled table offline from [names], publish it in one
-   atomic store *)
+(* build the doubled table offline from the old one's slots, publish
+   it in one atomic store *)
 let resize () =
-  let fresh = mk_table (2 * ((Atomic.get table).mask + 1)) in
-  let arr = Atomic.get names in
-  for i = 0 to Atomic.get next - 1 do
-    insert fresh arr.(i) i
-  done;
+  let old = Atomic.get table in
+  let fresh = mk_table (2 * (old.mask + 1)) in
+  Array.iter (fun v -> if v <> 0 then insert fresh v) old.slots;
   Atomic.set table fresh
 
-let intern_slow s =
+let intern_slow s h =
   Mutex.lock write_m;
-  let i = probe (Atomic.get table) (Atomic.get names) s in
+  let i = probe (Atomic.get table) (Atomic.get names) s h in
   let i =
     if i >= 0 then i (* another domain interned [s] since our fast path *)
     else
@@ -87,7 +97,7 @@ let intern_slow s =
       (* keep occupancy under half so probes stay short and always
          terminate on an empty slot *)
       if 2 * (i + 1) > (Atomic.get table).mask + 1 then resize ();
-      insert (Atomic.get table) s i;
+      insert (Atomic.get table) (slot h i);
       Atomic.set next (i + 1);
       i
   in
@@ -95,17 +105,19 @@ let intern_slow s =
   i
 
 let intern s =
-  let i = probe (Atomic.get table) (Atomic.get names) s in
-  if i >= 0 then i else intern_slow s
+  let h = Hashtbl.hash s in
+  let i = probe (Atomic.get table) (Atomic.get names) s h in
+  if i >= 0 then i else intern_slow s h
 
 (* A miss on the lock-free probe may be a stale read, so it is
    confirmed under [write_m]; neither path allocates an id. *)
 let find_opt s =
-  let i = probe (Atomic.get table) (Atomic.get names) s in
+  let h = Hashtbl.hash s in
+  let i = probe (Atomic.get table) (Atomic.get names) s h in
   if i >= 0 then Some i
   else begin
     Mutex.lock write_m;
-    let i = probe (Atomic.get table) (Atomic.get names) s in
+    let i = probe (Atomic.get table) (Atomic.get names) s h in
     Mutex.unlock write_m;
     if i >= 0 then Some i else None
   end

@@ -80,6 +80,8 @@ let by_dest t y = Mem_store.by_dest t.store y
 let by_label t l = Mem_store.by_label t.store l
 let fold_source t x f acc = Mem_store.fold_source t.store x f acc
 let fold_dest t y f acc = Mem_store.fold_dest t.store y f acc
+let iter_source t x f = Mem_store.iter_source t.store x f
+let iter_dest t y f = Mem_store.iter_dest t.store y f
 
 let links t ~source ~label ~dest =
   List.filter

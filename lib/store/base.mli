@@ -49,6 +49,12 @@ val fold_source : t -> Prop.id -> (Prop.t -> 'a -> 'a) -> 'a -> 'a
 val fold_dest : t -> Prop.id -> (Prop.t -> 'a -> 'a) -> 'a -> 'a
 (** [fold_dest t y f init] is [List.fold_right f (by_dest t y) init]. *)
 
+val iter_source : t -> Prop.id -> (Prop.t -> unit) -> unit
+(** [List.iter f (by_source t x)] without the list, newest first. *)
+
+val iter_dest : t -> Prop.id -> (Prop.t -> unit) -> unit
+(** [List.iter f (by_dest t y)] without the list, newest first. *)
+
 val links : t -> source:Prop.id -> label:Symbol.t -> dest:Prop.id -> Prop.t list
 (** All propositions with the given source, label and destination. *)
 

@@ -35,6 +35,12 @@ val fold_source : t -> Prop.id -> (Prop.t -> 'a -> 'a) -> 'a -> 'a
 val fold_dest : t -> Prop.id -> (Prop.t -> 'a -> 'a) -> 'a -> 'a
 (** [fold_dest t y f init] is [List.fold_right f (by_dest t y) init]. *)
 
+val iter_source : t -> Prop.id -> (Prop.t -> unit) -> unit
+(** [List.iter f (by_source t x)], newest first, without the list. *)
+
+val iter_dest : t -> Prop.id -> (Prop.t -> unit) -> unit
+(** [List.iter f (by_dest t y)], newest first, without the list. *)
+
 val iter : t -> (Prop.t -> unit) -> unit
 
 val fold : t -> ('a -> Prop.t -> 'a) -> 'a -> 'a

@@ -367,11 +367,27 @@ let prop_rollback_restores =
 
 (* Mem_store against a model: the stored propositions as a plain list,
    newest first.  Random inserts, removals and re-insertions over small
-   key windows make chains short, long, reordered and drained. *)
+   key windows make chains short, long, reordered and drained.  The
+   window's sources, destinations and labels are interned 1,024 codes
+   apart, so each kind shares one home slot in its chain table and a
+   drained key's removal shifts the others back. *)
 let prop_mem_store_model =
   let module M = Mem_store in
   let window = 4 in
-  let key prefix k = sym (prefix ^ string_of_int k) in
+  let spaced prefix =
+    Array.init (window + 1) (fun k ->
+        let s = sym (Printf.sprintf "%s%d" prefix k) in
+        for j = 1 to 1023 do
+          ignore (sym (Printf.sprintf "%s%d~%d" prefix k j))
+        done;
+        s)
+  in
+  let keys = [ ("mms", spaced "mms"); ("mml", spaced "mml"); ("mmd", spaced "mmd") ] in
+  let key prefix k =
+    match List.assoc_opt prefix keys with
+    | Some spaced -> spaced.(k)
+    | None -> sym (prefix ^ string_of_int k)
+  in
   QCheck.Test.make ~name:"mem store agrees with a newest-first list model"
     ~count:300
     QCheck.(list (quad (int_range 0 2) (int_range 0 11) (int_range 0 (window - 1))
