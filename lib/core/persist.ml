@@ -381,8 +381,20 @@ let magic = "GKBSNP1\n"
 
 (* The writer stages records in [buf] and hands them to [sink] in runs
    of about [run] bytes, each folded into the checksum on its way out:
-   the staging buffer, one run's copy and one bit per interned symbol
-   are all it keeps, whatever the size of the base. *)
+   the staging buffer, one run's copy and one bit per code below
+   [near] are all it keeps, whatever the size of the base, beyond the
+   entries of [far].
+
+   A symbol's file code is its {!Symbol.to_int} when that lies below
+   [near], twice the interned names plus the propositions.  Every name
+   does, and so does every serial id numbered below the names plus the
+   propositions: all the ids a process mints, unless about half its
+   decisions were retracted.  A code past [near] (a [p<n>] someone
+   chose with a large [n], an id minted after a reload raised the
+   counter past one, or after many retractions) takes the next file
+   code from [near] up, kept in [far].  So file codes stay below
+   [near] plus the symbols written, which is what a reader's table
+   costs, and the bitset never grows. *)
 let run = 1 lsl 16
 
 type writer = {
@@ -390,7 +402,9 @@ type writer = {
   buf : Buffer.t;
   mutable out : Bytes.t;
   mutable crc : Crc32.t;
-  mutable spelt : Bytes.t;  (* bit [code]: that symbol's name is written *)
+  near : int;
+  spelt : Bytes.t;  (* bit [code]: that symbol's name is written *)
+  far : int Symbol.Tbl.t;  (* file codes of the symbols past [near] *)
 }
 
 let flush_run w =
@@ -406,29 +420,40 @@ let flush_run w =
 let end_record w = if Buffer.length w.buf >= run then flush_run w
 
 (* A symbol is [code * 2 + 1] and its name at its first use, and
-   [code * 2] after that; [code] is {!Symbol.to_int} *)
+   [code * 2] after that; [code] is its file code *)
 let add_sym w buf sym =
   let code = Symbol.to_int sym in
-  let byte = code lsr 3 and bit = 1 lsl (code land 7) in
-  if byte >= Bytes.length w.spelt then
-    w.spelt <- Bytes.extend w.spelt 0 (byte + 1 - Bytes.length w.spelt);
-  let b = Bytes.get_uint8 w.spelt byte in
-  if b land bit <> 0 then Codec.add_varint buf (code lsl 1)
-  else begin
-    Bytes.set_uint8 w.spelt byte (b lor bit);
-    Codec.add_varint buf ((code lsl 1) lor 1);
-    Codec.add_vstr buf (Symbol.name sym)
+  if code < w.near then begin
+    let byte = code lsr 3 and bit = 1 lsl (code land 7) in
+    let b = Bytes.get_uint8 w.spelt byte in
+    if b land bit <> 0 then Codec.add_varint buf (code lsl 1)
+    else begin
+      Bytes.set_uint8 w.spelt byte (b lor bit);
+      Codec.add_varint buf ((code lsl 1) lor 1);
+      Codec.add_name buf sym
+    end
   end
+  else
+    match Symbol.Tbl.find w.far sym with
+    | code -> Codec.add_varint buf (code lsl 1)
+    | exception Not_found ->
+      let code = w.near + Symbol.Tbl.length w.far in
+      Symbol.Tbl.add w.far sym code;
+      Codec.add_varint buf ((code lsl 1) lor 1);
+      Codec.add_name buf sym
 
 let output_snapshot sink repo =
   let base = Cml.Kb.base (Repo.kb repo) in
+  let near = 2 * (Symbol.count () + Store.Base.cardinal base) in
   let w =
     {
       sink;
       buf = Buffer.create (2 * run);
       out = Bytes.create (2 * run);
       crc = Crc32.empty;
-      spelt = Bytes.make ((Symbol.count () / 8) + 1) '\000';
+      near;
+      spelt = Bytes.make ((near / 8) + 1) '\000';
+      far = Symbol.Tbl.create 16;
     }
   in
   let buf = w.buf in
@@ -679,18 +704,23 @@ let finalize ?(register_tools = Mapping.register_tools) repo =
       | Some v -> v
       | None -> 0
   in
+  (* a serial id's number is its trailing number, without its name *)
+  let id_number id =
+    match Symbol.serial_number id with
+    | 0 -> trailing_number (Symbol.name id)
+    | n -> n
+  in
   let base = Cml.Kb.base (Repo.kb repo) in
   Prop.advance_ids
-    (Store.Base.fold base
-       (fun acc (p : Prop.t) -> max acc (trailing_number (Symbol.name p.id)))
-       0);
+    (Store.Base.fold base (fun acc (p : Prop.t) -> max acc (id_number p.id)) 0);
   (* re-align the decision counter past every dec<n> still present.
      Probing for the first free id is wrong here: a retracted decision
      leaves a gap in the sequence, and a counter parked in that gap
      re-issues a live decision's id on the next commit (which a
      replication follower would then skip as an already-applied
      overlap).  Scan for the maximum instead. *)
-  let dec_number s =
+  let dec_number sym =
+    let s = if Symbol.serial_number sym = 0 then Symbol.name sym else "" in
     if String.length s > 3 && String.sub s 0 3 = "dec" then
       match int_of_string_opt (String.sub s 3 (String.length s - 3)) with
       | Some v -> v
@@ -700,12 +730,9 @@ let finalize ?(register_tools = Mapping.register_tools) repo =
   Repo.advance_decision_counter repo
     (Store.Base.fold base
        (fun acc (p : Prop.t) ->
-         max acc
-           (max
-              (dec_number (Symbol.name p.Prop.id))
-              (dec_number (Symbol.name p.Prop.source))))
+         max acc (max (dec_number p.Prop.id) (dec_number p.Prop.source)))
        (List.fold_left
-          (fun acc id -> max acc (dec_number (Symbol.name id)))
+          (fun acc id -> max acc (dec_number id))
           0 (Repo.decision_log repo)));
   Decision.rebuild_jtms repo
 

@@ -22,11 +22,14 @@
 
     A [sym] is the varint [code * 2 + 1] and its name as a [vstr] where
     the symbol first occurs in the file, and the varint [code * 2] after
-    that; [code] is the writer's {!Kernel.Symbol.to_int}, so the writer
-    keeps one bit per interned symbol and nothing per proposition.  An
-    artifact's [text] is its rendered s-expression
-    ({!sexp_of_artifact}).  The artifacts are those of ids in the base,
-    and the log is chronological.
+    that.  [code] is the writer's: its {!Kernel.Symbol.to_int} when that
+    is below twice the interned names plus the propositions, and the
+    next code from there up for the rare symbol past that (a [p<n>]
+    with a large [n]).  So the writer keeps one bit per code below that
+    bound and nothing per proposition, and codes stay below the bound
+    plus the symbols written.  An artifact's [text] is its rendered
+    s-expression ({!sexp_of_artifact}).  The artifacts are those of ids
+    in the base, and the log is chronological.
 
     The loader checks the magic and the checksum before it decodes,
     and then every record: reserved flag bits, times, symbol references,

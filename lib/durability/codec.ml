@@ -13,6 +13,10 @@ let add_vstr buf s =
   add_varint buf (String.length s);
   Buffer.add_string buf s
 
+let add_name buf sym =
+  add_varint buf (Symbol.name_length sym);
+  Symbol.add_name buf sym
+
 let read_varint s pos =
   let rec go acc shift pos =
     if pos >= String.length s then Error "short varint"

@@ -26,6 +26,10 @@ open Kernel
 val add_varint : Buffer.t -> int -> unit
 val add_vstr : Buffer.t -> string -> unit
 
+val add_name : Buffer.t -> Symbol.t -> unit
+(** The [vstr] of a symbol's name; a serial symbol's [p<n>] is written
+    digit by digit, without building the string. *)
+
 val read_varint : string -> int -> (int * int, string) result
 (** [read_varint s pos] is the value at [pos] and the position after
     it.  Fails on a varint cut by the end of [s], or longer than an

@@ -91,9 +91,8 @@ let add_str buf s =
   add_u32 buf (String.length s);
   Buffer.add_string buf s
 
-(* the log spells a symbol by its name *)
-let add_name buf s = Codec.add_vstr buf (Symbol.name s)
-
+(* the log spells a symbol by its name: [Codec.add_name] writes it and
+   [read_name] interns it back *)
 let read_name s pos =
   match Codec.read_vstr s pos with
   | Ok (name, pos) -> Ok (Symbol.intern name, pos)
@@ -104,7 +103,7 @@ let encode r =
   (match r with
   | Put p ->
     Buffer.add_char buf 'p';
-    Codec.add_prop add_name buf p
+    Codec.add_prop Codec.add_name buf p
   | Tomb id ->
     Buffer.add_char buf 'T';
     add_str buf (Symbol.name id)

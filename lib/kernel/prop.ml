@@ -25,8 +25,11 @@ let is_individual p =
    distinct propositions. *)
 let id_counter = Atomic.make 0
 
-let fresh_id ?(prefix = "p") () =
-  Symbol.intern (prefix ^ string_of_int (1 + Atomic.fetch_and_add id_counter 1))
+let fresh_id ?prefix () =
+  let n = 1 + Atomic.fetch_and_add id_counter 1 in
+  match prefix with
+  | None -> Symbol.serial n
+  | Some prefix -> Symbol.intern (prefix ^ string_of_int n)
 
 let reset_ids () = Atomic.set id_counter 0
 

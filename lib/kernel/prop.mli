@@ -30,7 +30,9 @@ val individual : ?time:Time.t -> id -> t
 val is_individual : t -> bool
 
 val fresh_id : ?prefix:string -> unit -> id
-(** A globally unique proposition identifier, e.g. [p37]. *)
+(** A globally unique proposition identifier: the serial symbol [p37]
+    (see {!Symbol.serial}), which interns nothing, or with [prefix] the
+    interned name [<prefix>37].  All prefixes share one counter. *)
 
 val reset_ids : unit -> unit
 (** Reset the id counter (for tests). *)

@@ -1,5 +1,34 @@
 type t = int
 
+(* Two kinds of symbol share one code space, told apart by the low bit.
+   A name the interner holds is [2 * id], [id] its index in [names] (the
+   id the interner below deals in).  A serial id, the [p<n>] that
+   {!Prop.fresh_id} mints, is [2 * n + 1]: its name is rendered from [n]
+   when asked for, and interning its canonical spelling computes the
+   same code, so the interner holds nothing for it.  Both kinds stay
+   non-negative (stores use -1 as a placeholder), serial ids keep their
+   mint order, and the two kinds fall on different slots of a table
+   indexed by the code's low bits. *)
+
+(* [p] then 1 to 18 digits, the first not 0: [p0], [p007] and a [p]
+   with 19 digits are names, and [2 * n + 1] cannot overflow *)
+let serial_limit = 1_000_000_000_000_000_000
+
+(* [n] when [s] is the canonical spelling of serial id [n], else 0 *)
+let serial_of_name s =
+  let len = String.length s in
+  if len < 2 || len > 19 || String.unsafe_get s 0 <> 'p' || String.unsafe_get s 1 = '0'
+  then 0
+  else
+    let rec digits n i =
+      if i = len then n
+      else
+        match String.unsafe_get s i with
+        | '0' .. '9' as c -> digits ((10 * n) + Char.code c - 48) (i + 1)
+        | _ -> 0
+    in
+    digits 0 1
+
 (* Interning must be domain-safe: one process can run the GKBMS on
    several domains (the E18 and E22 benches give each client, and the
    daemon thread that serves its socket pair, a domain of its own), and
@@ -105,24 +134,53 @@ let intern_slow s h =
   i
 
 let intern s =
-  let h = Hashtbl.hash s in
-  let i = probe (Atomic.get table) (Atomic.get names) s h in
-  if i >= 0 then i else intern_slow s h
+  match serial_of_name s with
+  | 0 ->
+    let h = Hashtbl.hash s in
+    let i = probe (Atomic.get table) (Atomic.get names) s h in
+    2 * (if i >= 0 then i else intern_slow s h)
+  | n -> (2 * n) + 1
 
 (* A miss on the lock-free probe may be a stale read, so it is
    confirmed under [write_m]; neither path allocates an id. *)
 let find_opt s =
-  let h = Hashtbl.hash s in
-  let i = probe (Atomic.get table) (Atomic.get names) s h in
-  if i >= 0 then Some i
-  else begin
-    Mutex.lock write_m;
+  match serial_of_name s with
+  | 0 ->
+    let h = Hashtbl.hash s in
     let i = probe (Atomic.get table) (Atomic.get names) s h in
-    Mutex.unlock write_m;
-    if i >= 0 then Some i else None
-  end
+    if i >= 0 then Some (2 * i)
+    else begin
+      Mutex.lock write_m;
+      let i = probe (Atomic.get table) (Atomic.get names) s h in
+      Mutex.unlock write_m;
+      if i >= 0 then Some (2 * i) else None
+    end
+  | n -> Some ((2 * n) + 1)
 
-let name i = (Atomic.get names).(i)
+let serial n =
+  if n > 0 && n < serial_limit then (2 * n) + 1 else intern ("p" ^ string_of_int n)
+
+let serial_number t = if t land 1 = 1 then t asr 1 else 0
+
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let name t =
+  if t land 1 = 1 then "p" ^ string_of_int (t asr 1) else (Atomic.get names).(t asr 1)
+
+let name_length t =
+  if t land 1 = 1 then 1 + digits (t asr 1) else String.length (name t)
+
+let add_name buf t =
+  if t land 1 = 1 then begin
+    Buffer.add_char buf 'p';
+    add_digits buf (t asr 1)
+  end
+  else Buffer.add_string buf (name t)
+
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
 let hash (i : t) = i

@@ -2,38 +2,68 @@
 
     Proposition identifiers, labels and object names are compared very
     frequently (index lookups, unification).  Interning maps each distinct
-    string to a unique small integer so that equality is an integer
-    comparison and symbols can key arrays and bitsets. *)
+    string to a unique integer code so that equality is an integer
+    comparison and symbols can key arrays and bitsets.
+
+    Most proposition ids are minted, not chosen: every link of CML is
+    itself a proposition (§3.1), and {!Prop.fresh_id} names it [p<n>].
+    Such a {e serial} symbol is not interned.  Its code is computed from
+    [n], {!name} renders [p<n>] when asked, and {!intern} or
+    {!find_opt} of the canonical spelling ([p], then 1 to 18 digits
+    without a leading 0) computes the same code, so the interner holds
+    only the names someone chose. *)
 
 type t
 
 val intern : string -> t
-(** [intern s] returns the unique symbol for [s], creating it if needed. *)
+(** [intern s] returns the unique symbol for [s], creating it if needed.
+    A canonical [p<n>] is {!serial}[ n] and interns nothing. *)
 
 val find_opt : string -> t option
-(** [find_opt s] is the symbol for [s] if [s] was interned, and never
-    creates one: probing for names a client sends does not grow the
-    table. *)
+(** [find_opt s] is the symbol for [s] if [s] was interned, or is a
+    canonical [p<n>], and never creates one: probing for names a client
+    sends does not grow the table. *)
+
+val serial : int -> t
+(** [serial n] is the symbol spelt [p<n>].  For [1 <= n < 10^18] it is
+    the serial symbol of number [n], which interns nothing; any other
+    [n] interns the spelling as a name. *)
+
+val serial_number : t -> int
+(** [n] for [serial n] when that is a serial symbol, and 0 for a
+    symbol that was interned. *)
 
 val name : t -> string
-(** [name t] is the string [t] was interned from. *)
+(** [name t] is the string [t] was interned from, or [p<n>] for a
+    serial symbol (a fresh string each call). *)
+
+val name_length : t -> int
+(** [String.length (name t)], without building a serial symbol's name. *)
+
+val add_name : Buffer.t -> t -> unit
+(** Appends [name t]; a serial symbol's digits go straight into the
+    buffer. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
 val to_int : t -> int
-(** Stable dense integer code of the symbol (0-based, creation order). *)
+(** The symbol's integer code, which is non-negative and stable for
+    the life of the process.  Codes are neither dense nor 0-based: an
+    interned name's is twice its interning index, and serial symbol
+    [n]'s is [2 * n + 1], so serial ids compare in the order they were
+    minted, and the two kinds differ in the low bit. *)
 
 val of_int : int -> t
-(** Inverse of {!to_int}.  The argument must be a code previously
-    returned by [to_int] (i.e. [0 <= i < count ()]); anything else
-    yields a symbol that cannot be resolved.  The density and stability
-    of the codes is what lets columnar stores keep whole propositions
-    as rows of flat integer columns. *)
+(** Inverse of {!to_int}.  The argument must be a code [to_int]
+    returned, or [2 * n + 1] for a serial number [n]; anything else
+    yields a symbol that cannot be resolved.  A negative code is never
+    a symbol, so stores may use one as a placeholder. *)
 
 val count : unit -> int
-(** Number of distinct symbols interned so far. *)
+(** Number of distinct names interned so far; serial symbols do not
+    count. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -87,37 +87,44 @@ let self_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
    recording spans locally), so this is independent of [flag]. *)
 let contexts : (int * int, Trace_context.t) Hashtbl.t = Hashtbl.create 16
 
+(* [Hashtbl.length contexts], written under [m] with each change: a
+   thread reads only the entry it set itself, so while it has one this
+   reads at least 1 to it, and a thread reading 0 has none and needs
+   no lock.  No daemon sets a context unless a client sends one. *)
+let set_count = Atomic.make 0
+
+(* under [m] *)
+let put_context key ctx =
+  (match ctx with
+  | Some c -> Hashtbl.replace contexts key c
+  | None -> Hashtbl.remove contexts key);
+  Atomic.set set_count (Hashtbl.length contexts)
+
 let current_context () =
-  let key = self_key () in
-  Mutex.lock m;
-  let c = Hashtbl.find_opt contexts key in
-  Mutex.unlock m;
-  c
+  if Atomic.get set_count = 0 then None
+  else begin
+    let key = self_key () in
+    Mutex.lock m;
+    let c = Hashtbl.find_opt contexts key in
+    Mutex.unlock m;
+    c
+  end
+
+let contexts_set () = Atomic.get set_count
 
 let set_context ctx =
   let key = self_key () in
-  Mutex.lock m;
-  (match ctx with
-  | Some c -> Hashtbl.replace contexts key c
-  | None -> Hashtbl.remove contexts key);
-  Mutex.unlock m
+  Mutex.protect m (fun () -> put_context key ctx)
 
 let with_context ctx f =
   let key = self_key () in
-  Mutex.lock m;
-  let prev = Hashtbl.find_opt contexts key in
-  (match ctx with
-  | Some c -> Hashtbl.replace contexts key c
-  | None -> Hashtbl.remove contexts key);
-  Mutex.unlock m;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock m;
-      (match prev with
-      | Some c -> Hashtbl.replace contexts key c
-      | None -> Hashtbl.remove contexts key);
-      Mutex.unlock m)
-    f
+  let prev =
+    Mutex.protect m (fun () ->
+        let prev = Hashtbl.find_opt contexts key in
+        put_context key ctx;
+        prev)
+  in
+  Fun.protect ~finally:(fun () -> Mutex.protect m (fun () -> put_context key prev)) f
 
 (* a closed root leaves its thread without an open span: drop the
    thread's entry with the same lock that records the root *)

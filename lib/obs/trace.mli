@@ -53,7 +53,12 @@ val env_errors : (string -> string option) -> string list
     the context for lag accounting when span recording is off. *)
 
 val set_context : Trace_context.t option -> unit
+
 val current_context : unit -> Trace_context.t option
+(** Takes no lock while no thread has a context set. *)
+
+val contexts_set : unit -> int
+(** How many threads have a context set. *)
 
 val with_context : Trace_context.t option -> (unit -> 'a) -> 'a
 (** Run the thunk with the ambient context set (or cleared, for

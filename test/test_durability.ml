@@ -1084,6 +1084,34 @@ let test_edit_allocation () =
   if median > 10_000. then
     Alcotest.failf "an edit allocates %.0f minor words" median
 
+(* An edit writes 24 propositions (fig 3-3), but 18 of them are links,
+   whose minted [p<n>] ids are serial symbols.  It interns only the 6
+   names it coins: the decision, its three texts, the new version and
+   the version's source text.  Interning every id took 24.  Names are
+   interned once per process, so the decisions and documents here are
+   numbered past any other test's. *)
+let test_edit_interns_its_names () =
+  let repo, sh = documents_repo () in
+  Repo.advance_decision_counter repo 1_000_000;
+  let doc k =
+    let name = Printf.sprintf "InternDoc%dx" k in
+    ignore (ok (Repo.new_object repo ~name ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0")));
+    name
+  in
+  let edit name =
+    let out =
+      Gkbms.Shell.eval sh (Printf.sprintf "run DecManualEdit Editor object=%s text=e" name)
+    in
+    check bool ("edited " ^ name) true (String.starts_with ~prefix:"run executed" out)
+  in
+  edit (doc 0);
+  for k = 1 to 8 do
+    let name = doc k in
+    let before = Symbol.count () in
+    edit name;
+    check int "names one edit interns" 6 (Symbol.count () - before)
+  done
+
 (* An edit journals 32 records: 24 [Put]s (six individuals and
    eighteen links), five artifacts, the trace note and the decision
    bracket.  The compact [Put] writes an individual's name once and
@@ -1320,6 +1348,7 @@ let suite =
     ("kb side tables hold no entry per proposition", `Quick, test_side_tables_per_prop);
     ("edit allocation pays for no absent reader", `Quick, test_edit_allocation);
     ("edit journals at most 1,600 bytes", `Quick, test_edit_journal_bytes);
+    ("an edit interns only the names it coins", `Quick, test_edit_interns_its_names);
     ("mem store words per proposition", `Quick, test_store_words_per_prop);
     ("group-commit batch is crash-atomic", `Quick, test_group_commit_batch_recovery);
     ("group-commit batch edge cases", `Quick, test_group_commit_empty_and_errors);

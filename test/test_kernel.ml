@@ -29,6 +29,72 @@ let test_symbol_containers () =
   Symbol.Tbl.replace tbl (Symbol.intern "x") 2;
   check int "tbl replace" 2 (Symbol.Tbl.find tbl (Symbol.intern "x"))
 
+(* serial symbols -------------------------------------------------------- *)
+
+(* [p], then 1 to 18 digits without a leading 0, is a serial id: it
+   interns nothing.  Anything else that looks like one is a name. *)
+let test_symbol_serial_spellings () =
+  let digits19 = "p" ^ String.make 19 '7' in
+  List.iter
+    (fun (s, n) ->
+      let before = Symbol.count () in
+      let sym = Symbol.intern s in
+      check int (s ^ " serial number") n (Symbol.serial_number sym);
+      check int (s ^ " interns nothing") before (Symbol.count ());
+      check bool (s ^ " is serial n") true (Symbol.equal sym (Symbol.serial n));
+      check int (s ^ " code") ((2 * n) + 1) (Symbol.to_int sym))
+    [ ("p1", 1); ("p42", 42); ("p" ^ String.make 18 '9', 999_999_999_999_999_999) ];
+  List.iter
+    (fun s ->
+      let sym = Symbol.intern s in
+      check int (s ^ " is a name") 0 (Symbol.serial_number sym);
+      check bool (s ^ " has an even code") true (Symbol.to_int sym land 1 = 0);
+      check string (s ^ " round-trips") s (Symbol.name sym))
+    [ "p"; "p0"; "p007"; "p12x"; "P5"; "p-3"; digits19 ];
+  (* numbers past the serial range are interned under their spelling *)
+  check string "serial of 10^18 is a name" ("p1" ^ String.make 18 '0')
+    (Symbol.name (Symbol.serial 1_000_000_000_000_000_000));
+  check int "serial of 0 is the name p0" (Symbol.to_int (Symbol.intern "p0"))
+    (Symbol.to_int (Symbol.serial 0));
+  check bool "serial ids keep their order" true
+    (Symbol.compare (Symbol.serial 9) (Symbol.serial 10) < 0)
+
+(* Spellings that are serial, nearly serial or plain names. *)
+let gen_spelling =
+  let open QCheck.Gen in
+  let digit = char_range '0' '9' in
+  oneof
+    [
+      map (fun n -> "p" ^ string_of_int n) (int_range 1 1_000_000);
+      map (fun n -> "p" ^ string_of_int n) (int_range 1 max_int);
+      map (fun d -> "p" ^ String.of_seq (List.to_seq d)) (list_size (int_range 0 20) digit);
+      map (fun s -> "p" ^ s) (string_size ~gen:(oneof [ digit; printable ]) (int_range 0 6));
+      string_size ~gen:printable (int_range 0 8);
+    ]
+
+(* [intern] and [name] are inverse over both kinds, [find_opt] agrees
+   with [intern] without interning, and a name's bytes come out the
+   same whether built or written straight into a buffer. *)
+let prop_symbol_bijection =
+  QCheck.Test.make ~count:2000 ~name:"symbol intern and name are inverse"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_spelling)
+    (fun x ->
+      let before = Symbol.count () in
+      let found = Symbol.find_opt x in
+      let unchanged = Symbol.count () = before in
+      let s = Symbol.intern x in
+      let buf = Buffer.create 8 in
+      Symbol.add_name buf s;
+      unchanged
+      && (found = None || found = Some s)
+      && Symbol.name s = x
+      && Symbol.equal (Symbol.intern (Symbol.name s)) s
+      && Symbol.find_opt x = Some s
+      && Buffer.contents buf = x
+      && Symbol.name_length s = String.length x
+      && Symbol.to_int s >= 0
+      && (Symbol.serial_number s = 0 || Symbol.equal (Symbol.serial (Symbol.serial_number s)) s))
+
 (* the interner under concurrent domains --------------------------------- *)
 
 let test_symbol_stress () =
@@ -189,8 +255,13 @@ let test_prop_individual () =
 
 let test_prop_fresh_ids () =
   Prop.reset_ids ();
-  let a = Prop.fresh_id () and b = Prop.fresh_id () in
+  let before = Symbol.count () in
+  let a = Prop.fresh_id () in
+  let b = Prop.fresh_id () in
   check bool "fresh ids distinct" false (Symbol.equal a b);
+  check int "minted ids intern nothing" before (Symbol.count ());
+  check string "spelt p<n>" "p1" (Symbol.name a);
+  check bool "in mint order" true (Symbol.compare a b < 0);
   let c = Prop.fresh_id ~prefix:"dec" () in
   check bool "prefix used" true
     (String.length (Symbol.name c) > 3
@@ -210,6 +281,8 @@ let suite =
     ("symbol containers", `Quick, test_symbol_containers);
     ("symbol intern 4-domain stress", `Quick, test_symbol_stress);
     ("symbol intern across table resizes", `Quick, test_symbol_resize);
+    ("symbol serial spellings", `Quick, test_symbol_serial_spellings);
+    QCheck_alcotest.to_alcotest prop_symbol_bijection;
     ("time validity", `Quick, test_time_validity);
     ("time relations", `Quick, test_time_relations);
     ("time intersect", `Quick, test_time_intersect);

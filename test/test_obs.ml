@@ -612,6 +612,26 @@ let test_ambient_context () =
       (List.mem ("trace", Ctx.trace_hex ctx) sp.Trace.attrs)
   | [] -> Alcotest.fail "no span recorded"
 
+(* [current_context] skips the lock while [contexts_set] reads 0, so
+   that count must fall back to 0 however [with_context] exits, and a
+   context must stay invisible to other threads. *)
+let test_context_per_thread () =
+  let ctx = Ctx.generate () in
+  check int "no context set" 0 (Trace.contexts_set ());
+  let seen_elsewhere = ref (Some ctx) in
+  Trace.with_context (Some ctx) (fun () ->
+      check int "one context set" 1 (Trace.contexts_set ());
+      let t = Thread.create (fun () -> seen_elsewhere := Trace.current_context ()) () in
+      Thread.join t;
+      check bool "own thread sees it" true (Trace.current_context () = Some ctx));
+  check bool "other thread sees none" true (!seen_elsewhere = None);
+  check int "none set after a normal exit" 0 (Trace.contexts_set ());
+  (match Trace.with_context (Some ctx) (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "with_context swallowed the exception"
+  | exception Failure _ -> ());
+  check int "none set after a raise" 0 (Trace.contexts_set ());
+  check bool "and none read" true (Trace.current_context () = None)
+
 let test_slow_threshold_parse () =
   check bool "50 -> 0.05s" true (Trace.threshold_of_ms_string "50" = Some 0.05);
   check bool "0 ok" true (Trace.threshold_of_ms_string "0" = Some 0.);
@@ -885,6 +905,7 @@ let suite =
     ("trace context rejects malformed", `Quick, test_ctx_decode_rejects_malformed);
     ("trace context id generation", `Quick, test_ctx_generate_distinct);
     ("ambient trace context", `Quick, test_ambient_context);
+    ("trace context per thread, count back to 0", `Quick, test_context_per_thread);
     ("slow threshold parsing", `Quick, test_slow_threshold_parse);
     ("flight recorder ring", `Quick, test_recorder_ring);
     ("slo objectives and breaches", `Quick, test_slo_objectives_and_breaches);

@@ -167,6 +167,52 @@ let test_loaded_repo_continues () =
           (Symbol.name executed.Gkbms.Decision.decision)
           [ "dec1"; "dec2"; "dec3"; "dec4" ]))
 
+(* A [p<n>] someone chose is serial symbol [n], whose code [2n + 1] can
+   lie far past every other code, and past the writer's first-use
+   bitset.  The writer must give it a file code a reader accepts
+   (below 2^30) without keeping anything per number, and so must it
+   for the ids minted after a reload raised the id counter past [n]. *)
+let test_snapshot_codes_past_the_bitset () =
+  let chosen = "p123456789012" in
+  let canonical r = P.save_repository_canonical r in
+  (* the counter is process-wide: put it back where it was *)
+  let mark = Symbol.serial_number (Prop.fresh_id ()) in
+  Fun.protect ~finally:(fun () -> Prop.reset_ids (); Prop.advance_ids mark)
+  @@ fun () ->
+  let st = ok (Scn.setup ()) in
+  ignore (ok (Scn.map_move_down st));
+  let repo = st.Scn.repo in
+  ignore
+    (ok
+       (Repo.new_object repo ~name:chosen ~cls:Gkbms.Metamodel.dbpl_object
+          (Repo.Text "chosen")));
+  check int "the chosen name is serial" 123456789012
+    (Symbol.serial_number (Symbol.intern chosen));
+  let bytes = Gc.allocated_bytes () in
+  let snapshot = P.save_repository repo in
+  let allocated = Gc.allocated_bytes () -. bytes in
+  (* ~0.35 MB, its staging buffers; a bit per code up to the chosen
+     one would be 30 GB *)
+  check bool "the writer keeps nothing per number" true (allocated < 4e6);
+  let repo2 = ok (P.load_repository snapshot) in
+  check bool "reloaded" true (canonical repo = canonical repo2);
+  let edit r =
+    ok
+      (Gkbms.Decision.execute r ~decision_class:Gkbms.Metamodel.dec_manual_edit
+         ~tool:Gkbms.Mapping.editor_tool
+         ~inputs:[ ("object", Symbol.intern "InvitationRel") ]
+         ~params:[ ("text", "after") ]
+         ())
+  in
+  ignore (edit repo2);
+  check bool "ids minted after the reload are numbered past it" true
+    (Symbol.serial_number (Prop.fresh_id ()) > 123456789012);
+  let repo3 = ok (P.load_repository (P.save_repository repo2)) in
+  check bool "reloaded again" true (canonical repo2 = canonical repo3);
+  ignore (edit repo3);
+  check int "and the history goes on" 2
+    (List.length (Repo.decision_log repo3) - List.length (Repo.decision_log repo))
+
 let test_snapshot_rejects_garbage () =
   (match P.load_repository "(not-a-repo)" with
   | Error _ -> ()
@@ -495,6 +541,7 @@ let suite =
     ("repository snapshot roundtrip", `Quick, test_repository_roundtrip);
     ("loaded repository continues", `Quick, test_loaded_repo_continues);
     ("snapshot rejects garbage", `Quick, test_snapshot_rejects_garbage);
+    ("snapshot codes past the first-use bitset", `Quick, test_snapshot_codes_past_the_bitset);
     ("file roundtrip", `Quick, test_file_roundtrip);
     ("snapshot bytes match the reference printer", `Quick, test_snapshot_format_pinned);
     QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
