@@ -486,6 +486,60 @@ let shape_scaling () =
     Printf.printf "gates failed: %s\n"
       (String.concat ", " (List.map (fun (r : Scaling.row) -> r.op) failed))
 
+(* Memory per proposition (DESIGN.md §14) on the in-process end state
+   of gkbench [edit] at [--seconds 10]: the §2.1 scenario through the
+   key decision, 512 documents, then the 12,000 edits of its seed-1
+   stream, run through the dialog manager.  After [Gc.compact]: the live
+   heap; the words per proposition of a store refilled from the base,
+   [Prop.t] records included (what [test_durability.ml] bounds); the
+   words per proposition of a code-indexed table over the base's ids
+   alone, the store's id table without its nodes; and the words the
+   JTMS reaches, its justifications included. *)
+let shape_memory () =
+  section "memory: the in-process edit end state";
+  let st = ok (Gkbms.Scenario.setup ()) in
+  ignore (ok (Gkbms.Scenario.map_move_down st));
+  ignore (ok (Gkbms.Scenario.normalize_invitations st));
+  ignore (ok (Gkbms.Scenario.substitute_key st));
+  let repo = st.Gkbms.Scenario.repo in
+  let docs = 512 in
+  for i = 0 to docs - 1 do
+    ignore
+      (ok
+         (Repo.new_object repo ~name:(Gen.doc_name i) ~cls:Gkbms.Metamodel.dbpl_object
+            (Repo.Text "v0")))
+  done;
+  let sh = Gkbms.Shell.session repo in
+  Array.iter
+    (fun (op : Gen.op) ->
+      let out = Gkbms.Shell.eval sh op.Gen.line in
+      if not (Gen.check op.Gen.expect out) then
+        failwith (Printf.sprintf "edit %S answered %S" op.Gen.line out))
+    (Gen.edit_stream ~seed:1 ~count:12_000 ~docs);
+  let base = Cml.Kb.base (Repo.kb repo) in
+  let props = Store.Base.cardinal base in
+  let per_prop words = float_of_int words /. float_of_int props in
+  Gc.compact ();
+  let live_mb = float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8)) /. 1e6 in
+  let store = Store.Mem_store.create () in
+  Store.Base.iter base (fun p -> ignore (Store.Mem_store.insert store p));
+  let ids = Kernel.Symtab.create (-1) in
+  Store.Base.iter base (fun p -> Kernel.Symtab.replace ids p.Kernel.Prop.id 0);
+  let store_words = per_prop (Obj.reachable_words (Obj.repr store)) in
+  let id_words = per_prop (Obj.reachable_words (Obj.repr ids)) in
+  let jtms_words = Obj.reachable_words (Obj.repr (Repo.jtms repo)) in
+  Printf.printf "propositions             %d\n" props;
+  Printf.printf "live heap                %.1f MB\n" live_mb;
+  Printf.printf "store words/proposition  %.2f\n" store_words;
+  Printf.printf "id table words/prop.     %.2f\n" id_words;
+  Printf.printf "jtms words               %d (%.1f MB)\n" jtms_words
+    (float_of_int (jtms_words * (Sys.word_size / 8)) /. 1e6);
+  metric_i "memory_propositions" props;
+  metric_f "memory_live_heap_mb" live_mb;
+  metric_f "memory_store_words_per_prop" store_words;
+  metric_f "memory_id_table_words_per_prop" id_words;
+  metric_i "memory_jtms_words" jtms_words
+
 (* E25: group commit + pipelining.  The write path of E18 pays one
    client round trip per decision and — with a WAL in fsync mode — one
    disk sync per decision.  Group commit amortizes the sync across every
@@ -1295,7 +1349,7 @@ let run_benches () =
     (List.rev !tests)
 
 let modes =
-  [ "shapes"; "server"; "obs"; "repl"; "bound"; "trace"; "group"; "scaling" ]
+  [ "shapes"; "server"; "obs"; "repl"; "bound"; "trace"; "group"; "scaling"; "memory" ]
 
 let usage () =
   Printf.eprintf
@@ -1321,6 +1375,7 @@ let () =
   let trace_only = List.mem "trace" args in
   let group_only = List.mem "group" args in
   let scaling_only = List.mem "scaling" args in
+  let memory_only = List.mem "memory" args in
   let json_path =
     let rec find = function
       | "--json" :: path :: _ -> Some path
@@ -1336,6 +1391,7 @@ let () =
   else if trace_only then shape_e24_tracing ()
   else if group_only then shape_e25_group_commit ()
   else if scaling_only then shape_scaling ()
+  else if memory_only then shape_memory ()
   else begin
     shape_e1_menu ();
     shape_e2_mapping_strategies ();

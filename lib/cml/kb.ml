@@ -424,16 +424,28 @@ let attribute_class t source label =
 (* The symbol-typed write path; the string-typed functions below
    intern their names and call these. *)
 
+(* A chosen id that spells a minted one, serial symbol [n], raises the
+   id counter past [n], so no later {!Prop.fresh_id} mints it again
+   (a reload does the same in [Persist.finalize]). *)
+let claim id = match Symbol.serial_number id with 0 -> () | n -> Prop.advance_ids n
+
 let declare_sym ?(time = Time.always) t id =
   match Base.insert t.base (Prop.individual ~time id) with
-  | Ok () -> Ok id
+  | Ok () ->
+    claim id;
+    Ok id
   | Error _ when Base.mem t.base id -> Ok id
   | Error e -> Error e
 
 let link ?(time = Time.always) ?id t source label dest =
+  let chosen = Option.is_some id in
   let id = match id with Some i -> i | None -> Prop.fresh_id () in
   let p = Prop.make ~time ~id ~source ~label ~dest () in
-  match create_proposition t p with Ok () -> Ok p | Error e -> Error e
+  match create_proposition t p with
+  | Ok () ->
+    if chosen then claim id;
+    Ok p
+  | Error e -> Error e
 
 let add_instanceof_sym ?time t ~inst ~cls = link ?time t inst Axioms.instanceof cls
 

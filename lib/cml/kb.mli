@@ -34,7 +34,8 @@ val tick : t -> Time.point
 
 val declare_sym : ?time:Time.t -> t -> Prop.id -> (Prop.id, string) result
 (** Create an individual object.  Idempotent: re-declaring an existing
-    object returns its id. *)
+    object returns its id.  An id that spells a minted one, [p<n>],
+    raises the id counter past [n] ({!Prop.advance_ids}). *)
 
 val link :
   ?time:Time.t -> ?id:Prop.id -> t -> Prop.id -> Symbol.t -> Prop.id ->
@@ -42,7 +43,8 @@ val link :
 (** [link t source label dest] creates the link [<source, label, dest>]
     under [id] (default a {!Prop.fresh_id}), checked against the axioms:
     both endpoints must exist, and an [isa] link may not close a cycle.
-    It classifies nothing. *)
+    It classifies nothing.  A chosen [id] raises the id counter as
+    {!declare_sym}'s does. *)
 
 val add_instanceof_sym :
   ?time:Time.t -> t -> inst:Prop.id -> cls:Prop.id -> (Prop.t, string) result

@@ -164,7 +164,7 @@ let unsupported_objects repo =
   let j = Repo.jtms repo in
   List.filter
     (fun obj ->
-      match J.find j (Symbol.name obj) with
+      match J.find_sym j obj with
       | Some node -> J.justifications j node <> [] && J.is_out j node
       | None -> false)
     (Repo.all_design_objects repo)
@@ -172,12 +172,12 @@ let unsupported_objects repo =
 let suggest_culprit repo =
   let j = Repo.jtms repo in
   let lost_support dec =
-    match J.find j (Symbol.name dec) with
+    match J.find_sym j dec with
     | Some node ->
       J.is_out j node
       && List.for_all
            (fun (_, input) ->
-             match J.find j (Symbol.name input) with
+             match J.find_sym j input with
              | Some n -> J.is_in j n
              | None -> true)
            (Decision.inputs_of repo dec)

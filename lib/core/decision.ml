@@ -259,7 +259,7 @@ let rationale_of repo dec = text_of repo (first_value repo dec "rationale")
 let ensure_supported repo id =
   (* imported objects (no creating decision) become JTMS premises *)
   let j = Repo.jtms repo in
-  let node = J.node j (Symbol.name id) in
+  let node = J.node_sym j id in
   if J.justifications j node = [] then ignore (J.premise j node);
   node
 
@@ -296,17 +296,16 @@ let install_justifications repo dec =
     | Some s, None | None, Some s -> Symbol.name s
     | None, None -> ""
   in
-  let dec_node = J.node j dec_name in
+  let dec_node = J.node_sym j dec in
   justify
     ~inlist:(input_nodes @ assumption_nodes)
     ~reason:(String.concat "" [ "decision "; dec_name; " ("; how; ")" ])
     dec_node;
   List.iter
     (fun (_, out) ->
-      let out = Symbol.name out in
       justify ~inlist:[ dec_node ]
-        ~reason:(String.concat "" [ out; " created by "; dec_name ])
-        (J.node j out))
+        ~reason:(String.concat "" [ Symbol.name out; " created by "; dec_name ])
+        (J.node_sym j out))
     r.outputs;
   (* facts the decision establishes — typically the defeaters of
      earlier assumptions ("other subclasses of Papers exist") *)

@@ -87,7 +87,7 @@ let explain_decision repo dec =
     let open_obs = Decision.open_obligations repo dec in
     if open_obs <> [] then
       pf "  open obligations: %s\n" (String.concat ", " open_obs);
-    (match J.find (Repo.jtms repo) (Symbol.name dec) with
+    (match J.find_sym (Repo.jtms repo) dec with
     | Some node ->
       pf "  belief:    %s\n"
         (if J.is_in (Repo.jtms repo) node then "IN" else "OUT");

@@ -40,20 +40,21 @@ type event =
 type event_subscription = int
 
 (* The decision log: an append-only vector of ids plus a position
-   table.  Unlogging drops the id from [pos] and leaves its slot behind
-   as a tombstone, so positions only rise and never shift; a slot is
-   live exactly when [pos] maps its id back to it (an id logged again
-   after an unlog gets a new, higher slot). *)
+   table ([-1] where an id has none).  Unlogging drops the id from
+   [pos] and leaves its slot behind as a tombstone, so positions only
+   rise and never shift; a slot is live exactly when [pos] maps its id
+   back to it (an id logged again after an unlog gets a new, higher
+   slot). *)
 type log = {
   mutable slots : Prop.id array;
   mutable used : int;
-  pos : int Symbol.Tbl.t;
+  pos : int Symtab.t;
 }
 
 type t = {
   kb : Kb.t;
   jtms : Tms.Jtms.t;
-  artifacts : artifact Symbol.Tbl.t;
+  artifacts : artifact Symtab.t;  (** [no_artifact] where an id has none *)
   tools : (string, tool) Hashtbl.t;
   log : log;
   mutable decision_counter : int;
@@ -93,6 +94,9 @@ and tool = {
     (output list, string) result;
 }
 
+(* the artifact table's empty slot, a block no caller can build *)
+let no_artifact = Text (String.make 0 ' ')
+
 (* split a trailing version index: "InvitationRel7" -> ("InvitationRel", 7).
    Indexes below 2 are never allocated by [next_version_name], so they do
    not participate in hint maintenance. *)
@@ -112,8 +116,10 @@ let split_version name =
 
 let track_version_hint t change =
   let open Store.Base in
+  (* a minted id is no version; [next_version_name] never coins one *)
+  let versioned p = Prop.is_individual p && Symbol.serial_number p.Prop.id = 0 in
   match change with
-  | Added p when Prop.is_individual p -> (
+  | Added p when versioned p -> (
     match split_version (Symbol.name p.Prop.id) with
     | Some (base, idx) -> (
       let b = Symbol.intern base in
@@ -123,7 +129,7 @@ let track_version_hint t change =
       | Some h when idx = h -> Symbol.Tbl.replace t.version_hints b (h + 1)
       | _ -> ())
     | None -> ())
-  | Removed p when Prop.is_individual p -> (
+  | Removed p when versioned p -> (
     match split_version (Symbol.name p.Prop.id) with
     | Some (base, idx) -> (
       let b = Symbol.intern base in
@@ -199,9 +205,9 @@ let create ?(install_metamodel = true) () =
     {
       kb;
       jtms = Tms.Jtms.create ();
-      artifacts = Symbol.Tbl.create 256;
+      artifacts = Symtab.create no_artifact;
       tools = Hashtbl.create 16;
-      log = { slots = [||]; used = 0; pos = Symbol.Tbl.create 256 };
+      log = { slots = [||]; used = 0; pos = Symtab.create (-1) };
       decision_counter = 0;
       change_batch = [];
       decision_justs = Symbol.Tbl.create 64;
@@ -277,7 +283,7 @@ let render = function
   | artifact -> Format.asprintf "%a" pp_artifact artifact
 
 let set_artifact t id a =
-  Symbol.Tbl.replace t.artifacts id a;
+  Symtab.replace t.artifacts id a;
   emit_event t (Artifact_written id)
 
 let new_object t ?name ?replaces ~cls artifact =
@@ -310,18 +316,18 @@ let new_object t ?name ?replaces ~cls artifact =
     in
     Ok id
 
-let artifact t id = Symbol.Tbl.find_opt t.artifacts id
-let fold_artifacts t f init = Symbol.Tbl.fold f t.artifacts init
+let artifact t id = Symtab.find_opt t.artifacts id
+let fold_artifacts t f init = Symtab.fold f t.artifacts init
 
 let source_text t id =
   match Kb.attribute_values t.kb id Metamodel.source_cat with
   | text_id :: _ -> (
-    match Symbol.Tbl.find_opt t.artifacts text_id with
+    match Symtab.find_opt t.artifacts text_id with
     | Some (Text s) -> Some s
     | Some a -> Some (render a)
     | None -> None)
   | [] -> (
-    match Symbol.Tbl.find_opt t.artifacts id with
+    match Symtab.find_opt t.artifacts id with
     | Some a -> Some (render a)
     | None -> None)
 
@@ -399,34 +405,32 @@ let tools_for t decision_class =
     t.tools []
   |> List.sort (fun a b -> String.compare a.tool_name b.tool_name)
 
-let is_logged t id = Symbol.Tbl.mem t.log.pos id
-let position t id = Symbol.Tbl.find_opt t.log.pos id
-let log_length t = Symbol.Tbl.length t.log.pos
+let is_logged t id = Symtab.mem t.log.pos id
+let position t id = Symtab.find_opt t.log.pos id
+let log_length t = Symtab.length t.log.pos
 
 let log_decision t id =
   let l = t.log in
-  if not (Symbol.Tbl.mem l.pos id) then begin
+  if not (Symtab.mem l.pos id) then begin
     if l.used = Array.length l.slots then begin
       let grown = Array.make (max 64 (2 * l.used)) id in
       Array.blit l.slots 0 grown 0 l.used;
       l.slots <- grown
     end;
     l.slots.(l.used) <- id;
-    Symbol.Tbl.replace l.pos id l.used;
+    Symtab.replace l.pos id l.used;
     l.used <- l.used + 1
   end
 
 let unlog_decision t id =
-  Symbol.Tbl.remove t.log.pos id;
+  Symtab.remove t.log.pos id;
   emit_event t (Decision_unlogged id)
 
 let iter_log t f =
   let l = t.log in
   for i = 0 to l.used - 1 do
     let id = l.slots.(i) in
-    match Symbol.Tbl.find_opt l.pos id with
-    | Some j when j = i -> f id
-    | Some _ | None -> ()
+    if Symtab.find l.pos id = i then f id
   done
 
 let decision_log t =
@@ -438,7 +442,17 @@ let fresh_decision_id t =
   t.decision_counter <- t.decision_counter + 1;
   "dec" ^ string_of_int t.decision_counter
 
+(* [p] then digits spells a minted proposition id (see
+   {!Symbol.serial}), which no chosen name may take: the lineage of [p]
+   numbers its versions [p02], [p03], ..., which [split_version] reads
+   back as 2, 3, ..., and a base that is itself such a spelling is
+   versioned as [p]. *)
+let spells_minted_id s =
+  match Symbol.find_opt s with Some id -> Symbol.serial_number id > 0 | None -> false
+
 let next_version_name t base =
+  let base = if spells_minted_id base then "p" else base in
+  let version n = if base = "p" then "p0" ^ string_of_int n else base ^ string_of_int n in
   if not (Kb.exists t.kb base) then base
   else begin
     let b = Symbol.intern base in
@@ -447,15 +461,13 @@ let next_version_name t base =
       | Some h -> h
       | None -> 2
     in
-    let rec probe n =
-      if Kb.exists t.kb (base ^ string_of_int n) then probe (n + 1) else n
-    in
+    let rec probe n = if Kb.exists t.kb (version n) then probe (n + 1) else n in
     let n = probe start in
     (* every index in [start, n) was just observed occupied, and the
        hint guaranteed everything below [start] occupied, so [n] is the
        exact first-free index — remember it *)
     Symbol.Tbl.replace t.version_hints b n;
-    base ^ string_of_int n
+    version n
   end
 
 let advance_decision_counter t n =

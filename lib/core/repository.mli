@@ -97,7 +97,7 @@ val artifact : t -> Prop.id -> artifact option
 val set_artifact : t -> Prop.id -> artifact -> unit
 
 val fold_artifacts : t -> (Prop.id -> artifact -> 'a -> 'a) -> 'a -> 'a
-(** Every stored artifact, in no particular order. *)
+(** Every stored artifact, in ascending code order of its id. *)
 
 val source_text : t -> Prop.id -> string option
 (** The rendered source attached to the object. *)
@@ -173,7 +173,10 @@ val fresh_decision_id : t -> string
 val next_version_name : t -> string -> string
 (** First free name in the version lineage of [base]: [base] itself if
     unused, else [base2], [base3], ... — always the smallest free index,
-    so names freed by backtracking are reused.  Amortized O(1): a hint
+    so names freed by backtracking are reused.  It never coins the
+    spelling of a minted id ([p] then digits): the lineage of [p]
+    goes [p], [p02], [p03], ..., and a base spelt so is versioned as
+    [p].  Amortized O(1): a hint
     table tracking the base's change stream (including rollbacks)
     remembers where the lineage ends instead of re-probing it. *)
 

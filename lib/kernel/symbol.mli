@@ -50,10 +50,11 @@ val hash : t -> int
 
 val to_int : t -> int
 (** The symbol's integer code, which is non-negative and stable for
-    the life of the process.  Codes are neither dense nor 0-based: an
-    interned name's is twice its interning index, and serial symbol
-    [n]'s is [2 * n + 1], so serial ids compare in the order they were
-    minted, and the two kinds differ in the low bit. *)
+    the life of the process.  An interned name's is twice its
+    interning index, and serial symbol [n]'s is [2 * n + 1], so serial
+    ids compare in the order they were minted, the two kinds differ in
+    the low bit, and codes are dense within each kind: [code lsr 1]
+    indexes an array ({!Symtab}). *)
 
 val of_int : int -> t
 (** Inverse of {!to_int}.  The argument must be a code [to_int]

@@ -64,6 +64,9 @@ val query :
 (** Pattern retrieval; picks the most selective available index. *)
 
 val iter : t -> (Prop.t -> unit) -> unit
+(** Every proposition, in ascending code order of its id
+    ({!Mem_store.iter}). *)
+
 val fold : t -> ('a -> Prop.t -> 'a) -> 'a -> 'a
 (** Visits the propositions in {!iter}'s order. *)
 

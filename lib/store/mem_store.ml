@@ -4,16 +4,20 @@
    same label.  [next] leads from each node to the next older one and
    from the oldest round to the newest; [prev] leads the other way.  A
    [heads] table per chain maps its key to the oldest node, whose
-   [next] is the newest; the id table maps ids to nodes.  Insertion
-   puts the node after the newest without touching the key's entry,
-   removal unlinks in O(1), and a drained chain drops its key.  No
-   index holds a list bucket, a [ref] cell or a boxed pair key:
-   [by_source_label] walks the source chain and keeps the label's
-   matches, so it costs the source's out-degree.
+   [next] is the newest; the id table, a {!Symtab} indexed by code,
+   maps an id to its node in one slot.  Insertion puts the node after
+   the newest without touching the key's entry, removal unlinks in
+   O(1), and a drained chain drops its key.  No index holds a list
+   bucket, a [ref] cell or a boxed pair key: [by_source_label] walks
+   the source chain and keeps the label's matches, so it costs the
+   source's out-degree.
 
    Reads walk a chain from its oldest node up to the newest and cons,
    so an answer is a fresh list, newest first, allocated once; the
-   [fold_*] reads let a caller that filters cons only what it keeps. *)
+   [fold_*] reads let a caller that filters cons only what it keeps.
+   [iter] and [fold] visit ids in ascending code order, so serial ids
+   come out in mint order: a checkpoint writes a decision's links in
+   the order they were made, and a reload links them back so. *)
 
 open Kernel
 
@@ -30,7 +34,7 @@ type node = {
 (* The initial links of a fresh node: [link] overwrites all six before
    any read can reach it.  Its proposition is never read, and its code
    is not interned, so the store adds no symbol.  It also fills the
-   empty slots of a [heads] table. *)
+   empty slots of a [heads] table and of the id table. *)
 let no_prop =
   let none = Symbol.of_int (-1) in
   Prop.make ~belief:0 ~id:none ~source:none ~label:none ~dest:none ()
@@ -114,7 +118,7 @@ let head_remove h k =
   end
 
 type t = {
-  by_id : node Symbol.Tbl.t;
+  by_id : node Symtab.t;
   by_source : heads;
   by_dest : heads;
   by_label : heads;
@@ -122,7 +126,7 @@ type t = {
 
 let create () =
   {
-    by_id = Symbol.Tbl.create 1024;
+    by_id = Symtab.create placeholder;
     by_source = heads_create (fun p -> p.source) 1024;
     by_dest = heads_create (fun p -> p.dest) 1024;
     by_label = heads_create (fun p -> p.label) 256;
@@ -197,10 +201,10 @@ let unlink c heads n =
   end
 
 let insert t (p : Prop.t) =
-  if Symbol.Tbl.mem t.by_id p.id then false
+  if Symtab.mem t.by_id p.id then false
   else begin
     let n = { placeholder with prop = p } in
-    Symbol.Tbl.add t.by_id p.id n;
+    Symtab.replace t.by_id p.id n;
     link src t.by_source n;
     link dst t.by_dest n;
     link lbl t.by_label n;
@@ -208,21 +212,21 @@ let insert t (p : Prop.t) =
   end
 
 let find t id =
-  match Symbol.Tbl.find t.by_id id with
-  | n -> Some n.prop
-  | exception Not_found -> None
+  let n = Symtab.find t.by_id id in
+  if n == placeholder then None else Some n.prop
 
-let mem t id = Symbol.Tbl.mem t.by_id id
+let mem t id = Symtab.mem t.by_id id
 
 let remove t id =
-  match Symbol.Tbl.find t.by_id id with
-  | exception Not_found -> None
-  | n ->
-    Symbol.Tbl.remove t.by_id id;
+  let n = Symtab.find t.by_id id in
+  if n == placeholder then None
+  else begin
+    Symtab.remove t.by_id id;
     unlink src t.by_source n;
     unlink dst t.by_dest n;
     unlink lbl t.by_label n;
     Some n.prop
+  end
 
 (* [f] over the chain from [n] up to its newest node [newest] *)
 let rec fold_back c f newest n acc =
@@ -251,11 +255,9 @@ let by_source_label t x l =
   let oldest = head t.by_source x in
   if oldest == placeholder then [] else labelled l oldest.src_next oldest []
 
-(* [Symbol.Tbl.fold] and [iter] visit the same buckets in the same
-   order *)
-let iter t f = Symbol.Tbl.iter (fun _ n -> f n.prop) t.by_id
-let fold t f acc = Symbol.Tbl.fold (fun _ n acc -> f acc n.prop) t.by_id acc
-let cardinal t = Symbol.Tbl.length t.by_id
+let iter t f = Symtab.iter (fun _ n -> f n.prop) t.by_id
+let fold t f acc = Symtab.fold (fun _ n acc -> f acc n.prop) t.by_id acc
+let cardinal t = Symtab.length t.by_id
 
 (* [f] over the chain from [n] on to (not round to) [newest], newest
    first *)

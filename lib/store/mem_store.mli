@@ -4,8 +4,9 @@
     external databases) of propositions can be managed by the proposition
     base.  In its interface it exports operations for retrieving and
     creating stored propositions."  This is the one the system keeps in
-    memory: one heap node per proposition on intrusive index chains.
-    The checkpoint and the write-ahead log are its on-disk form. *)
+    memory: one heap node per proposition on intrusive index chains,
+    found by id through a code-indexed {!Kernel.Symtab}.  The
+    checkpoint and the write-ahead log are its on-disk form. *)
 
 open Kernel
 
@@ -42,6 +43,9 @@ val iter_dest : t -> Prop.id -> (Prop.t -> unit) -> unit
 (** [List.iter f (by_dest t y)], newest first, without the list. *)
 
 val iter : t -> (Prop.t -> unit) -> unit
+(** Every proposition, in ascending code order of its id
+    ({!Kernel.Symbol.compare}), so minted ids come out in mint
+    order. *)
 
 val fold : t -> ('a -> Prop.t -> 'a) -> 'a -> 'a
 (** Visits the propositions in {!iter}'s order. *)

@@ -1,6 +1,8 @@
+open Kernel
+
 type node = {
   node_id : int;
-  node_name : string;
+  node_sym : Symbol.t;
   contradiction : bool;
   mutable in_ : bool;
   mutable justs : justification list;  (** justifications for this node *)
@@ -19,39 +21,45 @@ and justification = {
   mutable retracted : bool;
 }
 
+(* Nodes are found by symbol in a code-indexed table, whose empty slot
+   is [no_node]. *)
 type t = {
-  by_name : (string, node) Hashtbl.t;
+  by_sym : node Symtab.t;
   mutable all : node list;
   mutable next_node : int;
   mutable next_just : int;
 }
 
-let create () =
-  { by_name = Hashtbl.create 128; all = []; next_node = 0; next_just = 0 }
+let make_node id sym contradiction =
+  {
+    node_id = id;
+    node_sym = sym;
+    contradiction;
+    in_ = false;
+    justs = [];
+    consumers = [];
+    support = None;
+    rank = max_int;
+  }
 
-let node t ?(contradiction = false) name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some n -> n
-  | None ->
-    let n =
-      {
-        node_id = t.next_node;
-        node_name = name;
-        contradiction;
-        in_ = false;
-        justs = [];
-        consumers = [];
-        support = None;
-        rank = max_int;
-      }
-    in
+let no_node = make_node (-1) (Symbol.of_int (-1)) false
+let create () = { by_sym = Symtab.create no_node; all = []; next_node = 0; next_just = 0 }
+
+let node_sym t ?(contradiction = false) sym =
+  let n = Symtab.find t.by_sym sym in
+  if n != no_node then n
+  else begin
+    let n = make_node t.next_node sym contradiction in
     t.next_node <- t.next_node + 1;
-    Hashtbl.add t.by_name name n;
+    Symtab.replace t.by_sym sym n;
     t.all <- n :: t.all;
     n
+  end
 
-let name n = n.node_name
-let find t name = Hashtbl.find_opt t.by_name name
+let node t ?contradiction name = node_sym t ?contradiction (Symbol.intern name)
+let name n = Symbol.name n.node_sym
+let find_sym t sym = Symtab.find_opt t.by_sym sym
+let find t name = Option.bind (Symbol.find_opt name) (find_sym t)
 
 (* Alternating-fixpoint labeling.  Each round recomputes the labels from
    scratch: a justification is valid when its in-list is IN in the label
@@ -163,7 +171,7 @@ let justify t ?(inlist = []) ?(outlist = []) ~reason consequence_ =
   propagate_addition t j;
   j
 
-let premise t n = justify t ~reason:("premise " ^ n.node_name) n
+let premise t n = justify t ~reason:("premise " ^ name n) n
 
 let retract t j =
   j.retracted <- true;
@@ -230,7 +238,7 @@ let backtrack t contra =
             (justify t ~inlist:[] ~outlist:[]
                ~reason:
                  (Printf.sprintf "nogood: defeat assumption %s (from %s)"
-                    culprit.node_name contra.node_name)
+                    (name culprit) (name contra))
                defeater);
           Ok culprit
         | [] -> Error "unreachable: empty outlist")

@@ -5,7 +5,13 @@
     its out-list is OUT.  The GKBMS stores each design decision as a
     justification from its input objects (and enabling assumptions) to
     its outputs, so retracting a decision relabels exactly its
-    consequences — the machinery behind selective backtracking. *)
+    consequences — the machinery behind selective backtracking.
+
+    A node is named by a symbol: a decision, a design object, or an
+    assumption or fact the decisions name.  Nodes are found by code in
+    a {!Kernel.Symtab}, one slot each, with no string hashed. *)
+
+open Kernel
 
 type t
 type node
@@ -13,11 +19,19 @@ type justification
 
 val create : unit -> t
 
+val node_sym : t -> ?contradiction:bool -> Symbol.t -> node
+(** Get or create the node named by this symbol.  [contradiction] only
+    counts when the node is created. *)
+
+val find_sym : t -> Symbol.t -> node option
+
 val node : t -> ?contradiction:bool -> string -> node
-(** Get or create the node with this name. *)
+(** {!node_sym} of the interned name. *)
+
+val find : t -> string -> node option
+(** {!find_sym} of the name, if it was ever interned; interns nothing. *)
 
 val name : node -> string
-val find : t -> string -> node option
 
 val justify :
   t -> ?inlist:node list -> ?outlist:node list -> reason:string ->

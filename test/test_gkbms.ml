@@ -161,6 +161,43 @@ let test_version_names () =
   check Alcotest.string "base of versioned" "X" (Map_.version_base "X17");
   check Alcotest.string "base of plain" "X" (Map_.version_base "X")
 
+(* A chosen name that spells a minted id, [p<n>], must not run into the
+   ids minted after it.  Editing a document [p99999] coins version [p],
+   whose next versions are the names [p02], [p03], ..., not the ids
+   [p2], [p3] that the links already hold; and declaring a chosen
+   [p<n>] just ahead of the id counter raises the counter past [n], so
+   the links of its own object are numbered after it. *)
+let test_chosen_ids_never_collide () =
+  (* the counter is process-wide: put it back where it was *)
+  let mark = Symbol.serial_number (Prop.fresh_id ()) in
+  Fun.protect ~finally:(fun () -> Prop.reset_ids (); Prop.advance_ids mark) @@ fun () ->
+  let repo = (ok (Scn.setup ())).Scn.repo in
+  let sh = Gkbms.Shell.session repo in
+  let declare name = ok (Repo.new_object repo ~name ~cls:Meta.dbpl_object (Repo.Text "v0")) in
+  let edit obj version =
+    let out =
+      Gkbms.Shell.eval sh (Printf.sprintf "run DecManualEdit Editor object=%s text=e" obj)
+    in
+    check bool (Printf.sprintf "%s edited into %s: %s" obj version out) true
+      (String.starts_with ~prefix:"run executed" out
+      && String.ends_with ~suffix:(" -> " ^ version) (String.trim out))
+  in
+  ignore (declare "p99999");
+  check bool "declaring p99999 raises the id counter" true
+    (Symbol.serial_number (Prop.fresh_id ()) > 99999);
+  List.iter2 edit [ "p99999"; "p"; "p02"; "p03" ] [ "p"; "p02"; "p03"; "p04" ];
+  let n = Symbol.serial_number (Prop.fresh_id ()) + 3 in
+  let chosen = "p" ^ string_of_int n in
+  let id = declare chosen in
+  check bool "a chosen id ahead of the counter" true (Symbol.equal id (Symbol.serial n));
+  check bool "its links are numbered past it" true
+    (List.for_all
+       (fun (p : Prop.t) -> Symbol.equal p.id id || Symbol.serial_number p.id > n)
+       (Store.Base.by_source (Cml.Kb.base (Repo.kb repo)) id));
+  edit chosen "p05";
+  check int "every edit committed" 5 (List.length (Repo.decision_log repo));
+  check bool "consistent" true (Cml.Consistency.check_all (Repo.kb repo) = [])
+
 (* decision execution ------------------------------------------------------ *)
 
 let test_applicable_menu () =
@@ -685,6 +722,44 @@ let test_explain_live_equals_reloaded () =
         (ok (Gkbms.Explain.explain_decision reloaded dec)))
     (Repo.decision_log repo)
 
+(* A checkpoint lists the propositions in ascending id code, so minted
+   links reload in mint order and every chain is linked as the live
+   base linked it: browsing a reloaded repository reads the same as
+   the live one.  Ids are numbered past a million, as in a long-lived
+   process, so that no table iterates in code order merely because
+   every code lies below its size. *)
+let test_browse_live_equals_reloaded () =
+  (* the counter is process-wide: put it back where it was *)
+  let mark = Symbol.serial_number (Prop.fresh_id ()) in
+  Fun.protect ~finally:(fun () -> Prop.reset_ids (); Prop.advance_ids mark) @@ fun () ->
+  Prop.advance_ids (mark + 1_000_000);
+  let st = ok (Scn.setup ()) in
+  ignore (ok (Scn.map_move_down st));
+  ignore (ok (Scn.normalize_invitations st));
+  ignore (ok (Scn.substitute_key st));
+  let repo = st.Scn.repo in
+  let doc i = Printf.sprintf "ReloadDoc%dx" i in
+  for i = 0 to 31 do
+    ignore (ok (Repo.new_object repo ~name:(doc i) ~cls:Meta.dbpl_object (Repo.Text "v0")))
+  done;
+  let sh = Gkbms.Shell.session repo in
+  let decisions = Repo.log_length repo in
+  for k = 0 to 199 do
+    ignore
+      (Gkbms.Shell.eval sh
+         (Printf.sprintf "run DecManualEdit Editor object=%s text=e%d" (doc (k * 7 mod 32)) k))
+  done;
+  check int "every edit committed" (decisions + 200) (Repo.log_length repo);
+  ignore (ok (Bt.retract repo (List.nth (Repo.decision_log repo) 50) ()));
+  let reloaded =
+    ok (Gkbms.Persist.load_repository (Gkbms.Persist.save_repository repo))
+  in
+  let sh' = Gkbms.Shell.session reloaded in
+  List.iter
+    (fun line ->
+      Alcotest.(check string) line (Gkbms.Shell.eval sh line) (Gkbms.Shell.eval sh' line))
+    [ "config DBPL_Object"; "focus " ^ doc 3; "deps " ^ doc 9; "history " ^ doc 7; "unmapped" ]
+
 (* JTMS integration ---------------------------------------------------------- *)
 
 let test_jtms_mirrors_decisions () =
@@ -839,6 +914,7 @@ let suite =
     ("mapping unknown root", `Quick, test_mapping_unknown_root);
     ("load design rejects invalid", `Quick, test_load_design_rejects_invalid);
     ("version names", `Quick, test_version_names);
+    ("chosen ids never collide with minted ones", `Quick, test_chosen_ids_never_collide);
     ("applicable menu (fig 2-1)", `Quick, test_applicable_menu);
     ("menu respects classification", `Quick, test_menu_empty_for_nonmatching);
     ("execute records everything", `Quick, test_execute_records_everything);
@@ -869,6 +945,7 @@ let suite =
     ("explain why", `Quick, test_explain_why);
     ("explain decision", `Quick, test_explain_decision);
     ("decisions explain the same live and reloaded", `Quick, test_explain_live_equals_reloaded);
+    ("browsing reads the same live and reloaded", `Quick, test_browse_live_equals_reloaded);
     ("jtms mirrors decisions", `Quick, test_jtms_mirrors_decisions);
     ("jtms assumption defeat", `Quick, test_jtms_assumption_defeat);
     ("kb: derive ≡ bottom-up materialisation", `Quick, test_kb_derive_equal);

@@ -274,6 +274,52 @@ let test_prop_equal_ignores_belief () =
   in
   check bool "belief-insensitive equality" true (Prop.equal (mk 1) (mk 99))
 
+(* Symtab ------------------------------------------------------------- *)
+
+(* The code-indexed table against a [Symbol.Map] model, over random
+   [replace], [remove] and [find].  Keys: names interned here, serial
+   ids spread over some 60 pages of their directory (so one write can
+   land well past its end), and one serial past the directory's cap,
+   which the fallback table holds.  [iter] must visit the keys in
+   ascending code, the map's order, which puts the capped key last. *)
+let prop_symtab_model =
+  let names = List.init 12 (fun i -> Symbol.intern (Printf.sprintf "symtab-key-%d" i)) in
+  let serials = List.init 24 (fun i -> Symbol.serial (1 + (i * 2_777))) in
+  let keys = Array.of_list (names @ serials @ [ Symbol.serial 123_456_789_012 ]) in
+  let op =
+    QCheck.Gen.(triple (int_bound 2) (int_bound (Array.length keys - 1)) small_nat)
+  in
+  let print (o, k, v) =
+    Printf.sprintf "%s %s %d" [| "replace"; "remove"; "find" |].(o) (Symbol.name keys.(k)) v
+  in
+  QCheck.Test.make ~count:300 ~name:"symtab agrees with a Symbol.Map model"
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 1 150) op))
+    (fun ops ->
+      let t = Symtab.create (-1) in
+      let step (m, ok) (o, k, v) =
+        let key = keys.(k) in
+        match o with
+        | 0 ->
+          Symtab.replace t key v;
+          (Symbol.Map.add key v m, ok)
+        | 1 ->
+          Symtab.remove t key;
+          (Symbol.Map.remove key m, ok)
+        | _ -> (m, ok && Symtab.find_opt t key = Symbol.Map.find_opt key m)
+      in
+      let m, ok = List.fold_left step (Symbol.Map.empty, true) ops in
+      let visited = ref [] in
+      Symtab.iter (fun k v -> visited := (k, v) :: !visited) t;
+      ok
+      && Array.for_all
+           (fun k ->
+             Symtab.find_opt t k = Symbol.Map.find_opt k m
+             && Symtab.mem t k = Symbol.Map.mem k m
+             && Symtab.find t k = Option.value (Symbol.Map.find_opt k m) ~default:(-1))
+           keys
+      && Symtab.length t = Symbol.Map.cardinal m
+      && List.rev !visited = Symbol.Map.bindings m)
+
 let suite =
   [
     ("symbol intern", `Quick, test_symbol_intern);
@@ -283,6 +329,7 @@ let suite =
     ("symbol intern across table resizes", `Quick, test_symbol_resize);
     ("symbol serial spellings", `Quick, test_symbol_serial_spellings);
     QCheck_alcotest.to_alcotest prop_symbol_bijection;
+    QCheck_alcotest.to_alcotest prop_symtab_model;
     ("time validity", `Quick, test_time_validity);
     ("time relations", `Quick, test_time_relations);
     ("time intersect", `Quick, test_time_intersect);
