@@ -101,7 +101,20 @@ let shape_e4_selective_backtracking () =
     "expected shape: the dependency-based closure touches exactly the one\n\
      dependent decision; chronological undo would redo all the others.\n\
      (a dependent chain behaves like the chronological column: retracting\n\
-     decision k of an n-chain removes its n-k+1 consequences, no more)\n"
+     decision k of an n-chain removes its n-k+1 consequences, no more)\n";
+  (* the history axis: a fixed 4-chain retracted after H tip-edited
+     decisions, charged the words it allocates (bench/scaling's
+     measure, deterministic for one build) *)
+  Printf.printf "\n%-12s | %-22s\n" "history" "words per retraction";
+  List.iter
+    (fun h ->
+      let repo, sh, _ = Scaling.build h in
+      let words = Scaling.retract_words repo sh in
+      metric_f (Printf.sprintf "e4_retract_words_h%d" h) words;
+      Printf.printf "%-12d | %22.0f\n" h words)
+    [ 256; 1024; 4096 ];
+  Printf.printf
+    "expected shape: flat — a retraction costs its closure, not the history.\n"
 
 let shape_e9_deduction () =
   section "E9: deductive query engines on transitive closure (chain graph)";

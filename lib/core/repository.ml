@@ -286,34 +286,41 @@ let set_artifact t id a =
   Symtab.replace t.artifacts id a;
   emit_event t (Artifact_written id)
 
+(* The KB writes run in one transaction, so a failure leaves no trace
+   in the base; the artifacts, which no transaction covers, are set
+   only once it commits. *)
 let new_object t ?name ?replaces ~cls artifact =
   let name = match name with Some n -> n | None -> artifact_default_name artifact in
   if Kb.exists t.kb name then
     Error (Printf.sprintf "design object %s already exists" name)
   else
-    let* id = Kb.declare t.kb name in
-    let* _ = Kb.add_instanceof_sym t.kb ~inst:id ~cls:(Symbol.intern cls) in
+    let* id, text_id =
+      Store.Base.with_tx (Kb.base t.kb) @@ fun () ->
+      let* id = Kb.declare t.kb name in
+      let* _ = Kb.add_instanceof_sym t.kb ~inst:id ~cls:(Symbol.intern cls) in
+      (* attach the rendered source via SOURCE *)
+      let* text_id = Kb.declare t.kb (name ^ "!src") in
+      let* _ =
+        Kb.add_instanceof_sym t.kb ~inst:text_id ~cls:(Symbol.intern Metamodel.text_object)
+      in
+      let source = Symbol.intern Metamodel.source_cat in
+      let* _ =
+        Kb.add_attribute_sym t.kb ~category:source ~source:id ~label:source ~dest:text_id
+      in
+      let* () =
+        match replaces with
+        | None -> Ok ()
+        | Some prev ->
+          let replaces = Symbol.intern Metamodel.replaces_cat in
+          let* _ =
+            Kb.add_attribute_sym t.kb ~category:replaces ~source:id ~label:replaces ~dest:prev
+          in
+          Ok ()
+      in
+      Ok (id, text_id)
+    in
     set_artifact t id artifact;
-    (* attach the rendered source via SOURCE *)
-    let* text_id = Kb.declare t.kb (name ^ "!src") in
-    let* _ =
-      Kb.add_instanceof_sym t.kb ~inst:text_id ~cls:(Symbol.intern Metamodel.text_object)
-    in
     set_artifact t text_id (Text (render artifact));
-    let source = Symbol.intern Metamodel.source_cat in
-    let* _ =
-      Kb.add_attribute_sym t.kb ~category:source ~source:id ~label:source ~dest:text_id
-    in
-    let* () =
-      match replaces with
-      | None -> Ok ()
-      | Some prev ->
-        let replaces = Symbol.intern Metamodel.replaces_cat in
-        let* _ =
-          Kb.add_attribute_sym t.kb ~category:replaces ~source:id ~label:replaces ~dest:prev
-        in
-        Ok ()
-    in
     Ok id
 
 let artifact t id = Symtab.find_opt t.artifacts id

@@ -91,7 +91,10 @@ val new_object :
   (Prop.id, string) result
 (** Create a design object of the given class, abstracting the artifact;
     a [TextObject] holding its rendered source is attached via [SOURCE].
-    [name] defaults to a fresh id derived from the artifact. *)
+    [name] defaults to a fresh id derived from the artifact.  On [Error]
+    the base and the artifacts are as they were: the KB writes run in
+    one {!Store.Base.with_tx}, and the artifacts are set once it
+    commits. *)
 
 val artifact : t -> Prop.id -> artifact option
 val set_artifact : t -> Prop.id -> artifact -> unit

@@ -8,8 +8,8 @@ type node = {
   mutable justs : justification list;  (** justifications for this node *)
   mutable consumers : justification list;
       (** justifications with this node in their in- or out-list *)
-  mutable support : justification option;
-  mutable rank : int;  (** labeling round in which the node became IN *)
+  mutable support : justification option;  (** set while IN *)
+  mutable prev_in : bool;  (** {!relabel}'s label from its previous round *)
 }
 
 and justification = {
@@ -28,6 +28,7 @@ type t = {
   mutable all : node list;
   mutable next_node : int;
   mutable next_just : int;
+  mutable relabels : int;
 }
 
 let make_node id sym contradiction =
@@ -39,11 +40,12 @@ let make_node id sym contradiction =
     justs = [];
     consumers = [];
     support = None;
-    rank = max_int;
+    prev_in = false;
   }
 
 let no_node = make_node (-1) (Symbol.of_int (-1)) false
-let create () = { by_sym = Symtab.create no_node; all = []; next_node = 0; next_just = 0 }
+let create () =
+  { by_sym = Symtab.create no_node; all = []; next_node = 0; next_just = 0; relabels = 0 }
 
 let node_sym t ?(contradiction = false) sym =
   let n = Symtab.find t.by_sym sym in
@@ -64,12 +66,18 @@ let find t name = Option.bind (Symbol.find_opt name) (find_sym t)
 (* Alternating-fixpoint labeling.  Each round recomputes the labels from
    scratch: a justification is valid when its in-list is IN in the label
    being built (monotonic forward closure) and its out-list was OUT in
-   the previous round's label.  Odd-loop-free networks — every GKBMS use
-   is — converge to the unique grounded labeling; oscillating networks
-   are cut off after a bounded number of rounds with the last label. *)
+   the previous round's label, which each node keeps in [prev_in].
+   Stratified networks (no loop runs through an out-list) converge to
+   their unique grounded labeling; oscillating networks are cut off
+   after a bounded number of rounds with the last label. *)
+let valid_against_prev j =
+  (not j.retracted)
+  && List.for_all (fun m -> m.in_) j.inlist
+  && List.for_all (fun m -> not m.prev_in) j.outlist
+
 let relabel t =
-  let prev = Hashtbl.create (List.length t.all) in
-  List.iter (fun n -> Hashtbl.replace prev n.node_id false) t.all;
+  t.relabels <- t.relabels + 1;
+  List.iter (fun n -> n.prev_in <- false) t.all;
   let max_rounds = List.length t.all + 4 in
   let stable = ref false in
   let round = ref 0 in
@@ -78,80 +86,71 @@ let relabel t =
     List.iter
       (fun n ->
         n.in_ <- false;
-        n.support <- None;
-        n.rank <- max_int)
+        n.support <- None)
       t.all;
     let progress = ref true in
-    let pass = ref 0 in
     while !progress do
       progress := false;
-      incr pass;
       List.iter
         (fun n ->
           if not n.in_ then
-            let valid j =
-              (not j.retracted)
-              && List.for_all (fun m -> m.in_) j.inlist
-              && List.for_all
-                   (fun m -> not (Hashtbl.find prev m.node_id))
-                   j.outlist
-            in
-            match List.find_opt valid n.justs with
+            match List.find_opt valid_against_prev n.justs with
             | Some j ->
               n.in_ <- true;
               n.support <- Some j;
-              n.rank <- !pass;
               progress := true
             | None -> ())
         t.all
     done;
-    stable := List.for_all (fun n -> Hashtbl.find prev n.node_id = n.in_) t.all;
-    List.iter (fun n -> Hashtbl.replace prev n.node_id n.in_) t.all
+    stable := List.for_all (fun n -> n.prev_in = n.in_) t.all;
+    List.iter (fun n -> n.prev_in <- n.in_) t.all
   done
+
+let relabels t = t.relabels
 
 let valid j =
   (not j.retracted)
   && List.for_all (fun m -> m.in_) j.inlist
   && List.for_all (fun m -> not m.in_) j.outlist
 
-(* Monotone incremental labeling after adding justification [j]: newly-IN
-   nodes propagate forward through the consumers index; if a newly-IN
-   node appears in the out-list of some currently supporting
-   justification (a nonmonotonic invalidation), fall back to the full
-   alternating-fixpoint relabeling. *)
+let supports j =
+  match j.consequence_.support with Some s -> s == j | None -> false
+
+(* Bring [n] IN on its first valid justification in [justs] order, if it
+   has one, and queue it for {!forward}. *)
+let seek_support queue n =
+  match List.find_opt valid n.justs with
+  | Some j ->
+    n.in_ <- true;
+    n.support <- Some j;
+    Queue.add n queue
+  | None -> ()
+
+(* Monotone forward propagation from the queued newly-IN nodes through
+   the consumers index.  False, with the queue left undrained, when a
+   newly-IN node sits in the out-list of a supporting justification (a
+   nonmonotonic invalidation): only {!relabel} can settle that. *)
+let forward queue =
+  let monotone = ref true in
+  while !monotone && not (Queue.is_empty queue) do
+    let m = Queue.pop queue in
+    List.iter
+      (fun jc ->
+        if not jc.retracted then
+          if jc.consequence_.in_ then begin
+            if supports jc && List.memq m jc.outlist then monotone := false
+          end
+          else if valid jc then seek_support queue jc.consequence_)
+      m.consumers
+  done;
+  !monotone
+
+(* A justification added valid for an OUT node brings it IN. *)
 let propagate_addition t j =
-  if j.consequence_.in_ || not (valid j) then ()
-  else begin
-    let nonmonotonic = ref false in
+  if (not j.consequence_.in_) && valid j then begin
     let queue = Queue.create () in
-    j.consequence_.in_ <- true;
-    j.consequence_.support <- Some j;
-    j.consequence_.rank <- 0;
-    Queue.add j.consequence_ queue;
-    while (not !nonmonotonic) && not (Queue.is_empty queue) do
-      let m = Queue.pop queue in
-      List.iter
-        (fun jc ->
-          if not jc.retracted then begin
-            let is_support =
-              match jc.consequence_.support with
-              | Some s -> s == jc
-              | None -> false
-            in
-            if
-              List.exists (fun o -> o.node_id = m.node_id) jc.outlist
-              && jc.consequence_.in_ && is_support
-            then nonmonotonic := true
-            else if (not jc.consequence_.in_) && valid jc then begin
-              jc.consequence_.in_ <- true;
-              jc.consequence_.support <- Some jc;
-              jc.consequence_.rank <- 0;
-              Queue.add jc.consequence_ queue
-            end
-          end)
-        m.consumers
-    done;
-    if !nonmonotonic then relabel t
+    seek_support queue j.consequence_;
+    if not (forward queue) then relabel t
   end
 
 let justify t ?(inlist = []) ?(outlist = []) ~reason consequence_ =
@@ -173,13 +172,37 @@ let justify t ?(inlist = []) ?(outlist = []) ~reason consequence_ =
 
 let premise t n = justify t ~reason:("premise " ^ name n) n
 
-let retract t j =
-  j.retracted <- true;
-  relabel t
-
+(* Incremental retraction (Doyle 1979).  The OUT wave takes OUT each
+   node whose support was retracted, then, through [consumers], each
+   node supported through an in-list node the wave took OUT.  A node
+   the wave takes OUT that sits in a live out-list may bring some other
+   node IN, which may take others OUT: that is left to {!relabel}.
+   Otherwise exactly the wave's nodes look for another valid
+   justification, forward from the nodes still IN. *)
 let retract_batch t js =
   List.iter (fun j -> j.retracted <- true) js;
-  relabel t
+  let wave = ref [] in
+  let queue = Queue.create () in
+  let take_out n =
+    n.in_ <- false;
+    n.support <- None;
+    wave := n :: !wave;
+    Queue.add n queue
+  in
+  List.iter (fun j -> if supports j then take_out j.consequence_) js;
+  let monotone = ref true in
+  while !monotone && not (Queue.is_empty queue) do
+    let m = Queue.pop queue in
+    List.iter
+      (fun jc ->
+        if (not jc.retracted) && List.memq m jc.outlist then monotone := false
+        else if supports jc then take_out jc.consequence_)
+      m.consumers
+  done;
+  if !monotone then List.iter (seek_support queue) (List.rev !wave);
+  if not (!monotone && forward queue) then relabel t
+
+let retract t j = retract_batch t [ j ]
 
 let justifications _t n = List.filter (fun j -> not j.retracted) n.justs
 let reason j = j.reason

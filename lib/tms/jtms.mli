@@ -5,7 +5,9 @@
     its out-list is OUT.  The GKBMS stores each design decision as a
     justification from its input objects (and enabling assumptions) to
     its outputs, so retracting a decision relabels exactly its
-    consequences — the machinery behind selective backtracking.
+    consequences — the machinery behind selective backtracking: a
+    retraction visits the nodes it takes OUT and their consumers, not
+    the network (see {!retract_batch}).
 
     A node is named by a symbol: a decision, a design object, or an
     assumption or fact the decisions name.  Nodes are found by code in
@@ -42,11 +44,32 @@ val premise : t -> node -> justification
 (** An always-valid justification (empty in- and out-list). *)
 
 val retract : t -> justification -> unit
-(** Remove the justification and relabel. *)
+(** [retract_batch] of the one justification. *)
 
 val retract_batch : t -> justification list -> unit
-(** Remove several justifications with a single relabeling pass — what
-    selective backtracking of a whole decision closure uses. *)
+(** Remove several justifications at once — what selective backtracking
+    of a whole decision closure, and a follower applying its [unlog],
+    use.  Incremental (Doyle 1979): each node whose support was
+    retracted goes OUT, then, through the consumers index, each node
+    whose support has a node that went OUT in its in-list; exactly
+    those nodes then look for another valid justification (the first
+    in installation order), forward from the nodes still IN.  The cost
+    is that closure and its consumers.  When a node taken OUT sits in
+    the out-list of a live justification, some other node may come IN,
+    and the labels are left to {!relabel}.  On a stratified network (no
+    loop runs through an out-list) the labels equal what {!relabel}
+    computes from scratch either way. *)
+
+val relabel : t -> unit
+(** Recompute every label from scratch by alternating fixpoint over
+    every node ever created: the fallback of a nonmonotonic addition or
+    retraction, and the reference the incremental paths are tested
+    against.  The previous round's label lives in each node, so it
+    builds no table. *)
+
+val relabels : t -> int
+(** How many times {!relabel} has run on this network, the fallbacks
+    included. *)
 
 val justifications : t -> node -> justification list
 val reason : justification -> string

@@ -198,6 +198,33 @@ let test_chosen_ids_never_collide () =
   check int "every edit committed" 5 (List.length (Repo.decision_log repo));
   check bool "consistent" true (Cml.Consistency.check_all (Repo.kb repo) = [])
 
+(* A design object is made whole or not at all: a class that does not
+   exist fails the call after its name was declared, and the base, the
+   name and the artifacts stay as they were, live and recovered. *)
+let test_new_object_atomic () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  let repo = (ok (Scn.setup ())).Scn.repo in
+  let durable = ok (Gkbms.Durable.attach ~dir repo) in
+  let kb = Repo.kb repo in
+  let size = Store.Base.cardinal (Cml.Kb.base kb) in
+  (match Repo.new_object repo ~name:"HalfMade" ~cls:"NoSuchClass" (Repo.Text "v0") with
+  | Ok _ -> Alcotest.fail "an object of no class was made"
+  | Error _ -> ());
+  check int "no proposition left" size (Store.Base.cardinal (Cml.Kb.base kb));
+  List.iter
+    (fun name ->
+      check bool (name ^ " not declared") false (Cml.Kb.exists kb name);
+      check bool (name ^ " has no artifact") true (Repo.artifact repo (sym name) = None))
+    [ "HalfMade"; "HalfMade!src" ];
+  let id = ok (Repo.new_object repo ~name:"HalfMade" ~cls:Meta.dbpl_object (Repo.Text "v0")) in
+  check bool "the retry has its artifact" true (Repo.artifact repo id <> None);
+  Gkbms.Durable.close durable;
+  let recovered, _ = ok (Gkbms.Durable.recover ~dir ()) in
+  Alcotest.(check string) "recovery equals the live state"
+    (Gkbms.Persist.save_repository_canonical repo)
+    (Gkbms.Persist.save_repository_canonical recovered)
+
 (* decision execution ------------------------------------------------------ *)
 
 let test_applicable_menu () =
@@ -782,6 +809,69 @@ let test_jtms_assumption_defeat () =
   check bool "minutes mapping IN" true
     (J.is_in j (node (Symbol.name (Option.get st.Scn.minutes_dec))))
 
+(* The labels of every node, then what a from-scratch relabeling gives. *)
+let labels_and_reference j =
+  let labels () = List.map (fun n -> (J.name n, J.is_in j n)) (J.nodes j) in
+  let incremental = labels () in
+  J.relabel j;
+  (incremental, labels ())
+
+let edit repo obj text =
+  let e =
+    ok
+      (Dec.run repo ~decision_class:Meta.dec_manual_edit ~tool:Map_.editor_tool
+         ~rationale:"test" [ ("object", obj); ("text", text) ])
+  in
+  (e.Dec.decision, Symbol.name (snd (List.hd e.Dec.outputs)))
+
+(* §2.1: retracting the first of a chain of manual edits on one document
+   takes only that chain OUT, without relabeling the network. *)
+let test_retract_edit_chain_incremental () =
+  let st = ok (Scn.setup ()) in
+  ignore (ok (Scn.map_move_down st));
+  ignore (ok (Scn.normalize_invitations st));
+  ignore (ok (Scn.substitute_key st));
+  let repo = st.Scn.repo in
+  let doc i = Printf.sprintf "ChainDoc%dx" i in
+  for i = 0 to 3 do
+    ignore (ok (Repo.new_object repo ~name:(doc i) ~cls:Meta.dbpl_object (Repo.Text "v0")))
+  done;
+  let first, v1 = edit repo (doc 0) "c1" in
+  let _, v2 = edit repo v1 "c2" in
+  let _, v3 = edit repo v2 "c3" in
+  let others = List.map (fun i -> snd (edit repo (doc i) "o")) [ 1; 2; 3 ] in
+  let j = Repo.jtms repo in
+  let node name = Option.get (J.find j name) in
+  let relabels = J.relabels j in
+  ignore (ok (Bt.retract repo first ()));
+  check int "no relabeling" relabels (J.relabels j);
+  List.iter (fun v -> check bool (v ^ " OUT") true (J.is_out j (node v))) [ v1; v2; v3 ];
+  List.iter
+    (fun d -> check bool (d ^ " IN") true (J.is_in j (node d)))
+    (doc 0 :: List.map doc [ 1; 2; 3 ] @ others);
+  let incremental, reference = labels_and_reference j in
+  check Alcotest.(list (pair string bool)) "labels equal relabel's" reference incremental
+
+(* Retracting the Minutes mapping before the resolution: its asserted
+   fact sits in the out-list of the key decision's assumption, so the
+   retraction falls back to relabeling, and the assumption, the key
+   decision and InvitationRel3 come back IN. *)
+let test_retract_minutes_relabels () =
+  let st = ok (Scn.run_through_conflict ()) in
+  let repo = st.Scn.repo in
+  let j = Repo.jtms repo in
+  let node name = Option.get (J.find j name) in
+  let key = Symbol.name (Option.get st.Scn.key_dec) in
+  let back = [ Scn.only_invitations_assumption; key; "InvitationRel3" ] in
+  List.iter (fun n -> check bool (n ^ " OUT before") true (J.is_out j (node n))) back;
+  let relabels = J.relabels j in
+  ignore (ok (Bt.retract repo (Option.get st.Scn.minutes_dec) ()));
+  check int "one relabeling" (relabels + 1) (J.relabels j);
+  check bool "defeater OUT" true (J.is_out j (node Scn.other_subclass_defeater));
+  List.iter (fun n -> check bool (n ^ " IN") true (J.is_in j (node n))) back;
+  let incremental, reference = labels_and_reference j in
+  check Alcotest.(list (pair string bool)) "labels equal relabel's" reference incremental
+
 (* deductive view: derive and explain ------------------------------------ *)
 
 module T = Logic.Term
@@ -915,6 +1005,7 @@ let suite =
     ("load design rejects invalid", `Quick, test_load_design_rejects_invalid);
     ("version names", `Quick, test_version_names);
     ("chosen ids never collide with minted ones", `Quick, test_chosen_ids_never_collide);
+    ("a failed new object leaves no trace", `Quick, test_new_object_atomic);
     ("applicable menu (fig 2-1)", `Quick, test_applicable_menu);
     ("menu respects classification", `Quick, test_menu_empty_for_nonmatching);
     ("execute records everything", `Quick, test_execute_records_everything);
@@ -948,6 +1039,8 @@ let suite =
     ("browsing reads the same live and reloaded", `Quick, test_browse_live_equals_reloaded);
     ("jtms mirrors decisions", `Quick, test_jtms_mirrors_decisions);
     ("jtms assumption defeat", `Quick, test_jtms_assumption_defeat);
+    ("retracting an edit chain is incremental", `Quick, test_retract_edit_chain_incremental);
+    ("retracting the Minutes mapping relabels", `Quick, test_retract_minutes_relabels);
     ("kb: derive ≡ bottom-up materialisation", `Quick, test_kb_derive_equal);
     ("kb: explain output pinned", `Quick, test_kb_explain_pinned);
     ("explain keeps no side table", `Quick, test_kb_explain_no_side_table);

@@ -116,28 +116,99 @@ let test_jtms_backtrack_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "backtrack with no assumptions"
 
+(* Random networks for the properties below.  Node [i] sits in stratum
+   [i / 3]; an in-list may name any node of its consequence's stratum
+   or below (positive loops included), an out-list only nodes of lower
+   strata, so each network has one grounded labeling.  A step either
+   installs a justification (a premise, an in-list, or an in- and an
+   out-list) or retracts one or two of those installed so far. *)
+let net_size = 9
+
+type step = Justify of int * int list * int list | Retract of int list
+
+let step_of (kind, a, b, c) =
+  let cons = a mod net_size in
+  let pick bits ok =
+    List.filter (fun i -> bits land (1 lsl i) <> 0 && ok i) (List.init net_size Fun.id)
+  in
+  let stratum i = i / 3 in
+  match kind mod 8 with
+  | 0 | 1 -> Retract (if b mod 3 = 0 then [ a; c ] else [ a ])
+  | 2 -> Justify (cons, [], [])
+  | 3 -> Justify (cons, pick b (fun i -> stratum i <= stratum cons),
+                  pick c (fun i -> stratum i < stratum cons))
+  | _ -> Justify (cons, pick b (fun i -> stratum i <= stratum cons), [])
+
+(* drawn as raw numbers, so that QCheck shrinks and prints them *)
+let steps_arb =
+  QCheck.(list_of_size Gen.(int_range 1 30) (quad small_nat small_nat small_nat small_nat))
+
+(* Runs the steps on a fresh network, calling [after] on it after each. *)
+let run_steps ?(after = fun _ -> ()) raw =
+  let steps = List.map step_of raw in
+  let t = J.create () in
+  let node i = J.node t ("n" ^ string_of_int i) in
+  List.iter (fun i -> ignore (node i)) (List.init net_size Fun.id);
+  let installed = ref [||] in
+  List.iter
+    (fun step ->
+      (match step with
+      | Justify (cons, inlist, outlist) ->
+        let j =
+          J.justify t ~inlist:(List.map node inlist) ~outlist:(List.map node outlist)
+            ~reason:"r" (node cons)
+        in
+        installed := Array.append !installed [| j |]
+      | Retract picks ->
+        let n = Array.length !installed in
+        if n > 0 then J.retract_batch t (List.map (fun k -> !installed.(k mod n)) picks));
+      after t)
+    steps;
+  t
+
+(* Each IN node's support is live, valid, and well-founded: following
+   supports through in-lists never meets a node twice on one path. *)
+let supports_hold t =
+  let rec founded path n =
+    (not (List.memq n path))
+    &&
+    match J.supporting t n with
+    | None -> false
+    | Some j ->
+      List.memq j (J.justifications t n)
+      && List.for_all (J.is_in t) (J.inlist j)
+      && List.for_all (J.is_out t) (J.outlist j)
+      && List.for_all (founded (n :: path)) (J.inlist j)
+  in
+  List.for_all
+    (fun n -> if J.is_in t n then founded [] n else J.supporting t n = None)
+    (J.nodes t)
+
 let prop_jtms_in_iff_supported =
-  QCheck.Test.make ~name:"IN nodes always have a valid support" ~count:60
-    QCheck.(list (pair (int_range 0 8) (int_range 0 8)))
-    (fun edges ->
-      let t = J.create () in
-      let node i = J.node t ("n" ^ string_of_int i) in
-      ignore (J.premise t (node 0));
+  QCheck.Test.make ~name:"IN nodes always have a valid support" ~count:300 steps_arb
+    (fun steps ->
+      let ok = ref true in
+      ignore (run_steps ~after:(fun t -> ok := !ok && supports_hold t) steps);
+      !ok)
+
+let labels t = List.map (fun n -> (J.name n, J.is_in t n)) (J.nodes t)
+
+(* The incremental labels after each step equal what a from-scratch
+   relabeling of the same network computes. *)
+let prop_jtms_incremental_equals_relabel =
+  QCheck.Test.make ~name:"incremental labels equal relabel" ~count:300 steps_arb
+    (fun steps ->
+      let agree = ref true in
+      let prefix = ref [] in
       List.iter
-        (fun (a, b) ->
-          if a <> b then
-            ignore (J.justify t ~inlist:[ node (min a b) ] ~reason:"e" (node (max a b))))
-        edges;
-      List.for_all
-        (fun n ->
-          if J.is_in t n then
-            match J.supporting t n with
-            | Some j ->
-              List.for_all (fun m -> J.is_in t m) (match j with _ -> [])
-              |> fun _ -> true
-            | None -> false
-          else J.supporting t n = None)
-        (J.nodes t))
+        (fun step ->
+          prefix := !prefix @ [ step ];
+          let incremental = labels (run_steps !prefix) in
+          let reference = run_steps !prefix in
+          J.relabel reference;
+          agree := !agree && incremental = labels reference)
+        steps;
+      !agree)
 
 (* ATMS ------------------------------------------------------------------- *)
 
@@ -292,6 +363,7 @@ let suite =
     ("jtms assumptions under", `Quick, test_jtms_assumptions_under);
     ("jtms backtrack errors", `Quick, test_jtms_backtrack_errors);
     QCheck_alcotest.to_alcotest prop_jtms_in_iff_supported;
+    QCheck_alcotest.to_alcotest prop_jtms_incremental_equals_relabel;
     ("atms assumption label", `Quick, test_atms_assumption_label);
     ("atms propagation", `Quick, test_atms_propagation);
     ("atms disjunctive support", `Quick, test_atms_disjunctive_support);
