@@ -548,6 +548,7 @@ let serve_cmd =
       ~stopped:"server stopped." daemon
   in
   let run until wal socket no_cache idle role follow (k, t_us) =
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (* flight recorder dump-on-crash: SIGUSR2 snapshots the decision
        lifecycle ring next to the WAL (read back with
        recover --flight-log) *)
@@ -713,6 +714,7 @@ let client_cmd =
                  session holds unacknowledged, is taken as 64.")
   in
   let run socket cmds script min_version timing pipeline =
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (* --timing also records this process's client.send spans, dumped
        after the command loop so a cross-process trace can be stitched
        from all three dumps (client, leader, follower) *)
@@ -835,30 +837,6 @@ let repl_cmd =
     (Cmd.info "repl" ~doc:"Interactive dialog manager (§3.3.1).")
     Term.(const run $ const ())
 
-let slo_cmd =
-  let spec_arg =
-    Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"SPEC"
-           ~doc:"Parse and install an objective table (e.g. \
-                 $(b,run=50ms,derive=10ms,default=100ms); durations take \
-                 ms/us/s suffixes, bare numbers are milliseconds) instead \
-                 of the GKBMS_SLO environment variable, then print it.")
-  in
-  let run spec =
-    match Option.map Obs.Slo.configure spec with
-    | Some (Error e) ->
-      Format.eprintf "error: %s@." e;
-      1
-    | Some (Ok ()) | None ->
-      Format.printf "%s@." (Obs.Slo.render ());
-      0
-  in
-  Cmd.v
-    (Cmd.info "slo"
-       ~doc:"Show the per-command latency objectives (GKBMS_SLO) and this \
-             process's request/breach/burn tallies.  On a live server, use \
-             $(b,client -e slo) for the server's own tallies.")
-    Term.(const run $ spec_arg)
-
 let main =
   Cmd.group
     (Cmd.info "gkbms" ~version:"1.0.0"
@@ -867,15 +845,20 @@ let main =
           evolution (Jarke & Rose, SIGMOD 1988).")
     [ scenario_cmd; focus_cmd; why_cmd; deps_cmd; config_cmd; source_cmd;
       ask_cmd; derive_cmd; explain_cmd; export_cmd; import_cmd; snapshot_cmd; recover_cmd;
-      audit_cmd; repl_cmd; stats_cmd; trace_cmd; slo_cmd; serve_cmd;
-      client_cmd ]
+      audit_cmd; repl_cmd; stats_cmd; trace_cmd; serve_cmd; client_cmd ]
 
 (* A malformed observability variable is refused here, before any
-   command runs, rather than silently replaced by its default. *)
+   command runs, rather than silently replaced by its default.
+
+   The server library ignores SIGPIPE process-wide, so that a peer that
+   hangs up is an error on its socket.  A command that only prints
+   should instead end quietly when its reader closes stdout ([gkbms
+   recover DIR | head]), as other filters do, so the CLI takes the
+   default back; [serve] and [client], which write to sockets, ignore
+   it again. *)
 let () =
-  match
-    Obs.Slo.env_errors Sys.getenv_opt @ Obs.Trace.env_errors Sys.getenv_opt
-  with
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  match Obs.Trace.env_errors Sys.getenv_opt with
   | [] -> exit (Cmd.eval' main)
   | errors ->
     List.iter (fun e -> prerr_endline ("error: " ^ e)) errors;

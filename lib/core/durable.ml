@@ -185,29 +185,34 @@ let read_file path =
     Ok text
   with Sys_error e -> Error e
 
-(* Archive the valid prefix of a leftover [wal.log] under its
+(* The valid prefix of a leftover [wal.log], to archive under its
    generation number before a fresh log replaces it.  A torn or corrupt
    tail is cut at the scan boundary, so archives only ever hold frames
-   that recovery would accept. *)
-let archive_existing_log dir =
+   that recovery would accept; a log that recovery would refuse is an
+   [Error] here, before anything is written. *)
+let leftover_log dir =
   let wal = wal_path dir in
-  if not (Sys.file_exists wal) then derive_generation dir
+  if not (Sys.file_exists wal) then Ok None
   else
-    let gen = derive_generation dir in
-    (match read_file wal with
-    | Error _ -> ()
-    | Ok data ->
-      let scan = Wal.scan data in
-      let prefix = String.sub data 0 scan.Wal.valid_bytes in
-      let oc = open_out_bin (archived_wal_path dir gen) in
-      output_string oc prefix;
-      close_out oc);
+    let* data = read_file wal in
+    let* scan = Result.map_error (fun e -> wal ^ ": " ^ e) (Wal.scan data) in
+    Ok (Some (String.sub data 0 scan.Wal.valid_bytes))
+
+let archive_log dir leftover =
+  let gen = derive_generation dir in
+  match leftover with
+  | None -> gen
+  | Some prefix ->
+    let oc = open_out_bin (archived_wal_path dir gen) in
+    output_string oc prefix;
+    close_out oc;
     gen + 1
 
 let attach ?(checkpoint_every = 256) ?(fsync = false) ~dir repo =
   let* () = ensure_dir dir in
+  let* leftover = leftover_log dir in
   let* () = Persist.save_to_file ~fsync repo (checkpoint_path dir) in
-  let generation = archive_existing_log dir in
+  let generation = archive_log dir leftover in
   let base = Cml.Kb.base (Repo.kb repo) in
   let t =
     {

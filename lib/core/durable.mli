@@ -55,7 +55,9 @@ val attach :
     Any leftover [wal.log] in [dir] is archived (valid prefix only)
     under the next generation number before the fresh log is opened,
     so generations grow strictly across re-attachments; at most 8
-    archived generations are kept. *)
+    archived generations are kept.  A leftover log that cannot be read,
+    or holds a record this build cannot decode, is an [Error] before
+    anything is written. *)
 
 val recover :
   ?register_tools:(Repository.t -> unit) -> dir:string -> unit ->
@@ -64,7 +66,9 @@ val recover :
     [wal.log] that is not empty, not a prefix of {!Durability.Wal.magic}
     (a creation torn before its first sync) and does not start with
     the magic is refused with an [Error] naming the file, and left as
-    it is; so is a damaged [checkpoint.repo].  A leftover
+    it is; so is one holding a whole frame whose record does not decode
+    ({!Durability.Wal.scan}), and so is a damaged [checkpoint.repo] or
+    one in the text layout.  A leftover
     [checkpoint.repo.tmp] (a checkpoint cut before its rename) is
     ignored. *)
 

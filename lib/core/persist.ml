@@ -579,19 +579,19 @@ let load_snapshot text =
     else if pos > body then Error "snapshot: records run into the checksum"
     else Ok repo
 
-(* ---------------- the text layout ---------------- *)
+(* ---------------- the canonical text ---------------- *)
 
-(* Text snapshots are one s-expression,
+(* The text layout, one s-expression,
 
      (gkbms-repository (version 1) (props "<proposition lines>")
       (artifacts ((<name> <artifact>) ...)) (log (<decision> ...))
       (counter <n>))
 
-   Checkpoints were written this way before the binary layout, and
-   still load.  The canonical form, written only for comparison, sorts
-   the proposition lines and the artifacts, so two repositories with
-   the same logical state print byte-identically (the replication
-   convergence check). *)
+   with the proposition lines and the artifacts sorted, so two
+   repositories with the same logical state print byte-identically (the
+   replication convergence check).  It is written only for comparison;
+   a checkpoint in this layout, as builds before the binary one wrote,
+   is refused. *)
 let output_canonical sink repo =
   let base = Cml.Kb.base (Repo.kb repo) in
   let add = S.add_string sink in
@@ -620,55 +620,6 @@ let output_canonical sink repo =
   add (string_of_int (List.length log));
   add "))"
 
-let load_text text =
-  let* sexp = S.parse text in
-  let* header =
-    match sexp with
-    | S.List (S.Atom "gkbms-repository" :: _) -> Ok sexp
-    | _ -> Error "not a gkbms repository snapshot"
-  in
-  (* the snapshot carries the metamodel propositions verbatim, so only
-     the fixed-id axiom bootstrap is installed up front *)
-  let repo = Repo.create ~install_metamodel:false () in
-  let base = Cml.Kb.base (Repo.kb repo) in
-  let* props = Result.bind (S.field header "props") S.as_atom in
-  (* insert every persisted proposition not already present from the
-     bootstrap *)
-  let* parsed = Store.Base.of_serialized props in
-  let* () =
-    List.fold_left
-      (fun acc (p : Prop.t) ->
-        let* () = acc in
-        if Store.Base.mem base p.Prop.id then Ok ()
-        else Result.map (fun () -> ()) (Store.Base.insert base p))
-      (Ok ())
-      (Store.Base.to_list parsed)
-  in
-  let* artifact_items = Result.bind (S.field header "artifacts") S.as_list in
-  let* () =
-    List.fold_left
-      (fun acc item ->
-        let* () = acc in
-        match item with
-        | S.List [ S.Atom name; art ] ->
-          let* a = artifact_of_sexp art in
-          Repo.set_artifact repo (Symbol.intern name) a;
-          Ok ()
-        | other -> err "bad artifact entry %s" (S.to_string other))
-      (Ok ()) artifact_items
-  in
-  let* log_items = Result.bind (S.field header "log") S.as_list in
-  let* () =
-    List.fold_left
-      (fun acc item ->
-        let* () = acc in
-        let* name = S.as_atom item in
-        Repo.log_decision repo (Symbol.intern name);
-        Ok ())
-      (Ok ()) log_items
-  in
-  Ok repo
-
 (* ---------------- entry points ---------------- *)
 
 let to_string output repo =
@@ -681,7 +632,10 @@ let save_repository_canonical repo = to_string output_canonical repo
 
 let load_repository_raw text =
   if String.starts_with ~prefix:magic text then load_snapshot text
-  else load_text text
+  else if String.starts_with ~prefix:"(gkbms-repository" text then
+    Error "a text snapshot ((gkbms-repository ...)), a layout this build no \
+           longer reads; it reads only binary snapshots (GKBSNP1)"
+  else Error "not a snapshot: this build reads only binary snapshots (GKBSNP1)"
 
 let finalize ?(register_tools = Mapping.register_tools) repo =
   (* tools are code, re-registered after the snapshot so their KB

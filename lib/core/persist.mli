@@ -34,10 +34,9 @@
     The loader checks the magic and the checksum before it decodes,
     and then every record: reserved flag bits, times, symbol references,
     an id met twice, artifacts that do not parse and trailing bytes.
-    Snapshots written before this layout, one s-expression
-    ([(gkbms-repository ...)]), still load; the two are told apart by
-    the magic.  A reader that predates the binary layout refuses a
-    binary snapshot. *)
+    Anything without the magic is refused with an error naming the
+    layout: a text snapshot ([(gkbms-repository ...)]), as written
+    before this layout, is no longer read. *)
 
 val save_repository : Repository.t -> string
 (** A self-contained binary snapshot. *)
@@ -52,7 +51,7 @@ val save_repository_canonical : Repository.t -> string
 val load_repository :
   ?register_tools:(Repository.t -> unit) -> string ->
   (Repository.t, string) result
-(** Recreate a repository from a snapshot, binary or text.  Tool
+(** Recreate a repository from a binary snapshot.  Tool
     implementations are code and cannot be persisted; pass
     [register_tools] (defaults to {!Mapping.register_tools}) to
     re-register them.  A damaged snapshot gives an [Error] naming the

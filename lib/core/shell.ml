@@ -50,7 +50,7 @@ let is_quit line =
    fails loudly instead of silently defaulting. *)
 let verbs =
   [
-    "help"; "stats"; "slo"; "trace"; "unmapped"; "focus"; "menu"; "run";
+    "help"; "stats"; "trace"; "unmapped"; "focus"; "menu"; "run";
     "map"; "normalize"; "key"; "minutes"; "resolve"; "why"; "history";
     "source"; "deps"; "config"; "check"; "ask"; "derive"; "explain";
     "save"; "load"; "quit"; "exit"; "q";
@@ -63,7 +63,7 @@ let help_text =
    source [OBJ]\n\
   \          deps [OBJ|--dot] config [LEVEL] check ask FORMULA derive ATOM \
    explain ATOM save FILE load FILE quit\n\
-  \          slo trace decision ID\n\
+  \          trace decision ID\n\
   \          (focus OBJ sets this session's cursor; menu/why/history/source \
    then default to it)"
 
@@ -134,7 +134,6 @@ let answer t line ws =
       (Store.Base.cardinal (Cml.Kb.base (Repo.kb repo)))
       (Repo.design_object_count repo)
       (Repo.log_length repo)
-  | [ "slo" ] -> Obs.Slo.render ()
   | [ "trace"; "decision"; id ] -> Obs.Recorder.render_for id
   | [ "unmapped" ] ->
     String.concat ", "

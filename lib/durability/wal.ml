@@ -162,28 +162,7 @@ let decode payload =
     in
     match tag with
     | 'p' -> decode_put payload
-    (* the layout written before the compact form: still read, so every
-       older log recovers and replays *)
-    | 'P' ->
-      let* id, pos = read_str payload 1 in
-      let* source, pos = read_str payload pos in
-      let* label, pos = read_str payload pos in
-      let* dest, pos = read_str payload pos in
-      let* time, pos = read_str payload pos in
-      let* belief, pos = read_str payload pos in
-      if pos <> String.length payload then Error "trailing bytes"
-      else
-        let* time = Time.of_string time in
-        let* belief =
-          match int_of_string_opt belief with
-          | Some b -> Ok b
-          | None -> Error "bad belief time"
-        in
-        Ok
-          (Put
-             (Prop.make ~time ~belief ~id:(Symbol.intern id)
-                ~source:(Symbol.intern source) ~label:(Symbol.intern label)
-                ~dest:(Symbol.intern dest) ()))
+    | 'P' -> Error "an old-layout 'P' record, which this build no longer reads"
     | 'T' -> one (fun id -> Tomb (Symbol.intern id))
     | 'B' -> one (fun s -> Decision_begin s)
     | 'C' -> one (fun s -> Decision_commit s)
@@ -257,58 +236,43 @@ type scan_result = {
 let header_bytes = String.length magic
 
 (* The frame loop shared by [scan] and [scan_from]: walk frames from an
-   absolute byte offset, stopping at the first framing violation. *)
+   absolute byte offset, stopping at the first framing violation.  A
+   non-empty frame whose checksum holds was written whole, so one that
+   does not decode is no torn tail: it is an [Error], since cutting the
+   log there would drop every decision after it.  A zero-length frame
+   stays a tail: a zero-filled tail reads as length 0 with CRC 0, the
+   CRC-32 of "". *)
 let scan_frames data ~offset =
   let n = String.length data in
-  begin
-    let records = ref [] in
-    let pos = ref (max 0 offset) in
-    let stop = ref None in
-    (try
-       while !pos < n do
-         let at = !pos in
-         match read_u32 data at with
-         | Error _ ->
-           stop := Some "torn length field";
-           raise Exit
-         | Ok len ->
-           if len < 0 || len > max_payload then begin
-             stop := Some (Printf.sprintf "implausible record length %d" len);
-             raise Exit
-           end
-           else begin
-             match read_u32 data (at + 4) with
-             | Error _ ->
-               stop := Some "torn checksum field";
-               raise Exit
-             | Ok crc ->
-               if at + 8 + len > n then begin
-                 stop := Some "torn record payload";
-                 raise Exit
-               end
-               else begin
-                 let payload = String.sub data (at + 8) len in
-                 let actual =
-                   Int32.to_int (Crc32.of_string payload) land 0xffffffff
-                 in
-                 if actual <> crc then begin
-                   stop := Some "checksum mismatch";
-                   raise Exit
-                 end
-                 else
-                   match decode payload with
-                   | Error e ->
-                     stop := Some ("undecodable payload: " ^ e);
-                     raise Exit
-                   | Ok r ->
-                     records := r :: !records;
-                     pos := at + 8 + len
-               end
-           end
-       done
-     with Exit -> ());
-    { records = List.rev !records; valid_bytes = !pos; truncated = !stop }
-  end
+  let stop records pos why =
+    Ok { records = List.rev records; valid_bytes = pos; truncated = why }
+  in
+  let rec go records pos =
+    let torn why = stop records pos (Some why) in
+    if pos >= n then stop records pos None
+    else
+      match (read_u32 data pos, read_u32 data (pos + 4)) with
+      | Error _, _ -> torn "torn length field"
+      | Ok len, _ when len > max_payload ->
+        torn (Printf.sprintf "implausible record length %d" len)
+      | Ok _, Error _ -> torn "torn checksum field"
+      | Ok len, _ when pos + 8 + len > n -> torn "torn record payload"
+      | Ok len, Ok crc -> (
+        let payload = String.sub data (pos + 8) len in
+        if Int32.to_int (Crc32.of_string payload) land 0xffffffff <> crc then
+          torn "checksum mismatch"
+        else
+          match decode payload with
+          | Ok r -> go (r :: records) (pos + 8 + len)
+          | Error e when len = 0 -> torn ("undecodable payload: " ^ e)
+          | Error e ->
+            Error
+              (Printf.sprintf
+                 "the frame at byte %d passes its checksum but its record \
+                  does not decode (%s); refusing to cut the log there"
+                 pos e))
+  in
+  go [] (max 0 offset)
 
 let scan_from ?(expect_header = true) data ~offset =
   if not expect_header then scan_frames data ~offset
@@ -316,7 +280,8 @@ let scan_from ?(expect_header = true) data ~offset =
     String.length data < header_bytes
     || String.sub data 0 header_bytes <> magic
   then
-    { records = []; valid_bytes = 0; truncated = Some "bad or missing header" }
+    Ok
+      { records = []; valid_bytes = 0; truncated = Some "bad or missing header" }
   else scan_frames data ~offset:(max offset header_bytes)
 
 let scan data = scan_from data ~offset:header_bytes
@@ -340,5 +305,5 @@ let read_file path =
     let n = min len header_bytes in
     if String.sub data 0 n <> String.sub magic 0 n then
       Error (path ^ ": damaged WAL header; refusing to read it as an empty log")
-    else Ok (scan data)
+    else Result.map_error (fun e -> path ^ ": " ^ e) (scan data)
   with Sys_error e -> Error e

@@ -6,7 +6,8 @@
     is valid only if its full frame is present and the checksum
     matches; {!scan} returns the longest valid prefix and the byte
     offset at which replay must stop, so a crash mid-write (torn tail)
-    or a flipped bit never corrupts the records before it.
+    or a flipped bit never corrupts the records before it.  A whole
+    frame whose record does not decode is refused instead.
 
     Records carry proposition-base deltas ([Put]/[Tomb], the
     {!Store.Base.on_change} feed) plus repository-level events
@@ -19,8 +20,6 @@
     {v
     tag  record            fields
     'p'  Put               a {!Codec} proposition record, [sym] = name:vstr
-    'P'  Put (old layout)  id:str source:str label:str dest:str
-                           time:str belief:str
     'T'  Tomb              id:str
     'B'  Decision_begin    class:str
     'C'  Decision_commit   decision:str
@@ -31,10 +30,9 @@
 
     In the compact ['p'] layout each set bit of the record's flags omits
     a field equal to the id, or an [Always] time, so an individual
-    [<x, x, x, Always>] spells its name once.  ['P'] is read but no
-    longer written: logs from before the compact layout still recover
-    and replay, while a reader that predates it stops at the first
-    ['p'] record. *)
+    [<x, x, x, Always>] spells its name once.  ['P'], the [Put] layout
+    before it, is no longer read: a log holding one is refused with an
+    error naming it. *)
 
 open Kernel
 
@@ -115,12 +113,19 @@ type scan_result = {
           corrupt tail was cut at [valid_bytes] *)
 }
 
-val scan : string -> scan_result
-(** Scan raw log bytes (header included).  Never raises: any framing
+val scan : string -> (scan_result, string) result
+(** Scan raw log bytes (header included).  Never raises.  A framing
     violation — bad magic, impossible length, short frame, checksum
-    mismatch, undecodable payload — truncates the log there. *)
+    mismatch, or an empty payload (a zero-filled tail reads as length 0
+    with CRC 0, the CRC-32 of "") — truncates the log there.  A
+    non-empty frame that passes its checksum was written whole, so a
+    record in it that does not decode (one another build wrote) is no
+    torn tail: it is an [Error] naming the frame's offset and the
+    reason, since cutting the log there would drop every decision after
+    it. *)
 
-val scan_from : ?expect_header:bool -> string -> offset:int -> scan_result
+val scan_from :
+  ?expect_header:bool -> string -> offset:int -> (scan_result, string) result
 (** Like {!scan} but start the frame walk at absolute byte [offset] —
     the replication "frames since" primitive.  With [expect_header]
     (default true) the magic bytes at position 0 are still validated
@@ -134,12 +139,14 @@ val frame_end : string -> int -> int
     at [pos], which must be the start of a whole frame.  The records of
     a scan are the frames at its first offset, at [frame_end] of that,
     and so on, so a caller that consumes them one at a time tracks its
-    byte position with this.  Re-encoding a record does not give its
-    size on disk: a ['P'] record re-encodes to a shorter ['p'].
+    byte position with this.  Re-encoding a record need not give its
+    size on disk: the decoder accepts a varint longer than it needs and
+    a field the flags could have omitted.
     @raise Invalid_argument when fewer than four bytes follow [pos]. *)
 
 val read_file : string -> (scan_result, string) result
-(** Read and {!scan} a log file.  A file that is not empty, not a
-    proper prefix of {!magic} (a creation torn before its first sync)
-    and does not start with the magic is refused with an [Error] naming
-    it: {!scan} would read it as holding no records. *)
+(** Read and {!scan} a log file; {!scan}'s [Error] is prefixed with the
+    path.  A file that is not empty, not a proper prefix of {!magic} (a
+    creation torn before its first sync) and does not start with the
+    magic is refused with an [Error] naming it: {!scan} would read it as
+    holding no records. *)

@@ -7,7 +7,6 @@ module Counter = struct
     if Runtime.enabled () then ignore (Atomic.fetch_and_add t by : int)
 
   let get t = Atomic.get t
-  let reset t = Atomic.set t 0
 end
 
 module Gauge = struct

@@ -25,7 +25,6 @@ module Counter : sig
   (** No-op while {!Runtime.enabled} is off; [by] defaults to 1. *)
 
   val get : t -> int
-  val reset : t -> unit
 end
 
 module Gauge : sig

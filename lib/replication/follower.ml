@@ -131,7 +131,11 @@ let ensure_conn t =
 (* applying a shipped chunk *)
 
 let apply_chunk t ~offset chunk =
-  let scan = Wal.scan_from ~expect_header:false chunk ~offset:0 in
+  Result.bind
+    (Result.map_error
+       (Printf.sprintf "generation %d from byte %d: %s" t.cursor_gen offset)
+       (Wal.scan_from ~expect_header:false chunk ~offset:0))
+  @@ fun scan ->
   let consumed = scan.Wal.valid_bytes in
   if scan.Wal.records = [] then Ok (0, consumed)
   else

@@ -165,8 +165,7 @@ let command_series cmd =
 let account ~cmd ~ok ~seconds =
   let hist, errors = command_series cmd in
   Obs.Histogram.observe hist (seconds *. 1e6);
-  if not ok then Obs.Registry.Counter.inc errors;
-  ignore (Obs.Slo.observe ~cmd seconds)
+  if not ok then Obs.Registry.Counter.inc errors
 
 let metrics_text t =
   let b = Buffer.create 512 in

@@ -17,7 +17,7 @@ type cache_mode = [ `Always | `Never ]
    explicit, so the browsing verbs are cached whatever session state a
    bare form would read; a hit replays the session update with
    [Shell.observe].  [`Never] covers side effects ([save]),
-   time-varying output ([slo], [trace]), and the daemon built-ins
+   time-varying output ([trace]), and the daemon built-ins
    answered before classification. *)
 let verb_table : (string * [ `Read | `Write ] * cache_mode) list =
   [
@@ -38,7 +38,6 @@ let verb_table : (string * [ `Read | `Write ] * cache_mode) list =
     ("deps", `Read, `Always);
     ("config", `Read, `Always);
     (* time-varying reads and side effects *)
-    ("slo", `Read, `Never);
     ("trace", `Read, `Never);
     ("save", `Read, `Never);
     (* writes: decision log order, through the batch *)

@@ -20,7 +20,7 @@ val cacheable : string -> bool
     cacheable because resolution names the cursor or level a bare form
     would read, and a hit replays their session update through
     {!Gkbms.Shell.observe}.  Commands with side effects ([save]) or
-    time-varying output ([slo], [trace]) are excluded. *)
+    time-varying output ([trace]) are excluded. *)
 
 type cache_mode = [ `Always | `Never ]
 

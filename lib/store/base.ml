@@ -175,26 +175,6 @@ let with_tx t f =
 
 (* Persistence ---------------------------------------------------------- *)
 
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec loop i =
-    if i < n then
-      if s.[i] = '\\' && i + 1 < n then begin
-        (match s.[i + 1] with
-        | 't' -> Buffer.add_char buf '\t'
-        | 'n' -> Buffer.add_char buf '\n'
-        | c -> Buffer.add_char buf c);
-        loop (i + 2)
-      end
-      else begin
-        Buffer.add_char buf s.[i];
-        loop (i + 1)
-      end
-  in
-  loop 0;
-  Buffer.contents buf
-
 (* One proposition per line: four escaped names, the valid time and
    the belief time, tab-separated.  Escaping keeps raw tabs and
    newlines out of the fields. *)
@@ -213,26 +193,6 @@ let output_line sink (p : Prop.t) =
   Sexp.add_string sink (Time.to_string p.time);
   Sexp.add_string sink "\t";
   Sexp.add_string sink (string_of_int p.belief)
-
-let split_fields line =
-  (* split on unescaped tabs; fields themselves never contain raw tabs *)
-  String.split_on_char '\t' line
-
-let prop_of_line line =
-  match split_fields line with
-  | [ id; source; label; dest; time; belief ] -> (
-    match (Time.of_string time, int_of_string_opt belief) with
-    | Ok time, Some belief ->
-      Ok
-        (Prop.make ~time ~belief
-           ~id:(Symbol.intern (unescape id))
-           ~source:(Symbol.intern (unescape source))
-           ~label:(Symbol.intern (unescape label))
-           ~dest:(Symbol.intern (unescape dest))
-           ())
-    | Error e, _ -> Error e
-    | _, None -> Error (Printf.sprintf "bad belief time in %S" line))
-  | _ -> Error (Printf.sprintf "malformed proposition line %S" line)
 
 let output_serialized ?(sorted = false) sink t =
   if not sorted then
@@ -255,17 +215,5 @@ let to_serialized t =
   let buf = Buffer.create 4096 in
   output_serialized (Buffer.add_substring buf) t;
   Buffer.contents buf
-
-let of_serialized s =
-  let t = create () in
-  let rec load = function
-    | [] -> Ok t
-    | "" :: rest -> load rest
-    | line :: rest -> (
-      match Result.bind (prop_of_line line) (insert t) with
-      | Ok () -> load rest
-      | Error e -> Error e)
-  in
-  load (String.split_on_char '\n' s)
 
 let save t oc = output_serialized (output_substring oc) t

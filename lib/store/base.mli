@@ -4,7 +4,7 @@
     services the proposition processor needs: duplicate-free insertion,
     pattern retrieval, change notification, nested transactions (the
     paper executes every design decision as a possibly nested
-    transaction), and textual persistence. *)
+    transaction), and a text rendering of its propositions. *)
 
 open Kernel
 
@@ -102,5 +102,3 @@ val output_serialized : ?sorted:bool -> Kernel.Sexp.sink -> t -> unit
     enumeration order, or byte-sorted with [~sorted:true] (the order
     that does not depend on insertion history). *)
 
-val of_serialized : string -> (t, string) result
-(** Fails on the first malformed line or duplicated id. *)

@@ -62,7 +62,7 @@ let write_sample () =
 let test_roundtrip () =
   let data, bytes = write_sample () in
   check int "bytes accounted" bytes (String.length data);
-  let scan = Wal.scan data in
+  let scan = ok (Wal.scan data) in
   check bool "clean tail" true (scan.Wal.truncated = None);
   check int "all bytes valid" (String.length data) scan.Wal.valid_bytes;
   check Alcotest.(list Alcotest.string) "records survive"
@@ -106,7 +106,7 @@ let test_codec_rejects_garbage () =
 let test_torn_tail () =
   let data, _ = write_sample () in
   let cut = String.sub data 0 (String.length data - 3) in
-  let scan = Wal.scan cut in
+  let scan = ok (Wal.scan cut) in
   check bool "tail reported" true (scan.Wal.truncated <> None);
   check Alcotest.(list Alcotest.string) "all but last survive"
     (encoded
@@ -116,7 +116,8 @@ let test_torn_tail () =
     (encoded scan.Wal.records);
   (* replay boundary sits exactly after the last full frame *)
   check bool "valid prefix rescans clean" true
-    ((Wal.scan (String.sub cut 0 scan.Wal.valid_bytes)).Wal.truncated = None)
+    ((ok (Wal.scan (String.sub cut 0 scan.Wal.valid_bytes))).Wal.truncated
+    = None)
 
 let test_bit_flip_detected () =
   let data, _ = write_sample () in
@@ -125,7 +126,7 @@ let test_bit_flip_detected () =
   let corrupted =
     Fault.corrupt (Fault.script ~flips:[ (off, 3) ] ()) data
   in
-  let scan = Wal.scan corrupted in
+  let scan = ok (Wal.scan corrupted) in
   check bool "corruption reported" true (scan.Wal.truncated <> None);
   check bool "valid prefix shorter" true (scan.Wal.valid_bytes < String.length data);
   (* the surviving records are a prefix of the originals *)
@@ -138,7 +139,7 @@ let test_bit_flip_detected () =
     scan.Wal.records
 
 let test_bad_header () =
-  let scan = Wal.scan "NOTAWAL0rest" in
+  let scan = ok (Wal.scan "NOTAWAL0rest") in
   check bool "rejected" true (scan.Wal.truncated <> None);
   check int "nothing valid" 0 scan.Wal.valid_bytes
 
@@ -147,7 +148,7 @@ let test_implausible_length () =
   Buffer.add_string buf Wal.magic;
   (* a length field claiming 2^31 bytes *)
   Buffer.add_string buf "\xff\xff\xff\x7f\x00\x00\x00\x00payload";
-  let scan = Wal.scan (Buffer.contents buf) in
+  let scan = ok (Wal.scan (Buffer.contents buf)) in
   check bool "cut at bad length" true (scan.Wal.truncated <> None);
   check int "only header valid" (String.length Wal.magic) scan.Wal.valid_bytes
 
@@ -410,7 +411,7 @@ let run_random_ops ops =
 let check_crash data wms ~crash ~flip =
   let flips = match flip with None -> [] | Some f -> [ f ] in
   let corrupted = Fault.corrupt (Fault.script ~crash_after:crash ~flips ()) data in
-  let scan = Wal.scan corrupted in
+  let scan = ok (Wal.scan corrupted) in
   let resolved = resolve scan.Wal.records in
   let base = Store.Base.create () in
   match replay_into base resolved.ops with
@@ -471,21 +472,35 @@ let old_put_payload (p : Prop.t) =
     ];
   Buffer.contents buf
 
+(* a frame around any payload: its length, its CRC-32 and its bytes *)
+let raw_frame payload =
+  let buf = Buffer.create (8 + String.length payload) in
+  Buffer.add_int32_le buf (Int32.of_int (String.length payload));
+  Buffer.add_int32_le buf (Crc32.of_string payload);
+  Buffer.add_string buf payload;
+  Buffer.contents buf
+
 (* a log as written before the compact layout: the same magic and
    length + CRC-32 framing, with every [Put] in the old layout *)
 let old_layout_log records =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf Wal.magic;
-  List.iter
-    (fun r ->
-      let payload =
-        match r with Wal.Put p -> old_put_payload p | r -> Wal.encode r
-      in
-      Buffer.add_int32_le buf (Int32.of_int (String.length payload));
-      Buffer.add_int32_le buf (Crc32.of_string payload);
-      Buffer.add_string buf payload)
-    records;
-  Buffer.contents buf
+  String.concat ""
+    (Wal.magic
+    :: List.map
+         (function
+           | Wal.Put p -> raw_frame (old_put_payload p)
+           | r -> raw_frame (Wal.encode r))
+         records)
+
+(* [data] with the record of the frame at [at] retagged 'Z' and the
+   frame resealed: a whole frame whose record no build decodes *)
+let retag data at =
+  let next = Wal.frame_end data at in
+  String.concat ""
+    [
+      String.sub data 0 at;
+      raw_frame ("Z" ^ String.sub data (at + 9) (next - at - 9));
+      String.sub data next (String.length data - next);
+    ]
 
 (* names: empty, short, ≥128 bytes (two-byte varint length), ≥16,384
    bytes (three bytes), and any bytes at all: tabs, newlines, non-ASCII *)
@@ -567,30 +582,6 @@ let prop_put_codec =
       | Ok _ -> QCheck.Test.fail_report "decoded to another record"
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
-let replay_log data =
-  let scan = Wal.scan data in
-  let resolved = resolve scan.Wal.records in
-  let base = Store.Base.create () in
-  ignore (ok (replay_into base resolved.ops));
-  (scan, canon base, resolved.decisions)
-
-let prop_old_layout_replays =
-  QCheck.Test.make ~name:"an old-layout log replays like the compact one"
-    ~count:100 ops_gen (fun ops ->
-      let data, _ = run_random_ops ops in
-      let scan, state, decisions = replay_log data in
-      let old = old_layout_log scan.Wal.records in
-      let old_scan, old_state, old_decisions = replay_log old in
-      old_scan.Wal.truncated = None
-      && old_scan.Wal.valid_bytes = String.length old
-      (* the frame lengths, not a re-encoding, walk the old records *)
-      && List.fold_left
-           (fun off _ -> Wal.frame_end old off)
-           Wal.header_bytes old_scan.Wal.records
-         = String.length old
-      && encoded old_scan.Wal.records = encoded scan.Wal.records
-      && old_state = state && old_decisions = decisions)
-
 (* whole-repository durability -------------------------------------------- *)
 
 let read_file path =
@@ -657,7 +648,7 @@ let test_durable_crash_prefix () =
         | Wal.Decision_commit _ -> (next, Some off)
         | _ -> (next, found))
       (String.length Wal.magic, None)
-      (Wal.scan data).Wal.records
+      (ok (Wal.scan data)).Wal.records
     |> snd |> Option.get
   in
   let oc = open_out_bin wal in
@@ -758,20 +749,11 @@ let test_durable_retraction_survives () =
     (List.map Symbol.name (Repo.decision_log st.Scn.repo))
     (List.map Symbol.name (Repo.decision_log repo2))
 
-let test_durable_recovers_old_layout () =
-  let dir = Scratch.temp_dir () in
-  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
-  let repo = two_decisions dir in
-  let wal = Durable.wal_path dir in
-  write_file wal (old_layout_log (Wal.scan (read_file wal)).Wal.records);
-  let repo2, report = ok (Durable.recover ~dir ()) in
-  check bool "clean tail" true (report.Durable.truncated = None);
-  check Alcotest.(list Alcotest.string) "every decision recovered"
-    (List.map Symbol.name (Repo.decision_log repo))
-    report.Durable.recovered_decisions;
-  check Alcotest.(list Alcotest.string) "same propositions"
-    (canon (Cml.Kb.base (Repo.kb repo)))
-    (canon (Cml.Kb.base (Repo.kb repo2)))
+let dir_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f ->
+         let path = Filename.concat dir f in
+         (f, if Sys.is_directory path then "<dir>" else read_file path))
 
 (* [Wal.scan] reads a log with a bad magic as holding no records;
    recovery must refuse it rather than let [open_] archive and truncate
@@ -805,15 +787,80 @@ let test_durable_refuses_damaged_header () =
         0 report.Durable.wal_records)
     [ ""; String.sub Wal.magic 0 3 ]
 
+(* [recover] and [open_] both refuse [dir]'s log with an error that
+   names it and says [why], and neither touches a file *)
+let check_log_refused dir why =
+  let wal = Durable.wal_path dir and before = dir_files dir in
+  let refused what = function
+    | Ok () -> Alcotest.failf "%s accepted the log" what
+    | Error e ->
+      check bool (what ^ " names the log") true
+        (String.starts_with ~prefix:wal e);
+      check bool (Printf.sprintf "%s says %S: %s" what why e) true
+        (contains why e)
+  in
+  refused "recover" (Result.map ignore (Durable.recover ~dir ()));
+  refused "open_"
+    (Result.map (fun (d, _) -> Durable.close d) (Durable.open_ ~dir ()));
+  check bool "no file touched" true (dir_files dir = before)
+
+(* A whole frame that passes its checksum was not torn; when its record
+   does not decode, another build wrote it, and cutting the log there
+   would drop every decision after it *)
+let test_durable_refuses_undecodable_record () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  ignore (two_decisions dir : Repo.t);
+  let wal = Durable.wal_path dir in
+  let data = read_file wal in
+  (* the frame that opens the last decision *)
+  let at, _ =
+    List.fold_left
+      (fun (found, off) r ->
+        let next = Wal.frame_end data off in
+        match r with
+        | Wal.Decision_begin _ -> (off, next)
+        | _ -> (found, next))
+      (0, Wal.header_bytes)
+      (ok (Wal.scan data)).Wal.records
+  in
+  write_file wal (retag data at);
+  check_log_refused dir
+    (Printf.sprintf
+       "frame at byte %d passes its checksum but its record does not \
+        decode (unknown record tag 'Z')"
+       at)
+
+(* a log with its [Put]s in the layout before the compact one *)
+let test_durable_refuses_old_layout () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  ignore (two_decisions dir : Repo.t);
+  let wal = Durable.wal_path dir in
+  write_file wal (old_layout_log (ok (Wal.scan (read_file wal))).Wal.records);
+  check_log_refused dir "old-layout 'P' record"
+
+(* A zero-filled tail reads as empty frames, length 0 with CRC 0 (the
+   CRC-32 of ""): a torn tail, cut after the last decision *)
+let test_durable_zero_filled_tail () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  let repo = two_decisions dir in
+  let wal = Durable.wal_path dir in
+  write_file wal (read_file wal ^ String.make 4096 '\000');
+  let repo2, report = ok (Durable.recover ~dir ()) in
+  check (Alcotest.option string) "tail cut"
+    (Some "undecodable payload: empty payload") report.Durable.truncated;
+  check Alcotest.(list Alcotest.string) "every decision recovered"
+    (List.map Symbol.name (Repo.decision_log repo))
+    report.Durable.recovered_decisions;
+  check Alcotest.(list Alcotest.string) "same propositions"
+    (canon (Cml.Kb.base (Repo.kb repo)))
+    (canon (Cml.Kb.base (Repo.kb repo2)))
+
 (* checkpoint durability ------------------------------------------------- *)
 
 let live_canonical repo = Gkbms.Persist.save_repository_canonical repo
-
-let dir_files dir =
-  Sys.readdir dir |> Array.to_list |> List.sort compare
-  |> List.map (fun f ->
-         let path = Filename.concat dir f in
-         (f, if Sys.is_directory path then "<dir>" else read_file path))
 
 (* a flipped byte in the checkpoint is refused, naming the file, and no
    file is touched: on the text layout a flipped letter inside a name
@@ -1157,7 +1204,7 @@ let test_store_words_per_prop () =
 (* every frame-start offset of [data]'s valid prefix, plus the end
    boundary (so the last entry is exactly [valid_bytes]) *)
 let frame_boundaries data =
-  let scan = Wal.scan data in
+  let scan = ok (Wal.scan data) in
   let offs, last =
     List.fold_left
       (fun (offs, off) _ -> (off :: offs, Wal.frame_end data off))
@@ -1173,7 +1220,7 @@ let test_scan_from_every_boundary () =
     (List.length bounds);
   List.iteri
     (fun i off ->
-      let scan = Wal.scan_from data ~offset:off in
+      let scan = ok (Wal.scan_from data ~offset:off) in
       check bool (Printf.sprintf "clean at boundary %d" i) true
         (scan.Wal.truncated = None);
       check Alcotest.(list Alcotest.string)
@@ -1191,13 +1238,13 @@ let test_scan_from_headerless_chunk () =
   let chunk =
     String.sub data Wal.header_bytes (String.length data - Wal.header_bytes)
   in
-  let scan = Wal.scan_from ~expect_header:false chunk ~offset:0 in
+  let scan = ok (Wal.scan_from ~expect_header:false chunk ~offset:0) in
   check bool "clean" true (scan.Wal.truncated = None);
   check Alcotest.(list Alcotest.string) "all records"
     (encoded sample_records) (encoded scan.Wal.records);
   check int "all bytes consumed" (String.length chunk) scan.Wal.valid_bytes;
   (* with the header expected, the same bytes are rejected *)
-  let rejected = Wal.scan_from chunk ~offset:0 in
+  let rejected = ok (Wal.scan_from chunk ~offset:0) in
   check bool "headerless bytes rejected when header expected" true
     (rejected.Wal.truncated <> None && rejected.Wal.records = [])
 
@@ -1207,7 +1254,7 @@ let test_scan_from_torn_final_frame () =
   let mid = List.nth bounds (List.length bounds / 2) in
   let last_start = List.nth bounds (List.length bounds - 2) in
   let cut = String.sub data 0 (String.length data - 2) in
-  let scan = Wal.scan_from cut ~offset:mid in
+  let scan = ok (Wal.scan_from cut ~offset:mid) in
   check bool "torn tail reported" true (scan.Wal.truncated <> None);
   check Alcotest.(list Alcotest.string) "mid-log suffix minus the torn frame"
     (encoded
@@ -1220,7 +1267,7 @@ let test_scan_from_torn_final_frame () =
     scan.Wal.valid_bytes;
   (* once the frame's bytes complete, resuming at the boundary reads
      exactly the one remaining record — the follower resume path *)
-  let resumed = Wal.scan_from data ~offset:scan.Wal.valid_bytes in
+  let resumed = ok (Wal.scan_from data ~offset:scan.Wal.valid_bytes) in
   check bool "resume is clean" true (resumed.Wal.truncated = None);
   check Alcotest.(list Alcotest.string) "resume reads the final record"
     (encoded [ List.nth sample_records (List.length sample_records - 1) ])
@@ -1236,15 +1283,15 @@ let prop_scan_from_is_suffix =
       let data, _ = run_random_ops ops in
       let crash = crash_seed mod (String.length data + 1) in
       let cut = String.sub data 0 crash in
-      let full = Wal.scan cut in
+      let full = ok (Wal.scan cut) in
       if String.length cut < Wal.header_bytes then
         (* no header survived: scan_from must reject like scan does *)
-        let s = Wal.scan_from cut ~offset:0 in
+        let s = ok (Wal.scan_from cut ~offset:0) in
         s.Wal.records = [] && s.Wal.valid_bytes = 0
       else begin
         let bounds = frame_boundaries cut in
         let idx = idx_seed mod List.length bounds in
-        let s = Wal.scan_from cut ~offset:(List.nth bounds idx) in
+        let s = ok (Wal.scan_from cut ~offset:(List.nth bounds idx)) in
         encoded s.Wal.records
         = List.filteri (fun j _ -> j >= idx) (encoded full.Wal.records)
         && s.Wal.valid_bytes = full.Wal.valid_bytes
@@ -1324,7 +1371,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_crash_recovery_torn;
     QCheck_alcotest.to_alcotest prop_crash_recovery_bitflip;
     QCheck_alcotest.to_alcotest prop_put_codec;
-    QCheck_alcotest.to_alcotest prop_old_layout_replays;
     ("scan_from at every frame boundary", `Quick, test_scan_from_every_boundary);
     ("scan_from headerless chunk", `Quick, test_scan_from_headerless_chunk);
     ("scan_from torn final frame", `Quick, test_scan_from_torn_final_frame);
@@ -1335,8 +1381,11 @@ let suite =
     ("aborted decision not resurrected", `Quick, test_durable_aborted_not_resurrected);
     ("checkpoint truncates log", `Quick, test_durable_checkpoint_truncates);
     ("retraction survives recovery", `Quick, test_durable_retraction_survives);
-    ("durable recovers an old-layout log", `Quick, test_durable_recovers_old_layout);
     ("durable refuses a damaged log header", `Quick, test_durable_refuses_damaged_header);
+    ("durable refuses a record it cannot decode", `Quick,
+     test_durable_refuses_undecodable_record);
+    ("durable refuses an old-layout log", `Quick, test_durable_refuses_old_layout);
+    ("durable reads a zero-filled tail as torn", `Quick, test_durable_zero_filled_tail);
     ("recovery realigns prop id counter", `Quick, test_recover_realigns_prop_ids);
     ("recovery realigns decision counter", `Quick, test_recover_realigns_decision_counter);
     ("checkpoint major allocation below file size", `Quick, test_checkpoint_memory_bound);

@@ -685,96 +685,17 @@ let test_recorder_ring () =
   check bool "dump carries the applied event" true
     (List.exists (fun l -> contains "\"kind\":\"applied\"" l) lines)
 
-(* ---------------- SLO layer ---------------- *)
-
-let test_slo_objectives_and_breaches () =
-  Obs.Runtime.set_enabled true;
-  Fun.protect ~finally:(fun () ->
-      Obs.Slo.set_objectives [];
-      Obs.Slo.reset_counts ())
-  @@ fun () ->
-  (match Obs.Slo.configure "run=50ms, derive=1s ,key=200us,default=100" with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "configure failed: %s" e);
-  let approx a b = Float.abs (a -. b) < 1e-9 in
-  check bool "ms suffix" true (approx (Obs.Slo.objective_for "run") 0.05);
-  check bool "s suffix" true (approx (Obs.Slo.objective_for "derive") 1.0);
-  check bool "us suffix" true (approx (Obs.Slo.objective_for "key") 2e-4);
-  check bool "bare number is ms" true
-    (approx (Obs.Slo.objective_for "unknown-cmd") 0.1);
-  check bool "repl long-poll seed survives" true
-    (approx (Obs.Slo.objective_for "repl") 2.0);
-  (match Obs.Slo.parse_spec "run=abc" with
-  | Error e -> check bool "parse error names the entry" true (contains "run" e)
-  | Ok _ -> Alcotest.fail "parsed a bad duration");
-  (match Obs.Slo.parse_spec "=5ms" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "parsed an empty command");
-  Obs.Slo.reset_counts ();
-  check bool "breach detected" true (Obs.Slo.observe ~cmd:"run" 0.2);
-  check bool "fast request ok" false (Obs.Slo.observe ~cmd:"run" 0.01);
-  let table = Obs.Slo.render () in
-  check bool "render lists the command" true (contains "run" table);
-  check bool "render shows the breach" true (contains "50.0" table);
-  (* the sentinel counters reached the default registry *)
-  let counter name =
-    match Reg.find Reg.default ~labels:[ ("cmd", "run") ] name with
-    | Some { Reg.value = Reg.Counter_v v; _ } -> v
-    | _ -> Alcotest.failf "%s{cmd=run} missing" name
-  in
-  check bool "breach counter moved" true
-    (counter "gkbms_slo_breaches_total" >= 1);
-  (* the table's tallies are the counters' values *)
-  let row () =
-    match
-      List.find_map
-        (fun l ->
-          match String.split_on_char ' ' l |> List.filter (( <> ) "") with
-          | "run" :: _ :: requests :: breaches :: _ ->
-            Some (int_of_string requests, int_of_string breaches)
-          | _ -> None)
-        (String.split_on_char '\n' (Obs.Slo.render ()))
-    with
-    | Some r -> r
-    | None -> Alcotest.fail "no run row in the slo table"
-  in
-  let requests, breaches = row () in
-  check int "rendered requests = counter" (counter "gkbms_slo_requests_total")
-    requests;
-  check int "rendered breaches = counter" (counter "gkbms_slo_breaches_total")
-    breaches;
-  check (Alcotest.pair int int) "one breach in two requests" (2, 1)
-    (requests, breaches);
-  Obs.Slo.reset_counts ();
-  check int "reset zeroes requests" 0 (counter "gkbms_slo_requests_total");
-  check int "reset zeroes breaches" 0 (counter "gkbms_slo_breaches_total");
-  (match
-     Reg.find Reg.default ~labels:[ ("cmd", "run") ] "gkbms_slo_burn_rate"
-   with
-  | Some { Reg.value = Reg.Gauge_v g; _ } ->
-    check (Alcotest.float 0.) "reset zeroes the burn rate" 0. g
-  | _ -> Alcotest.fail "gkbms_slo_burn_rate{cmd=run} missing");
-  check (Alcotest.pair int int) "reset row" (0, 0) (row ())
-
 (* A set but malformed observability variable is an error naming it;
    unset and valid values are not. *)
 let test_env_errors () =
   let env vars name = List.assoc_opt name vars in
-  let errors vars =
-    Obs.Slo.env_errors (env vars) @ Trace.env_errors (env vars)
-  in
+  let errors vars = Trace.env_errors (env vars) in
   check (Alcotest.list Alcotest.string) "unset" [] (errors []);
   check (Alcotest.list Alcotest.string) "valid" []
-    (errors
-       [ ("GKBMS_SLO", "run=5ms,default=1s"); ("GKBMS_SLO_BUDGET", "0.05");
-         ("GKBMS_SLOW_MS", "250") ]);
-  check (Alcotest.list Alcotest.string) "bad SLO entry"
-    [ {|GKBMS_SLO: bad SLO entry "run=5x": unparseable duration "5x"|} ]
-    (errors [ ("GKBMS_SLO", "run=5x") ]);
-  check (Alcotest.list Alcotest.string) "bad budget and threshold"
-    [ {|GKBMS_SLO_BUDGET: bad error budget "2" (want a fraction in (0, 1])|};
-      {|GKBMS_SLOW_MS: bad threshold "-1" (want non-negative milliseconds)|} ]
-    (errors [ ("GKBMS_SLO_BUDGET", "2"); ("GKBMS_SLOW_MS", "-1") ])
+    (errors [ ("GKBMS_SLOW_MS", "250") ]);
+  check (Alcotest.list Alcotest.string) "bad threshold"
+    [ {|GKBMS_SLOW_MS: bad threshold "-1" (want non-negative milliseconds)|} ]
+    (errors [ ("GKBMS_SLOW_MS", "-1") ])
 
 (* ---------------- prover stats are copied out ---------------- *)
 
@@ -908,6 +829,5 @@ let suite =
     ("trace context per thread, count back to 0", `Quick, test_context_per_thread);
     ("slow threshold parsing", `Quick, test_slow_threshold_parse);
     ("flight recorder ring", `Quick, test_recorder_ring);
-    ("slo objectives and breaches", `Quick, test_slo_objectives_and_breaches);
     ("malformed observability variables", `Quick, test_env_errors);
   ]

@@ -214,12 +214,14 @@ let test_snapshot_codes_past_the_bitset () =
     (List.length (Repo.decision_log repo3) - List.length (Repo.decision_log repo))
 
 let test_snapshot_rejects_garbage () =
-  (match P.load_repository "(not-a-repo)" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage accepted");
-  match P.load_repository "((" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unparsable accepted"
+  List.iter
+    (fun text ->
+      match P.load_repository text with
+      | Error e ->
+        check Alcotest.string text
+          "not a snapshot: this build reads only binary snapshots (GKBSNP1)" e
+      | Ok _ -> Alcotest.failf "%S accepted" text)
+    [ "(not-a-repo)"; "(("; "" ]
 
 let test_file_roundtrip () =
   let st = ok (Scn.setup ()) in
@@ -231,8 +233,8 @@ let test_file_roundtrip () =
   check int "one decision" 1 (List.length (Repo.decision_log repo2))
 
 (* The text layout, pinned: the canonical writer must print the bytes
-   the original whole-string printer built, and a checkpoint written in
-   the text layout before the binary one must still load.
+   the original whole-string printer built, and a checkpoint in the text
+   layout, as written before the binary one, is refused.
    [reference_print] is that printer; the tree is assembled the way the
    original snapshot code assembled it. *)
 let rec reference_print = function
@@ -260,16 +262,13 @@ let rec reference_print = function
       Buffer.contents buf
   | S.List l -> "(" ^ String.concat " " (List.map reference_print l) ^ ")"
 
-let reference_snapshot ~canonical repo =
+let reference_snapshot repo =
   let base = Cml.Kb.base (Repo.kb repo) in
-  let props = Store.Base.to_serialized base in
   let props =
-    if not canonical then props
-    else
-      String.split_on_char '\n' props
-      |> List.filter (fun l -> l <> "")
-      |> List.sort String.compare
-      |> fun lines -> String.concat "\n" lines ^ "\n"
+    String.split_on_char '\n' (Store.Base.to_serialized base)
+    |> List.filter (fun l -> l <> "")
+    |> List.sort String.compare
+    |> fun lines -> String.concat "\n" lines ^ "\n"
   in
   let artifacts =
     List.filter_map
@@ -311,24 +310,25 @@ let test_snapshot_format_pinned () =
     (Store.Base.insert (Cml.Kb.base (Repo.kb repo))
        (Prop.make ~id:(Symbol.intern "odd\"id\\\t\n") ~source:(Symbol.intern "a b")
           ~label:(Symbol.intern "l(;)") ~dest:(Symbol.intern "") ()));
-  check Alcotest.string "save_repository_canonical"
-    (reference_snapshot ~canonical:true repo)
-    (P.save_repository_canonical repo);
-  (* a text checkpoint, as written before the binary layout, recovers
-     to the same canonical bytes through both loaders *)
-  let live = P.save_repository_canonical repo in
+  let text = P.save_repository_canonical repo in
+  check Alcotest.string "save_repository_canonical" (reference_snapshot repo) text;
+  (* a text checkpoint is refused by both loaders, naming its layout,
+     and left as it is *)
   let dir = Scratch.temp_dir () in
   Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   Unix.mkdir dir 0o755;
   let path = Gkbms.Durable.checkpoint_path dir in
-  let oc = open_out_bin path in
-  output_string oc (reference_snapshot ~canonical:false repo);
-  close_out oc;
-  check Alcotest.string "load_from_file" live
-    (P.save_repository_canonical (ok (P.load_from_file path)));
-  let recovered, _ = ok (Gkbms.Durable.recover ~dir ()) in
-  check Alcotest.string "Durable.recover" live
-    (P.save_repository_canonical recovered)
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let refused what = function
+    | Ok _ -> Alcotest.failf "%s loaded a text checkpoint" what
+    | Error e ->
+      check bool (what ^ " names the text layout: " ^ e) true
+        (contains "a text snapshot ((gkbms-repository ...))" e)
+  in
+  refused "load_from_file" (P.load_from_file path);
+  refused "Durable.recover" (Gkbms.Durable.recover ~dir ());
+  check Alcotest.string "checkpoint unchanged" text
+    (In_channel.with_open_bin path In_channel.input_all)
 
 (* qcheck: snapshots round-trip on randomized repositories — a random
    chain of manual edits over the scenario baseline *)

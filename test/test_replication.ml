@@ -163,7 +163,9 @@ let test_leader_frames_basic () =
   check bool "caught up" true frames.Wire.f_caught_up;
   check bool "chunk has bytes" true (String.length frames.Wire.f_chunk > 0);
   (* the chunk is exactly the framed log: scan it headerless *)
-  let scan = Wal.scan_from ~expect_header:false frames.Wire.f_chunk ~offset:0 in
+  let scan =
+    ok (Wal.scan_from ~expect_header:false frames.Wire.f_chunk ~offset:0)
+  in
   check bool "chunk scans clean" true (scan.Wal.truncated = None);
   check int "chunk fully consumed" (String.length frames.Wire.f_chunk)
     scan.Wal.valid_bytes;
@@ -372,59 +374,31 @@ let test_follower_restart_resumes () =
   converged rig f2;
   Daemon.stop rig.l_daemon
 
-(* a generation written before the compact [Put] layout ------------------ *)
+(* a shipped record this build cannot decode ------------------------------ *)
 
-(* After an upgrade the leader's warm start archives its old log as it
-   is, and a follower whose cursor sits in that generation streams its
-   'P' frames, which re-encode to fewer bytes.  The persisted cursor
-   must be the frame boundary the chunk really ended on: a restart
-   from a position inside a frame could not resume. *)
-let test_follower_streams_old_layout_generation () =
+(* A whole frame that passes its checksum but whose record does not
+   decode fails the follower's pull with the scan's error: it is not a
+   frame larger than the request window *)
+let test_follower_refuses_undecodable_frame () =
   let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
   Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
   let rig = make_leader ldir in
-  let f1 = ok (make_follower ~name:"f1" rig fdir) in
-  ok (Follower.catch_up f1);
-  let gen, start = Follower.cursor f1 in
-  check int "follower waits at the first frame" Wal.header_bytes start;
-  Follower.stop f1;
+  Fun.protect ~finally:(fun () -> Daemon.stop rig.l_daemon) @@ fun () ->
+  let f = ok (make_follower ~name:"f1" rig fdir) in
+  Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
+  ok (Follower.catch_up f);
+  let gen, start = Follower.cursor f in
   ignore (ok (Scn.map_move_down rig.l_st));
-  ignore (ok (Scn.normalize_invitations rig.l_st));
-  Daemon.stop rig.l_daemon;
-  let wal = Durable.wal_path ldir in
-  let old =
-    Test_durability.old_layout_log
-      (Wal.scan (Test_durability.read_file wal)).Wal.records
-  in
-  Test_durability.write_file wal old;
-  let durable, _ = ok (Durable.open_ ~dir:ldir ()) in
-  let daemon = Daemon.create (Durable.repo durable) in
-  ok (Daemon.attach_durable daemon durable);
-  ignore (ok (Leader.attach daemon));
-  rig.l_daemon <- daemon;
-  check bool "the upgrade archived the old log as it was" true
-    (Test_durability.read_file (Durable.archived_wal_path ldir gen) = old);
-  let f2 = ok (make_follower ~name:"f1" rig fdir) in
-  check bool "restart resumes in the old generation" true
-    (Follower.cursor f2 = (gen, start));
-  (* one pull ships the whole archived generation *)
-  ignore (ok (Follower.step f2));
-  let at_end = (gen, String.length old) in
-  check bool "scan cursor at the end of the chunk" true
-    (Follower.cursor f2 = at_end);
-  let persisted =
-    Scanf.sscanf
-      (Test_durability.read_file (Filename.concat fdir "repl.cursor"))
-      "%d %d" (fun g o -> (g, o))
-  in
-  check bool "persisted cursor on the same frame boundary" true
-    (persisted = at_end);
-  Follower.stop f2;
-  let f3 = ok (make_follower ~name:"f1" rig fdir) in
-  Fun.protect ~finally:(fun () -> Follower.stop f3) @@ fun () ->
-  ok (Follower.catch_up f3);
-  converged rig f3;
-  Daemon.stop daemon
+  (* the rotation archives the log holding the decision as [gen] *)
+  ok (Durable.checkpoint (Option.get (Daemon.durable rig.l_daemon)));
+  let archive = Durable.archived_wal_path ldir gen in
+  Test_durability.(write_file archive (retag (read_file archive) start));
+  match Follower.step f with
+  | Ok _ -> Alcotest.fail "the follower applied an undecodable frame"
+  | Error e ->
+    check bool ("the pull names the frame: " ^ e) true
+      (contains "frame at byte 0 passes its checksum" e
+      && contains (Printf.sprintf "generation %d from byte %d" gen start) e)
 
 (* leader restart: epochs stay monotone, followers reconnect ------------- *)
 
@@ -842,7 +816,9 @@ let test_grouped_batches_replicate () =
     | Ok fr -> fr.Wire.f_chunk
     | Error e -> Alcotest.fail e
   in
-  let records = (Wal.scan_from ~expect_header:false chunk ~offset:0).Wal.records in
+  let records =
+    (ok (Wal.scan_from ~expect_header:false chunk ~offset:0)).Wal.records
+  in
   let batch_sizes =
     List.fold_left
       (fun (open_, sizes) r ->
@@ -968,7 +944,8 @@ let test_applier_skips_logged_decisions () =
     | Error e -> Alcotest.fail e
   in
   let records =
-    (Wal.scan_from ~expect_header:false frames.Wire.f_chunk ~offset:0).Wal.records
+    (ok (Wal.scan_from ~expect_header:false frames.Wire.f_chunk ~offset:0))
+      .Wal.records
   in
   Client.close c;
   (* apply the same stream twice into a fresh repository: the second
@@ -1148,6 +1125,8 @@ let test_reads_writes_and_captures_interleave () =
   let reader = leader_client rig and writer = leader_client rig in
   (* an object no write touches explains itself alike throughout *)
   let why = req_ok reader "why InvitationRel" in
+  (* [trace decision] of a logged decision: a read that is never cached *)
+  let trace = "trace decision " ^ List.hd (decisions rig.l_st.Scn.repo) in
   let rounds = 20 in
   let failures = ref [] and fm = Mutex.create () in
   let expect what good = function
@@ -1182,7 +1161,7 @@ let test_reads_writes_and_captures_interleave () =
             expect "config"
               (String.starts_with ~prefix:"configuration over DBPL_Object")
               (Client.request reader "config DBPL_Object");
-            expect "slo" (fun _ -> true) (Client.request reader "slo")
+            expect "trace" (contains "decision") (Client.request reader trace)
           done);
       spawn (fun () -> for i = 1 to rounds do edit writer "LockWriteDoc" i done);
       spawn (fun () ->
@@ -1218,8 +1197,8 @@ let suite =
     ("generation boundary crossed", `Quick, test_generation_boundary);
     ("follower restart resumes", `Quick, test_follower_restart_resumes);
     ("leader restart keeps epochs monotone", `Quick, test_leader_restart_epoch_monotone);
-    ("follower streams an old-layout generation", `Quick,
-     test_follower_streams_old_layout_generation);
+    ("follower refuses a frame it cannot decode", `Quick,
+     test_follower_refuses_undecodable_frame);
     ("full scenario replicates", `Quick, test_full_scenario_replicates);
     ("convergence differential (seed 11)", `Quick, test_differential_seed_1);
     ("convergence differential (seed 22)", `Quick, test_differential_seed_2);

@@ -277,14 +277,11 @@ let test_metrics () =
 
 (* A client cannot mint series: every verb outside the scheduler's
    table is accounted as cmd="other".  Only the first unknown verb may
-   register series; a breach counter registers on a request's first
-   breach, which timing decides, so it is left out of the count. *)
+   register series. *)
 let test_unknown_verbs_bounded () =
   let keys () =
-    List.filter_map
-      (fun (s : Reg.sample) ->
-        if s.Reg.name = "gkbms_slo_breaches_total" then None
-        else Some (s.Reg.name, s.Reg.labels))
+    List.map
+      (fun (s : Reg.sample) -> (s.Reg.name, s.Reg.labels))
       (Reg.snapshot Reg.default)
   in
   let repo = keyed_repo () in

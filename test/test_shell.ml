@@ -239,6 +239,45 @@ let test_golden_transcript () =
       Alcotest.fail "transcript differs"
     end
 
+(* The CLI with [args], its stdout on [out]: its exit status and what it
+   wrote on stderr. *)
+let run_cli args out =
+  let cli =
+    (* dune runtest runs in test/, dune exec in the project root *)
+    List.find_opt Sys.file_exists
+      [ "../bin/gkbms_cli.exe"; "_build/default/bin/gkbms_cli.exe" ]
+    |> Option.value ~default:"../bin/gkbms_cli.exe"
+  in
+  let err = Filename.temp_file "gkbms" ".err" in
+  let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin out errfd
+  in
+  Unix.close errfd;
+  let _, status = Unix.waitpid [] pid in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (status, text)
+
+(* A reader that goes away, as [gkbms recover DIR | head -2] does, ends
+   a printing command quietly.  The pipe's read end is closed before the
+   CLI starts, so its first write finds no reader. *)
+let test_closed_stdout_is_quiet () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let status, _ = run_cli [ "scenario"; "--wal"; dir ] null in
+  Unix.close null;
+  check bool "scenario --wal ran" true (status = Unix.WEXITED 0);
+  List.iter
+    (fun args ->
+      let r, w = Unix.pipe () in
+      Unix.close r;
+      let _, err = run_cli args w in
+      Unix.close w;
+      check Alcotest.string (String.concat " " args ^ ": stderr") "" err)
+    [ [ "scenario" ]; [ "recover"; dir ] ]
+
 let suite =
   [
     ("session runs the storyline", `Quick, test_session_runs_the_storyline);
@@ -254,4 +293,5 @@ let suite =
     ("cross-session version advance", `Quick, test_cross_session_version_advance);
     ("shared session refuses load", `Quick, test_shared_session_refuses_load);
     ("golden transcript", `Quick, test_golden_transcript);
+    ("a closed stdout ends the CLI quietly", `Quick, test_closed_stdout_is_quiet);
   ]
