@@ -104,17 +104,40 @@ let shape_e4_selective_backtracking () =
      decision k of an n-chain removes its n-k+1 consequences, no more)\n";
   (* the history axis: a fixed 4-chain retracted after H tip-edited
      decisions, charged the words it allocates (bench/scaling's
-     measure, deterministic for one build) *)
-  Printf.printf "\n%-12s | %-22s\n" "history" "words per retraction";
+     measure, deterministic for one build), and timed as a [retract]
+     line in process and through a daemon connection (median of 5) *)
+  Printf.printf "\n%-12s | %-22s | %-14s | %-14s\n" "history"
+    "words per retraction" "in-process us" "daemon us";
   List.iter
     (fun h ->
       let repo, sh, _ = Scaling.build h in
       let words = Scaling.retract_words repo sh in
+      let timed first answer =
+        median
+          (Array.init 5 (fun i ->
+               let dec = Scaling.edit_chain repo sh (first + i) in
+               let line = "retract " ^ Kernel.Symbol.name dec in
+               let t0 = Unix.gettimeofday () in
+               let out = answer line in
+               let us = (Unix.gettimeofday () -. t0) *. 1e6 in
+               if not (String.starts_with ~prefix:"retracted decisions:" out) then
+                 failwith ("E4: " ^ line ^ " answered " ^ out);
+               us))
+      in
+      let local = timed 100 (Gkbms.Shell.eval sh) in
+      let daemon = Server.Daemon.create repo in
+      let client = Server.Client.of_transport (Server.Daemon.connect daemon) in
+      let remote = timed 200 (fun line -> ok (Server.Client.request client line)) in
+      Server.Client.close client;
+      Server.Daemon.stop daemon;
       metric_f (Printf.sprintf "e4_retract_words_h%d" h) words;
-      Printf.printf "%-12d | %22.0f\n" h words)
+      metric_f (Printf.sprintf "e4_retract_us_h%d" h) local;
+      metric_f (Printf.sprintf "e4_retract_daemon_us_h%d" h) remote;
+      Printf.printf "%-12d | %22.0f | %14.0f | %14.0f\n" h words local remote)
     [ 256; 1024; 4096 ];
   Printf.printf
-    "expected shape: flat — a retraction costs its closure, not the history.\n"
+    "expected shape: flat — a retraction costs its closure, not the history;\n\
+     through the daemon it adds a round trip and a group-commit batch.\n"
 
 let shape_e9_deduction () =
   section "E9: deductive query engines on transitive closure (chain graph)";

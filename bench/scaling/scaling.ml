@@ -133,17 +133,22 @@ let edit_words repo sh =
   new_doc repo !doc;
   median_words (fun () -> doc := edit sh !doc "e")
 
+(* Four chained edits of the [n]th chain document: the first edit's
+   decision, whose retraction takes all four back. *)
+let edit_chain repo sh n =
+  let doc = Printf.sprintf "ScalingChain%dx" n in
+  new_doc repo doc;
+  let first = edit sh doc "c1" in
+  ignore (edit sh (edit sh (edit sh first "c2") "c3") "c4");
+  Option.get (Gkbms.Decision.justifying_decision repo (Kernel.Symbol.intern first))
+
 (* The retraction of the first of four chained edits, each call on a
    chain of its own; only the retraction is charged. *)
 let retract_words repo sh =
   let n = ref 0 in
   let chain () =
     incr n;
-    let doc = Printf.sprintf "ScalingChain%dx" !n in
-    new_doc repo doc;
-    let first = edit sh doc "c1" in
-    ignore (edit sh (edit sh (edit sh first "c2") "c3") "c4");
-    Option.get (Gkbms.Decision.justifying_decision repo (Kernel.Symbol.intern first))
+    edit_chain repo sh !n
   in
   let retract dec () =
     match Gkbms.Backtrack.retract repo dec () with

@@ -100,10 +100,15 @@ let shell_verb until line =
       0
     end
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+(* The CLI's one file writer and one file reader: a path that cannot be
+   opened, written or read is an [Error] naming it, which [handle]
+   reports. *)
+let write_file path write =
+  try Ok (Out_channel.with_open_text path write) with Sys_error e -> Error e
+
+let read_lines path =
+  try Ok (In_channel.with_open_text path In_channel.input_lines)
+  with Sys_error e -> Error e
 
 let until_arg =
   Arg.(value & opt stage_conv Resolved & info [ "until" ] ~docv:"STAGE"
@@ -183,11 +188,16 @@ let recover_cmd =
             |> List.iter (fun l -> if l <> "" then Format.printf "  %s@." l)
           end
           else Format.printf "@.no flight log at %s@." path);
-       (match canonical with
-       | None -> ()
-       | Some file ->
-         write_file file (Gkbms.Persist.save_repository_canonical repo);
-         Format.printf "@.canonical snapshot written to %s@." file);
+       let* () =
+         match canonical with
+         | None -> Ok ()
+         | Some file ->
+           let* () =
+             write_file file (fun oc ->
+                 output_string oc (Gkbms.Persist.save_repository_canonical repo))
+           in
+           Ok (Format.printf "@.canonical snapshot written to %s@." file)
+       in
        Format.printf "@.decision log:@.";
        List.iter
          (fun (dec, dc) -> Format.printf "  %s : %s@." (Sym.name dec) dc)
@@ -295,9 +305,7 @@ let export_cmd =
   let run until file =
     handle
       (let* st, _ = build_state until in
-       let oc = open_out file in
-       Store.Base.save (Cml.Kb.base (Repo.kb st.Scn.repo)) oc;
-       close_out oc;
+       let* () = write_file file (Store.Base.save (Cml.Kb.base (Repo.kb st.Scn.repo))) in
        Format.printf "wrote %d propositions to %s@."
          (Store.Base.cardinal (Cml.Kb.base (Repo.kb st.Scn.repo)))
          file;
@@ -376,17 +384,15 @@ let stats_cmd =
        let samples = Obs.Registry.snapshot Obs.Registry.default in
        if metrics then
          Format.printf "-- registry --@.%a@." Obs.Export.pp_samples samples;
-       Option.iter
-         (fun f ->
-           write_file f (Obs.Export.json samples);
-           Format.printf "registry JSON written to %s@." f)
-         json;
-       Option.iter
-         (fun f ->
-           write_file f (Obs.Export.prometheus samples);
-           Format.printf "registry Prometheus text written to %s@." f)
-         prom;
-       Ok ())
+       let export what file render =
+         match file with
+         | None -> Ok ()
+         | Some f ->
+           let* () = write_file f (fun oc -> output_string oc (render samples)) in
+           Ok (Format.printf "registry %s written to %s@." what f)
+       in
+       let* () = export "JSON" json Obs.Export.json in
+       export "Prometheus text" prom Obs.Export.prometheus)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -421,12 +427,13 @@ let trace_cmd =
        Format.printf "%d slow operation(s) over %gms:@." (List.length spans)
          slow_ms;
        Format.printf "%a@." Obs.Export.pp_spans spans;
-       Option.iter
-         (fun f ->
-           write_file f (Obs.Export.spans_json spans);
-           Format.printf "span trees written to %s@." f)
-         json;
-       Ok ())
+       match json with
+       | None -> Ok ()
+       | Some f ->
+         let* () =
+           write_file f (fun oc -> output_string oc (Obs.Export.spans_json spans))
+         in
+         Ok (Format.printf "span trees written to %s@." f))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -510,10 +517,11 @@ let serve_cmd =
          & info [ "role" ] ~docv:"ROLE"
              ~doc:"Replication role: $(b,single) (default, no replication), \
                    $(b,leader) (serve the repl command family so followers \
-                   can stream the WAL; requires --wal, and recovers from it \
-                   when the directory already holds a checkpoint), or \
-                   $(b,follower) (bootstrap from --follow's leader, apply \
-                   its committed decisions, serve reads only).")
+                   can stream the WAL; requires --wal), or $(b,follower) \
+                   (bootstrap from --follow's leader, apply its committed \
+                   decisions, serve reads only).  A single server or leader \
+                   whose --wal directory already holds a checkpoint \
+                   recovers from it instead of building the scenario.")
   in
   let follow =
     Arg.(value & opt (some string) None & info [ "follow" ] ~docv:"SOCKET"
@@ -581,28 +589,19 @@ let serve_cmd =
           k t_us
       in
       match role with
-      | `Single ->
-        let* st, _ = build_state until in
-        let daemon = Server.Daemon.create ~config st.Scn.repo in
+      | (`Single | `Leader) as role ->
+        let leader = role = `Leader in
         let* () =
-          match wal with
-          | None -> Ok ()
-          | Some dir -> Server.Daemon.attach_wal daemon ~dir
-        in
-        serve_daemon daemon ~socket
-          ~banner:
-            (Printf.sprintf "gkbms server listening on %s (%s)" socket flags)
-      | `Leader ->
-        let* dir =
-          match wal with
-          | Some d -> Ok d
-          | None -> Error "serve --role leader requires --wal DIR"
+          if leader && wal = None then Error "serve --role leader requires --wal DIR"
+          else Ok ()
         in
         let* daemon =
-          if Sys.file_exists (Gkbms.Durable.checkpoint_path dir) then (
+          match wal with
+          | Some dir when Sys.file_exists (Gkbms.Durable.checkpoint_path dir) ->
             (* warm start: rebuild from the journal rather than replaying
-               the scenario, so a restarted leader keeps its history (and
-               its followers' generation cursors stay servable) *)
+               the scenario, so a restart keeps every acknowledged
+               decision (and a leader's followers' generation cursors
+               stay servable) *)
             let* durable, report = Gkbms.Durable.open_ ~dir () in
             Format.printf "recovered from %s:@.%a@." dir
               Gkbms.Durable.pp_report report;
@@ -610,17 +609,26 @@ let serve_cmd =
               Server.Daemon.create ~config (Gkbms.Durable.repo durable)
             in
             let* () = Server.Daemon.attach_durable daemon durable in
-            Ok daemon)
-          else
+            Ok daemon
+          | _ ->
             let* st, _ = build_state until in
             let daemon = Server.Daemon.create ~config st.Scn.repo in
-            let* () = Server.Daemon.attach_wal daemon ~dir in
+            let* () =
+              match wal with
+              | None -> Ok ()
+              | Some dir -> Server.Daemon.attach_wal daemon ~dir
+            in
             Ok daemon
         in
-        let* _leader = Replication.Leader.attach daemon in
+        let* () =
+          if leader then Result.map ignore (Replication.Leader.attach daemon)
+          else Ok ()
+        in
         serve_daemon daemon ~socket
           ~banner:
-            (Printf.sprintf "gkbms leader listening on %s (%s)" socket flags)
+            (Printf.sprintf "gkbms %s listening on %s (%s)"
+               (if leader then "leader" else "server")
+               socket flags)
       | `Follower ->
         let* leader_sock =
           match follow with
@@ -719,86 +727,69 @@ let client_cmd =
        after the command loop so a cross-process trace can be stitched
        from all three dumps (client, leader, follower) *)
     if timing then Obs.Trace.set_enabled true;
-    match Server.Client.connect_unix socket with
-    | Error e ->
-      Format.eprintf "error: %s@." e;
-      1
-    | Ok client ->
-      let barrier_failed =
-        match min_version with
-        | None -> false
-        | Some token -> (
-          match Replication.Wire.parse_session_token token with
-          | Error e ->
-            Format.eprintf "error: %s@." e;
-            true
-          | Ok (epoch, version) -> (
-            match
-              Server.Client.request client
-                (Printf.sprintf "wait %d %d" epoch version)
-            with
-            | Ok _ -> false
-            | Error e ->
-              Format.eprintf "error: %s@." e;
-              true))
-      in
-      if barrier_failed then begin
-        Server.Client.close client;
-        1
-      end
-      else
-      let failed = ref false in
-      let send line =
-        let print_result = function
-          | Ok payload -> if payload <> "" then Format.printf "%s@." payload
-          | Error payload ->
-            failed := true;
-            Format.printf "%s@." payload
-        in
-        if timing then begin
-          let t0 = Unix.gettimeofday () in
-          let res, trace = Server.Client.request_traced client line in
-          let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-          print_result res;
-          Format.printf "# %.2f ms trace %s@." ms trace
-        end
-        else print_result (Server.Client.request client line)
-      in
-      let script_lines =
-        match script with
-        | None -> []
-        | Some file ->
-          In_channel.with_open_text file In_channel.input_lines
-          |> List.filter (fun l -> String.trim l <> "")
-      in
-      let print_result = function
-        | Ok payload -> if payload <> "" then Format.printf "%s@." payload
-        | Error payload ->
-          failed := true;
-          Format.printf "%s@." payload
-      in
-      (match cmds @ script_lines with
-      | (_ :: _ as lines) when pipeline > 1 ->
-        List.iter print_result (Server.Client.pipeline ~window:pipeline client lines)
-      | [] ->
-        (* interactive *)
-        let rec loop () =
-          Format.printf "gkbms> %!";
-          match In_channel.input_line stdin with
-          | None -> ()
-          | Some line when String.trim line = "" -> loop ()
-          | Some line when Gkbms.Shell.is_quit line -> ()
-          | Some line ->
-            send line;
-            loop ()
-        in
-        loop ()
-      | lines -> List.iter send lines);
-      Server.Client.close client;
-      if timing then
-        Format.printf "# client spans@.%s@."
-          (Obs.Export.spans_json (Obs.Trace.recent ()));
-      if !failed then 1 else 0
+    let failed = ref false in
+    let print_result = function
+      | Ok payload -> if payload <> "" then Format.printf "%s@." payload
+      | Error payload ->
+        failed := true;
+        Format.printf "%s@." payload
+    in
+    let code =
+      handle
+        (let* script_lines =
+           match script with None -> Ok [] | Some file -> read_lines file
+         in
+         let* client = Server.Client.connect_unix socket in
+         Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+         let* () =
+           match min_version with
+           | None -> Ok ()
+           | Some token ->
+             let* epoch, version = Replication.Wire.parse_session_token token in
+             Result.map ignore
+               (Server.Client.request client
+                  (Printf.sprintf "wait %d %d" epoch version))
+         in
+         let send line =
+           if timing then begin
+             let t0 = Unix.gettimeofday () in
+             let res, trace = Server.Client.request_traced client line in
+             let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+             print_result res;
+             Format.printf "# %.2f ms trace %s@." ms trace
+           end
+           else print_result (Server.Client.request client line)
+         in
+         (try
+            (match cmds @ List.filter (fun l -> String.trim l <> "") script_lines with
+            | _ :: _ as lines when pipeline > 1 ->
+              List.iter print_result
+                (Server.Client.pipeline ~window:pipeline client lines)
+            | [] ->
+              (* interactive *)
+              let rec loop () =
+                Format.printf "gkbms> %!";
+                match In_channel.input_line stdin with
+                | None -> ()
+                | Some line when String.trim line = "" -> loop ()
+                | Some line when Gkbms.Shell.is_quit line -> ()
+                | Some line ->
+                  send line;
+                  loop ()
+              in
+              loop ()
+            | lines -> List.iter send lines);
+            if timing then
+              Format.printf "# client spans@.%s@."
+                (Obs.Export.spans_json (Obs.Trace.recent ()))
+          with Sys_error _ ->
+            (* stdout's reader has gone ([client ... | head -1]): stop, as
+               SIGPIPE stops the other commands, and drop what stdout
+               still buffers so nothing retries the write at exit *)
+            close_out_noerr stdout);
+         Ok ())
+    in
+    if code = 0 && !failed then 1 else code
   in
   Cmd.v
     (Cmd.info "client"

@@ -32,38 +32,33 @@ val repository : t -> Repository.t
 
 val eval : t -> string -> string
 (** Execute one command line and return the rendered output (errors are
-    reported in the output, prefixed with ["error:"]).  An operand of
-    [focus], [menu], [why], [history], [source] or [deps] that names no
-    proposition is answered [error: no object NAME].  Commands:
-    {v
-help                       this list
-stats                      KB statistics
-unmapped                   TaxisDL classes not yet mapped (fig 2-1)
-focus [OBJECT]             focus view; with OBJECT, sets this session's cursor
-menu [OBJECT]              applicable decision classes (default: the cursor)
-run CLASS TOOL ROLE=OBJ... [KEY=VALUE...]   execute a decision
-map | normalize | key | minutes | resolve   scenario shortcuts
-why [OBJECT]               explanation chain (default: the cursor)
-history [OBJECT]           version history (default: the cursor)
-source [OBJECT]            code frame (default: the cursor)
-deps [OBJECT]              dependency graph (ASCII)
-config [LEVEL]             DBPL configuration; LEVEL sets the session's level
-check                      consistency + methodology + support audit
-ask FORMULA                evaluate a closed assertion
-derive ATOM                query the deductive view (answers sorted)
-explain ATOM               what the tabled prover did for the goal
-save FILE / load FILE      snapshot the repository (load refused when shared)
-v}
-    [eval t line] is [resolve], then the answer, then [observe]. *)
+    reported in the output, prefixed with ["error:"]; a verb given
+    operands it does not take answers [error: usage: SYNOPSIS]).  The
+    [help] command lists every verb with its operands.  An operand that
+    names no proposition is answered [error: no object NAME], and
+    [retract DEC] whose [DEC] names no logged decision [error: no
+    decision DEC]; neither interns the operand.  [retract] refuses a
+    [DEC] that is itself a retraction.  [eval t line] is [resolve],
+    then the answer, then [observe]. *)
+
+type verb_class =
+  | Cached_read
+      (** its answer depends on the repository and the line {!resolve}
+          makes explicit alone, so a server may cache it under that line *)
+  | Uncached_read  (** side effects ([save]) or time-varying output ([trace]) *)
+  | Write  (** commits or retracts decisions, in decision-log order *)
+
+val verb_class : string -> verb_class option
+(** The class of the verb a line starts with; [None] when the shell has
+    no such verb (it answers the line with an error).  Each verb is
+    declared once, in the shell's table, with its class: the server
+    routes a write to group commit and caches a cached read by it. *)
 
 val resolve : t -> string -> string
 (** The explicit form of a line: a bare [focus], [menu], [why],
     [history] or [source] names the session's cursor (if it has one), a
     bare [config] the session's level, a bare [deps] the scenario's
-    [Papers]; any other line is returned as it is.  The answer to a
-    resolved [focus], [menu], [why], [history], [source], [deps] or
-    [config] line depends on the repository alone, so a server may
-    cache it under that line. *)
+    [Papers]; any other line is returned as it is. *)
 
 val observe : t -> string -> string -> unit
 (** [observe t line answer] applies to the session what answering the
@@ -74,8 +69,3 @@ val observe : t -> string -> string -> unit
 
 val is_quit : string -> bool
 (** Does the line ask to leave ([quit] / [exit])? *)
-
-val verbs : string list
-(** Every verb {!eval} dispatches on, plus the quit forms.  The
-    server's read/write classification table is tested against this
-    list, so a new shell verb must be classified explicitly. *)

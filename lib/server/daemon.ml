@@ -161,7 +161,7 @@ let command_series cmd =
     series
 
 (* Account one answered request, under a [cmd] label from a fixed set
-   (see [series_label]). *)
+   (see [shell_label]). *)
 let account ~cmd ~ok ~seconds =
   let hist, errors = command_series cmd in
   Obs.Histogram.observe hist (seconds *. 1e6);
@@ -204,15 +204,15 @@ let command_label line =
     | Some i -> String.sub line 0 i
     | None -> line
 
-(* The [cmd] label of a request the daemon or the shell answers: its
-   verb when the scheduler's table lists it (the built-ins included),
-   "other" otherwise, so a client cannot mint series with made-up
-   verbs.  The extension's verbs, a fixed family too, keep theirs. *)
-let series_label line =
-  let verb = command_label line in
-  if Option.is_some (Scheduler.verb_entry verb) then verb else "other"
+(* The [cmd] label of a request the shell answers: its verb when the
+   shell's table lists it, "other" otherwise, so a client cannot mint
+   series with made-up verbs.  The built-ins and the extension's verbs,
+   fixed families too, name their own. *)
+let shell_label line =
+  if Option.is_some (Gkbms.Shell.verb_class line) then command_label line
+  else "other"
 
-let trace_command t = function
+let trace_command = function
   | [ "on" ] ->
     Obs.Trace.set_enabled true;
     "tracing on"
@@ -227,13 +227,10 @@ let trace_command t = function
     | _ -> "error: trace slow expects a non-negative number (milliseconds)")
   | [ "dump" ] -> Obs.Export.spans_json (Obs.Trace.slow ())
   | [ "dump"; "recent" ] -> Obs.Export.spans_json (Obs.Trace.recent ())
-  | [ "decision"; id ] -> Obs.Recorder.render_for id
   | [ "clear" ] ->
     Obs.Trace.clear ();
     "trace buffers cleared"
-  | _ ->
-    ignore t;
-    "error: usage: trace on|off|slow MS|dump [recent]|decision ID|clear"
+  | _ -> "error: usage: trace on|off|slow MS|dump [recent]|decision ID|clear"
 
 let process t session (req : Protocol.request) : Protocol.response =
   let line = String.trim req.Protocol.line in
@@ -254,42 +251,24 @@ let process t session (req : Protocol.request) : Protocol.response =
     account ~cmd ~ok ~seconds:(Unix.gettimeofday () -. t0);
     { Protocol.id = req.Protocol.id; ok; payload }
   in
-  match Option.bind t.extension (fun ext -> ext line) with
-  | Some payload -> finish (command_label line) payload
-  | None -> (
-  let finish = finish (series_label line) in
-  match line with
-  | "metrics" -> finish (metrics_text t)
-  | "metrics json" -> finish (Obs.Export.json (Obs.Registry.snapshot reg))
-  | "metrics prom" -> finish (Obs.Export.prometheus (Obs.Registry.snapshot reg))
-  | "news" -> finish (Session.take_news session)
-  | "ping" -> finish "pong"
-  | "version" -> finish (string_of_int (Repo.version t.repo))
-  | line when String.length line >= 5 && String.sub line 0 5 = "trace" ->
-    let args =
-      List.filter
-        (fun w -> w <> "")
-        (String.split_on_char ' '
-           (String.sub line 5 (String.length line - 5)))
-    in
-    finish (trace_command t args)
-  | line when Gkbms.Shell.is_quit line -> finish "bye"
-  | line -> (
-    match Scheduler.classify line with
-    | `Write ->
+  (* a line the shell's verb table answers *)
+  let answer line =
+    let finish = finish (shell_label line) in
+    match Gkbms.Shell.verb_class line with
+    | Some Write ->
       (* [grouped] sends a writable daemon's writes to the batch, so
          only a follower's writes get here *)
       finish
         (Printf.sprintf
            "error: read-only follower: redirect writes to the leader at %s"
            (Option.value t.config.read_only ~default:"?"))
-    | `Read -> (
+    | cls -> (
       (* the cache key is the explicit line: a bare browsing verb names
          this session's cursor or level first *)
       let shell = Session.shell session in
       let line = Gkbms.Shell.resolve shell line in
       match t.cache with
-      | Some cache when Scheduler.cacheable line -> (
+      | Some cache when cls = Some Cached_read -> (
         (* fast path: no repository lock, just the version counter *)
         match Cache.find cache ~version:(Repo.version t.repo) line with
         | Some payload ->
@@ -303,7 +282,26 @@ let process t session (req : Protocol.request) : Protocol.response =
                  let out = eval session line in
                  Cache.store cache ~version:v line out;
                  out)))
-      | _ -> finish (exclusive t (fun () -> eval session line)))))
+      | _ -> finish (exclusive t (fun () -> eval session line)))
+  in
+  match Option.bind t.extension (fun ext -> ext line) with
+  | Some payload -> finish (command_label line) payload
+  | None -> (
+  match line with
+  | "metrics" -> finish "metrics" (metrics_text t)
+  | "metrics json" -> finish "metrics" (Obs.Export.json (Obs.Registry.snapshot reg))
+  | "metrics prom" ->
+    finish "metrics" (Obs.Export.prometheus (Obs.Registry.snapshot reg))
+  | "news" -> finish "news" (Session.take_news session)
+  | "ping" -> finish "ping" "pong"
+  | "version" -> finish "version" (string_of_int (Repo.version t.repo))
+  | line when command_label line = "trace" -> (
+    let args = String.split_on_char ' ' (String.sub line 5 (String.length line - 5)) in
+    match List.filter (fun w -> w <> "") args with
+    | "decision" :: _ -> answer line (* the shell's [trace decision ID] *)
+    | args -> finish "trace" (trace_command args))
+  | line when Gkbms.Shell.is_quit line -> finish (String.lowercase_ascii line) "bye"
+  | line -> answer line)
 
 (* group commit -------------------------------------------------------- *)
 
@@ -313,7 +311,8 @@ let process t session (req : Protocol.request) : Protocol.response =
    commands never classify as writes: the replication family has its
    own verbs.) *)
 let grouped t (req : Protocol.request) =
-  t.config.read_only = None && Scheduler.classify req.Protocol.line = `Write
+  t.config.read_only = None
+  && Gkbms.Shell.verb_class req.Protocol.line = Some Write
 
 (* One batch: validate and commit every collected write sequentially,
    in arrival order, under one hold of the repository lock — each write
@@ -347,7 +346,7 @@ let exec_batch t entries =
   List.iter2
     (fun e payload ->
       let ok = not (is_error payload) in
-      account ~cmd:(series_label e.greq.Protocol.line) ~ok
+      account ~cmd:(shell_label e.greq.Protocol.line) ~ok
         ~seconds:(Unix.gettimeofday () -. e.enq_s);
       e.gfinish { Protocol.id = e.greq.Protocol.id; ok; payload })
     entries outs

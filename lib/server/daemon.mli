@@ -2,7 +2,7 @@
 
     One shared repository, many client sessions (§2's group decision
     setting).  Each connection gets a thread and a {!Session} wrapping
-    its own {!Gkbms.Shell}; commands are classified by the {!Scheduler}.
+    its own {!Gkbms.Shell}, whose verb table classes each command.
     One mutex, the repository lock ({!exclusive}), orders every
     evaluation: a read holds it for one shell evaluation, and a
     deterministic read command is answered from the version-keyed
@@ -15,9 +15,9 @@
     Every answered request is accounted on {!Obs.Registry.default}:
     [gkbms_server_command_us{cmd}] and
     [gkbms_server_command_errors_total{cmd}], labelled by verb ("other"
-    for a verb the scheduler's table does not list, so clients cannot
-    mint series), plus byte, session, protocol-error, in-flight and
-    group-commit batch-size series.
+    for a verb neither the shell's table nor the built-ins know, so
+    clients cannot mint series), plus byte, session, protocol-error,
+    in-flight and group-commit batch-size series.
 
     Protocol-level commands handled before the shell: [metrics] (the
     cache and version lines, then the registry dump;

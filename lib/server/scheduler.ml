@@ -1,81 +1,3 @@
-(* classification ------------------------------------------------------ *)
-
-let first_word line =
-  let line = String.trim line in
-  match String.index_opt line ' ' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
-type cache_mode = [ `Always | `Never ]
-
-(* Every verb the daemon can see — the shell's plus the daemon-level
-   built-ins — with an explicit classification, so a future verb that
-   is missing here fails the table-driven test in test_server rather
-   than silently landing on the cached-read path.
-
-   The daemon looks a line up after [Shell.resolve] has made it
-   explicit, so the browsing verbs are cached whatever session state a
-   bare form would read; a hit replays the session update with
-   [Shell.observe].  [`Never] covers side effects ([save]),
-   time-varying output ([trace]), and the daemon built-ins
-   answered before classification. *)
-let verb_table : (string * [ `Read | `Write ] * cache_mode) list =
-  [
-    (* shell reads, version-keyed and session-independent *)
-    ("help", `Read, `Always);
-    ("stats", `Read, `Always);
-    ("unmapped", `Read, `Always);
-    ("check", `Read, `Always);
-    ("ask", `Read, `Always);
-    ("derive", `Read, `Always);
-    ("explain", `Read, `Always);
-    (* browsing, on the resolved line *)
-    ("focus", `Read, `Always);
-    ("menu", `Read, `Always);
-    ("why", `Read, `Always);
-    ("history", `Read, `Always);
-    ("source", `Read, `Always);
-    ("deps", `Read, `Always);
-    ("config", `Read, `Always);
-    (* time-varying reads and side effects *)
-    ("trace", `Read, `Never);
-    ("save", `Read, `Never);
-    (* writes: decision log order, through the batch *)
-    ("run", `Write, `Never);
-    ("map", `Write, `Never);
-    ("normalize", `Write, `Never);
-    ("key", `Write, `Never);
-    ("minutes", `Write, `Never);
-    ("resolve", `Write, `Never);
-    ("load", `Write, `Never);
-    (* session terminators *)
-    ("quit", `Read, `Never);
-    ("exit", `Read, `Never);
-    ("q", `Read, `Never);
-    (* daemon built-ins, answered before classification *)
-    ("metrics", `Read, `Never);
-    ("news", `Read, `Never);
-    ("ping", `Read, `Never);
-    ("version", `Read, `Never);
-  ]
-
-let verb_entry verb =
-  List.find_map
-    (fun (v, rw, c) -> if String.equal v verb then Some (rw, c) else None)
-    verb_table
-
-let known_verbs = List.map (fun (v, _, _) -> v) verb_table
-
-let classify line =
-  match verb_entry (first_word line) with
-  | Some (`Write, _) -> `Write
-  | Some (`Read, _) | None -> `Read
-
-let cacheable line =
-  match verb_entry (first_word line) with
-  | Some (_, `Always) -> true
-  | Some (_, `Never) | None -> false
-
 (* write-batch admission ----------------------------------------------- *)
 
 (* The group-commit admission queue: writers [submit] work items as

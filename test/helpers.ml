@@ -56,3 +56,9 @@ let inflight_rise ~g0 target =
   settle 500;
   Thread.delay 0.05;
   inflight () - g0
+
+(* The decision and the new tip a manual edit's ack names. *)
+let edit_ack resp =
+  match String.split_on_char ' ' resp with
+  | [ "run"; "executed:"; "decision"; dec; "->"; tip ] -> (dec, tip)
+  | _ -> Alcotest.failf "unparseable run response: %s" resp

@@ -296,9 +296,12 @@ let test_follower_refuses_writes () =
   Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
   ok (Follower.catch_up f);
   let c = Client.of_transport (Daemon.connect (Follower.daemon f)) in
-  let refusal = req_err c "normalize" in
-  check bool "names the follower role" true (contains "read-only follower" refusal);
-  check bool "redirects to the leader" true (contains "leader.sock" refusal);
+  List.iter
+    (fun line ->
+      let refusal = req_err c line in
+      check bool "names the follower role" true (contains "read-only follower" refusal);
+      check bool "redirects to the leader" true (contains "leader.sock" refusal))
+    [ "normalize"; "retract dec1" ];
   (* reads are served normally, at the applied version *)
   check bool "reads still served" true
     (contains "decisions: 1" (req_ok c "stats"));
@@ -784,12 +787,15 @@ let test_grouped_batches_replicate () =
   Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
   ok (Follower.catch_up f);
   let c = leader_client rig in
+  let edit i doc = Printf.sprintf "run DecManualEdit Editor object=%s text=b%d" doc i in
+  (* one edit first, retracted at the end of the burst, after the
+     burst's edit of its output *)
+  let first, tip = edit_ack (req_ok c (edit n (Kernel.Symbol.name (List.hd docs)))) in
   let writes =
     List.mapi
-      (fun i doc ->
-        Printf.sprintf "run DecManualEdit Editor object=%s text=b%d"
-          (Kernel.Symbol.name doc) i)
+      (fun i doc -> edit i (if i = 0 then tip else Kernel.Symbol.name doc))
       docs
+    @ [ "retract " ^ first ]
   in
   (* hold commits until every write is queued, so the flusher finds
      them waiting however the threads are scheduled *)
@@ -797,13 +803,19 @@ let test_grouped_batches_replicate () =
   let g0 = inflight () in
   with_commits_held rig.l_daemon (fun () ->
       pipeliner :=
-        Some (Thread.create (fun () -> results := Client.pipeline ~window:n c writes) ());
-      check int "every write queued" n (inflight_rise ~g0 n));
+        Some
+          (Thread.create
+             (fun () -> results := Client.pipeline ~window:(n + 1) c writes)
+             ());
+      check int "every write queued" (n + 1) (inflight_rise ~g0 (n + 1)));
   Option.iter Thread.join !pipeliner;
   List.iter2
     (fun line r ->
       match r with
-      | Ok out -> check bool line true (contains "run executed" out)
+      | Ok out ->
+        check bool line true
+          (contains "run executed" out
+          || String.starts_with ~prefix:("retracted decisions: " ^ first ^ ", ") out)
       | Error e -> Alcotest.failf "pipelined write %S failed: %s" line e)
     writes !results;
   (* the shipped log brackets the decisions in batch markers, and at
@@ -832,7 +844,7 @@ let test_grouped_batches_replicate () =
       (None, []) records
     |> snd
   in
-  check int "every write shipped inside a batch" n
+  check int "every decision shipped inside a batch" (n + 2)
     (List.fold_left ( + ) 0 batch_sizes);
   check bool "a batch held several decisions" true
     (List.exists (fun m -> m > 1) batch_sizes);

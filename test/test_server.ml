@@ -162,27 +162,32 @@ let prop_decoders_any_chunking =
       in
       fed = frames && read [] = frames)
 
-(* scheduler ------------------------------------------------------------- *)
+(* verb classes ----------------------------------------------------------- *)
 
-let test_scheduler_classify () =
+(* The daemon routes by the shell's verb table: a write to the batch, a
+   cached read through the response cache, anything else under the
+   lock.  It looks a line up after Shell.resolve has made it explicit,
+   so a bare browsing form reaches the cache only when the session has
+   no cursor, whose answer is the same error in every session; a hit
+   replays the cursor move through Shell.observe. *)
+let test_verb_classes () =
+  let cls = Gkbms.Shell.verb_class in
   List.iter
-    (fun line -> check bool line true (Server.Scheduler.classify line = `Write))
+    (fun line -> check bool line true (cls line = Some Gkbms.Shell.Write))
     [ "run DecNormalize Normalizer relation=X"; "map"; "normalize"; "key";
-      "minutes"; "resolve"; "load f" ];
+      "minutes"; "resolve"; "retract dec3"; "load f" ];
   List.iter
-    (fun line -> check bool line true (Server.Scheduler.classify line = `Read))
-    [ "stats"; "focus Papers"; "why X"; "check"; "ask p"; "metrics" ];
-  (* the daemon looks up the line Shell.resolve made explicit, so a bare
-     form reaches the cache only when the session has no cursor, whose
-     answer is the same error in every session *)
-  check bool "why X cacheable" true (Server.Scheduler.cacheable "why X");
-  check bool "bare why cacheable" true (Server.Scheduler.cacheable "why");
-  check bool "stats cacheable" true (Server.Scheduler.cacheable "stats");
-  (* a hit replays the cursor move through Shell.observe *)
-  check bool "focus cacheable" true (Server.Scheduler.cacheable "focus X");
-  check bool "config cacheable" true (Server.Scheduler.cacheable "config X");
-  check bool "save not cacheable" false (Server.Scheduler.cacheable "save f");
-  check bool "news not cacheable" false (Server.Scheduler.cacheable "news")
+    (fun line -> check bool line true (cls line = Some Gkbms.Shell.Cached_read))
+    [ "stats"; "focus Papers"; "focus X"; "why X"; "why"; "config X"; "check";
+      "ask p"; "help"; "menu X"; "unmapped"; "history X"; "source X"; "deps";
+      "derive p"; "explain p" ];
+  List.iter
+    (fun line -> check bool line true (cls line = Some Gkbms.Shell.Uncached_read))
+    [ "save f"; "trace decision dec1" ];
+  (* the daemon's built-ins and unknown verbs are no shell verbs *)
+  List.iter
+    (fun line -> check bool line true (cls line = None))
+    [ "metrics"; "news"; "ping"; "version"; "quit"; "frobnicate"; "" ]
 
 (* cache ----------------------------------------------------------------- *)
 
@@ -275,9 +280,9 @@ let test_metrics () =
   Client.close client;
   Daemon.stop daemon
 
-(* A client cannot mint series: every verb outside the scheduler's
-   table is accounted as cmd="other".  Only the first unknown verb may
-   register series. *)
+(* A client cannot mint series: every verb outside the shell's table
+   and the daemon's built-ins is accounted as cmd="other".  Only the
+   first unknown verb may register series. *)
 let test_unknown_verbs_bounded () =
   let keys () =
     List.map
@@ -869,18 +874,38 @@ let digest repo ~docs =
   in
   (triples, decision_classes, chains, tips, unsupported)
 
-(* recover the server's commit order from the decision rationales and
-   replay it sequentially through a plain Shell on an identical seed;
-   the two repositories must then be indistinguishable *)
-let replay_and_compare repo ~docs ~writes =
-  let shell_lines =
+(* The shell line a decision's rationale records: [shell: LINE] for a
+   run, [retracted DEC..; shell: retract DEC] for a retraction. *)
+let shell_line rationale =
+  let marker = "shell: " in
+  let n = String.length marker and len = String.length rationale in
+  let rec find i =
+    if i + n > len then None
+    else if String.sub rationale i n = marker then
+      Some (String.sub rationale (i + n) (len - i - n))
+    else find (i + 1)
+  in
+  find 0
+
+(* recover the server's commit order and replay it sequentially through
+   a plain Shell on an identical seed; the two repositories must then be
+   indistinguishable.  A logged decision's rationale names its line; a
+   decision a retraction unlogged is in [retracted], with the line its
+   client sent.  Decision ids are minted in commit order, so sorting by
+   id recovers it, and the replay mints the same ids. *)
+let replay_and_compare ?(retracted = []) repo ~docs ~writes =
+  let logged =
     List.filter_map
       (fun dec ->
-        match Gkbms.Decision.rationale_of repo dec with
-        | Some r when String.length r > 7 && String.sub r 0 7 = "shell: " ->
-          Some (String.sub r 7 (String.length r - 7))
-        | _ -> None)
+        Option.map
+          (fun line -> (Sym.name dec, line))
+          (Option.bind (Gkbms.Decision.rationale_of repo dec) shell_line))
       (Repo.decision_log repo)
+  in
+  let serial (dec, _) = int_of_string (String.sub dec 3 (String.length dec - 3)) in
+  let shell_lines =
+    List.map snd
+      (List.sort (fun a b -> compare (serial a) (serial b)) (logged @ retracted))
   in
   check int "server committed all writes" writes (List.length shell_lines);
   let repo_seq = keyed_repo ~docs () in
@@ -900,6 +925,11 @@ let replay_and_compare repo ~docs ~writes =
   check bool "same artifact tips" true (tip1 = tip2);
   check bool "same unsupported objects" true (u1 = u2)
 
+let retract_ok client dec =
+  let report = req_ok client ("retract " ^ dec) in
+  if not (String.starts_with ~prefix:("retracted decisions: " ^ dec) report) then
+    Alcotest.failf "retract %s answered %S" dec report
+
 let differential ~cache () =
   let docs = 3 in
   let repo = keyed_repo ~docs () in
@@ -909,20 +939,24 @@ let differential ~cache () =
   let reads =
     [| "stats"; "check"; "focus InvitationRel3"; "derive in(InvitationRel, ?C)" |]
   in
-  (* commuting writes: each client grows its own document's version chain *)
+  (* commuting writes: each client grows its own document's version
+     chain and retracts every second edit it made, which restores the
+     tip before it *)
+  let retracted = Array.make docs [] in
   let client_thread ci =
     let client = Client.of_transport (Daemon.connect daemon) in
     let tip = ref (Printf.sprintf "Doc%d" ci) in
     for k = 1 to 4 do
       ignore (req_ok client reads.((ci + k) mod Array.length reads));
-      let resp =
-        req_ok client
-          (Printf.sprintf "run DecManualEdit Editor object=%s text=c%dk%d" !tip ci k)
+      let line =
+        Printf.sprintf "run DecManualEdit Editor object=%s text=c%dk%d" !tip ci k
       in
-      (match String.rindex_opt resp '>' with
-      | Some i when i + 1 < String.length resp ->
-        tip := String.trim (String.sub resp (i + 1) (String.length resp - i - 1))
-      | _ -> Alcotest.failf "unparseable run response: %s" resp);
+      let dec, next = edit_ack (req_ok client line) in
+      if k mod 2 = 0 then begin
+        retract_ok client dec;
+        retracted.(ci) <- (dec, line) :: retracted.(ci)
+      end
+      else tip := next;
       ignore (req_ok client reads.(k mod Array.length reads))
     done;
     Client.close client
@@ -930,41 +964,11 @@ let differential ~cache () =
   let threads = List.init docs (fun ci -> Thread.create client_thread ci) in
   List.iter Thread.join threads;
   Daemon.stop daemon;
-  replay_and_compare repo ~docs ~writes:(docs * 4)
+  replay_and_compare repo ~docs ~writes:(docs * 6)
+    ~retracted:(List.concat (Array.to_list retracted))
 
 let test_differential_cached () = differential ~cache:true ()
 let test_differential_uncached () = differential ~cache:false ()
-
-(* verb classification table ---------------------------------------------- *)
-
-let test_classification_table () =
-  (* every verb the shell dispatches on, plus the daemon's built-ins,
-     must have an explicit entry in the scheduler's table — no verb may
-     reach the unknown-verb fallback *)
-  let daemon_verbs = [ "metrics"; "news"; "ping"; "version" ] in
-  List.iter
-    (fun v ->
-      check bool ("explicitly classified: " ^ v) true
-        (List.mem v Server.Scheduler.known_verbs))
-    (Gkbms.Shell.verbs @ daemon_verbs);
-  (* a cacheable command must be a read: caching a write would skip it *)
-  List.iter
-    (fun v ->
-      if Server.Scheduler.cacheable v then
-        check bool ("cacheable implies read: " ^ v) true
-          (Server.Scheduler.classify v = `Read))
-    Server.Scheduler.known_verbs;
-  (* the write set is exactly the decision-committing verbs *)
-  let writes =
-    List.filter
-      (fun v -> Server.Scheduler.classify v = `Write)
-      Server.Scheduler.known_verbs
-  in
-  check
-    Alcotest.(slist string compare)
-    "write verbs"
-    [ "run"; "map"; "normalize"; "key"; "minutes"; "resolve"; "load" ]
-    writes
 
 let test_batch_admission_model () =
   (* racing submitters against the single drainer: every accepted item
@@ -1098,7 +1102,9 @@ let test_group_commit_shares_fsyncs () =
   Scratch.rm_rf dir
 
 (* the differential with pipelined clients, over in-process connections
-   or a listening socket *)
+   or a listening socket; the third round pipelines a retraction of the
+   second round's edit behind its own edit, which consumed that edit's
+   output, so one retraction in a batch takes both back *)
 let differential_grouped ~socket () =
   let docs = 3 in
   let repo = keyed_repo ~docs () in
@@ -1107,32 +1113,42 @@ let differential_grouped ~socket () =
       ~config:{ Daemon.default_config with group_commit = (4, 300) }
       repo
   in
+  let retracted = Array.make docs [] in
   let run_clients mk_client =
     let client_thread ci =
       let client = mk_client () in
-      let tip = ref (Printf.sprintf "Doc%d" ci) in
+      (* the tip, and the last edit with the tip before it *)
+      let tip = ref (Printf.sprintf "Doc%d" ci) and last = ref ("", "", "") in
       for k = 1 to 4 do
-        let lines =
-          [
-            "stats";
-            Printf.sprintf "run DecManualEdit Editor object=%s text=c%dk%d" !tip
-              ci k;
-            "version";
-          ]
+        let edit =
+          Printf.sprintf "run DecManualEdit Editor object=%s text=c%dk%d" !tip ci k
         in
-        (match Client.pipeline ~window:3 client lines with
-        | [ Ok _; Ok resp; Ok _ ] -> (
-          match String.rindex_opt resp '>' with
-          | Some i when i + 1 < String.length resp ->
-            tip := String.trim (String.sub resp (i + 1) (String.length resp - i - 1))
-          | _ -> Alcotest.failf "unparseable run response: %s" resp)
+        let last_dec, last_line, last_tip = !last in
+        let retract = if k = 3 then [ "retract " ^ last_dec ] else [] in
+        let lines = ("stats" :: edit :: retract) @ [ "version" ] in
+        match Client.pipeline ~window:(List.length lines) client lines with
+        | Ok _ :: Ok resp :: rest when List.for_all Result.is_ok rest ->
+          let dec, next = edit_ack resp in
+          if k = 3 then begin
+            check bool "the retraction takes the later edit too" true
+              (String.starts_with
+                 ~prefix:(Printf.sprintf "retracted decisions: %s, %s" last_dec dec)
+                 (Result.get_ok (List.hd rest)));
+            retracted.(ci) <- (dec, edit) :: (last_dec, last_line) :: retracted.(ci);
+            tip := last_tip
+          end
+          else begin
+            last := (dec, edit, !tip);
+            tip := next
+          end
         | rs ->
           List.iter
             (function
               | Error e -> Alcotest.failf "pipelined request failed: %s" e
               | Ok _ -> ())
             rs;
-          Alcotest.failf "expected 3 responses, got %d" (List.length rs))
+          Alcotest.failf "expected %d responses, got %d" (List.length lines)
+            (List.length rs)
       done;
       Client.close client
     in
@@ -1146,7 +1162,8 @@ let differential_grouped ~socket () =
     run_clients (fun () -> Client.of_transport (Daemon.connect daemon));
     Daemon.stop daemon
   end;
-  replay_and_compare repo ~docs ~writes:(docs * 4)
+  replay_and_compare repo ~docs ~writes:(docs * 5)
+    ~retracted:(List.concat (Array.to_list retracted))
 
 let test_differential_grouped () = differential_grouped ~socket:false ()
 let test_differential_socket () = differential_grouped ~socket:true ()
@@ -1378,7 +1395,7 @@ let suite =
     ("protocol pipelined and partial frames", `Quick, test_protocol_pipelined_and_partial);
     ("protocol corruption detected", `Quick, test_protocol_corruption);
     QCheck_alcotest.to_alcotest prop_decoders_any_chunking;
-    ("scheduler classification", `Quick, test_scheduler_classify);
+    ("verb classification", `Quick, test_verb_classes);
     ("cache version keying", `Quick, test_cache_versioning);
     ("cache capacity bound", `Quick, test_cache_capacity);
     ("metrics accounting", `Quick, test_metrics);
@@ -1402,7 +1419,6 @@ let suite =
     ("wal synced before response", `Quick, test_wal_recovery);
     ("differential: concurrent = sequential (cache on)", `Quick, test_differential_cached);
     ("differential: concurrent = sequential (cache off)", `Quick, test_differential_uncached);
-    ("classification table covers every verb", `Quick, test_classification_table);
     ("batch admission conserves, orders, caps", `Quick, test_batch_admission_model);
     ("group commit shares fsyncs, acks durable", `Quick, test_group_commit_shares_fsyncs);
     ("differential: group commit + pipelining", `Quick, test_differential_grouped);

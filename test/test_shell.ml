@@ -161,6 +161,51 @@ let test_shared_session_refuses_load () =
   (* a private shell still loads (see save-and-load above) *)
   check bool "map still works" true (contains "dec1" (Shell.eval shell "map"))
 
+(* retract DEC backtracks any logged decision and only its consequences;
+   its operand is probed, never interned *)
+let test_retract_verb () =
+  let conflict () =
+    let shell = ok (Shell.create ()) in
+    List.iter
+      (fun l -> ignore (Shell.eval shell l))
+      [ "map"; "normalize"; "key"; "minutes" ];
+    shell
+  in
+  let shell = conflict () in
+  let fresh = Printf.sprintf "NoDecision%d" (Kernel.Symbol.count ()) in
+  check Alcotest.string "an operand that names nothing" ("error: no decision " ^ fresh)
+    (Shell.eval shell ("retract " ^ fresh));
+  check bool "is not interned" true (Kernel.Symbol.find_opt fresh = None);
+  check Alcotest.string "an object is no decision" "error: no decision Papers"
+    (Shell.eval shell "retract Papers");
+  check Alcotest.string "one operand" "error: usage: retract DEC"
+    (Shell.eval shell "retract");
+  let resolved = conflict () in
+  check Alcotest.string "retracting the key decision reports as resolve does"
+    (Shell.eval resolved "resolve")
+    (Shell.eval shell "retract dec3");
+  let dec5 = Kernel.Symbol.intern "dec5" in
+  check (Alcotest.option Alcotest.string) "the rationale records the line"
+    (Some "retracted dec3; shell: retract dec3")
+    (Gkbms.Decision.rationale_of (Shell.repository shell) dec5);
+  check bool "the conflict is gone" true
+    (contains "support: all design objects supported" (Shell.eval shell "check"));
+  check Alcotest.string "a retracted decision is no longer logged"
+    "error: no decision dec3" (Shell.eval shell "retract dec3");
+  (* retracting a retraction would erase its record and restore nothing *)
+  List.iter
+    (fun sh ->
+      let repo = Shell.repository sh in
+      let record () =
+        (Gkbms.Decision.rationale_of repo dec5, Gkbms.Repository.decision_log repo)
+      in
+      let before = record () in
+      check Alcotest.string "a retraction is refused"
+        "error: dec5 is a retraction, which cannot be retracted"
+        (Shell.eval sh "retract dec5");
+      check bool "its record and the log are unchanged" true (record () = before))
+    [ resolved; shell ]
+
 (* golden transcript: the whole storyline through the dialog manager.
    why/history are excluded (they print belief times from the global
    clock), and config is excluded (its member order depends on global
@@ -239,15 +284,15 @@ let test_golden_transcript () =
       Alcotest.fail "transcript differs"
     end
 
+let cli =
+  (* dune runtest runs in test/, dune exec in the project root *)
+  List.find_opt Sys.file_exists
+    [ "../bin/gkbms_cli.exe"; "_build/default/bin/gkbms_cli.exe" ]
+  |> Option.value ~default:"../bin/gkbms_cli.exe"
+
 (* The CLI with [args], its stdout on [out]: its exit status and what it
    wrote on stderr. *)
 let run_cli args out =
-  let cli =
-    (* dune runtest runs in test/, dune exec in the project root *)
-    List.find_opt Sys.file_exists
-      [ "../bin/gkbms_cli.exe"; "_build/default/bin/gkbms_cli.exe" ]
-    |> Option.value ~default:"../bin/gkbms_cli.exe"
-  in
   let err = Filename.temp_file "gkbms" ".err" in
   let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let pid =
@@ -259,9 +304,34 @@ let run_cli args out =
   Sys.remove err;
   (status, text)
 
+(* ... and what it wrote on stdout *)
+let cli_output args =
+  let path = Filename.temp_file "gkbms" ".out" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let status, err = run_cli args fd in
+  Unix.close fd;
+  let out = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (status, out, err)
+
+(* a fresh socket path *)
+let socket_path () =
+  let path = Filename.temp_file "gkbms" ".sock" in
+  Sys.remove path;
+  path
+
+let wait_for_socket path =
+  let rec go n =
+    if n > 0 && not (Sys.file_exists path) then (
+      Thread.delay 0.05;
+      go (n - 1))
+  in
+  go 200
+
 (* A reader that goes away, as [gkbms recover DIR | head -2] does, ends
    a printing command quietly.  The pipe's read end is closed before the
-   CLI starts, so its first write finds no reader. *)
+   CLI starts, so its first write finds no reader.  [client] ignores
+   SIGPIPE for its socket, so it runs against a daemon served here. *)
 let test_closed_stdout_is_quiet () =
   let dir = Scratch.temp_dir () in
   Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
@@ -269,6 +339,16 @@ let test_closed_stdout_is_quiet () =
   let status, _ = run_cli [ "scenario"; "--wal"; dir ] null in
   Unix.close null;
   check bool "scenario --wal ran" true (status = Unix.WEXITED 0);
+  let daemon = Server.Daemon.create (Shell.repository (ok (Shell.create ()))) in
+  let sock = socket_path () in
+  let listener =
+    Thread.create (fun () -> ignore (Server.Daemon.listen daemon ~path:sock)) ()
+  in
+  wait_for_socket sock;
+  Fun.protect ~finally:(fun () ->
+      Server.Daemon.stop daemon;
+      Thread.join listener)
+  @@ fun () ->
   List.iter
     (fun args ->
       let r, w = Unix.pipe () in
@@ -276,7 +356,62 @@ let test_closed_stdout_is_quiet () =
       let _, err = run_cli args w in
       Unix.close w;
       check Alcotest.string (String.concat " " args ^ ": stderr") "" err)
-    [ [ "scenario" ]; [ "recover"; dir ] ]
+    [
+      [ "scenario" ]; [ "recover"; dir ];
+      [ "client"; sock; "-e"; "stats"; "-e"; "stats"; "-e"; "stats" ];
+    ]
+
+(* A file the CLI cannot write or read is an error that names it, with
+   exit 1. *)
+let test_bad_paths_are_errors () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
+  ignore (run_cli [ "scenario"; "--until"; "map"; "--wal"; dir ] null);
+  let bad = "/nonexistent/dir/x" in
+  List.iter
+    (fun args ->
+      let status, err = run_cli args null in
+      let what = String.concat " " args in
+      check bool (what ^ ": exit 1") true (status = Unix.WEXITED 1);
+      check bool (what ^ ": " ^ err) true
+        (String.starts_with ~prefix:("error: " ^ bad ^ ": ") err))
+    [
+      [ "export"; bad ]; [ "recover"; dir; "--canonical"; bad ];
+      [ "stats"; "--json"; bad ]; [ "stats"; "--prom"; bad ];
+      [ "trace"; "--json"; bad ];
+      [ "client"; Filename.concat dir "no.sock"; "--script"; bad ];
+    ]
+
+(* A server restarted on its journal keeps the decisions it
+   acknowledged before a SIGTERM. *)
+let test_restart_keeps_decisions () =
+  let wal = Scratch.temp_dir () and sock = socket_path () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf wal) @@ fun () ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
+  let serving f =
+    let pid =
+      Unix.create_process cli [| cli; "serve"; sock; "--wal"; wal |] Unix.stdin null
+        null
+    in
+    Fun.protect ~finally:(fun () ->
+        Unix.kill pid Sys.sigterm;
+        ignore (Unix.waitpid [] pid))
+    @@ fun () ->
+    wait_for_socket sock;
+    f ()
+  in
+  let client args = cli_output ("client" :: sock :: args) in
+  serving (fun () ->
+      let status, out, _ =
+        client [ "-e"; "run DecManualEdit Editor object=MinuteRel text=x" ]
+      in
+      check bool "acknowledged" true (status = Unix.WEXITED 0 && contains "dec6" out));
+  serving (fun () ->
+      let _, out, _ = client [ "-e"; "stats" ] in
+      check bool ("after the restart: " ^ out) true (contains "decisions: 5" out))
 
 let suite =
   [
@@ -292,6 +427,9 @@ let suite =
     ("per-session config level", `Quick, test_per_session_config_level);
     ("cross-session version advance", `Quick, test_cross_session_version_advance);
     ("shared session refuses load", `Quick, test_shared_session_refuses_load);
+    ("retract backtracks one decision", `Quick, test_retract_verb);
     ("golden transcript", `Quick, test_golden_transcript);
     ("a closed stdout ends the CLI quietly", `Quick, test_closed_stdout_is_quiet);
+    ("a bad file path is an error", `Quick, test_bad_paths_are_errors);
+    ("a restart keeps acknowledged decisions", `Quick, test_restart_keeps_decisions);
   ]
