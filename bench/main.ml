@@ -529,8 +529,10 @@ let shape_scaling () =
    heap; the words per proposition of a store refilled from the base,
    [Prop.t] records included (what [test_durability.ml] bounds); the
    words per proposition of a code-indexed table over the base's ids
-   alone, the store's id table without its nodes; and the words the
-   JTMS reaches, its justifications included. *)
+   alone, the store's id table without its nodes; the words the JTMS
+   reaches, its justifications included; and the words the first
+   [stats] allocates (minor plus direct major), the transient gkbench
+   meets after its load (DESIGN.md §14). *)
 let shape_memory () =
   section "memory: the in-process edit end state";
   let st = ok (Gkbms.Scenario.setup ()) in
@@ -564,17 +566,22 @@ let shape_memory () =
   let store_words = per_prop (Obj.reachable_words (Obj.repr store)) in
   let id_words = per_prop (Obj.reachable_words (Obj.repr ids)) in
   let jtms_words = Obj.reachable_words (Obj.repr (Repo.jtms repo)) in
+  (* nothing has asked for the design-object count since start-up, so
+     the first [stats] recounts it *)
+  let first_stats_words = Scaling.words (fun () -> Gkbms.Shell.eval sh "stats") in
   Printf.printf "propositions             %d\n" props;
   Printf.printf "live heap                %.1f MB\n" live_mb;
   Printf.printf "store words/proposition  %.2f\n" store_words;
   Printf.printf "id table words/prop.     %.2f\n" id_words;
   Printf.printf "jtms words               %d (%.1f MB)\n" jtms_words
     (float_of_int (jtms_words * (Sys.word_size / 8)) /. 1e6);
+  Printf.printf "first stats words        %.0f\n" first_stats_words;
   metric_i "memory_propositions" props;
   metric_f "memory_live_heap_mb" live_mb;
   metric_f "memory_store_words_per_prop" store_words;
   metric_f "memory_id_table_words_per_prop" id_words;
-  metric_i "memory_jtms_words" jtms_words
+  metric_i "memory_jtms_words" jtms_words;
+  metric_i "memory_first_stats_words" (int_of_float first_stats_words)
 
 (* E25: group commit + pipelining.  The write path of E18 pays one
    client round trip per decision and — with a WAL in fsync mode — one

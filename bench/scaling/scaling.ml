@@ -36,11 +36,11 @@ let passes r =
 
 (* The verbs whose answer is the target's neighbourhood, [stats] and
    [unmapped], and the retraction of a fixed chain are gated at 1.5;
-   [config] lists a whole level, so it is allowed linear growth (1.5 ×
-   4).  The ratio of [edit] is reported only: an edit is gated in
-   absolute terms instead, since it writes 24 propositions (fig 3-3's
-   record of a decision), and recording them may cost at most
-   [edit_bound] words. *)
+   [config] lists a whole level and [check] audits the whole history,
+   so they are allowed linear growth (1.5 × 4).  The ratio of [edit]
+   is reported only: an edit is gated in absolute terms instead, since
+   it writes 24 propositions (fig 3-3's record of a decision), and
+   recording them may cost at most [edit_bound] words. *)
 let neighbourhood = 1.5
 let whole_level = 1.5 *. 4.
 let edit_bound = 4000.
@@ -125,6 +125,7 @@ let reads tip =
     ("stats", "stats", neighbourhood, true);
     ("config", "config", whole_level, true);
     ("unmapped", "unmapped", neighbourhood, true);
+    ("check", "check", whole_level, false);
   ]
 
 (* An edit of one document's tip, each call a new version of it. *)

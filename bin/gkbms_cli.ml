@@ -375,8 +375,7 @@ let stats_cmd =
        let repo = st.Scn.repo in
        let base = Cml.Kb.base (Repo.kb repo) in
        Format.printf "propositions:    %d@." (Store.Base.cardinal base);
-       Format.printf "design objects:  %d@."
-         (List.length (Repo.all_design_objects repo));
+       Format.printf "design objects:  %d@." (Repo.design_object_count repo);
        Format.printf "decisions:       %d@." (Repo.log_length repo);
        Format.printf "unmapped:        %s@."
          (String.concat ", "

@@ -76,10 +76,10 @@ let dests_by t source label =
   List.map (fun (p : Prop.t) -> p.dest) (Base.by_source_label t.base source label)
 
 let sources_by t dest label =
-  List.filter_map
-    (fun (p : Prop.t) ->
-      if Symbol.equal p.label label then Some p.source else None)
-    (Base.by_dest t.base dest)
+  Base.fold_dest t.base dest
+    (fun (p : Prop.t) sources ->
+      if Symbol.equal p.label label then p.source :: sources else sources)
+    []
 
 let classes_of t x = List.sort_uniq Symbol.compare (dests_by t x Axioms.instanceof)
 let isa_supers t x = List.sort_uniq Symbol.compare (dests_by t x Axioms.isa)

@@ -108,6 +108,9 @@ val isa_supers : t -> Prop.id -> Prop.id list
 val isa_closure : t -> Prop.id -> Prop.id list
 (** All (transitive) generalizations, excluding the class itself. *)
 
+val isa_subs_closure : t -> Prop.id -> Prop.id list
+(** All (transitive) specializations, excluding the class itself. *)
+
 val is_instance : t -> inst:Prop.id -> cls:Prop.id -> bool
 (** Classification including inheritance. *)
 

@@ -96,11 +96,11 @@ let check_rule_for repo rule ~decision_class ~inputs ~subject
         inputs
     else []
   | Max_open_obligations n ->
-    if open_obligation_total > n then
+    let total = Lazy.force open_obligation_total in
+    if total > n then
       [ { subject;
           rule_text =
-            Printf.sprintf "history carries %d open obligations (max %d)"
-              open_obligation_total n } ]
+            Printf.sprintf "history carries %d open obligations (max %d)" total n } ]
     else []
   | Rationale_required dc ->
     if decision_class = dc && rationale = None then
@@ -108,26 +108,32 @@ let check_rule_for repo rule ~decision_class ~inputs ~subject
           rule_text = Printf.sprintf "%s decisions must record a rationale" dc } ]
     else []
 
+(* A fold over the whole decision log, so an audit computes it at most
+   once, and only for a [Max_open_obligations] rule. *)
 let total_open_obligations repo =
-  List.fold_left
-    (fun acc dec -> acc + List.length (Decision.open_obligations repo dec))
-    0 (Repo.decision_log repo)
+  lazy
+    (List.fold_left
+       (fun acc dec -> acc + List.length (Decision.open_obligations repo dec))
+       0 (Repo.decision_log repo))
 
-let check_decision repo t dec =
+let check_one repo t ~open_obligation_total dec =
   match Decision.decision_class_of repo dec with
   | None -> []
   | Some decision_class ->
     let inputs = Decision.inputs_of repo dec in
     let rationale = Decision.rationale_of repo dec in
-    let open_obligation_total = total_open_obligations repo in
     List.concat_map
       (fun rule ->
         check_rule_for repo rule ~decision_class ~inputs ~subject:dec
           ~rationale ~open_obligation_total)
       t.rules
 
+let check_decision repo t dec =
+  check_one repo t ~open_obligation_total:(total_open_obligations repo) dec
+
 let check_history repo t =
-  List.concat_map (check_decision repo t) (Repo.decision_log repo)
+  let open_obligation_total = total_open_obligations repo in
+  List.concat_map (check_one repo t ~open_obligation_total) (Repo.decision_log repo)
 
 let gate repo t ~decision_class ~inputs =
   let open_obligation_total = total_open_obligations repo in

@@ -341,18 +341,45 @@ let source_text t id =
 let objects_of_class t cls =
   Kb.all_instances_of t.kb (Symbol.intern cls)
 
+(* Mark in [marks] the source of every [instanceof] link into a
+   counting class: a design object class (an instance of the
+   DesignObject metaclass) or a specialization of one.  One fold over
+   each class's [by_dest] chain, no list; answers the number of
+   sources marked. *)
+let mark_design_objects t marks =
+  let classes =
+    List.sort_uniq Symbol.compare
+      (List.concat_map
+         (fun c -> c :: Kb.isa_subs_closure t.kb c)
+         (Kb.instances_of t.kb (Symbol.intern Metamodel.design_object)))
+  in
+  let mark (p : Prop.t) n =
+    if
+      Symbol.equal p.label Cml.Axioms.instanceof
+      && (not (Prop.is_individual p))
+      && Symtab.find marks p.source = 0
+    then begin
+      Symtab.replace marks p.source 1;
+      n + 1
+    end
+    else n
+  in
+  List.fold_left
+    (fun n cls -> Store.Base.fold_dest (Kb.base t.kb) cls mark n)
+    0 classes
+
+(* the marks' fold is in ascending code order, which is
+   [Symbol.compare]'s *)
 let all_design_objects t =
-  (* the design object classes are the instances of the DesignObject
-     metaclass; the design objects are their instances *)
-  let classes = Kb.instances_of t.kb (Symbol.intern Metamodel.design_object) in
-  List.sort_uniq Symbol.compare
-    (List.concat_map (fun cls -> Kb.all_instances_of t.kb cls) classes)
+  let marks = Symtab.create 0 in
+  ignore (mark_design_objects t marks : int);
+  List.rev (Symtab.fold (fun x _ xs -> x :: xs) marks [])
 
 let design_object_count t =
   match t.design_objects with
   | Some n -> n
   | None ->
-    let n = List.length (all_design_objects t) in
+    let n = mark_design_objects t (Symtab.create 0) in
     t.design_objects <- Some n;
     n
 

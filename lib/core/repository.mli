@@ -110,7 +110,14 @@ val objects_of_class : t -> string -> Prop.id list
 
 val all_design_objects : t -> Prop.id list
 (** Instances of every design object class (every instance of the
-    [DesignObject] metaclass) — the whole documentation level. *)
+    [DesignObject] metaclass) — the whole documentation level — in
+    ascending {!Kernel.Symbol.compare} order.  Each call folds the
+    [instanceof] chain of every counting class (a design object class
+    or one of its specializations) and marks each source in a
+    code-indexed table; the marks' fold is already in that order, so
+    the list needs no concatenation and no sort.  It costs one pass
+    over those chains, plus the table's pages and the list itself, and
+    leaves no memo behind. *)
 
 val design_object_count : t -> int
 (** [List.length (all_design_objects t)], kept off the base's change
@@ -118,10 +125,11 @@ val design_object_count : t -> int
     source when it is the source's first such link and uncounts it when
     it was the last, one table lookup per link.  A class-level change
     (an [isa] link, or a class joining or leaving [DesignObject]) makes
-    the count unknown, and the next call recounts once through
-    {!all_design_objects}; it stays unknown until some call asks.  A
-    repository starts unknown.  A path that filled the store without
-    the change feed would have to leave it unknown. *)
+    the count unknown, and the next call recounts once: the fold of
+    {!all_design_objects}, which counts each source the first time it
+    marks it and builds no list.  The count stays unknown until some
+    call asks.  A repository starts unknown.  A path that filled the
+    store without the change feed would have to leave it unknown. *)
 
 val is_design_object : t -> Prop.id -> bool
 (** Membership in {!all_design_objects}, decided from the object's own

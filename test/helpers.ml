@@ -57,6 +57,20 @@ let inflight_rise ~g0 target =
   Thread.delay 0.05;
   inflight () - g0
 
+(* The in-flight gauge once the requests already answered have left
+   it: a session counts a response out of flight after sending it, so
+   its client can read the response first.  The lowest of ten reads
+   over 100 ms. *)
+let settled_inflight () =
+  let rec lowest k g =
+    if k = 0 then g
+    else begin
+      Thread.delay 0.01;
+      lowest (k - 1) (min g (inflight ()))
+    end
+  in
+  lowest 10 (inflight ())
+
 (* The decision and the new tip a manual edit's ack names. *)
 let edit_ack resp =
   match String.split_on_char ' ' resp with

@@ -1199,6 +1199,31 @@ let test_store_words_per_prop () =
   if per_prop > 21. then
     Alcotest.failf "the mem store holds %.1f words per proposition" per_prop
 
+(* A cold design-object count folds the [instanceof] chains of the
+   counting classes once and marks each source in a code-indexed table:
+   it allocates the table's pages and no list, at most 4 words per
+   design object.  A listing adds its list and that list's reversal: at
+   most 16.  Listing, concatenating and re-sorting every class's
+   instances three times took ~140 words per object for the cold count
+   and ~44 for a listing after it.  The repository is reloaded, so its
+   count is unknown and no instance set is memoized. *)
+let test_design_object_census_words () =
+  let edited = edited_repo () in
+  let repo = ok (Gkbms.Persist.load_repository (Gkbms.Persist.save_repository edited)) in
+  let count_words = Scaling.words (fun () -> Repo.design_object_count repo) in
+  let objects = Repo.design_object_count repo in
+  let list_words = Scaling.words (fun () -> Repo.all_design_objects repo) in
+  check int "the listing has the count's length" objects
+    (List.length (Repo.all_design_objects repo));
+  check int "the reload keeps the count" (Repo.design_object_count edited) objects;
+  let per_object words = words /. float_of_int objects in
+  if per_object count_words > 4. then
+    Alcotest.failf "a cold count of %d design objects allocates %.1f words each" objects
+      (per_object count_words);
+  if per_object list_words > 16. then
+    Alcotest.failf "a listing of %d design objects allocates %.1f words each" objects
+      (per_object list_words)
+
 (* mid-log offset reading (replication frame shipping) -------------------- *)
 
 (* every frame-start offset of [data]'s valid prefix, plus the end
@@ -1400,6 +1425,8 @@ let suite =
     ("edit journals at most 1,600 bytes", `Quick, test_edit_journal_bytes);
     ("an edit interns only the names it coins", `Quick, test_edit_interns_its_names);
     ("mem store words per proposition", `Quick, test_store_words_per_prop);
+    ("design-object count and listing words per object", `Quick,
+     test_design_object_census_words);
     ("group-commit batch is crash-atomic", `Quick, test_group_commit_batch_recovery);
     ("group-commit batch edge cases", `Quick, test_group_commit_empty_and_errors);
   ]

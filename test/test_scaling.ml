@@ -3,9 +3,9 @@
    decisions.  A verb that reads its focus's neighbourhood stays within
    1.5× of its H count, and so do [stats] and [unmapped] after a
    commit, and the retraction of a 4-chain; [config], whose answer
-   lists a whole level, within 6×.  An [edit] allocates at most 4,000
-   words at either size; its ratio is measured and reported, not
-   gated. *)
+   lists a whole level, and [check], which audits the whole history,
+   within 6×.  An [edit] allocates at most 4,000 words at either size;
+   its ratio is measured and reported, not gated. *)
 
 let test_gates () =
   let rows = Scaling.run () in
@@ -14,7 +14,7 @@ let test_gates () =
   Alcotest.(check (list string))
     "gated verbs"
     [ "focus"; "deps"; "why"; "history"; "menu"; "source"; "stats"; "config"; "unmapped";
-      "retract" ]
+      "check"; "retract" ]
     (List.map (fun (r : Scaling.row) -> r.op) gated);
   Alcotest.(check (list string))
     "gated in words" [ "edit" ]

@@ -413,6 +413,31 @@ let test_restart_keeps_decisions () =
       let _, out, _ = client [ "-e"; "stats" ] in
       check bool ("after the restart: " ^ out) true (contains "decisions: 5" out))
 
+(* [gkbms stats] prints the shell's count: at every [--until] stage its
+   line is the length of the listing on the same state built here, and
+   so is the shell's [stats]. *)
+let test_cli_stats_counts_the_listing () =
+  let module Scn = Gkbms.Scenario in
+  let st = ok (Scn.setup ()) in
+  let step f () = ignore (ok (f st)) in
+  List.iter
+    (fun (stage, advance) ->
+      advance ();
+      let repo = st.Scn.repo in
+      let listed = List.length (Gkbms.Repository.all_design_objects repo) in
+      let status, out, _ = cli_output [ "stats"; "--until"; stage ] in
+      check bool (stage ^ ": exit 0") true (status = Unix.WEXITED 0);
+      check bool (stage ^ ": " ^ out) true
+        (contains (Printf.sprintf "\ndesign objects:  %d\n" listed) out);
+      let shell = Shell.eval (Shell.session repo) "stats" in
+      check bool (stage ^ ": " ^ shell) true
+        (contains (Printf.sprintf "; design objects: %d;" listed) shell))
+    [
+      ("setup", ignore); ("map", step Scn.map_move_down);
+      ("normalize", step Scn.normalize_invitations); ("key", step Scn.substitute_key);
+      ("conflict", step Scn.introduce_minutes); ("resolved", step Scn.resolve_conflict);
+    ]
+
 let suite =
   [
     ("session runs the storyline", `Quick, test_session_runs_the_storyline);
@@ -432,4 +457,5 @@ let suite =
     ("a closed stdout ends the CLI quietly", `Quick, test_closed_stdout_is_quiet);
     ("a bad file path is an error", `Quick, test_bad_paths_are_errors);
     ("a restart keeps acknowledged decisions", `Quick, test_restart_keeps_decisions);
+    ("the CLI's stats counts the listing", `Quick, test_cli_stats_counts_the_listing);
   ]
