@@ -272,8 +272,9 @@ let shape_e17_durability () =
   let scan = ok (Durability.Wal.read_file (Gkbms.Durable.wal_path dir)) in
   let decision_records =
     (* the edit's records are the log tail *)
-    let drop = List.length scan.Durability.Wal.records - delta_records in
-    List.filteri (fun i _ -> i >= drop) scan.Durability.Wal.records
+    let records = Durability.Wal.records scan in
+    let drop = List.length records - delta_records in
+    List.filteri (fun i _ -> i >= drop) records
   in
   Gkbms.Durable.close d;
   rm_rf dir;

@@ -40,10 +40,14 @@ let passes r =
    so they are allowed linear growth (1.5 × 4).  The ratio of [edit]
    is reported only: an edit is gated in absolute terms instead, since
    it writes 24 propositions (fig 3-3's record of a decision), and
-   recording them may cost at most [edit_bound] words. *)
+   recording them may cost at most [edit_bound] words.  An edit
+   journaled to a WAL is gated both ways: its frame's words must not
+   grow with the history, and stay within [durable_edit_bound], the
+   same 1.2× headroom over what it measures (3,875 words). *)
 let neighbourhood = 1.5
 let whole_level = 1.5 *. 4.
 let edit_bound = 4000.
+let durable_edit_bound = 4650.
 
 (* the smaller history; the larger is 4H *)
 let h = 512
@@ -134,6 +138,26 @@ let edit_words repo sh =
   new_doc repo !doc;
   median_words (fun () -> doc := edit sh !doc "e")
 
+(* The same edit with the repository journaled, without fsync and with
+   no checkpoint: what writing a decision's frame adds. *)
+let durable_edit_words repo sh =
+  let dir = Filename.temp_file "gkbms-scaling" "" in
+  Sys.remove dir;
+  let d =
+    match Gkbms.Durable.attach ~checkpoint_every:max_int ~dir repo with
+    | Ok d -> d
+    | Error e -> fail "scaling: attach %s: %s" dir e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Gkbms.Durable.close d;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let doc = ref "ScalingJournaled" in
+  new_doc repo !doc;
+  median_words (fun () -> doc := edit sh !doc "e")
+
 (* Four chained edits of the [n]th chain document: the first edit's
    decision, whose retraction takes all four back. *)
 let edit_chain repo sh n =
@@ -176,8 +200,13 @@ let measure h =
   (* the writes last: they change the state the reads measured *)
   let edit = edit_words repo sh in
   let retract = retract_words repo sh in
+  let durable_edit = durable_edit_words repo sh in
   List.map (fun (op, bound, words) -> (op, bound, None, words)) read
-  @ [ ("edit", None, Some edit_bound, edit); ("retract", Some neighbourhood, None, retract) ]
+  @ [
+      ("edit", None, Some edit_bound, edit);
+      ("retract", Some neighbourhood, None, retract);
+      ("durable_edit", Some neighbourhood, Some durable_edit_bound, durable_edit);
+    ]
 
 let run () =
   let small = measure h in
@@ -189,8 +218,9 @@ let run () =
 
 let pp_row ppf r =
   let verdict = if passes r then "ok" else "FAIL" in
-  Format.fprintf ppf "%-8s %12.0f %12.0f %7.2f  %s" r.op r.words_h r.words_4h (ratio r)
+  Format.fprintf ppf "%-12s %12.0f %12.0f %7.2f  %s" r.op r.words_h r.words_4h (ratio r)
     (match (r.bound, r.words_bound) with
-    | Some b, _ -> Printf.sprintf "<= %.1f %s" b verdict
+    | Some b, Some w -> Printf.sprintf "<= %.1f, words <= %.0f %s" b w verdict
+    | Some b, None -> Printf.sprintf "<= %.1f %s" b verdict
     | None, Some w -> Printf.sprintf "words <= %.0f %s" w verdict
     | None, None -> "(reported)")

@@ -166,9 +166,7 @@ let handle_event t = function
     Obs.Recorder.record ~decision:name Obs.Recorder.Wal_appended;
     maybe_checkpoint t
   | Repo.Decision_aborted reason -> Journal.abort_decision t.journal reason
-  | Repo.Decision_unlogged id ->
-    Journal.note t.journal "unlog" (Symbol.name id);
-    Journal.sync t.journal
+  | Repo.Decision_unlogged id -> Journal.note t.journal "unlog" (Symbol.name id)
   | Repo.Artifact_written id -> (
     match Repo.artifact t.repo id with
     | Some a ->
@@ -303,15 +301,21 @@ let recover ?register_tools ~dir () =
           end;
           Ok ()
       in
+      let records = ref 0 in
       let* () =
         List.fold_left
-          (fun acc r -> List.fold_left apply acc (Journal.Replayer.feed replayer r))
-          (Ok ()) scan.Wal.records
+          (fun acc (f : Wal.frame) ->
+            List.fold_left
+              (fun acc r ->
+                incr records;
+                List.fold_left apply acc (Journal.Replayer.feed replayer r))
+              acc f.records)
+          (Ok ()) scan.Wal.frames
       in
       Ok
         {
           checkpoint_loaded;
-          wal_records = List.length scan.Wal.records;
+          wal_records = !records;
           replayed_ops = !replayed;
           recovered_decisions = List.rev !recovered;
           dangling_frames = Journal.Replayer.depth replayer;
@@ -374,21 +378,23 @@ let ship t ~gen ~offset ~max_bytes =
   if t.closed then Error (`Failure "Durable.ship: handle closed")
   else if gen > t.generation || gen < 0 then Error `Resync
   else if gen = t.generation then begin
-    (* make every appended frame visible to the read below; syncs only
-       happen at decision boundaries, so the synced prefix never ends
-       inside an open frame *)
-    Journal.sync t.journal;
-    let size = Wal.bytes_written (Journal.writer t.journal) in
-    let offset = max offset Wal.header_bytes in
-    if offset > size then Error `Resync
-    else if offset = size then
-      Ok { chunk = ""; next_gen = gen; next_offset = offset; at_head = true }
-    else
-      let stop = min size (offset + max_bytes) in
-      match read_range (wal_path t.dir) ~offset ~stop with
-      | chunk ->
-        Ok { chunk; next_gen = gen; next_offset = stop; at_head = stop = size }
-      | exception Sys_error e -> Error (`Failure e)
+    (* make every written frame visible to the read below; the writer
+       writes whole frames only, so the synced prefix never ends inside
+       one.  A log whose sync failed ships nothing more. *)
+    match Journal.sync t.journal with
+    | exception e -> Error (`Failure (Printexc.to_string e))
+    | () ->
+      let size = Wal.bytes_written (Journal.writer t.journal) in
+      let offset = max offset Wal.header_bytes in
+      if offset > size then Error `Resync
+      else if offset = size then
+        Ok { chunk = ""; next_gen = gen; next_offset = offset; at_head = true }
+      else
+        let stop = min size (offset + max_bytes) in
+        match read_range (wal_path t.dir) ~offset ~stop with
+        | chunk ->
+          Ok { chunk; next_gen = gen; next_offset = stop; at_head = stop = size }
+        | exception Sys_error e -> Error (`Failure e)
   end
   else
     let path = archived_wal_path t.dir gen in

@@ -146,13 +146,12 @@ val ship :
   (ship, [ `Resync | `Failure of string ]) result
 (** Read up to [max_bytes] of framed log bytes at the cursor.  On the
     live generation the journal is synced first (which costs nothing
-    when no byte was appended since the last sync), so every
-    acknowledged decision is readable; syncs happen only at decision
-    boundaries, so
-    the synced prefix never cuts a frame open (a chunk may — the
-    requester resumes at its own scan boundary).  An exhausted archived
-    generation redirects the cursor to the next generation's first
-    frame.  [`Resync] means the cursor is unservable (archive pruned,
+    when no frame was written since the last sync), so every
+    acknowledged decision is readable; the log only ever holds whole
+    frames, so the synced prefix never cuts a frame open (a chunk may
+    — the requester resumes at its own scan boundary).  An exhausted
+    archived generation redirects the cursor to the next generation's
+    first frame.  [`Resync] means the cursor is unservable (archive pruned,
     or ahead of the log): the follower must re-bootstrap from a
     snapshot. *)
 

@@ -2,10 +2,11 @@ type script = {
   crash_after : int option;
   flips : (int * int) list;
   drop_syncs : bool;
+  fail_syncs : bool;
 }
 
-let script ?crash_after ?(flips = []) ?(drop_syncs = false) () =
-  { crash_after; flips; drop_syncs }
+let script ?crash_after ?(flips = []) ?(drop_syncs = false) ?(fail_syncs = false) () =
+  { crash_after; flips; drop_syncs; fail_syncs }
 
 let flip_in flips ~base bytes =
   List.iter
@@ -18,20 +19,24 @@ let flip_in flips ~base bytes =
 
 let wrap script inner =
   let written = ref 0 in
-  let write s =
+  let write s pos len =
     let keep =
       match script.crash_after with
-      | None -> String.length s
-      | Some limit -> max 0 (min (String.length s) (limit - !written))
+      | None -> len
+      | Some limit -> max 0 (min len (limit - !written))
     in
     if keep > 0 then begin
-      let chunk = Bytes.of_string (String.sub s 0 keep) in
+      let chunk = Bytes.sub (Bytes.unsafe_of_string s) pos keep in
       flip_in script.flips ~base:!written chunk;
-      inner.Wal.write (Bytes.to_string chunk)
+      inner.Wal.write (Bytes.unsafe_to_string chunk) 0 keep
     end;
-    written := !written + String.length s
+    written := !written + len
   in
-  let sync () = if not script.drop_syncs then inner.Wal.sync () in
+  let sync () =
+    if script.fail_syncs then
+      raise (Unix.Unix_error (Unix.EIO, "fsync", "fault script"))
+    else if not script.drop_syncs then inner.Wal.sync ()
+  in
   { Wal.write; sync; close = inner.Wal.close }
 
 let corrupt script data =

@@ -25,9 +25,12 @@ val find_opt : string -> t option
     sends does not grow the table. *)
 
 val serial : int -> t
-(** [serial n] is the symbol spelt [p<n>].  For [1 <= n < 10^18] it is
-    the serial symbol of number [n], which interns nothing; any other
-    [n] interns the spelling as a name. *)
+(** [serial n] is the symbol spelt [p<n>].  For [1 <= n < serial_limit]
+    it is the serial symbol of number [n], which interns nothing; any
+    other [n] interns the spelling as a name. *)
+
+val serial_limit : int
+(** [10^18]: serial numbers lie in [\[1, serial_limit)]. *)
 
 val serial_number : t -> int
 (** [n] for [serial n] when that is a serial symbol, and 0 for a

@@ -137,36 +137,38 @@ let apply_chunk t ~offset chunk =
        (Wal.scan_from ~expect_header:false chunk ~offset:0))
   @@ fun scan ->
   let consumed = scan.Wal.valid_bytes in
-  if scan.Wal.records = [] then Ok (0, consumed)
+  if scan.Wal.frames = [] then Ok (0, consumed)
   else
+    let apply acc r = Result.bind acc (fun () -> Applier.feed t.applier r) in
     let res =
       Daemon.exclusive t.daemon (fun () ->
-          (* each record's frame ends where the next begins: read the
-             lengths off the chunk, since a record re-encodes to its
-             size on disk only in the current layout *)
-          let pos = ref 0 in
+          (* a frame ends where its decision does, unless the decision
+             outgrew one frame: the safe cursor moves to each frame end
+             that leaves no decision open *)
           let res =
             List.fold_left
-              (fun acc r ->
-                Result.bind acc (fun () ->
-                    let fed = Applier.feed t.applier r in
-                    pos := Wal.frame_end chunk !pos;
-                    if Applier.depth t.applier = 0 then begin
-                      t.safe_gen <- t.cursor_gen;
-                      t.safe_offset <- offset + !pos
-                    end;
-                    fed))
-              (Ok ()) scan.Wal.records
+              (fun acc (f : Wal.frame) ->
+                let acc = List.fold_left apply acc f.records in
+                if Result.is_ok acc && Applier.depth t.applier = 0 then begin
+                  t.safe_gen <- t.cursor_gen;
+                  t.safe_offset <- offset + f.stop
+                end;
+                acc)
+              (Ok ()) scan.Wal.frames
           in
           (* the shell normally drains the change batch after each
              command; nobody else does it on a follower *)
           ignore (Repo.drain_changes t.repo);
           (* our own journal recorded the replayed decisions; make them
              durable before the cursor can move past them *)
-          Durable.sync t.durable;
-          res)
+          match Durable.sync t.durable with
+          | () -> res
+          | exception e -> Error ("journal sync: " ^ Printexc.to_string e))
     in
-    Result.map (fun () -> (List.length scan.Wal.records, consumed)) res
+    let records =
+      List.fold_left (fun n (f : Wal.frame) -> n + List.length f.records) 0 scan.Wal.frames
+    in
+    Result.map (fun () -> (records, consumed)) res
 
 let send_ack t conn =
   (* best-effort: progress reporting must never stall replication *)

@@ -6,10 +6,12 @@
 
 (* Chunks are raw WAL and checkpoint bytes, so the version covers
    both layouts: 2 ships compact [Put] records, which a version-1
-   follower cannot decode, and 3 the binary checkpoint, which a
-   version-2 follower cannot.  Such a follower refuses at the hello
-   instead of failing on the first chunk or the snapshot. *)
-let protocol_version = 3
+   follower cannot decode, 3 the binary checkpoint, which a version-2
+   follower cannot, and 4 one frame per decision with its names spelt
+   once, which a version-3 follower cannot.  Such a follower refuses
+   at the hello instead of failing on the first chunk or the
+   snapshot. *)
+let protocol_version = 4
 
 (* requests ----------------------------------------------------------- *)
 

@@ -22,7 +22,69 @@ let mk ?(time = Time.always) id source label dest =
 let canon base =
   List.sort compare (String.split_on_char '\n' (Store.Base.to_serialized base))
 
-let encoded rs = List.map Wal.encode rs
+(* each record as the payload of a frame of its own, for comparison *)
+let encoded rs = List.map (fun r -> Wal.encode [ r ]) rs
+
+(* a frame around any payload: its length, its CRC-32 and its bytes *)
+let raw_frame payload =
+  let buf = Buffer.create (8 + String.length payload) in
+  Buffer.add_int32_le buf (Int32.of_int (String.length payload));
+  Buffer.add_int32_le buf (Crc32.of_string payload);
+  Buffer.add_string buf payload;
+  Buffer.contents buf
+
+(* A record as logs carried it before a frame held a decision, which
+   this build reads and no longer writes: one record per frame, a
+   [Put]'s symbols each a [vstr] name, every other string a u32le
+   length and its bytes. *)
+let one_record_payload r =
+  let buf = Buffer.create 64 in
+  let str s =
+    Buffer.add_int32_le buf (Int32.of_int (String.length s));
+    Buffer.add_string buf s
+  in
+  (match r with
+  | Wal.Put p ->
+    Buffer.add_char buf 'p';
+    Durability.Codec.add_prop Durability.Codec.add_name buf p
+  | Wal.Tomb id ->
+    Buffer.add_char buf 'T';
+    str (Symbol.name id)
+  | Wal.Decision_begin cls ->
+    Buffer.add_char buf 'B';
+    str cls
+  | Wal.Decision_commit id ->
+    Buffer.add_char buf 'C';
+    str id
+  | Wal.Decision_abort reason ->
+    Buffer.add_char buf 'A';
+    str reason
+  | Wal.Artifact (name, text) ->
+    Buffer.add_char buf 'R';
+    str name;
+    str text
+  | Wal.Note (k, v) ->
+    Buffer.add_char buf 'N';
+    str k;
+    str v);
+  Buffer.contents buf
+
+(* the bytes of [records] as a headerless run of this build's frames *)
+let frames_of records =
+  let buf = Buffer.create 1024 in
+  let w = Wal.writer ~header:false (Wal.buffer_sink buf) in
+  List.iter (Wal.append w) records;
+  Wal.close w;
+  Buffer.contents buf
+
+(* where each frame of a scan starts: the scan's first offset, then
+   each frame's end but the last *)
+let frame_starts first (frames : Wal.frame list) =
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (at, starts) (f : Wal.frame) -> (f.stop, at :: starts))
+          (first, []) frames))
 
 (* crc32 ------------------------------------------------------------------ *)
 
@@ -47,6 +109,8 @@ let sample_records =
     Wal.Put (mk ~time:(Time.between 3 9) "p2" "weird id\twith\ttabs" "l" "d");
     Wal.Tomb (sym "p1");
     Wal.Decision_begin "DecMapMoveDown";
+    (* a name an earlier frame spelt: each frame spells it again *)
+    Wal.Put (mk "p3" "Paper" "isa" "Document");
     Wal.Decision_commit "dec1";
     Wal.Decision_abort "tool failed";
     Wal.Artifact ("obj", "(text \"multi\nline\")");
@@ -67,7 +131,10 @@ let test_roundtrip () =
   check int "all bytes valid" (String.length data) scan.Wal.valid_bytes;
   check Alcotest.(list Alcotest.string) "records survive"
     (encoded sample_records)
-    (encoded scan.Wal.records)
+    (encoded (Wal.records scan));
+  (* a frame per decision, and one per record outside every decision *)
+  check Alcotest.(list int) "records per frame" [ 1; 1; 1; 3; 1; 1; 1 ]
+    (List.map (fun (f : Wal.frame) -> List.length f.records) scan.Wal.frames)
 
 let test_codec_rejects_garbage () =
   (match Wal.decode "" with
@@ -76,32 +143,55 @@ let test_codec_rejects_garbage () =
   (match Wal.decode "Zjunk" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown tag decoded");
-  (match Wal.decode (Wal.encode (Wal.Decision_commit "x") ^ "extra") with
+  (match Wal.decode (Wal.encode [ Wal.Decision_commit "x" ] ^ "extra") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing bytes accepted");
+  (match Wal.decode (one_record_payload (Wal.Decision_commit "x") ^ "extra") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "trailing bytes accepted in a one-record frame");
   (* the compact [Put]: a multi-byte belief, so a cut lands in a varint *)
   let put =
     Wal.encode
-      (Wal.Put
-         (Prop.make ~belief:300 ~id:(sym "x") ~source:(sym "x")
-            ~label:(sym "x") ~dest:(sym "x") ()))
+      [
+        Wal.Put
+          (Prop.make ~belief:300 ~id:(sym "x") ~source:(sym "x")
+             ~label:(sym "x") ~dest:(sym "x") ());
+      ]
   in
   let rejects what payload =
     match Wal.decode payload with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "compact Put: %s accepted" what
   in
+  (* the flags follow the frame tag and the record tag *)
   List.iter
     (fun bit ->
       let b = Bytes.of_string put in
-      Bytes.set b 1 (Char.chr (Char.code put.[1] lor (1 lsl bit)));
+      Bytes.set b 2 (Char.chr (Char.code put.[2] lor (1 lsl bit)));
       rejects (Printf.sprintf "reserved flag bit %d" bit) (Bytes.to_string b))
     [ 4; 5; 6; 7 ];
   rejects "truncated belief varint" (String.sub put 0 (String.length put - 1));
-  rejects "truncated length varint" "p\x00\x80";
-  rejects "overlong varint" ("p\x0f\x01x" ^ String.make 9 '\xff' ^ "\x01");
-  rejects "missing flags byte" "p";
-  rejects "trailing bytes" (put ^ "\x00")
+  rejects "truncated length varint" "Fp\x00\x00\x80";
+  rejects "truncated length varint, one-record frame" "p\x00\x80";
+  rejects "overlong varint" ("Fp\x0f\x00\x01x" ^ String.make 9 '\xff' ^ "\x01");
+  rejects "overlong varint, one-record frame" ("p\x0f\x01x" ^ String.make 9 '\xff' ^ "\x01");
+  rejects "missing flags byte" "Fp";
+  rejects "missing flags byte, one-record frame" "p";
+  rejects "trailing bytes" (put ^ "\x00");
+  rejects "a frame of no records" "F";
+  rejects "a name used before it is spelt" "FT\x02";
+  rejects "serial number 0" "FT\x01";
+  let serial n =
+    let b = Buffer.create 16 in
+    Buffer.add_string b "FT";
+    Durability.Codec.add_varint b ((n lsl 1) lor 1);
+    Buffer.contents b
+  in
+  rejects "a serial number past the range" (serial Symbol.serial_limit);
+  (match Wal.decode (serial (Symbol.serial_limit - 1)) with
+  | Ok [ Wal.Tomb id ] ->
+    check int "the range's last serial" (Symbol.serial_limit - 1) (Symbol.serial_number id)
+  | _ -> Alcotest.fail "the range's last serial number refused")
 
 let test_torn_tail () =
   let data, _ = write_sample () in
@@ -113,7 +203,7 @@ let test_torn_tail () =
        (List.filteri
           (fun i _ -> i < List.length sample_records - 1)
           sample_records))
-    (encoded scan.Wal.records);
+    (encoded (Wal.records scan));
   (* replay boundary sits exactly after the last full frame *)
   check bool "valid prefix rescans clean" true
     ((ok (Wal.scan (String.sub cut 0 scan.Wal.valid_bytes))).Wal.truncated
@@ -134,9 +224,9 @@ let test_bit_flip_detected () =
     (fun i r ->
       check string
         (Printf.sprintf "record %d intact" i)
-        (Wal.encode (List.nth sample_records i))
-        (Wal.encode r))
-    scan.Wal.records
+        (Wal.encode [ List.nth sample_records i ])
+        (Wal.encode [ r ]))
+    (Wal.records scan)
 
 let test_bad_header () =
   let scan = ok (Wal.scan "NOTAWAL0rest") in
@@ -168,6 +258,85 @@ let test_fault_sink_crash () =
   let full, _ = write_sample () in
   check string "prefix is what a crash would leave" (String.sub full 0 20)
     (Buffer.contents inner)
+
+(* A sync that fails is never taken for durable: the decision's commit
+   raises, and the writer refuses every later append and sync with the
+   same error, since a retried fsync can report success after the
+   kernel dropped the pages. *)
+let test_failed_sync_refuses () =
+  let w =
+    Wal.writer
+      (Fault.wrap (Fault.script ~fail_syncs:true ()) (Wal.buffer_sink (Buffer.create 64)))
+  in
+  let journal = Journal.attach w (Store.Base.create ()) in
+  Journal.begin_decision journal "D1";
+  Journal.note journal "k" "v";
+  let first =
+    match Journal.commit_decision journal "dec1" with
+    | () -> Alcotest.fail "a commit whose sync failed returned"
+    | exception (Unix.Unix_error (Unix.EIO, _, _) as e) -> e
+  in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s after a failed sync went through" what
+    | exception e -> check bool (what ^ " refused with the same error") true (e == first)
+  in
+  refused "an append" (fun () -> Journal.note journal "k" "v");
+  refused "a decision" (fun () -> Journal.begin_decision journal "D2");
+  refused "a sync" (fun () -> Journal.sync journal);
+  Wal.close w
+
+(* A decision larger than a frame goes out in several frames, each
+   under 512 KiB and each spelling its names again, so each decodes
+   alone; the replayer joins them into the one decision. *)
+let test_large_decision_splits () =
+  let text = String.make 200_000 'x' in
+  let records =
+    (Wal.Decision_begin "Big"
+    :: List.concat
+         (List.init 6 (fun i ->
+              [
+                Wal.Put (mk (Printf.sprintf "big%d" i) "SharedName" "l" "d");
+                Wal.Artifact ("SharedName", text);
+              ])))
+    @ [ Wal.Decision_commit "bigdec" ]
+  in
+  let buf = Buffer.create 1024 in
+  let w = Wal.writer (Wal.buffer_sink buf) in
+  List.iter (Wal.append w) records;
+  Wal.close w;
+  let data = Buffer.contents buf in
+  let scan = ok (Wal.scan data) in
+  check bool "several frames" true (List.length scan.Wal.frames > 1);
+  List.iter2
+    (fun at (f : Wal.frame) ->
+      check bool "a frame under 512 KiB" true (f.stop - at - 8 <= 1 lsl 19);
+      check bool "each frame decodes alone" true
+        ((ok (Wal.scan_from data ~offset:at)).Wal.truncated = None))
+    (frame_starts Wal.header_bytes scan.Wal.frames)
+    scan.Wal.frames;
+  check bool "every record read back" true (Wal.records scan = records);
+  let rp = Journal.Replayer.create () in
+  let committed = List.concat_map (Journal.Replayer.feed rp) (Wal.records scan) in
+  match committed with
+  | [ Journal.Decision { id = "bigdec"; items; _ } ] ->
+    check int "the one decision, whole" (List.length records - 2) (List.length items)
+  | _ -> Alcotest.fail "the split decision did not commit as one"
+
+(* A frame of many names: the writer's dictionary grows while earlier
+   names are still referred to, and every name reads back. *)
+let test_frame_of_many_names () =
+  let name i = Printf.sprintf "many%d" i in
+  let records =
+    (Wal.Decision_begin "Many"
+    :: List.init 1000 (fun i -> Wal.Put (mk (name i) (name (i / 2)) "l" (name (i / 3)))))
+    @ [ Wal.Decision_commit "manydec" ]
+  in
+  let data = frames_of records in
+  match Wal.scan_from ~expect_header:false data ~offset:0 with
+  | Ok { Wal.frames = [ f ]; _ } -> check bool "one frame, every record" true (f.records = records)
+  | Ok _ -> Alcotest.fail "not one frame"
+  | Error e -> Alcotest.fail e
 
 (* frame resolution ------------------------------------------------------- *)
 
@@ -412,7 +581,7 @@ let check_crash data wms ~crash ~flip =
   let flips = match flip with None -> [] | Some f -> [ f ] in
   let corrupted = Fault.corrupt (Fault.script ~crash_after:crash ~flips ()) data in
   let scan = ok (Wal.scan corrupted) in
-  let resolved = resolve scan.Wal.records in
+  let resolved = resolve (Wal.records scan) in
   let base = Store.Base.create () in
   match replay_into base resolved.ops with
   | Error e -> QCheck.Test.fail_reportf "replay failed: %s" e
@@ -472,29 +641,22 @@ let old_put_payload (p : Prop.t) =
     ];
   Buffer.contents buf
 
-(* a frame around any payload: its length, its CRC-32 and its bytes *)
-let raw_frame payload =
-  let buf = Buffer.create (8 + String.length payload) in
-  Buffer.add_int32_le buf (Int32.of_int (String.length payload));
-  Buffer.add_int32_le buf (Crc32.of_string payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
-
 (* a log as written before the compact layout: the same magic and
-   length + CRC-32 framing, with every [Put] in the old layout *)
+   length + CRC-32 framing, one record per frame, with every [Put] in
+   the old layout *)
 let old_layout_log records =
   String.concat ""
     (Wal.magic
     :: List.map
          (function
            | Wal.Put p -> raw_frame (old_put_payload p)
-           | r -> raw_frame (Wal.encode r))
+           | r -> raw_frame (one_record_payload r))
          records)
 
-(* [data] with the record of the frame at [at] retagged 'Z' and the
+(* [data] with the payload of the frame at [at] retagged 'Z' and the
    frame resealed: a whole frame whose record no build decodes *)
 let retag data at =
-  let next = Wal.frame_end data at in
+  let next = at + 8 + Int32.to_int (String.get_int32_le data at) in
   String.concat ""
     [
       String.sub data 0 at;
@@ -571,16 +733,127 @@ let print_prop (p : Prop.t) =
 let prop_put_codec =
   QCheck.Test.make ~name:"compact Put round-trips, never longer than 'P'"
     ~count:500 (QCheck.make ~print:print_prop prop_gen) (fun p ->
-      let payload = Wal.encode (Wal.Put p) in
+      let payload = Wal.encode [ Wal.Put p ] in
       if String.length payload > String.length (old_put_payload p) then
         QCheck.Test.fail_reportf "%d bytes compact, %d in the old layout"
           (String.length payload)
           (String.length (old_put_payload p));
-      (* [Prop.equal] ignores the belief: compare it on its own *)
-      match Wal.decode payload with
-      | Ok (Wal.Put q) -> Prop.equal p q && q.belief = p.belief
-      | Ok _ -> QCheck.Test.fail_report "decoded to another record"
-      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
+      (* [Prop.equal] ignores the belief: compare it on its own; the
+         one-record layout must still read back too *)
+      let same what = function
+        | Ok [ Wal.Put q ] -> Prop.equal p q && q.belief = p.belief
+        | Ok _ -> QCheck.Test.fail_reportf "%s: decoded to another record" what
+        | Error e -> QCheck.Test.fail_reportf "%s: decode failed: %s" what e
+      in
+      same "frame" (Wal.decode payload)
+      && same "one-record frame" (Wal.decode (one_record_payload (Wal.Put p))))
+
+(* symbols of every kind: names from [name_gen] (a canonical [p<n>]
+   among them interns nothing), and serial ids at both ends of their
+   range and in between *)
+let sym_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map sym name_gen);
+        ( 2,
+          map Symbol.serial
+            (oneofl [ 1; 2; Symbol.serial_limit - 2; Symbol.serial_limit - 1 ]) );
+        (1, map Symbol.serial (int_range 1 1_000_000));
+      ])
+
+(* a name field: a symbol's name, or a string that may name none *)
+let named_gen = QCheck.Gen.(oneof [ map Symbol.name sym_gen; name_gen ])
+
+let loose_record_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map
+            (fun ((id, source, label, dest), (time, belief)) ->
+              Wal.Put (Prop.make ~time ~belief ~id ~source ~label ~dest ()))
+            (pair (quad sym_gen sym_gen sym_gen sym_gen) (pair time_gen belief_gen)) );
+        (1, map (fun id -> Wal.Tomb id) sym_gen);
+        (1, map2 (fun n t -> Wal.Artifact (n, t)) named_gen name_gen);
+        (1, map2 (fun k v -> Wal.Note (k, v)) name_gen name_gen);
+      ])
+
+(* loose records and decisions, a decision's records between its begin
+   and its commit or abort *)
+let log_gen =
+  QCheck.Gen.(
+    map List.concat
+      (list_size (int_range 1 6)
+         (frequency
+            [
+              (1, map (fun r -> [ r ]) loose_record_gen);
+              ( 2,
+                map3
+                  (fun cls body close -> (Wal.Decision_begin cls :: body) @ [ close ])
+                  named_gen
+                  (list_size (int_range 0 8) loose_record_gen)
+                  (oneof
+                     [
+                       map (fun id -> Wal.Decision_commit id) named_gen;
+                       map (fun why -> Wal.Decision_abort why) name_gen;
+                     ]) );
+            ])))
+
+let print_log rs = Printf.sprintf "%d records" (List.length rs)
+
+let scans_to what records data =
+  match Wal.scan data with
+  | Error e -> QCheck.Test.fail_reportf "%s: %s" what e
+  | Ok scan when scan.Wal.truncated <> None || scan.Wal.valid_bytes <> String.length data ->
+    QCheck.Test.fail_reportf "%s: cut at %d of %d bytes" what scan.Wal.valid_bytes
+      (String.length data)
+  | Ok scan -> Wal.records scan = records || QCheck.Test.fail_reportf "%s: records differ" what
+
+(* a writer's frames read back as the records it was given: names of
+   any bytes and length, serial numbers at the ends of their range,
+   names a frame spells twice and names no symbol has *)
+let prop_frames_roundtrip =
+  QCheck.Test.make ~name:"frames round-trip names and serial numbers" ~count:200
+    (QCheck.make ~print:print_log log_gen) (fun records ->
+      let buf = Buffer.create 1024 in
+      let w = Wal.writer (Wal.buffer_sink buf) in
+      List.iter (Wal.append w) records;
+      Wal.close w;
+      scans_to "frames" records (Buffer.contents buf))
+
+(* A log some of whose runs of records a build before frames held
+   decisions wrote, one record per frame, and the rest this build's
+   frames: one scan reads it all, and so does a scan from every frame
+   boundary. *)
+let prop_mixed_layouts =
+  QCheck.Test.make ~name:"a log mixing both frame layouts scans to its records"
+    ~count:200
+    QCheck.(
+      make
+        ~print:(fun runs -> print_log (List.concat_map snd runs))
+        Gen.(list_size (int_range 1 5) (pair bool log_gen)))
+    (fun runs ->
+      let records = List.concat_map snd runs in
+      let data =
+        String.concat ""
+          (Wal.magic
+          :: List.map
+               (fun (old, run) ->
+                 if old then String.concat "" (List.map (fun r -> raw_frame (one_record_payload r)) run)
+                 else frames_of run)
+               runs)
+      in
+      scans_to "mixed" records data
+      &&
+      let frames = (ok (Wal.scan data)).Wal.frames in
+      List.for_all
+        (fun (i, at) ->
+          let from = ok (Wal.scan_from data ~offset:at) in
+          Wal.records from
+          = List.concat_map (fun (f : Wal.frame) -> f.records) (List.filteri (fun j _ -> j >= i) frames)
+          || QCheck.Test.fail_reportf "scan_from frame %d at byte %d differs" i at)
+        (List.mapi (fun i at -> (i, at)) (frame_starts Wal.header_bytes frames)))
 
 (* whole-repository durability -------------------------------------------- *)
 
@@ -635,31 +908,28 @@ let test_durable_crash_prefix () =
   let state_after_first = canon (Cml.Kb.base (Repo.kb st.Scn.repo)) in
   ignore (ok (Scn.normalize_invitations st));
   Durable.close d;
-  (* crash mid-commit of the second decision: tear its commit record *)
+  (* crash mid-commit of the second decision: tear the frame that holds
+     it, commit record and all *)
   let wal = Durable.wal_path dir in
-  let ic = open_in_bin wal in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let data = read_file wal in
+  let frames = (ok (Wal.scan data)).Wal.frames in
   let last_commit_off =
-    List.fold_left
-      (fun (off, found) r ->
-        let next = off + String.length (Wal.frame r) in
-        match r with
-        | Wal.Decision_commit _ -> (next, Some off)
-        | _ -> (next, found))
-      (String.length Wal.magic, None)
-      (ok (Wal.scan data)).Wal.records
-    |> snd |> Option.get
+    List.fold_left2
+      (fun found at (f : Wal.frame) ->
+        if List.exists (function Wal.Decision_commit _ -> true | _ -> false) f.records
+        then Some at
+        else found)
+      None (frame_starts Wal.header_bytes frames) frames
+    |> Option.get
   in
-  let oc = open_out_bin wal in
-  output_string oc (String.sub data 0 (last_commit_off + 3));
-  close_out oc;
+  write_file wal (String.sub data 0 (last_commit_off + 3));
   let repo2, report = ok (Durable.recover ~dir ()) in
   check bool "tail was cut" true (report.Durable.truncated <> None);
   check Alcotest.(list Alcotest.string) "first decision survives" [ "dec1" ]
     (List.map Symbol.name (Repo.decision_log repo2));
-  (* the torn second decision left no partial state: its frame dangled *)
-  check int "in-flight decision rolled back" 1 report.Durable.dangling_frames;
+  (* the torn second decision left no partial state: its whole frame,
+     begin record included, was cut, so no frame dangles *)
+  check int "in-flight decision rolled back" 0 report.Durable.dangling_frames;
   check Alcotest.(list Alcotest.string) "state is the committed prefix"
     state_after_first
     (canon (Cml.Kb.base (Repo.kb repo2)))
@@ -813,16 +1083,13 @@ let test_durable_refuses_undecodable_record () =
   ignore (two_decisions dir : Repo.t);
   let wal = Durable.wal_path dir in
   let data = read_file wal in
-  (* the frame that opens the last decision *)
-  let at, _ =
-    List.fold_left
-      (fun (found, off) r ->
-        let next = Wal.frame_end data off in
-        match r with
-        | Wal.Decision_begin _ -> (off, next)
-        | _ -> (found, next))
-      (0, Wal.header_bytes)
-      (ok (Wal.scan data)).Wal.records
+  (* the frame that holds the last decision *)
+  let frames = (ok (Wal.scan data)).Wal.frames in
+  let at =
+    List.fold_left2
+      (fun found at (f : Wal.frame) ->
+        match f.records with Wal.Decision_begin _ :: _ -> at | _ -> found)
+      0 (frame_starts Wal.header_bytes frames) frames
   in
   write_file wal (retag data at);
   check_log_refused dir
@@ -837,7 +1104,7 @@ let test_durable_refuses_old_layout () =
   Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   ignore (two_decisions dir : Repo.t);
   let wal = Durable.wal_path dir in
-  write_file wal (old_layout_log (ok (Wal.scan (read_file wal))).Wal.records);
+  write_file wal (old_layout_log (Wal.records (ok (Wal.scan (read_file wal)))));
   check_log_refused dir "old-layout 'P' record"
 
 (* A zero-filled tail reads as empty frames, length 0 with CRC 0 (the
@@ -1161,26 +1428,58 @@ let test_edit_interns_its_names () =
 
 (* An edit journals 32 records: 24 [Put]s (six individuals and
    eighteen links), five artifacts, the trace note and the decision
-   bracket.  The compact [Put] writes an individual's name once and
-   implies the default time: ~1,400 bytes per edit, where spelling out
-   every field took ~2,280. *)
-let test_edit_journal_bytes () =
+   bracket.  They go out as one frame, which spells each name once and
+   each minted id as its number: ~600 bytes per edit, where a frame
+   per record spelling every name took ~1,400, and spelling out every
+   field ~2,280.  The records and bytes of 16 edits after 512 are
+   measured once and checked against the bound of that older layout,
+   1,600, and against this one's, 660. *)
+let edit_journal =
+  lazy
+    (let dir = Scratch.temp_dir () in
+     Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+     let repo, sh = documents_repo () in
+     let d = ok (Durable.attach ~checkpoint_every:max_int ~dir repo) in
+     Fun.protect ~finally:(fun () -> Durable.close d) @@ fun () ->
+     for i = 0 to 511 do
+       edit sh i
+     done;
+     List.init 16 (fun k ->
+         let bytes = Durable.wal_bytes d and records = Durable.wal_records d in
+         edit sh (512 + k);
+         (Durable.wal_records d - records, Durable.wal_bytes d - bytes)))
+
+let test_edit_journal_bytes limit () =
+  List.iteri
+    (fun k (records, journaled) ->
+      check int "records per edit" 32 records;
+      if journaled > limit then
+        Alcotest.failf "edit %d journaled %d bytes" k journaled)
+    (Lazy.force edit_journal)
+
+(* A retraction is one decision, written as one frame and synced once:
+   the [unlog] note of each decision it takes back adds no sync.  The
+   first of four chained edits takes the other three with it. *)
+let test_retraction_syncs_once () =
   let dir = Scratch.temp_dir () in
   Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   let repo, sh = documents_repo () in
   let d = ok (Durable.attach ~checkpoint_every:max_int ~dir repo) in
   Fun.protect ~finally:(fun () -> Durable.close d) @@ fun () ->
-  for i = 0 to 511 do
-    edit sh i
-  done;
-  for k = 0 to 15 do
-    let bytes = Durable.wal_bytes d and records = Durable.wal_records d in
-    edit sh (512 + k);
-    check int "records per edit" 32 (Durable.wal_records d - records);
-    let journaled = Durable.wal_bytes d - bytes in
-    if journaled > 1_600 then
-      Alcotest.failf "edit %d journaled %d bytes" k journaled
-  done
+  let doc = "SyncOnceChainDoc" in
+  ignore (ok (Repo.new_object repo ~name:doc ~cls:Gkbms.Metamodel.dbpl_object (Repo.Text "v0")));
+  let first = Scaling.edit sh doc "c1" in
+  ignore (Scaling.edit sh (Scaling.edit sh (Scaling.edit sh first "c2") "c3") "c4");
+  let dec = Option.get (Gkbms.Decision.justifying_decision repo (sym first)) in
+  let fsyncs () =
+    match Obs.Registry.find Obs.Registry.default "gkbms_wal_fsyncs_total" with
+    | Some { Obs.Registry.value = Obs.Registry.Counter_v n; _ } -> n
+    | _ -> Alcotest.fail "gkbms_wal_fsyncs_total not registered"
+  in
+  let before = fsyncs () in
+  let report = ok (Gkbms.Backtrack.retract repo dec ()) in
+  check int "the chain retracted" 4 (List.length report.Gkbms.Backtrack.retracted_decisions);
+  check int "one sync for the retraction" 1 (fsyncs () - before)
 
 (* The default store keeps one node per proposition on three intrusive
    chains, found by id through one code-indexed slot: ~19 words per
@@ -1230,28 +1529,31 @@ let test_design_object_census_words () =
    boundary (so the last entry is exactly [valid_bytes]) *)
 let frame_boundaries data =
   let scan = ok (Wal.scan data) in
-  let offs, last =
-    List.fold_left
-      (fun (offs, off) _ -> (off :: offs, Wal.frame_end data off))
-      ([], Wal.header_bytes) scan.Wal.records
-  in
-  List.rev (last :: offs)
+  frame_starts Wal.header_bytes scan.Wal.frames @ [ scan.Wal.valid_bytes ]
+
+(* the records of the frames of [data] numbered [from] up to [until]
+   (excluded) *)
+let frames_records ?(until = max_int) data from =
+  List.concat_map
+    (fun (f : Wal.frame) -> f.records)
+    (List.filteri (fun j _ -> j >= from && j < until) (ok (Wal.scan data)).Wal.frames)
 
 let test_scan_from_every_boundary () =
   let data, _ = write_sample () in
   let bounds = frame_boundaries data in
   check int "one boundary per frame plus the end"
-    (List.length sample_records + 1)
+    (List.length (ok (Wal.scan data)).Wal.frames + 1)
     (List.length bounds);
   List.iteri
     (fun i off ->
       let scan = ok (Wal.scan_from data ~offset:off) in
       check bool (Printf.sprintf "clean at boundary %d" i) true
         (scan.Wal.truncated = None);
+      let skipped = List.length sample_records - List.length (frames_records data i) in
       check Alcotest.(list Alcotest.string)
         (Printf.sprintf "suffix from boundary %d" i)
-        (encoded (List.filteri (fun j _ -> j >= i) sample_records))
-        (encoded scan.Wal.records);
+        (encoded (List.filteri (fun j _ -> j >= skipped) sample_records))
+        (encoded (Wal.records scan));
       check int
         (Printf.sprintf "valid to the end from boundary %d" i)
         (String.length data) scan.Wal.valid_bytes)
@@ -1266,37 +1568,37 @@ let test_scan_from_headerless_chunk () =
   let scan = ok (Wal.scan_from ~expect_header:false chunk ~offset:0) in
   check bool "clean" true (scan.Wal.truncated = None);
   check Alcotest.(list Alcotest.string) "all records"
-    (encoded sample_records) (encoded scan.Wal.records);
+    (encoded sample_records) (encoded (Wal.records scan));
   check int "all bytes consumed" (String.length chunk) scan.Wal.valid_bytes;
   (* with the header expected, the same bytes are rejected *)
   let rejected = ok (Wal.scan_from chunk ~offset:0) in
   check bool "headerless bytes rejected when header expected" true
-    (rejected.Wal.truncated <> None && rejected.Wal.records = [])
+    (rejected.Wal.truncated <> None && rejected.Wal.frames = [])
 
 let test_scan_from_torn_final_frame () =
   let data, _ = write_sample () in
   let bounds = frame_boundaries data in
+  let frames = List.length bounds - 1 in
   let mid = List.nth bounds (List.length bounds / 2) in
   let last_start = List.nth bounds (List.length bounds - 2) in
   let cut = String.sub data 0 (String.length data - 2) in
   let scan = ok (Wal.scan_from cut ~offset:mid) in
   check bool "torn tail reported" true (scan.Wal.truncated <> None);
   check Alcotest.(list Alcotest.string) "mid-log suffix minus the torn frame"
-    (encoded
-       (List.filteri
-          (fun j _ ->
-            j >= List.length bounds / 2 && j < List.length sample_records - 1)
-          sample_records))
-    (encoded scan.Wal.records);
+    (encoded (frames_records data (List.length bounds / 2) ~until:(frames - 1)))
+    (encoded (Wal.records scan));
   check int "scan boundary before the torn frame" last_start
     scan.Wal.valid_bytes;
   (* once the frame's bytes complete, resuming at the boundary reads
-     exactly the one remaining record — the follower resume path *)
+     exactly the one remaining frame — the follower resume path *)
   let resumed = ok (Wal.scan_from data ~offset:scan.Wal.valid_bytes) in
   check bool "resume is clean" true (resumed.Wal.truncated = None);
-  check Alcotest.(list Alcotest.string) "resume reads the final record"
+  check Alcotest.(list Alcotest.string) "resume reads the final frame"
+    (encoded (frames_records data (frames - 1)))
+    (encoded (Wal.records resumed));
+  check Alcotest.(list Alcotest.string) "which holds the final record"
     (encoded [ List.nth sample_records (List.length sample_records - 1) ])
-    (encoded resumed.Wal.records)
+    (encoded (Wal.records resumed))
 
 (* randomized extension of the crash suite: at any frame boundary of any
    crashed log, scan_from agrees with the full scan's suffix *)
@@ -1312,13 +1614,12 @@ let prop_scan_from_is_suffix =
       if String.length cut < Wal.header_bytes then
         (* no header survived: scan_from must reject like scan does *)
         let s = ok (Wal.scan_from cut ~offset:0) in
-        s.Wal.records = [] && s.Wal.valid_bytes = 0
+        s.Wal.frames = [] && s.Wal.valid_bytes = 0
       else begin
         let bounds = frame_boundaries cut in
         let idx = idx_seed mod List.length bounds in
         let s = ok (Wal.scan_from cut ~offset:(List.nth bounds idx)) in
-        encoded s.Wal.records
-        = List.filteri (fun j _ -> j >= idx) (encoded full.Wal.records)
+        encoded (Wal.records s) = encoded (frames_records cut idx)
         && s.Wal.valid_bytes = full.Wal.valid_bytes
       end)
 
@@ -1376,6 +1677,19 @@ let test_group_commit_empty_and_errors () =
   let repo2, _ = ok (Durable.recover ~dir ()) in
   check int "no phantom decisions" 0 (List.length (Repo.decision_log repo2))
 
+(* A test's cleanup that cannot remove its directory reports that and
+   lets the test's own failure through: a directory entry [Sys.remove]
+   cannot take stands in for a file a live daemon keeps writing. *)
+let test_cleanup_keeps_the_failure () =
+  let dir = Scratch.temp_dir () in
+  let busy = Filename.concat dir "busy" in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir busy 0o755;
+  Fun.protect ~finally:(fun () -> Unix.rmdir busy; Unix.rmdir dir) @@ fun () ->
+  match Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) (fun () -> failwith "the body's failure") with
+  | () -> Alcotest.fail "the body returned"
+  | exception Failure m -> check string "the body's failure is reported" "the body's failure" m
+
 let suite =
   [
     ("crc32 vectors", `Quick, test_crc_vectors);
@@ -1387,6 +1701,9 @@ let suite =
     ("bad header rejected", `Quick, test_bad_header);
     ("implausible length rejected", `Quick, test_implausible_length);
     ("fault sink drops bytes at crash point", `Quick, test_fault_sink_crash);
+    ("a failed sync refuses every later write", `Quick, test_failed_sync_refuses);
+    ("a decision larger than a frame splits", `Quick, test_large_decision_splits);
+    ("a frame of many names", `Quick, test_frame_of_many_names);
     ("resolve commit and abort", `Quick, test_resolve_commit_and_abort);
     ("resolve nested frames", `Quick, test_resolve_nested);
     ("resolve dangling outer frame", `Quick, test_resolve_nested_dangling_outer);
@@ -1396,6 +1713,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_crash_recovery_torn;
     QCheck_alcotest.to_alcotest prop_crash_recovery_bitflip;
     QCheck_alcotest.to_alcotest prop_put_codec;
+    QCheck_alcotest.to_alcotest prop_frames_roundtrip;
+    QCheck_alcotest.to_alcotest prop_mixed_layouts;
     ("scan_from at every frame boundary", `Quick, test_scan_from_every_boundary);
     ("scan_from headerless chunk", `Quick, test_scan_from_headerless_chunk);
     ("scan_from torn final frame", `Quick, test_scan_from_torn_final_frame);
@@ -1422,11 +1741,14 @@ let suite =
     ("torn checkpoint temp file ignored", `Quick, test_torn_checkpoint_tmp_ignored);
     ("kb side tables hold no entry per proposition", `Quick, test_side_tables_per_prop);
     ("edit allocation pays for no absent reader", `Quick, test_edit_allocation);
-    ("edit journals at most 1,600 bytes", `Quick, test_edit_journal_bytes);
+    ("edit journals at most 1,600 bytes", `Quick, test_edit_journal_bytes 1_600);
+    ("edit journals at most 660 bytes", `Quick, test_edit_journal_bytes 660);
     ("an edit interns only the names it coins", `Quick, test_edit_interns_its_names);
+    ("a retraction syncs once", `Quick, test_retraction_syncs_once);
     ("mem store words per proposition", `Quick, test_store_words_per_prop);
     ("design-object count and listing words per object", `Quick,
      test_design_object_census_words);
     ("group-commit batch is crash-atomic", `Quick, test_group_commit_batch_recovery);
     ("group-commit batch edge cases", `Quick, test_group_commit_empty_and_errors);
+    ("cleanup keeps the test's own failure", `Quick, test_cleanup_keeps_the_failure);
   ]

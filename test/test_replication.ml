@@ -171,7 +171,7 @@ let test_leader_frames_basic () =
     scan.Wal.valid_bytes;
   check bool "contains the decision commit" true
     (List.exists (function Wal.Decision_commit _ -> true | _ -> false)
-       scan.Wal.records);
+       (Wal.records scan));
   (* re-request at the returned cursor: empty and still caught up *)
   (match
      Wire.parse_frames
@@ -833,7 +833,7 @@ let test_grouped_batches_replicate () =
     | Error e -> Alcotest.fail e
   in
   let records =
-    (ok (Wal.scan_from ~expect_header:false chunk ~offset:0)).Wal.records
+    Wal.records (ok (Wal.scan_from ~expect_header:false chunk ~offset:0))
   in
   let batch_sizes =
     List.fold_left
@@ -896,8 +896,9 @@ let torn_batch_converges ~prepare ~in_batch =
   prepare rig.l_st;
   let f = ok (make_follower ~name:"f1" rig fdir) in
   ok (Follower.catch_up f);
-  Durable.begin_batch (Option.get (Daemon.durable rig.l_daemon));
-  in_batch rig.l_st doc;
+  let durable = Option.get (Daemon.durable rig.l_daemon) in
+  Durable.begin_batch durable;
+  in_batch rig.l_st doc durable;
   copy_dir ldir crashed;
   Follower.stop f;
   Daemon.stop rig.l_daemon;
@@ -923,23 +924,25 @@ let torn_batch_converges ~prepare ~in_batch =
   ok (Follower.catch_up f);
   converged rig f
 
-(* the retraction's [unlog] note syncs the log mid-batch *)
-let test_torn_batch_unlog_sync () =
+(* a retraction, then a sync mid-batch: the batch's frames so far, the
+   retraction's with its [unlog] notes, reach the disk *)
+let test_torn_batch_retraction_synced () =
   torn_batch_converges
     ~prepare:(fun st ->
       ignore (ok (Scn.map_move_down st));
       ignore (ok (Scn.normalize_invitations st));
       ignore (ok (Scn.substitute_key st));
       ignore (ok (Scn.introduce_minutes st)))
-    ~in_batch:(fun st doc ->
+    ~in_batch:(fun st doc durable ->
       ignore (edited st.Scn.repo doc "torn");
-      ignore (ok (Scn.resolve_conflict st)))
+      ignore (ok (Scn.resolve_conflict st));
+      Durable.sync durable)
 
-(* ~75 kB of edits: the log's 64 KiB channel buffer flushes by itself *)
+(* ~95 kB of edits: the log's 64 KiB channel buffer flushes by itself *)
 let test_torn_batch_buffer_flush () =
-  torn_batch_converges ~prepare:ignore ~in_batch:(fun st doc ->
+  torn_batch_converges ~prepare:ignore ~in_batch:(fun st doc _ ->
       let tip = ref doc in
-      for i = 1 to 64 do
+      for i = 1 to 192 do
         tip := edited st.Scn.repo !tip (Printf.sprintf "torn %d" i)
       done)
 
@@ -960,8 +963,7 @@ let test_applier_skips_logged_decisions () =
     | Error e -> Alcotest.fail e
   in
   let records =
-    (ok (Wal.scan_from ~expect_header:false frames.Wire.f_chunk ~offset:0))
-      .Wal.records
+    Wal.records (ok (Wal.scan_from ~expect_header:false frames.Wire.f_chunk ~offset:0))
   in
   Client.close c;
   (* apply the same stream twice into a fresh repository: the second
@@ -1220,7 +1222,7 @@ let suite =
     ("convergence differential (seed 22)", `Quick, test_differential_seed_2);
     ("convergence differential (seed 33)", `Quick, test_differential_seed_3);
     ("grouped batches replicate", `Quick, test_grouped_batches_replicate);
-    ("torn batch: an unlog sync mid-batch", `Quick, test_torn_batch_unlog_sync);
+    ("torn batch: a retraction, synced", `Quick, test_torn_batch_retraction_synced);
     ("torn batch: a buffer flush mid-batch", `Quick, test_torn_batch_buffer_flush);
     ("applier skips already-logged decisions", `Quick, test_applier_skips_logged_decisions);
     QCheck_alcotest.to_alcotest prop_census_differential;
