@@ -9,11 +9,14 @@ let wal_path dir = Filename.concat dir "wal.log"
 let checkpoint_path dir = Filename.concat dir "checkpoint.repo"
 let archived_wal_path dir gen = Filename.concat dir (Printf.sprintf "wal.%d.log" gen)
 
-(* The live [wal.log] belongs to a numbered generation; rotation
-   (checkpoint) and re-attachment archive it as [wal.<gen>.log] so a
-   replication follower holding a (generation, byte-offset) cursor can
-   still stream the suffix it has not applied yet.  The current
-   generation is always 1 + the highest archived number. *)
+(* The live [wal.log] belongs to a numbered generation.  Rotation
+   (checkpoint) and re-attachment rename it [wal.<gen>.log]; a handle
+   that a replication leader serves keeps the last [retain] of these,
+   so a follower holding a (generation, byte-offset) cursor can still
+   stream the suffix it has not applied yet, and every other handle
+   deletes them at its next rotation.  Each checkpoint's header records
+   the generation of the log that follows it, so the number keeps
+   growing once the archives are gone. *)
 let parse_archived_gen name =
   match String.split_on_char '.' name with
   | [ "wal"; n; "log" ] -> int_of_string_opt n
@@ -36,6 +39,7 @@ type t = {
   checkpoint_every : int;
   fsync : bool;
   mutable generation : int;
+  mutable retain : int;  (* archived generations kept at a rotation *)
   mutable journal : Journal.t;
   mutable event_sub : Repo.event_subscription option;
   mutable batches : int;
@@ -93,13 +97,12 @@ let g_checkpoint_us =
   Obs.Registry.histogram Obs.Registry.default "gkbms_checkpoint_us"
     ~help:"Checkpoint duration: sync, snapshot write and log rotation"
 
-(* archived generations kept for followers streaming behind the head *)
-let retain_archives = 8
+let set_retention t n = t.retain <- n
 
 let prune_archives t =
   List.iter
     (fun g ->
-      if g < t.generation - retain_archives then
+      if g < t.generation - t.retain then
         try Sys.remove (archived_wal_path t.dir g) with Sys_error _ -> ())
     (archived_generations t.dir)
 
@@ -113,13 +116,14 @@ let checkpoint t =
     let t0 = Obs.Runtime.now_s () in
     Journal.sync t.journal;
     let* () =
-      Persist.save_to_file ~fsync:t.fsync t.repo (checkpoint_path t.dir)
+      Persist.save_to_file ~fsync:t.fsync ~generation:(t.generation + 1) t.repo
+        (checkpoint_path t.dir)
     in
     (* the log is rotated only after the snapshot is durable (with
        [fsync]: its bytes, then its rename); a crash in between replays
        the (idempotent) suffix over the snapshot.  The old log is
-       archived rather than deleted so followers can still stream from
-       a pre-rotation cursor. *)
+       renamed into its archive, which the prune keeps only while a
+       leader's followers may stream from a pre-rotation cursor. *)
     let base = Cml.Kb.base (Repo.kb t.repo) in
     Mutex.lock t.m;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.m) @@ fun () ->
@@ -183,10 +187,8 @@ let read_file path =
     Ok text
   with Sys_error e -> Error e
 
-(* The valid prefix of a leftover [wal.log], to archive under its
-   generation number before a fresh log replaces it.  A torn or corrupt
-   tail is cut at the scan boundary, so archives only ever hold frames
-   that recovery would accept; a log that recovery would refuse is an
+(* The valid length of a leftover [wal.log] and its size, before a
+   fresh log replaces it.  A log that recovery would refuse is an
    [Error] here, before anything is written. *)
 let leftover_log dir =
   let wal = wal_path dir in
@@ -194,24 +196,35 @@ let leftover_log dir =
   else
     let* data = read_file wal in
     let* scan = Result.map_error (fun e -> wal ^ ": " ^ e) (Wal.scan data) in
-    Ok (Some (String.sub data 0 scan.Wal.valid_bytes))
+    Ok (Some (scan.Wal.valid_bytes, String.length data))
 
-let archive_log dir leftover =
-  let gen = derive_generation dir in
-  match leftover with
-  | None -> gen
-  | Some prefix ->
-    let oc = open_out_bin (archived_wal_path dir gen) in
-    output_string oc prefix;
-    close_out oc;
-    gen + 1
+(* A leftover log is cut at the scan boundary, so archives only ever
+   hold frames that recovery would accept, and renamed into its
+   archive. *)
+let archive_log dir gen (valid, size) =
+  let wal = wal_path dir in
+  match
+    if valid < size then Unix.truncate wal valid;
+    Sys.rename wal (archived_wal_path dir gen)
+  with
+  | () -> Ok ()
+  | exception Sys_error e -> Error e
+  | exception Unix.Unix_error (e, _, _) -> Error (wal ^ ": " ^ Unix.error_message e)
 
 let attach ?(checkpoint_every = 256) ?(fsync = false) ~dir repo =
   let* () = ensure_dir dir in
   let* leftover = leftover_log dir in
-  let* () = Persist.save_to_file ~fsync repo (checkpoint_path dir) in
-  let generation = archive_log dir leftover in
+  (* the leftover's number, and the fresh log's after it; past every
+     archive and the generation the last checkpoint handed on *)
+  let first =
+    max (Persist.generation_of_file (checkpoint_path dir)) (derive_generation dir)
+  in
+  let generation = if leftover = None then first else first + 1 in
+  let* () = Persist.save_to_file ~fsync ~generation repo (checkpoint_path dir) in
+  let* () = Option.fold ~none:(Ok ()) ~some:(archive_log dir first) leftover in
   let base = Cml.Kb.base (Repo.kb repo) in
+  (* nothing is pruned here: the first rotation applies the retention,
+     so a restarted leader's followers still find the leftover *)
   let t =
     {
       dir;
@@ -219,6 +232,7 @@ let attach ?(checkpoint_every = 256) ?(fsync = false) ~dir repo =
       checkpoint_every;
       fsync;
       generation;
+      retain = 0;
       journal = fresh_journal ~fsync dir base;
       event_sub = None;
       batches = 0;
@@ -226,7 +240,6 @@ let attach ?(checkpoint_every = 256) ?(fsync = false) ~dir repo =
       m = Mutex.create ();
     }
   in
-  prune_archives t;
   match sync_dir t with
   | Error e ->
     Journal.detach t.journal;

@@ -6,7 +6,9 @@
     write-ahead log, so committing a decision costs O(delta) instead of
     the O(repository) of a full {!Persist} snapshot.  The on-disk layout
     is a directory holding [checkpoint.repo] (an atomic {!Persist}
-    snapshot) and [wal.log] (the suffix of work since that snapshot).
+    snapshot) and [wal.log] (the suffix of work since that snapshot),
+    and on a replication leader its last rotated logs
+    ([wal.<gen>.log]).
 
     Recovery ({!recover} / {!open_}) loads the checkpoint, replays the
     longest valid log prefix, discards deltas of decisions that never
@@ -36,8 +38,10 @@ val wal_path : string -> string
 val checkpoint_path : string -> string
 
 val archived_wal_path : string -> int -> string
-(** [wal.<gen>.log]: a rotated log, kept so replication followers can
-    stream from a pre-rotation (generation, offset) cursor. *)
+(** [wal.<gen>.log]: a rotated log.  Recovery never reads it; only
+    {!ship} does, so a rotation keeps it only on a handle whose
+    {!set_retention} a replication leader set, and deletes it on every
+    other. *)
 
 val attach :
   ?checkpoint_every:int -> ?fsync:bool -> dir:string -> Repository.t ->
@@ -52,12 +56,18 @@ val attach :
     (default false) forces data to the device on every decision commit
     rather than only into the OS.
 
-    Any leftover [wal.log] in [dir] is archived (valid prefix only)
-    under the next generation number before the fresh log is opened,
-    so generations grow strictly across re-attachments; at most 8
-    archived generations are kept.  A leftover log that cannot be read,
-    or holds a record this build cannot decode, is an [Error] before
-    anything is written. *)
+    The fresh log's generation lies past every archive in [dir] and
+    past the generation the checkpoint already there hands on (its
+    header, {!Persist.generation_of_file}), so generations grow
+    strictly across checkpoints and re-attachments even once the
+    archives are deleted.  The checkpoint [attach] writes records it.
+    Any leftover [wal.log] is cut to its valid prefix and renamed into
+    the archive of the generation before the fresh one; [attach]
+    deletes no archive, so a restarted leader's followers still find
+    it, and the first rotation applies the retention
+    ({!set_retention}).  A leftover log that cannot be read, or holds a
+    record this build cannot decode, is an [Error] before anything is
+    written. *)
 
 val recover :
   ?register_tools:(Repository.t -> unit) -> dir:string -> unit ->
@@ -89,14 +99,24 @@ val open_ :
 val repo : t -> Repository.t
 val dir : t -> string
 
+val set_retention : t -> int -> unit
+(** [set_retention t n]: each later rotation keeps the last [n]
+    archived generations, and deletes the older ones, for followers
+    streaming behind the head.  A handle starts at 0, which deletes the
+    rotated log at once; [Replication.Leader.attach] sets its own
+    retention. *)
+
 val checkpoint : t -> (unit, string) result
 (** Snapshot now and truncate the log.  Order is crash-safe: the log is
     synced first, the snapshot is written atomically (with [fsync]: its
     bytes forced to disk before its rename, and the rename after), and
     only then is the log rotated — a crash between the two replays the
-    (idempotent) suffix over the new checkpoint.  A snapshot that cannot
-    land is an [Error] that leaves the log, the generation and the
-    archives as they were; the handle keeps journaling.  With [fsync],
+    (idempotent) suffix over the new checkpoint.  The snapshot's header
+    records the generation that follows; the rotated log is renamed
+    into its archive and pruned to the retention ({!set_retention}).
+    A snapshot that cannot land is an [Error] that leaves the log, the
+    generation and the archives as they were; the handle keeps
+    journaling.  With [fsync],
     the directory is synced again once the fresh log exists, and a
     failure there is an [Error] after the rotation. *)
 
@@ -151,9 +171,14 @@ val ship :
     frames, so the synced prefix never cuts a frame open (a chunk may
     — the requester resumes at its own scan boundary).  An exhausted
     archived generation redirects the cursor to the next generation's
-    first frame.  [`Resync] means the cursor is unservable (archive pruned,
-    or ahead of the log): the follower must re-bootstrap from a
-    snapshot. *)
+    first frame.  [`Resync] means the cursor is unservable (archive
+    deleted, or ahead of the log): the follower must re-bootstrap from
+    a snapshot.
+
+    A crash after a checkpoint's snapshot lands but before its log is
+    rotated leaves generation [g]'s log beside a snapshot whose header
+    hands on [g + 1]; the next {!attach} archives that log as [g + 1],
+    a number no handle served, so a cursor in [g] gets [`Resync]. *)
 
 val read_range : string -> offset:int -> stop:int -> string
 (** The bytes [\[offset, stop)] of a file.

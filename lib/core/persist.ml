@@ -377,24 +377,19 @@ let artifact_of_sexp sexp =
 module Codec = Durability.Codec
 module Crc32 = Durability.Crc32
 
-let magic = "GKBSNP1\n"
+(* The layouts this build reads.  [Snp2], the one it writes, records
+   the generation of the log that follows the snapshot and writes a
+   serial id as its number; [Snp1] spelt every symbol as a name. *)
+type layout = Snp1 | Snp2
+
+let magic = function Snp1 -> "GKBSNP1\n" | Snp2 -> "GKBSNP2\n"
+let magic_bytes = 8
+let layouts_read = "GKBSNP2, GKBSNP1"
 
 (* The writer stages records in [buf] and hands them to [sink] in runs
    of about [run] bytes, each folded into the checksum on its way out:
-   the staging buffer, one run's copy and one bit per code below
-   [near] are all it keeps, whatever the size of the base, beyond the
-   entries of [far].
-
-   A symbol's file code is its {!Symbol.to_int} when that lies below
-   [near], twice the interned names plus the propositions.  Every name
-   does, and so does every serial id numbered below the names plus the
-   propositions: all the ids a process mints, unless about half its
-   decisions were retracted.  A code past [near] (a [p<n>] someone
-   chose with a large [n], an id minted after a reload raised the
-   counter past one, or after many retractions) takes the next file
-   code from [near] up, kept in [far].  So file codes stay below
-   [near] plus the symbols written, which is what a reader's table
-   costs, and the bitset never grows. *)
+   the staging buffer, one run's copy and one bit per interned name
+   are all it keeps, whatever the size of the base. *)
 let run = 1 lsl 16
 
 type writer = {
@@ -402,9 +397,7 @@ type writer = {
   buf : Buffer.t;
   mutable out : Bytes.t;
   mutable crc : Crc32.t;
-  near : int;
-  spelt : Bytes.t;  (* bit [code]: that symbol's name is written *)
-  far : int Symbol.Tbl.t;  (* file codes of the symbols past [near] *)
+  mutable spelt : Bytes.t;  (* bit [i]: interned name [i] is written *)
 }
 
 let flush_run w =
@@ -419,46 +412,40 @@ let flush_run w =
 
 let end_record w = if Buffer.length w.buf >= run then flush_run w
 
-(* A symbol is [code * 2 + 1] and its name at its first use, and
-   [code * 2] after that; [code] is its file code *)
+(* A serial id is [2n + 1]; an interned name of index [i] is [4i + 2]
+   and its bytes at its first use, and [4i] after that *)
 let add_sym w buf sym =
-  let code = Symbol.to_int sym in
-  if code < w.near then begin
-    let byte = code lsr 3 and bit = 1 lsl (code land 7) in
+  match Symbol.serial_number sym with
+  | 0 ->
+    let i = Symbol.to_int sym lsr 1 in
+    let byte = i lsr 3 and bit = 1 lsl (i land 7) in
+    (* a name interned while the snapshot is written *)
+    if byte >= Bytes.length w.spelt then
+      w.spelt <- Bytes.extend w.spelt 0 (byte + 1 - Bytes.length w.spelt);
     let b = Bytes.get_uint8 w.spelt byte in
-    if b land bit <> 0 then Codec.add_varint buf (code lsl 1)
+    if b land bit <> 0 then Codec.add_varint buf (i lsl 2)
     else begin
       Bytes.set_uint8 w.spelt byte (b lor bit);
-      Codec.add_varint buf ((code lsl 1) lor 1);
+      Codec.add_varint buf ((i lsl 2) lor 2);
       Codec.add_name buf sym
     end
-  end
-  else
-    match Symbol.Tbl.find w.far sym with
-    | code -> Codec.add_varint buf (code lsl 1)
-    | exception Not_found ->
-      let code = w.near + Symbol.Tbl.length w.far in
-      Symbol.Tbl.add w.far sym code;
-      Codec.add_varint buf ((code lsl 1) lor 1);
-      Codec.add_name buf sym
+  | n -> Codec.add_serial buf n
 
-let output_snapshot sink repo =
+let output_snapshot ~generation sink repo =
   let base = Cml.Kb.base (Repo.kb repo) in
-  let near = 2 * (Symbol.count () + Store.Base.cardinal base) in
   let w =
     {
       sink;
       buf = Buffer.create (2 * run);
       out = Bytes.create (2 * run);
       crc = Crc32.empty;
-      near;
-      spelt = Bytes.make ((near / 8) + 1) '\000';
-      far = Symbol.Tbl.create 16;
+      spelt = Bytes.make ((Symbol.count () / 8) + 1) '\000';
     }
   in
   let buf = w.buf in
   let add_sym = add_sym w in
-  Buffer.add_string buf magic;
+  Buffer.add_string buf (magic Snp2);
+  Codec.add_varint buf generation;
   Codec.add_varint buf (Store.Base.cardinal base);
   Store.Base.iter base (fun p ->
       Codec.add_prop add_sym buf p;
@@ -487,16 +474,20 @@ let output_snapshot sink repo =
   Bytes.set_int32_le trailer 0 w.crc;
   sink (Bytes.unsafe_to_string trailer) 0 4
 
-(* Symbol codes are the writer's, so the reader maps each to its own
+(* Name codes are the writer's, so the reader maps each to its own
    symbol: [syms.(code)] is 1 + the symbol's code here, 0 until the
    name is read.  A code past [max_code] is damage: no process interns
-   a billion names. *)
+   a billion names.
+
+   One reader for both layouts: a [Snp1] reference is [code * 2 + 1]
+   with the name or [code * 2], where a serial id is a name like any
+   other; a [Snp2] reference with the low bit set is a serial id's
+   number, and without it twice a [Snp1] one. *)
 let max_code = 1 lsl 30
 
-type reader = { mutable syms : int array }
+type reader = { numbered : bool; mutable syms : int array }
 
-let read_sym r s pos =
-  let* v, pos = Codec.read_varint s pos in
+let read_name r s v pos =
   let code = v lsr 1 in
   if code >= max_code then err "symbol code %d out of range" code
   else if v land 1 = 0 then
@@ -517,6 +508,12 @@ let read_sym r s pos =
       Ok (sym, pos)
     end
 
+let read_sym r s pos =
+  let* v, pos = Codec.read_varint s pos in
+  if not r.numbered then read_name r s v pos
+  else if v land 1 = 0 then read_name r s (v lsr 1) pos
+  else Codec.read_serial v pos
+
 (* [n] items, each read by [item] from the position it is given *)
 let rec repeat n item pos =
   if n = 0 then Ok pos
@@ -530,13 +527,22 @@ let section name text item pos =
     (let* n, pos = Codec.read_varint text pos in
      if n < 0 then Error "bad count" else repeat n item pos)
 
-let load_snapshot text =
+(* the generation a [Snp2] header records, and where the records start *)
+let header layout text =
+  match layout with
+  | Snp1 -> Ok (0, magic_bytes)
+  | Snp2 ->
+    let* g, pos = Codec.read_varint text magic_bytes in
+    if g < 0 then Error "snapshot: bad generation" else Ok (g, pos)
+
+let load_snapshot layout text =
   let body = String.length text - 4 in
-  if body < String.length magic then Error "snapshot truncated"
+  if body < magic_bytes then Error "snapshot truncated"
   else if
     Crc32.update Crc32.empty text 0 body <> String.get_int32_le text body
   then Error "snapshot checksum mismatch"
   else
+    let* _generation, start = header layout text in
     let repo = Repo.create ~install_metamodel:false () in
     let base = Cml.Kb.base (Repo.kb repo) in
     (* the snapshot carries the metamodel propositions verbatim; the ids
@@ -544,7 +550,9 @@ let load_snapshot text =
        other id met twice is damage *)
     let boot = Symbol.Tbl.create 64 in
     Store.Base.iter base (fun p -> Symbol.Tbl.replace boot p.Prop.id ());
-    let read_sym = read_sym { syms = Array.make 1024 0 } in
+    let read_sym =
+      read_sym { numbered = layout = Snp2; syms = Array.make 1024 0 }
+    in
     let prop pos =
       let* p, pos = Codec.read_prop read_sym text pos in
       if not (Store.Base.mem base p.Prop.id) then
@@ -572,12 +580,17 @@ let load_snapshot text =
       Repo.log_decision repo id;
       Ok pos
     in
-    let* pos = section "propositions" text prop (String.length magic) in
+    let* pos = section "propositions" text prop start in
     let* pos = section "artifacts" text artifact pos in
     let* pos = section "log" text decision pos in
     if pos < body then Error "snapshot: trailing bytes"
     else if pos > body then Error "snapshot: records run into the checksum"
     else Ok repo
+
+let layout_of text =
+  List.find_opt
+    (fun l -> String.starts_with ~prefix:(magic l) text)
+    [ Snp2; Snp1 ]
 
 (* ---------------- the canonical text ---------------- *)
 
@@ -627,15 +640,32 @@ let to_string output repo =
   output (Buffer.add_substring buf) repo;
   Buffer.contents buf
 
-let save_repository repo = to_string output_snapshot repo
+let save_repository repo = to_string (output_snapshot ~generation:0) repo
+
 let save_repository_canonical repo = to_string output_canonical repo
 
 let load_repository_raw text =
-  if String.starts_with ~prefix:magic text then load_snapshot text
-  else if String.starts_with ~prefix:"(gkbms-repository" text then
-    Error "a text snapshot ((gkbms-repository ...)), a layout this build no \
-           longer reads; it reads only binary snapshots (GKBSNP1)"
-  else Error "not a snapshot: this build reads only binary snapshots (GKBSNP1)"
+  match layout_of text with
+  | Some layout -> load_snapshot layout text
+  | None when String.starts_with ~prefix:"(gkbms-repository" text ->
+    Error
+      ("a text snapshot ((gkbms-repository ...)), a layout this build no \
+        longer reads; it reads only binary snapshots (" ^ layouts_read ^ ")")
+  | None ->
+    Error ("not a snapshot: this build reads only binary snapshots (" ^ layouts_read ^ ")")
+
+(* the magic and the longest varint, or as much of them as the file
+   holds *)
+let generation_of_file path =
+  match
+    In_channel.with_open_bin path (fun ic ->
+        really_input_string ic (min (magic_bytes + 10) (in_channel_length ic)))
+  with
+  | exception (Sys_error _ | End_of_file) -> 0
+  | head -> (
+    match Option.map (fun l -> header l head) (layout_of head) with
+    | Some (Ok (g, _)) -> g
+    | Some (Error _) | None -> 0)
 
 let finalize ?(register_tools = Mapping.register_tools) repo =
   (* tools are code, re-registered after the snapshot so their KB
@@ -695,7 +725,7 @@ let load_repository ?register_tools text =
   finalize ?register_tools repo;
   Ok repo
 
-let save_to_file ?(fsync = false) repo path =
+let save_to_file ?(fsync = false) ?(generation = 0) repo path =
   (* temp file in the same directory + rename, so a crash mid-write can
      never leave a torn snapshot behind; with [fsync] the bytes reach
      the device before the rename, and the rename before we return *)
@@ -703,7 +733,7 @@ let save_to_file ?(fsync = false) repo path =
   let write () =
     let oc = open_out_bin tmp in
     Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-    output_snapshot (output_substring oc) repo;
+    output_snapshot ~generation (output_substring oc) repo;
     flush oc;
     if fsync then Unix.fsync (Unix.descr_of_out_channel oc);
     close_out oc

@@ -12,31 +12,46 @@
     so an individual spells only its id.
 
     {v
-    field         layout
-    magic         "GKBSNP1\n" (8 bytes)
+    field         GKBSNP2 (written)            GKBSNP1 (read only)
+    magic         "GKBSNP2\n" (8 bytes)        "GKBSNP1\n" (8 bytes)
+    generation    varint                       —
     propositions  count:varint, then count proposition records
     artifacts     count:varint, then count × (id:sym text:vstr)
     log           count:varint, then count × decision:sym
     trailer       CRC-32 of every byte before it, u32le
     v}
 
-    A [sym] is the varint [code * 2 + 1] and its name as a [vstr] where
-    the symbol first occurs in the file, and the varint [code * 2] after
-    that.  [code] is the writer's: its {!Kernel.Symbol.to_int} when that
-    is below twice the interned names plus the propositions, and the
-    next code from there up for the rare symbol past that (a [p<n>]
-    with a large [n]).  So the writer keeps one bit per code below that
-    bound and nothing per proposition, and codes stay below the bound
-    plus the symbols written.  An artifact's [text] is its rendered
-    s-expression ({!sexp_of_artifact}).  The artifacts are those of ids
-    in the base, and the log is chronological.
+    [generation] is the number of the log that follows the snapshot
+    ({!Durable.generation}); a snapshot written outside a durable
+    directory records 0.
+
+    A GKBSNP2 [sym] is a varint.  A serial id ({!Kernel.Symbol.serial})
+    is [2n + 1], its number, as in a WAL frame.  An interned name of
+    interning index [i] (its {!Kernel.Symbol.to_int} halved) is
+    [4i + 2] and the name as a [vstr] where it first occurs in the
+    file, and [4i] after that.  The writer keeps one bit per interned
+    name and nothing per proposition.  A serial id with a large number
+    (a chosen [p<n>], or ids minted after one) costs up to nine bytes
+    at each use; the ids a process mints are numbered below its names
+    plus its propositions, where no reference is longer than in
+    GKBSNP1.
+
+    A GKBSNP1 [sym] spelt every symbol, serial ids included, as a name:
+    [code * 2 + 1] and the name where it first occurs, [code * 2] after
+    that, with [code] the writer's.  One reader reads both: a GKBSNP2
+    reference without its low bit is twice a GKBSNP1 one.
+
+    An artifact's [text] is its rendered s-expression
+    ({!sexp_of_artifact}).  The artifacts are those of ids in the base,
+    and the log is chronological.
 
     The loader checks the magic and the checksum before it decodes,
     and then every record: reserved flag bits, times, symbol references,
-    an id met twice, artifacts that do not parse and trailing bytes.
-    Anything without the magic is refused with an error naming the
-    layout: a text snapshot ([(gkbms-repository ...)]), as written
-    before this layout, is no longer read. *)
+    serial numbers, an id met twice, artifacts that do not parse and
+    trailing bytes.  Anything without one of the two magics is refused
+    with an error naming the layouts this build reads: a text snapshot
+    ([(gkbms-repository ...)]), as written before the binary layouts,
+    is no longer read. *)
 
 val save_repository : Repository.t -> string
 (** A self-contained binary snapshot. *)
@@ -67,15 +82,22 @@ val finalize : ?register_tools:(Repository.t -> unit) -> Repository.t -> unit
 (** Re-register tools, re-align the decision counter and rebuild the
     reason-maintenance mirror on a raw-loaded repository. *)
 
-val save_to_file : ?fsync:bool -> Repository.t -> string -> (unit, string) result
-(** Atomic: streams {!save_repository}'s bytes to a temp file in the
-    target directory, then renames it over [path].  With [fsync]
+val save_to_file :
+  ?fsync:bool -> ?generation:int -> Repository.t -> string -> (unit, string) result
+(** Atomic: streams {!save_repository}'s bytes, with [generation]
+    (default 0) in the header, to a temp file in the target directory,
+    then renames it over [path].  With [fsync]
     (default false) the temp file is forced to disk before the rename
     and the directory after it, so an [Ok] snapshot survives a power
     loss; any write, sync or rename error is an [Error], and leaves
     [path] as it was.
 
     {!load_from_file} is its inverse. *)
+
+val generation_of_file : string -> int
+(** The generation a checkpoint file's header records, read from its
+    first bytes without checking the rest: 0 for a GKBSNP1 file and for
+    a file that is missing or does not start like a snapshot. *)
 
 val load_from_file :
   ?register_tools:(Repository.t -> unit) -> string ->

@@ -34,6 +34,13 @@ let read_vstr s pos =
   if len < 0 || len > String.length s - pos then Error "short string"
   else Ok (String.sub s pos len, pos + len)
 
+let add_serial buf n = add_varint buf ((n lsl 1) lor 1)
+
+let read_serial v pos =
+  let n = v lsr 1 in
+  if n >= 1 && n < Symbol.serial_limit then Ok (Symbol.serial n, pos)
+  else Error (Printf.sprintf "serial number %d out of range" n)
+
 let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 let unzigzag z = (z lsr 1) lxor -(z land 1)
 

@@ -37,6 +37,16 @@ val read_varint : string -> int -> (int * int, string) result
 
 val read_vstr : string -> int -> (string * int, string) result
 
+val add_serial : Buffer.t -> int -> unit
+(** [add_serial buf n] writes serial id [n] ({!Kernel.Symbol.serial})
+    as the varint [2n + 1], its number: how a WAL frame and a GKBSNP2
+    checkpoint spell a minted id.  Their other references are even. *)
+
+val read_serial : int -> int -> (Symbol.t * int, string) result
+(** [read_serial v pos] is the serial id that an odd reference [v]
+    names, paired with [pos]; a number outside
+    [\[1, Symbol.serial_limit)] is an error. *)
+
 val zigzag : int -> int
 (** 0, -1, 1, -2 … to 0, 1, 2, 3 …, so a small value of either sign
     takes one varint byte. *)

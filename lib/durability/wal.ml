@@ -158,7 +158,7 @@ let add_sym w buf sym =
       Codec.add_varint buf 0;
       Codec.add_name buf sym
     end
-  | n -> Codec.add_varint buf ((n lsl 1) lor 1)
+  | n -> Codec.add_serial buf n
 
 (* A decision's class or id, or an artifact's name, is a symbol's name
    when it is one; any other string is spelt, and takes an index the
@@ -352,10 +352,7 @@ type dict = { mutable syms : Symbol.t array; mutable spelt : int }
 
 let read_sym d s pos =
   let* v, pos = Codec.read_varint s pos in
-  if v land 1 = 1 then
-    let n = v lsr 1 in
-    if n >= 1 && n < Symbol.serial_limit then Ok (Symbol.serial n, pos)
-    else Error (Printf.sprintf "serial number %d out of range" n)
+  if v land 1 = 1 then Codec.read_serial v pos
   else if v = 0 then begin
     let* name, pos = Codec.read_vstr s pos in
     if d.spelt = Array.length d.syms then begin

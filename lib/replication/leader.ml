@@ -37,6 +37,8 @@ let max_chunk = Protocol.max_frame - 4096
 (* checkpoint bytes per snapshot response, well under [max_chunk] *)
 let snapshot_chunk = 1 lsl 20
 
+let retained_generations = 8
+
 (* One consistent capture: under the repository lock no decision or
    batch is mid-commit, so the journal is at frame depth 0 and (ship
    result, generation, version) describe the same leader state — the
@@ -224,6 +226,7 @@ let attach daemon =
       "replication leader requires an attached WAL (start the server with \
        --wal DIR)"
   | Some durable ->
+    Durable.set_retention durable retained_generations;
     let t =
       {
         daemon;

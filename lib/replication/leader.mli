@@ -29,8 +29,15 @@ type t
 
 val attach : Server.Daemon.t -> (t, string) result
 (** Requires the daemon to have an attached WAL
-    ({!Server.Daemon.attach_durable}).  Snapshot chunks are at most
-    1 MiB. *)
+    ({!Server.Daemon.attach_durable}), and sets its retention
+    ({!Gkbms.Durable.set_retention}) to {!retained_generations}: only a
+    leader's checkpoints keep rotated logs.  Snapshot chunks are at
+    most 1 MiB. *)
+
+val retained_generations : int
+(** 8: the archived generations a leader's rotation keeps for followers
+    streaming behind the head.  A follower further behind gets a
+    [resync] error and re-bootstraps from the snapshot. *)
 
 val followers : t -> (string * (int * int * int * int)) list
 (** Last acked (gen, offset, epoch, version) per follower name. *)

@@ -7,11 +7,12 @@
 (* Chunks are raw WAL and checkpoint bytes, so the version covers
    both layouts: 2 ships compact [Put] records, which a version-1
    follower cannot decode, 3 the binary checkpoint, which a version-2
-   follower cannot, and 4 one frame per decision with its names spelt
-   once, which a version-3 follower cannot.  Such a follower refuses
-   at the hello instead of failing on the first chunk or the
+   follower cannot, 4 one frame per decision with its names spelt
+   once, which a version-3 follower cannot, and 5 the GKBSNP2
+   checkpoint, which a version-4 follower cannot.  Such a follower
+   refuses at the hello instead of failing on the first chunk or the
    snapshot. *)
-let protocol_version = 4
+let protocol_version = 5
 
 (* requests ----------------------------------------------------------- *)
 

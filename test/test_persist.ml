@@ -219,7 +219,7 @@ let test_snapshot_rejects_garbage () =
       match P.load_repository text with
       | Error e ->
         check Alcotest.string text
-          "not a snapshot: this build reads only binary snapshots (GKBSNP1)" e
+          "not a snapshot: this build reads only binary snapshots (GKBSNP2, GKBSNP1)" e
       | Ok _ -> Alcotest.failf "%S accepted" text)
     [ "(not-a-repo)"; "(("; "" ]
 
@@ -412,6 +412,224 @@ let prop_binary_snapshot_roundtrip =
       && List.map Symbol.name (Repo.decision_log loaded)
          = List.map Symbol.name (Repo.decision_log repo))
 
+(* The GKBSNP1 layout, which this build reads and no longer writes, as
+   its writer wrote it: every symbol, a minted id too, spelt at its
+   first use as [code * 2 + 1] and its name, and [code * 2] after that.
+   [code] is the symbol's own below [near], twice the interned names
+   plus the propositions, and the next code from [near] up past it. *)
+let snp1 repo =
+  let module C = Durability.Codec in
+  let base = Cml.Kb.base (Repo.kb repo) in
+  let near = 2 * (Symbol.count () + Store.Base.cardinal base) in
+  let spelt = Hashtbl.create 64 and far = Hashtbl.create 8 in
+  let add_sym buf sym =
+    let code =
+      match Symbol.to_int sym with
+      | c when c < near -> c
+      | c -> (
+        match Hashtbl.find_opt far c with
+        | Some f -> f
+        | None ->
+          let f = near + Hashtbl.length far in
+          Hashtbl.add far c f;
+          f)
+    in
+    if Hashtbl.mem spelt code then C.add_varint buf (code lsl 1)
+    else begin
+      Hashtbl.add spelt code ();
+      C.add_varint buf ((code lsl 1) lor 1);
+      C.add_name buf sym
+    end
+  in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "GKBSNP1\n";
+  C.add_varint buf (Store.Base.cardinal base);
+  Store.Base.iter base (fun p -> C.add_prop add_sym buf p);
+  let kept id = Store.Base.mem base id in
+  C.add_varint buf (Repo.fold_artifacts repo (fun id _ n -> if kept id then n + 1 else n) 0);
+  Repo.fold_artifacts repo
+    (fun id a () ->
+      if kept id then begin
+        add_sym buf id;
+        C.add_vstr buf (S.to_string (P.sexp_of_artifact a))
+      end)
+    ();
+  let log = Repo.decision_log repo in
+  C.add_varint buf (List.length log);
+  List.iter (add_sym buf) log;
+  Buffer.add_int32_le buf (Durability.Crc32.of_string (Buffer.contents buf));
+  Buffer.contents buf
+
+(* [load_repository_raw]: no finalize, so a serial id near the top of
+   the range does not move the process's id counter *)
+let reloaded repo =
+  let text = P.save_repository repo in
+  (text, ok (P.load_repository_raw text))
+
+let individual id = Prop.make ~id ~source:id ~label:id ~dest:id ()
+
+(* Serial ids at both ends of their range round-trip as their numbers:
+   [2n + 1], one byte for 1 and 2, nine for the largest. *)
+let test_snapshot_serial_ends () =
+  let repo = Repo.create () in
+  let base = Cml.Kb.base (Repo.kb repo) in
+  let ns = [ 1_000_001; 1_000_002; Symbol.serial_limit - 2; Symbol.serial_limit - 1 ] in
+  let ids = List.map Symbol.serial (1 :: 2 :: ns) in
+  let named = Symbol.intern "SerialEnds" in
+  (* 1 and 2 may already be ids of the metamodel's links *)
+  List.iter
+    (fun id ->
+      if not (Store.Base.mem base id) then ok (Store.Base.insert base (individual id)))
+    ids;
+  List.iteri
+    (fun i id ->
+      ok
+        (Store.Base.insert base
+           (Prop.make ~id:(Symbol.serial (Symbol.serial_limit - 3 - i)) ~source:id
+              ~label:named ~dest:(List.nth ids ((i + 1) mod List.length ids)) ())))
+    ids;
+  Repo.set_artifact repo (Symbol.serial (Symbol.serial_limit - 1)) (Repo.Text "top");
+  Repo.log_decision repo (Symbol.serial 2);
+  let text, repo2 = reloaded repo in
+  check Alcotest.string "the same repository" (P.save_repository_canonical repo)
+    (P.save_repository_canonical repo2);
+  List.iter
+    (fun id ->
+      check bool (Symbol.name id ^ " reloaded") true
+        (Store.Base.mem (Cml.Kb.base (Repo.kb repo2)) id))
+    ids;
+  let module C = Durability.Codec in
+  let spelt n =
+    let b = Buffer.create 16 in
+    C.add_serial b n;
+    Buffer.contents b
+  in
+  check int "serial 1 takes a byte" 1 (String.length (spelt 1));
+  check int "the largest serial takes nine" 9 (String.length (spelt (Symbol.serial_limit - 1)));
+  List.iter
+    (fun n ->
+      let s = spelt n in
+      match C.read_varint s 0 with
+      | Ok (v, _) when v land 1 = 1 -> (
+        match C.read_serial v (String.length s) with
+        | Ok (sym, _) -> check int "read back" n (Symbol.serial_number sym)
+        | Error e -> Alcotest.fail e)
+      | _ -> Alcotest.failf "serial %d is not an odd varint" n)
+    (1 :: 2 :: ns);
+  check bool "no name spells p<n>" false (contains "p999999999999999999" text);
+  (* past the range, a number is refused *)
+  (match C.read_serial ((Symbol.serial_limit lsl 1) lor 1) 0 with
+  | Ok _ -> Alcotest.fail "serial_limit read as a serial"
+  | Error e -> check bool e true (contains "out of range" e));
+  match C.read_serial 1 0 with
+  | Ok _ -> Alcotest.fail "serial 0 read as a serial"
+  | Error e -> check bool e true (contains "out of range" e)
+
+(* Names spelt like serial ids that are not ones ([p0], a leading 0, 19
+   digits) are interned names, and stay so across a reload, in both
+   layouts. *)
+let test_snapshot_serial_lookalikes () =
+  let repo = Repo.create () in
+  let base = Cml.Kb.base (Repo.kb repo) in
+  let names = [ "p0"; "p01"; "p" ^ String.make 19 '9'; "p1000000000000000000" ] in
+  List.iter (fun n -> ok (Store.Base.insert base (individual (Symbol.intern n)))) names;
+  let _, repo2 = reloaded repo in
+  let repo1 = ok (P.load_repository_raw (snp1 repo)) in
+  List.iter
+    (fun n ->
+      let sym = Symbol.intern n in
+      check int (n ^ " is a name") 0 (Symbol.serial_number sym);
+      check bool (n ^ " reloaded") true (Store.Base.mem (Cml.Kb.base (Repo.kb repo2)) sym);
+      check bool (n ^ " read from GKBSNP1") true
+        (Store.Base.mem (Cml.Kb.base (Repo.kb repo1)) sym);
+      check Alcotest.string (n ^ " keeps its spelling") n (Symbol.name sym))
+    names;
+  check Alcotest.string "the same repository" (P.save_repository_canonical repo)
+    (P.save_repository_canonical repo2)
+
+(* A random base, its ids names and serial ids as a process mints them
+   (numbered below the names interned so far): its GKBSNP2 file is
+   never longer than its GKBSNP1 encoding, and both load to it.  (A
+   chosen [p<n>] with a large [n] used more than three times is the one
+   case GKBSNP1 spelt shorter, as a name with a small code.) *)
+let minted_gen =
+  QCheck.Gen.(map (fun k -> Symbol.serial (1 + (k mod max 1 (Symbol.count ())))) nat)
+
+let base_sym_gen =
+  QCheck.Gen.(frequency [ (2, map Symbol.intern Test_durability.name_gen); (3, minted_gen) ])
+
+let minted_repo_gen =
+  QCheck.Gen.(
+    triple
+      (list_size (int_range 0 40)
+         (pair (quad base_sym_gen base_sym_gen base_sym_gen base_sym_gen)
+            (pair Test_durability.time_gen Test_durability.belief_gen)))
+      (list_size (int_range 0 10) (pair nat artifact_gen))
+      (list_size (int_range 0 10) base_sym_gen))
+
+let prop_snp2_never_longer =
+  QCheck.Test.make ~name:"GKBSNP2 never longer than GKBSNP1, both load" ~count:100
+    (QCheck.make minted_repo_gen) (fun (props, artifacts, log) ->
+      let repo = Repo.create () in
+      let base = Cml.Kb.base (Repo.kb repo) in
+      List.iter
+        (fun ((id, source, label, dest), (time, belief)) ->
+          ignore (Store.Base.insert base (Prop.make ~time ~belief ~id ~source ~label ~dest ())))
+        props;
+      let ids = Array.of_list (Store.Base.fold base (fun acc p -> p.Prop.id :: acc) []) in
+      List.iter (fun (i, a) -> Repo.set_artifact repo ids.(i mod Array.length ids) a) artifacts;
+      List.iter (Repo.log_decision repo) log;
+      let v2 = P.save_repository repo and v1 = snp1 repo in
+      if String.length v2 > String.length v1 then
+        QCheck.Test.fail_reportf "GKBSNP2 %d bytes, GKBSNP1 %d" (String.length v2)
+          (String.length v1);
+      let same what text =
+        let loaded = ok (P.load_repository_raw text) in
+        P.save_repository_canonical loaded = P.save_repository_canonical repo
+        && List.map Symbol.name (Repo.decision_log loaded)
+           = List.map Symbol.name (Repo.decision_log repo)
+        || QCheck.Test.fail_reportf "%s loaded another repository" what
+      in
+      same "GKBSNP2" v2 && same "GKBSNP1" v1)
+
+(* A magic this build does not know is refused with an error naming
+   the layouts it reads; so is one cut short. *)
+let test_snapshot_unknown_magic () =
+  let body = String.sub (P.save_repository (Repo.create ())) 8 64 in
+  List.iter
+    (fun text ->
+      match P.load_repository_raw text with
+      | Ok _ -> Alcotest.failf "%S loaded" text
+      | Error e ->
+        check Alcotest.string (String.escaped text)
+          "not a snapshot: this build reads only binary snapshots (GKBSNP2, GKBSNP1)" e)
+    [ "GKBSNP3\n" ^ body; "GKBSNP0\n" ^ body; "GKBSNP2"; "gkbsnp2\n" ^ body ]
+
+(* The header records the generation it is given, and a reader of the
+   header alone finds it; a GKBSNP1 file, a missing one and anything
+   else read as 0. *)
+let test_snapshot_header_generation () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "checkpoint.repo" in
+  let repo = Repo.create () in
+  List.iter
+    (fun g ->
+      ok (P.save_to_file ~generation:g repo path);
+      check int (Printf.sprintf "generation %d" g) g (P.generation_of_file path);
+      check bool "and it loads" true (Result.is_ok (P.load_from_file ~register_tools:ignore path)))
+    [ 0; 1; 127; 128; 1 lsl 40 ];
+  let write text = Out_channel.with_open_bin path (fun oc -> output_string oc text) in
+  write (snp1 repo);
+  check int "GKBSNP1" 0 (P.generation_of_file path);
+  write "GKBSNP2\n\x85";
+  check int "a cut varint" 0 (P.generation_of_file path);
+  write "(gkbms-repository";
+  check int "a text snapshot" 0 (P.generation_of_file path);
+  Sys.remove path;
+  check int "no file" 0 (P.generation_of_file path)
+
 (* A damaged snapshot is an [Error], never a partial repository: every
    cut and every single-bit flip of a small one is caught. *)
 let small_snapshot () =
@@ -438,24 +656,29 @@ let test_snapshot_damage () =
   done
 
 (* With a valid checksum, the records are still checked: the loader
-   names what is wrong.  [sealed] frames a hand-made body as a
-   snapshot; symbol codes in a body are arbitrary numbers. *)
-let sealed body =
+   names what is wrong, in either layout.  [sealed] frames a hand-made
+   body as a snapshot of GKBSNP[layout]; name codes in a body are
+   arbitrary numbers. *)
+let sealed layout body =
   let b = Buffer.create 64 in
-  Buffer.add_string b (String.sub (small_snapshot ()) 0 8);
+  Buffer.add_string b (Printf.sprintf "GKBSNP%d\n" layout);
+  (* GKBSNP2's generation *)
+  if layout = 2 then Durability.Codec.add_varint b 7;
   Buffer.add_string b body;
   Buffer.add_int32_le b (Durability.Crc32.of_string (Buffer.contents b));
   Buffer.contents b
 
-let test_snapshot_record_checks () =
+let snapshot_record_checks layout =
   let module C = Durability.Codec in
   let buf = Buffer.create 64 in
   let varint n = C.add_varint buf n in
+  (* a GKBSNP2 name reference is twice a GKBSNP1 one *)
+  let sym v = varint (if layout = 2 then v lsl 1 else v) in
   let name code s =
-    varint ((code lsl 1) lor 1);
+    sym ((code lsl 1) lor 1);
     C.add_vstr buf s
   in
-  let reference code = varint (code lsl 1) in
+  let reference code = sym (code lsl 1) in
   let flags f = Buffer.add_char buf (Char.chr f) in
   (* <x, x, x, Always>, belief 0 *)
   let individual ?(f = 0b1111) code s =
@@ -512,23 +735,37 @@ let test_snapshot_record_checks () =
             individual 5 "w"),
         "artifact w" );
     ]
+    @
+    if layout = 1 then []
+    else
+      [
+        ( "serial number 0",
+          body (fun () ->
+              varint 1;
+              flags 0b1111;
+              varint 1;
+              varint 0),
+          "serial number 0 out of range" );
+      ]
   in
   List.iter
     (fun (what, body, needle) ->
-      match P.load_repository (sealed body) with
-      | Ok _ -> Alcotest.failf "%s loaded" what
+      match P.load_repository (sealed layout body) with
+      | Ok _ -> Alcotest.failf "GKBSNP%d: %s loaded" layout what
       | Error e ->
-        check bool (Printf.sprintf "%s: %S names %S" what e needle) true
-          (contains needle e))
+        check bool (Printf.sprintf "GKBSNP%d %s: %S names %S" layout what e needle)
+          true (contains needle e))
     cases;
   (* the same frame around well-formed records loads *)
   ignore
     (ok
        (P.load_repository
-          (sealed
+          (sealed layout
              (body (fun () ->
                   varint 1;
                   individual 6 "v")))))
+
+let test_snapshot_record_checks () = List.iter snapshot_record_checks [ 1; 2 ]
 
 let suite =
   [
@@ -548,4 +785,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_binary_snapshot_roundtrip;
     ("snapshot damage is an error", `Quick, test_snapshot_damage);
     ("snapshot records are checked", `Quick, test_snapshot_record_checks);
+    ("snapshot serial ids at both ends of the range", `Quick, test_snapshot_serial_ends);
+    ("snapshot names spelt like serial ids", `Quick, test_snapshot_serial_lookalikes);
+    QCheck_alcotest.to_alcotest prop_snp2_never_longer;
+    ("snapshot unknown magic names the layouts read", `Quick, test_snapshot_unknown_magic);
+    ("snapshot header records the generation", `Quick, test_snapshot_header_generation);
   ]

@@ -229,9 +229,15 @@ let test_follower_bootstrap_and_catch_up () =
   Daemon.stop rig.l_daemon
 
 (* A leader whose checkpoint spans several 1 MiB snapshot chunks: the
-   ~49k-proposition edited repository. *)
+   ~49k-proposition edited repository and 600 more edits (its checkpoint
+   after the first 2,000 is ~0.96 MB, one chunk). *)
 let big_leader dir =
-  let daemon = Daemon.create (Test_durability.edited_repo ()) in
+  let repo = Test_durability.edited_repo () in
+  let sh = Gkbms.Shell.session repo in
+  for i = 2000 to 2599 do
+    Test_durability.edit sh i
+  done;
+  let daemon = Daemon.create repo in
   ok (Daemon.attach_wal daemon ~dir);
   ignore (ok (Leader.attach daemon));
   daemon
@@ -345,6 +351,46 @@ let test_generation_boundary () =
   check bool "post-rotation token waitable" true
     (Follower.wait_for f ~epoch:e ~version:v ~timeout_ms:1000);
   Daemon.stop rig.l_daemon
+
+(* Only a leader's rotation keeps the rotated logs, its last
+   [Leader.retained_generations], across which a follower behind it
+   still streams; a cursor in a deleted generation gets [`Resync], and
+   the follower's own directory keeps none. *)
+let test_only_a_leader_keeps_archives () =
+  let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
+  let rig = make_leader ldir in
+  Fun.protect ~finally:(fun () -> Daemon.stop rig.l_daemon) @@ fun () ->
+  let f = ok (make_follower ~name:"f1" rig fdir) in
+  Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
+  ok (Follower.catch_up f);
+  let durable = Option.get (Daemon.durable rig.l_daemon) in
+  let first = Durable.generation durable in
+  let kept = Leader.retained_generations in
+  let last_kept () =
+    let g = Durable.generation durable in
+    List.init (min kept (g - first)) (fun i -> g - min kept (g - first) + i)
+  in
+  ignore (ok (Scn.map_move_down rig.l_st));
+  for _ = 1 to kept do
+    ok (Durable.checkpoint durable)
+  done;
+  check (Alcotest.list int) "the leader keeps every generation so far" (last_kept ())
+    (Test_durability.archives ldir);
+  ok (Follower.catch_up f);
+  converged rig f;
+  ignore (ok (Scn.normalize_invitations rig.l_st));
+  for _ = 1 to 2 do
+    ok (Durable.checkpoint durable)
+  done;
+  check (Alcotest.list int) "and then its last 8" (last_kept ()) (Test_durability.archives ldir);
+  check bool "a deleted generation is unservable" true
+    (Durable.ship durable ~gen:first ~offset:0 ~max_bytes:1024 = Error `Resync);
+  ok (Follower.catch_up f);
+  converged rig f;
+  let own = Option.get (Daemon.durable (Follower.daemon f)) in
+  ok (Durable.checkpoint own);
+  check (Alcotest.list int) "the follower keeps none" [] (Test_durability.archives fdir)
 
 (* follower restart: warm recovery resumes at the persisted cursor ------- *)
 
@@ -1231,4 +1277,5 @@ let suite =
     ("leader and follower answer wait alike", `Quick, test_wait_answers_agree);
     ("reads, writes and captures interleave under one lock", `Quick,
      test_reads_writes_and_captures_interleave);
+    ("only a leader keeps archives", `Quick, test_only_a_leader_keeps_archives);
   ]
