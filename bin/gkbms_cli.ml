@@ -601,7 +601,9 @@ let serve_cmd =
                the scenario, so a restart keeps every acknowledged
                decision (and a leader's followers' generation cursors
                stay servable) *)
-            let* durable, report = Gkbms.Durable.open_ ~dir () in
+            let* durable, report =
+              Gkbms.Durable.open_ ~fsync:config.wal_fsync ~dir ()
+            in
             Format.printf "recovered from %s:@.%a@." dir
               Gkbms.Durable.pp_report report;
             let daemon =
@@ -837,10 +839,7 @@ let main =
       ask_cmd; derive_cmd; explain_cmd; export_cmd; import_cmd; snapshot_cmd; recover_cmd;
       audit_cmd; repl_cmd; stats_cmd; trace_cmd; serve_cmd; client_cmd ]
 
-(* A malformed observability variable is refused here, before any
-   command runs, rather than silently replaced by its default.
-
-   The server library ignores SIGPIPE process-wide, so that a peer that
+(* The server library ignores SIGPIPE process-wide, so that a peer that
    hangs up is an error on its socket.  A command that only prints
    should instead end quietly when its reader closes stdout ([gkbms
    recover DIR | head]), as other filters do, so the CLI takes the
@@ -848,8 +847,4 @@ let main =
    it again. *)
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_default;
-  match Obs.Trace.env_errors Sys.getenv_opt with
-  | [] -> exit (Cmd.eval' main)
-  | errors ->
-    List.iter (fun e -> prerr_endline ("error: " ^ e)) errors;
-    exit 2
+  exit (Cmd.eval' main)

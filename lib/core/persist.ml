@@ -377,14 +377,12 @@ let artifact_of_sexp sexp =
 module Codec = Durability.Codec
 module Crc32 = Durability.Crc32
 
-(* The layouts this build reads.  [Snp2], the one it writes, records
-   the generation of the log that follows the snapshot and writes a
-   serial id as its number; [Snp1] spelt every symbol as a name. *)
-type layout = Snp1 | Snp2
-
-let magic = function Snp1 -> "GKBSNP1\n" | Snp2 -> "GKBSNP2\n"
-let magic_bytes = 8
-let layouts_read = "GKBSNP2, GKBSNP1"
+(* The one layout this build writes and reads: it records the
+   generation of the log that follows the snapshot and writes a serial
+   id as its number. *)
+let layout = "GKBSNP2"
+let magic = layout ^ "\n"
+let magic_bytes = String.length magic
 
 (* The writer stages records in [buf] and hands them to [sink] in runs
    of about [run] bytes, each folded into the checksum on its way out:
@@ -444,7 +442,7 @@ let output_snapshot ~generation sink repo =
   in
   let buf = w.buf in
   let add_sym = add_sym w in
-  Buffer.add_string buf (magic Snp2);
+  Buffer.add_string buf magic;
   Codec.add_varint buf generation;
   Codec.add_varint buf (Store.Base.cardinal base);
   Store.Base.iter base (fun p ->
@@ -474,23 +472,22 @@ let output_snapshot ~generation sink repo =
   Bytes.set_int32_le trailer 0 w.crc;
   sink (Bytes.unsafe_to_string trailer) 0 4
 
-(* Name codes are the writer's, so the reader maps each to its own
-   symbol: [syms.(code)] is 1 + the symbol's code here, 0 until the
-   name is read.  A code past [max_code] is damage: no process interns
-   a billion names.
-
-   One reader for both layouts: a [Snp1] reference is [code * 2 + 1]
-   with the name or [code * 2], where a serial id is a name like any
-   other; a [Snp2] reference with the low bit set is a serial id's
-   number, and without it twice a [Snp1] one. *)
+(* A reference with its low bit set is a serial id's number; any other
+   is a name's [4 * code + 2] and its bytes, or [4 * code].  Name codes
+   are the writer's, so the reader maps each to its own symbol:
+   [syms.(code)] is 1 + the symbol's code here, 0 until the name is
+   read.  A code past [max_code] is damage: no process interns a
+   billion names. *)
 let max_code = 1 lsl 30
 
-type reader = { numbered : bool; mutable syms : int array }
+type reader = { mutable syms : int array }
 
-let read_name r s v pos =
-  let code = v lsr 1 in
-  if code >= max_code then err "symbol code %d out of range" code
-  else if v land 1 = 0 then
+let read_sym r s pos =
+  let* v, pos = Codec.read_varint s pos in
+  let code = v lsr 2 in
+  if v land 1 = 1 then Codec.read_serial v pos
+  else if code >= max_code then err "symbol code %d out of range" code
+  else if v land 2 = 0 then
     if code < Array.length r.syms && r.syms.(code) <> 0 then
       Ok (Symbol.of_int (r.syms.(code) - 1), pos)
     else err "symbol %d used before its name" code
@@ -508,12 +505,6 @@ let read_name r s v pos =
       Ok (sym, pos)
     end
 
-let read_sym r s pos =
-  let* v, pos = Codec.read_varint s pos in
-  if not r.numbered then read_name r s v pos
-  else if v land 1 = 0 then read_name r s (v lsr 1) pos
-  else Codec.read_serial v pos
-
 (* [n] items, each read by [item] from the position it is given *)
 let rec repeat n item pos =
   if n = 0 then Ok pos
@@ -527,22 +518,19 @@ let section name text item pos =
     (let* n, pos = Codec.read_varint text pos in
      if n < 0 then Error "bad count" else repeat n item pos)
 
-(* the generation a [Snp2] header records, and where the records start *)
-let header layout text =
-  match layout with
-  | Snp1 -> Ok (0, magic_bytes)
-  | Snp2 ->
-    let* g, pos = Codec.read_varint text magic_bytes in
-    if g < 0 then Error "snapshot: bad generation" else Ok (g, pos)
+(* the generation the header records, and where the records start *)
+let header text =
+  let* g, pos = Codec.read_varint text magic_bytes in
+  if g < 0 then Error "snapshot: bad generation" else Ok (g, pos)
 
-let load_snapshot layout text =
+let load_snapshot text =
   let body = String.length text - 4 in
   if body < magic_bytes then Error "snapshot truncated"
   else if
     Crc32.update Crc32.empty text 0 body <> String.get_int32_le text body
   then Error "snapshot checksum mismatch"
   else
-    let* _generation, start = header layout text in
+    let* _generation, start = header text in
     let repo = Repo.create ~install_metamodel:false () in
     let base = Cml.Kb.base (Repo.kb repo) in
     (* the snapshot carries the metamodel propositions verbatim; the ids
@@ -550,9 +538,7 @@ let load_snapshot layout text =
        other id met twice is damage *)
     let boot = Symbol.Tbl.create 64 in
     Store.Base.iter base (fun p -> Symbol.Tbl.replace boot p.Prop.id ());
-    let read_sym =
-      read_sym { numbered = layout = Snp2; syms = Array.make 1024 0 }
-    in
+    let read_sym = read_sym { syms = Array.make 1024 0 } in
     let prop pos =
       let* p, pos = Codec.read_prop read_sym text pos in
       if not (Store.Base.mem base p.Prop.id) then
@@ -586,11 +572,6 @@ let load_snapshot layout text =
     if pos < body then Error "snapshot: trailing bytes"
     else if pos > body then Error "snapshot: records run into the checksum"
     else Ok repo
-
-let layout_of text =
-  List.find_opt
-    (fun l -> String.starts_with ~prefix:(magic l) text)
-    [ Snp2; Snp1 ]
 
 (* ---------------- the canonical text ---------------- *)
 
@@ -644,15 +625,19 @@ let save_repository repo = to_string (output_snapshot ~generation:0) repo
 
 let save_repository_canonical repo = to_string output_canonical repo
 
+(* A layout before this one is refused by name, as is anything else *)
 let load_repository_raw text =
-  match layout_of text with
-  | Some layout -> load_snapshot layout text
-  | None when String.starts_with ~prefix:"(gkbms-repository" text ->
+  let refused old =
     Error
-      ("a text snapshot ((gkbms-repository ...)), a layout this build no \
-        longer reads; it reads only binary snapshots (" ^ layouts_read ^ ")")
-  | None ->
-    Error ("not a snapshot: this build reads only binary snapshots (" ^ layouts_read ^ ")")
+      (old ^ ", a layout this build no longer reads; it reads only " ^ layout
+     ^ " snapshots")
+  in
+  if String.starts_with ~prefix:magic text then load_snapshot text
+  else if String.starts_with ~prefix:"GKBSNP1\n" text then
+    refused "a GKBSNP1 snapshot"
+  else if String.starts_with ~prefix:"(gkbms-repository" text then
+    refused "a text snapshot ((gkbms-repository ...))"
+  else Error ("not a snapshot: this build reads only " ^ layout ^ " snapshots")
 
 (* the magic and the longest varint, or as much of them as the file
    holds *)
@@ -662,10 +647,9 @@ let generation_of_file path =
         really_input_string ic (min (magic_bytes + 10) (in_channel_length ic)))
   with
   | exception (Sys_error _ | End_of_file) -> 0
-  | head -> (
-    match Option.map (fun l -> header l head) (layout_of head) with
-    | Some (Ok (g, _)) -> g
-    | Some (Error _) | None -> 0)
+  | head when String.starts_with ~prefix:magic head ->
+    Result.fold ~ok:fst ~error:(fun _ -> 0) (header head)
+  | _ -> 0
 
 let finalize ?(register_tools = Mapping.register_tools) repo =
   (* tools are code, re-registered after the snapshot so their KB

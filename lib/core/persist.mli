@@ -12,9 +12,9 @@
     so an individual spells only its id.
 
     {v
-    field         GKBSNP2 (written)            GKBSNP1 (read only)
-    magic         "GKBSNP2\n" (8 bytes)        "GKBSNP1\n" (8 bytes)
-    generation    varint                       —
+    field         GKBSNP2
+    magic         "GKBSNP2\n" (8 bytes)
+    generation    varint
     propositions  count:varint, then count proposition records
     artifacts     count:varint, then count × (id:sym text:vstr)
     log           count:varint, then count × decision:sym
@@ -25,21 +25,14 @@
     ({!Durable.generation}); a snapshot written outside a durable
     directory records 0.
 
-    A GKBSNP2 [sym] is a varint.  A serial id ({!Kernel.Symbol.serial})
-    is [2n + 1], its number, as in a WAL frame.  An interned name of
+    A [sym] is a varint.  A serial id ({!Kernel.Symbol.serial}) is
+    [2n + 1], its number, as in a WAL frame.  An interned name of
     interning index [i] (its {!Kernel.Symbol.to_int} halved) is
     [4i + 2] and the name as a [vstr] where it first occurs in the
     file, and [4i] after that.  The writer keeps one bit per interned
     name and nothing per proposition.  A serial id with a large number
     (a chosen [p<n>], or ids minted after one) costs up to nine bytes
-    at each use; the ids a process mints are numbered below its names
-    plus its propositions, where no reference is longer than in
-    GKBSNP1.
-
-    A GKBSNP1 [sym] spelt every symbol, serial ids included, as a name:
-    [code * 2 + 1] and the name where it first occurs, [code * 2] after
-    that, with [code] the writer's.  One reader reads both: a GKBSNP2
-    reference without its low bit is twice a GKBSNP1 one.
+    at each use.
 
     An artifact's [text] is its rendered s-expression
     ({!sexp_of_artifact}).  The artifacts are those of ids in the base,
@@ -48,10 +41,11 @@
     The loader checks the magic and the checksum before it decodes,
     and then every record: reserved flag bits, times, symbol references,
     serial numbers, an id met twice, artifacts that do not parse and
-    trailing bytes.  Anything without one of the two magics is refused
-    with an error naming the layouts this build reads: a text snapshot
-    ([(gkbms-repository ...)]), as written before the binary layouts,
-    is no longer read. *)
+    trailing bytes.  This build reads only the layout it writes.  A
+    [GKBSNP1] snapshot (every symbol spelt as a name, no generation)
+    and a text snapshot ([(gkbms-repository ...)]), the layouts before,
+    are refused with an error naming the layout; anything else is
+    refused as not a snapshot. *)
 
 val save_repository : Repository.t -> string
 (** A self-contained binary snapshot. *)
@@ -96,8 +90,8 @@ val save_to_file :
 
 val generation_of_file : string -> int
 (** The generation a checkpoint file's header records, read from its
-    first bytes without checking the rest: 0 for a GKBSNP1 file and for
-    a file that is missing or does not start like a snapshot. *)
+    first bytes without checking the rest: 0 for a file that is missing
+    or does not start like a GKBSNP2 snapshot. *)
 
 val load_from_file :
   ?register_tools:(Repository.t -> unit) -> string ->

@@ -92,25 +92,14 @@ let buffer_sink buf =
 (* A frame spells each interned name once: at its first use the name's
    ref is 0 and its bytes follow, and it takes the frame's next index;
    after that its ref is [2 * (index + 1)].  A serial id's ref is
-   [2n + 1].
-
-   The writer finds a name's index in [slots], open-addressed by code
-   with linear probing: a slot holds [(stamp lsl index_bits) lor index]
-   and [codes.(index)] the name's code, and a slot stamped by an older
-   frame is empty, so opening a frame clears nothing.  A payload below
-   2^26 bytes holds fewer than 2^25 names. *)
-let index_bits = 26
-let index_mask = (1 lsl index_bits) - 1
-let first_slots = 64
-
+   [2n + 1].  A spelt string that names no symbol takes an index, and
+   no entry in [index]. *)
 type writer = {
   sink : sink;
   spell : Buffer.t -> Prop.t -> unit;  (** {!Codec.add_prop} with this dictionary *)
   payload : Buffer.t;  (** the open frame's, empty when none is open *)
   mutable out : Bytes.t;  (** the frame being written: header, payload *)
-  mutable slots : int array;
-  mutable codes : int array;  (** by index; -1 for a string no symbol names *)
-  mutable stamp : int;  (** frames opened *)
+  index : (int, int) Hashtbl.t;  (** a name's code to its index in the open frame *)
   mutable names : int;  (** indices taken in the open frame *)
   mutable depth : int;  (** decisions open in the open frame *)
   mutable bytes : int;
@@ -120,44 +109,18 @@ type writer = {
   mutable failed : exn option;  (** the write or sync that failed *)
 }
 
-(* the index [code] took in the open frame, or [-1 - slot] for the
-   empty slot it would take; a top-level loop, since a closure per
-   lookup is an allocation *)
-let rec probe w code s =
-  let v = w.slots.(s) in
-  if v lsr index_bits <> w.stamp then -1 - s
-  else if w.codes.(v land index_mask) = code then v land index_mask
-  else probe w code ((s + 1) land (Array.length w.slots - 1))
-
-let find w code = probe w code ((code lsr 1) land (Array.length w.slots - 1))
-
-(* the next index to [code], -1 for a spelt string that names no
-   symbol; [slots] has twice the room of [codes], so it stays at most
-   half full *)
-let enter w code =
-  if w.names = Array.length w.codes then begin
-    let codes = Array.make (2 * w.names) (-1) in
-    Array.blit w.codes 0 codes 0 w.names;
-    w.codes <- codes;
-    w.slots <- Array.make (4 * w.names) 0;
-    for i = 0 to w.names - 1 do
-      if codes.(i) >= 0 then w.slots.(-1 - find w codes.(i)) <- (w.stamp lsl index_bits) lor i
-    done
-  end;
-  w.codes.(w.names) <- code;
-  if code >= 0 then w.slots.(-1 - find w code) <- (w.stamp lsl index_bits) lor w.names;
-  w.names <- w.names + 1
-
+(* [find_opt], not [find]: a [Not_found] raised at each name's first use
+   cost gkbench [edit] 5-15% of its throughput on 2 vCPUs *)
 let add_sym w buf sym =
   match Symbol.serial_number sym with
-  | 0 ->
-    let i = find w (Symbol.to_int sym) in
-    if i >= 0 then Codec.add_varint buf ((i + 1) lsl 1)
-    else begin
-      enter w (Symbol.to_int sym);
+  | 0 -> (
+    match Hashtbl.find_opt w.index (Symbol.to_int sym) with
+    | Some i -> Codec.add_varint buf ((i + 1) lsl 1)
+    | None ->
+      Hashtbl.add w.index (Symbol.to_int sym) w.names;
+      w.names <- w.names + 1;
       Codec.add_varint buf 0;
-      Codec.add_name buf sym
-    end
+      Codec.add_name buf sym)
   | n -> Codec.add_serial buf n
 
 (* A decision's class or id, or an artifact's name, is a symbol's name
@@ -167,7 +130,7 @@ let add_named w buf s =
   match Symbol.find_opt s with
   | Some sym -> add_sym w buf sym
   | None ->
-    enter w (-1);
+    w.names <- w.names + 1;
     Codec.add_varint buf 0;
     Codec.add_vstr buf s
 
@@ -178,9 +141,7 @@ let writer ?(header = true) sink =
       spell = (fun buf p -> Codec.add_prop sym buf p);
       payload = Buffer.create 1024;
       out = Bytes.create 1024;
-      slots = Array.make first_slots 0;
-      codes = Array.make (first_slots / 2) (-1);
-      stamp = 0;
+      index = Hashtbl.create 64;
       names = 0;
       depth = 0;
       bytes = 0;
@@ -237,12 +198,8 @@ let usable w =
    size *)
 let open_frame w =
   Buffer.add_char w.payload frame_tag;
-  w.stamp <- w.stamp + 1;
-  w.names <- 0;
-  if Array.length w.slots > 16 * first_slots then begin
-    w.slots <- Array.make first_slots 0;
-    w.codes <- Array.make (first_slots / 2) (-1)
-  end
+  Hashtbl.reset w.index;
+  w.names <- 0
 
 (* one length, one CRC-32 and the payload, in one write *)
 let emit w =
@@ -318,35 +275,6 @@ let read_u32 s pos =
   if pos + 4 > String.length s then Error "short u32"
   else Ok (Int32.to_int (String.get_int32_le s pos) land 0xffffffff)
 
-let read_str s pos =
-  let* len = read_u32 s pos in
-  if pos + 4 + len > String.length s then Error "short string"
-  else Ok (String.sub s (pos + 4) len, pos + 4 + len)
-
-(* How a layout spells a record's fields: [sym] a [Put]'s symbols, [id]
-   a [Tomb]'s, [name] a decision's class or id and an artifact's name,
-   [str] every other string. *)
-type spelling = {
-  sym : string -> int -> (Symbol.t * int, string) result;
-  id : string -> int -> (Symbol.t * int, string) result;
-  name : string -> int -> (string * int, string) result;
-  str : string -> int -> (string * int, string) result;
-}
-
-let interned read s pos =
-  let* name, pos = read s pos in
-  Ok (Symbol.intern name, pos)
-
-(* a one-record frame, the layout before frames held decisions: a
-   [Put]'s symbols are [vstr] names, every other string a [str] *)
-let one_record =
-  {
-    sym = interned Codec.read_vstr;
-    id = interned read_str;
-    name = read_str;
-    str = read_str;
-  }
-
 (* the names a frame spelt so far, by index *)
 type dict = { mutable syms : Symbol.t array; mutable spelt : int }
 
@@ -370,64 +298,60 @@ let read_sym d s pos =
     if i < d.spelt then Ok (d.syms.(i), pos)
     else Error (Printf.sprintf "name %d used before it is spelt" i)
 
-let grouped d =
-  let sym = read_sym d in
-  {
-    sym;
-    id = sym;
-    name =
-      (fun s pos ->
-        let* sym, pos = sym s pos in
-        Ok (Symbol.name sym, pos));
-    str = Codec.read_vstr;
-  }
+(* a decision's class or id, or an artifact's name *)
+let read_named sym s pos =
+  let* v, pos = sym s pos in
+  Ok (Symbol.name v, pos)
 
-(* the record whose tag is at [pos], which its caller checked is in [s] *)
-let decode_record sp s pos =
+(* the record whose tag is at [pos], which its caller checked is in [s];
+   [sym] reads a symbol through the frame's dictionary *)
+let decode_record sym s pos =
   let tag = s.[pos] and pos = pos + 1 in
   match tag with
   | 'p' ->
-    let* p, pos = Codec.read_prop sp.sym s pos in
+    let* p, pos = Codec.read_prop sym s pos in
     Ok (Put p, pos)
-  | 'P' -> Error "an old-layout 'P' record, which this build no longer reads"
   | 'T' ->
-    let* id, pos = sp.id s pos in
+    let* id, pos = sym s pos in
     Ok (Tomb id, pos)
   | 'B' ->
-    let* cls, pos = sp.name s pos in
+    let* cls, pos = read_named sym s pos in
     Ok (Decision_begin cls, pos)
   | 'C' ->
-    let* id, pos = sp.name s pos in
+    let* id, pos = read_named sym s pos in
     Ok (Decision_commit id, pos)
   | 'A' ->
-    let* reason, pos = sp.str s pos in
+    let* reason, pos = Codec.read_vstr s pos in
     Ok (Decision_abort reason, pos)
   | 'R' ->
-    let* name, pos = sp.name s pos in
-    let* text, pos = sp.str s pos in
+    let* name, pos = read_named sym s pos in
+    let* text, pos = Codec.read_vstr s pos in
     Ok (Artifact (name, text), pos)
   | 'N' ->
-    let* k, pos = sp.str s pos in
-    let* v, pos = sp.str s pos in
+    let* k, pos = Codec.read_vstr s pos in
+    let* v, pos = Codec.read_vstr s pos in
     Ok (Note (k, v), pos)
   | c -> Error (Printf.sprintf "unknown record tag %C" c)
 
 (* A payload is a frame's records: after [frame_tag], as many as it
    holds, read with a dictionary that starts empty, so each frame
-   decodes alone; otherwise the one record of the layout before. *)
-let decode_payload d sp payload =
+   decodes alone.  A payload without the tag is the one record of the
+   layout before, which this build no longer reads. *)
+let decode_payload d payload =
   let n = String.length payload in
   if n = 0 then Error "empty payload"
   else if payload.[0] <> frame_tag then
-    let* r, pos = decode_record one_record payload 0 in
-    if pos <> n then Error "trailing bytes" else Ok [ r ]
+    Error
+      "a one-record frame, the layout before frames held decisions, which \
+       this build no longer reads"
   else if n = 1 then Error "a frame of no records"
   else begin
     d.spelt <- 0;
+    let sym = read_sym d in
     let rec go acc pos =
       if pos = n then Ok (List.rev acc)
       else
-        let* r, pos = decode_record sp payload pos in
+        let* r, pos = decode_record sym payload pos in
         go (r :: acc) pos
     in
     go [] 1
@@ -435,9 +359,7 @@ let decode_payload d sp payload =
 
 let new_dict () = { syms = Array.make 64 (Symbol.serial 1); spelt = 0 }
 
-let decode payload =
-  let d = new_dict () in
-  decode_payload d (grouped d) payload
+let decode payload = decode_payload (new_dict ()) payload
 
 let encode records =
   let w = writer ~header:false (buffer_sink (Buffer.create 0)) in
@@ -469,7 +391,6 @@ let header_bytes = String.length magic
 let scan_frames data ~offset =
   let n = String.length data in
   let d = new_dict () in
-  let sp = grouped d in
   let stop frames pos why =
     Ok { frames = List.rev frames; valid_bytes = pos; truncated = why }
   in
@@ -487,7 +408,7 @@ let scan_frames data ~offset =
         if Int32.to_int (Crc32.update Crc32.empty data (pos + 8) len) land 0xffffffff <> crc
         then torn "checksum mismatch"
         else
-          match decode_payload d sp (String.sub data (pos + 8) len) with
+          match decode_payload d (String.sub data (pos + 8) len) with
           | Ok records ->
             let stop = pos + 8 + len in
             go ({ records; stop } :: frames) stop

@@ -47,13 +47,10 @@
     'N'  Note              key:vstr value:vstr
     v}
 
-    {b The layout before, read only.}  Logs written before frames held
-    decisions have one record per frame, with no ['F']: the same tags,
-    a [Put]'s symbols each a name:[vstr], and every other field a
-    [str], a u32le length and the bytes.  {!scan} reads both layouts,
-    mixed in one log; this build writes only frames.  ['P'], the [Put]
-    layout before the compact one, is no longer read: a log holding
-    one is refused with an error naming it. *)
+    This is the only layout a build reads.  A payload without the
+    ['F'], the one record per frame that logs held before frames held
+    decisions, does not decode, so {!scan} refuses a log that holds
+    one, naming that layout. *)
 
 open Kernel
 
@@ -137,7 +134,7 @@ val encode : record list -> string
 (** The payload of one frame holding these records, without framing. *)
 
 val decode : string -> (record list, string) result
-(** The records of a payload, in either layout. *)
+(** The records of a payload. *)
 
 (** {1 Recovery scan} *)
 

@@ -12,32 +12,8 @@ let flag = Atomic.make false
 let set_enabled b = Atomic.set flag b
 let enabled () = Atomic.get flag
 
-(* Slow-op threshold: GKBMS_SLOW_MS (milliseconds) overrides the
-   100ms default at startup; `trace slow MS` can still retune live. *)
-let threshold_of_ms_string s =
-  match float_of_string_opt (String.trim s) with
-  | Some ms when ms >= 0. && Float.is_finite ms -> Some (ms /. 1000.)
-  | _ -> None
-
-let slow_ms_setting getenv =
-  match getenv "GKBMS_SLOW_MS" with
-  | None -> Ok 0.1
-  | Some s -> (
-    match threshold_of_ms_string s with
-    | Some t -> Ok t
-    | None ->
-      Error
-        (Printf.sprintf
-           "GKBMS_SLOW_MS: bad threshold %S (want non-negative milliseconds)"
-           s))
-
-let env_errors getenv =
-  match slow_ms_setting getenv with Ok _ -> [] | Error e -> [ e ]
-
-let default_threshold_s =
-  Result.value (slow_ms_setting Sys.getenv_opt) ~default:0.1
-
-let threshold = Atomic.make default_threshold_s
+(* Slow-op threshold: 100ms until `trace slow MS` retunes it live *)
+let threshold = Atomic.make 0.1
 let set_slow_threshold_s s = Atomic.set threshold s
 let slow_threshold_s () = Atomic.get threshold
 

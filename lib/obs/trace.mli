@@ -29,19 +29,9 @@ val enabled : unit -> bool
 
 val set_slow_threshold_s : float -> unit
 (** Operations at least this long enter the slow-op log.  0 captures
-    everything.  The startup default is 0.1s, overridable by the
-    [GKBMS_SLOW_MS] environment variable (milliseconds). *)
+    everything.  The startup default is 0.1s. *)
 
 val slow_threshold_s : unit -> float
-
-val threshold_of_ms_string : string -> float option
-(** Parse a [GKBMS_SLOW_MS]-style value (non-negative milliseconds)
-    into seconds; [None] on malformed input. *)
-
-val env_errors : (string -> string option) -> string list
-(** [env_errors getenv] is one message naming [GKBMS_SLOW_MS] when
-    [getenv] returns it set but malformed (startup then keeps the
-    100ms default), else []. *)
 
 (** {1 Ambient trace context}
 

@@ -195,8 +195,11 @@ let step ?(wait_ms = 0) t =
           (Wire.frames ~gen ~offset ~max_bytes:t.chunk_bytes ~wait_ms)
       with
       | Error msg when Wire.is_resync_error msg ->
+        (* the cursor is past saving: forget it, so a restart on this
+           directory re-bootstraps instead of resuming it *)
         t.needs_resync <- true;
         t.last_error <- Some msg;
+        (try Sys.remove (cursor_file t.dir) with Sys_error _ -> ());
         Error msg
       | Error msg ->
         (* transport trouble or leader restart: reconnect next round *)
@@ -351,7 +354,7 @@ let create ?(config = Daemon.default_config) ?name ~leader ~connect ~dir () =
             match Gkbms.Persist.load_repository data with
             | Error e -> Error ("snapshot decode: " ^ e)
             | Ok repo -> (
-              match Durable.attach ~dir repo with
+              match Durable.attach ~fsync:config.wal_fsync ~dir repo with
               | Error e -> Error e
               | Ok durable ->
                 Obs.Registry.Counter.inc g_bootstraps;
@@ -367,7 +370,7 @@ let create ?(config = Daemon.default_config) ?name ~leader ~connect ~dir () =
     then
       (* warm restart: rebuild local state from our own WAL, resume the
          stream at the persisted frame-boundary cursor *)
-      match Durable.open_ ~dir () with
+      match Durable.open_ ~fsync:config.wal_fsync ~dir () with
       | Error e -> Error ("follower recovery: " ^ e)
       | Ok (durable, _report) ->
         let g, o, e, v = Option.get (read_cursor dir) in
@@ -414,7 +417,9 @@ let leader_addr t = t.leader
 let name t = t.name
 
 (* ------------------------------------------------------------------ *)
-(* the puller thread *)
+(* the puller thread: transient failures back off briefly before
+   reconnecting; a resync answer ends it, as only a restart, which
+   re-bootstraps, can go on *)
 
 let start ?(wait_ms = 500) t =
   if t.thread = None then
@@ -422,14 +427,10 @@ let start ?(wait_ms = 500) t =
       Some
         (Thread.create
            (fun () ->
-             while not t.stop_flag do
+             while not (t.stop_flag || t.needs_resync) do
                match step ~wait_ms t with
                | Ok _ -> ()
-               | Error _ ->
-                 (* resync demands an operator restart; transient
-                    failures back off briefly before reconnecting *)
-                 if t.needs_resync then Thread.delay 0.5
-                 else Thread.delay 0.2
+               | Error _ -> if not t.needs_resync then Thread.delay 0.2
              done)
            ())
 

@@ -30,7 +30,8 @@ val create :
 (** [leader] is the address quoted in write-refusal errors; [connect]
     opens a fresh client to it (over the leader's Unix socket, or
     {!Server.Daemon.connect} in process).
-    [config]'s [read_only] field is overridden. *)
+    [config]'s [read_only] field is overridden; its [wal_fsync] applies
+    to the follower's own journal, as on any daemon. *)
 
 val daemon : t -> Server.Daemon.t
 val repo : t -> Gkbms.Repository.t
@@ -59,12 +60,15 @@ val cursor : t -> int * int
 val last_error : t -> string option
 val needs_resync : t -> bool
 (** The leader can no longer serve our cursor (pruned archive): local
-    state is stale beyond catch-up and the follower must be restarted
-    to re-bootstrap from a snapshot. *)
+    state is stale beyond catch-up.  The follower has deleted its
+    [repl.cursor], so a restart on the same directory re-bootstraps
+    from a snapshot; until then {!step} fails and [repl status] names
+    the leader's error. *)
 
 val start : ?wait_ms:int -> t -> unit
 (** Spawn the puller thread: loop {!step} with [wait_ms] (default 500)
-    long-polling, reconnecting after transient failures. *)
+    long-polling, reconnecting after transient failures.  The thread
+    ends at a resync answer ({!needs_resync}). *)
 
 val stop : t -> unit
 (** Stop the puller, drop the leader connection, stop the daemon.  It

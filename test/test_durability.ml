@@ -34,9 +34,9 @@ let raw_frame payload =
   Buffer.contents buf
 
 (* A record as logs carried it before a frame held a decision, which
-   this build reads and no longer writes: one record per frame, a
-   [Put]'s symbols each a [vstr] name, every other string a u32le
-   length and its bytes. *)
+   this build no longer reads: one record per frame, a [Put]'s symbols
+   each a [vstr] name, every other string a u32le length and its
+   bytes. *)
 let one_record_payload r =
   let buf = Buffer.create 64 in
   let str s =
@@ -136,19 +136,74 @@ let test_roundtrip () =
   check Alcotest.(list int) "records per frame" [ 1; 1; 1; 3; 1; 1; 1 ]
     (List.map (fun (f : Wal.frame) -> List.length f.records) scan.Wal.frames)
 
+let hex s =
+  let b = Buffer.create (2 * String.length s) in
+  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
+  Buffer.contents b
+
+(* One decision's frame, as protocol 5 lays it out: a name spelt once
+   and referred to after, a string that names no symbol (it takes an
+   index all the same, so the name spelt after it takes index 3),
+   serial ids and artifacts.  A writer that moves a byte of it fails
+   here. *)
+let pinned_log =
+  String.concat ""
+    [
+      "474b4257414c310a" (* the magic *);
+      "7a000000e852caad" (* the payload's length, 122, and its CRC-32 *);
+      "46" (* 'F' *);
+      "42000b50696e6e6564436c617373" (* 'B', PinnedClass spelt: index 0 *);
+      (* 'p', serial 7, PinnedObj spelt (index 1), index 0 twice, belief 0 *)
+      "70080f000950696e6e65644f626a020200";
+      (* 'R', a name no symbol has, spelt (index 2), then its text *)
+      "52002070696e6e65643a206120737472696e67206e6f2073796d626f6c206e616d6573";
+      "0e2874657874202266697273742229";
+      (* 'p', serial 300, PinnedLater spelt (index 3), indices 1 and 3,
+         belief -2 *)
+      "7008d904000b50696e6e65644c61746572040803";
+      "5204" (* 'R', index 1 *);
+      "0f287465787420227365636f6e642229";
+      "4302" (* 'C', index 0 *);
+    ]
+
+let test_pinned_frame () =
+  let later = sym "PinnedLater" and obj = sym "PinnedObj" and cls = sym "PinnedClass" in
+  let records =
+    [
+      Wal.Decision_begin (Symbol.name cls);
+      Wal.Put (Prop.make ~id:(Symbol.serial 7) ~source:obj ~label:cls ~dest:cls ());
+      Wal.Artifact ("pinned: a string no symbol names", "(text \"first\")");
+      Wal.Put
+        (Prop.make ~belief:(-2) ~id:(Symbol.serial 300) ~source:later ~label:obj
+           ~dest:later ());
+      Wal.Artifact (Symbol.name obj, "(text \"second\")");
+      Wal.Decision_commit (Symbol.name cls);
+    ]
+  in
+  let buf = Buffer.create 256 in
+  let w = Wal.writer (Wal.buffer_sink buf) in
+  List.iter (Wal.append w) records;
+  Wal.close w;
+  let log = Buffer.contents buf in
+  check string "the log's bytes" pinned_log (hex log);
+  check string "encode gives the frame's payload"
+    (hex (String.sub log 16 (String.length log - 16)))
+    (hex (Wal.encode records));
+  let scan = ok (Wal.scan log) in
+  check int "one frame" 1 (List.length scan.Wal.frames);
+  check Alcotest.(list Alcotest.string) "the records read back" (encoded records)
+    (encoded (Wal.records scan))
+
 let test_codec_rejects_garbage () =
   (match Wal.decode "" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty payload decoded");
-  (match Wal.decode "Zjunk" with
+  (match Wal.decode "FZjunk" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown tag decoded");
   (match Wal.decode (Wal.encode [ Wal.Decision_commit "x" ] ^ "extra") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing bytes accepted");
-  (match Wal.decode (one_record_payload (Wal.Decision_commit "x") ^ "extra") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing bytes accepted in a one-record frame");
   (* the compact [Put]: a multi-byte belief, so a cut lands in a varint *)
   let put =
     Wal.encode
@@ -172,11 +227,8 @@ let test_codec_rejects_garbage () =
     [ 4; 5; 6; 7 ];
   rejects "truncated belief varint" (String.sub put 0 (String.length put - 1));
   rejects "truncated length varint" "Fp\x00\x00\x80";
-  rejects "truncated length varint, one-record frame" "p\x00\x80";
   rejects "overlong varint" ("Fp\x0f\x00\x01x" ^ String.make 9 '\xff' ^ "\x01");
-  rejects "overlong varint, one-record frame" ("p\x0f\x01x" ^ String.make 9 '\xff' ^ "\x01");
   rejects "missing flags byte" "Fp";
-  rejects "missing flags byte, one-record frame" "p";
   rejects "trailing bytes" (put ^ "\x00");
   rejects "a frame of no records" "F";
   rejects "a name used before it is spelt" "FT\x02";
@@ -641,26 +693,19 @@ let old_put_payload (p : Prop.t) =
     ];
   Buffer.contents buf
 
-(* a log as written before the compact layout: the same magic and
-   length + CRC-32 framing, one record per frame, with every [Put] in
-   the old layout *)
+(* a log as written before a frame held a decision: the same magic and
+   length + CRC-32 framing, one record per frame *)
 let old_layout_log records =
-  String.concat ""
-    (Wal.magic
-    :: List.map
-         (function
-           | Wal.Put p -> raw_frame (old_put_payload p)
-           | r -> raw_frame (one_record_payload r))
-         records)
+  String.concat "" (Wal.magic :: List.map (fun r -> raw_frame (one_record_payload r)) records)
 
-(* [data] with the payload of the frame at [at] retagged 'Z' and the
-   frame resealed: a whole frame whose record no build decodes *)
+(* [data] with the first record of the frame at [at] retagged 'Z' and
+   the frame resealed: a whole frame whose record no build decodes *)
 let retag data at =
   let next = at + 8 + Int32.to_int (String.get_int32_le data at) in
   String.concat ""
     [
       String.sub data 0 at;
-      raw_frame ("Z" ^ String.sub data (at + 9) (next - at - 9));
+      raw_frame ("FZ" ^ String.sub data (at + 10) (next - at - 10));
       String.sub data next (String.length data - next);
     ]
 
@@ -684,7 +729,7 @@ let point_gen =
   QCheck.Gen.(oneof [ int_range (-1000) 1000; oneofl [ min_int; max_int; 0 ] ])
 
 (* [Time.of_string] reads an interval name up to its first '[', and an
-   '@' in front as [At]: such names do not round-trip in either layout *)
+   '@' in front as [At]: such names do not round-trip *)
 let interval_name_gen =
   QCheck.Gen.(
     map
@@ -738,15 +783,11 @@ let prop_put_codec =
         QCheck.Test.fail_reportf "%d bytes compact, %d in the old layout"
           (String.length payload)
           (String.length (old_put_payload p));
-      (* [Prop.equal] ignores the belief: compare it on its own; the
-         one-record layout must still read back too *)
-      let same what = function
-        | Ok [ Wal.Put q ] -> Prop.equal p q && q.belief = p.belief
-        | Ok _ -> QCheck.Test.fail_reportf "%s: decoded to another record" what
-        | Error e -> QCheck.Test.fail_reportf "%s: decode failed: %s" what e
-      in
-      same "frame" (Wal.decode payload)
-      && same "one-record frame" (Wal.decode (one_record_payload (Wal.Put p))))
+      (* [Prop.equal] ignores the belief: compare it on its own *)
+      match Wal.decode payload with
+      | Ok [ Wal.Put q ] -> Prop.equal p q && q.belief = p.belief
+      | Ok _ -> QCheck.Test.fail_reportf "decoded to another record"
+      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
 (* symbols of every kind: names from [name_gen] (a canonical [p<n>]
    among them interns nothing), and serial ids at both ends of their
@@ -821,39 +862,6 @@ let prop_frames_roundtrip =
       List.iter (Wal.append w) records;
       Wal.close w;
       scans_to "frames" records (Buffer.contents buf))
-
-(* A log some of whose runs of records a build before frames held
-   decisions wrote, one record per frame, and the rest this build's
-   frames: one scan reads it all, and so does a scan from every frame
-   boundary. *)
-let prop_mixed_layouts =
-  QCheck.Test.make ~name:"a log mixing both frame layouts scans to its records"
-    ~count:200
-    QCheck.(
-      make
-        ~print:(fun runs -> print_log (List.concat_map snd runs))
-        Gen.(list_size (int_range 1 5) (pair bool log_gen)))
-    (fun runs ->
-      let records = List.concat_map snd runs in
-      let data =
-        String.concat ""
-          (Wal.magic
-          :: List.map
-               (fun (old, run) ->
-                 if old then String.concat "" (List.map (fun r -> raw_frame (one_record_payload r)) run)
-                 else frames_of run)
-               runs)
-      in
-      scans_to "mixed" records data
-      &&
-      let frames = (ok (Wal.scan data)).Wal.frames in
-      List.for_all
-        (fun (i, at) ->
-          let from = ok (Wal.scan_from data ~offset:at) in
-          Wal.records from
-          = List.concat_map (fun (f : Wal.frame) -> f.records) (List.filteri (fun j _ -> j >= i) frames)
-          || QCheck.Test.fail_reportf "scan_from frame %d at byte %d differs" i at)
-        (List.mapi (fun i at -> (i, at)) (frame_starts Wal.header_bytes frames)))
 
 (* whole-repository durability -------------------------------------------- *)
 
@@ -1098,14 +1106,25 @@ let test_durable_refuses_undecodable_record () =
         decode (unknown record tag 'Z')"
        at)
 
-(* a log with its [Put]s in the layout before the compact one *)
-let test_durable_refuses_old_layout () =
+(* A log of one-record frames, as written before a frame held a
+   decision, is refused at its first frame, naming that layout: this
+   build reads only the layout it writes *)
+let test_durable_refuses_one_record_frames () =
   let dir = Scratch.temp_dir () in
   Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
   ignore (two_decisions dir : Repo.t);
   let wal = Durable.wal_path dir in
   write_file wal (old_layout_log (Wal.records (ok (Wal.scan (read_file wal)))));
-  check_log_refused dir "old-layout 'P' record"
+  let why =
+    Printf.sprintf
+      "frame at byte %d passes its checksum but its record does not decode \
+       (a one-record frame, the layout before frames held decisions"
+      Wal.header_bytes
+  in
+  (match Wal.read_file wal with
+  | Ok _ -> Alcotest.fail "Wal.read_file read a log of one-record frames"
+  | Error e -> check bool ("Wal.read_file says why: " ^ e) true (contains why e));
+  check_log_refused dir why
 
 (* A zero-filled tail reads as empty frames, length 0 with CRC 0 (the
    CRC-32 of ""): a torn tail, cut after the last decision *)
@@ -1970,6 +1989,7 @@ let suite =
     ("crc32 vectors", `Quick, test_crc_vectors);
     ("crc32 incremental", `Quick, test_crc_incremental);
     ("frame roundtrip", `Quick, test_roundtrip);
+    ("one frame's bytes are pinned", `Quick, test_pinned_frame);
     ("codec rejects garbage", `Quick, test_codec_rejects_garbage);
     ("torn tail truncated", `Quick, test_torn_tail);
     ("bit flip detected", `Quick, test_bit_flip_detected);
@@ -1989,7 +2009,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_crash_recovery_bitflip;
     QCheck_alcotest.to_alcotest prop_put_codec;
     QCheck_alcotest.to_alcotest prop_frames_roundtrip;
-    QCheck_alcotest.to_alcotest prop_mixed_layouts;
     ("scan_from at every frame boundary", `Quick, test_scan_from_every_boundary);
     ("scan_from headerless chunk", `Quick, test_scan_from_headerless_chunk);
     ("scan_from torn final frame", `Quick, test_scan_from_torn_final_frame);
@@ -2003,7 +2022,7 @@ let suite =
     ("durable refuses a damaged log header", `Quick, test_durable_refuses_damaged_header);
     ("durable refuses a record it cannot decode", `Quick,
      test_durable_refuses_undecodable_record);
-    ("durable refuses an old-layout log", `Quick, test_durable_refuses_old_layout);
+    ("durable refuses one-record frames", `Quick, test_durable_refuses_one_record_frames);
     ("durable reads a zero-filled tail as torn", `Quick, test_durable_zero_filled_tail);
     ("recovery realigns prop id counter", `Quick, test_recover_realigns_prop_ids);
     ("recovery realigns decision counter", `Quick, test_recover_realigns_decision_counter);

@@ -632,15 +632,6 @@ let test_context_per_thread () =
   check int "none set after a raise" 0 (Trace.contexts_set ());
   check bool "and none read" true (Trace.current_context () = None)
 
-let test_slow_threshold_parse () =
-  check bool "50 -> 0.05s" true (Trace.threshold_of_ms_string "50" = Some 0.05);
-  check bool "0 ok" true (Trace.threshold_of_ms_string "0" = Some 0.);
-  check bool "spaces ok" true
-    (Trace.threshold_of_ms_string " 250 " = Some 0.25);
-  check bool "negative rejected" true
-    (Trace.threshold_of_ms_string "-1" = None);
-  check bool "garbage rejected" true (Trace.threshold_of_ms_string "abc" = None)
-
 (* ---------------- flight recorder ---------------- *)
 
 let test_recorder_ring () =
@@ -684,18 +675,6 @@ let test_recorder_ring () =
   List.iter validate_json lines;
   check bool "dump carries the applied event" true
     (List.exists (fun l -> contains "\"kind\":\"applied\"" l) lines)
-
-(* A set but malformed observability variable is an error naming it;
-   unset and valid values are not. *)
-let test_env_errors () =
-  let env vars name = List.assoc_opt name vars in
-  let errors vars = Trace.env_errors (env vars) in
-  check (Alcotest.list Alcotest.string) "unset" [] (errors []);
-  check (Alcotest.list Alcotest.string) "valid" []
-    (errors [ ("GKBMS_SLOW_MS", "250") ]);
-  check (Alcotest.list Alcotest.string) "bad threshold"
-    [ {|GKBMS_SLOW_MS: bad threshold "-1" (want non-negative milliseconds)|} ]
-    (errors [ ("GKBMS_SLOW_MS", "-1") ])
 
 (* ---------------- prover stats are copied out ---------------- *)
 
@@ -827,7 +806,5 @@ let suite =
     ("trace context id generation", `Quick, test_ctx_generate_distinct);
     ("ambient trace context", `Quick, test_ambient_context);
     ("trace context per thread, count back to 0", `Quick, test_context_per_thread);
-    ("slow threshold parsing", `Quick, test_slow_threshold_parse);
     ("flight recorder ring", `Quick, test_recorder_ring);
-    ("malformed observability variables", `Quick, test_env_errors);
   ]

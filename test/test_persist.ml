@@ -218,8 +218,7 @@ let test_snapshot_rejects_garbage () =
     (fun text ->
       match P.load_repository text with
       | Error e ->
-        check Alcotest.string text
-          "not a snapshot: this build reads only binary snapshots (GKBSNP2, GKBSNP1)" e
+        check Alcotest.string text "not a snapshot: this build reads only GKBSNP2 snapshots" e
       | Ok _ -> Alcotest.failf "%S accepted" text)
     [ "(not-a-repo)"; "(("; "" ]
 
@@ -412,8 +411,8 @@ let prop_binary_snapshot_roundtrip =
       && List.map Symbol.name (Repo.decision_log loaded)
          = List.map Symbol.name (Repo.decision_log repo))
 
-(* The GKBSNP1 layout, which this build reads and no longer writes, as
-   its writer wrote it: every symbol, a minted id too, spelt at its
+(* The GKBSNP1 layout, which this build no longer reads, as its writer
+   wrote it: every symbol, a minted id too, spelt at its
    first use as [code * 2 + 1] and its name, and [code * 2] after that.
    [code] is the symbol's own below [near], twice the interned names
    plus the propositions, and the next code from [near] up past it. *)
@@ -526,74 +525,47 @@ let test_snapshot_serial_ends () =
   | Error e -> check bool e true (contains "out of range" e)
 
 (* Names spelt like serial ids that are not ones ([p0], a leading 0, 19
-   digits) are interned names, and stay so across a reload, in both
-   layouts. *)
+   digits) are interned names, and stay so across a reload. *)
 let test_snapshot_serial_lookalikes () =
   let repo = Repo.create () in
   let base = Cml.Kb.base (Repo.kb repo) in
   let names = [ "p0"; "p01"; "p" ^ String.make 19 '9'; "p1000000000000000000" ] in
   List.iter (fun n -> ok (Store.Base.insert base (individual (Symbol.intern n)))) names;
   let _, repo2 = reloaded repo in
-  let repo1 = ok (P.load_repository_raw (snp1 repo)) in
   List.iter
     (fun n ->
       let sym = Symbol.intern n in
       check int (n ^ " is a name") 0 (Symbol.serial_number sym);
       check bool (n ^ " reloaded") true (Store.Base.mem (Cml.Kb.base (Repo.kb repo2)) sym);
-      check bool (n ^ " read from GKBSNP1") true
-        (Store.Base.mem (Cml.Kb.base (Repo.kb repo1)) sym);
       check Alcotest.string (n ^ " keeps its spelling") n (Symbol.name sym))
     names;
   check Alcotest.string "the same repository" (P.save_repository_canonical repo)
     (P.save_repository_canonical repo2)
 
-(* A random base, its ids names and serial ids as a process mints them
-   (numbered below the names interned so far): its GKBSNP2 file is
-   never longer than its GKBSNP1 encoding, and both load to it.  (A
-   chosen [p<n>] with a large [n] used more than three times is the one
-   case GKBSNP1 spelt shorter, as a name with a small code.) *)
-let minted_gen =
-  QCheck.Gen.(map (fun k -> Symbol.serial (1 + (k mod max 1 (Symbol.count ())))) nat)
-
-let base_sym_gen =
-  QCheck.Gen.(frequency [ (2, map Symbol.intern Test_durability.name_gen); (3, minted_gen) ])
-
-let minted_repo_gen =
-  QCheck.Gen.(
-    triple
-      (list_size (int_range 0 40)
-         (pair (quad base_sym_gen base_sym_gen base_sym_gen base_sym_gen)
-            (pair Test_durability.time_gen Test_durability.belief_gen)))
-      (list_size (int_range 0 10) (pair nat artifact_gen))
-      (list_size (int_range 0 10) base_sym_gen))
-
-let prop_snp2_never_longer =
-  QCheck.Test.make ~name:"GKBSNP2 never longer than GKBSNP1, both load" ~count:100
-    (QCheck.make minted_repo_gen) (fun (props, artifacts, log) ->
-      let repo = Repo.create () in
-      let base = Cml.Kb.base (Repo.kb repo) in
-      List.iter
-        (fun ((id, source, label, dest), (time, belief)) ->
-          ignore (Store.Base.insert base (Prop.make ~time ~belief ~id ~source ~label ~dest ())))
-        props;
-      let ids = Array.of_list (Store.Base.fold base (fun acc p -> p.Prop.id :: acc) []) in
-      List.iter (fun (i, a) -> Repo.set_artifact repo ids.(i mod Array.length ids) a) artifacts;
-      List.iter (Repo.log_decision repo) log;
-      let v2 = P.save_repository repo and v1 = snp1 repo in
-      if String.length v2 > String.length v1 then
-        QCheck.Test.fail_reportf "GKBSNP2 %d bytes, GKBSNP1 %d" (String.length v2)
-          (String.length v1);
-      let same what text =
-        let loaded = ok (P.load_repository_raw text) in
-        P.save_repository_canonical loaded = P.save_repository_canonical repo
-        && List.map Symbol.name (Repo.decision_log loaded)
-           = List.map Symbol.name (Repo.decision_log repo)
-        || QCheck.Test.fail_reportf "%s loaded another repository" what
-      in
-      same "GKBSNP2" v2 && same "GKBSNP1" v1)
+(* A GKBSNP1 checkpoint, the layout before this one, is refused by
+   every loader with an error naming it, and the checkpoint and the log
+   beside it are left as they are *)
+let test_snapshot_snp1_refused () =
+  let dir = Scratch.temp_dir () in
+  Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
+  let repo = Test_durability.two_decisions dir in
+  let path = Gkbms.Durable.checkpoint_path dir in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (snp1 repo));
+  let before = Test_durability.dir_files dir in
+  let refused what = function
+    | Ok () -> Alcotest.failf "%s loaded a GKBSNP1 checkpoint" what
+    | Error e ->
+      check bool (what ^ " names the layout: " ^ e) true
+        (contains "a GKBSNP1 snapshot, a layout this build no longer reads" e)
+  in
+  refused "load_from_file" (Result.map ignore (P.load_from_file path));
+  refused "Durable.recover" (Result.map ignore (Gkbms.Durable.recover ~dir ()));
+  refused "Durable.open_"
+    (Result.map (fun (d, _) -> Gkbms.Durable.close d) (Gkbms.Durable.open_ ~dir ()));
+  check bool "checkpoint and log unchanged" true (Test_durability.dir_files dir = before)
 
 (* A magic this build does not know is refused with an error naming
-   the layouts it reads; so is one cut short. *)
+   the layout it reads; so is one cut short. *)
 let test_snapshot_unknown_magic () =
   let body = String.sub (P.save_repository (Repo.create ())) 8 64 in
   List.iter
@@ -602,12 +574,12 @@ let test_snapshot_unknown_magic () =
       | Ok _ -> Alcotest.failf "%S loaded" text
       | Error e ->
         check Alcotest.string (String.escaped text)
-          "not a snapshot: this build reads only binary snapshots (GKBSNP2, GKBSNP1)" e)
+          "not a snapshot: this build reads only GKBSNP2 snapshots" e)
     [ "GKBSNP3\n" ^ body; "GKBSNP0\n" ^ body; "GKBSNP2"; "gkbsnp2\n" ^ body ]
 
 (* The header records the generation it is given, and a reader of the
-   header alone finds it; a GKBSNP1 file, a missing one and anything
-   else read as 0. *)
+   header alone finds it; a GKBSNP1 magic before a varint, a missing
+   file and anything else read as 0. *)
 let test_snapshot_header_generation () =
   let dir = Scratch.temp_dir () in
   Fun.protect ~finally:(fun () -> Scratch.rm_rf dir) @@ fun () ->
@@ -621,7 +593,7 @@ let test_snapshot_header_generation () =
       check bool "and it loads" true (Result.is_ok (P.load_from_file ~register_tools:ignore path)))
     [ 0; 1; 127; 128; 1 lsl 40 ];
   let write text = Out_channel.with_open_bin path (fun oc -> output_string oc text) in
-  write (snp1 repo);
+  write "GKBSNP1\n\x05";
   check int "GKBSNP1" 0 (P.generation_of_file path);
   write "GKBSNP2\n\x85";
   check int "a cut varint" 0 (P.generation_of_file path);
@@ -656,29 +628,26 @@ let test_snapshot_damage () =
   done
 
 (* With a valid checksum, the records are still checked: the loader
-   names what is wrong, in either layout.  [sealed] frames a hand-made
-   body as a snapshot of GKBSNP[layout]; name codes in a body are
-   arbitrary numbers. *)
-let sealed layout body =
+   names what is wrong.  [sealed] frames a hand-made body as a
+   snapshot; name codes in a body are arbitrary numbers. *)
+let sealed body =
   let b = Buffer.create 64 in
-  Buffer.add_string b (Printf.sprintf "GKBSNP%d\n" layout);
-  (* GKBSNP2's generation *)
-  if layout = 2 then Durability.Codec.add_varint b 7;
+  Buffer.add_string b "GKBSNP2\n";
+  (* the generation *)
+  Durability.Codec.add_varint b 7;
   Buffer.add_string b body;
   Buffer.add_int32_le b (Durability.Crc32.of_string (Buffer.contents b));
   Buffer.contents b
 
-let snapshot_record_checks layout =
+let test_snapshot_record_checks () =
   let module C = Durability.Codec in
   let buf = Buffer.create 64 in
   let varint n = C.add_varint buf n in
-  (* a GKBSNP2 name reference is twice a GKBSNP1 one *)
-  let sym v = varint (if layout = 2 then v lsl 1 else v) in
   let name code s =
-    sym ((code lsl 1) lor 1);
+    varint ((code lsl 2) lor 2);
     C.add_vstr buf s
   in
-  let reference code = sym (code lsl 1) in
+  let reference code = varint (code lsl 2) in
   let flags f = Buffer.add_char buf (Char.chr f) in
   (* <x, x, x, Always>, belief 0 *)
   let individual ?(f = 0b1111) code s =
@@ -734,38 +703,29 @@ let snapshot_record_checks layout =
             varint 1;
             individual 5 "w"),
         "artifact w" );
+      ( "serial number 0",
+        body (fun () ->
+            varint 1;
+            flags 0b1111;
+            varint 1;
+            varint 0),
+        "serial number 0 out of range" );
     ]
-    @
-    if layout = 1 then []
-    else
-      [
-        ( "serial number 0",
-          body (fun () ->
-              varint 1;
-              flags 0b1111;
-              varint 1;
-              varint 0),
-          "serial number 0 out of range" );
-      ]
   in
   List.iter
     (fun (what, body, needle) ->
-      match P.load_repository (sealed layout body) with
-      | Ok _ -> Alcotest.failf "GKBSNP%d: %s loaded" layout what
-      | Error e ->
-        check bool (Printf.sprintf "GKBSNP%d %s: %S names %S" layout what e needle)
-          true (contains needle e))
+      match P.load_repository (sealed body) with
+      | Ok _ -> Alcotest.failf "%s loaded" what
+      | Error e -> check bool (Printf.sprintf "%s: %S names %S" what e needle) true (contains needle e))
     cases;
   (* the same frame around well-formed records loads *)
   ignore
     (ok
        (P.load_repository
-          (sealed layout
+          (sealed
              (body (fun () ->
                   varint 1;
                   individual 6 "v")))))
-
-let test_snapshot_record_checks () = List.iter snapshot_record_checks [ 1; 2 ]
 
 let suite =
   [
@@ -787,7 +747,7 @@ let suite =
     ("snapshot records are checked", `Quick, test_snapshot_record_checks);
     ("snapshot serial ids at both ends of the range", `Quick, test_snapshot_serial_ends);
     ("snapshot names spelt like serial ids", `Quick, test_snapshot_serial_lookalikes);
-    QCheck_alcotest.to_alcotest prop_snp2_never_longer;
     ("snapshot unknown magic names the layouts read", `Quick, test_snapshot_unknown_magic);
     ("snapshot header records the generation", `Quick, test_snapshot_header_generation);
+    ("snapshot GKBSNP1 refused by name", `Quick, test_snapshot_snp1_refused);
   ]

@@ -394,6 +394,10 @@ let test_only_a_leader_keeps_archives () =
 
 (* follower restart: warm recovery resumes at the persisted cursor ------- *)
 
+let bootstraps () =
+  Obs.Registry.Counter.get
+    (Obs.Registry.counter Obs.Registry.default "gkbms_repl_bootstraps_total")
+
 let test_follower_restart_resumes () =
   let ldir = Scratch.temp_dir () and fdir = Scratch.temp_dir () in
   Fun.protect ~finally:(fun () -> Scratch.rm_rf ldir; Scratch.rm_rf fdir) @@ fun () ->
@@ -407,16 +411,10 @@ let test_follower_restart_resumes () =
   ignore (ok (Scn.normalize_invitations rig.l_st));
   ignore (ok (Scn.substitute_key rig.l_st));
   (* restart from the same directory: local recovery, not a re-bootstrap *)
-  let snaps_before =
-    Obs.Registry.Counter.get
-      (Obs.Registry.counter Obs.Registry.default "gkbms_repl_bootstraps_total")
-  in
+  let snaps_before = bootstraps () in
   let f2 = ok (make_follower ~name:"f1" rig fdir) in
   Fun.protect ~finally:(fun () -> Follower.stop f2) @@ fun () ->
-  check bool "restart did not re-bootstrap" true
-    (Obs.Registry.Counter.get
-       (Obs.Registry.counter Obs.Registry.default "gkbms_repl_bootstraps_total")
-    = snaps_before);
+  check bool "restart did not re-bootstrap" true (bootstraps () = snaps_before);
   check bool "cursor resumed where it left off" true
     (Follower.cursor f2 = cursor_before);
   ok (Follower.catch_up f2);
@@ -1248,6 +1246,60 @@ let test_reads_writes_and_captures_interleave () =
   Client.close reader;
   Client.close writer
 
+(* WAL syncs that fsynced, on the process-wide registry *)
+let fsynced_syncs () =
+  Test_server.histogram_total ~labels:[ ("fsync", "true") ] "gkbms_wal_sync_us"
+
+(* A follower journals as its own config says: created with
+   [wal_fsync], it fsyncs its log when it applies a chunk, behind a
+   leader that does not *)
+let test_follower_honours_wal_fsync () =
+  with_pair @@ fun rig fdir ->
+  let f =
+    ok
+      (Follower.create ~config:{ Daemon.default_config with wal_fsync = true } ~name:"f1"
+         ~leader:"leader.sock" ~connect:(connect_to rig) ~dir:fdir ())
+  in
+  Fun.protect ~finally:(fun () -> Follower.stop f) @@ fun () ->
+  ok (Follower.catch_up f);
+  let before = fsynced_syncs () in
+  ignore (ok (Scn.normalize_invitations rig.l_st));
+  check bool "a chunk applied" true (ok (Follower.step f) > 0);
+  check bool "the follower's journal fsynced" true (fsynced_syncs () > before);
+  ok (Follower.catch_up f);
+  converged rig f
+
+(* A follower whose cursor the leader can no longer serve forgets it,
+   so a restart on the same directory re-bootstraps from a snapshot and
+   converges, where resuming the pruned cursor would get [resync]
+   again *)
+let test_follower_restart_after_resync () =
+  with_pair @@ fun rig fdir ->
+  let f1 = ok (make_follower ~name:"f1" rig fdir) in
+  ok (Follower.catch_up f1);
+  Follower.stop f1;
+  (* while the follower is down, the leader moves past the generations
+     it keeps *)
+  ignore (ok (Scn.normalize_invitations rig.l_st));
+  let durable = Option.get (Daemon.durable rig.l_daemon) in
+  for _ = 1 to Leader.retained_generations + 2 do
+    ok (Durable.checkpoint durable)
+  done;
+  let f2 = ok (make_follower ~name:"f1" rig fdir) in
+  (match Follower.catch_up f2 with
+  | Ok () -> Alcotest.fail "a pruned cursor caught up"
+  | Error e -> check bool ("the leader answers resync: " ^ e) true (Wire.is_resync_error e));
+  check bool "resync noted" true (Follower.needs_resync f2);
+  check bool "the cursor is forgotten" false
+    (Sys.file_exists (Filename.concat fdir "repl.cursor"));
+  Follower.stop f2;
+  let before = bootstraps () in
+  let f3 = ok (make_follower ~name:"f1" rig fdir) in
+  Fun.protect ~finally:(fun () -> Follower.stop f3) @@ fun () ->
+  check int "the restart bootstrapped" (before + 1) (bootstraps ());
+  ok (Follower.catch_up f3);
+  converged rig f3
+
 let suite =
   [
     ("wire roundtrips", `Quick, test_wire_roundtrips);
@@ -1278,4 +1330,7 @@ let suite =
     ("reads, writes and captures interleave under one lock", `Quick,
      test_reads_writes_and_captures_interleave);
     ("only a leader keeps archives", `Quick, test_only_a_leader_keeps_archives);
+    ("a follower honours wal_fsync", `Quick, test_follower_honours_wal_fsync);
+    ("a follower restarted after resync bootstraps", `Quick,
+     test_follower_restart_after_resync);
   ]

@@ -1030,8 +1030,8 @@ let counter_value name =
   | Some { Obs.Registry.value = Obs.Registry.Counter_v n; _ } -> n
   | _ -> 0
 
-let histogram_total name =
-  match Obs.Registry.find Obs.Registry.default name with
+let histogram_total ?labels name =
+  match Obs.Registry.find Obs.Registry.default ?labels name with
   | Some { Obs.Registry.value = Obs.Registry.Histogram_v h; _ } ->
     h.Obs.Histogram.total
   | _ -> 0
